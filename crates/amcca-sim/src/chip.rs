@@ -17,6 +17,14 @@
 //!
 //! A cell that performed compute-phase work counts as *active* for the cycle
 //! (the quantity plotted in the paper's Figures 6–7).
+//!
+//! The machine is message-driven, so in a typical cycle only a handful of
+//! cells can do anything. The sequential engine therefore keeps two live sets
+//! of cell ids (*net-live* and *work-live*, documented on `Chip`'s fields) and
+//! each phase visits only their members, in ascending cell id — the order the
+//! dense scan had, so program state, first-error-wins and the Safra token
+//! step are unchanged. The per-cell helpers below are no-ops on non-members,
+//! which is what makes skipping them invisible to every simulated statistic.
 
 use crate::cell::Cell;
 use crate::config::ChipConfig;
@@ -54,6 +62,59 @@ pub(crate) enum Move {
         /// Input-FIFO index holding the arrived flit.
         port: u8,
     },
+}
+
+/// A set of cell ids, kept as a bitset (16 words on the default 32×32 chip)
+/// so that membership updates are one OR and iteration is in ascending id.
+#[derive(Debug)]
+pub(crate) struct LiveSet {
+    words: Vec<u64>,
+}
+
+impl LiveSet {
+    fn new(n_cells: usize) -> Self {
+        LiveSet { words: vec![0; n_cells.div_ceil(64)] }
+    }
+
+    #[inline]
+    fn insert(&mut self, i: usize) {
+        self.words[i / 64] |= 1u64 << (i % 64);
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] & (1u64 << (i % 64)) != 0
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| set_bits(word).map(move |b| w * 64 + b))
+    }
+
+    /// Visit members in ascending order, dropping those `keep` rejects.
+    fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        for (w, word) in self.words.iter_mut().enumerate() {
+            for b in set_bits(*word) {
+                if !keep(w * 64 + b) {
+                    *word &= !(1u64 << b);
+                }
+            }
+        }
+    }
+}
+
+/// Positions of the set bits of `word`, ascending.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
 }
 
 /// A simulated AM-CCA chip running program `P`.
@@ -104,6 +165,20 @@ pub struct Chip<P: Program> {
     /// With stealing off this equals [`Chip::band_active`]. Diagnostics; not
     /// part of [`Counters`].
     pub(crate) exec_active: Vec<u64>,
+    /// Cells whose router holds a flit or whose credit snapshot is not yet
+    /// all-zero — the only cells the network phase has to look at. Every
+    /// push into a router marks its cell; a cell leaves only in the
+    /// snapshot pass that reads it **empty**, never when its last flit
+    /// departs, so a non-member always reads as a freshly snapshotted empty
+    /// router to its neighbours (see [`crate::router::Router::accepts`]).
+    net_live: LiveSet,
+    /// Cells that are `busy` or have a queued task — the only cells the
+    /// compute phase has to look at. A delivery (or host injection) marks
+    /// the cell; it leaves when it ends a compute phase idle.
+    work_live: LiveSet,
+    /// Per-cell helper invocations made by the sequential engine
+    /// (diagnostics; not part of [`Counters`]).
+    cell_visits: u64,
 }
 
 /// Consecutive cycles above/below [`ChipConfig::shard_break_even`] required
@@ -402,7 +477,8 @@ impl<P: Program> Chip<P> {
             ActivityRecording::Frames { stride } => stride,
             _ => 0,
         };
-        let words = (cfg.cell_count() as usize).div_ceil(64);
+        let n_cells = cfg.cell_count() as usize;
+        let words = n_cells.div_ceil(64);
         Chip {
             placement,
             cells,
@@ -415,16 +491,19 @@ impl<P: Program> Chip<P> {
             queued_tasks: 0,
             busy: 0,
             error: None,
-            moves: Vec::with_capacity(cfg.cell_count() as usize),
+            moves: Vec::with_capacity(n_cells),
             frame_scratch: vec![0u64; words],
             safra: None,
             token_alive: false,
-            loads: vec![CellLoad::default(); cfg.cell_count() as usize],
+            loads: vec![CellLoad::default(); n_cells],
             last_active: 0,
             sharded_cycles: 0,
             steal_rows: 0,
             band_active: Vec::new(),
             exec_active: Vec::new(),
+            net_live: LiveSet::new(n_cells),
+            work_live: LiveSet::new(n_cells),
+            cell_visits: 0,
             cfg,
         }
     }
@@ -510,6 +589,7 @@ impl<P: Program> Chip<P> {
             self.cells[cc].td.on_send();
         }
         self.cells[cc].task_queue.push_back(op);
+        self.work_live.insert(cc);
         self.queued_tasks += 1;
     }
 
@@ -525,23 +605,30 @@ impl<P: Program> Chip<P> {
         self.record_activity(active);
         self.last_active = active;
         self.cycle += 1;
+        debug_assert!(self.live_sets_cover(), "a producer forgot to mark its target cell live");
     }
 
     fn network_phase(&mut self) {
-        for cell in &mut self.cells {
-            cell.router.begin_cycle();
-        }
         let dims = self.cfg.dims;
         let n = self.cells.len();
         let cap = self.cfg.task_queue_cap;
         let cyc = self.cycle;
-        let Chip { cells, counters, error, moves, .. } = self;
+        let Chip { cells, counters, error, moves, net_live, cell_visits, .. } = self;
+        // Snapshot pass. A router that snapshots empty leaves the set here,
+        // with an all-zero snapshot, and nowhere else: dropping it when its
+        // last flit departs would leave a stale non-zero `start_len` for
+        // neighbours to read next cycle (`link_buffer = 1` back-pressure
+        // would then stall a hop the dense scan grants).
+        net_live.retain(|i| {
+            let router = &mut cells[i].router;
+            router.begin_cycle();
+            router.total() > 0
+        });
         moves.clear();
-        for src in 0..n {
-            let cell = &cells[src];
+        for src in net_live.iter() {
             let mut accepts = |nb: u16, in_port: usize| cells[nb as usize].router.accepts(in_port);
             decide_cell_moves(
-                cell,
+                &cells[src],
                 src as u16,
                 cyc,
                 dims,
@@ -552,6 +639,7 @@ impl<P: Program> Chip<P> {
                 counters,
                 error,
             );
+            *cell_visits += 1;
         }
         for i in 0..self.moves.len() {
             match self.moves[i] {
@@ -563,11 +651,13 @@ impl<P: Program> Chip<P> {
                         }
                     }
                     self.cells[dst as usize].router.push(in_port as usize, op);
+                    self.net_live.insert(dst as usize);
                     self.counters.hops += 1;
                 }
                 Move::Deliver { cell, port } => {
                     let op = self.cells[cell as usize].router.pop(port as usize);
                     self.cells[cell as usize].task_queue.push_back(op);
+                    self.work_live.insert(cell as usize);
                     self.in_network -= 1;
                     self.queued_tasks += 1;
                     self.counters.msgs_delivered += 1;
@@ -602,13 +692,18 @@ impl<P: Program> Chip<P> {
             frame_scratch,
             safra,
             token_alive,
+            net_live,
+            work_live,
+            cell_visits,
             ..
         } = self;
         let mut totals = ComputeFx::default();
-        for (i, cell) in cells.iter_mut().enumerate() {
+        work_live.retain(|i| {
+            let cell = &mut cells[i];
             let mut fx = ComputeFx::default();
             let did_work =
                 compute_cell(cell, i, safra_on, program, counters, cfg, placement, error, &mut fx);
+            *cell_visits += 1;
             if let Some(step) = fx.token {
                 apply_token_step(
                     step,
@@ -616,6 +711,9 @@ impl<P: Program> Chip<P> {
                     token_alive,
                     cycle_now,
                 );
+            }
+            if fx.d_in_network > 0 {
+                net_live.insert(i); // staged into its own router
             }
             totals.d_queued += fx.d_queued;
             totals.d_busy += fx.d_busy;
@@ -626,7 +724,8 @@ impl<P: Program> Chip<P> {
                     frame_scratch[i / 64] |= 1u64 << (i % 64);
                 }
             }
-        }
+            !cell.is_idle()
+        });
         *queued_tasks = (*queued_tasks as i64 + totals.d_queued) as u64;
         *busy = (*busy as i64 + totals.d_busy) as u32;
         *in_network = (*in_network as i64 + totals.d_in_network) as u64;
@@ -634,16 +733,46 @@ impl<P: Program> Chip<P> {
     }
 
     fn io_phase(&mut self) {
+        if self.io.pending == 0 {
+            return;
+        }
         let safra_on = self.safra.is_some();
-        let Chip { cells, io, counters, in_network, .. } = self;
+        let Chip { cells, io, counters, in_network, net_live, cell_visits, .. } = self;
         let IoSystem { cells: io_cells, pending, .. } = io;
-        for io_cell in io_cells.iter_mut() {
+        for io_cell in io_cells.iter_mut().filter(|c| !c.queue.is_empty()) {
             let cc = io_cell.cc as usize;
+            *cell_visits += 1;
             if io_cell_step(io_cell, &mut cells[cc], safra_on, counters) {
+                net_live.insert(cc);
                 *pending -= 1;
                 *in_network += 1;
             }
         }
+    }
+
+    /// Recompute both live sets from the cells in one O(cells) pass. The
+    /// sharded engine scans its bands densely and does not maintain the
+    /// sets, so it calls this when a segment hands back.
+    pub(crate) fn rebuild_live_sets(&mut self) {
+        self.net_live.clear();
+        self.work_live.clear();
+        for (i, cell) in self.cells.iter().enumerate() {
+            if !cell.router.is_drained() {
+                self.net_live.insert(i);
+            }
+            if !cell.is_idle() {
+                self.work_live.insert(i);
+            }
+        }
+    }
+
+    /// The tracking invariant: every cell the dense scan would have acted on
+    /// is a member. Checked after every sequential step in debug builds.
+    fn live_sets_cover(&self) -> bool {
+        self.cells.iter().enumerate().all(|(i, cell)| {
+            (cell.router.is_drained() || self.net_live.contains(i))
+                && (cell.is_idle() || self.work_live.contains(i))
+        })
     }
 
     fn record_activity(&mut self, active: u32) {
@@ -772,6 +901,7 @@ impl<P: Program> Chip<P> {
         // Seed the probe: a black token so round 1 can never detect.
         let op = token_operon(0, 0, crate::safra::Colour::Black);
         self.cells[0].task_queue.push_back(op);
+        self.work_live.insert(0);
         self.queued_tasks += 1;
     }
 
@@ -906,6 +1036,16 @@ impl<P: Program> Chip<P> {
         self.sharded_cycles
     }
 
+    /// Per-cell helper invocations (`decide_cell_moves`, `compute_cell`,
+    /// `io_cell_step`) made by the sequential engine so far: the host work of
+    /// the cycle loop as a count that repeats exactly. Divided by the cycles
+    /// run it is the mean number of live cells per cycle; a dense scan would
+    /// cost `3 × cells` per cycle regardless. Diagnostics only — cycles on
+    /// the sharded engine add nothing here.
+    pub fn cell_visits(&self) -> u64 {
+        self.cell_visits
+    }
+
     /// Mesh rows reassigned by the deterministic work-stealing scheduler,
     /// summed over all sharded cycles. Zero with stealing off (or when no
     /// cycle was imbalanced enough to steal). Diagnostics only — stealing
@@ -1006,6 +1146,33 @@ mod tests {
         assert_eq!(chip.counters().msgs_delivered, 1);
         // 14 mesh hops + 1 io link.
         assert_eq!(chip.counters().hops, 15);
+    }
+
+    #[test]
+    fn cycle_loop_visits_only_live_cells() {
+        // One operon crossing the default 32×32 mesh corner to corner: a
+        // dense scan makes 3 × 1 024 per-cell calls every cycle; the live
+        // sets make at most a handful, and none once the chip is idle.
+        let mut chip = Chip::new(ChipConfig::default().with_shards(1), CounterProgram);
+        assert_eq!(chip.run_until_quiescent().unwrap(), 0);
+        assert_eq!(chip.cell_visits(), 0, "an idle run visits nothing");
+        let dims = chip.cfg().dims;
+        let addr = chip.host_alloc(dims.id_of(Coord::new(31, 31)), 0u64).unwrap();
+        chip.io_load_to(0, [Operon::new(addr, 10, [5, 0])]); // io cell 0 feeds (0,0)
+        while !chip.is_quiescent() {
+            let before = chip.cell_visits();
+            chip.step();
+            let visits = chip.cell_visits() - before;
+            assert!(visits <= 4, "cycle {}: {visits} cell visits", chip.cycle());
+        }
+        assert_eq!(*chip.object(addr).unwrap(), 5);
+        assert_eq!(chip.counters().hops, 63, "62 mesh hops + 1 io link");
+        assert!(chip.cell_visits() >= chip.cycle(), "the operon's cell is visited every cycle");
+        let settled = chip.cell_visits();
+        for _ in 0..8 {
+            chip.step();
+        }
+        assert_eq!(chip.cell_visits(), settled, "idle cycles visit nothing");
     }
 
     #[test]

@@ -1003,5 +1003,6 @@ pub(crate) fn run_sharded<P: Program>(
         }
         exec_active[sid] += executed;
     }
+    chip.rebuild_live_sets(); // the band scan above does not maintain them
     result
 }

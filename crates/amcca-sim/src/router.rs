@@ -67,6 +67,11 @@ impl Router {
     }
 
     /// Snapshot FIFO occupancies for this cycle's acceptance decisions.
+    ///
+    /// The sequential engine snapshots only routers in its net-live set, so
+    /// a router it skips must already read as a freshly snapshotted empty
+    /// one: [`Router::is_drained`]. A router is dropped from the set only by
+    /// the `begin_cycle` that finds it empty, which zeroes the snapshot.
     #[inline]
     pub fn begin_cycle(&mut self) {
         for (s, b) in self.start_len.iter_mut().zip(&self.bufs) {
@@ -75,9 +80,20 @@ impl Router {
     }
 
     /// Would a flit pushed to `port` this cycle respect the snapshot credit?
+    /// Neighbours call this on routers that may not have been snapshotted
+    /// this cycle; such a router is drained, and an all-zero snapshot answers
+    /// exactly what a fresh one of an empty router would.
     #[inline]
     pub fn accepts(&self, port: usize) -> bool {
         (self.start_len[port] as usize) < self.capacity
+    }
+
+    /// No flit buffered and an all-zero credit snapshot: indistinguishable,
+    /// to itself and its neighbours, from an empty router snapshotted this
+    /// cycle.
+    #[inline]
+    pub fn is_drained(&self) -> bool {
+        self.total == 0 && self.start_len == [0; NUM_PORTS]
     }
 
     /// Can an injection port (local / IO) take a flit right now? Injections

@@ -3,6 +3,15 @@
 //! sequential reference engine — final object states, cycle counts, event
 //! counters, per-cell loads, activity series, errors, and the Safra
 //! detector's statistics.
+//!
+//! The comparison also runs the other way. The sequential engine visits only
+//! its net-live / work-live cells, while the sharded engine scans every cell
+//! of every band each cycle; the `adaptive = false` runs below are that dense
+//! scan end to end, with `link_buffer ∈ {1, 2}` so that credit back-pressure
+//! — where a stale router snapshot would show — is on the path. They are the
+//! reference the sparse sequential loop is pinned against, so no dense
+//! sequential stepper is kept for tests; the `adaptive = true` runs add the
+//! sharded→sequential handoff that rebuilds the live sets.
 
 use amcca_sim::{
     ActivityRecording, Address, Chip, ChipConfig, Counters, Dims, ExecCtx, Operon, Program,

@@ -2,8 +2,8 @@
 //! artifact output for regenerating every table and figure of the paper.
 //!
 //! The binary `paper` (see `src/bin/paper.rs`) is the entry point; this
-//! library holds the reusable machinery so integration tests and Criterion
-//! benches can share it.
+//! library holds the reusable machinery so the binaries and integration tests
+//! can share it.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};

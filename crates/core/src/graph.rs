@@ -284,9 +284,10 @@ pub struct StreamingGraph<G: VertexAlgo> {
     /// Run the hot-object rebalancer after every increment (see
     /// [`StreamingGraph::rebalance_hot`]; default off).
     migrate: bool,
-    /// Chip diagnostics (`sharded_cycles`, `steal_rows`) as of the previous
-    /// obs flush, so the obs counters record per-increment deltas.
-    shard_marks: (u64, u64),
+    /// Chip diagnostics (`sharded_cycles`, `steal_rows`, `cell_visits`) as of
+    /// the previous obs flush, so the obs counters record per-increment
+    /// deltas.
+    chip_marks: (u64, u64, u64),
 }
 
 /// Builder for [`StreamingGraph`]: owns the chip shape, RPVO shape, and
@@ -392,7 +393,7 @@ impl<G: VertexAlgo> GraphBuilder<G> {
             obs,
             seq: 0,
             migrate,
-            shard_marks: (0, 0),
+            chip_marks: (0, 0, 0),
         })
     }
 }
@@ -910,10 +911,11 @@ impl<G: VertexAlgo> StreamingGraph<G> {
             obs.observe("graph.increment_cycles", report.cycles);
             obs.counter_add("shard.migrations", report.migrations);
             let chip = self.dev.chip();
-            let (sc, sr) = (chip.sharded_cycles(), chip.steal_rows());
-            obs.counter_add("shard.busy_cycles", sc - self.shard_marks.0);
-            obs.counter_add("shard.steal_rows", sr - self.shard_marks.1);
-            self.shard_marks = (sc, sr);
+            let (sc, sr, cv) = (chip.sharded_cycles(), chip.steal_rows(), chip.cell_visits());
+            obs.counter_add("shard.busy_cycles", sc - self.chip_marks.0);
+            obs.counter_add("shard.steal_rows", sr - self.chip_marks.1);
+            obs.counter_add("fabric.cell_visits", cv - self.chip_marks.2);
+            self.chip_marks = (sc, sr, cv);
             // Run-to-date max/mean executor imbalance across the sharded
             // engine's workers, in milli-units (1000 = perfectly level).
             let imb = max_mean_ratio(chip.exec_active());

@@ -183,13 +183,19 @@ mod tests {
                 let (adm, queue, overshot, admitted) = (&adm, &queue, &overshot, &admitted);
                 s.spawn(move || {
                     for i in 0..500u64 {
-                        let d = adm.lock().unwrap().decide(t, 1, queue, i);
+                        // Read the depth under the admission lock: a rival
+                        // being refused holds a reservation for the length
+                        // of its `decide`, which is not an admitted slot.
+                        let (d, depth) = {
+                            let mut adm = adm.lock().unwrap();
+                            (adm.decide(t, 1, queue, i), queue.load(Ordering::SeqCst))
+                        };
                         if d == Decision::Admit {
                             admitted.fetch_add(1, Ordering::SeqCst);
                             // Hold the slot briefly so rivals pile up at the
                             // watermark, then release it like the ingest
                             // thread's dequeue does.
-                            if queue.load(Ordering::SeqCst) > MAX_QUEUE {
+                            if depth > MAX_QUEUE {
                                 overshot.store(true, Ordering::SeqCst);
                             }
                             std::thread::yield_now();

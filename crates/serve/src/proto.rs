@@ -29,7 +29,13 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Read one length-prefixed frame.
+/// Most a frame header alone can make [`read_frame`] allocate; beyond this
+/// the buffer grows only with payload bytes that actually arrived.
+const FRAME_PREALLOC: usize = 64 * 1024;
+
+/// Read one length-prefixed frame. The length prefix is unauthenticated, so
+/// it bounds the read but not the allocation: a peer that sends four bytes
+/// and stalls pins at most 64 KiB, not [`MAX_FRAME`].
 pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
@@ -37,8 +43,11 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     if len > MAX_FRAME {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too large"));
     }
-    let mut buf = vec![0u8; len as usize];
-    r.read_exact(&mut buf)?;
+    let len = len as usize;
+    let mut buf = Vec::with_capacity(len.min(FRAME_PREALLOC));
+    if r.by_ref().take(len as u64).read_to_end(&mut buf)? < len {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "frame body cut short"));
+    }
     Ok(buf)
 }
 
@@ -621,6 +630,32 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), b"");
         assert!(read_frame(&mut r).is_err(), "EOF surfaces as an error");
         let huge = (MAX_FRAME + 1).to_le_bytes();
-        assert!(read_frame(&mut &huge[..]).is_err());
+        let err = read_frame(&mut &huge[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn frame_header_alone_cannot_demand_the_full_allocation() {
+        // The largest legal header, then a body that stops after 3 bytes.
+        let mut wire = MAX_FRAME.to_le_bytes().to_vec();
+        wire.extend_from_slice(b"abc");
+        let err = read_frame(&mut &wire[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn large_submit_survives_framing() {
+        // ~1 MiB on the wire: far past the capped initial buffer.
+        let muts: Vec<GraphMutation> =
+            (0..81_000u32).map(|i| GraphMutation::AddEdge((i, i ^ 0x5555, i % 97))).collect();
+        let req = Request::Submit(muts);
+        let payload = req.encode();
+        assert!(payload.len() > 1 << 20);
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &payload).unwrap();
+        let mut r = &wire[..];
+        let frame = read_frame(&mut r).unwrap();
+        assert!(r.is_empty(), "exactly one frame consumed");
+        assert_eq!(Request::decode(&frame).unwrap(), req);
     }
 }
