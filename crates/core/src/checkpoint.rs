@@ -113,7 +113,12 @@ pub struct GraphCheckpoint {
 impl GraphCheckpoint {
     /// Snapshot a quiescent graph: its ledger (live edges), rhizome
     /// directory (promoted set), and converged vertex states.
+    ///
+    /// Nothing may be staged ([`StreamingGraph::stage`]): the edge list
+    /// would include the unapplied inserts while `sync_states` would not,
+    /// and the snapshot would fail its own restore check.
     pub fn capture<G: VertexAlgo>(g: &StreamingGraph<G>) -> GraphCheckpoint {
+        debug_assert!(g.staged().next().is_none(), "checkpoint with staged mutations unapplied");
         let labeled = g.live_labeled_edges();
         GraphCheckpoint {
             n_vertices: g.n_vertices(),

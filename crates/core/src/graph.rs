@@ -35,6 +35,7 @@
 //! every vertex (the O(n) ablation baseline). Both reach bit-identical
 //! fixpoints; pure-insert batches take the original single-phase fast path.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 use amcca_obs::Obs;
@@ -172,6 +173,8 @@ struct EdgeLedger {
     copies: HashMap<(u32, u32), LiveCopies>,
     /// `dst → src → live copy count` over all weights of the pair.
     sources: HashMap<u32, HashMap<u32, u32>>,
+    /// Live copies across all pairs.
+    live: u64,
 }
 
 impl EdgeLedger {
@@ -182,6 +185,7 @@ impl EdgeLedger {
         c.next = c.next.wrapping_add(1);
         c.live.push_back((w, tag));
         *self.sources.entry(v).or_default().entry(u).or_insert(0) += 1;
+        self.live += 1;
         tag
     }
 
@@ -194,6 +198,7 @@ impl EdgeLedger {
         let c = self.copies.get_mut(&(u, v))?;
         let i = c.live.iter().position(|&(cw, _)| cw == w)?;
         let (_, tag) = c.live.remove(i).expect("position is in range");
+        self.live -= 1;
         let srcs = self.sources.get_mut(&v).expect("reverse index tracks live copies");
         let n = srcs.get_mut(&u).expect("reverse index tracks live copies");
         *n -= 1;
@@ -221,17 +226,24 @@ impl EdgeLedger {
         self.sources.get(&v).into_iter().flat_map(|m| m.keys().copied())
     }
 
-    /// Drop fully drained pairs. Safe only at increment boundaries: the chip
-    /// is quiescent, so no retraction that could collide with a reused tag
-    /// is in flight. Keeps ledger memory bounded by the live edge set
-    /// instead of the stream's history.
-    fn prune_drained(&mut self) {
-        self.copies.retain(|_, c| !c.live.is_empty());
-    }
-
-    /// Number of live copies across all pairs.
-    fn live_count(&self) -> u64 {
-        self.copies.values().map(|c| c.live.len() as u64).sum()
+    /// Drop the pairs `batch` fully drained (only its `DelEdge`s can have)
+    /// and return how many were looked at. Safe only at increment
+    /// boundaries: the chip is quiescent, so no retraction that could
+    /// collide with a reused tag is in flight. Keeps ledger memory bounded
+    /// by the live edge set instead of the stream's history.
+    fn prune_drained(&mut self, batch: &[GraphMutation]) -> u64 {
+        let mut visits = 0;
+        for m in batch {
+            if let GraphMutation::DelEdge((u, v, _)) = *m {
+                visits += 1;
+                if let Entry::Occupied(pair) = self.copies.entry((u, v)) {
+                    if pair.get().live.is_empty() {
+                        pair.remove();
+                    }
+                }
+            }
+        }
+        visits
     }
 }
 
@@ -250,8 +262,8 @@ pub struct StreamingGraph<G: VertexAlgo> {
     /// Live-copy tags per edge pair (deletion and re-weight addressing) plus
     /// the surviving-in-neighbour reverse index for targeted repair.
     ledger: EdgeLedger,
-    /// The shared coalescing stage: every increment's mutations pass through
-    /// here first, so same-batch merges happen in exactly one place (see
+    /// The coalescing stage: every increment's mutations are staged here
+    /// first, so same-batch merges happen in exactly one place (see
     /// [`MutationLog`]) and the live multiset is queryable for checkpoints.
     log: MutationLog,
     rcfg: RpvoConfig,
@@ -288,6 +300,8 @@ pub struct StreamingGraph<G: VertexAlgo> {
     /// the previous obs flush, so the obs counters record per-increment
     /// deltas.
     chip_marks: (u64, u64, u64),
+    /// The log's `pair_visits` as of the previous obs flush.
+    pair_mark: u64,
 }
 
 /// Builder for [`StreamingGraph`]: owns the chip shape, RPVO shape, and
@@ -394,6 +408,7 @@ impl<G: VertexAlgo> GraphBuilder<G> {
             seq: 0,
             migrate,
             chip_marks: (0, 0, 0),
+            pair_mark: 0,
         })
     }
 }
@@ -749,26 +764,60 @@ impl<G: VertexAlgo> StreamingGraph<G> {
     /// phases; its `reseed_triggers` / `repair_cycles` fields record the
     /// repair wave's size and cost.
     ///
+    /// Anything parked by [`Self::stage`] is applied too, ahead of `muts`.
+    ///
     /// # Panics
     ///
     /// Panics if a [`GraphMutation::DelEdge`] or
     /// [`GraphMutation::UpdateWeight`] names an identity with no live copy.
     pub fn stream_increment(&mut self, muts: &[GraphMutation]) -> Result<RunReport, SimError> {
+        // Validation panics fire here, before any graph state mutates.
+        for m in muts {
+            self.log.push(*m);
+        }
+        self.apply(muts.len() as u64)
+    }
+
+    /// Validate one submission against the live multiset and park it for
+    /// the next increment, all-or-nothing ([`MutationLog::try_push_all`]).
+    /// Until [`Self::apply_staged`] runs, states, [`Self::live_edge_count`]
+    /// and query results do not see it; later submissions validate against
+    /// it and [`Self::live_edges`] lists it.
+    pub fn stage(&mut self, muts: &[GraphMutation]) -> Result<(), MutationError> {
+        self.log.try_push_all(muts)
+    }
+
+    /// The canonical batch [`Self::apply_staged`] would apply.
+    pub fn staged(&self) -> impl Iterator<Item = GraphMutation> + '_ {
+        self.log.pending()
+    }
+
+    /// Apply what is staged as one increment, like
+    /// [`Self::stream_increment`]. `None`, and no increment, when nothing
+    /// survived coalescing.
+    pub fn apply_staged(&mut self) -> Result<Option<RunReport>, SimError> {
+        let n_muts = self.log.pending_ops() as u64;
+        if n_muts == 0 {
+            // Forget annihilated inserts: they must neither pile up nor
+            // widen a later increment's repair.
+            self.log.drain();
+            return Ok(None);
+        }
+        self.apply(n_muts).map(Some)
+    }
+
+    /// Drain the log and run the canonical batch to quiescence. `n_muts` is
+    /// the mutation count spans and obs counters report.
+    fn apply(&mut self, n_muts: u64) -> Result<RunReport, SimError> {
         let threshold = self.rcfg.rhizome_threshold;
         // Clone the handle so span guards borrow the local, not `self`.
         let obs = self.obs.clone();
         self.seq += 1;
         let bid = self.seq;
-        let n_muts = muts.len() as u64;
-        // Coalesce the batch through the shared mutation log: same-batch
-        // merges (annihilation, insert rewrites, patch folds, moot-patch
-        // drops) happen there, validation panics fire before any graph
-        // state mutates, and the drained batch is canonical — surviving
-        // mutations in arrival order whose replay below reproduces the
-        // exact live multiset the log tracks.
-        for m in muts {
-            self.log.push(*m);
-        }
+        // Same-batch merges (annihilation, insert rewrites, patch folds,
+        // moot-patch drops) happened in the log, and the drained batch is
+        // canonical — surviving mutations in arrival order whose replay
+        // below reproduces the exact live multiset the log tracks.
         let batch = self.log.drain();
         let needs_repair = batch.needs_repair;
         // Build the operon wave from the canonical batch. Annihilated pairs
@@ -893,7 +942,7 @@ impl<G: VertexAlgo> StreamingGraph<G> {
             self.compute_query_deltas(&cleared);
         }
         // Quiescent: no retraction in flight, drained identities can go.
-        self.ledger.prune_drained();
+        let prune_visits = self.ledger.prune_drained(&batch.muts);
         // Hot-object rebalance (untimed, like construction): level the
         // per-column load before the next increment streams in.
         if self.migrate {
@@ -916,6 +965,11 @@ impl<G: VertexAlgo> StreamingGraph<G> {
             obs.counter_add("shard.steal_rows", sr - self.chip_marks.1);
             obs.counter_add("fabric.cell_visits", cv - self.chip_marks.2);
             self.chip_marks = (sc, sr, cv);
+            let pv = self.log.pair_visits();
+            obs.counter_add("host.pair_visits", pv - self.pair_mark + prune_visits);
+            self.pair_mark = pv;
+            obs.gauge_set("graph.live_edges", self.ledger.live as i64);
+            obs.gauge_set("graph.ledger_pairs", self.ledger.copies.len() as i64);
             // Run-to-date max/mean executor imbalance across the sharded
             // engine's workers, in milli-units (1000 = perfectly level).
             let imb = max_mean_ratio(chip.exec_active());
@@ -1216,14 +1270,15 @@ impl<G: VertexAlgo> StreamingGraph<G> {
     /// Number of live edges according to the host's mutation ledger (equals
     /// [`Self::total_edges_stored`] at quiescence).
     pub fn live_edge_count(&self) -> u64 {
-        self.ledger.live_count()
+        self.ledger.live
     }
 
     /// The live edge multiset at current weights, in insertion order — the
     /// serialization hook checkpoints are built from: streaming this list
     /// into a freshly built graph reproduces the same per-pair copy order
     /// (oldest first), so a replayed mutation tail resolves deletes and
-    /// re-weights to the same copies.
+    /// re-weights to the same copies. Mutations parked by [`Self::stage`]
+    /// already count.
     pub fn live_edges(&self) -> Vec<StreamEdge> {
         self.log.live_edges()
     }
@@ -2202,5 +2257,82 @@ mod tests {
             "source beyond vertex range"
         );
         assert!(g.registered_queries().is_empty(), "failed registrations leave no residue");
+    }
+
+    #[test]
+    fn staged_submissions_apply_exactly_like_one_streamed_batch() {
+        use GraphMutation::UpdateWeight;
+        let (mut g, mut twin) = (small(), small());
+        let base = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 5)];
+        g.stream_edges(&base).unwrap();
+        twin.stream_edges(&base).unwrap();
+        let (before, live) = (g.sync_values(), g.live_edge_count());
+
+        let a = [AddEdge((3, 4, 1)), DelEdge((1, 2, 1))];
+        let b = [UpdateWeight { u: 0, v: 3, w: 2 }, DelEdge((3, 4, 1)), AddEdge((3, 5, 1))];
+        g.stage(&a).unwrap();
+        assert_eq!(
+            g.stage(&[DelEdge((3, 4, 1)), DelEdge((9, 9, 9))]).unwrap_err().to_string(),
+            "DelEdge(9 -> 9, w 9): no live copy to delete"
+        );
+        g.stage(&b).unwrap();
+        // Parked, not applied: only the log (and what is built on it) moved.
+        assert_eq!((g.sync_values(), g.live_edge_count()), (before, live));
+        let canonical: Vec<GraphMutation> = g.staged().collect();
+        assert_eq!(canonical, [DelEdge((1, 2, 1)), b[0], b[2]], "3 -> 4 annihilated on the host");
+
+        let key = |r: RunReport| (r.cycles, r.counters.instrs, r.reseed_triggers, r.repair_cycles);
+        let report = g.apply_staged().unwrap().expect("something survived");
+        let both: Vec<GraphMutation> = a.iter().chain(&b).copied().collect();
+        assert_eq!(key(report), key(twin.stream_increment(&both).unwrap()));
+        assert_eq!(g.sync_values(), twin.sync_values());
+        assert_eq!(g.live_edges(), twin.live_edges());
+        assert_eq!(g.live_edge_count(), 4);
+
+        // A round that annihilates to nothing runs no increment and leaves
+        // nothing behind for the next one.
+        g.stage(&[AddEdge((7, 8, 1)), DelEdge((7, 8, 1))]).unwrap();
+        assert!(g.apply_staged().unwrap().is_none());
+        let next = [DelEdge((0, 1, 1))];
+        assert_eq!(
+            key(g.stream_increment(&next).unwrap()),
+            key(twin.stream_increment(&next).unwrap())
+        );
+        assert_eq!(g.last_repair(), twin.last_repair());
+    }
+
+    /// One increment's host bookkeeping looks at the pairs its batch names,
+    /// not at the resident edge set (which it used to sweep twice).
+    #[test]
+    fn host_pair_visits_follow_the_batch_not_the_resident_edges() {
+        let obs = Obs::enabled();
+        let mut g = StreamingGraph::builder(BfsAlgo::new(0))
+            .vertices(512)
+            .rpvo(RpvoConfig::basic(8, 2))
+            .obs(obs.clone())
+            .build()
+            .unwrap();
+        let resident: Vec<StreamEdge> =
+            (0..5_000).map(|i| (i % 512, (i * 37 + 11) % 512, 1)).collect();
+        g.stream_edges(&resident).unwrap();
+        let visits = || obs.snapshot().counter("host.pair_visits");
+
+        let mark = visits();
+        g.stage(&GraphMutation::adds(&[(1, 2, 1), (3, 4, 1), (5, 6, 1), (7, 8, 1)])).unwrap();
+        g.apply_staged().unwrap();
+        assert!(visits() - mark <= 16, "4 inserts: {} pair visits", visits() - mark);
+
+        // A refused submission's visits show up with the next increment.
+        let mark = visits();
+        let (u, v, w) = resident[0];
+        let refused =
+            [DelEdge((u, v, w)), AddEdge((9, 9, 1)), AddEdge((9, 10, 1)), DelEdge((9, 11, 7))];
+        assert!(g.stage(&refused).is_err());
+        g.stream_increment(&[]).unwrap();
+        assert!(visits() - mark <= 16, "refused: {} pair visits", visits() - mark);
+
+        let snap = obs.snapshot();
+        assert_eq!(snap.gauge("graph.live_edges"), Some(5_004));
+        assert_eq!(snap.gauge("graph.ledger_pairs"), Some(g.ledger.copies.len() as i64));
     }
 }

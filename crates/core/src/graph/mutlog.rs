@@ -23,15 +23,19 @@
 //! structural survived (`needs_repair`) and which sources the structural
 //! phase would suppress (`touched`). Replaying the canonical batch against
 //! a fresh consumer reproduces the exact live multiset, which is what makes
-//! the log shareable: `StreamingGraph` drives its operon wave from it, the
-//! `amcca-serve` ingest loop batches concurrent client submissions through
-//! it, and `gc_datasets` replays churn schedules over it.
+//! the log shareable: `StreamingGraph` stages every increment in its own
+//! log (where the `amcca-serve` ingest loop parks client submissions too,
+//! rather than in a mirror), and `gc_datasets` replays churn schedules.
 //!
 //! Validation is part of the contract: deleting or re-weighting an identity
 //! with no live copy is a host bug ([`MutationLog::push`] panics with the
 //! streaming pipeline's exact message) or, for a server admitting untrusted
-//! batches, a recoverable [`MutationError`] ([`MutationLog::try_push`]).
+//! batches, a recoverable [`MutationError`] ([`MutationLog::try_push`], or
+//! [`MutationLog::try_push_all`] for a whole submission, all-or-nothing).
+//! Every operation costs in proportion to the mutations it handles, never
+//! to the resident multiset ([`MutationLog::pair_visits`]).
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
@@ -88,7 +92,7 @@ enum CopyKind {
 }
 
 /// One live copy of a directed pair.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LogCopy {
     /// Global arrival number (drives insertion-order iteration).
     seq: u64,
@@ -144,6 +148,14 @@ pub struct MutationLog {
     live: u64,
     /// Next arrival number.
     seq: u64,
+    /// Pair queues looked at so far ([`MutationLog::pair_visits`]).
+    pair_visits: u64,
+}
+
+/// The directed pair whose copy queue a mutation addresses.
+fn pair_of(m: GraphMutation) -> (u32, u32) {
+    let (u, v, _) = m.edge();
+    (u, v)
 }
 
 impl MutationLog {
@@ -168,6 +180,7 @@ impl MutationLog {
     /// Push one mutation, returning the validation error instead of
     /// panicking (the admission path for server-submitted batches).
     pub fn try_push(&mut self, m: GraphMutation) -> Result<(), MutationError> {
+        self.pair_visits += 1;
         match m {
             GraphMutation::AddEdge(e) => self.push_add(e, 0),
             // Label 0 canonicalizes to a plain `AddEdge` at push time, so a
@@ -254,16 +267,69 @@ impl MutationLog {
         Ok(())
     }
 
+    /// Push a whole submission, all-or-nothing: on the first error the log
+    /// is restored to exactly what it was before the call — including
+    /// pending entries of *earlier* pushes of this epoch that the valid
+    /// prefix had annihilated, rewritten, folded or dropped.
+    ///
+    /// A push only changes the queue of the pair it names, the pending
+    /// entries that queue's copies index, and the tail of the epoch, so that
+    /// (plus the scalar marks) is the whole pre-image.
+    pub fn try_push_all(&mut self, muts: &[GraphMutation]) -> Result<(), MutationError> {
+        let (n_entries, n_touched) = (self.entries.len(), self.touched.len());
+        let (needs_repair, live, seq) = (self.needs_repair, self.live, self.seq);
+        // Sized once: a submission names at most one pair per mutation.
+        let mut queues: HashMap<(u32, u32), Option<VecDeque<LogCopy>>> =
+            HashMap::with_capacity(muts.len());
+        let mut entries: Vec<(usize, Option<GraphMutation>)> = Vec::new();
+        for &m in muts {
+            if let Entry::Vacant(slot) = queues.entry(pair_of(m)) {
+                self.pair_visits += 1;
+                let q = self.pairs.get(slot.key()).cloned();
+                for c in q.iter().flatten() {
+                    if let CopyKind::Fresh { entry } | CopyKind::Patched { entry, .. } = c.kind {
+                        entries.push((entry, self.entries[entry]));
+                    }
+                }
+                slot.insert(q);
+            }
+            if let Err(e) = self.try_push(m) {
+                self.pair_visits += queues.len() as u64;
+                for (pair, q) in queues {
+                    match q {
+                        Some(q) => self.pairs.insert(pair, q),
+                        None => self.pairs.remove(&pair),
+                    };
+                }
+                self.entries.truncate(n_entries);
+                for (i, e) in entries {
+                    self.entries[i] = e;
+                }
+                self.touched.truncate(n_touched);
+                (self.needs_repair, self.live, self.seq) = (needs_repair, live, seq);
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
     /// Close the epoch: settle this epoch's surviving copies and return the
     /// canonical coalesced batch (module docs). Replaying `muts` against any
     /// consumer that honours the ledger semantics — delete the oldest live
     /// copy at the named weight, re-weight the pair's oldest — reproduces
     /// this log's live multiset exactly.
     pub fn drain(&mut self) -> CoalescedBatch {
-        let muts = self.entries.drain(..).flatten().collect();
-        for q in self.pairs.values_mut() {
-            for c in q.iter_mut() {
-                c.kind = CopyKind::Settled;
+        let muts: Vec<GraphMutation> = self.entries.drain(..).flatten().collect();
+        // A copy is `Fresh` or `Patched` only while its pending insert or
+        // patch survives, so `muts` names every queue with copies to settle.
+        for m in &muts {
+            if !matches!(m, GraphMutation::DelEdge(_)) {
+                self.pair_visits += 1;
+                let q =
+                    self.pairs.get_mut(&pair_of(*m)).expect("a pending insert or patch is live");
+                for c in q.iter_mut() {
+                    c.kind = CopyKind::Settled;
+                }
             }
         }
         CoalescedBatch {
@@ -273,9 +339,21 @@ impl MutationLog {
         }
     }
 
+    /// The canonical batch the current epoch would drain to, in order.
+    pub fn pending(&self) -> impl Iterator<Item = GraphMutation> + '_ {
+        self.entries.iter().flatten().copied()
+    }
+
     /// Number of pending mutations the current epoch would drain to.
     pub fn pending_ops(&self) -> usize {
-        self.entries.iter().flatten().count()
+        self.pending().count()
+    }
+
+    /// Pair queues looked at so far — one per push, per queue saved (and
+    /// restored) by [`Self::try_push_all`], and per queue settled by
+    /// [`Self::drain`]. A diagnostic, like `Chip::cell_visits`.
+    pub fn pair_visits(&self) -> u64 {
+        self.pair_visits
     }
 
     /// Live copies across all pairs (current epoch included).
@@ -514,5 +592,130 @@ mod tests {
         let batch = log.drain();
         assert_eq!(batch.muts, vec![AddEdge((2, 3, 1))], "label 0 is the unlabeled default");
         assert_eq!(log.live_labeled_edges(), vec![((2, 3, 1), 0)]);
+    }
+
+    /// The reference for [`MutationLog::try_push_all`]: validate on a full
+    /// clone, swap it in on success (what `IngestCore::submit` used to do).
+    fn clone_and_swap(log: &mut MutationLog, muts: &[GraphMutation]) -> Result<(), MutationError> {
+        let mut probe = log.clone();
+        for &m in muts {
+            probe.try_push(m)?;
+        }
+        *log = probe;
+        Ok(())
+    }
+
+    /// Everything but the `pair_visits` diagnostic, fields and accessors.
+    fn assert_same(got: &MutationLog, want: &MutationLog) {
+        assert_eq!(got.pairs, want.pairs, "copy queues (weights, labels, kinds, arrival numbers)");
+        assert_eq!(got.entries, want.entries);
+        assert_eq!(got.touched, want.touched);
+        assert_eq!(got.needs_repair, want.needs_repair);
+        assert_eq!((got.live, got.seq), (want.live, want.seq));
+        assert_eq!(got.pending_ops(), want.pending_ops());
+        assert_eq!(got.live_count(), want.live_count());
+        assert_eq!(got.live_labeled_edges(), want.live_labeled_edges());
+    }
+
+    /// Run one epoch of submissions through both recipes, then drain both.
+    fn epoch_matches(
+        got: &mut MutationLog,
+        want: &mut MutationLog,
+        submissions: &[Vec<GraphMutation>],
+    ) {
+        for sub in submissions {
+            assert_eq!(got.try_push_all(sub), clone_and_swap(want, sub), "submission {sub:?}");
+            assert_same(got, want);
+        }
+        let (g, w) = (got.drain(), want.drain());
+        assert_eq!(g.muts, w.muts);
+        assert_eq!(g.touched, w.touched);
+        assert_eq!(g.needs_repair, w.needs_repair);
+        assert_same(got, want);
+    }
+
+    #[test]
+    fn refused_submission_restores_entries_of_earlier_submissions() {
+        let mut log = MutationLog::new();
+        for e in [(0, 1, 5), (2, 3, 4), (2, 3, 6)] {
+            log.push(AddEdge(e));
+        }
+        log.drain();
+        let mut want = log.clone();
+        let accepted = vec![
+            AddEdge((4, 5, 1)),
+            GraphMutation::AddLabeledEdge((6, 7, 2), 3),
+            UpdateWeight { u: 0, v: 1, w: 8 },
+            UpdateWeight { u: 2, v: 3, w: 9 },
+        ];
+        // Every valid step below rewrites a pending entry of `accepted`.
+        let refused = vec![
+            DelEdge((4, 5, 1)),                // annihilates the fresh insert
+            UpdateWeight { u: 6, v: 7, w: 3 }, // rewrites the fresh insert's weight
+            UpdateWeight { u: 0, v: 1, w: 6 }, // folds into the pending patch
+            DelEdge((2, 3, 9)),                // drops the moot patch, retracts w 4
+            AddEdge((8, 9, 1)),                // a pair the log has never seen
+            DelEdge((9, 9, 9)),                // no such copy
+        ];
+        epoch_matches(&mut log, &mut want, &[accepted, refused.clone()]);
+        assert_eq!(
+            clone_and_swap(&mut want, &refused),
+            Err(MutationError::NoLiveCopyToDelete { u: 9, v: 9, w: 9 })
+        );
+        assert_eq!(log.live_copies(8, 9), Vec::<u32>::new());
+        // The settle step reached every copy the epoch added or patched: a
+        // delete or re-weight now is a real retraction / patch.
+        let next = vec![
+            DelEdge((4, 5, 1)),
+            UpdateWeight { u: 6, v: 7, w: 1 },
+            UpdateWeight { u: 0, v: 1, w: 9 },
+        ];
+        log.try_push_all(&next).unwrap();
+        let b = log.drain();
+        assert_eq!(b.muts, next);
+        assert!(b.needs_repair);
+    }
+
+    mod oracle {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// A tiny universe (9 pairs, 3 weights) so deletes and re-weights
+        /// hit live copies, parallel copies pile up, and misses stay common.
+        fn arb_mutation() -> impl Strategy<Value = GraphMutation> {
+            (0u32..3, 0u32..3, 1u32..4, 0u8..3, 0u8..8).prop_map(|(u, v, w, label, op)| match op {
+                0 | 1 => AddEdge((u, v, w)),
+                2 => GraphMutation::AddLabeledEdge((u, v, w), label),
+                3..=5 => DelEdge((u, v, w)),
+                _ => UpdateWeight { u, v, w },
+            })
+        }
+
+        fn arb_epoch() -> impl Strategy<Value = Vec<Vec<GraphMutation>>> {
+            vec(vec(arb_mutation(), 1..7), 1..6)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+            #[test]
+            fn try_push_all_matches_clone_and_swap(
+                resident in vec(arb_mutation(), 0..30),
+                first in arb_epoch(),
+                second in arb_epoch(),
+            ) {
+                let mut got = MutationLog::new();
+                for m in resident {
+                    let _ = got.try_push(m);
+                }
+                got.drain();
+                let mut want = got.clone();
+                epoch_matches(&mut got, &mut want, &first);
+                // A second epoch on both: the first drain left identical
+                // `CopyKind`s, or retractions and patches would differ here.
+                epoch_matches(&mut got, &mut want, &second);
+            }
+        }
     }
 }

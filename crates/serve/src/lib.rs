@@ -19,10 +19,12 @@
 //! * [`server`] — the single-writer ingest loop ([`server::IngestCore`])
 //!   and the threaded TCP front end ([`server::Server`]): per-connection
 //!   reader threads feed one ingest thread through a channel; admitted
-//!   submissions are merged in a [`sdgp_core::MutationLog`] coalescing
-//!   stage and applied as one `stream_increment` per service round, and
-//!   every `Submitted` acknowledgement is sent *after* the increment that
-//!   contains the batch converged.
+//!   submissions are validated against and parked in the graph's own
+//!   [`sdgp_core::MutationLog`] (there is no separate coalescing stage),
+//!   and each service round reads the canonical batch they coalesce to,
+//!   appends it to the WAL, then applies it as one increment. A checkpoint
+//!   applies parked submissions first. Every `Submitted` acknowledgement is
+//!   sent *after* the increment that contains the batch converged.
 //! * [`client`] — a small blocking client used by the workload drivers and
 //!   the smoke tests.
 //!

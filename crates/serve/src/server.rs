@@ -3,22 +3,22 @@
 //!
 //! ## Single-writer ingest
 //!
-//! [`IngestCore`] owns the graph, the durability [`Store`], and a
-//! [`MutationLog`] **coalescing stage**. Submissions are validated against
-//! the stage atomically (all-or-nothing per submission) and parked there;
-//! a [`IngestCore::flush`] drains the stage into one canonical batch,
-//! appends it to the write-ahead log, *then* applies it as one
-//! `stream_increment`. Because the stage mirrors the graph's own edge
-//! ledger, a submission that names a missing live copy is refused at
-//! submit time with the exact ledger error instead of poisoning the
-//! fabric mid-increment.
+//! [`IngestCore`] owns the graph and the durability [`Store`]; there is no
+//! separate coalescing stage. A submission is validated all-or-nothing
+//! against the graph's own mutation log ([`StreamingGraph::stage`]) and
+//! parked there, so one that names a missing live copy is refused at submit
+//! time with the exact ledger error instead of poisoning the fabric
+//! mid-increment. [`IngestCore::flush`] *reads* the canonical batch the
+//! parked submissions coalesce to, appends it to the write-ahead log and
+//! syncs, and only then applies it — a failed append leaves the graph
+//! unapplied. [`IngestCore::checkpoint`] applies parked submissions first.
 //!
 //! ## Recovery
 //!
 //! [`IngestCore::boot`] restores the newest checkpoint (re-converging the
 //! fixpoint and verifying it bit-for-bit against the snapshot), then
 //! replays only the WAL tail — the canonical batches applied after that
-//! checkpoint — through the same coalesce-and-increment path. Replay of a
+//! checkpoint — through the same stage-and-apply path. Replay of a
 //! canonical batch is deterministic, so the recovered fixpoint is
 //! bit-identical to the pre-crash one; the recovery proptests in the
 //! umbrella crate pin exactly this.
@@ -61,7 +61,7 @@ use std::time::{Duration, Instant};
 
 use amcca_obs::{MetricsSnapshot, Obs};
 use sdgp_core::apps::VertexAlgo;
-use sdgp_core::graph::{GraphBuilder, GraphMutation, MutationError, MutationLog, StreamingGraph};
+use sdgp_core::graph::{GraphBuilder, GraphMutation, MutationError, StreamingGraph};
 use sdgp_core::GraphCheckpoint;
 
 use crate::admission::{Admission, AdmissionConfig, Decision};
@@ -105,9 +105,6 @@ pub struct BootReport {
 pub struct IngestCore<G: VertexAlgo> {
     graph: StreamingGraph<G>,
     store: Store,
-    /// The coalescing stage: validated-but-unapplied submissions, merged
-    /// under the shared [`MutationLog`] semantics.
-    stage: MutationLog,
     /// Write a checkpoint after this many applied batches (0 = only on
     /// explicit request).
     checkpoint_every: u64,
@@ -137,21 +134,10 @@ impl<G: VertexAlgo> IngestCore<G> {
             }
             None => (builder.build()?, false, 0),
         };
-        // Seed the coalescing stage with the graph's live multiset so it
-        // mirrors the edge ledger from the first submission on.
-        let mut stage = MutationLog::new();
-        for (e, label) in graph.live_labeled_edges() {
-            stage.push(match label {
-                0 => GraphMutation::AddEdge(e),
-                l => GraphMutation::AddLabeledEdge(e, l),
-            });
-        }
-        stage.drain();
         let obs = graph.obs().clone();
         let mut core = IngestCore {
             graph,
             store,
-            stage,
             checkpoint_every,
             since_checkpoint: 0,
             stats: ServerStats::default(),
@@ -191,81 +177,76 @@ impl<G: VertexAlgo> IngestCore<G> {
     /// Re-apply one WAL batch during boot (no WAL append — it is already
     /// on disk).
     fn replay(&mut self, batch: &[GraphMutation]) -> Result<(), ServeError> {
-        for &m in batch {
-            self.stage.try_push(m).map_err(|e| {
-                ServeError::WalReplay(format!("{e} (store {:?})", self.store.dir()))
-            })?;
-        }
-        let canonical = self.stage.drain();
+        self.graph
+            .stage(batch)
+            .map_err(|e| ServeError::WalReplay(format!("{e} (store {:?})", self.store.dir())))?;
         // A WAL batch is already canonical for the state it was logged
         // against, so re-coalescing it is the identity.
-        debug_assert_eq!(canonical.muts, batch, "WAL batch must replay verbatim");
-        self.graph.stream_increment(&canonical.muts)?;
+        debug_assert!(
+            self.graph.staged().eq(batch.iter().copied()),
+            "WAL batch must replay verbatim"
+        );
+        self.graph.apply_staged()?;
         self.stats.batches += 1;
-        self.stats.mutations += canonical.muts.len() as u64;
+        self.stats.mutations += batch.len() as u64;
         Ok(())
     }
 
-    /// Validate and park one submission in the coalescing stage.
-    /// All-or-nothing: on error the stage is unchanged and nothing of the
+    /// Validate one submission against the graph's log and park it there.
+    /// All-or-nothing: on error the log is unchanged and nothing of the
     /// submission survives.
     pub fn submit(&mut self, muts: &[GraphMutation]) -> Result<(), MutationError> {
-        let mut probe = self.stage.clone();
-        for &m in muts {
-            probe.try_push(m)?;
-        }
-        self.stage = probe;
-        Ok(())
+        self.graph.stage(muts)
     }
 
-    /// Mutations currently parked in the coalescing stage.
+    /// Mutations the parked submissions currently coalesce to.
     pub fn pending_ops(&self) -> usize {
-        self.stage.pending_ops()
+        self.graph.staged().count()
     }
 
-    /// Drain the stage and apply it as one increment: WAL first, then
-    /// `stream_increment`, then (on cadence) a checkpoint. Returns whether
-    /// an increment actually ran — a stage that coalesced to nothing (or
-    /// was empty) is skipped entirely, matching what the graph would do
-    /// with the same canonical batch.
+    /// Apply the parked submissions as one increment: read their canonical
+    /// batch, WAL it, *then* apply, then (on cadence) a checkpoint. Returns
+    /// whether an increment actually ran — nothing parked, or a round that
+    /// coalesced to nothing, is skipped entirely. On a WAL error the
+    /// submissions stay parked and the graph unapplied.
     pub fn flush(&mut self) -> Result<bool, ServeError> {
-        if self.stage.pending_ops() == 0 {
-            return Ok(false);
-        }
-        let batch = self.stage.drain();
-        if batch.muts.is_empty() {
-            // Fully annihilated (e.g. add+delete of the same copy in one
-            // round): no surviving op, no repair need, nothing to log.
-            return Ok(false);
-        }
-        let obs = self.obs.clone();
-        let bid = self.stats.batches + 1;
-        let n_muts = batch.muts.len() as u64;
-        let wal_bytes = {
+        let batch: Vec<GraphMutation> = self.graph.staged().collect();
+        if !batch.is_empty() {
             // The span covers serialization, the write, and the fsync — the
             // `span.wal_append_ns` histogram is the durability latency.
-            let _s = obs.span("wal_append", bid, n_muts);
-            self.store.append_batch(&batch.muts)?
-        };
-        obs.counter_add("wal.appends", 1);
-        obs.counter_add("wal.bytes", wal_bytes);
-        self.graph.stream_increment(&batch.muts)?;
+            let span = self.obs.span("wal_append", self.stats.batches + 1, batch.len() as u64);
+            let wal_bytes = self.store.append_batch(&batch)?;
+            drop(span);
+            self.obs.counter_add("wal.appends", 1);
+            self.obs.counter_add("wal.bytes", wal_bytes);
+        }
+        // A fully annihilated round (add+delete of the same copy) logs and
+        // runs nothing; the graph just forgets it.
+        if self.graph.apply_staged()?.is_none() {
+            return Ok(false);
+        }
         self.since_checkpoint += 1;
         self.stats.batches += 1;
-        self.stats.mutations += batch.muts.len() as u64;
+        self.stats.mutations += batch.len() as u64;
         self.stats.live_edges = self.graph.live_edge_count();
         self.stats.wal_tail_batches = self.since_checkpoint;
-        obs.gauge_set("serve.live_edges", self.stats.live_edges as i64);
-        obs.gauge_set("serve.wal_tail_batches", self.since_checkpoint as i64);
+        self.obs.gauge_set("serve.live_edges", self.stats.live_edges as i64);
+        self.obs.gauge_set("serve.wal_tail_batches", self.since_checkpoint as i64);
         if self.checkpoint_every > 0 && self.since_checkpoint >= self.checkpoint_every {
             self.checkpoint()?;
         }
         Ok(true)
     }
 
-    /// Snapshot the quiescent graph to disk now, truncating the WAL.
+    /// Snapshot the quiescent graph to disk now, truncating the WAL —
+    /// after applying whatever is still parked, which a snapshot would
+    /// otherwise list as live edges beside a fixpoint that never saw them.
     /// Returns the checkpoint size in bytes.
     pub fn checkpoint(&mut self) -> Result<u64, ServeError> {
+        if self.flush()? && self.since_checkpoint == 0 {
+            // That flush reached the cadence and already wrote this snapshot.
+            return Ok(self.stats.last_checkpoint_bytes);
+        }
         let obs = self.obs.clone();
         let bytes = {
             let _s = obs.span("checkpoint", self.stats.batches, 0);
@@ -866,7 +847,7 @@ fn control<G: VertexAlgo>(core: &mut IngestCore<G>, shared: &Shared, cmd: Cmd) -
             Flow::Stop { crashed: false }
         }
         Cmd::Kill { reply } => {
-            // Simulated crash: drop the stage, no flush, no checkpoint.
+            // Simulated crash: no flush, no checkpoint.
             let _ = reply.send(Response::Done);
             Flow::Stop { crashed: true }
         }
@@ -1035,6 +1016,29 @@ fn forward(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// WAL-before-apply: when the append fails, `flush` reports it and the
+    /// graph has applied nothing — the submission is still only parked.
+    #[test]
+    fn wal_failure_leaves_the_graph_unapplied() {
+        let dir = std::env::temp_dir().join(format!("amcca-serve-walfail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let builder = StreamingGraph::builder(sdgp_core::BfsAlgo::new(0))
+            .vertices(8)
+            .chip(amcca_sim::ChipConfig::small_test());
+        let (mut core, _) = IngestCore::boot(builder, &dir, 0).unwrap();
+        core.submit(&[GraphMutation::AddEdge((0, 1, 1))]).unwrap();
+        core.flush().unwrap();
+        let (values, live) = (core.sync_values(), core.graph().live_edge_count());
+
+        core.store.break_wal();
+        core.submit(&[GraphMutation::AddEdge((1, 2, 1)), GraphMutation::DelEdge((0, 1, 1))])
+            .unwrap();
+        assert!(matches!(core.flush(), Err(ServeError::Io(_))));
+        assert_eq!((core.sync_values(), core.graph().live_edge_count()), (values, live));
+        assert_eq!((core.stats().batches, core.pending_ops()), (1, 2));
+        assert_eq!(core.store.load_tail().unwrap().len(), 1, "nothing reached the log");
+    }
 
     /// The outbox never drops replies, bounds deltas at
     /// [`MAX_QUEUED_DELTAS`], and the overflow path swaps every queued

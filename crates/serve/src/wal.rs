@@ -272,6 +272,14 @@ impl Store {
 mod tests {
     use super::*;
 
+    impl Store {
+        /// Make every later append fail with a real I/O error, by swapping
+        /// the WAL handle for a read-only one (for other modules' tests).
+        pub(crate) fn break_wal(&mut self) {
+            self.wal = File::open(self.dir.join(WAL_FILE)).expect("an open store has a WAL");
+        }
+    }
+
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("amcca-serve-wal-{tag}-{}", std::process::id()));
