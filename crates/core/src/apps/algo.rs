@@ -409,7 +409,7 @@ impl<G: VertexAlgo> GraphApp<G> {
     /// ready ghost subtrees. Exactly one object holds the `(dst, tag)` copy
     /// (tags are unique among a pair's live copies — the payload weight is
     /// advisory: a host-coalesced same-batch re-weight can leave the stored
-    /// weight behind the ledger's), so exactly one removal happens; every
+    /// weight behind the host's), so exactly one removal happens; every
     /// other arrival dies silently. The remover recalls the value it last
     /// announced along the edge — at the *stored* weight — seeding the
     /// invalidation cascade ([`diffusive::retract`]).
@@ -609,7 +609,7 @@ impl<G: VertexAlgo> GraphApp<G> {
             let scanned = obj.edges.len() as u32;
             let patched = match obj.edges.iter().position(|e| e.dst_id == dst_id && e.tag == tag) {
                 Some(i) => {
-                    debug_assert_eq!(obj.edges[i].w, w_old, "ledger and fabric agree on weight");
+                    debug_assert_eq!(obj.edges[i].w, w_old, "host and fabric agree on weight");
                     obj.edges[i].w = w_new;
                     let e = obj.edges[i];
                     let value =

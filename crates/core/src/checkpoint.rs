@@ -32,11 +32,10 @@ use crate::graph::{GraphBuilder, GraphMutation, StreamEdge, StreamingGraph};
 
 /// Magic bytes opening every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"AMCK";
-/// Current checkpoint format version. Version 2 added a per-edge label byte
-/// and the registered standing-query list; version 3 widened each query's
-/// single source vertex to a source *list* (multi-source registration).
-/// Older files still decode: version 1 yields no labels and no queries,
-/// version 2 yields one-element source lists.
+/// The one checkpoint format version this build writes and reads: a label
+/// byte per edge and a registered standing-query list with a source *list*
+/// per query. Files of versions 1 and 2 (no labels or queries; one source
+/// per query) are refused as [`CheckpointError::BadVersion`].
 pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Why checkpoint bytes (or a mutation record) failed to decode or a
@@ -47,7 +46,7 @@ pub enum CheckpointError {
     Truncated,
     /// The magic bytes are not [`CHECKPOINT_MAGIC`].
     BadMagic,
-    /// The version is newer than this build understands.
+    /// The version is not [`CHECKPOINT_VERSION`].
     BadVersion(u32),
     /// The trailing checksum does not match the payload.
     BadChecksum,
@@ -95,8 +94,8 @@ pub struct GraphCheckpoint {
     pub n_vertices: u32,
     /// Live edge multiset at current weights, in insertion order.
     pub edges: Vec<StreamEdge>,
-    /// Per-edge labels, parallel to `edges` (version 1 files decode to all
-    /// zeros). Missing trailing entries encode as label 0.
+    /// Per-edge labels, parallel to `edges`. Missing trailing entries encode
+    /// as label 0.
     pub labels: Vec<u8>,
     /// Promoted (multi-root) vertices at capture time, ascending.
     pub promoted: Vec<u32>,
@@ -105,13 +104,12 @@ pub struct GraphCheckpoint {
     pub sync_states: Vec<Option<u64>>,
     /// Registered standing queries as `(pattern, sources)` pairs, in
     /// registration (query-id) order. Restore re-registers them, which
-    /// recomputes their result sets from the rebuilt graph. Version-2
-    /// files decode each query's single source into a one-element list.
+    /// recomputes their result sets from the rebuilt graph.
     pub queries: Vec<(String, Vec<u32>)>,
 }
 
 impl GraphCheckpoint {
-    /// Snapshot a quiescent graph: its ledger (live edges), rhizome
+    /// Snapshot a quiescent graph: its live edges, rhizome
     /// directory (promoted set), and converged vertex states.
     ///
     /// Nothing may be staged ([`StreamingGraph::stage`]): the edge list
@@ -223,7 +221,7 @@ impl GraphCheckpoint {
             return Err(CheckpointError::BadMagic);
         }
         let version = r.u32()?;
-        if version == 0 || version > CHECKPOINT_VERSION {
+        if version != CHECKPOINT_VERSION {
             return Err(CheckpointError::BadVersion(version));
         }
         let n_vertices = r.u32()?;
@@ -232,7 +230,7 @@ impl GraphCheckpoint {
         let mut labels = Vec::with_capacity(n_edges.min(1 << 20));
         for _ in 0..n_edges {
             edges.push((r.u32()?, r.u32()?, r.u32()?));
-            labels.push(if version >= 2 { r.u8()? } else { 0 });
+            labels.push(r.u8()?);
         }
         let n_promoted = r.u32()? as usize;
         let mut promoted = Vec::with_capacity(n_promoted.min(1 << 20));
@@ -247,28 +245,19 @@ impl GraphCheckpoint {
                 _ => Some(r.u64()?),
             });
         }
-        let mut queries = Vec::new();
-        if version >= 2 {
-            let n_queries = r.u32()? as usize;
-            queries.reserve(n_queries.min(1 << 16));
-            for _ in 0..n_queries {
-                // v2 stored one source; v3 stores a count-prefixed list.
-                let sources = if version >= 3 {
-                    let n_sources = r.u32()? as usize;
-                    let mut sources = Vec::with_capacity(n_sources.min(1 << 16));
-                    for _ in 0..n_sources {
-                        sources.push(r.u32()?);
-                    }
-                    sources
-                } else {
-                    vec![r.u32()?]
-                };
-                let len = r.u32()? as usize;
-                let pattern = std::str::from_utf8(r.bytes(len)?)
-                    .map_err(|_| CheckpointError::BadQuery("pattern is not UTF-8".into()))?
-                    .to_string();
-                queries.push((pattern, sources));
+        let n_queries = r.u32()? as usize;
+        let mut queries = Vec::with_capacity(n_queries.min(1 << 16));
+        for _ in 0..n_queries {
+            let n_sources = r.u32()? as usize;
+            let mut sources = Vec::with_capacity(n_sources.min(1 << 16));
+            for _ in 0..n_sources {
+                sources.push(r.u32()?);
             }
+            let len = r.u32()? as usize;
+            let pattern = std::str::from_utf8(r.bytes(len)?)
+                .map_err(|_| CheckpointError::BadQuery("pattern is not UTF-8".into()))?
+                .to_string();
+            queries.push((pattern, sources));
         }
         Ok(GraphCheckpoint { n_vertices, edges, labels, promoted, sync_states, queries })
     }
@@ -398,66 +387,36 @@ mod tests {
         assert_eq!(GraphCheckpoint::decode(&ck.encode()).unwrap(), ck);
     }
 
+    /// Well-formed, checksum-valid images of the two retired generations
+    /// are refused by version, not misparsed.
     #[test]
-    fn version_2_bytes_still_decode() {
-        // Hand-build a v2 image: label bytes present, query section carries
-        // a single u32 source per query (no source-count prefix).
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&CHECKPOINT_MAGIC);
-        put_u32(&mut bytes, 2); // version
-        put_u32(&mut bytes, 4); // n_vertices
-        put_u64(&mut bytes, 1); // edge count
-        put_u32(&mut bytes, 0);
-        put_u32(&mut bytes, 1);
-        put_u32(&mut bytes, 5);
-        bytes.push(2); // label
-        put_u32(&mut bytes, 0); // promoted count
-        put_u32(&mut bytes, 1); // sync count
-        bytes.push(0); // None
-        put_u32(&mut bytes, 2); // query count
-        for (source, pattern) in [(0u32, "a.b*.c"), (3, "b+")] {
-            put_u32(&mut bytes, source);
-            put_u32(&mut bytes, pattern.len() as u32);
-            bytes.extend_from_slice(pattern.as_bytes());
+    fn retired_versions_are_refused() {
+        for version in [1u32, 2] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&CHECKPOINT_MAGIC);
+            put_u32(&mut bytes, version);
+            put_u32(&mut bytes, 4); // n_vertices
+            put_u64(&mut bytes, 1); // edge count
+            for x in [0, 1, 5] {
+                put_u32(&mut bytes, x);
+            }
+            if version == 2 {
+                bytes.push(2); // v2 added the label byte
+            }
+            put_u32(&mut bytes, 0); // promoted count
+            put_u32(&mut bytes, 1); // sync count
+            bytes.push(0); // None
+            if version == 2 {
+                // ... and a query section with one u32 source per query.
+                put_u32(&mut bytes, 1); // query count
+                put_u32(&mut bytes, 3); // source
+                put_u32(&mut bytes, 2); // pattern length
+                bytes.extend_from_slice(b"b+");
+            }
+            let sum = fnv1a(&bytes);
+            put_u64(&mut bytes, sum);
+            assert_eq!(GraphCheckpoint::decode(&bytes), Err(CheckpointError::BadVersion(version)));
         }
-        let sum = fnv1a(&bytes);
-        put_u64(&mut bytes, sum);
-        let ck = GraphCheckpoint::decode(&bytes).unwrap();
-        assert_eq!(
-            ck.queries,
-            vec![("a.b*.c".to_string(), vec![0]), ("b+".to_string(), vec![3])],
-            "v2 single sources widen to one-element lists"
-        );
-        assert_eq!(ck.labels, vec![2]);
-    }
-
-    #[test]
-    fn version_1_bytes_still_decode() {
-        // Hand-build a v1 image: no label bytes, no query section.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&CHECKPOINT_MAGIC);
-        put_u32(&mut bytes, 1); // version
-        put_u32(&mut bytes, 4); // n_vertices
-        put_u64(&mut bytes, 2); // edge count
-        for &(u, v, w) in &[(0u32, 1u32, 5u32), (1, 2, 7)] {
-            put_u32(&mut bytes, u);
-            put_u32(&mut bytes, v);
-            put_u32(&mut bytes, w);
-        }
-        put_u32(&mut bytes, 1); // promoted count
-        put_u32(&mut bytes, 2);
-        put_u32(&mut bytes, 2); // sync count
-        bytes.push(1);
-        put_u64(&mut bytes, 9);
-        bytes.push(0);
-        let sum = fnv1a(&bytes);
-        put_u64(&mut bytes, sum);
-        let ck = GraphCheckpoint::decode(&bytes).unwrap();
-        assert_eq!(ck.edges, vec![(0, 1, 5), (1, 2, 7)]);
-        assert_eq!(ck.labels, vec![0, 0]);
-        assert_eq!(ck.promoted, vec![2]);
-        assert_eq!(ck.sync_states, vec![Some(9), None]);
-        assert!(ck.queries.is_empty());
     }
 
     #[test]

@@ -12,14 +12,17 @@
 //! # Mutation semantics
 //!
 //! A batch is an ordered multiset edit of the directed edge multiset. The
-//! host keeps a **mutation ledger** assigning each inserted copy of a
-//! directed pair `(src, dst)` a small copy tag (unique among the pair's live
-//! copies), so a `DelEdge` retracts exactly one copy — the oldest live one
-//! of the named weight — and an `UpdateWeight` re-weights exactly one copy —
-//! the pair's oldest — no matter how copies spread across rhizome root
-//! slices and ghost spills. A delete that matches an insert of the *same
-//! batch* annihilates it on the host before anything reaches the fabric, and
-//! same-batch updates of one copy coalesce into a single patch.
+//! host keeps one record of the live edge set, the [`MutationLog`], which
+//! assigns each inserted copy of a directed pair `(src, dst)` a small copy
+//! tag (unique among the pair's live copies), so a `DelEdge` retracts
+//! exactly one copy — the oldest live one of the named weight — and an
+//! `UpdateWeight` re-weights exactly one copy — the pair's oldest — no
+//! matter how copies spread across rhizome root slices and ghost spills. A
+//! delete that matches an insert of the *same batch* annihilates it on the
+//! host before anything reaches the fabric, and same-batch updates of one
+//! copy coalesce into a single patch. The wave of an increment is built from
+//! the log's drained batch alone: each surviving mutation arrives with the
+//! tag of the copy the log matched it to.
 //!
 //! Batches containing on-fabric deletions (or weight increases) run in two
 //! phases when the algorithm propagates: a **structural** phase (inserts,
@@ -35,8 +38,7 @@
 //! every vertex (the O(n) ablation baseline). Both reach bit-identical
 //! fixpoints; pure-insert batches take the original single-phase fast path.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use amcca_obs::Obs;
 use amcca_sim::{max_mean_ratio, Address, ChipConfig, Operon, SimError, SplitMix64};
@@ -53,7 +55,7 @@ use diffusive::{query_operon, query_reseed_operon, QUERY_ALL};
 
 mod mutlog;
 
-pub use mutlog::{CoalescedBatch, MutationError, MutationLog};
+pub use mutlog::{CoalescedBatch, CopyAddr, MutationError, MutationLog};
 
 /// A streamed edge: `(src, dst, weight)` with vertex ids.
 pub type StreamEdge = (u32, u32, u32);
@@ -141,7 +143,7 @@ pub struct RepairStats {
     /// state (survivors bordering the invalidated region).
     pub rejected: u64,
     /// Distinct surviving in-neighbours of the invalidated set (from the
-    /// host ledger's reverse index).
+    /// host's reverse index).
     pub in_neighbors: u64,
     /// Distinct sources of this batch's inserts and weight updates (their
     /// announcements were suppressed during the structural phase).
@@ -151,53 +153,30 @@ pub struct RepairStats {
     pub triggers: u64,
 }
 
-/// Per-pair live-copy bookkeeping of the mutation ledger.
+/// What the host keeps about the *applied* edge set beside the mutation log
+/// (which also holds whatever is staged): a reverse index of surviving
+/// in-neighbours per destination vertex — the host-side half of the
+/// targeted-repair frontier (an invalidated vertex can only be re-fed through
+/// its surviving in-edges) — and the applied live-copy count. Lookup-only
+/// except for [`ReverseIndex::sources_into`], whose consumers sort before
+/// driving output, so the hash maps cannot perturb determinism.
 #[derive(Debug, Clone, Default)]
-struct LiveCopies {
-    /// Next tag to hand out (wrapping; tags need only be unique among the
-    /// pair's *live* copies).
-    next: u8,
-    /// `(current weight, tag)` of live copies, oldest first.
-    live: VecDeque<(u32, u8)>,
-}
-
-/// Host-side mutation ledger, keyed by the directed pair `(src, dst)`: which
-/// copies are live, at which current weight, under which tag — plus a
-/// reverse index of surviving in-neighbours per destination vertex, the
-/// host-side half of the targeted-repair frontier (an invalidated vertex can
-/// only be re-fed through its surviving in-edges). Lookup-only except for
-/// [`EdgeLedger::sources_into`], whose consumers sort before driving output,
-/// so the hash maps cannot perturb determinism.
-#[derive(Debug, Clone, Default)]
-struct EdgeLedger {
-    copies: HashMap<(u32, u32), LiveCopies>,
+struct ReverseIndex {
     /// `dst → src → live copy count` over all weights of the pair.
     sources: HashMap<u32, HashMap<u32, u32>>,
     /// Live copies across all pairs.
     live: u64,
 }
 
-impl EdgeLedger {
-    /// Register a streamed copy of `(u, v, w)` and return its tag.
-    fn add(&mut self, u: u32, v: u32, w: u32) -> u8 {
-        let c = self.copies.entry((u, v)).or_default();
-        let tag = c.next;
-        c.next = c.next.wrapping_add(1);
-        c.live.push_back((w, tag));
+impl ReverseIndex {
+    /// Count one applied copy of the pair `(u, v)`.
+    fn add(&mut self, u: u32, v: u32) {
         *self.sources.entry(v).or_default().entry(u).or_insert(0) += 1;
         self.live += 1;
-        tag
     }
 
-    /// Unregister the oldest live copy of `(u, v)` currently weighing `w`,
-    /// returning its tag. The pair's entry (and its tag counter) survives a
-    /// full drain until the increment completes: a re-added copy must NOT
-    /// reuse a tag while a same-tag retraction may still be in flight in the
-    /// same wave, or a miss-fanned broadcast could match both copies.
-    fn remove(&mut self, u: u32, v: u32, w: u32) -> Option<u8> {
-        let c = self.copies.get_mut(&(u, v))?;
-        let i = c.live.iter().position(|&(cw, _)| cw == w)?;
-        let (_, tag) = c.live.remove(i).expect("position is in range");
+    /// Uncount one retracted copy of the pair `(u, v)`.
+    fn remove(&mut self, u: u32, v: u32) {
         self.live -= 1;
         let srcs = self.sources.get_mut(&v).expect("reverse index tracks live copies");
         let n = srcs.get_mut(&u).expect("reverse index tracks live copies");
@@ -208,42 +187,12 @@ impl EdgeLedger {
                 self.sources.remove(&v);
             }
         }
-        Some(tag)
-    }
-
-    /// Re-weight the *oldest* live copy of the pair `(u, v)` to `w_new`,
-    /// returning `(old weight, tag)`.
-    fn update_weight(&mut self, u: u32, v: u32, w_new: u32) -> Option<(u32, u8)> {
-        let front = self.copies.get_mut(&(u, v))?.live.front_mut()?;
-        let old = front.0;
-        front.0 = w_new;
-        Some((old, front.1))
     }
 
     /// Sources of the surviving in-edges of vertex `v`, in arbitrary hash
     /// order — callers must sort before the result can drive output.
     fn sources_into(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
         self.sources.get(&v).into_iter().flat_map(|m| m.keys().copied())
-    }
-
-    /// Drop the pairs `batch` fully drained (only its `DelEdge`s can have)
-    /// and return how many were looked at. Safe only at increment
-    /// boundaries: the chip is quiescent, so no retraction that could
-    /// collide with a reused tag is in flight. Keeps ledger memory bounded
-    /// by the live edge set instead of the stream's history.
-    fn prune_drained(&mut self, batch: &[GraphMutation]) -> u64 {
-        let mut visits = 0;
-        for m in batch {
-            if let GraphMutation::DelEdge((u, v, _)) = *m {
-                visits += 1;
-                if let Entry::Occupied(pair) = self.copies.entry((u, v)) {
-                    if pair.get().live.is_empty() {
-                        pair.remove();
-                    }
-                }
-            }
-        }
-        visits
     }
 }
 
@@ -259,11 +208,12 @@ pub struct StreamingGraph<G: VertexAlgo> {
     /// Per-vertex root sets, streamed-degree counters, and the deterministic
     /// per-edge root router (single-root vertices route to their primary).
     rz: RhizomeDirectory,
-    /// Live-copy tags per edge pair (deletion and re-weight addressing) plus
-    /// the surviving-in-neighbour reverse index for targeted repair.
-    ledger: EdgeLedger,
-    /// The coalescing stage: every increment's mutations are staged here
-    /// first, so same-batch merges happen in exactly one place (see
+    /// The surviving-in-neighbour reverse index for targeted repair, plus
+    /// the applied live-edge count.
+    rev: ReverseIndex,
+    /// The one record of the live edge set and the coalescing stage: every
+    /// increment's mutations are staged here first, so same-batch merges and
+    /// per-copy tag addressing happen in exactly one place (see
     /// [`MutationLog`]) and the live multiset is queryable for checkpoints.
     log: MutationLog,
     rcfg: RpvoConfig,
@@ -396,7 +346,7 @@ impl<G: VertexAlgo> GraphBuilder<G> {
         Ok(StreamingGraph {
             dev,
             rz: RhizomeDirectory::new(addrs),
-            ledger: EdgeLedger::default(),
+            rev: ReverseIndex::default(),
             log: MutationLog::new(),
             rcfg,
             repair,
@@ -427,42 +377,6 @@ impl<G: VertexAlgo> StreamingGraph<G> {
             obs: Obs::disabled(),
             migrate: false,
         }
-    }
-
-    /// Pre-builder constructor, kept so existing callers compile. It is a
-    /// thin shim over the [`GraphBuilder`] chain and cannot express the
-    /// newer knobs (e.g. [`GraphBuilder::repair`]) — migrate by mapping the
-    /// positional arguments onto the named builder steps:
-    ///
-    /// ```
-    /// use sdgp_core::apps::BfsAlgo;
-    /// use sdgp_core::graph::StreamingGraph;
-    /// use sdgp_core::rpvo::RpvoConfig;
-    /// use amcca_sim::ChipConfig;
-    ///
-    /// let (cfg, rcfg) = (ChipConfig::small_test(), RpvoConfig::basic(3, 2));
-    /// # #[allow(deprecated)]
-    /// let old = StreamingGraph::new(cfg.clone(), rcfg, BfsAlgo::new(0), 8).unwrap();
-    /// let new = StreamingGraph::builder(BfsAlgo::new(0))
-    ///     .vertices(8)
-    ///     .chip(cfg)
-    ///     .rpvo(rcfg)
-    ///     .build()
-    ///     .unwrap();
-    /// assert_eq!(old.n_vertices(), new.n_vertices());
-    /// assert_eq!(old.states(), new.states());
-    /// ```
-    #[deprecated(
-        since = "0.1.0",
-        note = "use StreamingGraph::builder(algo).vertices(n).chip(cfg).rpvo(rcfg).build()"
-    )]
-    pub fn new(
-        cfg: ChipConfig,
-        rcfg: RpvoConfig,
-        algo: G,
-        n_vertices: u32,
-    ) -> Result<Self, SimError> {
-        Self::builder(algo).vertices(n_vertices).chip(cfg).rpvo(rcfg).build()
     }
 
     /// Promote vertex `v` from a single root to a rhizome of
@@ -653,8 +567,8 @@ impl<G: VertexAlgo> StreamingGraph<G> {
     /// Assemble phase B's reseed trigger set after a structural phase:
     /// drain the frontier the invalidation cascade recorded on-fabric
     /// (invalidated vertices + recall-rejecting survivors), join the
-    /// surviving in-neighbours of the invalidated set from the ledger's
-    /// reverse index and the batch's suppressed insert/update sources, and
+    /// surviving in-neighbours of the invalidated set from the reverse
+    /// index and the batch's suppressed insert/update sources, and
     /// dedup. Per-shard accumulation order and hash-map iteration order
     /// never reach the output: every constituent is sorted first, so the
     /// wave is deterministic and shard-count-independent. In
@@ -667,7 +581,7 @@ impl<G: VertexAlgo> StreamingGraph<G> {
         rejected.sort_unstable();
         rejected.dedup();
         let mut in_nbrs: Vec<u32> =
-            invalidated.iter().flat_map(|&v| self.ledger.sources_into(v)).collect();
+            invalidated.iter().flat_map(|&v| self.rev.sources_into(v)).collect();
         in_nbrs.sort_unstable();
         in_nbrs.dedup();
         let mut touched = touched.to_vec();
@@ -806,59 +720,55 @@ impl<G: VertexAlgo> StreamingGraph<G> {
         self.apply(n_muts).map(Some)
     }
 
+    /// Count one insert's endpoints toward their streamed degrees (promoting
+    /// a vertex that crosses the rhizome threshold), index the copy, and
+    /// return its insert operon, routed to a co-equal root of each endpoint.
+    fn insert_op(&mut self, (u, v, w): StreamEdge, label: u8, tag: u8) -> Result<Operon, SimError> {
+        let threshold = self.rcfg.rhizome_threshold;
+        if self.rz.note_add(u, threshold) {
+            self.promote(u)?;
+        }
+        if self.rz.note_add(v, threshold) {
+            self.promote(v)?;
+        }
+        self.rev.add(u, v);
+        let src = self.rz.route(u);
+        let dst = self.rz.route(v);
+        Ok(insert_operon(src, &Edge::labeled(dst, v, w, tag, label)))
+    }
+
     /// Drain the log and run the canonical batch to quiescence. `n_muts` is
     /// the mutation count spans and obs counters report.
     fn apply(&mut self, n_muts: u64) -> Result<RunReport, SimError> {
-        let threshold = self.rcfg.rhizome_threshold;
         // Clone the handle so span guards borrow the local, not `self`.
         let obs = self.obs.clone();
         self.seq += 1;
         let bid = self.seq;
         // Same-batch merges (annihilation, insert rewrites, patch folds,
         // moot-patch drops) happened in the log, and the drained batch is
-        // canonical — surviving mutations in arrival order whose replay
-        // below reproduces the exact live multiset the log tracks.
+        // canonical: surviving mutations in arrival order, each beside the
+        // tag (and, for a re-weight, the stored weight) of the copy the log
+        // matched it to.
         let batch = self.log.drain();
         let needs_repair = batch.needs_repair;
         // Build the operon wave from the canonical batch. Annihilated pairs
         // never reach this loop, so they neither advance the rhizome router
         // nor count toward streamed degrees.
         let mut wave: Vec<Operon> = Vec::with_capacity(batch.muts.len());
-        for m in &batch.muts {
-            if let Some(((u, v, w), label)) = m.as_add() {
-                if self.rz.note_add(u, threshold) {
-                    self.promote(u)?;
-                }
-                if self.rz.note_add(v, threshold) {
-                    self.promote(v)?;
-                }
-                let tag = self.ledger.add(u, v, w);
-                let src = self.rz.route(u);
-                let dst = self.rz.route(v);
-                wave.push(insert_operon(src, &Edge::labeled(dst, v, w, tag, label)));
-                continue;
-            }
+        for (m, at) in batch.muts.iter().zip(&batch.addrs) {
             match *m {
-                GraphMutation::AddEdge(..) | GraphMutation::AddLabeledEdge(..) => {
-                    unreachable!("inserts handled above")
+                GraphMutation::AddEdge(e) => wave.push(self.insert_op(e, 0, at.tag)?),
+                GraphMutation::AddLabeledEdge(e, label) => {
+                    wave.push(self.insert_op(e, label, at.tag)?)
                 }
                 GraphMutation::DelEdge((u, v, w)) => {
-                    // The canonical delete names the copy's ledger weight, so
-                    // the ledger resolves the same copy the log matched.
-                    let tag = self
-                        .ledger
-                        .remove(u, v, w)
-                        .expect("canonical delete targets a live ledger copy");
+                    self.rev.remove(u, v);
                     self.rz.note_del(u);
                     self.rz.note_del(v);
-                    wave.push(delete_operon(self.rz.primary(u), v, w, tag));
+                    wave.push(delete_operon(self.rz.primary(u), v, w, at.tag));
                 }
                 GraphMutation::UpdateWeight { u, v, w } => {
-                    let (w_old, tag) = self
-                        .ledger
-                        .update_weight(u, v, w)
-                        .expect("canonical update targets a live ledger pair");
-                    wave.push(update_weight_operon(self.rz.primary(u), v, w_old, w, tag));
+                    wave.push(update_weight_operon(self.rz.primary(u), v, at.w_fabric, w, at.tag));
                 }
             }
         }
@@ -900,7 +810,7 @@ impl<G: VertexAlgo> StreamingGraph<G> {
         };
         // Demotion sweep: collapse rhizomes whose live degree fell back
         // below the threshold, then re-ingest their merged edge slices.
-        let due = self.rz.take_demotions(threshold);
+        let due = self.rz.take_demotions(self.rcfg.rhizome_threshold);
         if !due.is_empty() {
             let merge = self.demote_collapse(&due);
             if !merge.is_empty() {
@@ -941,8 +851,6 @@ impl<G: VertexAlgo> StreamingGraph<G> {
             // transitions plus the repair-cleared region. No full rescan.
             self.compute_query_deltas(&cleared);
         }
-        // Quiescent: no retraction in flight, drained identities can go.
-        let prune_visits = self.ledger.prune_drained(&batch.muts);
         // Hot-object rebalance (untimed, like construction): level the
         // per-column load before the next increment streams in.
         if self.migrate {
@@ -966,10 +874,10 @@ impl<G: VertexAlgo> StreamingGraph<G> {
             obs.counter_add("fabric.cell_visits", cv - self.chip_marks.2);
             self.chip_marks = (sc, sr, cv);
             let pv = self.log.pair_visits();
-            obs.counter_add("host.pair_visits", pv - self.pair_mark + prune_visits);
+            obs.counter_add("host.pair_visits", pv - self.pair_mark);
             self.pair_mark = pv;
-            obs.gauge_set("graph.live_edges", self.ledger.live as i64);
-            obs.gauge_set("graph.ledger_pairs", self.ledger.copies.len() as i64);
+            obs.gauge_set("graph.live_edges", self.rev.live as i64);
+            obs.gauge_set("graph.ledger_pairs", self.log.pair_records() as i64);
             // Run-to-date max/mean executor imbalance across the sharded
             // engine's workers, in milli-units (1000 = perfectly level).
             let imb = max_mean_ratio(chip.exec_active());
@@ -1008,10 +916,8 @@ impl<G: VertexAlgo> StreamingGraph<G> {
         // Forward closure over surviving out-edges (the closure is a set, so
         // hash-order traversal cannot perturb the sorted result).
         let mut adj: HashMap<u32, Vec<u32>> = HashMap::new();
-        for (&(u, v), c) in &self.ledger.copies {
-            if !c.live.is_empty() {
-                adj.entry(u).or_default().push(v);
-            }
+        for (u, v) in self.log.live_pairs() {
+            adj.entry(u).or_default().push(v);
         }
         let mut seen: std::collections::HashSet<u32> = del_heads.iter().copied().collect();
         let mut work: Vec<u32> = seen.iter().copied().collect();
@@ -1033,7 +939,7 @@ impl<G: VertexAlgo> StreamingGraph<G> {
             }
         }
         let mut frontier: Vec<u32> =
-            region.iter().flat_map(|&v| self.ledger.sources_into(v)).collect();
+            region.iter().flat_map(|&v| self.rev.sources_into(v)).collect();
         frontier.extend_from_slice(&region);
         frontier.extend_from_slice(touched);
         frontier.sort_unstable();
@@ -1267,10 +1173,11 @@ impl<G: VertexAlgo> StreamingGraph<G> {
         self.rz.live_degree(vid)
     }
 
-    /// Number of live edges according to the host's mutation ledger (equals
-    /// [`Self::total_edges_stored`] at quiescence).
+    /// Number of live edges the host has applied (equals
+    /// [`Self::total_edges_stored`] at quiescence; mutations parked by
+    /// [`Self::stage`] do not count yet).
     pub fn live_edge_count(&self) -> u64 {
-        self.ledger.live
+        self.rev.live
     }
 
     /// The live edge multiset at current weights, in insertion order — the
@@ -1469,20 +1376,6 @@ mod tests {
         g.rebalance_hot(8).unwrap();
         assert_eq!(g.roots_of(0).len(), g.rz.root_count(0), "directory still consistent");
         g.check_mirror_consistency().unwrap();
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_still_builds_the_same_graph() {
-        let g = StreamingGraph::new(
-            ChipConfig::small_test(),
-            RpvoConfig::basic(4, 2),
-            BfsAlgo::new(0),
-            16,
-        )
-        .unwrap();
-        assert_eq!(g.n_vertices(), 16);
-        assert_eq!(g.repair_mode(), RepairMode::Targeted);
     }
 
     #[test]
@@ -2021,7 +1914,7 @@ mod tests {
             .unwrap();
         g.stream_edges(&[(0, 1, 10), (0, 1, 5)]).unwrap();
         assert_eq!(g.state_of(1), 5);
-        // Re-weight the oldest copy (w 10) then delete it (by its ledger
+        // Re-weight the oldest copy (w 10) then delete it (by its current
         // weight, 7) in the same batch: the patch is moot and must not race
         // the retraction.
         g.stream_increment(&[GraphMutation::UpdateWeight { u: 0, v: 1, w: 7 }, DelEdge((0, 1, 7))])
@@ -2333,6 +2226,8 @@ mod tests {
 
         let snap = obs.snapshot();
         assert_eq!(snap.gauge("graph.live_edges"), Some(5_004));
-        assert_eq!(snap.gauge("graph.ledger_pairs"), Some(g.ledger.copies.len() as i64));
+        let pairs: std::collections::HashSet<(u32, u32)> =
+            g.live_edges().iter().map(|&(u, v, _)| (u, v)).collect();
+        assert_eq!(snap.gauge("graph.ledger_pairs"), Some(pairs.len() as i64));
     }
 }

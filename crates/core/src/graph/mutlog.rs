@@ -1,11 +1,15 @@
-//! The shared host-side mutation log: one implementation of the batch
-//! coalescing semantics.
+//! The shared host-side mutation log: the one record of the live edge set,
+//! and one implementation of the batch coalescing semantics.
 //!
-//! [`MutationLog`] mirrors the live directed edge multiset (per-pair copy
-//! queues, oldest first, at current weights) and accepts a stream of
-//! [`GraphMutation`]s, coalescing the mutations of the **current epoch**
-//! exactly the way `StreamingGraph::stream_increment` merges a batch before
-//! anything reaches the fabric:
+//! [`MutationLog`] holds the live directed edge multiset — one record per
+//! directed pair: its copies oldest first, each at its current weight under
+//! the **copy tag** the fabric stores it by, plus the pair's wrapping tag
+//! counter — and accepts a stream of [`GraphMutation`]s. The copy a delete
+//! or re-weight matches at push time *is* the copy the fabric is told to
+//! retract or patch; nothing re-resolves it later. The log coalesces the
+//! mutations of the **current epoch** exactly the way
+//! `StreamingGraph::stream_increment` merges a batch before anything reaches
+//! the fabric:
 //!
 //! * a delete that matches an insert of the same epoch **annihilates** it —
 //!   the pair never leaves the host;
@@ -17,9 +21,16 @@
 //!   emits the retraction under the copy's epoch-start weight (the weight
 //!   the fabric still stores).
 //!
-//! [`MutationLog::drain`] closes the epoch and returns the canonical
-//! coalesced batch — surviving mutations in arrival order — together with
-//! the repair bookkeeping the two-phase pipeline needs: whether anything
+//! [`MutationLog::drain`] closes the epoch in one pass over its surviving
+//! mutations: it hands each surviving insert its tag (in arrival order, so
+//! annihilated inserts consume none), settles this epoch's fresh and patched
+//! copies, and drops the pair records the epoch's deletes emptied. A record
+//! emptied mid-epoch keeps its counter until that pass: a copy re-added in
+//! the same epoch must not reuse a tag whose retraction travels in the same
+//! wave, or a miss-fanned broadcast could match both. The pass returns the
+//! canonical coalesced batch — surviving mutations in arrival order, each
+//! with the [`CopyAddr`] the fabric knows its copy by — together with the
+//! repair bookkeeping the two-phase pipeline needs: whether anything
 //! structural survived (`needs_repair`) and which sources the structural
 //! phase would suppress (`touched`). Replaying the canonical batch against
 //! a fresh consumer reproduces the exact live multiset, which is what makes
@@ -102,7 +113,31 @@ struct LogCopy {
     /// immutable for a copy's lifetime and are not part of the delete/update
     /// addressing identity — they only drive standing-query automata.
     label: u8,
+    /// The tag the fabric stores the copy by, unique among the pair's live
+    /// copies. Meaningless while the copy is `Fresh`: [`MutationLog::drain`]
+    /// hands it out.
+    tag: u8,
     kind: CopyKind,
+}
+
+/// Everything the log holds for one directed pair.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct PairRecord {
+    /// Next tag to try (wrapping; the allocation skips tags still held).
+    next: u8,
+    /// Live copies, oldest first.
+    copies: VecDeque<LogCopy>,
+}
+
+/// How the fabric knows the copy a canonical mutation addresses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CopyAddr {
+    /// The copy's tag: handed to an insert, named by a retraction or patch.
+    pub tag: u8,
+    /// The weight the fabric stores for the copy as the wave departs. For a
+    /// re-weight that is the weight being replaced; otherwise the mutation's
+    /// own.
+    pub w_fabric: u32,
 }
 
 /// The canonical coalesced batch an epoch drains to.
@@ -111,6 +146,8 @@ pub struct CoalescedBatch {
     /// Surviving mutations in arrival order: annihilated pairs removed,
     /// rewritten inserts and folded patches in place of their originals.
     pub muts: Vec<GraphMutation>,
+    /// The fabric address of each mutation's copy, parallel to `muts`.
+    pub addrs: Vec<CopyAddr>,
     /// Sources of this epoch's inserts and first re-weights of settled
     /// copies, in arrival order with repeats (the structural phase
     /// suppresses their announcements; the repair frontier folds them in).
@@ -137,11 +174,13 @@ impl CoalescedBatch {
 /// Host-side live-copy model plus current-epoch coalescing (module docs).
 #[derive(Debug, Clone, Default)]
 pub struct MutationLog {
-    /// Live copies per directed pair, oldest first.
-    pairs: HashMap<(u32, u32), VecDeque<LogCopy>>,
+    /// One record per directed pair with a live copy — or emptied this
+    /// epoch with a counter still to keep ([`Self::drain`] drops it).
+    pairs: HashMap<(u32, u32), PairRecord>,
     /// Current epoch's pending mutations in arrival order (`None` =
-    /// annihilated insert or dropped patch).
-    entries: Vec<Option<GraphMutation>>,
+    /// annihilated insert or dropped patch), a delete beside the tag of the
+    /// copy it matched (0 beside the rest).
+    entries: Vec<Option<(GraphMutation, u8)>>,
     touched: Vec<u32>,
     needs_repair: bool,
     /// Live copies across all pairs.
@@ -156,6 +195,15 @@ pub struct MutationLog {
 fn pair_of(m: GraphMutation) -> (u32, u32) {
     let (u, v, _) = m.edge();
     (u, v)
+}
+
+/// The canonical insert of `e` under `label` (label 0 is a plain `AddEdge`).
+fn labeled_add(e: StreamEdge, label: u8) -> GraphMutation {
+    if label == 0 {
+        GraphMutation::AddEdge(e)
+    } else {
+        GraphMutation::AddLabeledEdge(e, label)
+    }
 }
 
 impl MutationLog {
@@ -189,10 +237,12 @@ impl MutationLog {
             GraphMutation::AddLabeledEdge(e, label) => self.push_add(e, label),
             GraphMutation::DelEdge((u, v, w)) => {
                 let err = MutationError::NoLiveCopyToDelete { u, v, w };
-                let q = self.pairs.get_mut(&(u, v)).ok_or(err)?;
-                let i = q.iter().position(|c| c.w == w).ok_or(err)?;
-                let copy = q.remove(i).expect("position is in range");
-                if q.is_empty() {
+                let rec = self.pairs.get_mut(&(u, v)).ok_or(err)?;
+                let i = rec.copies.iter().position(|c| c.w == w).ok_or(err)?;
+                let copy = rec.copies.remove(i).expect("position is in range");
+                // An emptied record whose counter stands at 0 is a new
+                // record's equal: drop it now. Any other waits for the drain.
+                if rec.copies.is_empty() && rec.next == 0 {
                     self.pairs.remove(&(u, v));
                 }
                 self.live -= 1;
@@ -204,11 +254,12 @@ impl MutationLog {
                     // and retract under the weight the fabric still stores.
                     CopyKind::Patched { w_start, entry } => {
                         self.entries[entry] = None;
-                        self.entries.push(Some(GraphMutation::DelEdge((u, v, w_start))));
+                        self.entries
+                            .push(Some((GraphMutation::DelEdge((u, v, w_start)), copy.tag)));
                         self.needs_repair = true;
                     }
                     CopyKind::Settled => {
-                        self.entries.push(Some(GraphMutation::DelEdge((u, v, w))));
+                        self.entries.push(Some((GraphMutation::DelEdge((u, v, w)), copy.tag)));
                         self.needs_repair = true;
                     }
                 }
@@ -216,31 +267,28 @@ impl MutationLog {
             }
             GraphMutation::UpdateWeight { u, v, w } => {
                 let err = MutationError::NoLiveCopyToUpdate { u, v, w };
-                let copy = self.pairs.get_mut(&(u, v)).and_then(|q| q.front_mut()).ok_or(err)?;
+                let copy =
+                    self.pairs.get_mut(&(u, v)).and_then(|r| r.copies.front_mut()).ok_or(err)?;
                 match copy.kind {
                     // The copy is still in this epoch's wave: rewrite the
                     // pending insert in place (nothing was ever announced
                     // under the old weight, so no repair is needed). The
                     // rewrite keeps the insert's label.
                     CopyKind::Fresh { entry } => {
-                        self.entries[entry] = Some(if copy.label == 0 {
-                            GraphMutation::AddEdge((u, v, w))
-                        } else {
-                            GraphMutation::AddLabeledEdge((u, v, w), copy.label)
-                        });
+                        self.entries[entry] = Some((labeled_add((u, v, w), copy.label), 0));
                     }
                     // Coalesce repeat updates of one copy: one patch with the
                     // final weight (intermediates were never announced);
                     // repair compares against the epoch-start weight.
                     CopyKind::Patched { w_start, entry } => {
                         self.needs_repair |= w > w_start;
-                        self.entries[entry] = Some(GraphMutation::UpdateWeight { u, v, w });
+                        self.entries[entry] = Some((GraphMutation::UpdateWeight { u, v, w }, 0));
                     }
                     CopyKind::Settled => {
                         self.needs_repair |= w > copy.w;
                         copy.kind =
                             CopyKind::Patched { w_start: copy.w, entry: self.entries.len() };
-                        self.entries.push(Some(GraphMutation::UpdateWeight { u, v, w }));
+                        self.entries.push(Some((GraphMutation::UpdateWeight { u, v, w }, 0)));
                         self.touched.push(u);
                     }
                 }
@@ -254,14 +302,10 @@ impl MutationLog {
     /// the `AddEdge` / `AddLabeledEdge` push arms).
     fn push_add(&mut self, (u, v, w): StreamEdge, label: u8) -> Result<(), MutationError> {
         let entry = self.entries.len();
-        self.entries.push(Some(if label == 0 {
-            GraphMutation::AddEdge((u, v, w))
-        } else {
-            GraphMutation::AddLabeledEdge((u, v, w), label)
-        }));
+        self.entries.push(Some((labeled_add((u, v, w), label), 0)));
         self.seq += 1;
-        let copy = LogCopy { seq: self.seq, w, label, kind: CopyKind::Fresh { entry } };
-        self.pairs.entry((u, v)).or_default().push_back(copy);
+        let copy = LogCopy { seq: self.seq, w, label, tag: 0, kind: CopyKind::Fresh { entry } };
+        self.pairs.entry((u, v)).or_default().copies.push_back(copy);
         self.touched.push(u);
         self.live += 1;
         Ok(())
@@ -272,21 +316,21 @@ impl MutationLog {
     /// pending entries of *earlier* pushes of this epoch that the valid
     /// prefix had annihilated, rewritten, folded or dropped.
     ///
-    /// A push only changes the queue of the pair it names, the pending
-    /// entries that queue's copies index, and the tail of the epoch, so that
-    /// (plus the scalar marks) is the whole pre-image.
+    /// A push only changes the record of the pair it names, the pending
+    /// entries that record's copies index, and the tail of the epoch, so
+    /// that (plus the scalar marks) is the whole pre-image.
     pub fn try_push_all(&mut self, muts: &[GraphMutation]) -> Result<(), MutationError> {
         let (n_entries, n_touched) = (self.entries.len(), self.touched.len());
         let (needs_repair, live, seq) = (self.needs_repair, self.live, self.seq);
         // Sized once: a submission names at most one pair per mutation.
-        let mut queues: HashMap<(u32, u32), Option<VecDeque<LogCopy>>> =
+        let mut queues: HashMap<(u32, u32), Option<PairRecord>> =
             HashMap::with_capacity(muts.len());
-        let mut entries: Vec<(usize, Option<GraphMutation>)> = Vec::new();
+        let mut entries: Vec<(usize, Option<(GraphMutation, u8)>)> = Vec::new();
         for &m in muts {
             if let Entry::Vacant(slot) = queues.entry(pair_of(m)) {
                 self.pair_visits += 1;
                 let q = self.pairs.get(slot.key()).cloned();
-                for c in q.iter().flatten() {
+                for c in q.iter().flat_map(|r| &r.copies) {
                     if let CopyKind::Fresh { entry } | CopyKind::Patched { entry, .. } = c.kind {
                         entries.push((entry, self.entries[entry]));
                     }
@@ -313,27 +357,73 @@ impl MutationLog {
         Ok(())
     }
 
-    /// Close the epoch: settle this epoch's surviving copies and return the
-    /// canonical coalesced batch (module docs). Replaying `muts` against any
-    /// consumer that honours the ledger semantics — delete the oldest live
-    /// copy at the named weight, re-weight the pair's oldest — reproduces
-    /// this log's live multiset exactly.
+    /// Close the epoch in one pass over its surviving mutations — tag each
+    /// insert's copy, settle each fresh or patched copy, drop each record a
+    /// delete left empty — and return the canonical coalesced batch (module
+    /// docs). Replaying `muts` against any consumer that deletes the oldest
+    /// live copy at the named weight and re-weights the pair's oldest
+    /// reproduces this log's live multiset exactly.
     pub fn drain(&mut self) -> CoalescedBatch {
-        let muts: Vec<GraphMutation> = self.entries.drain(..).flatten().collect();
-        // A copy is `Fresh` or `Patched` only while its pending insert or
-        // patch survives, so `muts` names every queue with copies to settle.
-        for m in &muts {
-            if !matches!(m, GraphMutation::DelEdge(_)) {
-                self.pair_visits += 1;
-                let q =
-                    self.pairs.get_mut(&pair_of(*m)).expect("a pending insert or patch is live");
-                for c in q.iter_mut() {
-                    c.kind = CopyKind::Settled;
+        // Taken (and handed back below, capacity kept) so the pass can
+        // borrow the pair records beside it.
+        let mut entries = std::mem::take(&mut self.entries);
+        let mut muts = Vec::with_capacity(entries.len());
+        let mut addrs = Vec::with_capacity(entries.len());
+        for (entry, pending) in entries.drain(..).enumerate() {
+            let Some((m, del_tag)) = pending else { continue };
+            self.pair_visits += 1;
+            let addr = match m {
+                GraphMutation::DelEdge((_, _, w)) => {
+                    // The wave this batch becomes carries the last retraction
+                    // that could meet a reused tag: the counter can go.
+                    if let Entry::Occupied(rec) = self.pairs.entry(pair_of(m)) {
+                        if rec.get().copies.is_empty() {
+                            rec.remove();
+                        }
+                    }
+                    CopyAddr { tag: del_tag, w_fabric: w }
                 }
-            }
+                GraphMutation::UpdateWeight { .. } => {
+                    // Only a pair's oldest copy is ever patched.
+                    let copy = self.pairs.get_mut(&pair_of(m)).and_then(|r| r.copies.front_mut());
+                    let copy = copy.expect("a pending patch is live");
+                    let CopyKind::Patched { w_start, .. } = copy.kind else {
+                        unreachable!("a pending patch belongs to the pair's oldest copy")
+                    };
+                    copy.kind = CopyKind::Settled;
+                    CopyAddr { tag: copy.tag, w_fabric: w_start }
+                }
+                GraphMutation::AddEdge((_, _, w)) | GraphMutation::AddLabeledEdge((_, _, w), _) => {
+                    let rec = self.pairs.get_mut(&pair_of(m)).expect("a pending insert is live");
+                    // The one place a tag is handed out. Step past every tag
+                    // a settled or patched copy of the pair still holds; with
+                    // all 256 held the counter's own value has to do.
+                    let held = |t| {
+                        rec.copies
+                            .iter()
+                            .any(|c| !matches!(c.kind, CopyKind::Fresh { .. }) && c.tag == t)
+                    };
+                    let tag = (0..=u8::MAX)
+                        .map(|i| rec.next.wrapping_add(i))
+                        .find(|&t| !held(t))
+                        .unwrap_or(rec.next);
+                    rec.next = tag.wrapping_add(1);
+                    let copy = rec
+                        .copies
+                        .iter_mut()
+                        .find(|c| c.kind == CopyKind::Fresh { entry })
+                        .expect("a pending insert's copy is live");
+                    (copy.tag, copy.kind) = (tag, CopyKind::Settled);
+                    CopyAddr { tag, w_fabric: w }
+                }
+            };
+            muts.push(m);
+            addrs.push(addr);
         }
+        self.entries = entries;
         CoalescedBatch {
             muts,
+            addrs,
             touched: std::mem::take(&mut self.touched),
             needs_repair: std::mem::replace(&mut self.needs_repair, false),
         }
@@ -341,7 +431,7 @@ impl MutationLog {
 
     /// The canonical batch the current epoch would drain to, in order.
     pub fn pending(&self) -> impl Iterator<Item = GraphMutation> + '_ {
-        self.entries.iter().flatten().copied()
+        self.entries.iter().flatten().map(|&(m, _)| m)
     }
 
     /// Number of pending mutations the current epoch would drain to.
@@ -349,9 +439,10 @@ impl MutationLog {
         self.pending().count()
     }
 
-    /// Pair queues looked at so far — one per push, per queue saved (and
-    /// restored) by [`Self::try_push_all`], and per queue settled by
-    /// [`Self::drain`]. A diagnostic, like `Chip::cell_visits`.
+    /// Pair records looked at so far — one per push, per record saved (and
+    /// restored) by [`Self::try_push_all`], and per surviving mutation
+    /// [`Self::drain`] tags, settles or prunes for. A diagnostic, like
+    /// `Chip::cell_visits`.
     pub fn pair_visits(&self) -> u64 {
         self.pair_visits
     }
@@ -361,23 +452,29 @@ impl MutationLog {
         self.live
     }
 
+    /// Pair records held: one per directed pair with a live copy, plus any
+    /// the current epoch emptied and [`Self::drain`] has yet to drop.
+    pub fn pair_records(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// The directed pairs with a live copy, in arbitrary hash order —
+    /// callers must sort before the result can drive output.
+    pub fn live_pairs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.pairs.iter().filter(|(_, r)| !r.copies.is_empty()).map(|(&pair, _)| pair)
+    }
+
     /// The live edge multiset at current weights, in insertion order
     /// (current epoch's fresh copies included — callers wanting the settled
     /// state call this at an epoch boundary).
     pub fn live_edges(&self) -> Vec<StreamEdge> {
-        let mut tagged: Vec<(u64, StreamEdge)> = self
-            .pairs
-            .iter()
-            .flat_map(|(&(u, v), q)| q.iter().map(move |c| (c.seq, (u, v, c.w))))
-            .collect();
-        tagged.sort_unstable_by_key(|&(seq, _)| seq);
-        tagged.into_iter().map(|(_, e)| e).collect()
+        self.live_labeled_edges().into_iter().map(|(e, _)| e).collect()
     }
 
     /// Live copies of the directed pair `(u, v)`, oldest first, at current
     /// weights.
     pub fn live_copies(&self, u: u32, v: u32) -> Vec<u32> {
-        self.pairs.get(&(u, v)).map(|q| q.iter().map(|c| c.w).collect()).unwrap_or_default()
+        self.pairs.get(&(u, v)).map(|r| r.copies.iter().map(|c| c.w).collect()).unwrap_or_default()
     }
 
     /// [`Self::live_edges`] with each copy's label: the serialization hook
@@ -387,7 +484,7 @@ impl MutationLog {
         let mut tagged: Vec<(u64, (StreamEdge, u8))> = self
             .pairs
             .iter()
-            .flat_map(|(&(u, v), q)| q.iter().map(move |c| (c.seq, ((u, v, c.w), c.label))))
+            .flat_map(|(&(u, v), r)| r.copies.iter().map(move |c| (c.seq, ((u, v, c.w), c.label))))
             .collect();
         tagged.sort_unstable_by_key(|&(seq, _)| seq);
         tagged.into_iter().map(|(_, e)| e).collect()
@@ -607,7 +704,11 @@ mod tests {
 
     /// Everything but the `pair_visits` diagnostic, fields and accessors.
     fn assert_same(got: &MutationLog, want: &MutationLog) {
-        assert_eq!(got.pairs, want.pairs, "copy queues (weights, labels, kinds, arrival numbers)");
+        assert_eq!(
+            got.pairs, want.pairs,
+            "pair records (tag counters; weights, labels, tags, kinds, arrival numbers; \
+             emptied-but-kept records)"
+        );
         assert_eq!(got.entries, want.entries);
         assert_eq!(got.touched, want.touched);
         assert_eq!(got.needs_repair, want.needs_repair);
@@ -676,6 +777,214 @@ mod tests {
         assert!(b.needs_repair);
     }
 
+    /// Tags of the canonical batch one epoch of `muts` drains to.
+    fn tags(log: &mut MutationLog, muts: &[GraphMutation]) -> Vec<u8> {
+        log.try_push_all(muts).unwrap();
+        log.drain().addrs.iter().map(|a| a.tag).collect()
+    }
+
+    #[test]
+    fn a_readd_beside_its_retraction_takes_the_next_tag_not_the_freed_one() {
+        let mut log = MutationLog::new();
+        assert_eq!(tags(&mut log, &[AddEdge((0, 1, 5))]), vec![0]);
+        // The retraction of tag 0 travels in the same wave as the new copy.
+        assert_eq!(tags(&mut log, &[DelEdge((0, 1, 5)), AddEdge((0, 1, 5))]), vec![0, 1]);
+        assert_eq!(log.pair_records(), 1);
+    }
+
+    #[test]
+    fn an_annihilated_insert_consumes_no_tag() {
+        let mut log = MutationLog::new();
+        let epoch =
+            [AddEdge((0, 1, 5)), AddEdge((0, 1, 6)), DelEdge((0, 1, 5)), AddEdge((0, 1, 7))];
+        assert_eq!(tags(&mut log, &epoch), vec![0, 1]);
+        // A pair whose only insert annihilates leaves no record behind.
+        assert_eq!(tags(&mut log, &[AddEdge((2, 3, 1)), DelEdge((2, 3, 1))]), Vec::<u8>::new());
+        assert_eq!(log.pair_records(), 1);
+    }
+
+    #[test]
+    fn a_pair_deleted_to_empty_restarts_at_tag_zero_in_a_later_epoch() {
+        let mut log = MutationLog::new();
+        assert_eq!(tags(&mut log, &[AddEdge((0, 1, 5)), AddEdge((0, 1, 6))]), vec![0, 1]);
+        assert_eq!(tags(&mut log, &[DelEdge((0, 1, 6)), DelEdge((0, 1, 5))]), vec![1, 0]);
+        assert_eq!(log.pair_records(), 0, "the drain dropped the emptied record");
+        assert_eq!(tags(&mut log, &[AddEdge((0, 1, 5))]), vec![0]);
+    }
+
+    #[test]
+    fn an_emptied_record_keeps_its_counter_until_the_drain() {
+        let mut log = MutationLog::new();
+        assert_eq!(tags(&mut log, &[AddEdge((0, 1, 5))]), vec![0]);
+        log.push(DelEdge((0, 1, 5)));
+        assert_eq!((log.pair_records(), log.live_count()), (1, 0), "emptied, kept");
+        // A refused submission that re-fills the record restores both the
+        // emptied-but-kept state and the counter.
+        let want = log.clone();
+        let refused = [AddEdge((0, 1, 8)), AddEdge((4, 4, 1)), DelEdge((9, 9, 9))];
+        assert!(log.try_push_all(&refused).is_err());
+        assert_same(&log, &want);
+        assert_eq!(log.pairs[&(0, 1)], PairRecord { next: 1, copies: VecDeque::new() });
+        assert_eq!(tags(&mut log, &[AddEdge((0, 1, 8))]), vec![0, 1], "retraction, then re-add");
+    }
+
+    #[test]
+    fn a_tag_is_never_handed_to_a_second_live_copy() {
+        let mut log = MutationLog::new();
+        assert_eq!(tags(&mut log, &[AddEdge((0, 1, 1))]), vec![0]);
+        // 255 short-lived parallel copies walk the counter round to 0 while
+        // the first copy still holds tag 0.
+        for i in 0..255u32 {
+            assert_eq!(tags(&mut log, &[AddEdge((0, 1, 2))]), vec![(i + 1) as u8]);
+            assert_eq!(tags(&mut log, &[DelEdge((0, 1, 2))]), vec![(i + 1) as u8]);
+        }
+        assert_eq!(tags(&mut log, &[AddEdge((0, 1, 2))]), vec![1], "0 is held: skipped");
+        assert_eq!(tags(&mut log, &[DelEdge((0, 1, 2))]), vec![1]);
+        assert_eq!(log.live_copies(0, 1), vec![1]);
+    }
+
+    /// The copy a delete matched at push time is the one the batch addresses,
+    /// even past a patched older copy whose final weight equals the delete's
+    /// (where replaying the batch by weight would pick the older copy).
+    #[test]
+    fn a_delete_addresses_the_copy_it_matched_past_a_patched_one() {
+        use GraphMutation::AddLabeledEdge;
+        let mut log = MutationLog::new();
+        let adds = [AddLabeledEdge((0, 1, 5), 1), AddLabeledEdge((0, 1, 3), 2)];
+        assert_eq!(tags(&mut log, &adds), vec![0, 1]);
+        let epoch = [
+            UpdateWeight { u: 0, v: 1, w: 7 },
+            DelEdge((0, 1, 3)), // the younger copy: the older one weighs 7
+            UpdateWeight { u: 0, v: 1, w: 3 },
+        ];
+        log.try_push_all(&epoch).unwrap();
+        let b = log.drain();
+        assert_eq!(b.muts, vec![UpdateWeight { u: 0, v: 1, w: 3 }, DelEdge((0, 1, 3))]);
+        assert_eq!(
+            b.addrs,
+            vec![CopyAddr { tag: 0, w_fabric: 5 }, CopyAddr { tag: 1, w_fabric: 3 }]
+        );
+        assert_eq!(log.live_labeled_edges(), vec![((0, 1, 3), 1)], "the older copy survives");
+    }
+
+    /// The retired second record of the live edge set — `graph.rs`'s edge
+    /// ledger as it stood, less the reverse index that stays there — kept as
+    /// the reference the log's tag addressing is checked against: it resolved
+    /// every canonical mutation a second time, by weight, at apply time.
+    mod ledger {
+        use super::*;
+
+        /// Per-pair live-copy bookkeeping of the mutation ledger.
+        #[derive(Debug, Clone, Default)]
+        struct LiveCopies {
+            /// Next tag to hand out (wrapping; tags need only be unique among the
+            /// pair's *live* copies).
+            next: u8,
+            /// `(current weight, tag)` of live copies, oldest first.
+            live: VecDeque<(u32, u8)>,
+        }
+
+        #[derive(Debug, Clone, Default)]
+        pub struct EdgeLedger {
+            copies: HashMap<(u32, u32), LiveCopies>,
+            /// Live copies across all pairs.
+            pub live: u64,
+        }
+
+        impl EdgeLedger {
+            /// Register a streamed copy of `(u, v, w)` and return its tag.
+            pub fn add(&mut self, u: u32, v: u32, w: u32) -> u8 {
+                let c = self.copies.entry((u, v)).or_default();
+                let tag = c.next;
+                c.next = c.next.wrapping_add(1);
+                c.live.push_back((w, tag));
+                self.live += 1;
+                tag
+            }
+
+            /// Unregister the oldest live copy of `(u, v)` currently weighing `w`,
+            /// returning its tag. The pair's entry (and its tag counter) survives a
+            /// full drain until the increment completes: a re-added copy must NOT
+            /// reuse a tag while a same-tag retraction may still be in flight in the
+            /// same wave, or a miss-fanned broadcast could match both copies.
+            pub fn remove(&mut self, u: u32, v: u32, w: u32) -> Option<u8> {
+                let c = self.copies.get_mut(&(u, v))?;
+                let i = c.live.iter().position(|&(cw, _)| cw == w)?;
+                let (_, tag) = c.live.remove(i).expect("position is in range");
+                self.live -= 1;
+                Some(tag)
+            }
+
+            /// Re-weight the *oldest* live copy of the pair `(u, v)` to `w_new`,
+            /// returning `(old weight, tag)`.
+            pub fn update_weight(&mut self, u: u32, v: u32, w_new: u32) -> Option<(u32, u8)> {
+                let front = self.copies.get_mut(&(u, v))?.live.front_mut()?;
+                let old = front.0;
+                front.0 = w_new;
+                Some((old, front.1))
+            }
+
+            /// Drop the pairs `batch` fully drained (only its `DelEdge`s can have)
+            /// and return how many were looked at. Safe only at increment
+            /// boundaries: the chip is quiescent, so no retraction that could
+            /// collide with a reused tag is in flight. Keeps ledger memory bounded
+            /// by the live edge set instead of the stream's history.
+            pub fn prune_drained(&mut self, batch: &[GraphMutation]) -> u64 {
+                let mut visits = 0;
+                for m in batch {
+                    if let GraphMutation::DelEdge((u, v, _)) = *m {
+                        visits += 1;
+                        if let Entry::Occupied(pair) = self.copies.entry((u, v)) {
+                            if pair.get().live.is_empty() {
+                                pair.remove();
+                            }
+                        }
+                    }
+                }
+                visits
+            }
+
+            pub fn pairs(&self) -> usize {
+                self.copies.len()
+            }
+        }
+    }
+
+    /// Replay one drained batch through the retired ledger, the way `apply`
+    /// used to, and hold the log's addresses, record count and live count to
+    /// it.
+    fn ledger_agrees(model: &mut ledger::EdgeLedger, log: &MutationLog, batch: &CoalescedBatch) {
+        assert_eq!(batch.muts.len(), batch.addrs.len());
+        for (m, at) in batch.muts.iter().zip(&batch.addrs) {
+            let (u, v, w) = m.edge();
+            match m {
+                AddEdge(_) | GraphMutation::AddLabeledEdge(..) => {
+                    assert_eq!((at.tag, at.w_fabric), (model.add(u, v, w), w), "{m:?}");
+                }
+                DelEdge(_) => {
+                    assert_eq!((Some(at.tag), at.w_fabric), (model.remove(u, v, w), w), "{m:?}");
+                }
+                UpdateWeight { .. } => {
+                    assert_eq!(Some((at.w_fabric, at.tag)), model.update_weight(u, v, w), "{m:?}");
+                }
+            }
+        }
+        let dels = batch.muts.iter().filter(|m| matches!(m, DelEdge(_))).count() as u64;
+        assert_eq!(model.prune_drained(&batch.muts), dels);
+        assert_eq!(log.pair_records(), model.pairs(), "records after the settle");
+        assert_eq!(log.live_count(), model.live);
+    }
+
+    /// Whether `m` is a delete whose pair's oldest copy is patched away from
+    /// the weight it names, so its match lies behind a patched copy.
+    fn reaches_past_a_patch(log: &MutationLog, m: GraphMutation) -> bool {
+        let DelEdge((u, v, w)) = m else { return false };
+        log.pairs
+            .get(&(u, v))
+            .and_then(|r| r.copies.front())
+            .is_some_and(|front| matches!(front.kind, CopyKind::Patched { .. }) && front.w != w)
+    }
+
     mod oracle {
         use super::*;
         use proptest::collection::vec;
@@ -715,6 +1024,32 @@ mod tests {
                 // A second epoch on both: the first drain left identical
                 // `CopyKind`s, or retractions and patches would differ here.
                 epoch_matches(&mut got, &mut want, &second);
+            }
+
+            #[test]
+            fn drained_addresses_match_the_retired_ledger(
+                epochs in vec(arb_epoch(), 3..6),
+            ) {
+                let mut log = MutationLog::new();
+                let mut model = ledger::EdgeLedger::default();
+                for epoch in &epochs {
+                    for sub in epoch {
+                        // The ledger re-resolved a canonical delete by weight
+                        // after the epoch's folded patches; past a patched
+                        // copy that can name another copy than the log
+                        // matched (pinned by hand above) — not a reference.
+                        let mut probe = log.clone();
+                        let mut past_a_patch = false;
+                        let accepted = sub.iter().all(|&m| {
+                            past_a_patch |= reaches_past_a_patch(&probe, m);
+                            probe.try_push(m).is_ok()
+                        });
+                        prop_assume!(!(accepted && past_a_patch));
+                        let _ = log.try_push_all(sub);
+                    }
+                    let batch = log.drain();
+                    ledger_agrees(&mut model, &log, &batch);
+                }
             }
         }
     }

@@ -5,15 +5,18 @@
 //! one copy of a duplicated edge, and an edge **label** driving standing
 //! label-constrained path queries (see [`crate::query`]).
 //!
-//! The tag disambiguates copies of the *same* `(src, dst, weight)` identity:
-//! the host's mutation ledger hands the k-th live copy tag `k mod 2⁸` and a
-//! `DelEdge` retracts the oldest live copy by its tag, so an on-fabric
-//! retraction broadcast over a vertex's objects removes exactly one edge no
-//! matter how the copies were spread across rhizome root slices and ghost
-//! spills. Tags only need to be unique among *live* copies of one identity —
-//! a bound of 256 simultaneously live duplicates of a single directed edge,
-//! far beyond any real stream. (The tag narrowed from 16 to 8 bits when the
-//! label claimed the payload's top byte.)
+//! The tag disambiguates copies of the *same* directed pair `(src, dst)`:
+//! the host's mutation log hands each inserted copy the next value of the
+//! pair's wrapping 8-bit counter, **skipping any tag a live copy of the pair
+//! still holds**, and a `DelEdge` or `UpdateWeight` names its copy by that
+//! tag, so an on-fabric retraction broadcast over a vertex's objects removes
+//! exactly one edge no matter how the copies were spread across rhizome root
+//! slices and ghost spills. Tags are unique among the *live* copies of one
+//! directed pair however long the pair churns; the bound is 256
+//! simultaneously live copies of a single directed pair, far beyond any real
+//! stream (past it tags repeat and a retraction may meet either holder).
+//! (The tag narrowed from 16 to 8 bits when the label claimed the payload's
+//! top byte.)
 
 use amcca_sim::Address;
 

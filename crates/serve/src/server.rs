@@ -7,7 +7,7 @@
 //! separate coalescing stage. A submission is validated all-or-nothing
 //! against the graph's own mutation log ([`StreamingGraph::stage`]) and
 //! parked there, so one that names a missing live copy is refused at submit
-//! time with the exact ledger error instead of poisoning the fabric
+//! time with the exact validation error instead of poisoning the fabric
 //! mid-increment. [`IngestCore::flush`] *reads* the canonical batch the
 //! parked submissions coalesce to, appends it to the write-ahead log and
 //! syncs, and only then applies it — a failed append leaves the graph

@@ -13,15 +13,13 @@
 //!   disk with an empty WAL — silently losing acknowledged batches.
 //! * `wal.bin` — one record per applied action, appended and synced
 //!   **before** the action runs. A record payload is a one-byte kind —
-//!   `0` = canonical mutation batch ([`encode_mutations`] body), `1` =
-//!   legacy single-source standing-query registration (`u32` source,
-//!   `u32` pattern length, pattern bytes), `2` = multi-source
-//!   registration (`u32` source count, that many `u32` sources, `u32`
-//!   pattern length, pattern bytes) — length-prefixed and followed by its
-//!   FNV-1a checksum; a torn trailing record (crash mid-append) is
-//!   detected and dropped at load, never mistaken for data. Kind-1
-//!   records keep decoding (as a one-element source list) so stores
-//!   written before multi-source registration replay unchanged.
+//!   `0` = canonical mutation batch ([`encode_mutations`] body), `2` =
+//!   standing-query registration (`u32` source count, that many `u32`
+//!   sources, `u32` pattern length, pattern bytes) — length-prefixed and
+//!   followed by its FNV-1a checksum; a torn trailing record (crash
+//!   mid-append) is detected and dropped at load, never mistaken for data.
+//!   Any other kind — the retired single-source kind `1` included — is
+//!   refused as a corrupt record.
 //!
 //! Recovery cost is therefore `O(checkpoint) + O(tail)`: restore the
 //! snapshot, replay only the actions applied since it was written — in
@@ -56,10 +54,6 @@ fn decode_record(payload: &[u8]) -> Result<WalRecord, ServeError> {
     };
     match payload.split_first() {
         Some((0, body)) => Ok(WalRecord::Batch(decode_mutations(body)?)),
-        Some((1, body)) => {
-            let source = u32_at(body, 0, "short register source")?;
-            Ok(WalRecord::Register { pattern: pattern_at(body, 4)?, sources: vec![source] })
-        }
         Some((2, body)) => {
             let n = u32_at(body, 0, "short register source count")? as usize;
             let mut sources = Vec::with_capacity(n.min(1 << 16));
@@ -97,8 +91,7 @@ pub enum WalRecord {
     Register {
         /// Query pattern over edge labels.
         pattern: String,
-        /// Source vertices the paths start from (legacy kind-1 records
-        /// decode to a one-element list).
+        /// Source vertices the paths start from.
         sources: Vec<u32>,
     },
 }
@@ -216,8 +209,7 @@ impl Store {
 
     /// Append one standing-query registration to the WAL and sync it.
     /// Returns the record size in bytes, and only once the record is
-    /// durable — callers register *after*. Always writes the kind-2
-    /// multi-source revision; kind-1 records from older stores still load.
+    /// durable — callers register *after*.
     pub fn append_register(&mut self, pattern: &str, sources: &[u32]) -> io::Result<u64> {
         let mut payload = Vec::with_capacity(9 + sources.len() * 4 + pattern.len());
         payload.push(2);
@@ -316,23 +308,31 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Kind-1 register records written before multi-source registration
-    /// existed still decode, as a one-element source list.
+    /// A checksum-valid record of the retired single-source kind 1 is
+    /// refused, and a boot over it reports the refusal instead of panicking.
     #[test]
-    fn legacy_kind1_register_record_still_decodes() {
+    fn retired_kind1_register_record_is_refused() {
         let dir = tmp_dir("kind1");
         let mut s = Store::open(&dir).unwrap();
-        // Hand-frame the legacy layout: kind 1, u32 source, u32 len, pattern.
+        // Hand-frame the retired layout: kind 1, u32 source, u32 len, pattern.
         let pattern = b"a.b*.c";
         let mut payload = vec![1u8];
         payload.extend_from_slice(&7u32.to_le_bytes());
         payload.extend_from_slice(&(pattern.len() as u32).to_le_bytes());
         payload.extend_from_slice(pattern);
         s.append_record(&payload).unwrap();
-        assert_eq!(
-            s.load_tail().unwrap(),
-            vec![WalRecord::Register { pattern: "a.b*.c".into(), sources: vec![7] }]
-        );
+        let refused = |e: &ServeError| matches!(e, ServeError::WalReplay(msg) if msg.contains("unknown record kind"));
+        let err = s.load_tail().unwrap_err();
+        assert!(refused(&err), "got: {err}");
+        drop(s);
+        let builder = sdgp_core::graph::StreamingGraph::builder(sdgp_core::apps::BfsAlgo::new(0))
+            .vertices(8)
+            .chip(amcca_sim::ChipConfig::small_test());
+        let err = match crate::IngestCore::boot(builder, &dir, 0) {
+            Ok(_) => panic!("boot accepted a kind-1 record"),
+            Err(e) => e,
+        };
+        assert!(refused(&err), "got: {err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

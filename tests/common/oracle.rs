@@ -35,7 +35,7 @@ pub enum Algo {
 /// All three differential algorithms.
 pub const ALL_ALGOS: [Algo; 3] = [Algo::Bfs, Algo::Sssp, Algo::Cc];
 
-/// Replay a mutation sequence under the host ledger's semantics and return
+/// Replay a mutation sequence under the host mutation log's semantics and return
 /// the surviving edge multiset at current weights, in insertion order: a
 /// delete removes the *oldest* live copy of its `(u, v, w)` identity, an
 /// update re-weights the *oldest* live copy of its pair.
@@ -45,7 +45,7 @@ pub fn surviving_edges(muts: &[GraphMutation]) -> Vec<StreamEdge> {
 
 /// [`surviving_edges`] with per-copy labels: labeled inserts keep their
 /// label through re-weights, and deletes stay label-agnostic (they name a
-/// copy by `(u, v, w)` alone) — the same semantics the host ledger applies.
+/// copy by `(u, v, w)` alone) — the same semantics the host's log applies.
 /// The ground truth a standing-query oracle runs over.
 pub fn surviving_labeled_edges(muts: &[GraphMutation]) -> Vec<(StreamEdge, u8)> {
     let mut live: Vec<(StreamEdge, u8)> = Vec::new();
@@ -220,10 +220,10 @@ impl Rebuild {
     }
 
     /// Conservation: exactly the surviving copies are stored, at their
-    /// current weights, nothing over capacity, host ledger == fabric.
+    /// current weights, nothing over capacity, host count == fabric.
     fn verify_conservation<G: VertexAlgo>(&self, g: &StreamingGraph<G>, live: &[StreamEdge]) {
         assert_eq!(g.total_edges_stored(), live.len() as u64, "stored == surviving");
-        assert_eq!(g.live_edge_count(), live.len() as u64, "ledger agrees with fabric");
+        assert_eq!(g.live_edge_count(), live.len() as u64, "host count agrees with fabric");
         for u in 0..self.n {
             let mut got = g.logical_edges(u);
             got.sort_unstable();
