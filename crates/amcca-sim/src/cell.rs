@@ -6,7 +6,7 @@
 use std::collections::VecDeque;
 
 use crate::arena::Arena;
-use crate::geom::Coord;
+use crate::geom::{Coord, MeshTable};
 use crate::operon::Operon;
 use crate::rng::SplitMix64;
 use crate::router::Router;
@@ -70,6 +70,13 @@ impl<T> Cell<T> {
     /// True if the cell has nothing to do: no running action, no queued tasks.
     pub fn is_idle(&self) -> bool {
         !self.busy && self.task_queue.is_empty()
+    }
+
+    /// Queue a flit on router input `port`, routing it from here — the one
+    /// time it is routed at this cell (see [`Router::push`]).
+    #[inline]
+    pub fn enqueue(&mut self, port: usize, op: Operon, mesh: &MeshTable) {
+        self.router.push(port, op, mesh.route(self.coord, op.target.cc));
     }
 }
 

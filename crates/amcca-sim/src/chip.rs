@@ -29,13 +29,13 @@
 use crate::cell::Cell;
 use crate::config::ChipConfig;
 use crate::error::SimError;
-use crate::geom::{yx_route_step, Dims};
+use crate::geom::{MeshTable, OUT_BAD, OUT_EJECT};
 use crate::iocell::{IoCell, IoSystem};
 use crate::operon::{Address, Operon};
 use crate::placement::PlacementTable;
 use crate::program::{ExecCtx, Program};
 use crate::rng::SplitMix64;
-use crate::router::{NUM_OUTPUTS, NUM_PORTS, OUT_EJECT, PORT_IO, PORT_LOCAL};
+use crate::router::{NUM_CODES, NUM_PORTS, PORT_IO, PORT_LOCAL};
 use crate::safra::{decode_token, initiator_detects, token_operon, CellTd, SafraState, ACT_TOKEN};
 use crate::shard::ShardPlan;
 use crate::stats::{ActivityRecording, ActivitySeries, CellLoad, Counters};
@@ -124,6 +124,8 @@ fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
 pub struct Chip<P: Program> {
     pub(crate) cfg: ChipConfig,
     pub(crate) placement: PlacementTable,
+    /// Cell coordinates and the route function, tabulated once.
+    pub(crate) mesh: MeshTable,
     pub(crate) cells: Vec<Cell<P::Object>>,
     pub(crate) io: IoSystem,
     pub(crate) program: P,
@@ -227,20 +229,27 @@ pub(crate) struct ComputeFx {
     pub token: Option<TokenStep>,
 }
 
-/// Decide the network-phase moves of one cell: serve each input FIFO in the
-/// cycle's rotated round-robin order, granting at most one flit per output
-/// port, subject to start-of-cycle credits. `accepts(nb, in_port)` answers
-/// whether neighbour `nb` had a free slot on `in_port` at cycle start (the
-/// parallel engine answers cross-shard probes from published credit frames).
+/// Decide the network-phase moves of one cell: each output port grants at
+/// most one flit, to the first input FIFO wanting it in the cycle's rotated
+/// round-robin order, subject to start-of-cycle credits. `accepts(nb, in_port)`
+/// answers whether neighbour `nb` had a free slot on `in_port` at cycle start
+/// (the parallel engine answers cross-shard probes from published credit
+/// frames).
+///
+/// The six cached head codes become one port mask per output, so no branch
+/// depends on where a flit is going. A refused output stalls every port
+/// wanting it (the same credit refuses each in turn), a granted one none.
+/// Moves come out grouped by output, not in port order; the order is
+/// immaterial, because each `(dst, in_port)` FIFO and each task queue receives
+/// at most one flit per cycle and each source port gives up at most its head.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn decide_cell_moves<T>(
     cell: &Cell<T>,
     src: u16,
     cycle: u64,
-    dims: Dims,
-    n_cells: usize,
+    mesh: &MeshTable,
     task_queue_cap: usize,
-    accepts: &mut dyn FnMut(u16, usize) -> bool,
+    mut accepts: impl FnMut(u16, usize) -> bool,
     moves: &mut Vec<Move>,
     counters: &mut Counters,
     error: &mut Option<SimError>,
@@ -248,44 +257,38 @@ pub(crate) fn decide_cell_moves<T>(
     if cell.router.total() == 0 {
         return;
     }
-    let mut out_used = [false; NUM_OUTPUTS];
-    let rot = (cycle as usize).wrapping_add(src as usize);
-    for k in 0..NUM_PORTS {
-        let port = (k + rot) % NUM_PORTS;
-        let Some(head) = cell.router.front(port) else { continue };
-        let tcc = head.target.cc;
-        if tcc as usize >= n_cells {
-            if error.is_none() {
-                *error = Some(SimError::BadTargetCell { cc: tcc });
-            }
+    let mut wants = [0u32; NUM_CODES];
+    for (port, out) in cell.router.head_outs().into_iter().enumerate() {
+        wants[out as usize] |= 1 << port;
+    }
+    // First wanting port at or after the rotation point, else the first.
+    let rot = (cycle.wrapping_add(src as u64) % NUM_PORTS as u64) as u32;
+    let winner = |mask: u32| {
+        let ahead = mask >> rot << rot;
+        (if ahead != 0 { ahead } else { mask }).trailing_zeros() as u8
+    };
+    let bad = wants[OUT_BAD as usize];
+    if bad != 0 && error.is_none() {
+        let head = cell.router.front(winner(bad) as usize).expect("port mask names a head");
+        *error = Some(SimError::BadTargetCell { cc: head.target.cc });
+    }
+    let eject = wants[OUT_EJECT as usize];
+    if eject != 0 {
+        if cell.task_queue.len() < task_queue_cap {
+            moves.push(Move::Deliver { cell: src, port: winner(eject) });
+        } else {
+            counters.deliver_stalls += eject.count_ones() as u64;
+        }
+    }
+    for (out, &mask) in wants[..OUT_EJECT as usize].iter().enumerate() {
+        if mask == 0 {
             continue;
         }
-        if tcc == src {
-            // Ejection port: deliver to the local task queue.
-            if out_used[OUT_EJECT] {
-                continue;
-            }
-            if cell.task_queue.len() < task_queue_cap {
-                out_used[OUT_EJECT] = true;
-                moves.push(Move::Deliver { cell: src, port: port as u8 });
-            } else {
-                counters.deliver_stalls += 1;
-            }
+        let (dst, in_port) = (mesh.neighbor(src, out as u8), out ^ 1);
+        if accepts(dst, in_port) {
+            moves.push(Move::Hop { src, port: winner(mask), dst, in_port: in_port as u8 });
         } else {
-            let dir = yx_route_step(cell.coord, dims.coord_of(tcc))
-                .expect("non-local target must need a hop");
-            let out = dir.index();
-            if out_used[out] {
-                continue;
-            }
-            let nb = dims.neighbor(src, dir).expect("YX minimal route never leaves the mesh");
-            let in_port = dir.opposite().index();
-            if accepts(nb, in_port) {
-                out_used[out] = true;
-                moves.push(Move::Hop { src, port: port as u8, dst: nb, in_port: in_port as u8 });
-            } else {
-                counters.net_stalls += 1;
-            }
+            counters.net_stalls += mask.count_ones() as u64;
         }
     }
 }
@@ -302,6 +305,7 @@ pub(crate) fn compute_cell<P: Program>(
     counters: &mut Counters,
     cfg: &ChipConfig,
     placement: &PlacementTable,
+    mesh: &MeshTable,
     error: &mut Option<SimError>,
     fx: &mut ComputeFx,
 ) -> bool {
@@ -390,7 +394,7 @@ pub(crate) fn compute_cell<P: Program>(
     } else if let Some(&op) = cell.outbox.front() {
         if cell.router.accepts_now(PORT_LOCAL) {
             cell.outbox.pop_front();
-            cell.router.push(PORT_LOCAL, op);
+            cell.enqueue(PORT_LOCAL, op, mesh);
             fx.d_in_network += 1;
             counters.msgs_staged += 1;
             if op.action != ACT_TOKEN && safra_on {
@@ -434,6 +438,7 @@ pub(crate) fn apply_token_step(
 pub(crate) fn io_cell_step<T>(
     io_cell: &mut IoCell,
     border: &mut Cell<T>,
+    mesh: &MeshTable,
     safra_on: bool,
     counters: &mut Counters,
 ) -> bool {
@@ -442,7 +447,7 @@ pub(crate) fn io_cell_step<T>(
         return false;
     }
     io_cell.queue.pop_front();
-    border.router.push(PORT_IO, op);
+    border.enqueue(PORT_IO, op, mesh);
     counters.io_injected += 1;
     // The IO-cell-to-CC link traversal is a hop like any other.
     counters.hops += 1;
@@ -481,6 +486,7 @@ impl<P: Program> Chip<P> {
         let words = n_cells.div_ceil(64);
         Chip {
             placement,
+            mesh: MeshTable::new(cfg.dims),
             cells,
             io,
             program,
@@ -609,11 +615,9 @@ impl<P: Program> Chip<P> {
     }
 
     fn network_phase(&mut self) {
-        let dims = self.cfg.dims;
-        let n = self.cells.len();
         let cap = self.cfg.task_queue_cap;
         let cyc = self.cycle;
-        let Chip { cells, counters, error, moves, net_live, cell_visits, .. } = self;
+        let Chip { cells, mesh, counters, error, moves, net_live, cell_visits, .. } = self;
         // Snapshot pass. A router that snapshots empty leaves the set here,
         // with an all-zero snapshot, and nowhere else: dropping it when its
         // last flit departs would leave a stale non-zero `start_len` for
@@ -626,15 +630,14 @@ impl<P: Program> Chip<P> {
         });
         moves.clear();
         for src in net_live.iter() {
-            let mut accepts = |nb: u16, in_port: usize| cells[nb as usize].router.accepts(in_port);
+            let accepts = |nb: u16, in_port: usize| cells[nb as usize].router.accepts(in_port);
             decide_cell_moves(
                 &cells[src],
                 src as u16,
                 cyc,
-                dims,
-                n,
+                mesh,
                 cap,
-                &mut accepts,
+                accepts,
                 moves,
                 counters,
                 error,
@@ -650,7 +653,7 @@ impl<P: Program> Chip<P> {
                             s.token_hops += 1;
                         }
                     }
-                    self.cells[dst as usize].router.push(in_port as usize, op);
+                    self.cells[dst as usize].enqueue(in_port as usize, op, &self.mesh);
                     self.net_live.insert(dst as usize);
                     self.counters.hops += 1;
                 }
@@ -685,6 +688,7 @@ impl<P: Program> Chip<P> {
             counters,
             error,
             placement,
+            mesh,
             cfg,
             queued_tasks,
             in_network,
@@ -701,8 +705,9 @@ impl<P: Program> Chip<P> {
         work_live.retain(|i| {
             let cell = &mut cells[i];
             let mut fx = ComputeFx::default();
-            let did_work =
-                compute_cell(cell, i, safra_on, program, counters, cfg, placement, error, &mut fx);
+            let did_work = compute_cell(
+                cell, i, safra_on, program, counters, cfg, placement, mesh, error, &mut fx,
+            );
             *cell_visits += 1;
             if let Some(step) = fx.token {
                 apply_token_step(
@@ -737,12 +742,12 @@ impl<P: Program> Chip<P> {
             return;
         }
         let safra_on = self.safra.is_some();
-        let Chip { cells, io, counters, in_network, net_live, cell_visits, .. } = self;
+        let Chip { cells, mesh, io, counters, in_network, net_live, cell_visits, .. } = self;
         let IoSystem { cells: io_cells, pending, .. } = io;
         for io_cell in io_cells.iter_mut().filter(|c| !c.queue.is_empty()) {
             let cc = io_cell.cc as usize;
             *cell_visits += 1;
-            if io_cell_step(io_cell, &mut cells[cc], safra_on, counters) {
+            if io_cell_step(io_cell, &mut cells[cc], mesh, safra_on, counters) {
                 net_live.insert(cc);
                 *pending -= 1;
                 *in_network += 1;
@@ -1116,10 +1121,149 @@ impl Program for CounterProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geom::Coord;
+    use crate::geom::tests::{neighbor, yx_route_step};
+    use crate::geom::{Coord, Dims, Direction};
+    use crate::router::{Router, OUT_NONE};
 
     fn test_chip() -> Chip<CounterProgram> {
         Chip::new(ChipConfig::small_test(), CounterProgram)
+    }
+
+    /// The arbiter `decide_cell_moves` replaced, kept as its reference model:
+    /// re-route every head, serve the ports in rotated order, one grant per
+    /// output.
+    #[allow(clippy::too_many_arguments)]
+    fn rotated_port_loop<T>(
+        cell: &Cell<T>,
+        src: u16,
+        cycle: u64,
+        dims: Dims,
+        task_queue_cap: usize,
+        accepts: &mut dyn FnMut(u16, usize) -> bool,
+        moves: &mut Vec<Move>,
+        counters: &mut Counters,
+        error: &mut Option<SimError>,
+    ) {
+        let mut out_used = [false; 5];
+        let rot = (cycle as usize).wrapping_add(src as usize);
+        for k in 0..NUM_PORTS {
+            let port = (k + rot) % NUM_PORTS;
+            let Some(head) = cell.router.front(port) else { continue };
+            let tcc = head.target.cc;
+            if tcc as u32 >= dims.cell_count() {
+                if error.is_none() {
+                    *error = Some(SimError::BadTargetCell { cc: tcc });
+                }
+                continue;
+            }
+            if tcc == src {
+                if out_used[OUT_EJECT as usize] {
+                    continue;
+                }
+                if cell.task_queue.len() < task_queue_cap {
+                    out_used[OUT_EJECT as usize] = true;
+                    moves.push(Move::Deliver { cell: src, port: port as u8 });
+                } else {
+                    counters.deliver_stalls += 1;
+                }
+            } else {
+                let dir = yx_route_step(cell.coord, dims.coord_of(tcc))
+                    .expect("non-local target must need a hop");
+                let out = dir.index();
+                if out_used[out] {
+                    continue;
+                }
+                let nb = neighbor(dims, src, dir).expect("YX minimal route never leaves the mesh");
+                let in_port = dir.opposite().index();
+                if accepts(nb, in_port) {
+                    out_used[out] = true;
+                    moves.push(Move::Hop {
+                        src,
+                        port: port as u8,
+                        dst: nb,
+                        in_port: in_port as u8,
+                    });
+                } else {
+                    counters.net_stalls += 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mask_arbiter_matches_the_rotated_port_loop() {
+        // The centre of a 3 × 3 mesh has all four neighbours. Every vector of
+        // six head codes × every rotation × {all credits, none, two random
+        // patterns} × a random task-queue state.
+        let dims = Dims::new(3, 3);
+        let mesh = MeshTable::new(dims);
+        let src = 4u16;
+        // A target per head code: N, S, E, W neighbour, self, off the mesh.
+        let target = |code: usize, port: usize| [1, 7, 5, 3, src, 100 + port as u16][code];
+        let mut cell: Cell<u64> = Cell::new(src, dims.coord_of(src), 1, 1, SplitMix64::new(0));
+        let mut rng = SplitMix64::new(16);
+        let key = |m: &Move| match *m {
+            Move::Hop { src, port, dst, in_port } => (0, src, port, dst, in_port),
+            Move::Deliver { cell, port } => (1, cell, port, 0, 0),
+        };
+        for vector in 0..NUM_CODES.pow(NUM_PORTS as u32) {
+            cell.router = Router::new(1);
+            let mut digits = vector;
+            for port in 0..NUM_PORTS {
+                let code = digits % NUM_CODES;
+                digits /= NUM_CODES;
+                if code != OUT_NONE as usize {
+                    cell.enqueue(
+                        port,
+                        Operon::new(Address::new(target(code, port), 0), 10, [0; 2]),
+                        &mesh,
+                    );
+                }
+            }
+            for cycle in 0..NUM_PORTS as u64 {
+                for credits in [0b1111, 0, rng.gen_range(16), rng.gen_range(16)] {
+                    let cap = rng.gen_range(2) as usize; // 0: task queue full
+                    let mut accepts = |nb: u16, in_port: usize| {
+                        assert_eq!(neighbor(dims, src, Direction::ALL[in_port ^ 1]), Some(nb));
+                        credits >> in_port & 1 == 1
+                    };
+                    let (mut want, mut want_n, mut want_e) =
+                        (Vec::new(), Counters::default(), None);
+                    rotated_port_loop(
+                        &cell,
+                        src,
+                        cycle,
+                        dims,
+                        cap,
+                        &mut accepts,
+                        &mut want,
+                        &mut want_n,
+                        &mut want_e,
+                    );
+                    let (mut got, mut got_n, mut got_e) = (Vec::new(), Counters::default(), None);
+                    decide_cell_moves(
+                        &cell,
+                        src,
+                        cycle,
+                        &mesh,
+                        cap,
+                        &mut accepts,
+                        &mut got,
+                        &mut got_n,
+                        &mut got_e,
+                    );
+                    let sorted = |moves: Vec<Move>| {
+                        let mut keys: Vec<_> = moves.iter().map(key).collect();
+                        keys.sort_unstable();
+                        keys
+                    };
+                    let ctx = format!("heads {:?} cycle {cycle}", cell.router.head_outs());
+                    assert_eq!(sorted(got), sorted(want), "{ctx}");
+                    assert_eq!(got_n, want_n, "{ctx}");
+                    assert_eq!(got_e, want_e, "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,9 @@ impl IoLayout {
 pub struct ChipConfig {
     /// Mesh dimensions (paper: 32 × 32).
     pub dims: Dims,
-    /// Capacity of each router input FIFO, in flits.
+    /// Capacity of each router input FIFO, in flits: `1 ..= 65 535`
+    /// ([`crate::router::MAX_LINK_BUFFER`]; `Chip::new` panics outside it).
+    /// Every router preallocates `6 × link_buffer` flit slots.
     pub link_buffer: usize,
     /// Capacity of each cell's delivered-task queue. Full queues exert
     /// backpressure on the network rather than dropping operons.

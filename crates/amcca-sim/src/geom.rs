@@ -76,38 +76,6 @@ impl Dims {
         (0..self.cell_count()).map(|i| i as u16)
     }
 
-    /// The neighbouring cell id in `dir`, if it exists on the mesh.
-    pub fn neighbor(self, id: u16, dir: Direction) -> Option<u16> {
-        let c = self.coord_of(id);
-        let n = match dir {
-            Direction::North => {
-                if c.y == 0 {
-                    return None;
-                }
-                Coord::new(c.x, c.y - 1)
-            }
-            Direction::South => {
-                if c.y + 1 >= self.y {
-                    return None;
-                }
-                Coord::new(c.x, c.y + 1)
-            }
-            Direction::East => {
-                if c.x + 1 >= self.x {
-                    return None;
-                }
-                Coord::new(c.x + 1, c.y)
-            }
-            Direction::West => {
-                if c.x == 0 {
-                    return None;
-                }
-                Coord::new(c.x - 1, c.y)
-            }
-        };
-        Some(self.id_of(n))
-    }
-
     /// Successor of `id` on the serpentine (boustrophedon) ring that visits
     /// every cell with single-hop steps: even rows run west→east, odd rows
     /// east→west, and the last cell wraps back to cell 0. Used by the token
@@ -176,12 +144,12 @@ impl Direction {
         [Direction::North, Direction::South, Direction::East, Direction::West];
 
     /// Numeric index (N=0, S=1, E=2, W=3), matching router port order.
-    pub fn index(self) -> usize {
+    pub const fn index(self) -> usize {
         self as usize
     }
 
     /// The reverse direction (the input port a hop in `self` arrives on).
-    pub fn opposite(self) -> Direction {
+    pub const fn opposite(self) -> Direction {
         match self {
             Direction::North => Direction::South,
             Direction::South => Direction::North,
@@ -191,26 +159,144 @@ impl Direction {
     }
 }
 
-/// The next hop of the YX dimension-ordered route from `from` towards `to`:
-/// vertical movement first ("takes vertical paths first before turning
-/// horizontal", §4), then horizontal. `None` means the message has arrived.
-pub fn yx_route_step(from: Coord, to: Coord) -> Option<Direction> {
-    if to.y < from.y {
-        Some(Direction::North)
-    } else if to.y > from.y {
-        Some(Direction::South)
-    } else if to.x > from.x {
-        Some(Direction::East)
-    } else if to.x < from.x {
-        Some(Direction::West)
-    } else {
-        None
+/// Where a queued flit leaves its router: a [`Direction`] index (0–3) for a
+/// mesh link, [`OUT_EJECT`] for the local task queue, [`OUT_BAD`] for a target
+/// that is not a cell of this chip.
+pub type OutCode = u8;
+/// The flit has arrived: eject into the local task queue.
+pub const OUT_EJECT: OutCode = 4;
+/// The flit's target cell does not exist; it never moves.
+pub const OUT_BAD: OutCode = 5;
+
+// A hop leaving through link `d` arrives on the neighbour's port `d ^ 1`.
+const _: () = {
+    let mut d = 0;
+    while d < 4 {
+        assert!(Direction::ALL[d].index() == d && Direction::ALL[d].opposite().index() == d ^ 1);
+        d += 1;
+    }
+};
+
+/// The per-chip routing table: every cell's coordinate, so the route function
+/// and the sharded engine's band lookups cost a load instead of a division.
+#[derive(Debug)]
+pub struct MeshTable {
+    coords: Box<[Coord]>,
+    /// Cell-id delta of one hop through each mesh link (wrapping).
+    hop: [u16; 4],
+}
+
+impl MeshTable {
+    /// Tabulate `dims.coord_of` for every cell id.
+    pub fn new(dims: Dims) -> Self {
+        MeshTable {
+            coords: dims.iter_ids().map(|id| dims.coord_of(id)).collect(),
+            hop: [dims.x.wrapping_neg(), dims.x, 1, 1u16.wrapping_neg()],
+        }
+    }
+
+    /// Coordinate of a row-major cell id.
+    #[inline]
+    pub fn coord(&self, id: u16) -> Coord {
+        self.coords[id as usize]
+    }
+
+    /// The output a flit for cell `target`, queued at `here`, must take under
+    /// YX dimension-ordered routing: vertical movement first ("takes vertical
+    /// paths first before turning horizontal", §4), then horizontal, then
+    /// ejection. This is the chip's only routing rule. Apart from the range
+    /// check it is branch-free, because the direction of a random flit is
+    /// what a branch predictor cannot guess: the four comparisons become bits
+    /// in link-index order, and the lowest set bit is the YX priority.
+    #[inline]
+    pub fn route(&self, here: Coord, target: u16) -> OutCode {
+        let Some(&to) = self.coords.get(target as usize) else { return OUT_BAD };
+        let wants = (to.y < here.y) as u32
+            | ((to.y > here.y) as u32) << 1
+            | ((to.x > here.x) as u32) << 2
+            | ((to.x < here.x) as u32) << 3;
+        (wants | 1 << OUT_EJECT).trailing_zeros() as OutCode
+    }
+
+    /// The cell one hop from `src` through mesh link `out` (0–3). A route
+    /// code never leaves the mesh: [`Self::route`] steps towards a coordinate
+    /// that is on it.
+    #[inline]
+    pub fn neighbor(&self, src: u16, out: OutCode) -> u16 {
+        let nb = src.wrapping_add(self.hop[out as usize]);
+        debug_assert_eq!(self.coord(src).manhattan(self.coord(nb)), 1, "route left the mesh");
+        nb
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Reference routing rule (the compare chain [`MeshTable::route`]
+    /// replaced): the next hop from `from` towards `to`, `None` on arrival.
+    pub(crate) fn yx_route_step(from: Coord, to: Coord) -> Option<Direction> {
+        if to.y < from.y {
+            Some(Direction::North)
+        } else if to.y > from.y {
+            Some(Direction::South)
+        } else if to.x > from.x {
+            Some(Direction::East)
+        } else if to.x < from.x {
+            Some(Direction::West)
+        } else {
+            None
+        }
+    }
+
+    /// Reference neighbour rule: the cell next to `id` in `dir`, if any.
+    pub(crate) fn neighbor(dims: Dims, id: u16, dir: Direction) -> Option<u16> {
+        let c = dims.coord_of(id);
+        let n = match dir {
+            Direction::North => Coord::new(c.x, c.y.checked_sub(1)?),
+            Direction::South => Coord::new(c.x, c.y + 1),
+            Direction::East => Coord::new(c.x + 1, c.y),
+            Direction::West => Coord::new(c.x.checked_sub(1)?, c.y),
+        };
+        dims.contains(n).then(|| dims.id_of(n))
+    }
+
+    /// Follow `route` from `a` until it ejects at `b`, returning the links taken.
+    fn walk(mesh: &MeshTable, a: u16, b: u16) -> Vec<OutCode> {
+        let (mut at, mut path) = (a, Vec::new());
+        loop {
+            let out = mesh.route(mesh.coord(at), b);
+            if out == OUT_EJECT {
+                assert_eq!(at, b);
+                return path;
+            }
+            assert!(path.len() < 64, "route must terminate");
+            path.push(out);
+            at = mesh.neighbor(at, out);
+        }
+    }
+
+    #[test]
+    fn route_matches_the_reference_rule_everywhere() {
+        // Non-square, so a row/column mix-up cannot cancel out.
+        let dims = Dims::new(7, 5);
+        let mesh = MeshTable::new(dims);
+        for here in dims.iter_ids() {
+            assert_eq!(mesh.coord(here), dims.coord_of(here));
+            for target in dims.iter_ids() {
+                let out = mesh.route(dims.coord_of(here), target);
+                match yx_route_step(dims.coord_of(here), dims.coord_of(target)) {
+                    None => assert_eq!(out, OUT_EJECT, "{here} -> {target}"),
+                    Some(dir) => {
+                        assert_eq!(out as usize, dir.index(), "{here} -> {target}");
+                        assert_eq!(Some(mesh.neighbor(here, out)), neighbor(dims, here, dir));
+                    }
+                }
+            }
+            assert_eq!(mesh.route(dims.coord_of(here), 35), OUT_BAD);
+            assert_eq!(mesh.route(dims.coord_of(here), u16::MAX), OUT_BAD);
+        }
+    }
 
     #[test]
     fn id_coord_roundtrip() {
@@ -231,62 +317,31 @@ mod tests {
     fn neighbors_respect_borders() {
         let d = Dims::new(3, 3);
         let nw = d.id_of(Coord::new(0, 0));
-        assert_eq!(d.neighbor(nw, Direction::North), None);
-        assert_eq!(d.neighbor(nw, Direction::West), None);
-        assert_eq!(d.neighbor(nw, Direction::South), Some(d.id_of(Coord::new(0, 1))));
-        assert_eq!(d.neighbor(nw, Direction::East), Some(d.id_of(Coord::new(1, 0))));
+        assert_eq!(neighbor(d, nw, Direction::North), None);
+        assert_eq!(neighbor(d, nw, Direction::West), None);
+        assert_eq!(neighbor(d, nw, Direction::South), Some(d.id_of(Coord::new(0, 1))));
+        assert_eq!(neighbor(d, nw, Direction::East), Some(d.id_of(Coord::new(1, 0))));
         let se = d.id_of(Coord::new(2, 2));
-        assert_eq!(d.neighbor(se, Direction::South), None);
-        assert_eq!(d.neighbor(se, Direction::East), None);
+        assert_eq!(neighbor(d, se, Direction::South), None);
+        assert_eq!(neighbor(d, se, Direction::East), None);
     }
 
     #[test]
     fn yx_route_goes_vertical_first() {
         // From (0,0) to (3,2): the first moves must be South until row matches.
-        let to = Coord::new(3, 2);
-        let mut at = Coord::new(0, 0);
-        let mut path = Vec::new();
-        while let Some(d) = yx_route_step(at, to) {
-            path.push(d);
-            at = match d {
-                Direction::North => Coord::new(at.x, at.y - 1),
-                Direction::South => Coord::new(at.x, at.y + 1),
-                Direction::East => Coord::new(at.x + 1, at.y),
-                Direction::West => Coord::new(at.x - 1, at.y),
-            };
-        }
-        assert_eq!(at, to);
-        assert_eq!(
-            path,
-            vec![
-                Direction::South,
-                Direction::South,
-                Direction::East,
-                Direction::East,
-                Direction::East
-            ]
-        );
+        let dims = Dims::new(4, 4);
+        let path = walk(&MeshTable::new(dims), 0, dims.id_of(Coord::new(3, 2)));
+        let (s, e) = (Direction::South as OutCode, Direction::East as OutCode);
+        assert_eq!(path, vec![s, s, e, e, e]);
     }
 
     #[test]
     fn yx_route_length_is_manhattan() {
         let dims = Dims::new(9, 9);
+        let mesh = MeshTable::new(dims);
         for a in dims.iter_ids().step_by(7) {
             for b in dims.iter_ids().step_by(5) {
-                let (ca, cb) = (dims.coord_of(a), dims.coord_of(b));
-                let mut at = ca;
-                let mut hops = 0;
-                while let Some(d) = yx_route_step(at, cb) {
-                    at = match d {
-                        Direction::North => Coord::new(at.x, at.y - 1),
-                        Direction::South => Coord::new(at.x, at.y + 1),
-                        Direction::East => Coord::new(at.x + 1, at.y),
-                        Direction::West => Coord::new(at.x - 1, at.y),
-                    };
-                    hops += 1;
-                    assert!(hops <= 64, "route must terminate");
-                }
-                assert_eq!(hops, ca.manhattan(cb));
+                assert_eq!(walk(&mesh, a, b).len() as u32, dims.distance(a, b));
             }
         }
     }
@@ -296,25 +351,13 @@ mod tests {
         // Once moving horizontally, a YX route never moves vertically again:
         // this is exactly the turn restriction that makes it deadlock-free.
         let dims = Dims::new(8, 8);
+        let mesh = MeshTable::new(dims);
         for a in dims.iter_ids() {
             for b in dims.iter_ids().step_by(3) {
-                let cb = dims.coord_of(b);
-                let mut at = dims.coord_of(a);
-                let mut seen_horizontal = false;
-                while let Some(d) = yx_route_step(at, cb) {
-                    match d {
-                        Direction::East | Direction::West => seen_horizontal = true,
-                        Direction::North | Direction::South => {
-                            assert!(!seen_horizontal, "illegal X→Y turn")
-                        }
-                    }
-                    at = match d {
-                        Direction::North => Coord::new(at.x, at.y - 1),
-                        Direction::South => Coord::new(at.x, at.y + 1),
-                        Direction::East => Coord::new(at.x + 1, at.y),
-                        Direction::West => Coord::new(at.x - 1, at.y),
-                    };
-                }
+                let path = walk(&mesh, a, b);
+                let turn = path.iter().position(|&d| d >= Direction::East as OutCode);
+                let tail = &path[turn.unwrap_or(path.len())..];
+                assert!(tail.iter().all(|&d| d >= Direction::East as OutCode), "illegal X→Y turn");
             }
         }
     }

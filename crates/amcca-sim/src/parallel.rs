@@ -67,6 +67,7 @@ use crate::chip::{
 };
 use crate::config::ChipConfig;
 use crate::error::SimError;
+use crate::geom::{Coord, MeshTable};
 use crate::iocell::{IoCell, IoSystem};
 use crate::operon::Operon;
 use crate::placement::PlacementTable;
@@ -231,6 +232,7 @@ impl Gate {
 struct Shared<'a> {
     cfg: &'a ChipConfig,
     placement: &'a PlacementTable,
+    mesh: &'a MeshTable,
     plan: &'a ShardPlan,
     /// `mailboxes[src][dst]`: cross-band hops posted by `src` for `dst`.
     mailboxes: Vec<Vec<Mutex<Vec<Mail>>>>,
@@ -241,7 +243,6 @@ struct Shared<'a> {
     safra_on: bool,
     frames_on: bool,
     start_cycle: u64,
-    n_cells: usize,
     /// Work stealing enabled for this run (`ChipConfig::work_stealing`).
     steal_on: bool,
     /// The published steal schedule; applies to the epoch in `steal_epoch`.
@@ -363,6 +364,7 @@ fn compute_row<P: Program>(
             counters,
             shared.cfg,
             shared.placement,
+            shared.mesh,
             &mut err,
             &mut fx,
         );
@@ -394,14 +396,11 @@ fn compute_row<P: Program>(
 }
 
 impl<'a, P: Program> Worker<'a, P> {
-    fn cell_mut(&mut self, id: u16, dims_x: u16) -> &mut Cell<P::Object> {
-        let x = (id % dims_x) as usize;
-        let y = (id / dims_x) as usize;
-        &mut self.rows[y][x - self.x0]
+    fn cell_at(&mut self, c: Coord) -> &mut Cell<P::Object> {
+        &mut self.rows[c.y as usize][c.x as usize - self.x0]
     }
 
     fn run(&mut self, shared: &Shared<'_>, board: &LoanBoard<'a, P::Object>) {
-        let dims = shared.cfg.dims;
         // P0: snapshot routers and publish credits for the first cycle.
         self.begin_cycle_and_publish(shared);
         shared.gate.arrive();
@@ -420,15 +419,15 @@ impl<'a, P: Program> Worker<'a, P> {
             if shared.steal_on && shared.steal_epoch.load(Ordering::Acquire) == epoch {
                 self.steal_buf.extend_from_slice(&shared.steal.lock().unwrap());
             }
-            self.phase_route(shared, cur, dims);
+            self.phase_route(shared, cur);
             shared.mid.wait();
-            self.phase_drain(shared, dims);
+            self.phase_drain(shared);
             if self.steal_buf.is_empty() {
                 self.phase_compute(shared);
             } else {
                 self.phase_compute_stealing(shared, board);
             }
-            self.phase_io(shared, dims);
+            self.phase_io(shared);
             self.begin_cycle_and_publish(shared);
             self.flush_report(shared);
             self.merge_children(shared, epoch);
@@ -439,7 +438,7 @@ impl<'a, P: Program> Worker<'a, P> {
 
     /// Decide this band's moves against the start-of-cycle snapshot, then
     /// apply them (cross-band hops go to the outboxes).
-    fn phase_route(&mut self, shared: &Shared<'_>, cur: u64, dims: crate::geom::Dims) {
+    fn phase_route(&mut self, shared: &Shared<'_>, cur: u64) {
         let n_shards = shared.plan.shard_count();
         if self.sid > 0 {
             let c = shared.credits[self.sid - 1].lock().unwrap();
@@ -451,14 +450,15 @@ impl<'a, P: Program> Worker<'a, P> {
         }
         let Worker { rows, left_credit, right_credit, moves, counters, x0, width, rep, .. } = self;
         let (x0, width) = (*x0, *width);
+        let (mesh, dims_x) = (shared.mesh, shared.cfg.dims.x as usize);
         moves.clear();
         let mut err: Option<SimError> = None;
         for (gy, row) in rows.iter().enumerate() {
             for (lx, cell) in row.iter().enumerate() {
-                let src = (gy * dims.x as usize + x0 + lx) as u16;
-                let mut accepts = |nb: u16, in_port: usize| -> bool {
-                    let nx = (nb % dims.x) as usize;
-                    let ny = (nb / dims.x) as usize;
+                let src = (gy * dims_x + x0 + lx) as u16;
+                let accepts = |nb: u16, in_port: usize| -> bool {
+                    let at = mesh.coord(nb);
+                    let (nx, ny) = (at.x as usize, at.y as usize);
                     if nx >= x0 && nx < x0 + width {
                         rows[ny][nx - x0].router.accepts(in_port)
                     } else if nx < x0 {
@@ -474,10 +474,9 @@ impl<'a, P: Program> Worker<'a, P> {
                     cell,
                     src,
                     cur,
-                    dims,
-                    shared.n_cells,
+                    mesh,
                     shared.cfg.task_queue_cap,
-                    &mut accepts,
+                    accepts,
                     moves,
                     counters,
                     &mut err,
@@ -494,21 +493,22 @@ impl<'a, P: Program> Worker<'a, P> {
             let mv = self.moves[i];
             match mv {
                 Move::Hop { src, port, dst, in_port } => {
-                    let op = self.cell_mut(src, dims.x).router.pop(port as usize);
+                    let op = self.cell_at(mesh.coord(src)).router.pop(port as usize);
                     if op.action == ACT_TOKEN {
                         self.rep.token_hops += 1;
                     }
                     self.counters.hops += 1;
-                    let dx = (dst % dims.x) as usize;
+                    let at = mesh.coord(dst);
+                    let dx = at.x as usize;
                     if dx >= self.x0 && dx < self.x0 + self.width {
-                        self.cell_mut(dst, dims.x).router.push(in_port as usize, op);
+                        self.cell_at(at).enqueue(in_port as usize, op, mesh);
                     } else {
                         let t = if dx < self.x0 { self.sid - 1 } else { self.sid + 1 };
                         self.outbufs[t].push(Mail { dst, in_port, op });
                     }
                 }
                 Move::Deliver { cell, port } => {
-                    let c = self.cell_mut(cell, dims.x);
+                    let c = self.cell_at(mesh.coord(cell));
                     let op = c.router.pop(port as usize);
                     c.task_queue.push_back(op);
                     let queue_len = c.task_queue.len() as u32;
@@ -529,7 +529,7 @@ impl<'a, P: Program> Worker<'a, P> {
     }
 
     /// Drain cross-band arrivals into this band's routers.
-    fn phase_drain(&mut self, shared: &Shared<'_>, dims: crate::geom::Dims) {
+    fn phase_drain(&mut self, shared: &Shared<'_>) {
         let n_shards = shared.plan.shard_count();
         // Drain inboxes in shard-id order (deterministic; and each input
         // FIFO receives at most one flit per cycle regardless).
@@ -539,7 +539,8 @@ impl<'a, P: Program> Worker<'a, P> {
             }
             let mut mb = shared.mailboxes[src][self.sid].lock().unwrap();
             for m in mb.drain(..) {
-                self.cell_mut(m.dst, dims.x).router.push(m.in_port as usize, m.op);
+                let cell = self.cell_at(shared.mesh.coord(m.dst));
+                cell.enqueue(m.in_port as usize, m.op, shared.mesh);
             }
         }
     }
@@ -609,14 +610,13 @@ impl<'a, P: Program> Worker<'a, P> {
     }
 
     /// IO phase over this band's IO cells.
-    fn phase_io(&mut self, shared: &Shared<'_>, dims: crate::geom::Dims) {
+    fn phase_io(&mut self, shared: &Shared<'_>) {
         let Worker { rows, io_segs, counters, x0, rep, .. } = self;
         for seg in io_segs.iter_mut() {
             for io_cell in seg.iter_mut() {
-                let x = (io_cell.cc % dims.x) as usize;
-                let y = (io_cell.cc / dims.x) as usize;
-                let border = &mut rows[y][x - *x0];
-                if io_cell_step(io_cell, border, shared.safra_on, counters) {
+                let c = shared.mesh.coord(io_cell.cc);
+                let border = &mut rows[c.y as usize][c.x as usize - *x0];
+                if io_cell_step(io_cell, border, shared.mesh, shared.safra_on, counters) {
                     rep.io_injected += 1;
                     rep.d_in_network += 1;
                 }
@@ -759,6 +759,7 @@ pub(crate) fn run_sharded<P: Program>(
     let Chip {
         cfg,
         placement,
+        mesh,
         cells,
         io,
         program,
@@ -795,6 +796,7 @@ pub(crate) fn run_sharded<P: Program>(
     let shared = Shared {
         cfg,
         placement,
+        mesh,
         plan: &plan,
         mailboxes: (0..n_shards)
             .map(|_| (0..n_shards).map(|_| Mutex::new(Vec::new())).collect())
@@ -824,7 +826,6 @@ pub(crate) fn run_sharded<P: Program>(
         safra_on,
         frames_on,
         start_cycle: seg_start,
-        n_cells,
         steal_on,
         steal: Mutex::new(Vec::new()),
         steal_epoch: AtomicUsize::new(0),
