@@ -91,7 +91,8 @@ pub struct ChipConfig {
     /// function of the merged per-row active-cell counts and compute is
     /// cell-local, so results are **bit-identical** with the knob on or off,
     /// for any shard count — it only changes which worker burns the
-    /// wall-clock. The knob exists for ablation (`paper balance`).
+    /// wall-clock. The knob exists for ablation (`tests/load_balance.rs`
+    /// runs both settings).
     pub work_stealing: bool,
 }
 

@@ -87,10 +87,11 @@ fn parse_args() -> Args {
             "--chip" => {
                 let v = value(&argv, &mut i, "--chip");
                 let (w, h) = v.split_once('x').unwrap_or_else(|| die("--chip expects WxH"));
-                a.dims = Dims::new(
-                    w.parse().unwrap_or_else(|_| die("bad chip width")),
-                    h.parse().unwrap_or_else(|_| die("bad chip height")),
-                );
+                let side = |s: &str| match s.parse::<u16>() {
+                    Ok(n) if n > 0 => n,
+                    _ => die(&format!("--chip {v}: width and height must be in 1..=65535")),
+                };
+                a.dims = Dims::new(side(w), side(h));
             }
             "--shards" => {
                 a.shards =
@@ -116,6 +117,9 @@ fn parse_args() -> Args {
     if a.edges.is_empty() {
         die("at least one --edges FILE is required");
     }
+    if let Err(e) = RpvoConfig::basic(a.edge_cap, a.ghosts).validate() {
+        die(&format!("--edge-cap {} --ghosts {}: {e}", a.edge_cap, a.ghosts));
+    }
     Args { ..a }
 }
 
@@ -129,6 +133,12 @@ fn main() {
         dataset.increments(),
         dataset.n_vertices
     );
+    if args.algo != "cc" && args.root >= dataset.n_vertices {
+        die(&format!(
+            "--root {} is out of range: the loaded graph has {} vertices",
+            args.root, dataset.n_vertices
+        ));
+    }
     let chip = ChipConfig {
         dims: args.dims,
         shards: args.shards.max(1),

@@ -1,4 +1,9 @@
-//! `paper` — regenerate every table and figure of the paper.
+//! `paper` — regenerate every table and figure of the papers.
+//!
+//! One rule separates this binary from the repo benchmark: `paper` holds the
+//! deterministic simulated-cycle reproductions of the source paper and the
+//! rhizome follow-up (arXiv:2402.06086), written as CSV; everything
+//! wall-clock and everything served is measured by `benchmark/`.
 //!
 //! ```text
 //! paper <command> [--scale small|mid|full] [--out bench_out] [--jobs N]
@@ -20,35 +25,14 @@
 //!   churn            Sliding-window mutation stream: deletions, repair
 //!                    diffusions, rhizome demotion (oracle-checked per
 //!                    batch), plus the full-vs-targeted repair ablation
-//!   serve            Always-on ingestion server: concurrent clients over
-//!                    loopback TCP, admission control, checkpoint + WAL,
-//!                    then kill/recover with a bit-identical fixpoint check
-//!                    (emits BENCH_serve.json)
-//!   queries          Standing label-constrained path queries maintained
-//!                    through labelled churn, oracle-checked per batch,
-//!                    with the cycle overhead vs a query-free twin
-//!                    (emits BENCH_queries.json)
-//!   subscriptions    Push-based query subscriptions over labelled churn:
-//!                    per-batch result deltas pinned to the polled result
-//!                    sets, with maintenance + fan-out cost ablated over
-//!                    registered-query and subscriber counts
-//!                    (emits BENCH_subscriptions.json)
-//!   balance          Hot-column churn with load balancing (cycle-barrier
-//!                    work stealing + hot-object migration) on vs off, at
-//!                    shard counts 1/2/4/8, with the cross-shard cycle
-//!                    identity asserted (emits BENCH_balance.json)
 //!   verify           Check streamed BFS against the reference oracle (§4)
 //!   all              Everything above, in order
+//!   list             Print the scenario names, one per line
 //! ```
 //!
 //! `churn` takes `--repair {full,targeted}` (default `targeted`) selecting
 //! the reseed scoping of the headline run; the ablation CSV
 //! (`churn_repair.csv`) always measures both.
-//!
-//! `serve` takes `--obs TRACE.jsonl` to turn on the observability layer:
-//! batch-lifecycle spans stream to the JSONL trace and the final metrics
-//! snapshot (counters, gauges, latency histograms with p50/p90/p99/p999)
-//! lands next to it as `TRACE.metrics.json`. See `docs/OBSERVABILITY.md`.
 //!
 //! Default scale is `small` (1/50 of the paper, seconds). `--scale full`
 //! reproduces the paper's sizes (50K/1.0M and 500K/10.2M edges); expect
@@ -57,24 +41,41 @@
 
 use amcca_bench::{
     chip_with_placement, format_table, human_count, out_dir, run_streaming_bfs,
-    run_streaming_churn, sparkline, write_activity_csv, write_csv, BenchArtifact, ExperimentResult,
-    RunOpts, Scale,
+    run_streaming_churn, sparkline, write_activity_csv, write_csv, ExperimentResult, RunOpts,
+    Scale,
 };
 use amcca_sim::{run_tasks, ChipConfig, GhostPlacement};
 use gc_datasets::{ChurnPreset, GcPreset, Sampling, SkewPreset, StreamingDataset};
 use sdgp_core::graph::RepairMode;
 use sdgp_core::rpvo::RpvoConfig;
 
+/// A command name and the function that runs it.
+type Scenario = (&'static str, fn(&Args));
+
+/// Every scenario, in the order `all` runs them. `main`, `all`, `list` and
+/// the usage string are all derived from this table.
+const SCENARIOS: &[Scenario] = &[
+    ("table1", table1),
+    ("table2", table2),
+    ("fig6", |a| fig67(a, false)),
+    ("fig7", |a| fig67(a, true)),
+    ("fig8", |a| fig89(a, false)),
+    ("fig9", |a| fig89(a, true)),
+    ("ablate-alloc", ablate_alloc),
+    ("ablate-edgecap", ablate_edgecap),
+    ("ablate-ghosts", ablate_ghosts),
+    ("ablate-terminator", ablate_terminator),
+    ("ablate-rhizomes", ablate_rhizomes),
+    ("loadmap", loadmap),
+    ("skew", skew),
+    ("churn", churn),
+    ("verify", verify),
+];
+
 struct Args {
     command: String,
     scale: Scale,
     out: String,
-    /// `--obs PATH` (serve only): record the observability layer — a
-    /// JSONL span trace streamed to PATH, plus the final metrics snapshot
-    /// (counters/gauges/latency histograms) at `PATH` with the extension
-    /// replaced by `metrics.json`. Instrumentation is pure observation:
-    /// results are bit-identical with and without it.
-    obs: Option<String>,
     /// Parallelism budget: every simulated chip runs with this many shards
     /// (chip-running scenarios then fan out one at a time, see
     /// [`CHIP_SCENARIO_WORKERS`]); dataset-only fan-outs use it as a plain
@@ -85,12 +86,14 @@ struct Args {
     /// Reseed scoping of the headline `churn` run (the repair ablation
     /// always measures both modes).
     repair: RepairMode,
-    /// `--balance on|off` (default on): cycle-barrier work stealing in the
-    /// sharded engine. Stealing only changes which host worker executes a
-    /// row, never the simulation results, so this knob is safe to flip
-    /// under the determinism gate. The `balance` scenario sweeps both
-    /// settings regardless.
-    balance: bool,
+}
+
+fn usage() -> String {
+    let names: Vec<&str> = SCENARIOS.iter().map(|&(name, _)| name).collect();
+    format!(
+        "usage: paper <{}|all|list> [--scale small|mid|full] [--out DIR] [--jobs N] [--repair full|targeted]",
+        names.join("|")
+    )
 }
 
 fn parse_args() -> Args {
@@ -98,10 +101,8 @@ fn parse_args() -> Args {
     let mut command = String::new();
     let mut scale = Scale::Small;
     let mut out = "bench_out".to_string();
-    let mut obs = None;
     let mut jobs = 0usize;
     let mut repair = RepairMode::Targeted;
-    let mut balance = true;
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
@@ -113,10 +114,6 @@ fn parse_args() -> Args {
             "--out" => {
                 i += 1;
                 out = argv.get(i).cloned().unwrap_or_else(|| die("missing --out value"));
-            }
-            "--obs" => {
-                i += 1;
-                obs = Some(argv.get(i).cloned().unwrap_or_else(|| die("missing --obs value")));
             }
             "--jobs" => {
                 i += 1;
@@ -133,26 +130,18 @@ fn parse_args() -> Args {
                     _ => die("invalid --repair (full|targeted)"),
                 };
             }
-            "--balance" => {
-                i += 1;
-                balance = match argv.get(i).map(String::as_str) {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => die("invalid --balance (on|off)"),
-                };
-            }
             c if command.is_empty() && !c.starts_with('-') => command = c.to_string(),
             other => die(&format!("unknown argument {other}")),
         }
         i += 1;
     }
     if command.is_empty() {
-        die("usage: paper <table1|table2|fig6|fig7|fig8|fig9|ablate-alloc|ablate-edgecap|ablate-ghosts|ablate-terminator|ablate-rhizomes|loadmap|skew|churn|serve|queries|subscriptions|balance|verify|all> [--scale small|mid|full] [--out DIR] [--obs TRACE.jsonl] [--jobs N] [--repair full|targeted] [--balance on|off]");
+        die(&usage());
     }
     if jobs == 0 {
         jobs = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     }
-    Args { command, scale, out, obs, jobs, repair, balance }
+    Args { command, scale, out, jobs, repair }
 }
 
 fn die(msg: &str) -> ! {
@@ -164,10 +153,9 @@ fn presets(scale: Scale) -> Vec<GcPreset> {
     GcPreset::table1().into_iter().map(|p| scale.apply(p)).collect()
 }
 
-/// The chip every experiment runs on: paper platform, sharded per `--jobs`,
-/// work stealing per `--balance`.
+/// The chip every experiment runs on: paper platform, sharded per `--jobs`.
 fn chip_for(args: &Args) -> ChipConfig {
-    ChipConfig::default().with_shards(args.jobs).with_work_stealing(args.balance)
+    ChipConfig::default().with_shards(args.jobs)
 }
 
 /// Worker cap for fanning out *chip-running* scenarios. Each chip already
@@ -181,44 +169,12 @@ const CHIP_SCENARIO_WORKERS: usize = 1;
 fn main() {
     let args = parse_args();
     match args.command.as_str() {
-        "table1" => table1(&args),
-        "table2" => table2(&args),
-        "fig6" => fig67(&args, false),
-        "fig7" => fig67(&args, true),
-        "fig8" => fig89(&args, false),
-        "fig9" => fig89(&args, true),
-        "ablate-alloc" => ablate_alloc(&args),
-        "ablate-edgecap" => ablate_edgecap(&args),
-        "ablate-ghosts" => ablate_ghosts(&args),
-        "ablate-terminator" => ablate_terminator(&args),
-        "ablate-rhizomes" => ablate_rhizomes(&args),
-        "loadmap" => loadmap(&args),
-        "skew" => skew(&args),
-        "churn" => churn(&args),
-        "serve" => serve(&args),
-        "queries" => queries(&args),
-        "subscriptions" => subscriptions(&args),
-        "balance" => balance(&args),
-        "verify" => verify(&args),
-        "all" => {
-            table1(&args);
-            table2(&args);
-            fig6_to_9_all(&args);
-            ablate_alloc(&args);
-            ablate_edgecap(&args);
-            ablate_ghosts(&args);
-            ablate_terminator(&args);
-            ablate_rhizomes(&args);
-            loadmap(&args);
-            skew(&args);
-            churn(&args);
-            serve(&args);
-            queries(&args);
-            subscriptions(&args);
-            balance(&args);
-            verify(&args);
-        }
-        other => die(&format!("unknown command {other}")),
+        "list" => SCENARIOS.iter().for_each(|(name, _)| println!("{name}")),
+        "all" => SCENARIOS.iter().for_each(|(_, run)| run(&args)),
+        name => match SCENARIOS.iter().find(|s| s.0 == name) {
+            Some((_, run)) => run(&args),
+            None => die(&format!("unknown command {name}\n{}", usage())),
+        },
     }
 }
 
@@ -464,13 +420,6 @@ fn fig89(args: &Args, big: bool) {
         );
         println!("    (csv: {}/{name})", args.out);
     }
-}
-
-fn fig6_to_9_all(args: &Args) {
-    fig67(args, false);
-    fig67(args, true);
-    fig89(args, false);
-    fig89(args, true);
 }
 
 fn indent(s: &str, n: usize) -> String {
@@ -1039,25 +988,6 @@ fn churn(args: &Args) {
         }),
     );
     println!("  (csv: {}/churn.csv)", args.out);
-    // Every value below is simulation-derived (the determinism gate diffs
-    // this file across `--jobs` settings).
-    let mut art = BenchArtifact::new("churn", args.scale);
-    art.push("repair_mode", mode_name(args.repair))
-        .push("batches", ing.rows.len())
-        .push("window", p.window)
-        .push("adds_total", ing.rows.iter().map(|r| r.adds as u64).sum::<u64>())
-        .push("dels_total", ing.rows.iter().map(|r| r.dels as u64).sum::<u64>())
-        .push("live_edges_final", last.live)
-        .push("ingest_cycles_total", ing.rows.iter().map(|r| r.cycles).sum::<u64>())
-        .push("ingest_bfs_cycles_total", bfs.rows.iter().map(|r| r.cycles).sum::<u64>())
-        .push("repair_cycles_total", bfs.rows.iter().map(|r| r.repair_cycles).sum::<u64>())
-        .push("reseed_triggers_total", bfs.rows.iter().map(|r| r.reseed_triggers).sum::<u64>())
-        .push("promoted_final", last.promoted)
-        .push("demoted_final", last.demoted)
-        .push("extra_roots_final", last.extra_roots)
-        .push("oracle_checked_every_batch", true);
-    art.write(&dir);
-    println!("  (json: {}/BENCH_churn.json)", args.out);
     // The headline BFS run already measured (window, args.repair) under the
     // ablation's exact options — reuse it instead of re-simulating.
     ablate_repair(args, &rcfg, &c, bfs);
@@ -1180,779 +1110,6 @@ fn ablate_repair(
         csv,
     );
     println!("  (csv: {}/churn_repair.csv)", args.out);
-}
-
-// ---------------------------------------------------------------------
-// Serving mode: always-on ingestion, admission control, crash recovery.
-// ---------------------------------------------------------------------
-
-// ---------------------------------------------------------------------
-// Load balancing: hot-column churn, stealing + migration on vs off.
-// ---------------------------------------------------------------------
-
-/// One `paper balance` measurement: the hot-column schedule streamed once
-/// at one shard count, with both balancing mechanisms on or off together.
-struct BalanceRun {
-    k: usize,
-    balanced: bool,
-    /// Per-batch simulated cycles. For a fixed balancing setting these are
-    /// identical at every shard count (asserted by the scenario).
-    cycles: Vec<u64>,
-    /// max/mean of per-band busy work attributed to the *executing* band;
-    /// equals the owner-band ratio when stealing is off.
-    exec_imb: f64,
-    /// Rows executed by a non-owner band.
-    steal_rows: u64,
-    /// Hot objects the host-side rebalancer moved between increments.
-    migrations: u64,
-    /// Host wall-clock (printed, never written to the artifact).
-    wall_ms: f64,
-}
-
-/// Hot-column churn for `paper balance`: every batch fans edges out of hub
-/// vertices that all sit in mesh column 0 under round-robin placement
-/// (vids ≡ 0 mod the mesh width), with a two-batch sliding window of
-/// deletes, so one band owns far more active rows than the rest of the
-/// chip unless balancing spreads the load.
-fn balance_schedule(n: u32, x: u32, batches: u32) -> Vec<Vec<sdgp_core::graph::GraphMutation>> {
-    use sdgp_core::graph::GraphMutation::{AddEdge, DelEdge};
-    const HUBS: u32 = 8;
-    const FAN: u32 = 48;
-    let hub_slots = n / x;
-    let mut added: Vec<Vec<(u32, u32, u32)>> = Vec::with_capacity(batches as usize);
-    let mut out = Vec::with_capacity(batches as usize);
-    for b in 0..batches {
-        let mut muts = Vec::new();
-        let mut batch_edges = Vec::new();
-        for h in 0..HUBS {
-            let hub = ((b * HUBS + h) % hub_slots) * x;
-            for j in 0..FAN {
-                let t = (hub + 1 + (j * 97 + b * 131 + h * 17) % (n - 1)) % n;
-                if t == hub {
-                    continue;
-                }
-                let e = (hub, t, 1 + j % 7);
-                batch_edges.push(e);
-                muts.push(AddEdge(e));
-            }
-        }
-        if b >= 2 {
-            muts.extend(added[b as usize - 2].iter().map(|&e| DelEdge(e)));
-        }
-        added.push(batch_edges);
-        out.push(muts);
-    }
-    out
-}
-
-/// Stream the schedule once. `balanced` turns on both mechanisms: the
-/// cycle-barrier steal scheduler inside the sharded engine and host-side
-/// hot-object migration between increments. Adaptive engine selection is
-/// off so every cycle runs sharded and the diagnostics cover the full run.
-fn balance_run(
-    n: u32,
-    sched: &[Vec<sdgp_core::graph::GraphMutation>],
-    k: usize,
-    balanced: bool,
-) -> BalanceRun {
-    use sdgp_core::apps::BfsAlgo;
-    use sdgp_core::graph::StreamingGraph;
-
-    let chip = ChipConfig { adaptive_shards: false, ..ChipConfig::default() }
-        .with_shards(k)
-        .with_work_stealing(balanced);
-    let start = std::time::Instant::now();
-    let mut g = StreamingGraph::builder(BfsAlgo::new(0))
-        .vertices(n)
-        .chip(chip)
-        .rpvo(RpvoConfig::default())
-        .migrate_hot(balanced)
-        .build()
-        .expect("graph construction");
-    let mut cycles = Vec::with_capacity(sched.len());
-    let mut migrations = 0;
-    for b in sched {
-        let r = g.stream_increment(b).expect("balance batch");
-        cycles.push(r.cycles);
-        migrations += r.migrations;
-    }
-    g.check_mirror_consistency().expect("mirrors agree after the schedule");
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let chip = g.device().chip();
-    BalanceRun {
-        k,
-        balanced,
-        cycles,
-        exec_imb: amcca_sim::max_mean_ratio(chip.exec_active()),
-        steal_rows: chip.steal_rows(),
-        migrations,
-        wall_ms,
-    }
-}
-
-/// The `paper balance` scenario: the hot-column schedule at shard counts
-/// 1/2/4/8 with balancing on vs off, asserting that per-batch cycle counts
-/// are shard-count-independent under both settings, then reporting the
-/// busy-cycle imbalance drop. Emits `BENCH_balance.json` (simulation-only
-/// values — the determinism gate diffs it across `--jobs`).
-fn balance(args: &Args) {
-    const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-    const BATCHES: u32 = 8;
-
-    eprintln!(
-        "[balance] hot-column churn, balancing on vs off, shards 1/2/4/8, scale {:?}...",
-        args.scale
-    );
-    let chip = ChipConfig::default();
-    let n = (50_000 / args.scale.factor()).max(chip.dims.x as u32 * 8);
-    let sched = balance_schedule(n, chip.dims.x as u32, BATCHES);
-    let runs: Vec<BalanceRun> = run_tasks(
-        [false, true]
-            .iter()
-            .flat_map(|&bal| SHARD_COUNTS.iter().map(move |&k| (bal, k)))
-            .map(|(bal, k)| {
-                let sched = &sched;
-                move || balance_run(n, sched, k, bal)
-            })
-            .collect(),
-        CHIP_SCENARIO_WORKERS,
-    );
-    // The load balancers must be simulation-invisible: same per-batch
-    // cycles and the same migration decisions at every shard count.
-    for group in runs.chunks(SHARD_COUNTS.len()) {
-        for r in &group[1..] {
-            assert_eq!(r.cycles, group[0].cycles, "cycles diverged at {} shards", r.k);
-            assert_eq!(r.migrations, group[0].migrations, "migrations diverged at {} shards", r.k);
-        }
-    }
-
-    println!(
-        "\nLoad balancing: {n} vertices, {BATCHES} hot-column batches, \
-         work stealing + hot-object migration vs neither"
-    );
-    let header = [
-        "Shards",
-        "Balancing",
-        "Cycles",
-        "Busy imbalance",
-        "Stolen rows",
-        "Migrations",
-        "Wall (ms)",
-    ];
-    let rows: Vec<Vec<String>> = runs
-        .iter()
-        .map(|r| {
-            vec![
-                r.k.to_string(),
-                if r.balanced { "on" } else { "off" }.to_string(),
-                r.cycles.iter().sum::<u64>().to_string(),
-                format!("{:.3}", r.exec_imb),
-                r.steal_rows.to_string(),
-                r.migrations.to_string(),
-                format!("{:.1}", r.wall_ms),
-            ]
-        })
-        .collect();
-    println!("{}", format_table(&header, &rows));
-
-    let at = |bal: bool, k: usize| {
-        runs.iter().find(|r| r.balanced == bal && r.k == k).expect("run present")
-    };
-    let (off4, on4) = (at(false, 4), at(true, 4));
-    let drop_pct = 100.0 * (off4.exec_imb - on4.exec_imb) / off4.exec_imb;
-    println!(
-        "  at 4 shards: busy-cycle imbalance {:.3} -> {:.3} ({:.1}% lower) with balancing on",
-        off4.exec_imb, on4.exec_imb, drop_pct
-    );
-
-    let dir = out_dir(&args.out);
-    let mut art = BenchArtifact::new("balance", args.scale);
-    art.push("n_vertices", n)
-        .push("batches", BATCHES)
-        .push("shard_counts", "1,2,4,8")
-        .push("cycles_total_off", at(false, 1).cycles.iter().sum::<u64>())
-        .push("cycles_total_on", at(true, 1).cycles.iter().sum::<u64>())
-        .push("migrations_off", at(false, 1).migrations)
-        .push("migrations_on", at(true, 1).migrations)
-        .push("cycles_identical_across_shards", true);
-    for &k in &SHARD_COUNTS {
-        art.push(&format!("imbalance_off_k{k}"), at(false, k).exec_imb)
-            .push(&format!("imbalance_on_k{k}"), at(true, k).exec_imb)
-            .push(&format!("steal_rows_on_k{k}"), at(true, k).steal_rows);
-    }
-    art.push("imbalance_drop_pct_k4", drop_pct);
-    art.write(&dir);
-    println!("  (json: {}/BENCH_balance.json)", args.out);
-}
-
-/// The `paper serve` scenario: boot the ingestion server fresh, drive it
-/// with concurrent churn clients over disjoint vertex slices (disjoint
-/// pairs keep concurrent submissions commutative), checkpoint, push a
-/// short write-ahead tail, kill the server mid-flight, and time the
-/// recovery. Self-checking: the recovered fixpoint must be bit-identical
-/// to the pre-crash query answer *and* to an offline single-writer replay
-/// of the surviving edges, and recovery must replay only the WAL tail.
-/// Emits `BENCH_serve.json`.
-fn serve(args: &Args) {
-    use std::time::Instant;
-
-    use amcca_serve::server::{IngestCore, ServeConfig, Server};
-    use amcca_serve::{Client, Submission};
-    use gc_datasets::{generate_churn, ChurnParams};
-    use sdgp_core::apps::BfsAlgo;
-    use sdgp_core::graph::{StreamEdge, StreamingGraph};
-
-    const CLIENTS: u32 = 4;
-    const CHECKPOINT_EVERY: u64 = 5;
-    const TAIL_BATCHES: usize = 3;
-
-    eprintln!("[serve] {CLIENTS} churn clients over loopback TCP, scale {:?}...", args.scale);
-    let base = ChurnPreset::v50k().scaled_down(args.scale.factor());
-    let span = base.n_vertices;
-    // Reserve a small id range past the client slices for the post-
-    // checkpoint tail traffic.
-    let n_total = span * CLIENTS + 16;
-    let adds_per_batch = (base.adds_per_batch / CLIENTS as usize).max(64);
-    let schedules: Vec<gc_datasets::ChurnStream> = (0..CLIENTS)
-        .map(|c| {
-            generate_churn(&ChurnParams {
-                n_vertices: span,
-                batches: base.batches,
-                adds_per_batch,
-                window: base.window,
-                drain: false,
-                updates_per_batch: (adds_per_batch / 8).max(4),
-                order: Sampling::Edge,
-                labels: 0,
-                seed: base.seed + c as u64,
-            })
-        })
-        .collect();
-
-    // `--obs` turns on the observability layer: one handle is shared by the
-    // graph, the server, and the recovery boot, so the JSONL trace and the
-    // final snapshot cover the whole lifecycle (ingest, checkpoint, crash,
-    // replay). Without the flag the handle is inert (no clock reads).
-    let obs = match &args.obs {
-        Some(p) => {
-            let path = std::path::Path::new(p);
-            if let Some(parent) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                std::fs::create_dir_all(parent).expect("create --obs parent dir");
-            }
-            amcca_obs::Obs::with_trace(path).expect("open --obs trace")
-        }
-        None => amcca_obs::Obs::disabled(),
-    };
-    let builder = || {
-        StreamingGraph::builder(BfsAlgo::new(0))
-            .vertices(n_total)
-            .chip(chip_for(args))
-            .rpvo(RpvoConfig::default())
-            .repair(args.repair)
-            .obs(obs.clone())
-    };
-    let dir = out_dir(&args.out);
-    let store = dir.join("serve_store");
-    let _ = std::fs::remove_dir_all(&store);
-    let (core, boot) =
-        IngestCore::boot(builder(), &store, CHECKPOINT_EVERY).expect("fresh server boot");
-    assert!(!boot.recovered, "store directory was just wiped");
-    let server = Server::start_loopback(core, ServeConfig::default()).expect("server start");
-    let addr = server.addr();
-
-    // Ingestion phase: each client streams its slice-shifted churn
-    // schedule, one blocking submission per batch, measuring the full
-    // round trip (admission + coalescing + the increment converging).
-    let ingest_start = Instant::now();
-    let per_client: Vec<(Vec<f64>, u64, u64)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|cid| {
-                let schedule = &schedules[cid as usize];
-                s.spawn(move || {
-                    let mut c = Client::connect(addr).expect("client connect");
-                    let mut latencies_ms = Vec::new();
-                    let (mut muts, mut retries) = (0u64, 0u64);
-                    for i in 0..schedule.len() {
-                        let batch = schedule.batch(i).shifted(cid * span).to_mutations();
-                        loop {
-                            let t = Instant::now();
-                            match c.submit(&batch).expect("submit") {
-                                Submission::Applied => {
-                                    latencies_ms.push(t.elapsed().as_secs_f64() * 1e3);
-                                    muts += batch.len() as u64;
-                                    break;
-                                }
-                                Submission::RetryAfter(backoff) => {
-                                    retries += 1;
-                                    std::thread::sleep(backoff);
-                                }
-                            }
-                        }
-                    }
-                    (latencies_ms, muts, retries)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
-    });
-    let ingest_secs = ingest_start.elapsed().as_secs_f64();
-    let submitted_muts: u64 = per_client.iter().map(|r| r.1).sum();
-    let admission_retries: u64 = per_client.iter().map(|r| r.2).sum();
-    let mut latencies: Vec<f64> = per_client.into_iter().flat_map(|r| r.0).collect();
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let pct = |q: f64| latencies[((latencies.len() - 1) as f64 * q).round() as usize];
-
-    // Checkpoint, then a short tail so the crash has something to replay.
-    let mut ctl = Client::connect(addr).expect("control client");
-    ctl.checkpoint().expect("checkpoint request");
-    let tail_base = span * CLIENTS;
-    for i in 0..TAIL_BATCHES as u32 {
-        ctl.submit_retrying(
-            &[sdgp_core::graph::GraphMutation::AddEdge((tail_base + i, tail_base + i + 1, 1))],
-            100,
-        )
-        .expect("tail submit");
-    }
-    let states_before = ctl.query().expect("pre-crash query");
-    let stats_before = ctl.stats().expect("pre-crash stats");
-    // Exercise the live observability frame over TCP: the server answers
-    // with the same registry the final in-process snapshot is taken from.
-    let live_snap = ctl.obs_stats().expect("obs stats frame");
-    if args.obs.is_some() {
-        assert!(live_snap.counter("wal.appends") > 0, "live snapshot saw WAL appends");
-        assert!(
-            live_snap.hist("span.wal_append_ns").is_some_and(|h| h.count > 0),
-            "live snapshot carries the WAL-fsync latency histogram"
-        );
-    }
-    ctl.kill().expect("kill");
-    let report = server.join();
-    assert!(report.crashed, "kill must end the run as a crash");
-
-    // Timed recovery: checkpoint restore + tail-only WAL replay.
-    let recover_start = Instant::now();
-    let (recovered, reboot) =
-        IngestCore::boot(builder(), &store, CHECKPOINT_EVERY).expect("recovery boot");
-    let recovery_ms = recover_start.elapsed().as_secs_f64() * 1e3;
-    assert!(reboot.recovered, "checkpoint found");
-    assert_eq!(reboot.tail_batches, TAIL_BATCHES, "replay exactly the post-checkpoint tail");
-    assert!(
-        (reboot.tail_batches as u64) < stats_before.batches,
-        "tail-only replay, not the whole history"
-    );
-    let states_after = recovered.sync_values();
-    assert_eq!(states_after, states_before, "recovered fixpoint is bit-identical");
-
-    // Offline oracle: a single-writer replay of every surviving edge must
-    // reach the same fixpoint (the live multiset determines it).
-    let mut surviving: Vec<StreamEdge> = Vec::new();
-    for (cid, schedule) in schedules.iter().enumerate() {
-        let b = cid as u32 * span;
-        surviving.extend(
-            schedule.live_after(schedule.len() - 1).iter().map(|&(u, v, w)| (u + b, v + b, w)),
-        );
-    }
-    surviving.extend((0..TAIL_BATCHES as u32).map(|i| (tail_base + i, tail_base + i + 1, 1)));
-    let mut offline = builder().build().expect("oracle graph");
-    offline.stream_edges(&surviving).expect("oracle replay");
-    assert_eq!(offline.sync_values(), states_before, "offline single-writer oracle agrees");
-
-    let total_batches: usize =
-        schedules.iter().map(gc_datasets::ChurnStream::len).sum::<usize>() + TAIL_BATCHES;
-    println!(
-        "\nServing mode: {CLIENTS} clients x {} batches + {TAIL_BATCHES} tail \
-         (slices of {span} vertices, {} live edges at kill)",
-        base.batches, stats_before.live_edges
-    );
-    let header = ["Metric", "Value"];
-    let rows = vec![
-        vec!["mutations submitted".into(), submitted_muts.to_string()],
-        vec!["mutations/sec".into(), format!("{:.0}", submitted_muts as f64 / ingest_secs)],
-        vec!["submit p50 (ms)".into(), format!("{:.2}", pct(0.50))],
-        vec!["submit p99 (ms)".into(), format!("{:.2}", pct(0.99))],
-        vec!["increments applied".into(), stats_before.batches.to_string()],
-        vec!["admission retries".into(), admission_retries.to_string()],
-        vec!["checkpoints".into(), stats_before.checkpoints.to_string()],
-        vec!["checkpoint bytes".into(), stats_before.last_checkpoint_bytes.to_string()],
-        vec!["WAL tail replayed".into(), reboot.tail_batches.to_string()],
-        vec!["recovery (ms)".into(), format!("{recovery_ms:.1}")],
-    ];
-    println!("{}", format_table(&header, &rows));
-    println!(
-        "  recovered fixpoint bit-identical to pre-crash query and offline oracle \
-         ({} of {} batches replayed)",
-        reboot.tail_batches, total_batches
-    );
-
-    let mut art = BenchArtifact::new("serve", args.scale);
-    art.push("clients", CLIENTS)
-        .push("batches_submitted", total_batches)
-        .push("mutations_submitted", submitted_muts)
-        .push("mutations_per_sec", submitted_muts as f64 / ingest_secs)
-        .push("submit_p50_ms", pct(0.50))
-        .push("submit_p99_ms", pct(0.99))
-        .push("increments_applied", stats_before.batches)
-        .push("admission_retries", admission_retries)
-        .push("admission_rejected", report.stats.rejected)
-        .push("checkpoints", stats_before.checkpoints)
-        .push("checkpoint_bytes", stats_before.last_checkpoint_bytes)
-        .push("wal_tail_batches_replayed", reboot.tail_batches)
-        .push("recovery_ms", recovery_ms)
-        .push("recovered_fixpoint_bit_identical", true);
-    art.write(&dir);
-    println!("  (json: {}/BENCH_serve.json)", args.out);
-
-    if let Some(trace_path) = &args.obs {
-        obs.flush().expect("flush obs trace");
-        let snap = obs.snapshot();
-        // The run must have fed the two headline histograms: WAL fsync
-        // latency and the structural increment phase.
-        for h in ["span.wal_append_ns", "span.structural_ns"] {
-            assert!(
-                snap.hist(h).is_some_and(|s| s.count > 0),
-                "obs snapshot is missing samples in {h}"
-            );
-        }
-        let snap_path = std::path::Path::new(trace_path).with_extension("metrics.json");
-        std::fs::write(&snap_path, snap.to_json()).expect("write obs metrics snapshot");
-        println!("  (obs: trace {trace_path}, snapshot {})", snap_path.display());
-    }
-
-    // The store is scratch state for the crash/recover exercise; leaving
-    // its checkpoint + WAL under `--out` would dirty the determinism
-    // gate's `diff -r` across runs. Kept on failure (every check above
-    // panics before this line) for post-mortems.
-    std::fs::remove_dir_all(&store).expect("remove serve_store");
-}
-
-// ---------------------------------------------------------------------
-// Standing queries: label-constrained path queries over the churn stream.
-// ---------------------------------------------------------------------
-
-/// The `paper queries` scenario: standing label-constrained path queries
-/// maintained through labelled sliding-window churn. A panel of patterns is
-/// registered up front, the schedule streams batch by batch, and after
-/// EVERY batch each query's maintained result set is checked against a
-/// from-scratch product-automaton recompute over the surviving labelled
-/// edge set. A query-free twin of the same schedule measures the
-/// maintenance overhead. Emits `queries.csv` and `BENCH_queries.json`.
-fn queries(args: &Args) {
-    use gc_datasets::{generate_churn, ChurnParams};
-    use sdgp_core::apps::BfsAlgo;
-    use sdgp_core::graph::StreamingGraph;
-    use sdgp_core::oracle_results_multi;
-
-    /// The standing panel: closures over the 3-letter alphabet the schedule
-    /// labels its inserts from.
-    const PANEL: [(&str, u32); 3] = [("a.b*.c", 0), ("c+", 0), ("a?.b.c*", 1)];
-    const LABELS: u8 = 3;
-
-    eprintln!("[queries] standing path queries over labelled churn, scale {:?}...", args.scale);
-    let p = ChurnPreset::v50k().scaled_down(args.scale.factor());
-    let churn = generate_churn(&ChurnParams {
-        n_vertices: p.n_vertices,
-        batches: p.batches,
-        adds_per_batch: p.adds_per_batch,
-        window: p.window,
-        drain: true,
-        updates_per_batch: (p.adds_per_batch / 8).max(4),
-        order: Sampling::Edge,
-        labels: LABELS,
-        seed: p.seed,
-    });
-    let build = || {
-        StreamingGraph::builder(BfsAlgo::new(0))
-            .vertices(churn.n_vertices)
-            .chip(chip_for(args))
-            .rpvo(RpvoConfig::default())
-            .repair(args.repair)
-            .build()
-            .expect("graph construction")
-    };
-    let mut with_queries = build();
-    for (pattern, source) in PANEL {
-        with_queries.register_query(pattern, source).expect("panel pattern compiles");
-    }
-    let mut baseline = build();
-
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
-    let (mut q_cycles, mut b_cycles) = (0u64, 0u64);
-    for i in 0..churn.len() {
-        let b = churn.batch(i);
-        let muts = b.to_mutations();
-        let rq = with_queries.stream_increment(&muts).expect("queried batch run");
-        let rb = baseline.stream_increment(&muts).expect("baseline batch run");
-        q_cycles += rq.cycles;
-        b_cycles += rb.cycles;
-        // Per-batch oracle check: the maintained result sets equal a
-        // from-scratch recompute over the surviving labelled window.
-        let live: Vec<(u32, u32, u8)> =
-            churn.live_labeled_after(i).iter().map(|&((u, v, _), label)| (u, v, label)).collect();
-        let mut matches = Vec::with_capacity(PANEL.len());
-        for (qid, q) in with_queries.registered_queries().iter().enumerate() {
-            let want = oracle_results_multi(churn.n_vertices, &live, &q.dfa, &q.sources);
-            let got = with_queries.query_results(qid as u32);
-            assert_eq!(got, want, "batch {i}: query {qid} ({:?}) vs recompute", q.pattern);
-            matches.push(got.len());
-        }
-        rows.push((b.adds.len(), b.dels.len(), live.len(), rq.cycles, rb.cycles, matches));
-        csv.push(format!(
-            "{},{},{},{},{},{},{}",
-            i + 1,
-            rows[i].0,
-            rows[i].1,
-            rows[i].2,
-            rq.cycles,
-            rb.cycles,
-            rows[i].5.iter().map(usize::to_string).collect::<Vec<_>>().join(",")
-        ));
-    }
-
-    let overhead = (q_cycles as f64 / b_cycles as f64 - 1.0) * 100.0;
-    println!(
-        "\nStanding queries: {} patterns over {} labelled batches ({} vertices, window {})",
-        PANEL.len(),
-        churn.len(),
-        churn.n_vertices,
-        p.window
-    );
-    let header = ["Batch", "Adds", "Dels", "Live", "Cycles", "Baseline", "Matches"];
-    println!(
-        "{}",
-        format_table(
-            &header,
-            &rows
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    vec![
-                        (i + 1).to_string(),
-                        r.0.to_string(),
-                        r.1.to_string(),
-                        r.2.to_string(),
-                        r.3.to_string(),
-                        r.4.to_string(),
-                        r.5.iter().map(usize::to_string).collect::<Vec<_>>().join("/"),
-                    ]
-                })
-                .collect::<Vec<_>>()
-        )
-    );
-    println!(
-        "  every batch oracle-checked: maintained results == from-scratch recompute\n  \
-         query maintenance overhead: {overhead:+.1}% cycles vs the query-free twin"
-    );
-
-    let dir = out_dir(&args.out);
-    write_csv(
-        &dir.join("queries.csv"),
-        "batch,adds,dels,live,cycles,baseline_cycles,matches_q0,matches_q1,matches_q2",
-        csv,
-    );
-    println!("  (csv: {}/queries.csv)", args.out);
-    let final_matches: Vec<String> =
-        rows.last().map(|r| r.5.iter().map(usize::to_string).collect()).unwrap_or_default();
-    let mut art = BenchArtifact::new("queries", args.scale);
-    art.push("patterns", PANEL.iter().map(|(s, _)| *s).collect::<Vec<_>>().join(","))
-        .push("labels", LABELS as u64)
-        .push("batches", churn.len())
-        .push("cycles_with_queries", q_cycles)
-        .push("cycles_baseline", b_cycles)
-        .push("maintenance_overhead_pct", overhead)
-        .push("final_matches", final_matches.join(","))
-        .push("oracle_checked_every_batch", true);
-    art.write(&dir);
-    println!("  (json: {}/BENCH_queries.json)", args.out);
-}
-
-// ---------------------------------------------------------------------
-// Subscriptions: push-based result deltas over the churn stream.
-// ---------------------------------------------------------------------
-
-/// The `paper subscriptions` scenario: the push half of standing queries.
-/// The same labelled churn schedule as `queries` streams against graphs
-/// with 1, 2, and 4 registered queries (the 4-query panel includes one
-/// multi-source registration); after every batch the incremental result
-/// deltas are drained, applied to running sets, and pinned against the
-/// polled result sets — the exact invariant subscribers depend on. Fan-out
-/// cost is then ablated over subscriber counts by encoding the same
-/// `QueryDelta` wire frames the server pushes, once per subscriber (the
-/// server's per-subscriber encode). Frame and byte counts are
-/// simulation-derived and deterministic; the encode wall time is printed
-/// but kept out of the CSV and JSON so the shard-determinism gate can diff
-/// them. Emits `subscriptions.csv` and `BENCH_subscriptions.json`.
-fn subscriptions(args: &Args) {
-    use amcca_serve::proto::Response;
-    use gc_datasets::{generate_churn, ChurnParams};
-    use sdgp_core::apps::BfsAlgo;
-    use sdgp_core::graph::StreamingGraph;
-    use std::time::Instant;
-
-    /// The registration panel, in registration order; sweeps take prefixes.
-    /// The last entry anchors one query at three sources to exercise the
-    /// shared-DFA multi-source path.
-    const PANEL: [(&str, &[u32]); 4] =
-        [("a.b*.c", &[0]), ("c+", &[0]), ("a?.b.c*", &[1]), ("b+", &[0, 1, 2])];
-    const QUERY_COUNTS: [usize; 3] = [1, 2, 4];
-    const SUB_COUNTS: [usize; 3] = [1, 4, 16];
-    const LABELS: u8 = 3;
-
-    eprintln!("[subscriptions] push deltas over labelled churn, scale {:?}...", args.scale);
-    let p = ChurnPreset::v50k().scaled_down(args.scale.factor());
-    let churn = generate_churn(&ChurnParams {
-        n_vertices: p.n_vertices,
-        batches: p.batches,
-        adds_per_batch: p.adds_per_batch,
-        window: p.window,
-        drain: true,
-        updates_per_batch: (p.adds_per_batch / 8).max(4),
-        order: Sampling::Edge,
-        labels: LABELS,
-        seed: p.seed,
-    });
-    let build = || {
-        StreamingGraph::builder(BfsAlgo::new(0))
-            .vertices(churn.n_vertices)
-            .chip(chip_for(args))
-            .rpvo(RpvoConfig::default())
-            .repair(args.repair)
-            .build()
-            .expect("graph construction")
-    };
-
-    // The query-free twin every maintenance overhead is measured against.
-    let mut baseline = build();
-    let mut b_cycles = 0u64;
-    for i in 0..churn.len() {
-        b_cycles += baseline
-            .stream_increment(&churn.batch(i).to_mutations())
-            .expect("baseline batch")
-            .cycles;
-    }
-
-    // (n_queries, n_subscribers, frames, bytes, cycles, fanout_us)
-    let mut rows: Vec<(usize, usize, u64, u64, u64, u128)> = Vec::new();
-    let mut csv = Vec::new();
-    for &nq in &QUERY_COUNTS {
-        let mut g = build();
-        for &(pattern, sources) in &PANEL[..nq] {
-            g.register_query_multi(pattern, sources).expect("panel pattern compiles");
-        }
-        // One canonical running set per query: every subscriber receives
-        // the same deltas, so the delta==polled-diff pin is checked once
-        // and only the per-subscriber encode is repeated.
-        let mut running: Vec<Vec<u32>> = (0..nq).map(|q| g.query_results(q as u32)).collect();
-        let mut cycles = 0u64;
-        let mut frames = vec![0u64; SUB_COUNTS.len()];
-        let mut bytes = vec![0u64; SUB_COUNTS.len()];
-        let mut fanout_us = vec![0u128; SUB_COUNTS.len()];
-        for i in 0..churn.len() {
-            let muts = churn.batch(i).to_mutations();
-            cycles += g.stream_increment(&muts).expect("queried batch run").cycles;
-            let deltas = g.take_query_deltas();
-            assert_eq!(deltas.len(), nq, "one delta record per registered query");
-            for d in &deltas {
-                let set = &mut running[d.qid as usize];
-                set.retain(|v| !d.removed.contains(v));
-                set.extend(&d.added);
-                set.sort_unstable();
-                assert_eq!(
-                    *set,
-                    g.query_results(d.qid),
-                    "batch {i}: delta-maintained set diverged from polled results (query {})",
-                    d.qid
-                );
-            }
-            // Fan-out: the server encodes one frame per changed query per
-            // subscriber; replay that work for each subscriber count.
-            for (si, &ns) in SUB_COUNTS.iter().enumerate() {
-                let t = Instant::now();
-                for _ in 0..ns {
-                    for d in deltas.iter().filter(|d| !d.is_empty()) {
-                        let frame = Response::QueryDelta {
-                            qid: d.qid,
-                            batch_seq: (i + 1) as u64,
-                            added: d.added.clone(),
-                            removed: d.removed.clone(),
-                        }
-                        .encode();
-                        frames[si] += 1;
-                        bytes[si] += frame.len() as u64;
-                    }
-                }
-                fanout_us[si] += t.elapsed().as_micros();
-            }
-        }
-        for (si, &ns) in SUB_COUNTS.iter().enumerate() {
-            rows.push((nq, ns, frames[si], bytes[si], cycles, fanout_us[si]));
-            csv.push(format!(
-                "{nq},{ns},{},{},{},{cycles},{b_cycles}",
-                churn.len(),
-                frames[si],
-                bytes[si]
-            ));
-        }
-    }
-
-    println!(
-        "\nSubscriptions: result-delta fan-out over {} labelled batches ({} vertices, window {})",
-        churn.len(),
-        churn.n_vertices,
-        p.window
-    );
-    let header = ["Queries", "Subs", "Frames", "Bytes", "Cycles", "Overhead", "Fanout ms"];
-    println!(
-        "{}",
-        format_table(
-            &header,
-            &rows
-                .iter()
-                .map(|&(nq, ns, frames, bytes, cycles, us)| {
-                    vec![
-                        nq.to_string(),
-                        ns.to_string(),
-                        frames.to_string(),
-                        bytes.to_string(),
-                        cycles.to_string(),
-                        format!("{:+.1}%", (cycles as f64 / b_cycles as f64 - 1.0) * 100.0),
-                        format!("{:.2}", us as f64 / 1000.0),
-                    ]
-                })
-                .collect::<Vec<_>>()
-        )
-    );
-    println!(
-        "  every batch pinned: applying each pushed delta to the running set \
-         reproduces the polled result set bit-identically"
-    );
-
-    let dir = out_dir(&args.out);
-    write_csv(
-        &dir.join("subscriptions.csv"),
-        "n_queries,n_subscribers,batches,delta_frames,delta_bytes,cycles,baseline_cycles",
-        csv,
-    );
-    println!("  (csv: {}/subscriptions.csv)", args.out);
-    let mut art = BenchArtifact::new("subscriptions", args.scale);
-    art.push("query_counts", QUERY_COUNTS.map(|q| q.to_string()).join(","))
-        .push("subscriber_counts", SUB_COUNTS.map(|s| s.to_string()).join(","))
-        .push("batches", churn.len())
-        .push("cycles_baseline", b_cycles);
-    for &(nq, ns, frames, bytes, cycles, _) in &rows {
-        if ns == SUB_COUNTS[SUB_COUNTS.len() - 1] {
-            art.push(&format!("cycles_q{nq}"), cycles)
-                .push(
-                    &format!("maintenance_overhead_pct_q{nq}"),
-                    (cycles as f64 / b_cycles as f64 - 1.0) * 100.0,
-                )
-                .push(&format!("delta_frames_q{nq}_s{ns}"), frames)
-                .push(&format!("delta_bytes_q{nq}_s{ns}"), bytes);
-        }
-    }
-    art.push("deltas_pinned_to_polled_results", true);
-    art.write(&dir);
-    println!("  (json: {}/BENCH_subscriptions.json)", args.out);
 }
 
 // ---------------------------------------------------------------------

@@ -8,10 +8,7 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-pub mod artifact;
-pub use artifact::{git_describe, BenchArtifact, MetricValue};
-
-use amcca_sim::{max_mean_ratio, ActivityRecording, ChipConfig, Counters, GhostPlacement};
+use amcca_sim::{ActivityRecording, ChipConfig, Counters, GhostPlacement};
 use gc_datasets::{ChurnStream, GcPreset, StreamingDataset};
 use sdgp_core::apps::BfsAlgo;
 use sdgp_core::graph::{RepairMode, StreamingGraph};
@@ -111,9 +108,6 @@ pub struct RunOpts {
     /// Reseed-wave scoping for delete-bearing batches (`Targeted` by
     /// default; `Full` is the O(n) ablation baseline).
     pub repair: RepairMode,
-    /// Host-side hot-object migration between increments (off by default;
-    /// the `balance` scenario's knob). Untimed, like construction.
-    pub migrate: bool,
 }
 
 impl Default for RunOpts {
@@ -125,7 +119,6 @@ impl Default for RunOpts {
             rcfg: RpvoConfig::default(),
             termination: diffusive::TerminationMode::Quiescence,
             repair: RepairMode::default(),
-            migrate: false,
         }
     }
 }
@@ -215,8 +208,6 @@ pub struct ChurnRow {
     pub extra_roots: u64,
     /// Cumulative rhizome demotions as of this batch.
     pub demoted: u64,
-    /// Hot objects the host-side rebalancer moved after this batch.
-    pub migrations: u64,
 }
 
 /// A full sliding-window churn run (see [`run_streaming_churn`]).
@@ -226,27 +217,12 @@ pub struct ChurnExperiment {
     pub label: String,
     /// Per-batch measurements.
     pub rows: Vec<ChurnRow>,
-    /// Busy-cycle imbalance (max/mean of per-band active-cell work,
-    /// attributed to the *owning* band) across the run's sharded cycles.
-    /// `0.0` when the sharded engine never ran.
-    pub band_imbalance: f64,
-    /// Same ratio over work attributed to the band that *executed* it —
-    /// equals [`ChurnExperiment::band_imbalance`] when stealing is off;
-    /// lower when the steal scheduler leveled the load.
-    pub exec_imbalance: f64,
-    /// Rows executed by a non-owner band over the whole run.
-    pub steal_rows: u64,
 }
 
 impl ChurnExperiment {
     /// Total cycles across all batches.
     pub fn total_cycles(&self) -> u64 {
         self.rows.iter().map(|r| r.cycles).sum()
-    }
-
-    /// Total hot-object migrations across all batches.
-    pub fn total_migrations(&self) -> u64 {
-        self.rows.iter().map(|r| r.migrations).sum()
     }
 }
 
@@ -266,7 +242,6 @@ pub fn run_streaming_churn(churn: &ChurnStream, opts: &RunOpts, label: &str) -> 
         .chip(opts.chip.clone())
         .rpvo(opts.rcfg)
         .repair(opts.repair)
-        .migrate_hot(opts.migrate)
         .build()
         .expect("graph construction");
     g.set_algo_propagation(opts.with_algo);
@@ -302,7 +277,6 @@ pub fn run_streaming_churn(churn: &ChurnStream, opts: &RunOpts, label: &str) -> 
             promoted,
             extra_roots,
             demoted: g.demotion_count(),
-            migrations: report.migrations,
         });
     }
     if opts.with_algo {
@@ -310,14 +284,7 @@ pub fn run_streaming_churn(churn: &ChurnStream, opts: &RunOpts, label: &str) -> 
         // the invariant only holds when the algorithm actually diffuses.
         g.check_mirror_consistency().expect("mirrors consistent after churn");
     }
-    let chip = g.device().chip();
-    ChurnExperiment {
-        label: label.to_string(),
-        rows,
-        band_imbalance: max_mean_ratio(chip.band_active()),
-        exec_imbalance: max_mean_ratio(chip.exec_active()),
-        steal_rows: chip.steal_rows(),
-    }
+    ChurnExperiment { label: label.to_string(), rows }
 }
 
 // ---------------------------------------------------------------------

@@ -291,6 +291,9 @@ mod tests {
         for key in ["a.count", "b.bytes", "q.depth", "lat_ns", "p999"] {
             assert!(j.contains(key), "missing {key} in {j}");
         }
-        assert_eq!(crate::json::parse(&j).map(|_| ()), Ok(()));
+        let parsed = crate::json::parse(&j).expect("snapshot renders valid JSON");
+        for section in ["counters", "gauges", "histograms"] {
+            assert!(parsed.get(section).is_some(), "missing the {section:?} map in {j}");
+        }
     }
 }

@@ -69,7 +69,7 @@ fn run(shards: usize, steal: bool, migrate: bool) -> (Vec<u64>, Vec<u64>, u64) {
 fn balancing_is_shard_count_independent() {
     let reference = run(1, false, true);
     assert!(reference.2 > 0, "the skewed schedule must trigger migrations");
-    for shards in [2usize, 4] {
+    for shards in [2usize, 4, 8] {
         for steal in [false, true] {
             let got = run(shards, steal, true);
             assert_eq!(reference, got, "shards={shards} steal={steal} diverged");

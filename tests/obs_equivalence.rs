@@ -8,7 +8,7 @@
 //! The enabled run's side of the bargain is checked too: the registry must
 //! actually have seen every increment, and every trace line must carry the
 //! span schema (`ts_us`, `span`, `batch`, `muts`, `dur_us`) that
-//! `obs_check` and `docs/OBSERVABILITY.md` promise.
+//! `docs/OBSERVABILITY.md` promises.
 
 use std::sync::{Arc, Mutex};
 
