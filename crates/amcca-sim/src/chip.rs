@@ -580,11 +580,6 @@ impl<P: Program> Chip<P> {
         self.io.load_to(io_index, ops);
     }
 
-    /// Number of IO cells on this chip.
-    pub fn io_cell_count(&self) -> usize {
-        self.io.cells.len()
-    }
-
     /// Directly enqueue an operon into its target cell's task queue,
     /// bypassing the network. Host/debug facility for unit tests; not used
     /// by the paper experiments.
@@ -1027,11 +1022,6 @@ impl<P: Program> Chip<P> {
     /// Reset per-cell load counters (e.g. between experiment segments).
     pub fn reset_cell_loads(&mut self) {
         self.loads.fill(CellLoad::default());
-    }
-
-    /// Objects currently allocated at one cell (diagnostics / load maps).
-    pub fn cell_object_count(&self, cc: u16) -> u32 {
-        self.cells[cc as usize].memory.len()
     }
 
     /// Cycles executed on the sharded engine so far (the remainder ran

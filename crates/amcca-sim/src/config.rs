@@ -6,30 +6,8 @@
 use crate::cost::CostModel;
 use crate::energy::EnergyModel;
 use crate::geom::Dims;
-use crate::placement::{GhostPlacement, RhizomePlacement, RootPlacement};
+use crate::placement::GhostPlacement;
 use crate::stats::ActivityRecording;
-
-/// Which chip borders carry an IO channel (paper Fig. 2 shows two).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IoLayout {
-    /// North.
-    pub north: bool,
-    /// South.
-    pub south: bool,
-}
-
-impl Default for IoLayout {
-    fn default() -> Self {
-        IoLayout { north: true, south: true }
-    }
-}
-
-impl IoLayout {
-    /// Number of active IO channels (0–2).
-    pub fn channels(&self) -> u32 {
-        self.north as u32 + self.south as u32
-    }
-}
 
 /// Full configuration of a simulated AM-CCA chip.
 #[derive(Debug, Clone)]
@@ -45,19 +23,12 @@ pub struct ChipConfig {
     pub task_queue_cap: usize,
     /// Objects each cell's arena can hold (models finite scratchpad memory).
     pub arena_capacity: u32,
-    /// Which borders have IO channels; each channel has one IO cell per column.
-    pub io_layout: IoLayout,
     /// Instruction-cost constants for action bodies.
     pub cost: CostModel,
     /// Energy coefficients.
     pub energy: EnergyModel,
     /// Ghost allocation policy (Vicinity vs Random, paper Fig. 5).
     pub ghost_placement: GhostPlacement,
-    /// Root vertex placement at graph-construction time.
-    pub root_placement: RootPlacement,
-    /// Placement of the extra co-equal roots when a hub vertex is promoted
-    /// to a rhizome (see `RhizomePlacement`).
-    pub rhizome_placement: RhizomePlacement,
     /// Per-cycle activity recording mode.
     pub record_activity: ActivityRecording,
     /// Hard cycle budget for `run_until_quiescent`.
@@ -108,12 +79,9 @@ impl Default for ChipConfig {
             link_buffer: 4,
             task_queue_cap: 1 << 16,
             arena_capacity: 1 << 14,
-            io_layout: IoLayout::default(),
             cost: CostModel::default(),
             energy: EnergyModel::default(),
             ghost_placement: GhostPlacement::default(),
-            root_placement: RootPlacement::default(),
-            rhizome_placement: RhizomePlacement::default(),
             record_activity: ActivityRecording::Off,
             max_cycles: 200_000_000,
             max_alloc_retries: 4096,
@@ -156,11 +124,6 @@ impl ChipConfig {
     pub fn cell_count(&self) -> u32 {
         self.dims.cell_count()
     }
-
-    /// Number of IO cells (one per column per active channel).
-    pub fn io_cell_count(&self) -> u32 {
-        self.io_layout.channels() * self.dims.x as u32
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +134,6 @@ mod tests {
     fn paper_defaults() {
         let c = ChipConfig::default();
         assert_eq!(c.cell_count(), 1024);
-        assert_eq!(c.io_cell_count(), 64);
         assert_eq!(c.ghost_placement, GhostPlacement::Vicinity { max_hops: 2 });
     }
 
@@ -184,11 +146,5 @@ mod tests {
         assert_eq!(ChipConfig::small_test().with_shards(4).shards, 4);
         assert!(ChipConfig::default().work_stealing, "stealing is on by default");
         assert!(!ChipConfig::default().with_work_stealing(false).work_stealing);
-    }
-
-    #[test]
-    fn io_layout_channels() {
-        assert_eq!(IoLayout { north: true, south: false }.channels(), 1);
-        assert_eq!(IoLayout::default().channels(), 2);
     }
 }

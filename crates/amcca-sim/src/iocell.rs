@@ -34,23 +34,15 @@ pub struct IoSystem {
 }
 
 impl IoSystem {
-    /// Lay out the IO cells on the configured border channels.
+    /// Lay out the IO cells: one per column on the north border, then one
+    /// per column on the south border.
     pub fn new(cfg: &ChipConfig) -> Self {
-        let mut cells = Vec::with_capacity(cfg.io_cell_count() as usize);
-        if cfg.io_layout.north {
-            for x in 0..cfg.dims.x {
-                cells.push(IoCell { cc: cfg.dims.id_of(Coord::new(x, 0)), queue: VecDeque::new() });
-            }
-        }
-        if cfg.io_layout.south {
-            for x in 0..cfg.dims.x {
-                cells.push(IoCell {
-                    cc: cfg.dims.id_of(Coord::new(x, cfg.dims.y - 1)),
-                    queue: VecDeque::new(),
-                });
-            }
-        }
-        assert!(!cells.is_empty(), "chip needs at least one IO channel");
+        let dims = cfg.dims;
+        let cells = [0, dims.y - 1]
+            .into_iter()
+            .flat_map(|y| (0..dims.x).map(move |x| Coord::new(x, y)))
+            .map(|c| IoCell { cc: dims.id_of(c), queue: VecDeque::new() })
+            .collect();
         IoSystem { cells, pending: 0, next_rr: 0 }
     }
 

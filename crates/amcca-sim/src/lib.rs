@@ -53,13 +53,13 @@ pub mod trace;
 
 pub use arena::{Arena, ArenaFull};
 pub use chip::Chip;
-pub use config::{ChipConfig, IoLayout};
+pub use config::ChipConfig;
 pub use cost::CostModel;
 pub use energy::{cycles_to_us, EnergyModel};
 pub use error::SimError;
 pub use geom::{Coord, Dims, Direction};
 pub use operon::{ActionId, Address, Operon};
-pub use placement::{GhostPlacement, PlacementTable, RhizomePlacement, RootPlacement};
+pub use placement::{rhizome_cells, root_cell, GhostPlacement, PlacementTable};
 pub use program::{ExecCtx, Program};
 pub use rng::SplitMix64;
 pub use safra::{CellTd, SafraState, ACT_TOKEN};

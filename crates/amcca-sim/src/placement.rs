@@ -1,11 +1,13 @@
 //! Object placement policies.
 //!
-//! Two concerns are covered: where *root* vertex objects go when the host
-//! constructs the graph, and where *ghost* vertices are allocated when an
-//! RPVO spills. The paper contrasts the **Vicinity Allocator** (ghosts land
-//! within 2 hops of the requesting cell, keeping intra-vertex latency low)
-//! with the **Random Allocator** (no locality; Fig. 5). Both are implemented;
-//! `paper ablate-alloc` quantifies the difference.
+//! Three concerns are covered: where *root* vertex objects go when the host
+//! constructs the graph ([`root_cell`]), where a promoted hub's extra
+//! rhizome roots go ([`rhizome_cells`]), and where *ghost* vertices are
+//! allocated when an RPVO spills. The paper contrasts the **Vicinity
+//! Allocator** (ghosts land within 2 hops of the requesting cell, keeping
+//! intra-vertex latency low) with the **Random Allocator** (no locality;
+//! Fig. 5). Both are implemented; `paper ablate-alloc` quantifies the
+//! difference.
 
 use crate::geom::Dims;
 use crate::rng::SplitMix64;
@@ -90,109 +92,44 @@ impl PlacementTable {
     }
 }
 
-/// Placement policy for the *extra* co-equal roots of a rhizome (a vertex
+/// Cells for the `k - 1` *extra* co-equal roots of a rhizome (a vertex
 /// promoted from one root to `k` roots once its streamed degree crosses a
 /// threshold; Chandio et al., "Rhizomes and Diffusions for Processing Highly
-/// Skewed Graphs", arXiv:2402.06086). The point of a rhizome is to break the
-/// hub-vertex serialization at one compute cell, so the default spreads the
-/// roots across evenly spaced column bands — the unit the sharded execution
-/// engine parallelizes over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RhizomePlacement {
-    /// Spread the `k` roots across evenly spaced columns (and rows), so each
-    /// lands in a different band of the sharded engine where possible.
-    #[default]
-    ColumnBands,
-    /// Keep the extra roots within `max_hops` of the primary root (locality
-    /// baseline for the rhizome ablation: low sync latency, no band spread).
-    Vicinity {
-        /// Maximum Manhattan distance from the primary root's cell.
-        max_hops: u32,
-    },
-}
-
-impl RhizomePlacement {
-    /// Cells for the `k - 1` extra roots of a rhizome whose primary root
-    /// lives on `primary`. Deterministic in `(primary, k, dims, seed)`; the
-    /// returned cells are distinct from each other and from `primary`. `k`
-    /// is clamped to the cell count, so a rhizome larger than the mesh
-    /// degrades to one root per cell instead of looping.
-    pub fn cells_for(&self, primary: u16, k: usize, dims: Dims, seed: u64) -> Vec<u16> {
-        assert!(k >= 1, "a rhizome has at least one root");
-        let n = dims.cell_count();
-        let k = k.min(n as usize);
-        let mut out = Vec::with_capacity(k - 1);
-        // Collision fallback: deterministic linear probe from `cell`,
-        // skipping the primary and already-picked cells. Terminates because
-        // `k <= n` guarantees a free cell exists.
-        let resolve = |mut cell: u16, out: &[u16]| -> u16 {
-            while cell == primary || out.contains(&cell) {
-                cell = ((cell as u32 + 1) % n) as u16;
-            }
-            cell
-        };
-        match self {
-            RhizomePlacement::ColumnBands => {
-                let px = primary % dims.x;
-                let py = primary / dims.x;
-                for r in 1..k as u16 {
-                    // Walk columns (and rows) in equal strides from the
-                    // primary; linear-probe on collision.
-                    let x = (px as u32 + r as u32 * dims.x as u32 / k as u32) % dims.x as u32;
-                    let y = (py as u32 + r as u32 * dims.y as u32 / k as u32) % dims.y as u32;
-                    out.push(resolve((y * dims.x as u32 + x) as u16, &out));
-                }
-            }
-            RhizomePlacement::Vicinity { max_hops } => {
-                let mut ring = dims.vicinity(primary, *max_hops);
-                if ring.is_empty() {
-                    // max_hops 0 (or a 1-cell mesh): no neighbourhood to
-                    // draw from — degrade to the whole chip minus primary.
-                    ring = (0..n as u16).filter(|&c| c != primary).collect();
-                }
-                let mut rng = SplitMix64::new(seed ^ 0x52485649); // "RHVI"
-                for _ in 1..k {
-                    // Random ring cell; on collision scan the ring from
-                    // there, and past the ring's capacity linear-probe the
-                    // rest of the chip.
-                    let start = rng.gen_range(ring.len() as u64) as usize;
-                    let local = (0..ring.len())
-                        .map(|o| ring[(start + o) % ring.len()])
-                        .find(|c| *c != primary && !out.contains(c));
-                    out.push(match local {
-                        Some(c) => c,
-                        None => resolve(ring[start], &out),
-                    });
-                }
-            }
+/// Skewed Graphs", arXiv:2402.06086) whose primary root lives on `primary`.
+/// The point of a rhizome is to break the hub-vertex serialization at one
+/// compute cell, so the roots are spread across evenly spaced columns (and
+/// rows) — each lands in a different band of the sharded engine where
+/// possible. Deterministic in `(primary, k, dims)`; the returned cells are
+/// distinct from each other and from `primary`. `k` is clamped to the cell
+/// count, so a rhizome larger than the mesh degrades to one root per cell
+/// instead of looping.
+pub fn rhizome_cells(primary: u16, k: usize, dims: Dims) -> Vec<u16> {
+    assert!(k >= 1, "a rhizome has at least one root");
+    let n = dims.cell_count();
+    let k = k.min(n as usize);
+    let mut out = Vec::with_capacity(k - 1);
+    let px = primary % dims.x;
+    let py = primary / dims.x;
+    for r in 1..k as u32 {
+        // Walk columns (and rows) in equal strides from the primary.
+        let x = (px as u32 + r * dims.x as u32 / k as u32) % dims.x as u32;
+        let y = (py as u32 + r * dims.y as u32 / k as u32) % dims.y as u32;
+        // Collision fallback: deterministic linear probe, skipping the
+        // primary and already-picked cells. Terminates because `k <= n`
+        // guarantees a free cell exists.
+        let mut cell = (y * dims.x as u32 + x) as u16;
+        while cell == primary || out.contains(&cell) {
+            cell = ((cell as u32 + 1) % n) as u16;
         }
-        debug_assert_eq!(out.len(), k - 1);
-        out
+        out.push(cell);
     }
+    out
 }
 
-/// Placement policy for root vertex objects (host-side graph construction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RootPlacement {
-    /// Vertex `i` lands on cell `i mod n_cells` (uniform spread; default).
-    #[default]
-    RoundRobin,
-    /// Pseudorandom cell per vertex id (seeded, reproducible).
-    Hashed,
-}
-
-impl RootPlacement {
-    /// Home cell for root vertex `vertex_id`.
-    pub fn cell_for(&self, vertex_id: u32, dims: Dims, seed: u64) -> u16 {
-        let n = dims.cell_count() as u64;
-        match self {
-            RootPlacement::RoundRobin => (vertex_id as u64 % n) as u16,
-            RootPlacement::Hashed => {
-                let mut r = SplitMix64::new(seed ^ (vertex_id as u64).wrapping_mul(0x9e3779b9));
-                r.gen_range(n) as u16
-            }
-        }
-    }
+/// Home cell of root vertex `vertex_id` at graph-construction time: vertex
+/// `i` lands on cell `i mod n_cells` (uniform round-robin spread).
+pub fn root_cell(vertex_id: u32, dims: Dims) -> u16 {
+    (vertex_id % dims.cell_count()) as u16
 }
 
 #[cfg(test)]
@@ -273,10 +210,10 @@ mod tests {
     }
 
     #[test]
-    fn rhizome_column_bands_spread_roots() {
+    fn rhizome_cells_spread_roots_over_column_bands() {
         let dims = Dims::new(32, 32);
         for k in [2usize, 4, 8] {
-            let cells = RhizomePlacement::ColumnBands.cells_for(5, k, dims, 7);
+            let cells = rhizome_cells(5, k, dims);
             assert_eq!(cells.len(), k - 1);
             let mut cols: Vec<u16> = cells.iter().map(|c| c % dims.x).collect();
             cols.push(5 % dims.x);
@@ -294,76 +231,25 @@ mod tests {
     }
 
     #[test]
-    fn rhizome_placement_is_deterministic_and_distinct() {
-        let dims = Dims::new(8, 8);
-        for policy in [RhizomePlacement::ColumnBands, RhizomePlacement::Vicinity { max_hops: 2 }] {
-            let a = policy.cells_for(27, 4, dims, 99);
-            let b = policy.cells_for(27, 4, dims, 99);
-            assert_eq!(a, b, "{policy:?} must be reproducible");
-            let mut uniq = a.clone();
-            uniq.push(27);
-            uniq.sort_unstable();
-            uniq.dedup();
-            assert_eq!(uniq.len(), 4, "{policy:?} roots all distinct");
-            for c in a {
-                assert!((c as u32) < dims.cell_count());
-            }
-        }
-    }
-
-    #[test]
     fn rhizome_larger_than_mesh_clamps_instead_of_looping() {
         let dims = Dims::new(3, 3); // 9 cells
-        let cells = RhizomePlacement::ColumnBands.cells_for(4, 16, dims, 1);
+        let cells = rhizome_cells(4, 16, dims);
         assert_eq!(cells.len(), 8, "clamped to one root per cell");
         let mut uniq = cells.clone();
         uniq.push(4);
         uniq.sort_unstable();
         uniq.dedup();
         assert_eq!(uniq.len(), 9, "every cell used exactly once");
-        let v = RhizomePlacement::Vicinity { max_hops: 1 }.cells_for(4, 16, dims, 1);
-        assert_eq!(v.len(), 8);
     }
 
     #[test]
-    fn rhizome_vicinity_zero_hops_degrades_instead_of_panicking() {
-        let dims = Dims::new(8, 8);
-        let cells = RhizomePlacement::Vicinity { max_hops: 0 }.cells_for(27, 4, dims, 1);
-        assert_eq!(cells.len(), 3);
-        let mut uniq = cells.clone();
-        uniq.push(27);
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), 4, "distinct cells, none equal to the primary");
-    }
-
-    #[test]
-    fn rhizome_vicinity_stays_local() {
-        let dims = Dims::new(16, 16);
-        let primary = dims.id_of(crate::geom::Coord::new(8, 8));
-        let cells = RhizomePlacement::Vicinity { max_hops: 2 }.cells_for(primary, 4, dims, 3);
-        for c in cells {
-            assert!(dims.distance(primary, c) <= 2, "vicinity rhizome root strayed to {c}");
-        }
-    }
-
-    #[test]
-    fn round_robin_root_placement_covers_cells() {
+    fn root_cells_cover_the_mesh_round_robin() {
         let dims = Dims::new(4, 4);
         let mut seen = [false; 16];
         for v in 0..16u32 {
-            seen[RootPlacement::RoundRobin.cell_for(v, dims, 0) as usize] = true;
+            seen[root_cell(v, dims) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn hashed_root_placement_is_deterministic() {
-        let dims = Dims::new(8, 8);
-        for v in 0..64u32 {
-            let a = RootPlacement::Hashed.cell_for(v, dims, 42);
-            let b = RootPlacement::Hashed.cell_for(v, dims, 42);
-            assert_eq!(a, b);
-        }
+        assert_eq!(root_cell(16, dims), 0, "wraps past the last cell");
     }
 }

@@ -44,6 +44,8 @@ pub const CHECKPOINT_VERSION: u32 = 3;
 pub enum CheckpointError {
     /// The buffer is shorter than the structure it claims to hold.
     Truncated,
+    /// The buffer holds bytes past the end of the structure it encodes.
+    TrailingBytes,
     /// The magic bytes are not [`CHECKPOINT_MAGIC`].
     BadMagic,
     /// The version is not [`CHECKPOINT_VERSION`].
@@ -64,6 +66,7 @@ impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckpointError::Truncated => write!(f, "checkpoint truncated"),
+            CheckpointError::TrailingBytes => write!(f, "bytes after the last encoded field"),
             CheckpointError::BadMagic => write!(f, "not a checkpoint (bad magic)"),
             CheckpointError::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
             CheckpointError::BadChecksum => write!(f, "checkpoint checksum mismatch"),
@@ -259,6 +262,7 @@ impl GraphCheckpoint {
                 .to_string();
             queries.push((pattern, sources));
         }
+        r.finish()?;
         Ok(GraphCheckpoint { n_vertices, edges, labels, promoted, sync_states, queries })
     }
 }
@@ -307,6 +311,7 @@ pub fn decode_mutations(bytes: &[u8]) -> Result<Vec<GraphMutation>, CheckpointEr
             other => return Err(CheckpointError::BadOpcode(other)),
         });
     }
+    r.finish()?;
     Ok(out)
 }
 
@@ -342,6 +347,11 @@ impl<'a> Reader<'a> {
         let s = &self.buf[self.pos..end];
         self.pos = end;
         Ok(s)
+    }
+
+    /// The structure is fully read: anything left over is an error.
+    fn finish(&self) -> Result<(), CheckpointError> {
+        (self.pos == self.buf.len()).then_some(()).ok_or(CheckpointError::TrailingBytes)
     }
 
     fn u8(&mut self) -> Result<u8, CheckpointError> {
@@ -433,6 +443,13 @@ mod tests {
         bytes[10] ^= 0xff;
         assert_eq!(GraphCheckpoint::decode(&bytes), Err(CheckpointError::BadChecksum));
         assert_eq!(GraphCheckpoint::decode(&bytes[..6]), Err(CheckpointError::Truncated));
+        // A checksum-covered byte past the last query is not ignored.
+        let mut long = ck.encode();
+        long.truncate(long.len() - 8);
+        long.push(0);
+        let sum = fnv1a(&long);
+        put_u64(&mut long, sum);
+        assert_eq!(GraphCheckpoint::decode(&long), Err(CheckpointError::TrailingBytes));
     }
 
     #[test]
@@ -513,5 +530,7 @@ mod tests {
         let mut bad = encode_mutations(&muts);
         bad[4] = 77;
         assert_eq!(decode_mutations(&bad), Err(CheckpointError::BadOpcode(77)));
+        let long = [encode_mutations(&muts), vec![0]].concat();
+        assert_eq!(decode_mutations(&long), Err(CheckpointError::TrailingBytes));
     }
 }

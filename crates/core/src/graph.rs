@@ -41,7 +41,7 @@
 use std::collections::HashMap;
 
 use amcca_obs::Obs;
-use amcca_sim::{max_mean_ratio, Address, ChipConfig, Operon, SimError, SplitMix64};
+use amcca_sim::{max_mean_ratio, rhizome_cells, root_cell, Address, ChipConfig, Operon, SimError};
 use diffusive::{Device, RunReport};
 
 use crate::apps::algo::{
@@ -196,12 +196,6 @@ impl ReverseIndex {
     }
 }
 
-/// Hot-object moves the automatic post-increment rebalance may perform per
-/// increment (a small budget keeps the untimed host work — and the
-/// `for_each_object_mut` patch pass — proportional to the skew, not the
-/// graph).
-const MIGRATE_BUDGET: u32 = 8;
-
 /// StreamingGraph.
 pub struct StreamingGraph<G: VertexAlgo> {
     dev: Device<GraphApp<G>>,
@@ -243,9 +237,6 @@ pub struct StreamingGraph<G: VertexAlgo> {
     /// Monotonic increment sequence number — the batch id carried by this
     /// graph's trace spans. Advances whether or not obs is enabled.
     seq: u64,
-    /// Run the hot-object rebalancer after every increment (see
-    /// [`StreamingGraph::rebalance_hot`]; default off).
-    migrate: bool,
     /// Chip diagnostics (`sharded_cycles`, `steal_rows`, `cell_visits`) as of
     /// the previous obs flush, so the obs counters record per-increment
     /// deltas.
@@ -277,7 +268,6 @@ pub struct GraphBuilder<G: VertexAlgo> {
     rpvo: RpvoConfig,
     repair: RepairMode,
     obs: Obs,
-    migrate: bool,
 }
 
 impl<G: VertexAlgo> GraphBuilder<G> {
@@ -287,7 +277,7 @@ impl<G: VertexAlgo> GraphBuilder<G> {
         self
     }
 
-    /// Chip configuration (mesh dims, placement policies, shard count).
+    /// Chip configuration (mesh dims, ghost placement, shard count).
     pub fn chip(mut self, cfg: ChipConfig) -> Self {
         self.chip = cfg;
         self
@@ -312,24 +302,11 @@ impl<G: VertexAlgo> GraphBuilder<G> {
         self
     }
 
-    /// Run the host-side hot-object rebalancer after every increment
-    /// (default off): migrate the hottest single-root vertex objects from
-    /// the most loaded mesh column to the least loaded one, so skewed churn
-    /// cannot pin one column band of the sharded engine while its siblings
-    /// idle. Seeded-deterministic and shard-count-independent — see
-    /// [`StreamingGraph::rebalance_hot`].
-    pub fn migrate_hot(mut self, on: bool) -> Self {
-        self.migrate = on;
-        self
-    }
-
     /// Create the device, register the actions (Listing 1), and allocate the
     /// root vertex objects across the chip.
     pub fn build(self) -> Result<StreamingGraph<G>, SimError> {
-        let GraphBuilder { algo, n_vertices, chip: cfg, rpvo: rcfg, repair, obs, migrate } = self;
+        let GraphBuilder { algo, n_vertices, chip: cfg, rpvo: rcfg, repair, obs } = self;
         let dims = cfg.dims;
-        let root_placement = cfg.root_placement;
-        let seed = cfg.seed;
         let fanout = rcfg.ghost_fanout;
         let mut dev = Device::new(cfg, GraphApp::new(algo, rcfg, true));
         dev.register_action_at(ACT_INSERT, "insert-edge-action");
@@ -339,7 +316,7 @@ impl<G: VertexAlgo> GraphBuilder<G> {
         dev.register_action_at(ACT_UPDATE, "update-weight-action");
         let mut addrs = Vec::with_capacity(n_vertices as usize);
         for vid in 0..n_vertices {
-            let cc = root_placement.cell_for(vid, dims, seed);
+            let cc = root_cell(vid, dims);
             let state = dev.app().algo.root_state(vid);
             addrs.push(dev.host_alloc(cc, VertexObj::root(vid, state, fanout))?);
         }
@@ -356,7 +333,6 @@ impl<G: VertexAlgo> GraphBuilder<G> {
             last_deltas: Vec::new(),
             obs,
             seq: 0,
-            migrate,
             chip_marks: (0, 0, 0),
             pair_mark: 0,
         })
@@ -375,22 +351,19 @@ impl<G: VertexAlgo> StreamingGraph<G> {
             rpvo: RpvoConfig::default(),
             repair: RepairMode::default(),
             obs: Obs::disabled(),
-            migrate: false,
         }
     }
 
     /// Promote vertex `v` from a single root to a rhizome of
     /// `rcfg.rhizome_roots` co-equal roots: allocate the extra roots on the
-    /// cells the chip's [`amcca_sim::RhizomePlacement`] picks (untimed, like
+    /// cells [`amcca_sim::rhizome_cells`] picks (untimed, like
     /// graph construction), seed them with the primary's current converged
     /// state, and fully cross-link all roots. Subsequent edges for `v` are
     /// round-robined across the root set.
     fn promote(&mut self, v: u32) -> Result<(), SimError> {
         let k = self.rcfg.rhizome_roots;
         let primary = self.rz.primary(v);
-        let cfg = self.dev.chip().cfg();
-        let (dims, seed, policy) = (cfg.dims, cfg.seed, cfg.rhizome_placement);
-        let cells = policy.cells_for(primary.cc, k, dims, seed ^ ((v as u64) << 1 | 1));
+        let cells = rhizome_cells(primary.cc, k, self.dev.chip().cfg().dims);
         let (state, qbits) = {
             let obj = self.dev.object(primary).expect("primary root live");
             (obj.state, obj.qbits.clone())
@@ -461,109 +434,6 @@ impl<G: VertexAlgo> StreamingGraph<G> {
             .collect()
     }
 
-    /// Migrate up to `budget` hot vertex objects from the most loaded mesh
-    /// column to the least loaded one, and return how many moved. Must be
-    /// called between increments (the chip is quiescent, so no operon holds
-    /// a stale address). Load is measured per *column* — the sum of live
-    /// streamed degrees of the vertices homed there — because the sharded
-    /// engine's bands are contiguous column ranges for every shard count:
-    /// levelling columns levels any banding of them, and the decisions
-    /// depend only on the directory (never on the shard count), so migration
-    /// preserves the engine's `--jobs`-independence.
-    ///
-    /// Each move picks the hottest single-root vertex of the donor column
-    /// (ties to the lowest vid; rhizomes are skipped — their load is already
-    /// fanned out across co-equal roots) and re-homes its root object on a
-    /// seeded-deterministically chosen row of the target column, reusing
-    /// demotion's machinery: [`diffusive::Device::host_free`] +
-    /// `host_alloc`, then one `for_each_object_mut` pass patching every
-    /// stored edge that pointed at a moved root (ghost links point *down*
-    /// and rhizome peers never reference other vertices, so stored edges and
-    /// the directory are the only address holders). Moves stop early when
-    /// they would no longer strictly improve the column spread.
-    pub fn rebalance_hot(&mut self, budget: u32) -> Result<u64, SimError> {
-        let cfg = self.dev.chip().cfg();
-        let (dims, seed, arena) = (cfg.dims, cfg.seed, cfg.arena_capacity);
-        let mut col_load = vec![0u64; dims.x as usize];
-        for v in 0..self.n_vertices() {
-            let col = (self.rz.primary(v).cc % dims.x) as usize;
-            col_load[col] += self.rz.live_degree(v) as u64;
-        }
-        let mut remap: HashMap<Address, Address> = HashMap::new();
-        let mut moved_vids: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        for _ in 0..budget {
-            let mut donor = 0usize;
-            let mut target = 0usize;
-            for x in 1..col_load.len() {
-                if col_load[x] > col_load[donor] {
-                    donor = x;
-                }
-                if col_load[x] < col_load[target] {
-                    target = x;
-                }
-            }
-            if donor == target {
-                break;
-            }
-            // Hottest movable vertex homed in the donor column. A vertex
-            // moves at most once per pass: the address-patch below resolves
-            // one hop, so chained moves would leave dangling edges.
-            let mut pick: Option<(u32, u32)> = None;
-            for v in 0..self.n_vertices() {
-                if (self.rz.primary(v).cc % dims.x) as usize != donor
-                    || self.rz.is_promoted(v)
-                    || moved_vids.contains(&v)
-                {
-                    continue;
-                }
-                let d = self.rz.live_degree(v);
-                if d > 0 && pick.is_none_or(|(pd, _)| d > pd) {
-                    pick = Some((d, v));
-                }
-            }
-            let Some((d, v)) = pick else { break };
-            let d = d as u64;
-            if col_load[target] + d >= col_load[donor] {
-                break; // the move would not strictly improve the spread
-            }
-            // Seeded row probe in the target column (first row with arena
-            // room, starting from a per-vertex hash).
-            let start = SplitMix64::new(seed ^ ((v as u64) << 1 | 1)).next_u64();
-            let cc = (0..dims.y as u64)
-                .map(|i| {
-                    let y = ((start + i) % dims.y as u64) as u16;
-                    y * dims.x + target as u16
-                })
-                .find(|&cand| self.dev.chip().cell_object_count(cand) < arena);
-            let Some(new_cc) = cc else { break };
-            let old = self.rz.primary(v);
-            let obj = self.dev.host_free(old).expect("primary root live");
-            let new = self.dev.host_alloc(new_cc, obj)?;
-            remap.insert(old, new);
-            moved_vids.insert(v);
-            self.rz.rebind_primary(v, new);
-            col_load[donor] -= d;
-            col_load[target] += d;
-        }
-        if !remap.is_empty() {
-            self.dev.chip_mut().for_each_object_mut(|_, obj| {
-                for e in obj.edges.iter_mut() {
-                    if let Some(&p) = remap.get(&e.dst) {
-                        e.dst = p;
-                    }
-                }
-            });
-        }
-        Ok(remap.len() as u64)
-    }
-
-    /// Enable/disable the automatic post-increment hot-object rebalance
-    /// (the builder knob [`GraphBuilder::migrate_hot`], settable at run
-    /// time; `paper balance` ablates it).
-    pub fn set_hot_migration(&mut self, on: bool) {
-        self.migrate = on;
-    }
-
     /// Assemble phase B's reseed trigger set after a structural phase:
     /// drain the frontier the invalidation cascade recorded on-fabric
     /// (invalidated vertices + recall-rejecting survivors), join the
@@ -623,18 +493,6 @@ impl<G: VertexAlgo> StreamingGraph<G> {
         self.dev.set_termination_mode(mode);
     }
 
-    /// Select how subsequent delete-bearing increments scope their reseed
-    /// wave ([`RepairMode::Targeted`] by default; `Full` is the O(n)
-    /// ablation baseline — both reach bit-identical fixpoints).
-    pub fn set_repair_mode(&mut self, mode: RepairMode) {
-        self.repair = mode;
-    }
-
-    /// The currently selected repair mode.
-    pub fn repair_mode(&self) -> RepairMode {
-        self.repair
-    }
-
     /// Bookkeeping of the most recent increment's repair phase (all zero if
     /// the last increment ran no repair).
     pub fn last_repair(&self) -> RepairStats {
@@ -671,7 +529,7 @@ impl<G: VertexAlgo> StreamingGraph<G> {
     ///
     /// Deletions and weight increases run the two-phase repair described in
     /// the module docs (with the reseed wave scoped per
-    /// [`Self::set_repair_mode`]), and after the batch quiesces, promoted
+    /// [`GraphBuilder::repair`]), and after the batch quiesces, promoted
     /// vertices whose live degree fell back below the threshold are demoted:
     /// their extra roots collapse into the primary and the merged edges
     /// re-ingest (timed) within this call. The returned report spans all
@@ -851,11 +709,6 @@ impl<G: VertexAlgo> StreamingGraph<G> {
             // transitions plus the repair-cleared region. No full rescan.
             self.compute_query_deltas(&cleared);
         }
-        // Hot-object rebalance (untimed, like construction): level the
-        // per-column load before the next increment streams in.
-        if self.migrate {
-            report.migrations = self.rebalance_hot(MIGRATE_BUDGET)?;
-        }
         // Fold the increment's RunReport deltas into the registry so the
         // live Stats snapshot carries simulated-time totals next to the
         // wall-clock span histograms.
@@ -866,7 +719,6 @@ impl<G: VertexAlgo> StreamingGraph<G> {
             obs.counter_add("graph.repair_cycles", report.repair_cycles);
             obs.counter_add("graph.reseed_triggers", report.reseed_triggers);
             obs.observe("graph.increment_cycles", report.cycles);
-            obs.counter_add("shard.migrations", report.migrations);
             let chip = self.dev.chip();
             let (sc, sr, cv) = (chip.sharded_cycles(), chip.steal_rows(), chip.cell_visits());
             obs.counter_add("shard.busy_cycles", sc - self.chip_marks.0);
@@ -1324,58 +1176,6 @@ mod tests {
             .rpvo(RpvoConfig::basic(4, 2))
             .build()
             .unwrap()
-    }
-
-    #[test]
-    fn hot_migration_levels_columns_and_preserves_results() {
-        // Two moderate hubs (vertices 0 and 8) share mesh column 0 under
-        // round-robin placement on the 8 × 8 test chip; the rebalancer
-        // should move exactly one of them to an empty column (moving the
-        // second would no longer strictly improve the spread).
-        let run = |migrate: bool| {
-            let mut g = StreamingGraph::builder(BfsAlgo::new(0))
-                .vertices(16)
-                .chip(ChipConfig::small_test())
-                .rpvo(RpvoConfig::basic(4, 2))
-                .migrate_hot(migrate)
-                .build()
-                .unwrap();
-            let mut edges: Vec<StreamEdge> = (1..6).map(|v| (0, v, 1)).collect();
-            edges.extend((9..14).map(|v| (8, v, 1)));
-            let r = g.stream_edges(&edges).unwrap();
-            // A follow-up increment exercises the patched addresses.
-            let r2 = g.stream_edges(&[(5, 8, 1), (13, 15, 1)]).unwrap();
-            (g, r.migrations, r2.migrations)
-        };
-        let (moved, m1, _) = run(true);
-        let (stayed, z1, z2) = run(false);
-        assert_eq!(m1, 1, "one hub moves, the second no longer improves the spread");
-        assert_eq!((z1, z2), (0, 0), "knob off: no moves");
-        let dims_x = 8;
-        assert_ne!(moved.addr_of(0).cc % dims_x, 0, "hub 0 re-homed off column 0");
-        assert_eq!(stayed.addr_of(0).cc % dims_x, 0);
-        for v in 0..16 {
-            assert_eq!(moved.state_of(v), stayed.state_of(v), "vertex {v} level unchanged");
-        }
-        moved.check_mirror_consistency().unwrap();
-    }
-
-    #[test]
-    fn migration_skips_rhizomes_and_empty_graphs() {
-        let mut g = StreamingGraph::builder(BfsAlgo::new(0))
-            .vertices(16)
-            .chip(ChipConfig::small_test())
-            .rpvo(RpvoConfig::basic(4, 2).with_rhizomes(4, 2))
-            .build()
-            .unwrap();
-        assert_eq!(g.rebalance_hot(8).unwrap(), 0, "nothing streamed: no load to level");
-        // Vertex 0 crosses the rhizome threshold — promoted vertices are
-        // already fanned out and must not be rebound.
-        g.stream_edges(&(1..6).map(|v| (0, v, 1)).collect::<Vec<_>>()).unwrap();
-        assert!(g.roots_of(0).len() > 1, "hub promoted");
-        g.rebalance_hot(8).unwrap();
-        assert_eq!(g.roots_of(0).len(), g.rz.root_count(0), "directory still consistent");
-        g.check_mirror_consistency().unwrap();
     }
 
     #[test]

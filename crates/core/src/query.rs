@@ -16,7 +16,7 @@
 //! from the deleted edges (see `StreamingGraph::register_query` and the
 //! repair pass in `stream_increment`). [`oracle_results`] is the from-scratch
 //! recompute every incremental result set is pinned against in tests and the
-//! `paper queries` scenario.
+//! benchmark's `query_fanout` workload.
 
 use std::collections::VecDeque;
 use std::fmt;

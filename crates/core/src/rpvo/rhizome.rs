@@ -139,21 +139,6 @@ impl RhizomeDirectory {
         self.live[v as usize]
     }
 
-    /// Rebind the primary root of a single-root vertex to a new address
-    /// (hot-object migration: the host moved the root object to another
-    /// cell). Callers must patch every stored edge that pointed at the old
-    /// address themselves — the directory only tracks the mapping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is currently promoted: a rhizome's roots are
-    /// cross-linked through on-fabric peer sets, and its load is already
-    /// fanned out — migration handles single-root vertices only.
-    pub fn rebind_primary(&mut self, v: u32, a: Address) {
-        assert!(self.extra[v as usize].is_empty(), "vertex {v} is a rhizome; cannot rebind");
-        self.primary[v as usize] = a;
-    }
-
     /// Install the extra roots of a freshly promoted vertex.
     pub fn install(&mut self, v: u32, extras: Vec<Address>) {
         assert!(self.extra[v as usize].is_empty(), "vertex {v} promoted twice");
@@ -352,23 +337,6 @@ mod tests {
             (0..10).map(|i| d.route(i % 3)).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn rebind_moves_a_single_root_vertex() {
-        let mut d = dir(2);
-        d.rebind_primary(1, Address::new(42, 3));
-        assert_eq!(d.primary(1), Address::new(42, 3));
-        assert_eq!(d.route(1), Address::new(42, 3), "routing follows the rebound primary");
-        assert_eq!(d.primary(0), Address::new(0, 0), "other vertices untouched");
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot rebind")]
-    fn rebinding_a_rhizome_is_a_bug() {
-        let mut d = dir(1);
-        d.install(0, vec![Address::new(5, 0)]);
-        d.rebind_primary(0, Address::new(6, 0));
     }
 
     #[test]

@@ -262,9 +262,9 @@ impl ChurnStream {
     ///
     /// Replay is incremental: a shared [`MutationLog`] cursor carries the
     /// live multiset forward, so the batch-by-batch forward scans the
-    /// drivers run (`run_streaming_churn`, `paper serve`) cost O(batch) per
-    /// call instead of replaying the whole history — the old O(n²) nightly
-    /// bottleneck.
+    /// drivers run (`run_streaming_churn`, behind `paper churn`) cost
+    /// O(batch) per call instead of replaying the whole history — the old
+    /// O(n²) nightly bottleneck.
     ///
     /// **Rewind safety.** The cursor is an optimization, never an answer
     /// oracle: querying an *earlier* batch than the previous call resets it

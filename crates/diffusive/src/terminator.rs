@@ -57,11 +57,6 @@ pub struct RunReport {
     /// parallelism). Set by the application layer; accumulated by
     /// [`RunReport::absorb`].
     pub repair_instrs: u64,
-    /// Hot objects the host-side rebalancer migrated to underloaded column
-    /// bands after this segment (untimed, like construction; placement only
-    /// affects later increments' cycle counts). Set by the application
-    /// layer; accumulated by [`RunReport::absorb`].
-    pub migrations: u64,
 }
 
 impl RunReport {
@@ -84,7 +79,6 @@ impl RunReport {
             reseed_triggers: 0,
             repair_cycles: 0,
             repair_instrs: 0,
-            migrations: 0,
         }
     }
 
@@ -106,7 +100,6 @@ impl RunReport {
             reseed_triggers,
             repair_cycles,
             repair_instrs,
-            migrations,
         } = other;
         self.cycles += cycles;
         self.counters.merge(&counters);
@@ -120,7 +113,6 @@ impl RunReport {
         self.reseed_triggers += reseed_triggers;
         self.repair_cycles += repair_cycles;
         self.repair_instrs += repair_instrs;
-        self.migrations += migrations;
     }
 }
 
@@ -163,7 +155,6 @@ mod tests {
         let mut b = mk(40, vec![3]);
         b.reseed_triggers = 7;
         b.repair_cycles = 40;
-        b.migrations = 2;
         let (ea, eb) = (a.energy_uj, b.energy_uj);
         a.absorb(b);
         assert_eq!(a.cycles, 140);
@@ -173,6 +164,5 @@ mod tests {
         assert_eq!(a.activity.counts, vec![1, 2, 3]);
         assert_eq!(a.reseed_triggers, 7, "repair stats accumulate");
         assert_eq!(a.repair_cycles, 40);
-        assert_eq!(a.migrations, 2, "migration counts accumulate");
     }
 }

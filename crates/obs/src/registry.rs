@@ -187,7 +187,9 @@ impl MetricsSnapshot {
             let n = c.name()?;
             let (count, sum, min, max) = (c.u64()?, c.u64()?, c.u64()?, c.u64()?);
             let nb = c.u32()? as usize;
-            let mut buckets = Vec::with_capacity(nb);
+            // The count is unauthenticated: it bounds the loop, not the
+            // allocation.
+            let mut buckets = Vec::with_capacity(nb.min(1 << 10));
             for _ in 0..nb {
                 let idx = c.u16()?;
                 buckets.push((idx, c.u64()?));

@@ -1,9 +1,9 @@
 //! A small blocking client for the ingestion server.
 //!
-//! Used by the workload drivers (`paper serve`) and the smoke tests. One
-//! request is in flight per client at a time — the protocol is strictly
-//! request/response per connection, and the interesting concurrency lives
-//! server-side (many clients, one writer).
+//! Used by the served benchmark workloads (`benchmark/`) and the smoke
+//! tests. One request is in flight per client at a time — the protocol is
+//! strictly request/response per connection, and the interesting
+//! concurrency lives server-side (many clients, one writer).
 
 use std::collections::VecDeque;
 use std::io;
@@ -144,20 +144,17 @@ impl Client {
         }
     }
 
-    /// Register a standing label-constrained path query; returns the query
-    /// id its results are read under. The registration is durable before
-    /// the reply arrives — it survives a server crash and restart.
+    /// Register a standing label-constrained path query from one source:
+    /// [`Client::register_query_multi`] with `[source]`.
     pub fn register_query(&mut self, pattern: &str, source: u32) -> io::Result<u32> {
-        match self.call(&Request::RegisterQuery { pattern: pattern.to_string(), source })? {
-            Response::QueryId { qid } => Ok(qid),
-            Response::Err(msg) => Err(io::Error::other(msg)),
-            other => Err(unexpected(&other)),
-        }
+        self.register_query_multi(pattern, &[source])
     }
 
-    /// Register a standing query anchored at several source vertices at
-    /// once (results are the union over sources); same durability as
-    /// [`Client::register_query`].
+    /// Register a standing label-constrained path query anchored at several
+    /// source vertices at once (results are the union over sources);
+    /// returns the query id its results are read under. The registration is
+    /// durable before the reply arrives — it survives a server crash and
+    /// restart.
     pub fn register_query_multi(&mut self, pattern: &str, sources: &[u32]) -> io::Result<u32> {
         let req =
             Request::RegisterQueryMulti { pattern: pattern.to_string(), sources: sources.to_vec() };

@@ -93,14 +93,6 @@ pub enum Request {
     /// Stop *as if crashed*: drop everything not yet in the WAL and exit
     /// without flushing or checkpointing. Test and fault-injection hook.
     Kill,
-    /// Register a standing label-constrained path query; the server answers
-    /// with the query id its results are read under.
-    RegisterQuery {
-        /// Query pattern over edge labels (e.g. `a.b*.c`).
-        pattern: String,
-        /// Source vertex the paths start from.
-        source: u32,
-    },
     /// Read the current result set (matching vertex ids) of a registered
     /// standing query.
     QueryResults {
@@ -127,9 +119,11 @@ pub enum Request {
         /// The subscribed query id.
         qid: u32,
     },
-    /// Register a standing query anchored at several source vertices at
-    /// once (one compiled automaton, one state plane — results are the
-    /// union over sources). Answered with [`Response::QueryId`].
+    /// Register a standing label-constrained path query anchored at one or
+    /// several source vertices (one compiled automaton, one state plane —
+    /// results are the union over sources). Answered with
+    /// [`Response::QueryId`], the id its results are read under. The one
+    /// registration op: the single-source op 7 is retired and refused.
     RegisterQueryMulti {
         /// Query pattern over edge labels (e.g. `a.b*.c`).
         pattern: String,
@@ -155,13 +149,6 @@ impl Request {
             Request::Stats => vec![4],
             Request::Shutdown => vec![5],
             Request::Kill => vec![6],
-            Request::RegisterQuery { pattern, source } => {
-                let mut out = Vec::with_capacity(5 + pattern.len());
-                out.push(7);
-                out.extend_from_slice(&source.to_le_bytes());
-                out.extend_from_slice(pattern.as_bytes());
-                out
-            }
             Request::QueryResults { qid } => {
                 let mut out = vec![8];
                 out.extend_from_slice(&qid.to_le_bytes());
@@ -203,13 +190,6 @@ impl Request {
             Some((4, [])) => Ok(Request::Stats),
             Some((5, [])) => Ok(Request::Shutdown),
             Some((6, [])) => Ok(Request::Kill),
-            Some((7, rest)) if rest.len() >= 4 => {
-                let source = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes"));
-                let pattern = std::str::from_utf8(&rest[4..])
-                    .map_err(|_| malformed("query pattern is not UTF-8"))?
-                    .to_string();
-                Ok(Request::RegisterQuery { pattern, source })
-            }
             Some((8, rest)) if rest.len() == 4 => Ok(Request::QueryResults {
                 qid: u32::from_le_bytes(rest.try_into().expect("4 bytes")),
             }),
@@ -556,8 +536,6 @@ mod tests {
             Request::Stats,
             Request::Shutdown,
             Request::Kill,
-            Request::RegisterQuery { pattern: "a.b*.c".into(), source: 12 },
-            Request::RegisterQuery { pattern: "".into(), source: 0 },
             Request::QueryResults { qid: 3 },
             Request::ObsStats,
             Request::Subscribe { qid: 2 },
@@ -571,6 +549,20 @@ mod tests {
         assert!(Request::decode(&[]).is_err());
         assert!(Request::decode(&[99]).is_err());
         assert!(Request::decode(&[2, 0]).is_err(), "trailing garbage rejected");
+        let mut submit = Request::Submit(vec![GraphMutation::AddEdge((1, 2, 3))]).encode();
+        submit.push(0);
+        assert!(Request::decode(&submit).is_err(), "bytes after the last mutation rejected");
+    }
+
+    /// The retired single-source registration (op 7: `u32 source`, then the
+    /// pattern) is refused like any unknown opcode; op 12 carries it.
+    #[test]
+    fn retired_op7_register_request_is_refused() {
+        let mut payload = vec![7u8];
+        payload.extend_from_slice(&12u32.to_le_bytes());
+        payload.extend_from_slice(b"a.b*.c");
+        let err = Request::decode(&payload).unwrap_err();
+        assert!(err.to_string().contains("unknown request"), "got: {err}");
     }
 
     #[test]

@@ -351,7 +351,6 @@ pub struct ServerReport {
 enum Cmd {
     Submit { muts: Vec<GraphMutation>, reply: mpsc::SyncSender<Response> },
     Query { reply: mpsc::SyncSender<Response> },
-    RegisterQuery { pattern: String, source: u32, reply: mpsc::SyncSender<Response> },
     RegisterQueryMulti { pattern: String, sources: Vec<u32>, reply: mpsc::SyncSender<Response> },
     QueryResults { qid: u32, reply: mpsc::SyncSender<Response> },
     Subscribe { client_id: u32, qid: u32, reply: mpsc::SyncSender<Response> },
@@ -748,14 +747,6 @@ fn control<G: VertexAlgo>(core: &mut IngestCore<G>, shared: &Shared, cmd: Cmd) -
             let _ = reply.send(Response::States(core.sync_values()));
             Flow::Continue
         }
-        Cmd::RegisterQuery { pattern, source, reply } => {
-            let resp = match core.register_query(&pattern, source) {
-                Ok(qid) => Response::QueryId { qid },
-                Err(e) => Response::Err(e.to_string()),
-            };
-            let _ = reply.send(resp);
-            Flow::Continue
-        }
         Cmd::RegisterQueryMulti { pattern, sources, reply } => {
             let resp = match core.register_query_multi(&pattern, &sources) {
                 Ok(qid) => Response::QueryId { qid },
@@ -953,9 +944,6 @@ fn connection_loop(mut sock: TcpStream, tx: &mpsc::Sender<Cmd>, shared: &Shared)
                 }
             }),
             Ok(Request::Query) => Some(forward(tx, |reply| Cmd::Query { reply })),
-            Ok(Request::RegisterQuery { pattern, source }) => {
-                Some(forward(tx, |reply| Cmd::RegisterQuery { pattern, source, reply }))
-            }
             Ok(Request::RegisterQueryMulti { pattern, sources }) => {
                 Some(forward(tx, |reply| Cmd::RegisterQueryMulti { pattern, sources, reply }))
             }

@@ -59,8 +59,7 @@ pub use sdgp_core;
 pub mod prelude {
     pub use amcca_obs::{MetricsSnapshot, Obs};
     pub use amcca_sim::{
-        ActivityRecording, Address, ChipConfig, Dims, EnergyModel, GhostPlacement, Operon,
-        RhizomePlacement, RootPlacement, SimError,
+        ActivityRecording, Address, ChipConfig, Dims, EnergyModel, GhostPlacement, Operon, SimError,
     };
     pub use diffusive::{Device, FutureLco, RunReport, TerminationMode};
     pub use gc_datasets::{GcPreset, Sampling, SbmParams, SkewPreset, StreamingDataset};

@@ -90,9 +90,6 @@ pub struct Rebuild {
     pub rcfg: RpvoConfig,
     /// Reseed scoping of delete-bearing batches.
     pub repair: RepairMode,
-    /// Post-increment hot-object migration (results must be identical with
-    /// it on or off, and independent of the shard count either way).
-    pub migrate: bool,
 }
 
 impl Rebuild {
@@ -108,7 +105,6 @@ impl Rebuild {
             seed: ChipConfig::small_test().seed,
             rcfg: if k <= 1 { base } else { base.with_rhizomes(6, k) },
             repair: RepairMode::Targeted,
-            migrate: false,
         }
     }
 
@@ -139,12 +135,6 @@ impl Rebuild {
     /// Override the repair mode.
     pub fn repair(mut self, repair: RepairMode) -> Rebuild {
         self.repair = repair;
-        self
-    }
-
-    /// Enable post-increment hot-object migration.
-    pub fn migrate(mut self, on: bool) -> Rebuild {
-        self.migrate = on;
         self
     }
 
@@ -205,10 +195,9 @@ impl Rebuild {
             .vertices(self.n)
             .chip(self.chip())
             .rpvo(self.rcfg)
-            .migrate_hot(self.migrate)
+            .repair(self.repair)
             .build()
             .expect("graph construction");
-        g.set_repair_mode(self.repair);
         for c in muts.chunks(muts.len().div_ceil(self.chunks).max(1)) {
             g.stream_increment(c).expect("increment runs to quiescence");
         }

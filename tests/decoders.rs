@@ -1,0 +1,144 @@
+//! Decoders never panic (ROADMAP 5(e), first slice). The five byte-level
+//! decoders a peer or a disk can reach are fed arbitrary bytes and every
+//! strict prefix of a valid encoding: none may panic, a prefix that cuts a
+//! fixed-width or count-prefixed field is `Err` (only the two
+//! to-end-of-frame strings — the query pattern and `Response::Err`'s
+//! message — can be cut and still decode), and `decode ∘ encode = id` on
+//! generated values of every request and response op.
+
+use amcca::amcca_obs::{HistSnapshot, MetricsSnapshot};
+use amcca::sdgp_core::checkpoint::{decode_mutations, encode_mutations, GraphCheckpoint};
+use amcca::sdgp_core::graph::GraphMutation;
+use amcca_serve::proto::{Request, Response, ServerStats};
+use proptest::prelude::*;
+
+/// Pattern syntax plus two multi-byte characters, so a cut can land in one.
+const ALPHABET: [char; 8] = ['a', 'z', '.', '*', '+', '?', 'é', '→'];
+
+/// Feed `decode` every strict prefix of `bytes`: none may panic, and one
+/// shorter than `fixed` (it cuts a fixed-width or counted field) must fail.
+fn refuses_prefixes<T, E>(bytes: &[u8], fixed: usize, decode: impl Fn(&[u8]) -> Result<T, E>) {
+    for cut in 0..bytes.len() {
+        let refused = decode(&bytes[..cut]).is_err();
+        assert!(refused || cut >= fixed, "prefix {cut} of {} bytes decoded", bytes.len());
+    }
+}
+
+proptest! {
+    #[test]
+    fn arbitrary_bytes_never_panic(
+        op in 0u8..16,
+        bytes in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let _ = decode_mutations(&bytes);
+        let _ = GraphCheckpoint::decode(&bytes);
+        let _ = MetricsSnapshot::decode(&bytes);
+        // Bare, and behind a plausible opcode so the per-op parsers run.
+        for framed in [bytes.clone(), [&[op][..], &bytes[..]].concat()] {
+            let _ = Request::decode(&framed);
+            let _ = Response::decode(&framed);
+        }
+    }
+
+    #[test]
+    fn valid_encodings_roundtrip_and_refuse_prefixes(
+        ws in prop::collection::vec(any::<u32>(), 0..6),
+        text in prop::collection::vec(0usize..ALPHABET.len(), 0..8),
+        n in any::<u64>(),
+    ) {
+        let text: String = text.into_iter().map(|i| ALPHABET[i]).collect();
+        let (qid, batch_seq) = (n as u32, n.rotate_left(17));
+        let muts: Vec<GraphMutation> = ws
+            .iter()
+            .map(|&w| match w % 4 {
+                0 => GraphMutation::AddEdge((w, qid, 1)),
+                1 => GraphMutation::DelEdge((qid, w, 2)),
+                2 => GraphMutation::UpdateWeight { u: w, v: qid, w },
+                _ => GraphMutation::AddLabeledEdge((w, w, qid), w as u8),
+            })
+            .collect();
+        let states: Vec<Option<u64>> =
+            ws.iter().map(|&w| (w % 2 == 1).then_some(n ^ w as u64)).collect();
+        let buckets = ws.iter().map(|&w| (w as u16, n ^ w as u64)).collect();
+        let snap = MetricsSnapshot {
+            counters: ws.iter().map(|&w| (text.clone(), n ^ w as u64)).collect(),
+            gauges: vec![(text.clone(), n as i64)],
+            hists: vec![(text.clone(), HistSnapshot { buckets, count: n, sum: !n, min: 1, max: n })],
+        };
+        let ck = GraphCheckpoint {
+            n_vertices: qid,
+            edges: ws.iter().map(|&w| (w, qid, 1)).collect(),
+            labels: ws.iter().map(|&w| w as u8).collect(),
+            promoted: ws.clone(),
+            sync_states: states.clone(),
+            queries: vec![(text.clone(), ws.clone())],
+        };
+
+        let bytes = encode_mutations(&muts);
+        prop_assert_eq!(&decode_mutations(&bytes).unwrap(), &muts);
+        refuses_prefixes(&bytes, bytes.len(), decode_mutations);
+        let bytes = ck.encode();
+        prop_assert_eq!(&GraphCheckpoint::decode(&bytes).unwrap(), &ck);
+        refuses_prefixes(&bytes, bytes.len(), GraphCheckpoint::decode);
+        let bytes = snap.encode();
+        prop_assert_eq!(&MetricsSnapshot::decode(&bytes).unwrap(), &snap);
+        refuses_prefixes(&bytes, bytes.len(), MetricsSnapshot::decode);
+
+        // One value of every op, beside the length of its fixed-width /
+        // count-prefixed part where a to-end-of-frame string trails it.
+        let requests = [
+            (Request::Hello, None),
+            (Request::Submit(muts), None),
+            (Request::Query, None),
+            (Request::Checkpoint, None),
+            (Request::Stats, None),
+            (Request::Shutdown, None),
+            (Request::Kill, None),
+            (Request::QueryResults { qid }, None),
+            (Request::ObsStats, None),
+            (Request::Subscribe { qid }, None),
+            (Request::Unsubscribe { qid }, None),
+            (
+                Request::RegisterQueryMulti { pattern: text.clone(), sources: ws.clone() },
+                Some(1 + 4 + 4 * ws.len()),
+            ),
+        ];
+        for (r, fixed) in requests {
+            let bytes = r.encode();
+            prop_assert_eq!(&Request::decode(&bytes).unwrap(), &r);
+            refuses_prefixes(&bytes, fixed.unwrap_or(bytes.len()), Request::decode);
+        }
+        let stats = ServerStats { batches: n, last_checkpoint_bytes: !n, ..Default::default() };
+        let responses = [
+            (Response::Hello { client_id: qid }, None),
+            (Response::Submitted, None),
+            (Response::RetryAfter { millis: n }, None),
+            (Response::States(states), None),
+            (Response::Stats(stats), None),
+            (Response::Done, None),
+            (Response::Err(text), Some(1)),
+            (Response::QueryId { qid }, None),
+            (Response::Matches(ws.clone()), None),
+            (Response::ObsStats(snap), None),
+            (Response::Subscribed { qid, batch_seq, results: ws.clone() }, None),
+            (Response::QueryDelta { qid, batch_seq, added: ws.clone(), removed: ws.clone() }, None),
+            (Response::Resync { qid, batch_seq, results: ws }, None),
+        ];
+        for (r, fixed) in responses {
+            let bytes = r.encode();
+            prop_assert_eq!(&Response::decode(&bytes).unwrap(), &r);
+            refuses_prefixes(&bytes, fixed.unwrap_or(bytes.len()), Response::decode);
+        }
+    }
+}
+
+/// A count read from the wire bounds a loop, never an allocation: a
+/// histogram claiming 2³² − 1 buckets with none following is `Err`.
+#[test]
+fn a_hostile_bucket_count_is_an_error_not_an_allocation() {
+    let mut bytes = vec![0u8; 8]; // no counters, no gauges
+    bytes.extend_from_slice(&1u32.to_le_bytes()); // one histogram
+    bytes.extend_from_slice(&[0u8; 2 + 32]); // empty name; count, sum, min, max
+    bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // bucket count
+    assert!(MetricsSnapshot::decode(&bytes).is_err());
+}

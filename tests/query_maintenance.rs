@@ -64,14 +64,13 @@ fn materialize(script: &[(u32, u32, u32, u8, u8, u8)]) -> Vec<GraphMutation> {
 
 fn graph(k: usize, shards: usize, mode: RepairMode) -> StreamingGraph<BfsAlgo> {
     let base = RpvoConfig::basic(3, 2);
-    let mut g = StreamingGraph::builder(BfsAlgo::new(0))
+    StreamingGraph::builder(BfsAlgo::new(0))
         .vertices(N)
         .chip(ChipConfig::small_test().with_shards(shards))
         .rpvo(if k <= 1 { base } else { base.with_rhizomes(6, k) })
+        .repair(mode)
         .build()
-        .unwrap();
-    g.set_repair_mode(mode);
-    g
+        .unwrap()
 }
 
 /// Assert every registered query's maintained result set equals the

@@ -31,14 +31,13 @@ fn batch_muts(b: &amcca::gc_datasets::MutationBatch) -> Vec<GraphMutation> {
 }
 
 fn graph(n: u32, mode: RepairMode) -> StreamingGraph<BfsAlgo> {
-    let mut g = StreamingGraph::builder(BfsAlgo::new(0))
+    StreamingGraph::builder(BfsAlgo::new(0))
         .vertices(n)
         .chip(ChipConfig::small_test())
         .rpvo(RpvoConfig::basic(3, 2).with_rhizomes(8, 3))
+        .repair(mode)
         .build()
-        .unwrap();
-    g.set_repair_mode(mode);
-    g
+        .unwrap()
 }
 
 /// Full vs targeted on a churn schedule: bit-identical states, stored
