@@ -1009,11 +1009,6 @@ impl<P: Program> Chip<P> {
         (self.cycle, self.counters)
     }
 
-    /// Number of operons currently queued at one cell (diagnostics).
-    pub fn cell_queue_len(&self, cc: u16) -> usize {
-        self.cells[cc as usize].task_queue.len()
-    }
-
     /// Per-cell load counters (deliveries, queue peaks), indexed by cell id.
     pub fn cell_loads(&self) -> &[CellLoad] {
         &self.loads

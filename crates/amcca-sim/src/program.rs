@@ -98,11 +98,6 @@ impl<'a, T> ExecCtx<'a, T> {
         self.memory.free(slot)
     }
 
-    /// Remaining free object slots in this cell's memory.
-    pub fn memory_available(&self) -> u32 {
-        self.memory.available()
-    }
-
     /// Pick a target cell for a remote allocation according to the chip's
     /// ghost-placement policy. `retry` > 0 selects fallback candidates.
     pub fn choose_alloc_target(&mut self, retry: u32) -> u16 {

@@ -35,12 +35,6 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    #[inline]
-    /// Next u32.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `0..n`. `n` must be non-zero.
     #[inline]
     pub fn gen_range(&mut self, n: u64) -> u64 {

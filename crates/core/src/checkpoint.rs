@@ -219,7 +219,7 @@ impl GraphCheckpoint {
         if fnv1a(payload) != want {
             return Err(CheckpointError::BadChecksum);
         }
-        let mut r = Reader { buf: payload, pos: 0 };
+        let mut r = Reader::new(payload);
         if r.bytes(4)? != CHECKPOINT_MAGIC {
             return Err(CheckpointError::BadMagic);
         }
@@ -235,27 +235,12 @@ impl GraphCheckpoint {
             edges.push((r.u32()?, r.u32()?, r.u32()?));
             labels.push(r.u8()?);
         }
-        let n_promoted = r.u32()? as usize;
-        let mut promoted = Vec::with_capacity(n_promoted.min(1 << 20));
-        for _ in 0..n_promoted {
-            promoted.push(r.u32()?);
-        }
-        let n_states = r.u32()? as usize;
-        let mut sync_states = Vec::with_capacity(n_states.min(1 << 20));
-        for _ in 0..n_states {
-            sync_states.push(match r.u8()? {
-                0 => None,
-                _ => Some(r.u64()?),
-            });
-        }
+        let promoted = r.u32s()?;
+        let sync_states = r.opt_u64s()?;
         let n_queries = r.u32()? as usize;
         let mut queries = Vec::with_capacity(n_queries.min(1 << 16));
         for _ in 0..n_queries {
-            let n_sources = r.u32()? as usize;
-            let mut sources = Vec::with_capacity(n_sources.min(1 << 16));
-            for _ in 0..n_sources {
-                sources.push(r.u32()?);
-            }
+            let sources = r.u32s()?;
             let len = r.u32()? as usize;
             let pattern = std::str::from_utf8(r.bytes(len)?)
                 .map_err(|_| CheckpointError::BadQuery("pattern is not UTF-8".into()))?
@@ -298,7 +283,7 @@ pub fn encode_mutations(muts: &[GraphMutation]) -> Vec<u8> {
 
 /// Deserialize a count-prefixed mutation batch.
 pub fn decode_mutations(bytes: &[u8]) -> Result<Vec<GraphMutation>, CheckpointError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
+    let mut r = Reader::new(bytes);
     let n = r.u32()? as usize;
     let mut out = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
@@ -333,13 +318,23 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-struct Reader<'a> {
+/// A bounds-checked cursor over encoded bytes — what this module's decoders
+/// and `amcca-serve`'s frame and WAL-record decoders are written on. Every
+/// read returns the field or [`CheckpointError::Truncated`]; a decoder ends
+/// with [`Reader::finish`], which refuses leftovers.
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
+    /// Start reading at the first byte of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Reader { buf, pos: 0 }
+    }
+
+    /// The next `n` bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
         let end = self.pos.checked_add(n).ok_or(CheckpointError::Truncated)?;
         if end > self.buf.len() {
             return Err(CheckpointError::Truncated);
@@ -349,21 +344,56 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// Everything not yet read (a to-end-of-buffer field).
+    pub fn rest(&mut self) -> &'a [u8] {
+        let s = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        s
+    }
+
     /// The structure is fully read: anything left over is an error.
-    fn finish(&self) -> Result<(), CheckpointError> {
+    pub fn finish(&self) -> Result<(), CheckpointError> {
         (self.pos == self.buf.len()).then_some(()).ok_or(CheckpointError::TrailingBytes)
     }
 
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, CheckpointError> {
         Ok(self.bytes(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, CheckpointError> {
         Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4 bytes")))
     }
 
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, CheckpointError> {
         Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8 bytes")))
+    }
+
+    /// A `u32` count, then that many `u32`s. The count bounds the read, never
+    /// an allocation: the list's bytes are taken before anything is built.
+    pub fn u32s(&mut self) -> Result<Vec<u32>, CheckpointError> {
+        let n = self.u32()? as usize;
+        let raw = self.bytes(n.checked_mul(4).ok_or(CheckpointError::Truncated)?)?;
+        Ok(raw
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
+            .collect())
+    }
+
+    /// A `u32` count, then that many optional `u64`s: a presence byte (0 =
+    /// `None`), followed when present by the value.
+    pub fn opt_u64s(&mut self) -> Result<Vec<Option<u64>>, CheckpointError> {
+        let n = self.u32()? as usize;
+        let mut out = Vec::with_capacity(n.min(1 << 20));
+        for _ in 0..n {
+            out.push(match self.u8()? {
+                0 => None,
+                _ => Some(self.u64()?),
+            });
+        }
+        Ok(out)
     }
 }
 

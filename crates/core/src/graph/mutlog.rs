@@ -4,9 +4,12 @@
 //! [`MutationLog`] holds the live directed edge multiset — one record per
 //! directed pair: its copies oldest first, each at its current weight under
 //! the **copy tag** the fabric stores it by, plus the pair's wrapping tag
-//! counter — and accepts a stream of [`GraphMutation`]s. The copy a delete
-//! or re-weight matches at push time *is* the copy the fabric is told to
-//! retract or patch; nothing re-resolves it later. The log coalesces the
+//! counter — in a single map keyed by destination, then source, so the
+//! surviving in-neighbours of a vertex ([`MutationLog::sources_of`], the
+//! host's half of the repair frontier) are one table's keys rather than a
+//! second index kept in step — and accepts a stream of [`GraphMutation`]s.
+//! The copy a delete or re-weight matches at push time *is* the copy the
+//! fabric is told to retract or patch; nothing re-resolves it later. The log coalesces the
 //! mutations of the **current epoch** exactly the way
 //! `StreamingGraph::stream_increment` merges a batch before anything reaches
 //! the fabric:
@@ -159,24 +162,16 @@ pub struct CoalescedBatch {
     pub needs_repair: bool,
 }
 
-impl CoalescedBatch {
-    /// True when nothing survived the epoch.
-    pub fn is_empty(&self) -> bool {
-        self.muts.is_empty()
-    }
-
-    /// Number of mutations in the canonical batch.
-    pub fn len(&self) -> usize {
-        self.muts.len()
-    }
-}
-
 /// Host-side live-copy model plus current-epoch coalescing (module docs).
 #[derive(Debug, Clone, Default)]
 pub struct MutationLog {
-    /// One record per directed pair with a live copy — or emptied this
-    /// epoch with a counter still to keep ([`Self::drain`] drops it).
-    pairs: HashMap<(u32, u32), PairRecord>,
+    /// `dst → src → record`: one record per directed pair with a live copy
+    /// — or emptied this epoch with a counter still to keep
+    /// ([`Self::drain`] drops it). A destination's table goes with its last
+    /// record, so two logs holding the same records compare equal.
+    pairs: HashMap<u32, HashMap<u32, PairRecord>>,
+    /// Records across all destinations ([`Self::pair_records`]).
+    records: usize,
     /// Current epoch's pending mutations in arrival order (`None` =
     /// annihilated insert or dropped patch), a delete beside the tag of the
     /// copy it matched (0 beside the rest).
@@ -237,14 +232,17 @@ impl MutationLog {
             GraphMutation::AddLabeledEdge(e, label) => self.push_add(e, label),
             GraphMutation::DelEdge((u, v, w)) => {
                 let err = MutationError::NoLiveCopyToDelete { u, v, w };
-                let rec = self.pairs.get_mut(&(u, v)).ok_or(err)?;
-                let i = rec.copies.iter().position(|c| c.w == w).ok_or(err)?;
-                let copy = rec.copies.remove(i).expect("position is in range");
-                // An emptied record whose counter stands at 0 is a new
-                // record's equal: drop it now. Any other waits for the drain.
-                if rec.copies.is_empty() && rec.next == 0 {
-                    self.pairs.remove(&(u, v));
-                }
+                let matched = self.visit_record((u, v), |rec| {
+                    let Some(i) = rec.copies.iter().position(|c| c.w == w) else {
+                        return (None, false);
+                    };
+                    let copy = rec.copies.remove(i).expect("position is in range");
+                    // An emptied record whose counter stands at 0 is a new
+                    // record's equal: drop it now. Any other waits for the
+                    // drain.
+                    (Some(copy), rec.copies.is_empty() && rec.next == 0)
+                });
+                let copy = matched.flatten().ok_or(err)?;
                 self.live -= 1;
                 match copy.kind {
                     // The copy is still in this epoch's wave: annihilate the
@@ -267,8 +265,11 @@ impl MutationLog {
             }
             GraphMutation::UpdateWeight { u, v, w } => {
                 let err = MutationError::NoLiveCopyToUpdate { u, v, w };
-                let copy =
-                    self.pairs.get_mut(&(u, v)).and_then(|r| r.copies.front_mut()).ok_or(err)?;
+                let srcs = self.pairs.get_mut(&v);
+                let copy = srcs
+                    .and_then(|s| s.get_mut(&u))
+                    .and_then(|r| r.copies.front_mut())
+                    .ok_or(err)?;
                 match copy.kind {
                     // The copy is still in this epoch's wave: rewrite the
                     // pending insert in place (nothing was ever announced
@@ -305,10 +306,47 @@ impl MutationLog {
         self.entries.push(Some((labeled_add((u, v, w), label), 0)));
         self.seq += 1;
         let copy = LogCopy { seq: self.seq, w, label, tag: 0, kind: CopyKind::Fresh { entry } };
-        self.pairs.entry((u, v)).or_default().copies.push_back(copy);
+        let rec = match self.pairs.entry(v).or_default().entry(u) {
+            Entry::Occupied(rec) => rec.into_mut(),
+            Entry::Vacant(slot) => {
+                self.records += 1;
+                slot.insert(PairRecord::default())
+            }
+        };
+        rec.copies.push_back(copy);
         self.touched.push(u);
         self.live += 1;
         Ok(())
+    }
+
+    /// The record of the directed pair `(u, v)`, if the log holds one.
+    fn record(&self, (u, v): (u32, u32)) -> Option<&PairRecord> {
+        self.pairs.get(&v)?.get(&u)
+    }
+
+    fn record_mut(&mut self, (u, v): (u32, u32)) -> Option<&mut PairRecord> {
+        self.pairs.get_mut(&v)?.get_mut(&u)
+    }
+
+    /// Run `f` on the record of `(u, v)`, if the log holds one, and drop
+    /// the record when `f` says so — and its destination's table once that
+    /// holds no record. One pass down the two levels either way.
+    fn visit_record<R>(
+        &mut self,
+        (u, v): (u32, u32),
+        f: impl FnOnce(&mut PairRecord) -> (R, bool),
+    ) -> Option<R> {
+        let Entry::Occupied(mut srcs) = self.pairs.entry(v) else { return None };
+        let Entry::Occupied(mut rec) = srcs.get_mut().entry(u) else { return None };
+        let (out, emptied) = f(rec.get_mut());
+        if emptied {
+            rec.remove();
+            self.records -= 1;
+            if srcs.get().is_empty() {
+                srcs.remove();
+            }
+        }
+        Some(out)
     }
 
     /// Push a whole submission, all-or-nothing: on the first error the log
@@ -329,7 +367,7 @@ impl MutationLog {
         for &m in muts {
             if let Entry::Vacant(slot) = queues.entry(pair_of(m)) {
                 self.pair_visits += 1;
-                let q = self.pairs.get(slot.key()).cloned();
+                let q = self.record(*slot.key()).cloned();
                 for c in q.iter().flat_map(|r| &r.copies) {
                     if let CopyKind::Fresh { entry } | CopyKind::Patched { entry, .. } = c.kind {
                         entries.push((entry, self.entries[entry]));
@@ -339,11 +377,19 @@ impl MutationLog {
             }
             if let Err(e) = self.try_push(m) {
                 self.pair_visits += queues.len() as u64;
-                for (pair, q) in queues {
+                for ((u, v), q) in queues {
                     match q {
-                        Some(q) => self.pairs.insert(pair, q),
-                        None => self.pairs.remove(&pair),
-                    };
+                        // An annihilated fresh insert may have taken its
+                        // record with it: put back, not just overwrite.
+                        Some(q) => {
+                            if self.pairs.entry(v).or_default().insert(u, q).is_none() {
+                                self.records += 1;
+                            }
+                        }
+                        None => {
+                            self.visit_record((u, v), |_| ((), true));
+                        }
+                    }
                 }
                 self.entries.truncate(n_entries);
                 for (i, e) in entries {
@@ -376,16 +422,12 @@ impl MutationLog {
                 GraphMutation::DelEdge((_, _, w)) => {
                     // The wave this batch becomes carries the last retraction
                     // that could meet a reused tag: the counter can go.
-                    if let Entry::Occupied(rec) = self.pairs.entry(pair_of(m)) {
-                        if rec.get().copies.is_empty() {
-                            rec.remove();
-                        }
-                    }
+                    self.visit_record(pair_of(m), |rec| ((), rec.copies.is_empty()));
                     CopyAddr { tag: del_tag, w_fabric: w }
                 }
                 GraphMutation::UpdateWeight { .. } => {
                     // Only a pair's oldest copy is ever patched.
-                    let copy = self.pairs.get_mut(&pair_of(m)).and_then(|r| r.copies.front_mut());
+                    let copy = self.record_mut(pair_of(m)).and_then(|r| r.copies.front_mut());
                     let copy = copy.expect("a pending patch is live");
                     let CopyKind::Patched { w_start, .. } = copy.kind else {
                         unreachable!("a pending patch belongs to the pair's oldest copy")
@@ -394,7 +436,7 @@ impl MutationLog {
                     CopyAddr { tag: copy.tag, w_fabric: w_start }
                 }
                 GraphMutation::AddEdge((_, _, w)) | GraphMutation::AddLabeledEdge((_, _, w), _) => {
-                    let rec = self.pairs.get_mut(&pair_of(m)).expect("a pending insert is live");
+                    let rec = self.record_mut(pair_of(m)).expect("a pending insert is live");
                     // The one place a tag is handed out. Step past every tag
                     // a settled or patched copy of the pair still holds; with
                     // all 256 held the counter's own value has to do.
@@ -428,7 +470,10 @@ impl MutationLog {
             needs_repair: std::mem::replace(&mut self.needs_repair, false),
         }
     }
+}
 
+/// Read access: what is pending, what is live, and what looking cost.
+impl MutationLog {
     /// The canonical batch the current epoch would drain to, in order.
     pub fn pending(&self) -> impl Iterator<Item = GraphMutation> + '_ {
         self.entries.iter().flatten().map(|&(m, _)| m)
@@ -455,13 +500,15 @@ impl MutationLog {
     /// Pair records held: one per directed pair with a live copy, plus any
     /// the current epoch emptied and [`Self::drain`] has yet to drop.
     pub fn pair_records(&self) -> usize {
-        self.pairs.len()
+        self.records
     }
 
-    /// The directed pairs with a live copy, in arbitrary hash order —
-    /// callers must sort before the result can drive output.
-    pub fn live_pairs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.pairs.iter().filter(|(_, r)| !r.copies.is_empty()).map(|(&pair, _)| pair)
+    /// Sources of the live in-edges of vertex `v` (current epoch included),
+    /// each once, in arbitrary hash order — callers must sort before the
+    /// result can drive output.
+    pub fn sources_of(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
+        let srcs = self.pairs.get(&v).into_iter().flatten();
+        srcs.filter(|(_, r)| !r.copies.is_empty()).map(|(&u, _)| u)
     }
 
     /// The live edge multiset at current weights, in insertion order
@@ -471,12 +518,6 @@ impl MutationLog {
         self.live_labeled_edges().into_iter().map(|(e, _)| e).collect()
     }
 
-    /// Live copies of the directed pair `(u, v)`, oldest first, at current
-    /// weights.
-    pub fn live_copies(&self, u: u32, v: u32) -> Vec<u32> {
-        self.pairs.get(&(u, v)).map(|r| r.copies.iter().map(|c| c.w).collect()).unwrap_or_default()
-    }
-
     /// [`Self::live_edges`] with each copy's label: the serialization hook
     /// label-aware checkpoints are built from, and the edge set standing
     /// queries are recomputed over.
@@ -484,7 +525,8 @@ impl MutationLog {
         let mut tagged: Vec<(u64, (StreamEdge, u8))> = self
             .pairs
             .iter()
-            .flat_map(|(&(u, v), r)| r.copies.iter().map(move |c| (c.seq, ((u, v, c.w), c.label))))
+            .flat_map(|(&v, srcs)| srcs.iter().map(move |(&u, r)| (u, v, r)))
+            .flat_map(|(u, v, r)| r.copies.iter().map(move |c| (c.seq, ((u, v, c.w), c.label))))
             .collect();
         tagged.sort_unstable_by_key(|&(seq, _)| seq);
         tagged.into_iter().map(|(_, e)| e).collect()
@@ -495,6 +537,14 @@ impl MutationLog {
 mod tests {
     use super::*;
     use GraphMutation::{AddEdge, DelEdge, UpdateWeight};
+
+    impl MutationLog {
+        /// Live copies of the directed pair `(u, v)`, oldest first, at
+        /// current weights.
+        fn live_copies(&self, u: u32, v: u32) -> Vec<u32> {
+            self.record((u, v)).map(|r| r.copies.iter().map(|c| c.w).collect()).unwrap_or_default()
+        }
+    }
 
     fn drained(muts: &[GraphMutation]) -> CoalescedBatch {
         let mut log = MutationLog::new();
@@ -712,7 +762,7 @@ mod tests {
         assert_eq!(got.entries, want.entries);
         assert_eq!(got.touched, want.touched);
         assert_eq!(got.needs_repair, want.needs_repair);
-        assert_eq!((got.live, got.seq), (want.live, want.seq));
+        assert_eq!((got.records, got.live, got.seq), (want.records, want.live, want.seq));
         assert_eq!(got.pending_ops(), want.pending_ops());
         assert_eq!(got.live_count(), want.live_count());
         assert_eq!(got.live_labeled_edges(), want.live_labeled_edges());
@@ -824,7 +874,7 @@ mod tests {
         let refused = [AddEdge((0, 1, 8)), AddEdge((4, 4, 1)), DelEdge((9, 9, 9))];
         assert!(log.try_push_all(&refused).is_err());
         assert_same(&log, &want);
-        assert_eq!(log.pairs[&(0, 1)], PairRecord { next: 1, copies: VecDeque::new() });
+        assert_eq!(log.pairs[&1][&0], PairRecord { next: 1, copies: VecDeque::new() });
         assert_eq!(tags(&mut log, &[AddEdge((0, 1, 8))]), vec![0, 1], "retraction, then re-add");
     }
 
@@ -868,7 +918,8 @@ mod tests {
     }
 
     /// The retired second record of the live edge set — `graph.rs`'s edge
-    /// ledger as it stood, less the reverse index that stays there — kept as
+    /// ledger as it stood, less the reverse index (retired too:
+    /// [`MutationLog::sources_of`]) — kept as
     /// the reference the log's tag addressing is checked against: it resolved
     /// every canonical mutation a second time, by weight, at apply time.
     mod ledger {
@@ -947,12 +998,24 @@ mod tests {
             pub fn pairs(&self) -> usize {
                 self.copies.len()
             }
+
+            /// Sources of the pairs into `v` holding a live copy, ascending.
+            pub fn sources_of(&self, v: u32) -> Vec<u32> {
+                let into_v =
+                    self.copies.iter().filter(|(&(_, dst), c)| dst == v && !c.live.is_empty());
+                let mut sources: Vec<u32> = into_v.map(|(&(u, _), _)| u).collect();
+                sources.sort_unstable();
+                sources
+            }
         }
     }
 
+    /// Vertex ids of the proptest universe below.
+    const VERTICES: u32 = 3;
+
     /// Replay one drained batch through the retired ledger, the way `apply`
-    /// used to, and hold the log's addresses, record count and live count to
-    /// it.
+    /// used to, and hold the log's addresses, record count, live count and
+    /// per-destination sources to it.
     fn ledger_agrees(model: &mut ledger::EdgeLedger, log: &MutationLog, batch: &CoalescedBatch) {
         assert_eq!(batch.muts.len(), batch.addrs.len());
         for (m, at) in batch.muts.iter().zip(&batch.addrs) {
@@ -973,14 +1036,18 @@ mod tests {
         assert_eq!(model.prune_drained(&batch.muts), dels);
         assert_eq!(log.pair_records(), model.pairs(), "records after the settle");
         assert_eq!(log.live_count(), model.live);
+        for v in 0..VERTICES {
+            let mut sources: Vec<u32> = log.sources_of(v).collect();
+            sources.sort_unstable();
+            assert_eq!(sources, model.sources_of(v), "in-neighbours of {v}");
+        }
     }
 
     /// Whether `m` is a delete whose pair's oldest copy is patched away from
     /// the weight it names, so its match lies behind a patched copy.
     fn reaches_past_a_patch(log: &MutationLog, m: GraphMutation) -> bool {
         let DelEdge((u, v, w)) = m else { return false };
-        log.pairs
-            .get(&(u, v))
+        log.record((u, v))
             .and_then(|r| r.copies.front())
             .is_some_and(|front| matches!(front.kind, CopyKind::Patched { .. }) && front.w != w)
     }
@@ -993,11 +1060,13 @@ mod tests {
         /// A tiny universe (9 pairs, 3 weights) so deletes and re-weights
         /// hit live copies, parallel copies pile up, and misses stay common.
         fn arb_mutation() -> impl Strategy<Value = GraphMutation> {
-            (0u32..3, 0u32..3, 1u32..4, 0u8..3, 0u8..8).prop_map(|(u, v, w, label, op)| match op {
-                0 | 1 => AddEdge((u, v, w)),
-                2 => GraphMutation::AddLabeledEdge((u, v, w), label),
-                3..=5 => DelEdge((u, v, w)),
-                _ => UpdateWeight { u, v, w },
+            (0..VERTICES, 0..VERTICES, 1u32..4, 0u8..3, 0u8..8).prop_map(|(u, v, w, label, op)| {
+                match op {
+                    0 | 1 => AddEdge((u, v, w)),
+                    2 => GraphMutation::AddLabeledEdge((u, v, w), label),
+                    3..=5 => DelEdge((u, v, w)),
+                    _ => UpdateWeight { u, v, w },
+                }
             })
         }
 

@@ -10,8 +10,8 @@
 //! of the edge list and its own ghost subtree.
 //!
 //! This module holds the host-side bookkeeping: the [`RhizomeDirectory`]
-//! tracks every vertex's root set, lifetime touch count, and **live streamed
-//! degree** (touches from `AddEdge` minus touches from `DelEdge`), decides
+//! tracks every vertex's root set and **live streamed degree** (endpoint
+//! touches from `AddEdge` minus touches from `DelEdge`), decides
 //! *when* a vertex is promoted (live degree crosses the configured threshold
 //! during streaming ingestion) or **demoted** (a promoted vertex's live
 //! degree falls back below the threshold once deletions land), and answers
@@ -37,10 +37,6 @@ pub struct RhizomeDirectory {
     primary: Vec<Address>,
     /// Extra co-equal roots of promoted vertices (empty otherwise).
     extra: Vec<Vec<Address>>,
-    /// Lifetime streamed-activity counter per vertex: one touch per endpoint
-    /// of every streamed mutation, additions and deletions alike (hubs are
-    /// hot both as insert targets and as relax destinations).
-    touches: Vec<u32>,
     /// Live streamed degree per vertex: endpoint touches from additions
     /// minus endpoint touches from deletions — the quantity promotion and
     /// demotion decisions compare against the threshold.
@@ -64,7 +60,6 @@ impl RhizomeDirectory {
         RhizomeDirectory {
             primary,
             extra: vec![Vec::new(); n],
-            touches: vec![0; n],
             live: vec![0; n],
             rr: vec![0; n],
             watch: BTreeSet::new(),
@@ -97,11 +92,6 @@ impl RhizomeDirectory {
         out
     }
 
-    /// Number of co-equal roots vertex `v` currently has.
-    pub fn root_count(&self, v: u32) -> usize {
-        1 + self.extra[v as usize].len()
-    }
-
     /// True if vertex `v` currently is a rhizome (more than one root).
     pub fn is_promoted(&self, v: u32) -> bool {
         !self.extra[v as usize].is_empty()
@@ -113,7 +103,6 @@ impl RhizomeDirectory {
     /// A `threshold` of 0 disables promotion.
     pub fn note_add(&mut self, v: u32, threshold: usize) -> bool {
         let i = v as usize;
-        self.touches[i] = self.touches[i].saturating_add(1);
         self.live[i] = self.live[i].saturating_add(1);
         threshold > 0 && self.live[i] as usize == threshold && self.extra[i].is_empty()
     }
@@ -122,16 +111,10 @@ impl RhizomeDirectory {
     /// a currently promoted vertex is queued for the next demotion sweep.
     pub fn note_del(&mut self, v: u32) {
         let i = v as usize;
-        self.touches[i] = self.touches[i].saturating_add(1);
         self.live[i] = self.live[i].saturating_sub(1);
         if !self.extra[i].is_empty() {
             self.watch.insert(v);
         }
-    }
-
-    /// Lifetime streamed-activity touches recorded for vertex `v`.
-    pub fn touches(&self, v: u32) -> u32 {
-        self.touches[v as usize]
     }
 
     /// Live streamed degree of vertex `v` (add touches minus del touches).
@@ -241,7 +224,6 @@ mod tests {
         let mut d = dir(4);
         for v in 0..4 {
             assert_eq!(d.route(v), Address::new(v as u16, 0));
-            assert_eq!(d.root_count(v), 1);
             assert_eq!(d.roots(v), vec![Address::new(v as u16, 0)]);
         }
         assert_eq!(d.promoted_count(), 0);
@@ -256,20 +238,18 @@ mod tests {
         assert!(d.note_add(0, 3), "third touch crosses the threshold");
         d.install(0, vec![Address::new(9, 0)]);
         assert!(!d.note_add(0, 3), "already promoted: never again");
-        assert_eq!(d.touches(0), 4);
         assert_eq!(d.live_degree(0), 4);
         assert!(!d.note_add(1, 0), "threshold 0 disables promotion");
     }
 
     #[test]
-    fn del_touches_lower_live_degree_but_not_lifetime_touches() {
+    fn del_touches_lower_live_degree() {
         let mut d = dir(1);
         for _ in 0..3 {
             d.note_add(0, 0);
         }
         d.note_del(0);
         d.note_del(0);
-        assert_eq!(d.touches(0), 5, "every endpoint touch counts as activity");
         assert_eq!(d.live_degree(0), 1, "live degree nets adds against dels");
     }
 
@@ -290,7 +270,7 @@ mod tests {
         assert!(d.take_demotions(4).is_empty(), "sweep drains the watch set");
         let freed = d.demote(1);
         assert_eq!(freed, vec![Address::new(10, 0)]);
-        assert_eq!(d.root_count(1), 1);
+        assert_eq!(d.roots(1).len(), 1);
         assert!(!d.is_promoted(1));
         assert_eq!(d.demoted_count(), 1);
         assert_eq!(d.route(1), Address::new(1, 0), "routing falls back to the primary");
@@ -318,7 +298,7 @@ mod tests {
         let mut d = dir(2);
         let extras = vec![Address::new(10, 0), Address::new(11, 0), Address::new(12, 0)];
         d.install(1, extras.clone());
-        assert_eq!(d.root_count(1), 4);
+        assert_eq!(d.roots(1).len(), 4);
         assert_eq!(d.promoted_count(), 1);
         assert_eq!(d.extra_root_count(), 3);
         let picks: Vec<Address> = (0..8).map(|_| d.route(1)).collect();

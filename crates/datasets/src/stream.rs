@@ -214,6 +214,29 @@ struct LiveCursor {
     next: usize,
 }
 
+impl LiveCursor {
+    /// Push batches `next..=i` into the log, each in canonical order
+    /// (deletes → inserts → updates, exactly as `to_mutations` hands it to a
+    /// consumer). The cursor's log is only ever read, never applied, and its
+    /// live multiset does not depend on where epochs end — a delete or
+    /// re-weight matches a copy by its current weight whether or not the
+    /// copy has settled — so epochs close every four windows of batches
+    /// rather than every batch: an add whose expiry falls in the same epoch
+    /// annihilates in the log and costs no drain, while what is pending
+    /// stays bounded by four windows of mutations however long the schedule.
+    fn advance_to(&mut self, i: usize, batches: &[MutationBatch], window: usize) {
+        while self.next <= i {
+            for m in batches[self.next].to_mutations() {
+                self.log.push(m);
+            }
+            self.next += 1;
+            if self.next.is_multiple_of(4 * window) {
+                self.log.drain();
+            }
+        }
+    }
+}
+
 /// A generated churn schedule: per-batch mutations plus window accounting.
 #[derive(Debug)]
 pub struct ChurnStream {
@@ -286,16 +309,7 @@ impl ChurnStream {
             // Rewind: the cursor only moves forward, so restart the replay.
             *cur = LiveCursor::default();
         }
-        while cur.next <= i {
-            // Canonical batch order (deletes → inserts → updates), exactly
-            // as `to_mutations` hands the batch to a consumer; draining per
-            // batch settles the copies so later deletes see current weights.
-            for m in self.batches[cur.next].to_mutations() {
-                cur.log.push(m);
-            }
-            cur.log.drain();
-            cur.next += 1;
-        }
+        cur.advance_to(i, &self.batches, self.window);
         cur.log.live_edges()
     }
 
@@ -315,13 +329,7 @@ impl ChurnStream {
         if cur.next > i + 1 {
             *cur = LiveCursor::default();
         }
-        while cur.next <= i {
-            for m in self.batches[cur.next].to_mutations() {
-                cur.log.push(m);
-            }
-            cur.log.drain();
-            cur.next += 1;
-        }
+        cur.advance_to(i, &self.batches, self.window);
         cur.log.live_labeled_edges()
     }
 

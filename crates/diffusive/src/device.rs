@@ -56,11 +56,6 @@ impl<A: App> Device<A> {
         self.mode = mode;
     }
 
-    /// The currently selected termination detector.
-    pub fn termination_mode(&self) -> TerminationMode {
-        self.mode
-    }
-
     /// Number of execution shards the underlying chip runs with (from
     /// `ChipConfig::shards`; results are shard-count-independent).
     pub fn shards(&self) -> usize {

@@ -11,7 +11,7 @@
 use std::io::{self, Read, Write};
 
 use amcca_obs::MetricsSnapshot;
-use sdgp_core::checkpoint::{decode_mutations, encode_mutations};
+use sdgp_core::checkpoint::{decode_mutations, encode_mutations, CheckpointError, Reader};
 use sdgp_core::graph::GraphMutation;
 
 /// Upper bound on a single frame, protecting the server from a garbage
@@ -53,6 +53,15 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
 
 fn malformed(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("malformed message: {what}"))
+}
+
+/// What a [`Reader`] refused — a field cut short, bytes left over — as a
+/// malformed message.
+fn bad(e: CheckpointError) -> io::Error {
+    match e {
+        CheckpointError::Truncated => malformed("field cut short"),
+        other => malformed(&other.to_string()),
+    }
 }
 
 /// Cumulative server-side counters, queryable over the wire.
@@ -168,10 +177,7 @@ impl Request {
             Request::RegisterQueryMulti { pattern, sources } => {
                 let mut out = Vec::with_capacity(5 + sources.len() * 4 + pattern.len());
                 out.push(12);
-                out.extend_from_slice(&(sources.len() as u32).to_le_bytes());
-                for s in sources {
-                    out.extend_from_slice(&s.to_le_bytes());
-                }
+                put_u32s(&mut out, sources);
                 out.extend_from_slice(pattern.as_bytes());
                 out
             }
@@ -180,41 +186,30 @@ impl Request {
 
     /// Deserialize a frame payload.
     pub fn decode(payload: &[u8]) -> io::Result<Request> {
-        match payload.split_first() {
-            Some((0, [])) => Ok(Request::Hello),
-            Some((1, rest)) => {
-                decode_mutations(rest).map(Request::Submit).map_err(|e| malformed(&e.to_string()))
-            }
-            Some((2, [])) => Ok(Request::Query),
-            Some((3, [])) => Ok(Request::Checkpoint),
-            Some((4, [])) => Ok(Request::Stats),
-            Some((5, [])) => Ok(Request::Shutdown),
-            Some((6, [])) => Ok(Request::Kill),
-            Some((8, rest)) if rest.len() == 4 => Ok(Request::QueryResults {
-                qid: u32::from_le_bytes(rest.try_into().expect("4 bytes")),
-            }),
-            Some((9, [])) => Ok(Request::ObsStats),
-            Some((10, rest)) if rest.len() == 4 => Ok(Request::Subscribe {
-                qid: u32::from_le_bytes(rest.try_into().expect("4 bytes")),
-            }),
-            Some((11, rest)) if rest.len() == 4 => Ok(Request::Unsubscribe {
-                qid: u32::from_le_bytes(rest.try_into().expect("4 bytes")),
-            }),
-            Some((12, rest)) if rest.len() >= 4 => {
-                let n = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-                let end = 4 + n * 4;
-                let body = rest.get(4..end).ok_or_else(|| malformed("short source list"))?;
-                let sources = body
-                    .chunks_exact(4)
-                    .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-                    .collect();
-                let pattern = std::str::from_utf8(&rest[end..])
+        let mut r = Reader::new(payload);
+        let req = match r.u8().map_err(bad)? {
+            0 => Request::Hello,
+            1 => Request::Submit(decode_mutations(r.rest()).map_err(bad)?),
+            2 => Request::Query,
+            3 => Request::Checkpoint,
+            4 => Request::Stats,
+            5 => Request::Shutdown,
+            6 => Request::Kill,
+            8 => Request::QueryResults { qid: r.u32().map_err(bad)? },
+            9 => Request::ObsStats,
+            10 => Request::Subscribe { qid: r.u32().map_err(bad)? },
+            11 => Request::Unsubscribe { qid: r.u32().map_err(bad)? },
+            12 => {
+                let sources = r.u32s().map_err(bad)?;
+                let pattern = std::str::from_utf8(r.rest())
                     .map_err(|_| malformed("query pattern is not UTF-8"))?
                     .to_string();
-                Ok(Request::RegisterQueryMulti { pattern, sources })
+                Request::RegisterQueryMulti { pattern, sources }
             }
-            _ => Err(malformed("unknown request")),
-        }
+            _ => return Err(malformed("unknown request")),
+        };
+        r.finish().map_err(bad)?;
+        Ok(req)
     }
 }
 
@@ -292,26 +287,13 @@ pub enum Response {
     },
 }
 
-/// Append `vs` to `out` as a `u32` count followed by the values.
+/// Append `vs` to `out` as a `u32` count followed by the values (what
+/// [`Reader::u32s`] reads back).
 fn put_u32s(out: &mut Vec<u8>, vs: &[u32]) {
     out.extend_from_slice(&(vs.len() as u32).to_le_bytes());
     for v in vs {
         out.extend_from_slice(&v.to_le_bytes());
     }
-}
-
-/// Read a count-prefixed `u32` list from `rest` at `at`; returns the list
-/// and the offset one past it.
-fn get_u32s(rest: &[u8], at: usize) -> io::Result<(Vec<u32>, usize)> {
-    let n = rest
-        .get(at..at + 4)
-        .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-        .ok_or_else(|| malformed("short list count"))? as usize;
-    let end = at + 4 + n * 4;
-    let body = rest.get(at + 4..end).ok_or_else(|| malformed("short u32 list"))?;
-    let vs =
-        body.chunks_exact(4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes"))).collect();
-    Ok((vs, end))
 }
 
 impl Response {
@@ -375,10 +357,7 @@ impl Response {
             Response::Matches(vs) => {
                 let mut out = Vec::with_capacity(5 + vs.len() * 4);
                 out.push(8);
-                out.extend_from_slice(&(vs.len() as u32).to_le_bytes());
-                for v in vs {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
+                put_u32s(&mut out, vs);
                 out
             }
             Response::ObsStats(snap) => {
@@ -418,101 +397,49 @@ impl Response {
 
     /// Deserialize a frame payload.
     pub fn decode(payload: &[u8]) -> io::Result<Response> {
-        let u64_at = |rest: &[u8], at: usize| -> io::Result<u64> {
-            rest.get(at..at + 8)
-                .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-                .ok_or_else(|| malformed("short integer field"))
+        let mut r = Reader::new(payload);
+        let resp = match r.u8().map_err(bad)? {
+            0 => Response::Hello { client_id: r.u32().map_err(bad)? },
+            1 => Response::Submitted,
+            2 => Response::RetryAfter { millis: r.u64().map_err(bad)? },
+            3 => Response::States(r.opt_u64s().map_err(bad)?),
+            4 => {
+                let mut field = || r.u64().map_err(bad);
+                Response::Stats(ServerStats {
+                    batches: field()?,
+                    mutations: field()?,
+                    live_edges: field()?,
+                    checkpoints: field()?,
+                    rejected: field()?,
+                    wal_tail_batches: field()?,
+                    last_checkpoint_bytes: field()?,
+                })
+            }
+            5 => Response::Done,
+            6 => Response::Err(String::from_utf8_lossy(r.rest()).into_owned()),
+            7 => Response::QueryId { qid: r.u32().map_err(bad)? },
+            8 => Response::Matches(r.u32s().map_err(bad)?),
+            9 => Response::ObsStats(MetricsSnapshot::decode(r.rest()).map_err(|e| malformed(&e))?),
+            10 => Response::Subscribed {
+                qid: r.u32().map_err(bad)?,
+                batch_seq: r.u64().map_err(bad)?,
+                results: r.u32s().map_err(bad)?,
+            },
+            11 => Response::QueryDelta {
+                qid: r.u32().map_err(bad)?,
+                batch_seq: r.u64().map_err(bad)?,
+                added: r.u32s().map_err(bad)?,
+                removed: r.u32s().map_err(bad)?,
+            },
+            12 => Response::Resync {
+                qid: r.u32().map_err(bad)?,
+                batch_seq: r.u64().map_err(bad)?,
+                results: r.u32s().map_err(bad)?,
+            },
+            _ => return Err(malformed("unknown response")),
         };
-        match payload.split_first() {
-            Some((0, rest)) if rest.len() == 4 => Ok(Response::Hello {
-                client_id: u32::from_le_bytes(rest.try_into().expect("4 bytes")),
-            }),
-            Some((1, [])) => Ok(Response::Submitted),
-            Some((2, rest)) => Ok(Response::RetryAfter { millis: u64_at(rest, 0)? }),
-            Some((3, rest)) => {
-                let n = rest
-                    .get(..4)
-                    .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-                    .ok_or_else(|| malformed("short state count"))?
-                    as usize;
-                let mut states = Vec::with_capacity(n.min(1 << 20));
-                let mut at = 4;
-                for _ in 0..n {
-                    match rest.get(at) {
-                        Some(0) => {
-                            states.push(None);
-                            at += 1;
-                        }
-                        Some(_) => {
-                            states.push(Some(u64_at(rest, at + 1)?));
-                            at += 9;
-                        }
-                        None => return Err(malformed("short state list")),
-                    }
-                }
-                Ok(Response::States(states))
-            }
-            Some((4, rest)) => Ok(Response::Stats(ServerStats {
-                batches: u64_at(rest, 0)?,
-                mutations: u64_at(rest, 8)?,
-                live_edges: u64_at(rest, 16)?,
-                checkpoints: u64_at(rest, 24)?,
-                rejected: u64_at(rest, 32)?,
-                wal_tail_batches: u64_at(rest, 40)?,
-                last_checkpoint_bytes: u64_at(rest, 48)?,
-            })),
-            Some((5, [])) => Ok(Response::Done),
-            Some((6, rest)) => Ok(Response::Err(String::from_utf8_lossy(rest).into_owned())),
-            Some((7, rest)) if rest.len() == 4 => {
-                Ok(Response::QueryId { qid: u32::from_le_bytes(rest.try_into().expect("4 bytes")) })
-            }
-            Some((8, rest)) => {
-                let n = rest
-                    .get(..4)
-                    .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-                    .ok_or_else(|| malformed("short match count"))?
-                    as usize;
-                let mut vs = Vec::with_capacity(n.min(1 << 20));
-                for i in 0..n {
-                    let at = 4 + i * 4;
-                    let b = rest.get(at..at + 4).ok_or_else(|| malformed("short match list"))?;
-                    vs.push(u32::from_le_bytes(b.try_into().expect("4 bytes")));
-                }
-                Ok(Response::Matches(vs))
-            }
-            Some((9, rest)) => {
-                MetricsSnapshot::decode(rest).map(Response::ObsStats).map_err(|e| malformed(&e))
-            }
-            Some((10, rest)) if rest.len() >= 12 => {
-                let qid = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes"));
-                let batch_seq = u64_at(rest, 4)?;
-                let (results, end) = get_u32s(rest, 12)?;
-                if end != rest.len() {
-                    return Err(malformed("trailing bytes after snapshot"));
-                }
-                Ok(Response::Subscribed { qid, batch_seq, results })
-            }
-            Some((11, rest)) if rest.len() >= 12 => {
-                let qid = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes"));
-                let batch_seq = u64_at(rest, 4)?;
-                let (added, mid) = get_u32s(rest, 12)?;
-                let (removed, end) = get_u32s(rest, mid)?;
-                if end != rest.len() {
-                    return Err(malformed("trailing bytes after delta"));
-                }
-                Ok(Response::QueryDelta { qid, batch_seq, added, removed })
-            }
-            Some((12, rest)) if rest.len() >= 12 => {
-                let qid = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes"));
-                let batch_seq = u64_at(rest, 4)?;
-                let (results, end) = get_u32s(rest, 12)?;
-                if end != rest.len() {
-                    return Err(malformed("trailing bytes after snapshot"));
-                }
-                Ok(Response::Resync { qid, batch_seq, results })
-            }
-            _ => Err(malformed("unknown response")),
-        }
+        r.finish().map_err(bad)?;
+        Ok(resp)
     }
 }
 

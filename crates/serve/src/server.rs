@@ -347,19 +347,13 @@ pub struct ServerReport {
     pub crashed: bool,
 }
 
-/// One queued unit of work for the ingest thread.
-enum Cmd {
-    Submit { muts: Vec<GraphMutation>, reply: mpsc::SyncSender<Response> },
-    Query { reply: mpsc::SyncSender<Response> },
-    RegisterQueryMulti { pattern: String, sources: Vec<u32>, reply: mpsc::SyncSender<Response> },
-    QueryResults { qid: u32, reply: mpsc::SyncSender<Response> },
-    Subscribe { client_id: u32, qid: u32, reply: mpsc::SyncSender<Response> },
-    Unsubscribe { client_id: u32, qid: u32, reply: mpsc::SyncSender<Response> },
-    Checkpoint { reply: mpsc::SyncSender<Response> },
-    Stats { reply: mpsc::SyncSender<Response> },
-    ObsStats { reply: mpsc::SyncSender<Response> },
-    Shutdown { reply: mpsc::SyncSender<Response> },
-    Kill { reply: mpsc::SyncSender<Response> },
+/// One request on its way to the ingest thread: who sent it and where the
+/// answer goes. The reader answers `Hello`, undecodable frames and admission
+/// refusals itself; everything else travels as the [`Request`] it decoded to.
+struct Cmd {
+    client_id: u32,
+    req: Request,
+    reply: mpsc::SyncSender<Response>,
 }
 
 /// Most delta frames a slow subscriber may have queued before the server
@@ -608,13 +602,15 @@ fn ingest_loop<G: VertexAlgo>(
         let mut deferred = None;
         let mut round = Vec::new();
         match cmd {
-            Cmd::Submit { muts, reply } => {
+            Cmd { req: Request::Submit(muts), reply, .. } => {
                 round.push((muts, reply));
                 // Coalesce every submission already waiting into the same
                 // increment (one fabric run amortized over all of them).
                 while round.len() < max_coalesce {
                     match rx.try_recv() {
-                        Ok(Cmd::Submit { muts, reply }) => round.push((muts, reply)),
+                        Ok(Cmd { req: Request::Submit(muts), reply, .. }) => {
+                            round.push((muts, reply))
+                        }
                         Ok(other) => {
                             deferred = Some(other);
                             break;
@@ -740,33 +736,29 @@ fn fanout_deltas<G: VertexAlgo>(core: &mut IngestCore<G>, shared: &Shared) {
     }
 }
 
+/// Serve one non-submission request between increments and answer it.
 fn control<G: VertexAlgo>(core: &mut IngestCore<G>, shared: &Shared, cmd: Cmd) -> Flow {
-    match cmd {
-        Cmd::Submit { .. } => unreachable!("submissions are handled in the coalescing round"),
-        Cmd::Query { reply } => {
-            let _ = reply.send(Response::States(core.sync_values()));
-            Flow::Continue
-        }
-        Cmd::RegisterQueryMulti { pattern, sources, reply } => {
-            let resp = match core.register_query_multi(&pattern, &sources) {
+    let Cmd { client_id, req, reply } = cmd;
+    let mut flow = Flow::Continue;
+    let resp = match req {
+        Request::Submit(_) => unreachable!("submissions are handled in the coalescing round"),
+        Request::Hello => Response::Hello { client_id },
+        Request::Query => Response::States(core.sync_values()),
+        Request::RegisterQueryMulti { pattern, sources } => {
+            match core.register_query_multi(&pattern, &sources) {
                 Ok(qid) => Response::QueryId { qid },
                 Err(e) => Response::Err(e.to_string()),
-            };
-            let _ = reply.send(resp);
-            Flow::Continue
+            }
         }
-        Cmd::QueryResults { qid, reply } => {
-            let _ = reply.send(Response::Matches(core.query_results(qid)));
-            Flow::Continue
-        }
-        Cmd::Subscribe { client_id, qid, reply } => {
+        Request::QueryResults { qid } => Response::Matches(core.query_results(qid)),
+        Request::Subscribe { qid } => {
             // Runs on the ingest thread between increments, so the baseline
             // snapshot is atomic with the delta stream: the subscriber sees
             // this snapshot, then every later increment's delta, in order.
             // The real ack travels through the push channel (enqueued here,
             // in increment order); the reply channel only carries a marker
             // (`Done` = pushed) or an error for the reader to deliver.
-            let resp = if (qid as usize) >= core.graph().registered_queries().len() {
+            if (qid as usize) >= core.graph().registered_queries().len() {
                 Response::Err(format!("unknown query id {qid}"))
             } else {
                 let mut subs = shared.subs.lock().expect("subs lock poisoned");
@@ -787,16 +779,14 @@ fn control<G: VertexAlgo>(core: &mut IngestCore<G>, shared: &Shared, cmd: Cmd) -
                     }
                     None => Response::Err("subscriber disconnected".into()),
                 }
-            };
-            let _ = reply.send(resp);
-            Flow::Continue
+            }
         }
-        Cmd::Unsubscribe { client_id, qid, reply } => {
+        Request::Unsubscribe { qid } => {
             // Same marker protocol as Subscribe: the `Done` ack is enqueued
             // on the push channel *behind* any deltas already queued, so the
             // client knows no further frames for `qid` follow the ack.
             let mut subs = shared.subs.lock().expect("subs lock poisoned");
-            let resp = match subs.get_mut(&client_id) {
+            match subs.get_mut(&client_id) {
                 Some(entry) => {
                     entry.qids.retain(|&q| q != qid);
                     entry.chan.push_reply(Response::Done.encode());
@@ -804,45 +794,36 @@ fn control<G: VertexAlgo>(core: &mut IngestCore<G>, shared: &Shared, cmd: Cmd) -
                     Response::Done
                 }
                 None => Response::Err("not a subscriber".into()),
-            };
-            let _ = reply.send(resp);
-            Flow::Continue
+            }
         }
-        Cmd::Checkpoint { reply } => {
-            let resp = match core.checkpoint() {
-                Ok(_) => Response::Done,
-                Err(e) => Response::Err(e.to_string()),
-            };
-            let _ = reply.send(resp);
-            Flow::Continue
-        }
-        Cmd::Stats { reply } => {
+        Request::Checkpoint => match core.checkpoint() {
+            Ok(_) => Response::Done,
+            Err(e) => Response::Err(e.to_string()),
+        },
+        Request::Stats => {
             let mut stats = core.stats();
             stats.rejected = shared.rejected.load(Ordering::SeqCst);
-            let _ = reply.send(Response::Stats(stats));
-            Flow::Continue
+            Response::Stats(stats)
         }
-        Cmd::ObsStats { reply } => {
-            let _ = reply.send(Response::ObsStats(core.obs_snapshot()));
-            Flow::Continue
-        }
-        Cmd::Shutdown { reply } => {
+        Request::ObsStats => Response::ObsStats(core.obs_snapshot()),
+        Request::Shutdown => {
             // Graceful: apply what was acknowledged as parked, then stop.
             // Deliberately no checkpoint — the WAL tail carries the last
             // batches so restart exercises the recovery path.
-            let resp = match core.flush() {
+            flow = Flow::Stop { crashed: false };
+            match core.flush() {
                 Ok(_) => Response::Done,
                 Err(e) => Response::Err(e.to_string()),
-            };
-            let _ = reply.send(resp);
-            Flow::Stop { crashed: false }
+            }
         }
-        Cmd::Kill { reply } => {
+        Request::Kill => {
             // Simulated crash: no flush, no checkpoint.
-            let _ = reply.send(Response::Done);
-            Flow::Stop { crashed: true }
+            flow = Flow::Stop { crashed: true };
+            Response::Done
         }
-    }
+    };
+    let _ = reply.send(resp);
+    flow
 }
 
 fn connection_loop(mut sock: TcpStream, tx: &mpsc::Sender<Cmd>, shared: &Shared) {
@@ -889,23 +870,10 @@ fn connection_loop(mut sock: TcpStream, tx: &mpsc::Sender<Cmd>, shared: &Shared)
                 push = Some(chan);
             }
         }
+        let stopped = || Response::Err("server stopped".into());
         let resp = match req {
             Err(e) => Some(Response::Err(e.to_string())),
             Ok(Request::Hello) => Some(Response::Hello { client_id }),
-            Ok(Request::Subscribe { qid }) => {
-                // `Done` is the pushed-ack marker: the real `Subscribed`
-                // frame went through the outbox, in increment order.
-                match forward(tx, |reply| Cmd::Subscribe { client_id, qid, reply }) {
-                    Response::Done => None,
-                    other => Some(other),
-                }
-            }
-            Ok(Request::Unsubscribe { qid }) => {
-                match forward(tx, |reply| Cmd::Unsubscribe { client_id, qid, reply }) {
-                    Response::Done => None,
-                    other => Some(other),
-                }
-            }
             Ok(Request::Submit(muts)) => Some({
                 let sid = shared.submit_seq.fetch_add(1, Ordering::SeqCst) + 1;
                 // Covers the whole server-side handling of this Submit
@@ -935,26 +903,22 @@ fn connection_loop(mut sock: TcpStream, tx: &mpsc::Sender<Cmd>, shared: &Shared)
                         shared.obs.counter_add("admission.admitted", 1);
                         let depth = shared.queue_depth.load(Ordering::SeqCst);
                         shared.obs.gauge_set("serve.queue_depth", depth as i64);
-                        roundtrip(tx, |reply| Cmd::Submit { muts, reply }).unwrap_or_else(|| {
+                        roundtrip(tx, client_id, Request::Submit(muts)).unwrap_or_else(|| {
                             // Never dequeued: release the reserved slot.
                             shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                            Response::Err("server stopped".into())
+                            stopped()
                         })
                     }
                 }
             }),
-            Ok(Request::Query) => Some(forward(tx, |reply| Cmd::Query { reply })),
-            Ok(Request::RegisterQueryMulti { pattern, sources }) => {
-                Some(forward(tx, |reply| Cmd::RegisterQueryMulti { pattern, sources, reply }))
+            Ok(req) => {
+                // For Subscribe / Unsubscribe `Done` is the pushed-ack
+                // marker: the real frame went through the outbox, in
+                // increment order, and nothing more is owed here.
+                let pushed = matches!(req, Request::Subscribe { .. } | Request::Unsubscribe { .. });
+                let resp = roundtrip(tx, client_id, req).unwrap_or_else(stopped);
+                (!(pushed && resp == Response::Done)).then_some(resp)
             }
-            Ok(Request::QueryResults { qid }) => {
-                Some(forward(tx, |reply| Cmd::QueryResults { qid, reply }))
-            }
-            Ok(Request::Checkpoint) => Some(forward(tx, |reply| Cmd::Checkpoint { reply })),
-            Ok(Request::Stats) => Some(forward(tx, |reply| Cmd::Stats { reply })),
-            Ok(Request::ObsStats) => Some(forward(tx, |reply| Cmd::ObsStats { reply })),
-            Ok(Request::Shutdown) => Some(forward(tx, |reply| Cmd::Shutdown { reply })),
-            Ok(Request::Kill) => Some(forward(tx, |reply| Cmd::Kill { reply })),
         };
         if let Some(resp) = resp {
             let sent = match &push {
@@ -983,22 +947,12 @@ fn pusher_loop(mut sock: TcpStream, chan: &PushChannel) {
     }
 }
 
-/// Send a command and wait for the ingest thread's reply; `None` if the
-/// server already stopped.
-fn roundtrip(
-    tx: &mpsc::Sender<Cmd>,
-    make: impl FnOnce(mpsc::SyncSender<Response>) -> Cmd,
-) -> Option<Response> {
-    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    tx.send(make(reply_tx)).ok()?;
+/// Send a request to the ingest thread and wait for its reply; `None` if
+/// the server already stopped.
+fn roundtrip(tx: &mpsc::Sender<Cmd>, client_id: u32, req: Request) -> Option<Response> {
+    let (reply, reply_rx) = mpsc::sync_channel(1);
+    tx.send(Cmd { client_id, req, reply }).ok()?;
     reply_rx.recv().ok()
-}
-
-fn forward(
-    tx: &mpsc::Sender<Cmd>,
-    make: impl FnOnce(mpsc::SyncSender<Response>) -> Cmd,
-) -> Response {
-    roundtrip(tx, make).unwrap_or_else(|| Response::Err("server stopped".into()))
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use sdgp_core::checkpoint::{decode_mutations, encode_mutations, fnv1a};
+use sdgp_core::checkpoint::{decode_mutations, encode_mutations, fnv1a, CheckpointError, Reader};
 use sdgp_core::graph::GraphMutation;
 use sdgp_core::GraphCheckpoint;
 
@@ -39,28 +39,18 @@ use crate::ServeError;
 /// Decode one checksum-valid record payload (kind byte + body).
 fn decode_record(payload: &[u8]) -> Result<WalRecord, ServeError> {
     let corrupt = |what: &str| ServeError::WalReplay(format!("corrupt WAL record: {what}"));
-    let u32_at = |body: &[u8], at: usize, what: &str| -> Result<u32, ServeError> {
-        body.get(at..at + 4)
-            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-            .ok_or_else(|| corrupt(what))
-    };
-    let pattern_at = |body: &[u8], at: usize| -> Result<String, ServeError> {
-        let len = u32_at(body, at, "short register length")? as usize;
-        let raw =
-            body.get(at + 4..at + 4 + len).ok_or_else(|| corrupt("short register pattern"))?;
-        std::str::from_utf8(raw)
-            .map(str::to_string)
-            .map_err(|_| corrupt("register pattern is not UTF-8"))
-    };
-    match payload.split_first() {
-        Some((0, body)) => Ok(WalRecord::Batch(decode_mutations(body)?)),
-        Some((2, body)) => {
-            let n = u32_at(body, 0, "short register source count")? as usize;
-            let mut sources = Vec::with_capacity(n.min(1 << 16));
-            for i in 0..n {
-                sources.push(u32_at(body, 4 + i * 4, "short register source list")?);
-            }
-            Ok(WalRecord::Register { pattern: pattern_at(body, 4 + n * 4)?, sources })
+    let cut = |e: CheckpointError| corrupt(&e.to_string());
+    let mut r = Reader::new(payload);
+    match r.u8() {
+        Ok(0) => Ok(WalRecord::Batch(decode_mutations(r.rest())?)),
+        Ok(2) => {
+            let sources = r.u32s().map_err(cut)?;
+            let len = r.u32().map_err(cut)? as usize;
+            let pattern = std::str::from_utf8(r.bytes(len).map_err(cut)?)
+                .map_err(|_| corrupt("register pattern is not UTF-8"))?
+                .to_string();
+            r.finish().map_err(cut)?;
+            Ok(WalRecord::Register { pattern, sources })
         }
         _ => Err(corrupt("unknown record kind")),
     }
@@ -70,11 +60,10 @@ fn decode_record(payload: &[u8]) -> Result<WalRecord, ServeError> {
 /// `u64` FNV-1a checksum. Returns the payload and the offset one past the
 /// record, or `None` if the bytes there are short or the checksum fails.
 fn frame_at(bytes: &[u8], at: usize) -> Option<(&[u8], usize)> {
-    let len = u32::from_le_bytes(bytes.get(at..at + 4)?.try_into().expect("4 bytes")) as usize;
-    let payload = bytes.get(at + 4..at + 4 + len)?;
-    let sum = bytes.get(at + 4 + len..at + 12 + len)?;
-    (fnv1a(payload) == u64::from_le_bytes(sum.try_into().expect("8 bytes")))
-        .then_some((payload, at + 12 + len))
+    let mut r = Reader::new(bytes.get(at..)?);
+    let len = r.u32().ok()? as usize;
+    let payload = r.bytes(len).ok()?;
+    (fnv1a(payload) == r.u64().ok()?).then_some((payload, at + 12 + len))
 }
 
 /// File name of the checkpoint inside a store directory.
@@ -333,6 +322,33 @@ mod tests {
             Err(e) => e,
         };
         assert!(refused(&err), "got: {err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A checksum-valid register record with a byte after its pattern is
+    /// corrupt, not a registration with garbage ignored.
+    #[test]
+    fn register_record_with_a_trailing_byte_is_refused() {
+        let dir = tmp_dir("register-tail");
+        let mut s = Store::open(&dir).unwrap();
+        // Hand-frame kind 2: u32 count, sources, u32 len, pattern — plus one.
+        let pattern = b"a.b*.c";
+        let mut payload = vec![2u8];
+        payload.extend_from_slice(&2u32.to_le_bytes());
+        payload.extend_from_slice(&3u32.to_le_bytes());
+        payload.extend_from_slice(&5u32.to_le_bytes());
+        payload.extend_from_slice(&(pattern.len() as u32).to_le_bytes());
+        payload.extend_from_slice(pattern);
+        s.append_record(&payload).unwrap();
+        let intact = WalRecord::Register { pattern: "a.b*.c".into(), sources: vec![3, 5] };
+        assert_eq!(s.load_tail().unwrap(), vec![intact.clone()]);
+        payload.push(0);
+        s.append_record(&payload).unwrap();
+        let err = s.load_tail().unwrap_err();
+        assert!(
+            matches!(&err, ServeError::WalReplay(msg) if msg.contains("bytes after the last")),
+            "got: {err}"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -3,8 +3,10 @@
 //! strict prefix of a valid encoding: none may panic, a prefix that cuts a
 //! fixed-width or count-prefixed field is `Err` (only the two
 //! to-end-of-frame strings — the query pattern and `Response::Err`'s
-//! message — can be cut and still decode), and `decode ∘ encode = id` on
-//! generated values of every request and response op.
+//! message — can be cut and still decode), a valid encoding with one byte
+//! appended is `Err` (those two strings again excepted: they take it in),
+//! and `decode ∘ encode = id` on generated values of every request and
+//! response op.
 
 use amcca::amcca_obs::{HistSnapshot, MetricsSnapshot};
 use amcca::sdgp_core::checkpoint::{decode_mutations, encode_mutations, GraphCheckpoint};
@@ -22,6 +24,13 @@ fn refuses_prefixes<T, E>(bytes: &[u8], fixed: usize, decode: impl Fn(&[u8]) -> 
         let refused = decode(&bytes[..cut]).is_err();
         assert!(refused || cut >= fixed, "prefix {cut} of {} bytes decoded", bytes.len());
     }
+}
+
+/// A valid encoding with one byte appended is refused: a decoder that has
+/// read its last field checks that nothing follows.
+fn refuses_one_more_byte<T, E>(bytes: &[u8], decode: impl Fn(&[u8]) -> Result<T, E>) {
+    let longer = [bytes, &[0][..]].concat();
+    assert!(decode(&longer).is_err(), "{} bytes and one more decoded", bytes.len());
 }
 
 proptest! {
@@ -77,12 +86,15 @@ proptest! {
         let bytes = encode_mutations(&muts);
         prop_assert_eq!(&decode_mutations(&bytes).unwrap(), &muts);
         refuses_prefixes(&bytes, bytes.len(), decode_mutations);
+        refuses_one_more_byte(&bytes, decode_mutations);
         let bytes = ck.encode();
         prop_assert_eq!(&GraphCheckpoint::decode(&bytes).unwrap(), &ck);
         refuses_prefixes(&bytes, bytes.len(), GraphCheckpoint::decode);
+        refuses_one_more_byte(&bytes, GraphCheckpoint::decode);
         let bytes = snap.encode();
         prop_assert_eq!(&MetricsSnapshot::decode(&bytes).unwrap(), &snap);
         refuses_prefixes(&bytes, bytes.len(), MetricsSnapshot::decode);
+        refuses_one_more_byte(&bytes, MetricsSnapshot::decode);
 
         // One value of every op, beside the length of its fixed-width /
         // count-prefixed part where a to-end-of-frame string trails it.
@@ -107,6 +119,9 @@ proptest! {
             let bytes = r.encode();
             prop_assert_eq!(&Request::decode(&bytes).unwrap(), &r);
             refuses_prefixes(&bytes, fixed.unwrap_or(bytes.len()), Request::decode);
+            if fixed.is_none() {
+                refuses_one_more_byte(&bytes, Request::decode);
+            }
         }
         let stats = ServerStats { batches: n, last_checkpoint_bytes: !n, ..Default::default() };
         let responses = [
@@ -128,6 +143,9 @@ proptest! {
             let bytes = r.encode();
             prop_assert_eq!(&Response::decode(&bytes).unwrap(), &r);
             refuses_prefixes(&bytes, fixed.unwrap_or(bytes.len()), Response::decode);
+            if fixed.is_none() {
+                refuses_one_more_byte(&bytes, Response::decode);
+            }
         }
     }
 }
