@@ -154,19 +154,10 @@ pub struct Chip<P: Program> {
     /// Cycles executed on the sharded engine (diagnostics for the adaptive
     /// switch; deliberately not part of [`Counters`]).
     pub(crate) sharded_cycles: u64,
-    /// Mesh rows reassigned by the work-stealing scheduler, summed over all
-    /// sharded cycles (diagnostics; not part of [`Counters`]).
-    pub(crate) steal_rows: u64,
-    /// Owner-attributed active-cell totals per column band, summed over all
-    /// sharded cycles: index `s` counts the work *belonging* to band `s`
-    /// regardless of which worker executed it. Sized lazily by the sharded
-    /// engine (empty until it runs). Diagnostics; not part of [`Counters`].
+    /// Active-cell totals per column band, summed over all sharded cycles.
+    /// Sized lazily by the sharded engine (empty until it runs).
+    /// Diagnostics; not part of [`Counters`].
     pub(crate) band_active: Vec<u64>,
-    /// Executor-attributed active-cell totals per worker: index `s` counts
-    /// the work worker `s` actually executed (own rows plus stolen ones).
-    /// With stealing off this equals [`Chip::band_active`]. Diagnostics; not
-    /// part of [`Counters`].
-    pub(crate) exec_active: Vec<u64>,
     /// Cells whose router holds a flit or whose credit snapshot is not yet
     /// all-zero — the only cells the network phase has to look at. Every
     /// push into a router marks its cell; a cell leaves only in the
@@ -504,9 +495,7 @@ impl<P: Program> Chip<P> {
             loads: vec![CellLoad::default(); n_cells],
             last_active: 0,
             sharded_cycles: 0,
-            steal_rows: 0,
             band_active: Vec::new(),
-            exec_active: Vec::new(),
             net_live: LiveSet::new(n_cells),
             work_live: LiveSet::new(n_cells),
             cell_visits: 0,
@@ -1036,31 +1025,27 @@ impl<P: Program> Chip<P> {
         self.cell_visits
     }
 
-    /// Mesh rows reassigned by the deterministic work-stealing scheduler,
-    /// summed over all sharded cycles. Zero with stealing off (or when no
-    /// cycle was imbalanced enough to steal). Diagnostics only — stealing
-    /// never affects simulation results.
-    pub fn steal_rows(&self) -> u64 {
-        self.steal_rows
-    }
-
-    /// Owner-attributed active-cell totals per column band, summed over all
-    /// sharded cycles: entry `s` counts the compute work *belonging* to band
-    /// `s`, regardless of which worker executed it. Empty until the sharded
-    /// engine has run. The max/mean ratio of these totals measures the
-    /// workload's inherent band imbalance (what a static partition would
-    /// suffer).
+    /// Active-cell totals per column band, summed over all sharded cycles:
+    /// entry `s` counts the compute work of band `s`, which its own worker
+    /// did. Empty until the sharded engine has run. Their max/mean ratio is
+    /// the workload's band imbalance.
     pub fn band_active(&self) -> &[u64] {
         &self.band_active
     }
 
-    /// Executor-attributed active-cell totals per worker: entry `s` counts
-    /// the work worker `s` actually executed (own rows plus stolen ones,
-    /// minus donated ones). With stealing off this equals
-    /// [`Chip::band_active`]; with stealing on, its max/mean ratio measures
-    /// the residual imbalance after the scheduler levels the load.
+    /// Always 0: every band computes its own rows. Kept with its signature
+    /// only because the frozen `benchmark/` crate still reports it as
+    /// `chip.steal_rows`; it is that crate's only reader.
+    pub fn steal_rows(&self) -> u64 {
+        0
+    }
+
+    /// The same slice as [`Chip::band_active`]: the worker that executes a
+    /// band's rows is the band's own. Kept with its signature only because
+    /// the frozen `benchmark/` crate still reports it as
+    /// `chip.exec_imbalance`; it is that crate's only reader.
     pub fn exec_active(&self) -> &[u64] {
-        &self.exec_active
+        &self.band_active
     }
 }
 

@@ -55,16 +55,6 @@ pub struct ChipConfig {
     /// Active-cell count below which a simulated cycle does not amortize the
     /// sharded engine's barrier ("tens of active cells").
     pub shard_break_even: u32,
-    /// Deterministic cycle-barrier work stealing on the sharded engine: at
-    /// each cycle barrier the coordinator may reassign whole rows of the
-    /// busiest band to less-loaded bands for the *next* cycle's compute
-    /// phase (routing stays owner-band). The steal schedule is a pure
-    /// function of the merged per-row active-cell counts and compute is
-    /// cell-local, so results are **bit-identical** with the knob on or off,
-    /// for any shard count — it only changes which worker burns the
-    /// wall-clock. The knob exists for ablation (`tests/load_balance.rs`
-    /// runs both settings).
-    pub work_stealing: bool,
 }
 
 /// Default shard count: one worker per available hardware thread.
@@ -89,7 +79,6 @@ impl Default for ChipConfig {
             shards: default_shards(),
             adaptive_shards: true,
             shard_break_even: 24,
-            work_stealing: true,
         }
     }
 }
@@ -111,12 +100,6 @@ impl ChipConfig {
     /// Builder-style override of the shard count.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Builder-style override of the work-stealing knob.
-    pub fn with_work_stealing(mut self, on: bool) -> Self {
-        self.work_stealing = on;
         self
     }
 
@@ -144,7 +127,5 @@ mod tests {
         assert_eq!(ChipConfig::small_test().shards, 1, "unit tests pin the reference engine");
         assert_eq!(ChipConfig::small_test().with_shards(0).shards, 1, "0 clamps to sequential");
         assert_eq!(ChipConfig::small_test().with_shards(4).shards, 4);
-        assert!(ChipConfig::default().work_stealing, "stealing is on by default");
-        assert!(!ChipConfig::default().with_work_stealing(false).work_stealing);
     }
 }

@@ -39,22 +39,11 @@
 //! program state runs on per-shard forks merged in shard order
 //! ([`crate::Program::fork`]).
 //!
-//! # Deterministic work stealing
-//!
-//! With [`crate::ChipConfig::work_stealing`] on, the coordinator also runs
-//! [`steal_schedule`] over the root report's per-(band, row) active-cell
-//! counts and publishes the result before releasing the next cycle: the
-//! busiest band donates whole mesh rows to less-loaded bands **for the next
-//! compute phase only** — routing, IO, and credit publication stay with the
-//! owner. Donors post the row slices to a [`LoanBoard`] after draining their
-//! inboxes, a barrier separates the handoff from the stolen compute, and a
-//! second barrier returns the rows before the owner's IO phase and router
-//! snapshot need them. Compute is cell-local (all effects flow through the
-//! cell itself, the executor's program fork, order-independent counters, and
-//! the summed report deltas), so *who* executes a row cannot change any
-//! result — stealing is bit-identical on or off, for any shard count, and
-//! only levels the per-worker wall-clock. The extra barriers are paid only
-//! on cycles whose schedule is non-empty.
+//! Every band computes only its own rows. Skew is levelled in the data
+//! structure — hub vertices spread over rhizome roots in other columns —
+//! not by moving rows between workers. Cycle-barrier work stealing used to
+//! do that and lost wall-clock on the benchmark's `skew_sharded` in every
+//! measured pair: its two extra barriers cost more than the levelling saved.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -74,7 +63,7 @@ use crate::placement::PlacementTable;
 use crate::program::Program;
 use crate::router::{PORT_EAST, PORT_WEST};
 use crate::safra::ACT_TOKEN;
-use crate::shard::{backoff, steal_schedule, ShardPlan, SpinBarrier, StealAssign};
+use crate::shard::{backoff, ShardPlan, SpinBarrier};
 use crate::stats::{ActivityRecording, CellLoad, Counters};
 
 /// What a sharded run waits for (mirrors the two sequential run loops).
@@ -98,9 +87,8 @@ pub(crate) enum SegmentEnd {
 
 /// A shard worker's run-long accumulators, folded back into the chip once
 /// the run stops (in shard-id order): program fork, event counters, per-cell
-/// loads, per-band active-cell contributions (owner-attributed), and the
-/// executed active-cell total (executor-attributed).
-type ShardOutcome<P> = (usize, P, Counters, Vec<CellLoad>, Vec<u64>, u64);
+/// loads, and the band's active-cell total.
+type ShardOutcome<P> = (usize, P, Counters, Vec<CellLoad>, u64);
 
 /// A cross-band hop in flight between two shards.
 struct Mail {
@@ -126,17 +114,13 @@ struct CycleReport {
     comp_err: Option<(u16, SimError)>,
     /// Activity bitmap words (whole-chip indexing); used only in Frames mode.
     frame: Vec<u64>,
-    /// Per-(owner band, mesh row) active-cell counts
-    /// (`row_active[s * dims.y + y]`), the steal scheduler's input; sized
-    /// only when work stealing is enabled.
-    row_active: Vec<u32>,
 }
 
 impl CycleReport {
     /// Fold a child's flushed report into this one: sums for the scalar
-    /// aggregates and per-row counts, min-cell-id for the per-phase first
-    /// errors (each worker's first error is its minimum-id one, so the fold
-    /// reproduces the sequential first-error order), OR for frames.
+    /// aggregates, min-cell-id for the per-phase first errors (each worker's
+    /// first error is its minimum-id one, so the fold reproduces the
+    /// sequential first-error order), OR for frames.
     fn merge(&mut self, other: &mut CycleReport) {
         self.active += other.active;
         self.d_in_network += other.d_in_network;
@@ -160,9 +144,6 @@ impl CycleReport {
         }
         for (acc, w) in self.frame.iter_mut().zip(&other.frame) {
             *acc |= *w;
-        }
-        for (acc, c) in self.row_active.iter_mut().zip(&other.row_active) {
-            *acc += *c;
         }
     }
 }
@@ -243,15 +224,6 @@ struct Shared<'a> {
     safra_on: bool,
     frames_on: bool,
     start_cycle: u64,
-    /// Work stealing enabled for this run (`ChipConfig::work_stealing`).
-    steal_on: bool,
-    /// The published steal schedule; applies to the epoch in `steal_epoch`.
-    steal: Mutex<Vec<StealAssign>>,
-    /// Epoch the published schedule was computed for (0 = none yet);
-    /// workers only honour a schedule stamped with their current epoch.
-    steal_epoch: AtomicUsize,
-    /// Extra barrier bracketing the compute phase on steal cycles only.
-    steal_bar: SpinBarrier,
     /// Merge-tree publication: `ready[s]` is the last epoch whose merged
     /// subtree report worker `s` has published into `reports[s]`.
     ready: Vec<AtomicUsize>,
@@ -270,33 +242,6 @@ impl Shared<'_> {
     }
 }
 
-/// A row segment on loan for one compute phase (work stealing): the owner
-/// moves the `&mut` slice out of its `rows` table, the executor computes it,
-/// and the slice travels back through the board before the owner's IO phase.
-struct Loan<'a, T> {
-    owner: usize,
-    x0: usize,
-    y: usize,
-    row: &'a mut [Cell<T>],
-}
-
-/// Per-executor loan slots (`out`) and per-owner return slots (`back`).
-/// Safe-Rust row handoff: exclusive access transfers with the `&mut` slice
-/// itself, and the two steal barriers order the exchanges.
-struct LoanBoard<'a, T> {
-    out: Vec<Mutex<Vec<Loan<'a, T>>>>,
-    back: Vec<Mutex<Vec<Loan<'a, T>>>>,
-}
-
-impl<'a, T> LoanBoard<'a, T> {
-    fn new(n: usize) -> Self {
-        LoanBoard {
-            out: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            back: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-        }
-    }
-}
-
 /// One shard worker: exclusive owner of a column band's cells, IO cells,
 /// program fork, and statistics.
 struct Worker<'a, P: Program> {
@@ -304,7 +249,6 @@ struct Worker<'a, P: Program> {
     x0: usize,
     width: usize,
     /// One row-segment per mesh row: `rows[y][x - x0]` is cell `(x, y)`.
-    /// A donated row is an empty slice until the loan returns.
     rows: Vec<&'a mut [Cell<P::Object>]>,
     /// This band's IO-cell segments (one per active channel).
     io_segs: Vec<&'a mut [IoCell]>,
@@ -319,88 +263,16 @@ struct Worker<'a, P: Program> {
     right_credit: Vec<bool>,
     frame: Vec<u64>,
     rep: CycleReport,
-    /// This cycle's steal schedule (whole chip), empty on ordinary cycles.
-    steal_buf: Vec<StealAssign>,
-    /// Run-long owner-attributed active-cell totals per band (the band a
-    /// computed row belongs to, not the worker that computed it).
-    band_contrib: Vec<u64>,
-    /// Run-long executor-attributed active-cell total (what *this worker*
-    /// computed, own rows plus stolen ones, minus donated ones).
-    exec_active: u64,
+    /// Run-long active-cell total of this band.
+    band_active: u64,
 }
 
-/// Run the compute phase over one row segment (cells `x0 .. x0 + len` of
-/// mesh row `gy`), crediting per-row activity to `owner`'s band. Shared by
-/// the plain path and the stolen-row path: compute is cell-local, so which
-/// worker executes a row cannot affect the results. Errors fold into the
-/// report by minimum cell id — within a segment the first error already has
-/// the lowest id (iteration is in id order), so the fold reproduces the
-/// sequential first-error-wins semantics. Returns the segment's active
-/// count.
-#[allow(clippy::too_many_arguments)]
-fn compute_row<P: Program>(
-    row: &mut [Cell<P::Object>],
-    gy: usize,
-    x0: usize,
-    owner: usize,
-    shared: &Shared<'_>,
-    program: &mut P,
-    counters: &mut Counters,
-    rep: &mut CycleReport,
-    frame: &mut [u64],
-) -> u32 {
-    let dims = shared.cfg.dims;
-    let mut active = 0u32;
-    let mut err: Option<SimError> = None;
-    for (lx, cell) in row.iter_mut().enumerate() {
-        let i = gy * dims.x as usize + x0 + lx;
-        let mut fx = ComputeFx::default();
-        let before = err.is_some();
-        let did_work = compute_cell(
-            cell,
-            i,
-            shared.safra_on,
-            program,
-            counters,
-            shared.cfg,
-            shared.placement,
-            shared.mesh,
-            &mut err,
-            &mut fx,
-        );
-        if !before {
-            if let Some(e) = err.clone() {
-                if rep.comp_err.as_ref().is_none_or(|(c0, _)| (i as u16) < *c0) {
-                    rep.comp_err = Some((i as u16, e));
-                }
-            }
-        }
-        rep.d_queued += fx.d_queued;
-        rep.d_busy += fx.d_busy;
-        rep.d_in_network += fx.d_in_network;
-        if fx.token.is_some() {
-            debug_assert!(rep.token.is_none(), "one token per chip");
-            rep.token = fx.token;
-        }
-        if did_work {
-            active += 1;
-            if shared.frames_on {
-                frame[i / 64] |= 1u64 << (i % 64);
-            }
-        }
-    }
-    if !rep.row_active.is_empty() {
-        rep.row_active[owner * dims.y as usize + gy] += active;
-    }
-    active
-}
-
-impl<'a, P: Program> Worker<'a, P> {
+impl<P: Program> Worker<'_, P> {
     fn cell_at(&mut self, c: Coord) -> &mut Cell<P::Object> {
         &mut self.rows[c.y as usize][c.x as usize - self.x0]
     }
 
-    fn run(&mut self, shared: &Shared<'_>, board: &LoanBoard<'a, P::Object>) {
+    fn run(&mut self, shared: &Shared<'_>) {
         // P0: snapshot routers and publish credits for the first cycle.
         self.begin_cycle_and_publish(shared);
         shared.gate.arrive();
@@ -412,21 +284,10 @@ impl<'a, P: Program> Worker<'a, P> {
             if shared.gate.stop.load(Ordering::Acquire) {
                 break;
             }
-            // Copy this cycle's steal schedule (published, if any, before
-            // the epoch was released). Every worker sees the same schedule,
-            // so barrier participation stays consistent.
-            self.steal_buf.clear();
-            if shared.steal_on && shared.steal_epoch.load(Ordering::Acquire) == epoch {
-                self.steal_buf.extend_from_slice(&shared.steal.lock().unwrap());
-            }
             self.phase_route(shared, cur);
             shared.mid.wait();
             self.phase_drain(shared);
-            if self.steal_buf.is_empty() {
-                self.phase_compute(shared);
-            } else {
-                self.phase_compute_stealing(shared, board);
-            }
+            self.phase_compute(shared);
             self.phase_io(shared);
             self.begin_cycle_and_publish(shared);
             self.flush_report(shared);
@@ -545,68 +406,57 @@ impl<'a, P: Program> Worker<'a, P> {
         }
     }
 
-    /// Compute phase over own cells, in cell-id order (no stealing).
+    /// Compute phase over this band's cells, in cell-id order. Only the
+    /// first compute error is kept, and iteration is in id order, so it is
+    /// the band's minimum-id one and the merge tree reproduces the
+    /// sequential first-error-wins semantics.
     fn phase_compute(&mut self, shared: &Shared<'_>) {
         if shared.frames_on {
             self.frame.fill(0);
         }
+        let dims_x = shared.cfg.dims.x as usize;
         let mut active = 0u32;
-        let Worker { rows, program, counters, x0, sid, rep, frame, band_contrib, .. } = self;
+        let mut err: Option<SimError> = None;
+        let Worker { rows, program, counters, x0, rep, frame, .. } = self;
         for (gy, row) in rows.iter_mut().enumerate() {
-            let a = compute_row::<P>(row, gy, *x0, *sid, shared, program, counters, rep, frame);
-            band_contrib[*sid] += a as u64;
-            active += a;
+            for (lx, cell) in row.iter_mut().enumerate() {
+                let i = gy * dims_x + *x0 + lx;
+                let mut fx = ComputeFx::default();
+                let before = err.is_some();
+                let did_work = compute_cell(
+                    cell,
+                    i,
+                    shared.safra_on,
+                    program,
+                    counters,
+                    shared.cfg,
+                    shared.placement,
+                    shared.mesh,
+                    &mut err,
+                    &mut fx,
+                );
+                if !before {
+                    if let Some(e) = err.clone() {
+                        rep.comp_err = Some((i as u16, e));
+                    }
+                }
+                rep.d_queued += fx.d_queued;
+                rep.d_busy += fx.d_busy;
+                rep.d_in_network += fx.d_in_network;
+                if fx.token.is_some() {
+                    debug_assert!(rep.token.is_none(), "one token per chip");
+                    rep.token = fx.token;
+                }
+                if did_work {
+                    active += 1;
+                    if shared.frames_on {
+                        frame[i / 64] |= 1u64 << (i % 64);
+                    }
+                }
+            }
         }
         self.rep.active = active;
-        self.exec_active += active as u64;
-    }
-
-    /// Compute phase on a steal cycle: lend donated rows, compute own plus
-    /// stolen rows, return loans, reclaim donations. Two barriers bracket
-    /// the stolen compute so no row is ever touched by two workers at once
-    /// and every row is home again before the IO phase and router snapshot.
-    fn phase_compute_stealing(&mut self, shared: &Shared<'_>, board: &LoanBoard<'a, P::Object>) {
-        if shared.frames_on {
-            self.frame.fill(0);
-        }
-        let Worker { rows, steal_buf, sid, x0, .. } = self;
-        let (sid, x0) = (*sid, *x0);
-        for a in steal_buf.iter().filter(|a| a.owner as usize == sid) {
-            let row = std::mem::take(&mut rows[a.y as usize]);
-            let loan = Loan { owner: sid, x0, y: a.y as usize, row };
-            board.out[a.executor as usize].lock().unwrap().push(loan);
-        }
-        // Every donor has drained and lent; stolen rows are safe to touch.
-        shared.steal_bar.wait();
-        let mut active = 0u32;
-        let Worker { rows, program, counters, rep, frame, band_contrib, .. } = self;
-        for (gy, row) in rows.iter_mut().enumerate() {
-            // Donated rows are empty slices and fall through at no cost.
-            let a = compute_row::<P>(row, gy, x0, sid, shared, program, counters, rep, frame);
-            band_contrib[sid] += a as u64;
-            active += a;
-        }
-        let mut loans: Vec<Loan<'a, P::Object>> =
-            std::mem::take(&mut *board.out[sid].lock().unwrap());
-        loans.sort_by_key(|l| (l.owner, l.y));
-        for loan in &mut loans {
-            let a = compute_row::<P>(
-                loan.row, loan.y, loan.x0, loan.owner, shared, program, counters, rep, frame,
-            );
-            band_contrib[loan.owner] += a as u64;
-            active += a;
-        }
-        for loan in loans {
-            board.back[loan.owner].lock().unwrap().push(loan);
-        }
-        // Every stolen row is computed and posted back; owners may reclaim.
-        shared.steal_bar.wait();
-        for loan in board.back[sid].lock().unwrap().drain(..) {
-            self.rows[loan.y] = loan.row;
-        }
-        debug_assert!(self.rows.iter().all(|r| !r.is_empty()), "all loans returned");
-        self.rep.active = active;
-        self.exec_active += active as u64;
+        self.band_active += active as u64;
     }
 
     /// IO phase over this band's IO cells.
@@ -645,9 +495,6 @@ impl<'a, P: Program> Worker<'a, P> {
         if shared.frames_on {
             std::mem::swap(&mut slot.frame, &mut self.frame);
         }
-        if shared.steal_on {
-            std::mem::swap(&mut slot.row_active, &mut self.rep.row_active);
-        }
         slot.active = self.rep.active;
         slot.d_in_network = self.rep.d_in_network;
         slot.d_queued = self.rep.d_queued;
@@ -657,10 +504,7 @@ impl<'a, P: Program> Worker<'a, P> {
         slot.token_hops = self.rep.token_hops;
         slot.net_err = self.rep.net_err.take();
         slot.comp_err = self.rep.comp_err.take();
-        let frame = std::mem::take(&mut self.rep.frame);
-        let mut row_active = std::mem::take(&mut self.rep.row_active);
-        row_active.fill(0); // the swapped-in buffer carries stale counts
-        self.rep = CycleReport { frame, row_active, ..Default::default() };
+        self.rep = CycleReport::default();
     }
 
     /// Binary merge tree: fold the children's published reports into this
@@ -750,11 +594,9 @@ pub(crate) fn run_sharded<P: Program>(
     let seg_start = chip.cycle;
     let safra_on = chip.safra.is_some();
     let frames_on = matches!(chip.cfg.record_activity, ActivityRecording::Frames { .. });
-    let steal_on = chip.cfg.work_stealing;
     let dims = chip.cfg.dims;
     let n_cells = chip.cfg.cell_count() as usize;
     let words = n_cells.div_ceil(64);
-    let row_words = if steal_on { n_shards * dims.y as usize } else { 0 };
 
     let Chip {
         cfg,
@@ -776,17 +618,12 @@ pub(crate) fn run_sharded<P: Program>(
         loads,
         last_active,
         sharded_cycles,
-        steal_rows,
         band_active,
-        exec_active,
         ..
     } = chip;
     let IoSystem { cells: io_cells, pending: io_pending, .. } = io;
     if band_active.len() < n_shards {
         band_active.resize(n_shards, 0);
-    }
-    if exec_active.len() < n_shards {
-        exec_active.resize(n_shards, 0);
     }
 
     let forks: Vec<P> = (0..n_shards).map(|_| program.fork()).collect();
@@ -816,7 +653,6 @@ pub(crate) fn run_sharded<P: Program>(
                     // buffers with the worker's, so both must span the
                     // whole chip.
                     frame: vec![0u64; if frames_on { words } else { 0 }],
-                    row_active: vec![0u32; row_words],
                     ..Default::default()
                 })
             })
@@ -826,13 +662,8 @@ pub(crate) fn run_sharded<P: Program>(
         safra_on,
         frames_on,
         start_cycle: seg_start,
-        steal_on,
-        steal: Mutex::new(Vec::new()),
-        steal_epoch: AtomicUsize::new(0),
-        steal_bar: SpinBarrier::new(n_shards),
         ready: (0..n_shards).map(|_| AtomicUsize::new(0)).collect(),
     };
-    let board: LoanBoard<'_, P::Object> = LoanBoard::new(n_shards);
     let outcomes: Mutex<Vec<ShardOutcome<P>>> = Mutex::new(Vec::with_capacity(n_shards));
 
     let mut result: Result<SegmentEnd, SimError> = Ok(SegmentEnd::Done);
@@ -843,7 +674,6 @@ pub(crate) fn run_sharded<P: Program>(
             cell_views.into_iter().zip(io_views).zip(forks).enumerate()
         {
             let shared = &shared;
-            let board = &board;
             let outcomes = &outcomes;
             let (x0, _) = plan.band(sid);
             scope.spawn(move || {
@@ -861,16 +691,13 @@ pub(crate) fn run_sharded<P: Program>(
                     left_credit: vec![false; dims.y as usize],
                     right_credit: vec![false; dims.y as usize],
                     frame: vec![0u64; words],
-                    rep: CycleReport { row_active: vec![0u32; row_words], ..Default::default() },
-                    steal_buf: Vec::new(),
-                    band_contrib: vec![0u64; n_shards],
-                    exec_active: 0,
+                    rep: CycleReport::default(),
+                    band_active: 0,
                 };
-                let run = catch_unwind(AssertUnwindSafe(|| w.run(shared, board)));
+                let run = catch_unwind(AssertUnwindSafe(|| w.run(shared)));
                 if let Err(panic) = run {
                     shared.gate.poisoned.store(true, Ordering::Release);
                     shared.mid.poison();
-                    shared.steal_bar.poison();
                     resume_unwind(panic);
                 }
                 outcomes.lock().unwrap().push((
@@ -878,17 +705,14 @@ pub(crate) fn run_sharded<P: Program>(
                     w.program,
                     w.counters,
                     w.loads,
-                    w.band_contrib,
-                    w.exec_active,
+                    w.band_active,
                 ));
             });
         }
 
         // Coordinator: read the merge tree's root report each cycle, fold it
-        // into the chip scalars, publish the next steal schedule, and drive
-        // the stop conditions.
+        // into the chip scalars, and drive the stop conditions.
         shared.gate.wait_arrivals(n_shards); // initial snapshots published
-        let mut epoch = 0usize;
         loop {
             let stop = match goal {
                 RunGoal::Quiescence
@@ -921,7 +745,6 @@ pub(crate) fn run_sharded<P: Program>(
                 break;
             }
             shared.gate.release();
-            epoch += 1;
             shared.gate.wait_arrivals(n_shards);
 
             let mut r = shared.reports[0].lock().unwrap();
@@ -954,17 +777,6 @@ pub(crate) fn run_sharded<P: Program>(
             if frames_on {
                 frame_scratch.copy_from_slice(&r.frame);
             }
-            if steal_on {
-                // Next cycle's schedule: a pure function of this cycle's
-                // merged per-(band, row) counts, published before release.
-                let sched =
-                    steal_schedule(&r.row_active, n_shards, dims.y as usize, cfg.shard_break_even);
-                if !sched.is_empty() {
-                    *steal_rows += sched.len() as u64;
-                    *shared.steal.lock().unwrap() = sched;
-                    shared.steal_epoch.store(epoch + 1, Ordering::Release);
-                }
-            }
             drop(r);
             match cfg.record_activity {
                 ActivityRecording::Off => {}
@@ -992,17 +804,14 @@ pub(crate) fn run_sharded<P: Program>(
     // Fold the per-shard accumulators back, in shard-id order.
     let mut outs = outcomes.into_inner().unwrap();
     outs.sort_by_key(|(sid, ..)| *sid);
-    for (sid, fork, fork_counters, fork_loads, contrib, executed) in outs {
+    for (sid, fork, fork_counters, fork_loads, active) in outs {
         program.merge(fork);
         counters.merge(&fork_counters);
         for (total, shard) in loads.iter_mut().zip(&fork_loads) {
             total.delivered += shard.delivered;
             total.peak_queue = total.peak_queue.max(shard.peak_queue);
         }
-        for (total, c) in band_active.iter_mut().zip(&contrib) {
-            *total += *c;
-        }
-        exec_active[sid] += executed;
+        band_active[sid] += active;
     }
     chip.rebuild_live_sets(); // the band scan above does not maintain them
     result

@@ -6,7 +6,9 @@
 //! stays inside its column, so the *only* cross-shard traffic is east/west
 //! hops across a band boundary — a narrow, well-defined exchange surface.
 //! Column bands also give every shard its own slice of the north/south IO
-//! cells, so ingestion parallelizes with the compute.
+//! cells, so ingestion parallelizes with the compute. A band is fixed for the
+//! whole run and its worker computes every one of its rows; the graph's
+//! skew is levelled by rhizomes, which spread a hub's roots over columns.
 //!
 //! This module also hosts [`run_tasks`], the workspace-wide work-queue helper
 //! used by the `paper` and `amcca-run` drivers to fan independent experiment
@@ -48,88 +50,6 @@ impl ShardPlan {
     pub fn band(&self, s: usize) -> (u16, u16) {
         (self.bounds[s], self.bounds[s + 1])
     }
-
-    /// The shard owning column `x`.
-    pub fn shard_of_col(&self, x: u16) -> usize {
-        debug_assert!(x < self.dims.x);
-        // bounds is sorted; the owning shard is the last bound <= x.
-        match self.bounds.binary_search(&x) {
-            Ok(i) => i.min(self.shard_count() - 1),
-            Err(i) => i - 1,
-        }
-    }
-
-    /// The shard owning (row-major) cell id `id`.
-    pub fn shard_of_cell(&self, id: u16) -> usize {
-        self.shard_of_col(id % self.dims.x)
-    }
-}
-
-/// One entry of a cycle's steal schedule: `executor` runs the compute phase
-/// of mesh row `y` of `owner`'s band, for exactly one cycle. Routing, IO,
-/// and credit publication stay with the owner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct StealAssign {
-    /// Band that owns (and donates) the row.
-    pub owner: u16,
-    /// Band whose worker computes the row this cycle.
-    pub executor: u16,
-    /// Mesh row index.
-    pub y: u16,
-}
-
-/// Compute the next cycle's deterministic steal schedule from the merged
-/// per-(band, row) active-cell counts of the cycle just finished
-/// (`rows[s * y_rows + y]`, attributed to the *owner* band regardless of who
-/// executed the row). A **pure function** of those counts: the busiest band
-/// donates whole rows — heaviest first — to the currently least-loaded
-/// bands, and a row moves only while the receiving band stays no busier
-/// than the donor. Ties break toward the lowest shard id and lowest row, so
-/// the schedule is identical on every host; and because compute is
-/// cell-local, *any* schedule yields bit-identical results anyway — purity
-/// only pins down the wall-clock and the diagnostics.
-pub(crate) fn steal_schedule(
-    rows: &[u32],
-    n_shards: usize,
-    y_rows: usize,
-    min_active: u32,
-) -> Vec<StealAssign> {
-    debug_assert_eq!(rows.len(), n_shards * y_rows);
-    let mut loads: Vec<u64> = (0..n_shards)
-        .map(|s| rows[s * y_rows..(s + 1) * y_rows].iter().map(|&c| c as u64).sum())
-        .collect();
-    let total: u64 = loads.iter().sum();
-    if n_shards < 2 || total < min_active as u64 {
-        return Vec::new(); // cold cycle: the barrier dance would not pay.
-    }
-    let mut donor = 0usize;
-    for s in 1..n_shards {
-        if loads[s] > loads[donor] {
-            donor = s;
-        }
-    }
-    let mut cand: Vec<usize> = (0..y_rows).filter(|&y| rows[donor * y_rows + y] > 0).collect();
-    cand.sort_by_key(|&y| (std::cmp::Reverse(rows[donor * y_rows + y]), y));
-    let mut out = Vec::new();
-    for y in cand {
-        let w = rows[donor * y_rows + y] as u64;
-        let mut thief = usize::from(donor == 0);
-        for s in 0..n_shards {
-            if s != donor && loads[s] < loads[thief] {
-                thief = s;
-            }
-        }
-        // Move only if the thief stays no busier than the donor afterwards
-        // (strict levelling; lighter rows may still fit when heavy ones
-        // did not).
-        if loads[thief] + w > loads[donor] - w {
-            continue;
-        }
-        loads[donor] -= w;
-        loads[thief] += w;
-        out.push(StealAssign { owner: donor as u16, executor: thief as u16, y: y as u16 });
-    }
-    out
 }
 
 /// A sense-reversing spin barrier for the per-cycle worker rendezvous.
@@ -245,72 +165,6 @@ mod tests {
             let (min, max) = (widths.iter().min().unwrap(), widths.iter().max().unwrap());
             assert!(max - min <= 1, "balanced bands: {widths:?}");
         }
-    }
-
-    #[test]
-    fn shard_of_col_matches_bands() {
-        let plan = ShardPlan::new(Dims::new(32, 32), 5);
-        for x in 0..32u16 {
-            let s = plan.shard_of_col(x);
-            let (a, b) = plan.band(s);
-            assert!(x >= a && x < b, "column {x} in band {s} [{a},{b})");
-        }
-        // Cell ids map through their column.
-        let dims = Dims::new(32, 32);
-        for id in [0u16, 31, 32, 1000, 1023] {
-            assert_eq!(plan.shard_of_cell(id), plan.shard_of_col(id % dims.x));
-        }
-    }
-
-    #[test]
-    fn steal_schedule_moves_rows_from_busiest_to_idle() {
-        // 3 bands × 4 rows; band 1 carries everything.
-        let rows = [0, 0, 0, 0, 9, 7, 1, 3, 0, 0, 0, 0];
-        let sched = steal_schedule(&rows, 3, 4, 1);
-        assert!(!sched.is_empty(), "skew must trigger stealing");
-        for a in &sched {
-            assert_eq!(a.owner, 1, "only the busiest band donates");
-            assert_ne!(a.executor, a.owner);
-            assert!(rows[4 + a.y as usize] > 0, "idle rows never move");
-        }
-        // Deterministic: same input, same schedule.
-        assert_eq!(sched, steal_schedule(&rows, 3, 4, 1));
-        // The donated rows are distinct.
-        let mut ys: Vec<_> = sched.iter().map(|a| a.y).collect();
-        ys.sort_unstable();
-        ys.dedup();
-        assert_eq!(ys.len(), sched.len());
-    }
-
-    #[test]
-    fn steal_schedule_idles_when_balanced_or_cold() {
-        // Balanced load: no move can level further.
-        let rows = [5u32, 5, 5, 5, 5, 5, 5, 5];
-        assert!(steal_schedule(&rows, 2, 4, 1).is_empty());
-        // Cold cycle: below the activity floor.
-        let rows = [3u32, 0, 0, 0, 0, 0, 0, 0];
-        assert!(steal_schedule(&rows, 2, 4, 24).is_empty());
-        // Degenerate shard count.
-        assert!(steal_schedule(&[7, 7], 1, 2, 1).is_empty());
-    }
-
-    #[test]
-    fn steal_schedule_levels_loads() {
-        // One hot band, three idle: after applying the schedule the hot
-        // band's remaining load must not exceed its pre-steal load, and
-        // every thief stays at or below the donor.
-        let y = 4;
-        let mut rows = vec![0u32; 4 * y];
-        rows[0..y].copy_from_slice(&[8, 8, 8, 8]);
-        let sched = steal_schedule(&rows, 4, y, 1);
-        let mut loads = [32u64, 0, 0, 0];
-        for a in &sched {
-            let w = rows[a.owner as usize * y + a.y as usize] as u64;
-            loads[a.owner as usize] -= w;
-            loads[a.executor as usize] += w;
-        }
-        assert_eq!(sched.len(), 3, "three rows level the load: {sched:?}");
-        assert_eq!(loads, [8, 8, 8, 8], "perfectly levelled");
     }
 
     #[test]

@@ -1,26 +1,12 @@
-//! Trace export: CSV series and ASCII renderings of chip activity.
+//! Trace export: ASCII renderings of chip activity.
 //!
 //! The paper plots "Percent of Cells Active" per cycle (Figures 6–7) and
 //! links to animations generated from simulation traces. This module turns an
-//! [`ActivitySeries`] into those artifacts: a CSV one can plot directly, an
-//! ASCII sparkline for terminal output, and per-frame heat-map grids for the
-//! animation example.
-
-use std::fmt::Write as _;
+//! [`ActivitySeries`] into an ASCII sparkline for terminal output and renders
+//! per-frame heat-map grids for the animation example.
 
 use crate::geom::Dims;
 use crate::stats::ActivitySeries;
-
-/// Render the activity series as CSV with header `cycle,active,percent`.
-pub fn activity_csv(series: &ActivitySeries, total_cells: u32) -> String {
-    let mut out = String::with_capacity(series.counts.len() * 16 + 32);
-    out.push_str("cycle,active,percent\n");
-    for (i, &c) in series.counts.iter().enumerate() {
-        let pct = c as f64 * 100.0 / total_cells as f64;
-        writeln!(out, "{i},{c},{pct:.2}").unwrap();
-    }
-    out
-}
 
 /// A terminal sparkline of the activity series, down-sampled to `width`
 /// columns with max-pooling (peaks preserved, like the paper's figures).
@@ -54,17 +40,6 @@ pub fn frame_ascii(frame: &[u64], dims: Dims) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let s = ActivitySeries { counts: vec![0, 512, 1024], ..Default::default() };
-        let csv = activity_csv(&s, 1024);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "cycle,active,percent");
-        assert_eq!(lines[1], "0,0,0.00");
-        assert_eq!(lines[2], "1,512,50.00");
-        assert_eq!(lines[3], "2,1024,100.00");
-    }
 
     #[test]
     fn sparkline_width_and_glyphs() {

@@ -101,17 +101,6 @@ fn build_adaptive(
     seed: u64,
     adaptive: bool,
 ) -> Chip<StressProgram> {
-    build_cfg(shards, link_buffer, queue_cap, seed, adaptive, true)
-}
-
-fn build_cfg(
-    shards: usize,
-    link_buffer: usize,
-    queue_cap: usize,
-    seed: u64,
-    adaptive: bool,
-    steal: bool,
-) -> Chip<StressProgram> {
     let cfg = ChipConfig {
         dims: DIMS,
         link_buffer,
@@ -121,10 +110,8 @@ fn build_cfg(
         shards,
         adaptive_shards: adaptive,
         // Low enough that hot phases of these 45-cell workloads actually
-        // cross it, so adaptive runs exercise both engines (and the steal
-        // scheduler's minimum-activity cutoff actually clears).
+        // cross it, so adaptive runs exercise both engines.
         shard_break_even: 4,
-        work_stealing: steal,
         ..ChipConfig::small_test()
     };
     let mut chip = Chip::new(cfg, StressProgram);
@@ -142,20 +129,7 @@ fn run(
     adaptive: bool,
     ops: &[Operon],
 ) -> RunOutcome {
-    run_steal(shards, link_buffer, queue_cap, seed, adaptive, true, ops)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_steal(
-    shards: usize,
-    link_buffer: usize,
-    queue_cap: usize,
-    seed: u64,
-    adaptive: bool,
-    steal: bool,
-    ops: &[Operon],
-) -> RunOutcome {
-    let mut chip = build_cfg(shards, link_buffer, queue_cap, seed, adaptive, steal);
+    let mut chip = build_adaptive(shards, link_buffer, queue_cap, seed, adaptive);
     assert_eq!(chip.is_sharded(), shards > 1, "plan engages for every tested shard count");
     chip.io_load(ops.iter().copied());
     let result = chip.run_until_quiescent();
@@ -209,12 +183,11 @@ proptest! {
         }
     }
 
-    /// Deterministic work stealing is invisible to every result: steal-on,
-    /// steal-off, and sequential runs are bit-identical for K ∈ {1, 2, 4} on
-    /// column-skewed workloads (seeds homed in the west third of the mesh,
-    /// so one band saturates and the scheduler has something to do).
+    /// Column-skewed workloads (seeds homed in the west third of the mesh,
+    /// so one band saturates) are bit-identical to the sequential run at
+    /// K ∈ {2, 4}.
     #[test]
-    fn work_stealing_matches_sequential(
+    fn column_skewed_runs_match_sequential(
         seeds in prop::collection::vec(
             (0u16..N_CELLS as u16, 1u64..8, 2u64..6, any::<u64>(), 0u8..2), 4..20),
         chip_seed in 0u64..1000,
@@ -224,16 +197,11 @@ proptest! {
             .map(|&(cc, v, ttl, h, a)| ((cc / DIMS.x) * DIMS.x + cc % 3, v, ttl, h, a))
             .collect();
         let ops = workload(&skewed);
-        let reference = run_steal(1, 4, 1 << 16, chip_seed, false, false, &ops);
+        let reference = run(1, 4, 1 << 16, chip_seed, false, &ops);
         prop_assert!(reference.result.is_ok());
         for shards in [2usize, 4] {
-            for steal in [false, true] {
-                let sharded = run_steal(shards, 4, 1 << 16, chip_seed, false, steal, &ops);
-                prop_assert_eq!(
-                    &reference, &sharded,
-                    "shards={} steal={} diverged", shards, steal
-                );
-            }
+            let sharded = run(shards, 4, 1 << 16, chip_seed, false, &ops);
+            prop_assert_eq!(&reference, &sharded, "shards={} diverged", shards);
         }
     }
 
@@ -326,36 +294,27 @@ fn adaptive_hot_run_engages_sharded_engine() {
     assert!(chip.sharded_cycles() < chip.cycle(), "warm-up and tail ran sequentially");
 }
 
-/// The equivalence proptests would be vacuous if the scheduler never fired:
-/// a hot column-skewed fan-out workload must actually steal rows — and the
-/// stolen run still matches the sequential reference bit for bit, with the
-/// owner-attributed band totals conserved across executors.
+/// A hot column stays with the band that owns it: thirty fan-out seeds in
+/// mesh column 0 at three shards match the sequential run bit for bit, no
+/// row moves to another worker, and band 0 reports more work than band 2.
 #[test]
-fn skewed_workload_steals_rows_and_stays_identical() {
-    // Thirty hot fan-out seeds, all homed in mesh column 0.
+fn hot_column_is_computed_by_its_own_band() {
     let seeds: Vec<(u16, u64, u64, u64, u8)> =
-        (0..30).map(|i| ((i % 5) * DIMS.x, 3, 6, mix(i as u64), 0)).collect();
+        (0..30).map(|i| ((i % 5) * DIMS.x, 3, 2, mix(i as u64), 0)).collect();
     let ops = workload(&seeds);
-    let reference = run_steal(1, 4, 1 << 16, 33, false, false, &ops);
-    let mut chip = build_cfg(3, 4, 1 << 16, 33, false, true);
+    let reference = run(1, 4, 1 << 16, 33, false, &ops);
+    let mut chip = build(3, 4, 1 << 16, 33);
     chip.io_load(ops.iter().copied());
     chip.run_until_quiescent().unwrap();
-    assert!(chip.steal_rows() > 0, "the steal scheduler must have fired");
-    assert_eq!(chip.cycle(), reference.cycle, "stealing must not change the cycle count");
+    assert_eq!(chip.cycle(), reference.cycle);
     assert_eq!(chip.counters(), &reference.counters);
     let mut objects = Vec::new();
     chip.for_each_object(|a, &v| objects.push((a.cc, a.slot, v)));
     assert_eq!(objects, reference.objects);
-    // Work is conserved: executors executed exactly the owners' work, and
-    // with stealing on the executor spread is no worse than the band spread.
-    let band: u64 = chip.band_active().iter().sum();
-    let exec: u64 = chip.exec_active().iter().sum();
-    assert_eq!(band, exec, "owner- and executor-attributed totals conserve");
-    assert!(band > 0, "the run did compute work on the sharded engine");
-    // The same workload with stealing off reports identical results but a
-    // fully owner-bound execution.
-    let off = run_steal(3, 4, 1 << 16, 33, false, false, &ops);
-    assert_eq!(off, reference);
+    assert_eq!(chip.steal_rows(), 0, "no row leaves its band");
+    assert_eq!(chip.exec_active(), chip.band_active(), "each band's worker did its work");
+    let band = chip.band_active();
+    assert!(band[0] > band[2], "the hot column's band is the busiest: {band:?}");
 }
 
 /// Frame-mode activity bitmaps (the animation data) are identical too.

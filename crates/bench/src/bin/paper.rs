@@ -41,8 +41,7 @@
 
 use amcca_bench::{
     chip_with_placement, format_table, human_count, out_dir, run_streaming_bfs,
-    run_streaming_churn, sparkline, write_activity_csv, write_csv, ExperimentResult, RunOpts,
-    Scale,
+    run_streaming_churn, sparkline, write_activity, write_csv, ExperimentResult, RunOpts, Scale,
 };
 use amcca_sim::{run_tasks, ChipConfig, GhostPlacement};
 use gc_datasets::{ChurnPreset, GcPreset, Sampling, SkewPreset, StreamingDataset};
@@ -342,7 +341,7 @@ fn fig67(args: &Args, with_bfs: bool) {
             "fig{figno}_{}.csv",
             if p.sampling == Sampling::Edge { "edge" } else { "snowball" }
         );
-        write_activity_csv(&dir.join(&name), &r.activity, r.cell_count, 4096);
+        write_activity(&dir.join(&name), &r.activity, r.cell_count, 4096);
         println!("      (csv: {}/{name})", args.out);
     }
 }

@@ -368,7 +368,7 @@ pub fn write_csv(path: &Path, header: &str, rows: impl IntoIterator<Item = Strin
 
 /// Write an activity series (down-sampled by max-pooling to at most
 /// `max_points`) as `cycle,active,percent`.
-pub fn write_activity_csv(path: &Path, activity: &[u16], cells: u32, max_points: usize) {
+pub fn write_activity(path: &Path, activity: &[u16], cells: u32, max_points: usize) {
     let chunk = activity.len().div_ceil(max_points.max(1)).max(1);
     let rows = activity.chunks(chunk).enumerate().map(|(i, c)| {
         let peak = *c.iter().max().unwrap();

@@ -195,10 +195,9 @@ pub struct StreamingGraph<G: VertexAlgo> {
     /// Monotonic increment sequence number — the batch id carried by this
     /// graph's trace spans. Advances whether or not obs is enabled.
     seq: u64,
-    /// Chip diagnostics (`sharded_cycles`, `steal_rows`, `cell_visits`) as of
-    /// the previous obs flush, so the obs counters record per-increment
-    /// deltas.
-    chip_marks: (u64, u64, u64),
+    /// Chip diagnostics (`sharded_cycles`, `cell_visits`) as of the previous
+    /// obs flush, so the obs counters record per-increment deltas.
+    chip_marks: (u64, u64),
     /// The log's `pair_visits` as of the previous obs flush.
     pair_mark: u64,
 }
@@ -291,7 +290,7 @@ impl<G: VertexAlgo> GraphBuilder<G> {
             last_deltas: Vec::new(),
             obs,
             seq: 0,
-            chip_marks: (0, 0, 0),
+            chip_marks: (0, 0),
             pair_mark: 0,
         })
     }

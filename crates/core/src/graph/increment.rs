@@ -273,19 +273,18 @@ impl<G: VertexAlgo> StreamingGraph<G> {
         obs.counter_add("graph.reseed_triggers", report.reseed_triggers);
         obs.observe("graph.increment_cycles", report.cycles);
         let chip = self.dev.chip();
-        let (sc, sr, cv) = (chip.sharded_cycles(), chip.steal_rows(), chip.cell_visits());
+        let (sc, cv) = (chip.sharded_cycles(), chip.cell_visits());
         obs.counter_add("shard.busy_cycles", sc - self.chip_marks.0);
-        obs.counter_add("shard.steal_rows", sr - self.chip_marks.1);
-        obs.counter_add("fabric.cell_visits", cv - self.chip_marks.2);
-        self.chip_marks = (sc, sr, cv);
+        obs.counter_add("fabric.cell_visits", cv - self.chip_marks.1);
+        self.chip_marks = (sc, cv);
         let pv = self.log.pair_visits();
         obs.counter_add("host.pair_visits", pv - self.pair_mark);
         self.pair_mark = pv;
         obs.gauge_set("graph.live_edges", self.applied_live as i64);
         obs.gauge_set("graph.ledger_pairs", self.log.pair_records() as i64);
-        // Run-to-date max/mean executor imbalance across the sharded
-        // engine's workers, in milli-units (1000 = perfectly level).
-        let imb = max_mean_ratio(chip.exec_active());
+        // Run-to-date max/mean imbalance of the sharded engine's per-band
+        // work, in milli-units (1000 = perfectly level).
+        let imb = max_mean_ratio(chip.band_active());
         obs.gauge_set("shard.imbalance_milli", (imb * 1000.0) as i64);
     }
 }

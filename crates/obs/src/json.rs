@@ -62,9 +62,15 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Arrays and objects nested deeper than this are refused, so a hostile
+/// document cannot overflow the parser's stack. Nothing the repo emits is
+/// more than 3 deep.
+const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document. Errors carry a byte offset and a short reason.
+/// Time is linear in the input's length.
 pub fn parse(src: &str) -> Result<Json, String> {
-    let mut p = Parser { b: src.as_bytes(), at: 0 };
+    let mut p = Parser { src, b: src.as_bytes(), at: 0, depth: 0 };
     p.ws();
     let v = p.value()?;
     p.ws();
@@ -75,8 +81,11 @@ pub fn parse(src: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     b: &'a [u8],
     at: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -110,8 +119,9 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.b.get(self.at) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => self.err("nesting too deep"),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -119,6 +129,14 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => self.err("expected a value"),
         }
+    }
+
+    /// Parse an array or object one level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -211,11 +229,9 @@ impl Parser<'_> {
                     self.at += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the source is &str, so byte
-                    // boundaries are valid).
-                    let rest = &self.b[self.at..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = s.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar: every byte the parser steps
+                    // over singly is ASCII, so `at` is a char boundary.
+                    let c = self.src[self.at..].chars().next().expect("non-empty");
                     out.push(c);
                     self.at += c.len_utf8();
                 }

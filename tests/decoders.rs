@@ -7,8 +7,16 @@
 //! appended is `Err` (those two strings again excepted: they take it in),
 //! and `decode ∘ encode = id` on generated values of every request and
 //! response op.
+//!
+//! `amcca_obs::json::parse`, the text decoder, gets the same treatment —
+//! arbitrary text never panics, no strict prefix of a metrics snapshot's
+//! JSON parses — plus the two inputs that used to break it: nesting a
+//! million levels deep (a stack overflow) and a 1 MiB string (quadratic).
 
-use amcca::amcca_obs::{HistSnapshot, MetricsSnapshot};
+use std::time::{Duration, Instant};
+
+use amcca::amcca_obs::json::{escape, parse, Json};
+use amcca::amcca_obs::{HistSnapshot, MetricsSnapshot, Registry};
 use amcca::sdgp_core::checkpoint::{decode_mutations, encode_mutations, GraphCheckpoint};
 use amcca::sdgp_core::graph::GraphMutation;
 use amcca_serve::proto::{Request, Response, ServerStats};
@@ -16,6 +24,13 @@ use proptest::prelude::*;
 
 /// Pattern syntax plus two multi-byte characters, so a cut can land in one.
 const ALPHABET: [char; 8] = ['a', 'z', '.', '*', '+', '?', 'é', '→'];
+
+/// JSON's structural characters, escapes, literal and number starts, and a
+/// multi-byte character, so random text reaches every branch of the parser.
+const JSON_ALPHABET: [char; 20] = [
+    '{', '}', '[', ']', '"', '\\', ':', ',', ' ', '-', '.', '0', '7', 'e', 'u', 't', 'n', 'l', 'a',
+    '→',
+];
 
 /// Feed `decode` every strict prefix of `bytes`: none may panic, and one
 /// shorter than `fixed` (it cuts a fixed-width or counted field) must fail.
@@ -38,7 +53,11 @@ proptest! {
     fn arbitrary_bytes_never_panic(
         op in 0u8..16,
         bytes in prop::collection::vec(any::<u8>(), 0..64),
+        text in prop::collection::vec(0usize..JSON_ALPHABET.len(), 0..64),
     ) {
+        let text: String = text.into_iter().map(|i| JSON_ALPHABET[i]).collect();
+        let _ = parse(&text);
+        let _ = parse(&String::from_utf8_lossy(&bytes));
         let _ = decode_mutations(&bytes);
         let _ = GraphCheckpoint::decode(&bytes);
         let _ = MetricsSnapshot::decode(&bytes);
@@ -95,6 +114,22 @@ proptest! {
         prop_assert_eq!(&MetricsSnapshot::decode(&bytes).unwrap(), &snap);
         refuses_prefixes(&bytes, bytes.len(), MetricsSnapshot::decode);
         refuses_one_more_byte(&bytes, MetricsSnapshot::decode);
+
+        // The snapshot as JSON, its names carrying characters `escape`
+        // rewrites: the whole document parses, a strict prefix of it never.
+        let name = format!("{text}\"\\\t");
+        let reg = Registry::default();
+        for &w in &ws {
+            reg.counter_add(&name, w as u64);
+            reg.observe(&name, n ^ w as u64);
+        }
+        reg.gauge_set(&name, n as i64);
+        let doc = reg.snapshot().to_json();
+        let doc = doc.trim_end();
+        prop_assert!(parse(doc).is_ok(), "{}", doc);
+        for cut in (0..doc.len()).filter(|&cut| doc.is_char_boundary(cut)) {
+            prop_assert!(parse(&doc[..cut]).is_err(), "prefix {} of {:?} parsed", cut, doc);
+        }
 
         // One value of every op, beside the length of its fixed-width /
         // count-prefixed part where a to-end-of-frame string trails it.
@@ -159,4 +194,27 @@ fn a_hostile_bucket_count_is_an_error_not_an_allocation() {
     bytes.extend_from_slice(&[0u8; 2 + 32]); // empty name; count, sum, min, max
     bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // bucket count
     assert!(MetricsSnapshot::decode(&bytes).is_err());
+}
+
+/// Nesting depth is bounded: a million `[` is an error, not a stack
+/// overflow.
+#[test]
+fn deep_json_nesting_is_an_error_not_a_stack_overflow() {
+    assert!(parse(&"[".repeat(1_000_000)).is_err());
+    assert!(parse(&format!("{}{}", "[".repeat(100), "]".repeat(100))).is_ok());
+}
+
+/// Strings parse in linear time: a 1 MiB value, escapes and multi-byte
+/// characters included, round-trips through `escape` inside a 5 s budget
+/// (a linear parse takes milliseconds; re-validating the rest of the input
+/// at every character took over 400 s in a release build).
+#[test]
+fn a_one_mib_json_string_parses_in_linear_time() {
+    let value: String = "esc\"aped\\ \n → ".chars().cycle().take(1 << 20).collect();
+    let doc = format!("{{\"k\": \"{}\"}}", escape(&value));
+    let start = Instant::now();
+    let parsed = parse(&doc).unwrap();
+    let took = start.elapsed();
+    assert_eq!(parsed.get("k").and_then(Json::as_str), Some(value.as_str()));
+    assert!(took < Duration::from_secs(5), "1 MiB string took {took:?}");
 }
