@@ -11,6 +11,7 @@ use crate::operon::Operon;
 use crate::rng::SplitMix64;
 use crate::router::Router;
 use crate::safra::CellTd;
+use crate::stats::CellLoad;
 
 #[derive(Debug)]
 /// A compute cell; see the module docs for the execution model.
@@ -42,6 +43,8 @@ pub struct Cell<T> {
     /// cell-local so the detector shards with the cells; meaningful only
     /// while the chip's detector is enabled (reset at enable time).
     pub td: CellTd,
+    /// Deliveries into this cell and its task-queue peak.
+    pub load: CellLoad,
 }
 
 impl<T> Cell<T> {
@@ -64,6 +67,7 @@ impl<T> Cell<T> {
             router: Router::new(link_buffer),
             rng,
             td: CellTd::start(),
+            load: CellLoad::default(),
         }
     }
 

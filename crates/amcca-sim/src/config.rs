@@ -37,23 +37,17 @@ pub struct ChipConfig {
     pub max_alloc_retries: u32,
     /// Master seed for all simulator randomness.
     pub seed: u64,
-    /// Number of column-band shards the execution engine runs in parallel
-    /// during `run_until_quiescent` / `run_until_terminated`. `1` selects the
-    /// sequential reference path; any other value partitions the mesh columns
-    /// into contiguous bands, one worker thread per band, with results
-    /// **bit-identical** to the sequential engine (clamped to the number of
-    /// mesh columns). Defaults to `available_parallelism()`.
+    /// Number of column bands the mesh is cut into (clamped to the number of
+    /// mesh columns). Each band keeps the live sets of its own cells; with
+    /// more than one, `run_until_quiescent` / `run_until_terminated` can step
+    /// one band per worker thread, with results **bit-identical** to one
+    /// band. Defaults to `available_parallelism()`.
     pub shards: usize,
-    /// With `shards > 1`, adaptively drop to the sequential engine while
-    /// per-cycle activity is below [`ChipConfig::shard_break_even`] (e.g.
-    /// between streaming increments, or in a diffusion's long tail) and
-    /// re-engage the sharded engine when activity ramps back up. Both
-    /// engines are bit-identical, so switching at a cycle boundary cannot
-    /// change any result — it only avoids paying the spin-barrier cost for
-    /// cycles with too little work to amortize it.
-    pub adaptive_shards: bool,
     /// Active-cell count below which a simulated cycle does not amortize the
-    /// sharded engine's barrier ("tens of active cells").
+    /// threaded driver's barriers ("tens of active cells"): with more than
+    /// one band, a run steps its bands on the calling thread until that many
+    /// cells were active for a window of cycles, and drops back after a
+    /// window below it. `0` threads every cycle.
     pub shard_break_even: u32,
 }
 
@@ -77,16 +71,15 @@ impl Default for ChipConfig {
             max_alloc_retries: 4096,
             seed: 0xC0FFEE,
             shards: default_shards(),
-            adaptive_shards: true,
             shard_break_even: 24,
         }
     }
 }
 
 impl ChipConfig {
-    /// A small chip for unit tests: 8 × 8, tighter queues, sequential
-    /// engine (unit tests pin the single-shard reference path; shard
-    /// equivalence has its own dedicated tests).
+    /// A small chip for unit tests: 8 × 8, a smaller arena, one band (unit
+    /// tests pin the one-band chip; shard equivalence has its own dedicated
+    /// tests).
     pub fn small_test() -> Self {
         ChipConfig {
             dims: Dims::new(8, 8),

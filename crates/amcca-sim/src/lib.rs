@@ -23,13 +23,13 @@
 //!
 //! ## Parallel execution
 //!
-//! With [`ChipConfig::shards`] > 1 (the default is one shard per hardware
-//! thread), whole-run entry points execute on a sharded engine: the mesh is
-//! partitioned into contiguous column bands, one worker thread per band,
-//! exchanging cross-band operons at a cycle barrier. Results are
-//! **bit-identical to the sequential engine for any shard count**; `shards:
-//! 1` keeps the original single-threaded path as the reference
-//! implementation. See [`shard`] and the crate's `shard_equivalence` tests.
+//! The mesh is cut into [`ChipConfig::shards`] contiguous column bands (the
+//! default is one per hardware thread), and every band visits only its own
+//! live cells. With more than one band, whole-run entry points step busy
+//! cycles one band per worker thread, exchanging cross-band operons at a
+//! cycle barrier, and quiet cycles every band on the calling thread. Results
+//! are **bit-identical to one band for any shard count**. See [`shard`] and
+//! the crate's `shard_equivalence` tests.
 
 pub mod arena;
 pub mod cell;

@@ -1,5 +1,5 @@
 //! Shard partitioning and the small synchronization primitives behind the
-//! parallel execution engine.
+//! threaded driver.
 //!
 //! The mesh is partitioned into **contiguous column bands** (BLADYG-style
 //! vertical partitions): with YX dimension-ordered routing every vertical hop

@@ -1,17 +1,15 @@
-//! Property tests of the sharded parallel engine: for arbitrary operon
-//! workloads, any shard count must produce results **bit-identical** to the
-//! sequential reference engine — final object states, cycle counts, event
-//! counters, per-cell loads, activity series, errors, and the Safra
-//! detector's statistics.
+//! Property tests of the column bands and the threaded driver: for arbitrary
+//! operon workloads, any shard count must produce results **bit-identical**
+//! to one band — final object states, cycle counts, event counters, per-cell
+//! loads, activity series, errors, and the Safra detector's statistics.
 //!
-//! The comparison also runs the other way. The sequential engine visits only
-//! its net-live / work-live cells, while the sharded engine scans every cell
-//! of every band each cycle; the `adaptive = false` runs below are that dense
-//! scan end to end, with `link_buffer ∈ {1, 2}` so that credit back-pressure
-//! — where a stale router snapshot would show — is on the path. They are the
-//! reference the sparse sequential loop is pinned against, so no dense
-//! sequential stepper is kept for tests; the `adaptive = true` runs add the
-//! sharded→sequential handoff that rebuilds the live sets.
+//! Each band visits only its own net-live / work-live cells, on either
+//! driver, so the visit count is pinned too: it is the same at every shard
+//! count. Runs at a break-even of 0 thread every cycle; runs at 4 switch
+//! between the calling thread and the workers mid-run, with nothing
+//! converted at the switch. `link_buffer ∈ {1, 2}` puts credit back-pressure
+//! — where a stale router snapshot would show — on the path. The dense
+//! reference both drivers are pinned against lives in `chip.rs`'s tests.
 
 use amcca_sim::{
     ActivityRecording, Address, Chip, ChipConfig, Counters, Dims, ExecCtx, Operon, Program,
@@ -88,18 +86,21 @@ struct RunOutcome {
     objects: Vec<(u16, u32, u64)>,
     loads: Vec<(u64, u32)>,
     activity: Vec<u16>,
+    cell_visits: u64,
 }
 
-fn build(shards: usize, link_buffer: usize, queue_cap: usize, seed: u64) -> Chip<StressProgram> {
-    build_adaptive(shards, link_buffer, queue_cap, seed, false)
-}
+/// Break-even that threads every cycle.
+const ALWAYS: u32 = 0;
+/// Low enough that hot phases of these 45-cell workloads actually cross it,
+/// so switching runs exercise both drivers.
+const SWITCHING: u32 = 4;
 
-fn build_adaptive(
+fn build(
     shards: usize,
+    break_even: u32,
     link_buffer: usize,
     queue_cap: usize,
     seed: u64,
-    adaptive: bool,
 ) -> Chip<StressProgram> {
     let cfg = ChipConfig {
         dims: DIMS,
@@ -108,10 +109,7 @@ fn build_adaptive(
         record_activity: ActivityRecording::Counts,
         seed,
         shards,
-        adaptive_shards: adaptive,
-        // Low enough that hot phases of these 45-cell workloads actually
-        // cross it, so adaptive runs exercise both engines.
-        shard_break_even: 4,
+        shard_break_even: break_even,
         ..ChipConfig::small_test()
     };
     let mut chip = Chip::new(cfg, StressProgram);
@@ -123,16 +121,19 @@ fn build_adaptive(
 
 fn run(
     shards: usize,
+    break_even: u32,
     link_buffer: usize,
     queue_cap: usize,
     seed: u64,
-    adaptive: bool,
     ops: &[Operon],
 ) -> RunOutcome {
-    let mut chip = build_adaptive(shards, link_buffer, queue_cap, seed, adaptive);
+    let mut chip = build(shards, break_even, link_buffer, queue_cap, seed);
     assert_eq!(chip.is_sharded(), shards > 1, "plan engages for every tested shard count");
     chip.io_load(ops.iter().copied());
     let result = chip.run_until_quiescent();
+    if break_even == ALWAYS {
+        assert_eq!(chip.sharded_cycles() > 0, shards > 1, "every cycle threaded");
+    }
     let mut objects = Vec::new();
     chip.for_each_object(|a, &v| objects.push((a.cc, a.slot, v)));
     RunOutcome {
@@ -142,6 +143,7 @@ fn run(
         objects,
         loads: chip.cell_loads().iter().map(|l| (l.delivered, l.peak_queue)).collect(),
         activity: chip.activity().counts.clone(),
+        cell_visits: chip.cell_visits(),
     }
 }
 
@@ -158,9 +160,10 @@ fn workload(seeds: &[(u16, u64, u64, u64, u8)]) -> Vec<Operon> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// Sequential (shards = 1) and sharded (2, 3, 8) runs are bit-identical:
-    /// same cycles, counters, objects, loads, and activity series — even
-    /// under tight buffers where backpressure stalls dominate.
+    /// One band and 2, 3 or 8 bands, every cycle threaded or switching, are
+    /// bit-identical: same cycles, counters, objects, loads, activity series
+    /// and cell visits — even under tight buffers where backpressure stalls
+    /// dominate.
     #[test]
     fn sharded_runs_match_sequential(
         seeds in prop::collection::vec(
@@ -170,14 +173,14 @@ proptest! {
         chip_seed in 0u64..1000,
     ) {
         let ops = workload(&seeds);
-        let reference = run(1, link_buffer, queue_cap, chip_seed, false, &ops);
+        let reference = run(1, SWITCHING, link_buffer, queue_cap, chip_seed, &ops);
         prop_assert!(reference.result.is_ok());
         for shards in [2usize, 3, 8] {
-            for adaptive in [false, true] {
-                let sharded = run(shards, link_buffer, queue_cap, chip_seed, adaptive, &ops);
+            for break_even in [ALWAYS, SWITCHING] {
+                let sharded = run(shards, break_even, link_buffer, queue_cap, chip_seed, &ops);
                 prop_assert_eq!(
                     &reference, &sharded,
-                    "shards={} adaptive={} diverged", shards, adaptive
+                    "shards={} break_even={} diverged", shards, break_even
                 );
             }
         }
@@ -197,16 +200,17 @@ proptest! {
             .map(|&(cc, v, ttl, h, a)| ((cc / DIMS.x) * DIMS.x + cc % 3, v, ttl, h, a))
             .collect();
         let ops = workload(&skewed);
-        let reference = run(1, 4, 1 << 16, chip_seed, false, &ops);
+        let reference = run(1, ALWAYS, 4, 1 << 16, chip_seed, &ops);
         prop_assert!(reference.result.is_ok());
         for shards in [2usize, 4] {
-            let sharded = run(shards, 4, 1 << 16, chip_seed, false, &ops);
+            let sharded = run(shards, ALWAYS, 4, 1 << 16, chip_seed, &ops);
             prop_assert_eq!(&reference, &sharded, "shards={} diverged", shards);
         }
     }
 
-    /// The distributed Safra detector behaves identically under sharding:
-    /// same detection cycle, same token statistics, same results.
+    /// The distributed Safra detector behaves identically under sharding, on
+    /// either break-even: same detection cycle, same token statistics, same
+    /// results, same visits.
     #[test]
     fn sharded_safra_matches_sequential(
         seeds in prop::collection::vec(
@@ -214,14 +218,17 @@ proptest! {
         chip_seed in 0u64..1000,
     ) {
         let ops = workload(&seeds);
-        let outcomes: Vec<_> = [1usize, 2, 3, 8]
+        let outcomes: Vec<_> = [(1usize, ALWAYS), (2, ALWAYS), (3, SWITCHING), (8, ALWAYS), (8, SWITCHING)]
             .into_iter()
-            .map(|shards| {
-                let mut chip = build(shards, 4, 1 << 16, chip_seed);
+            .map(|(shards, break_even)| {
+                let mut chip = build(shards, break_even, 4, 1 << 16, chip_seed);
                 chip.io_load(ops.iter().copied());
                 chip.enable_safra_termination();
                 chip.begin_safra_probe();
                 chip.run_until_terminated().unwrap();
+                if break_even == ALWAYS {
+                    assert_eq!(chip.sharded_cycles() > 0, shards > 1);
+                }
                 let s = chip.safra().unwrap();
                 let mut objects = Vec::new();
                 chip.for_each_object(|a, &v| objects.push((a.cc, a.slot, v)));
@@ -234,6 +241,7 @@ proptest! {
                     s.token_requeues,
                     s.detected_at,
                     chip.safra_balance(),
+                    chip.cell_visits(),
                 )
             })
             .collect();
@@ -244,31 +252,41 @@ proptest! {
     }
 }
 
-/// Errors surface identically: same variant, at the same cycle.
+/// Errors surface identically: same variant, at the same cycle — a compute
+/// error (an operon for a dead slot) and a network one (an operon for a cell
+/// the mesh does not have), on one band and on three, on the calling thread
+/// or the workers.
 #[test]
 fn sharded_error_matches_sequential() {
-    let bad = Operon::new(Address::new(40, 7), 9, [1, 0]); // dead slot
-    let mut mixed: Vec<Operon> =
-        workload(&[(3, 2, 3, 99, 0), (17, 1, 2, 7, 1), (40, 1, 4, 1234, 0)]);
-    mixed.push(bad);
-    let mut outcomes = Vec::new();
-    for shards in [1usize, 3] {
-        let mut chip = build(shards, 4, 1 << 16, 42);
-        chip.io_load(mixed.iter().copied());
-        let err = chip.run_until_quiescent().unwrap_err();
-        outcomes.push((err, chip.cycle()));
+    let mixed = workload(&[(3, 2, 3, 99, 0), (17, 1, 2, 7, 1), (40, 1, 4, 1234, 0)]);
+    let dead_slot = Operon::new(Address::new(40, 7), 9, [1, 0]);
+    let no_cell = Operon::new(Address::new(N_CELLS as u16 + 3, 0), 9, [1, 0]);
+    for (bad, is_expected) in [
+        (dead_slot, (|e| matches!(e, SimError::BadAddress { .. })) as fn(&SimError) -> bool),
+        (no_cell, |e| matches!(e, SimError::BadTargetCell { .. })),
+    ] {
+        let mut outcomes = Vec::new();
+        for (shards, break_even) in [(1usize, ALWAYS), (3, ALWAYS), (3, SWITCHING)] {
+            let mut chip = build(shards, break_even, 4, 1 << 16, 42);
+            chip.io_load(mixed.iter().copied().chain([bad]));
+            let err = chip.run_until_quiescent().unwrap_err();
+            if break_even == ALWAYS {
+                assert_eq!(chip.sharded_cycles() > 0, shards > 1);
+            }
+            outcomes.push((err, chip.cycle()));
+        }
+        assert!(is_expected(&outcomes[0].0), "{:?}", outcomes[0]);
+        assert!(outcomes.iter().all(|o| *o == outcomes[0]), "{outcomes:?}");
     }
-    assert!(matches!(outcomes[0].0, SimError::BadAddress { .. }));
-    assert_eq!(outcomes[0], outcomes[1]);
 }
 
 /// A workload too small to ever cross the break-even never pays for the
-/// sharded engine: the adaptive run completes entirely sequentially.
+/// threaded driver: the run completes entirely on the calling thread.
 #[test]
 fn adaptive_small_run_stays_sequential() {
     let ops = workload(&[(3, 2, 0, 5, 0), (11, 1, 0, 9, 0)]); // ttl 0: no fan-out
-    let reference = run(1, 4, 1 << 16, 21, false, &ops);
-    let mut chip = build_adaptive(4, 4, 1 << 16, 21, true);
+    let reference = run(1, SWITCHING, 4, 1 << 16, 21, &ops);
+    let mut chip = build(4, SWITCHING, 4, 1 << 16, 21);
     chip.io_load(ops.iter().copied());
     chip.run_until_quiescent().unwrap();
     assert_eq!(chip.sharded_cycles(), 0, "two lonely operons never amortize a barrier");
@@ -276,18 +294,18 @@ fn adaptive_small_run_stays_sequential() {
     assert_eq!(chip.counters(), &reference.counters);
 }
 
-/// A hot fan-out workload crosses the break-even: the adaptive run engages
-/// the sharded engine mid-run and drops back for the cold tail — with
-/// results still bit-identical to the sequential reference.
+/// A hot fan-out workload crosses the break-even: the run engages the
+/// threaded driver mid-run and drops back for the cold tail — with results
+/// still bit-identical to one band.
 #[test]
 fn adaptive_hot_run_engages_sharded_engine() {
     let seeds: Vec<(u16, u64, u64, u64, u8)> =
         (0..24).map(|i| (i as u16 * 2 % N_CELLS as u16, 3, 7, mix(i), 0)).collect();
     let ops = workload(&seeds);
-    let reference = run(1, 4, 1 << 16, 33, false, &ops);
-    let adaptive = run(4, 4, 1 << 16, 33, true, &ops);
-    assert_eq!(reference, adaptive, "adaptive switching must not change any result");
-    let mut chip = build_adaptive(4, 4, 1 << 16, 33, true);
+    let reference = run(1, SWITCHING, 4, 1 << 16, 33, &ops);
+    let adaptive = run(4, SWITCHING, 4, 1 << 16, 33, &ops);
+    assert_eq!(reference, adaptive, "switching drivers must not change any result");
+    let mut chip = build(4, SWITCHING, 4, 1 << 16, 33);
     chip.io_load(ops.iter().copied());
     chip.run_until_quiescent().unwrap();
     assert!(chip.sharded_cycles() > 0, "the hot phase must have run sharded");
@@ -302,10 +320,11 @@ fn hot_column_is_computed_by_its_own_band() {
     let seeds: Vec<(u16, u64, u64, u64, u8)> =
         (0..30).map(|i| ((i % 5) * DIMS.x, 3, 2, mix(i as u64), 0)).collect();
     let ops = workload(&seeds);
-    let reference = run(1, 4, 1 << 16, 33, false, &ops);
-    let mut chip = build(3, 4, 1 << 16, 33);
+    let reference = run(1, ALWAYS, 4, 1 << 16, 33, &ops);
+    let mut chip = build(3, ALWAYS, 4, 1 << 16, 33);
     chip.io_load(ops.iter().copied());
     chip.run_until_quiescent().unwrap();
+    assert_eq!(chip.sharded_cycles(), chip.cycle(), "every cycle threaded");
     assert_eq!(chip.cycle(), reference.cycle);
     assert_eq!(chip.counters(), &reference.counters);
     let mut objects = Vec::new();
@@ -323,10 +342,11 @@ fn sharded_frames_match_sequential() {
     let ops = workload(&[(1, 3, 4, 5, 0), (20, 2, 3, 11, 1), (44, 1, 4, 23, 0)]);
     let mut frames = Vec::new();
     for shards in [1usize, 4] {
-        let mut chip = build(shards, 4, 1 << 16, 7);
+        let mut chip = build(shards, ALWAYS, 4, 1 << 16, 7);
         chip.set_activity_recording(ActivityRecording::Frames { stride: 2 });
         chip.io_load(ops.iter().copied());
         chip.run_until_quiescent().unwrap();
+        assert_eq!(chip.sharded_cycles() > 0, shards > 1);
         frames.push((chip.activity().counts.clone(), chip.activity().frames.clone()));
     }
     assert!(!frames[0].1.is_empty(), "frames were recorded");

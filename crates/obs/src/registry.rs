@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use crate::hist::{HistSnapshot, Histogram};
+use crate::hist::{HistSnapshot, Histogram, BUCKETS};
 use crate::json::escape;
 
 #[derive(Default)]
@@ -148,8 +148,9 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Decode [`MetricsSnapshot::encode`] bytes. Errors on truncation or
-    /// non-UTF-8 names.
+    /// Decode [`MetricsSnapshot::encode`] bytes. Errors on truncation,
+    /// non-UTF-8 names, trailing bytes, and histogram buckets that no
+    /// [`Histogram`] snapshots.
     pub fn decode(bytes: &[u8]) -> Result<MetricsSnapshot, String> {
         struct Cur<'a>(&'a [u8], usize);
         impl Cur<'_> {
@@ -189,10 +190,21 @@ impl MetricsSnapshot {
             let nb = c.u32()? as usize;
             // The count is unauthenticated: it bounds the loop, not the
             // allocation.
-            let mut buckets = Vec::with_capacity(nb.min(1 << 10));
+            let mut buckets: Vec<(u16, u64)> = Vec::with_capacity(nb.min(1 << 10));
+            let mut total = 0u64;
             for _ in 0..nb {
-                let idx = c.u16()?;
-                buckets.push((idx, c.u64()?));
+                let (idx, k) = (c.u16()?, c.u64()?);
+                // Only the shape `Histogram::snapshot` emits — in-range
+                // indices, strictly ascending, counts summing to `count` —
+                // so rendering never shifts or adds past the end.
+                if idx as usize >= BUCKETS || buckets.last().is_some_and(|&(prev, _)| idx <= prev) {
+                    return Err("histogram buckets out of range or out of order".into());
+                }
+                total = total.checked_add(k).ok_or("histogram bucket counts overflow")?;
+                buckets.push((idx, k));
+            }
+            if total != count {
+                return Err("histogram bucket counts do not sum to its count".into());
             }
             snap.hists.push((n, HistSnapshot { buckets, count, sum, min, max }));
         }

@@ -15,8 +15,9 @@
 
 use std::time::{Duration, Instant};
 
+use amcca::amcca_obs::hist::BUCKETS;
 use amcca::amcca_obs::json::{escape, parse, Json};
-use amcca::amcca_obs::{HistSnapshot, MetricsSnapshot, Registry};
+use amcca::amcca_obs::{HistSnapshot, Histogram, MetricsSnapshot, Registry};
 use amcca::sdgp_core::checkpoint::{decode_mutations, encode_mutations, GraphCheckpoint};
 use amcca::sdgp_core::graph::GraphMutation;
 use amcca_serve::proto::{Request, Response, ServerStats};
@@ -60,11 +61,16 @@ proptest! {
         let _ = parse(&String::from_utf8_lossy(&bytes));
         let _ = decode_mutations(&bytes);
         let _ = GraphCheckpoint::decode(&bytes);
-        let _ = MetricsSnapshot::decode(&bytes);
+        // A snapshot that decodes also renders.
+        if let Ok(snap) = MetricsSnapshot::decode(&bytes) {
+            let _ = snap.to_json();
+        }
         // Bare, and behind a plausible opcode so the per-op parsers run.
         for framed in [bytes.clone(), [&[op][..], &bytes[..]].concat()] {
             let _ = Request::decode(&framed);
-            let _ = Response::decode(&framed);
+            if let Ok(Response::ObsStats(snap)) = Response::decode(&framed) {
+                let _ = snap.to_json();
+            }
         }
     }
 
@@ -87,11 +93,14 @@ proptest! {
             .collect();
         let states: Vec<Option<u64>> =
             ws.iter().map(|&w| (w % 2 == 1).then_some(n ^ w as u64)).collect();
-        let buckets = ws.iter().map(|&w| (w as u16, n ^ w as u64)).collect();
+        let mut hist = Histogram::default();
+        for &w in &ws {
+            hist.record(n ^ w as u64);
+        }
         let snap = MetricsSnapshot {
             counters: ws.iter().map(|&w| (text.clone(), n ^ w as u64)).collect(),
             gauges: vec![(text.clone(), n as i64)],
-            hists: vec![(text.clone(), HistSnapshot { buckets, count: n, sum: !n, min: 1, max: n })],
+            hists: vec![(text.clone(), hist.snapshot())],
         };
         let ck = GraphCheckpoint {
             n_vertices: qid,
@@ -186,7 +195,11 @@ proptest! {
 }
 
 /// A count read from the wire bounds a loop, never an allocation: a
-/// histogram claiming 2³² − 1 buckets with none following is `Err`.
+/// histogram claiming 2³² − 1 buckets with none following is `Err`. Nor does
+/// a snapshot decode that would panic when rendered: a bucket index past the
+/// last bucket (it overflowed a shift in `bucket_bounds`), counts that
+/// overflow (an add in `percentile`), indices out of order, or counts that
+/// do not sum to the histogram's count.
 #[test]
 fn a_hostile_bucket_count_is_an_error_not_an_allocation() {
     let mut bytes = vec![0u8; 8]; // no counters, no gauges
@@ -194,6 +207,25 @@ fn a_hostile_bucket_count_is_an_error_not_an_allocation() {
     bytes.extend_from_slice(&[0u8; 2 + 32]); // empty name; count, sum, min, max
     bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // bucket count
     assert!(MetricsSnapshot::decode(&bytes).is_err());
+
+    let last = (BUCKETS - 1) as u16;
+    let cases: [(&[(u16, u64)], u64); 6] = [
+        (&[(last + 1, 1)], 1),
+        (&[(1, 5), (2, u64::MAX)], 10),
+        (&[(2, 1), (1, 1)], 2),
+        (&[(1, 1), (1, 1)], 2),
+        (&[(1, 5)], 4),
+        (&[(last, 2)], 2), // the one valid shape here
+    ];
+    for (i, (buckets, count)) in cases.into_iter().enumerate() {
+        let hist = HistSnapshot { buckets: buckets.to_vec(), count, sum: 0, min: 0, max: 0 };
+        let snap = MetricsSnapshot { hists: vec![("h".into(), hist)], ..Default::default() };
+        let decoded = MetricsSnapshot::decode(&snap.encode());
+        assert_eq!(decoded.is_ok(), i == 5, "case {i}: {buckets:?} count {count}");
+        if let Ok(snap) = decoded {
+            let _ = snap.to_json();
+        }
+    }
 }
 
 /// Nesting depth is bounded: a million `[` is an error, not a stack

@@ -8,9 +8,9 @@ use amcca::prelude::*;
 /// Vertex count (three hubs plus their fans).
 const N: u32 = 24;
 
-/// Chip for direct runs: every cycle on the sharded engine (adaptive off).
+/// Chip for direct runs: with more than one band, every cycle threaded.
 fn chip(shards: usize) -> ChipConfig {
-    ChipConfig { adaptive_shards: false, ..ChipConfig::small_test() }.with_shards(shards)
+    ChipConfig { shard_break_even: 0, ..ChipConfig::small_test() }.with_shards(shards)
 }
 
 /// Column-skewed churn: hubs 0, 8, and 16 all share mesh column 0 under
@@ -38,6 +38,8 @@ fn run(shards: usize) -> (Vec<u64>, Vec<u64>) {
         .build()
         .unwrap();
     let cycles = skewed_batches().iter().map(|b| g.stream_increment(b).unwrap().cycles).collect();
+    let threaded = g.device().chip().sharded_cycles();
+    assert_eq!(threaded > 0, shards > 1, "shards={shards}: threaded cycles {threaded}");
     (g.states(), cycles)
 }
 
