@@ -26,7 +26,7 @@
 //! snapshotting the routers → drain → compute → IO → publish the boundary
 //! credits) are the only cycle code. [`Chip::step`] runs them for every
 //! band in band order on the calling thread; the threaded driver runs one
-//! band per worker. What leaves a band — a hop into a neighbour band, the
+//! band per thread, band 0 on the calling one. What leaves a band — a hop into a neighbour band, the
 //! first error, the Safra token — travels as mail or in a cycle report folded
 //! at the end of the cycle, so both drivers build the same chip. The per-cell
 //! helpers below are no-ops on non-members, which is what makes skipping them
@@ -515,9 +515,10 @@ pub(crate) struct CreditFrame {
 }
 
 /// One cycle's effects that are not local to a band's cells. Bands stepped
-/// on one thread share one report; the threaded driver's workers fold theirs
-/// up a merge tree ([`CycleReport::merge`]). Either way the chip folds it in
-/// with [`Tally::fold`].
+/// on one thread share one report; on the threaded driver each band fills
+/// its own, and the calling thread folds them in band order
+/// ([`CycleReport::merge`]). Either way the chip folds the result in with
+/// [`Tally::fold`].
 #[derive(Default)]
 pub(crate) struct CycleReport {
     pub active: u32,

@@ -40,7 +40,7 @@ pub struct ChipConfig {
     /// Number of column bands the mesh is cut into (clamped to the number of
     /// mesh columns). Each band keeps the live sets of its own cells; with
     /// more than one, `run_until_quiescent` / `run_until_terminated` can step
-    /// one band per worker thread, with results **bit-identical** to one
+    /// one band per thread, with results **bit-identical** to one
     /// band. Defaults to `available_parallelism()`.
     pub shards: usize,
     /// Active-cell count below which a simulated cycle does not amortize the
@@ -51,7 +51,7 @@ pub struct ChipConfig {
     pub shard_break_even: u32,
 }
 
-/// Default shard count: one worker per available hardware thread.
+/// Default shard count: one band per available hardware thread.
 pub fn default_shards() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }

@@ -10,9 +10,8 @@
 //! whole run and its worker computes every one of its rows; the graph's
 //! skew is levelled by rhizomes, which spread a hub's roots over columns.
 //!
-//! This module also hosts [`run_tasks`], the workspace-wide work-queue helper
-//! used by the `paper` and `amcca-run` drivers to fan independent experiment
-//! runs over a bounded worker pool.
+//! This module also hosts [`run_tasks`], the work-queue helper `paper`'s
+//! `table1` uses to build its independent datasets on a bounded worker pool.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -52,12 +51,13 @@ impl ShardPlan {
     }
 }
 
-/// A sense-reversing spin barrier for the per-cycle worker rendezvous.
+/// A sense-reversing spin barrier: the threaded driver's one per-cycle
+/// rendezvous.
 ///
 /// `std::sync::Barrier` parks on a condvar, which costs microseconds per
 /// wait — comparable to a whole simulated cycle. This barrier spins briefly
 /// and falls back to `yield_now` so oversubscribed runs (e.g. `cargo test`)
-/// stay civil. `poison` releases all waiters into a panic, so one worker's
+/// stay civil. `poison` releases all waiters into a panic, so one band's
 /// panic cannot hang the others.
 pub(crate) struct SpinBarrier {
     n: usize,
@@ -89,7 +89,7 @@ impl SpinBarrier {
             let mut spins = 0u32;
             while self.generation.load(Ordering::Acquire) == gen {
                 if self.poisoned.load(Ordering::Relaxed) {
-                    panic!("shard barrier poisoned: a sibling worker panicked");
+                    panic!("shard barrier poisoned: a sibling band panicked");
                 }
                 backoff(&mut spins);
             }
@@ -104,7 +104,7 @@ impl SpinBarrier {
 
 /// Bounded spinning with a yield fallback (keeps oversubscribed runs fair).
 #[inline]
-pub(crate) fn backoff(spins: &mut u32) {
+fn backoff(spins: &mut u32) {
     *spins = spins.saturating_add(1);
     if *spins < 128 {
         std::hint::spin_loop();

@@ -16,6 +16,8 @@ use amcca_sim::{
     SimError,
 };
 use proptest::prelude::*;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 /// Workload program exercising every engine surface: fan-out diffusion
 /// (action 7), local allocation + placement-RNG routing (action 8), and
@@ -74,6 +76,30 @@ impl Program for StressProgram {
                 None => ctx.fail(SimError::BadAddress { addr: op.target, action: 9 }),
             },
             other => panic!("unknown action {other}"),
+        }
+    }
+}
+
+/// The action [`PanicAt`] panics on, at its chosen cell.
+const ACT_MARK: u16 = 10;
+
+/// [`StressProgram`], plus one marked action that panics on one chosen cell
+/// and does nothing elsewhere.
+struct PanicAt {
+    cc: u16,
+}
+
+impl Program for PanicAt {
+    type Object = u64;
+
+    fn fork(&self) -> Self {
+        PanicAt { cc: self.cc }
+    }
+
+    fn execute(&mut self, ctx: &mut ExecCtx<'_, u64>, op: &Operon) {
+        match op.action {
+            ACT_MARK => assert_ne!(ctx.cc, self.cc, "marked action on the chosen cell"),
+            _ => StressProgram.execute(ctx, op),
         }
     }
 }
@@ -351,4 +377,39 @@ fn sharded_frames_match_sequential() {
     }
     assert!(!frames[0].1.is_empty(), "frames were recorded");
     assert_eq!(frames[0], frames[1]);
+}
+
+/// A panic in any band's actions reaches the caller of the run instead of
+/// leaving the other bands spinning on the barrier: in band 0, which the
+/// calling thread steps, and in the last band, which a helper thread steps.
+#[test]
+fn a_panic_in_any_band_reaches_the_caller() {
+    // Row 2's cells of mesh column 0 (band 0) and column 8 (the last band).
+    for cc in [2 * DIMS.x, 2 * DIMS.x + 8] {
+        for shards in [2usize, 3] {
+            let (done, finished) = mpsc::channel::<()>();
+            let run = std::thread::spawn(move || {
+                let _done = done; // dropped when the run returns or unwinds
+                let cfg = ChipConfig {
+                    dims: DIMS,
+                    shards,
+                    shard_break_even: ALWAYS,
+                    ..ChipConfig::small_test()
+                };
+                let mut chip = Chip::new(cfg, PanicAt { cc });
+                for cell in 0..N_CELLS as u16 {
+                    chip.host_alloc(cell, 0).unwrap();
+                }
+                chip.io_load(workload(&[(1, 3, 4, 5, 0), (40, 2, 3, 11, 1)]));
+                chip.io_load([Operon::new(Address::new(cc, 0), ACT_MARK, [0, 0])]);
+                chip.run_until_quiescent()
+            });
+            assert_eq!(
+                finished.recv_timeout(Duration::from_secs(30)),
+                Err(RecvTimeoutError::Disconnected),
+                "cell {cc} at {shards} shards: the run still had not ended after 30 s"
+            );
+            assert!(run.join().is_err(), "cell {cc} at {shards} shards: the panic was lost");
+        }
+    }
 }

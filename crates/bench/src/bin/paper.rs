@@ -75,9 +75,9 @@ struct Args {
     command: String,
     scale: Scale,
     out: String,
-    /// Parallelism budget: every simulated chip runs with this many shards
-    /// (chip-running scenarios then fan out one at a time, see
-    /// [`CHIP_SCENARIO_WORKERS`]); dataset-only fan-outs use it as a plain
+    /// Parallelism budget: every simulated chip runs with this many shards,
+    /// so chip-running scenarios run one at a time on the calling thread
+    /// (which steps band 0); `table1`'s dataset fan-out uses it as a plain
     /// worker cap. Simulation results are shard-count-independent (the CI
     /// determinism gate diffs the CSVs), so `--jobs` only changes
     /// wall-clock time and peak memory.
@@ -157,14 +157,6 @@ fn chip_for(args: &Args) -> ChipConfig {
     ChipConfig::default().with_shards(args.jobs)
 }
 
-/// Worker cap for fanning out *chip-running* scenarios. Each chip already
-/// consumes the whole `--jobs` budget as shards, so scenarios run one at a
-/// time: `workers × shards` never exceeds the budget (no oversubscribed
-/// spin barriers), and at `--scale full` at most one multi-GB dataset+chip
-/// is resident at a time. Dataset-only fan-outs (table1) have no chip and
-/// use the full budget as plain workers instead.
-const CHIP_SCENARIO_WORKERS: usize = 1;
-
 fn main() {
     let args = parse_args();
     match args.command.as_str() {
@@ -228,20 +220,15 @@ const PAPER_TABLE2: [(&str, f64, f64, f64, f64); 4] = [
 fn table2(args: &Args) {
     eprintln!("[table2] running 4 datasets x 2 modes at scale {:?}...", args.scale);
     let ps = presets(args.scale);
-    let results: Vec<ExperimentResult> = run_tasks(
-        ps.iter()
-            .flat_map(|p| [(*p, false), (*p, true)])
-            .map(|(p, with_algo)| {
-                let chip = chip_for(args);
-                move || {
-                    let d = p.build();
-                    let opts = RunOpts { with_algo, chip, ..Default::default() };
-                    run_streaming_bfs(&d, &opts, &p.label())
-                }
-            })
-            .collect(),
-        CHIP_SCENARIO_WORKERS,
-    );
+    let results: Vec<ExperimentResult> = ps
+        .iter()
+        .flat_map(|p| [(*p, false), (*p, true)])
+        .map(|(p, with_algo)| {
+            let d = p.build();
+            let opts = RunOpts { with_algo, chip: chip_for(args), ..Default::default() };
+            run_streaming_bfs(&d, &opts, &p.label())
+        })
+        .collect();
     println!("\nTable 2: energy (µJ) and time (µs), 32x32 chip @ 1 GHz (scale {:?})", args.scale);
     let header = [
         "Dataset",
@@ -300,25 +287,19 @@ fn fig67(args: &Args, with_bfs: bool) {
         .into_iter()
         .map(|s| args.scale.apply(GcPreset::v500k(s)))
         .collect();
-    let results: Vec<ExperimentResult> = run_tasks(
-        ps.iter()
-            .map(|p| {
-                let p = *p;
-                let chip = chip_for(args);
-                move || {
-                    let d = p.build();
-                    let opts = RunOpts {
-                        with_algo: with_bfs,
-                        record_activity: true,
-                        chip,
-                        ..Default::default()
-                    };
-                    run_streaming_bfs(&d, &opts, &p.label())
-                }
-            })
-            .collect(),
-        CHIP_SCENARIO_WORKERS,
-    );
+    let results: Vec<ExperimentResult> = ps
+        .iter()
+        .map(|p| {
+            let d = p.build();
+            let opts = RunOpts {
+                with_algo: with_bfs,
+                record_activity: true,
+                chip: chip_for(args),
+                ..Default::default()
+            };
+            run_streaming_bfs(&d, &opts, &p.label())
+        })
+        .collect();
     println!(
         "\nFigure {figno}: percent of cells active per cycle — {mode} (scale {:?})",
         args.scale
@@ -362,20 +343,14 @@ fn fig89(args: &Args, big: bool) {
             [(p, false), (p, true)]
         })
         .collect();
-    let results: Vec<ExperimentResult> = run_tasks(
-        tasks
-            .iter()
-            .map(|&(p, with_algo)| {
-                let chip = chip_for(args);
-                move || {
-                    let d = p.build();
-                    let opts = RunOpts { with_algo, chip, ..Default::default() };
-                    run_streaming_bfs(&d, &opts, &p.label())
-                }
-            })
-            .collect(),
-        CHIP_SCENARIO_WORKERS,
-    );
+    let results: Vec<ExperimentResult> = tasks
+        .iter()
+        .map(|&(p, with_algo)| {
+            let d = p.build();
+            let opts = RunOpts { with_algo, chip: chip_for(args), ..Default::default() };
+            run_streaming_bfs(&d, &opts, &p.label())
+        })
+        .collect();
     println!("\nFigure {figno}: cycles per increment, {size} graph (scale {:?})", args.scale);
     let dir = out_dir(&args.out);
     for (si, sampling) in [Sampling::Edge, Sampling::Snowball].into_iter().enumerate() {
@@ -439,25 +414,18 @@ fn ablate_alloc(args: &Args) {
         ("vicinity-4", GhostPlacement::Vicinity { max_hops: 4 }),
         ("random", GhostPlacement::Random),
     ];
-    let results: Vec<ExperimentResult> = run_tasks(
-        policies
-            .iter()
-            .map(|&(name, pol)| {
-                let p: GcPreset = p;
-                let shards = args.jobs;
-                move || {
-                    let d = p.build();
-                    let opts = RunOpts {
-                        chip: chip_with_placement(pol).with_shards(shards),
-                        rcfg: RpvoConfig::basic(8, 2),
-                        ..Default::default()
-                    };
-                    run_streaming_bfs(&d, &opts, name)
-                }
-            })
-            .collect(),
-        CHIP_SCENARIO_WORKERS,
-    );
+    let results: Vec<ExperimentResult> = policies
+        .iter()
+        .map(|&(name, pol)| {
+            let d = p.build();
+            let opts = RunOpts {
+                chip: chip_with_placement(pol).with_shards(args.jobs),
+                rcfg: RpvoConfig::basic(8, 2),
+                ..Default::default()
+            };
+            run_streaming_bfs(&d, &opts, name)
+        })
+        .collect();
     println!("\nAblation: ghost allocation policy (Fig. 5), {} + BFS", p.label());
     let header = ["Policy", "Cycles", "Energy µJ", "Hops", "Ghosts", "Avg ghost hops"];
     let rows: Vec<Vec<String>> = results
@@ -487,21 +455,18 @@ fn ablate_edgecap(args: &Args) {
     eprintln!("[ablate-edgecap] RPVO edge-capacity sweep, scale {:?}...", args.scale);
     let p = args.scale.apply(GcPreset::v50k(Sampling::Edge));
     let caps = [2usize, 4, 8, 16, 32];
-    let results: Vec<ExperimentResult> = run_tasks(
-        caps.iter()
-            .map(|&cap| {
-                let p: GcPreset = p;
-                let chip = chip_for(args);
-                move || {
-                    let d = p.build();
-                    let opts =
-                        RunOpts { rcfg: RpvoConfig::basic(cap, 2), chip, ..Default::default() };
-                    run_streaming_bfs(&d, &opts, &format!("cap={cap}"))
-                }
-            })
-            .collect(),
-        CHIP_SCENARIO_WORKERS,
-    );
+    let results: Vec<ExperimentResult> = caps
+        .iter()
+        .map(|&cap| {
+            let d = p.build();
+            let opts = RunOpts {
+                rcfg: RpvoConfig::basic(cap, 2),
+                chip: chip_for(args),
+                ..Default::default()
+            };
+            run_streaming_bfs(&d, &opts, &format!("cap={cap}"))
+        })
+        .collect();
     println!("\nAblation: RPVO inline edge capacity, {} + BFS", p.label());
     let header = ["edge_cap", "Cycles", "Energy µJ", "Ghosts", "Msgs staged"];
     let rows: Vec<Vec<String>> = results
@@ -530,22 +495,18 @@ fn ablate_ghosts(args: &Args) {
     eprintln!("[ablate-ghosts] RPVO ghost-fanout sweep, scale {:?}...", args.scale);
     let p = args.scale.apply(GcPreset::v50k(Sampling::Edge));
     let fanouts = [1usize, 2, 4, 8];
-    let results: Vec<ExperimentResult> = run_tasks(
-        fanouts
-            .iter()
-            .map(|&f| {
-                let p: GcPreset = p;
-                let chip = chip_for(args);
-                move || {
-                    let d = p.build();
-                    let opts =
-                        RunOpts { rcfg: RpvoConfig::basic(4, f), chip, ..Default::default() };
-                    run_streaming_bfs(&d, &opts, &format!("fanout={f}"))
-                }
-            })
-            .collect(),
-        CHIP_SCENARIO_WORKERS,
-    );
+    let results: Vec<ExperimentResult> = fanouts
+        .iter()
+        .map(|&f| {
+            let d = p.build();
+            let opts = RunOpts {
+                rcfg: RpvoConfig::basic(4, f),
+                chip: chip_for(args),
+                ..Default::default()
+            };
+            run_streaming_bfs(&d, &opts, &format!("fanout={f}"))
+        })
+        .collect();
     println!("\nAblation: RPVO ghost fanout (spill-tree arity), {} + BFS", p.label());
     let header = ["ghost_fanout", "Cycles", "Energy µJ", "Ghosts", "Avg ghost hops"];
     let rows: Vec<Vec<String>> = results
@@ -576,21 +537,14 @@ fn ablate_terminator(args: &Args) {
         ("quiescence", diffusive::TerminationMode::Quiescence),
         ("safra-token", diffusive::TerminationMode::SafraToken),
     ];
-    let results: Vec<ExperimentResult> = run_tasks(
-        modes
-            .iter()
-            .map(|&(name, mode)| {
-                let p: GcPreset = p;
-                let chip = chip_for(args);
-                move || {
-                    let d = p.build();
-                    let opts = RunOpts { termination: mode, chip, ..Default::default() };
-                    run_streaming_bfs(&d, &opts, name)
-                }
-            })
-            .collect(),
-        CHIP_SCENARIO_WORKERS,
-    );
+    let results: Vec<ExperimentResult> = modes
+        .iter()
+        .map(|&(name, mode)| {
+            let d = p.build();
+            let opts = RunOpts { termination: mode, chip: chip_for(args), ..Default::default() };
+            run_streaming_bfs(&d, &opts, name)
+        })
+        .collect();
     println!("\nAblation: termination detection, {} + BFS (10 increments)", p.label());
     let header = ["Detector", "Cycles", "Energy µJ", "Hops", "Detection overhead"];
     let base_cycles = results[0].total_cycles();
@@ -729,21 +683,13 @@ fn skew(args: &Args) {
     let stats = gc_datasets::degree_stats(d.n_vertices, d.all_edges());
     let threshold = skew_threshold(&stats);
     let rcfg = RpvoConfig::default().with_rhizomes(threshold, 4);
-    let results: Vec<ExperimentResult> = run_tasks(
-        [false, true]
-            .iter()
-            .map(|&with_algo| {
-                let chip = chip_for(args);
-                let d = &d;
-                let label = p.label();
-                move || {
-                    let opts = RunOpts { with_algo, rcfg, chip, ..Default::default() };
-                    run_streaming_bfs(d, &opts, &label)
-                }
-            })
-            .collect(),
-        CHIP_SCENARIO_WORKERS,
-    );
+    let results: Vec<ExperimentResult> = [false, true]
+        .into_iter()
+        .map(|with_algo| {
+            let opts = RunOpts { with_algo, rcfg, chip: chip_for(args), ..Default::default() };
+            run_streaming_bfs(&d, &opts, &p.label())
+        })
+        .collect();
     let (ing, bfs) = (&results[0], &results[1]);
     println!(
         "\nSkewed-graph streaming: {} (degree max {}, mean {:.1}, gini {:.3}, top-1% {:.1}%)",
@@ -803,26 +749,20 @@ fn ablate_rhizomes(args: &Args) {
     let stats = gc_datasets::degree_stats(d.n_vertices, d.all_edges());
     let threshold = skew_threshold(&stats);
     let ks = [1usize, 2, 4, 8];
-    let results: Vec<ExperimentResult> = run_tasks(
-        ks.iter()
-            .flat_map(|&k| [(k, false), (k, true)])
-            .map(|(k, with_algo)| {
-                let chip = chip_for(args);
-                let d = &d;
-                move || {
-                    // K = 1 is the single-root reference (promotion off).
-                    let rcfg = if k == 1 {
-                        RpvoConfig::default()
-                    } else {
-                        RpvoConfig::default().with_rhizomes(threshold, k)
-                    };
-                    let opts = RunOpts { with_algo, rcfg, chip, ..Default::default() };
-                    run_streaming_bfs(d, &opts, &format!("K={k}"))
-                }
-            })
-            .collect(),
-        CHIP_SCENARIO_WORKERS,
-    );
+    let results: Vec<ExperimentResult> = ks
+        .iter()
+        .flat_map(|&k| [(k, false), (k, true)])
+        .map(|(k, with_algo)| {
+            // K = 1 is the single-root reference (promotion off).
+            let rcfg = if k == 1 {
+                RpvoConfig::default()
+            } else {
+                RpvoConfig::default().with_rhizomes(threshold, k)
+            };
+            let opts = RunOpts { with_algo, rcfg, chip: chip_for(args), ..Default::default() };
+            run_streaming_bfs(&d, &opts, &format!("K={k}"))
+        })
+        .collect();
     println!(
         "\nAblation: rhizome roots per hub (threshold {} touches), {} streaming",
         threshold,
@@ -895,24 +835,21 @@ fn churn(args: &Args) {
     let stats = gc_datasets::degree_stats(c.n_vertices, &peak);
     let threshold = skew_threshold(&stats);
     let rcfg = RpvoConfig::default().with_rhizomes(threshold, 4);
-    let results: Vec<amcca_bench::ChurnExperiment> = run_tasks(
-        [false, true]
-            .iter()
-            .map(|&with_algo| {
-                let chip = chip_for(args);
-                let c = &c;
-                let label = p.label();
-                let repair = args.repair;
-                move || {
-                    let opts = RunOpts { with_algo, rcfg, chip, repair, ..Default::default() };
-                    // The BFS run is oracle-checked against a from-scratch
-                    // rebuild over the surviving edge set after EVERY batch.
-                    run_streaming_churn(c, &opts, &label)
-                }
-            })
-            .collect(),
-        CHIP_SCENARIO_WORKERS,
-    );
+    let results: Vec<amcca_bench::ChurnExperiment> = [false, true]
+        .into_iter()
+        .map(|with_algo| {
+            let opts = RunOpts {
+                with_algo,
+                rcfg,
+                chip: chip_for(args),
+                repair: args.repair,
+                ..Default::default()
+            };
+            // The BFS run is oracle-checked against a from-scratch rebuild
+            // over the surviving edge set after EVERY batch.
+            run_streaming_churn(&c, &opts, &p.label())
+        })
+        .collect();
     let (ing, bfs) = (&results[0], &results[1]);
     println!(
         "\nSliding-window churn: {} ({} insert batches of {}, window {}, drained; \
@@ -1031,19 +968,13 @@ fn ablate_repair(
         ("smallbatch", &small, RepairMode::Full),
         ("smallbatch", &small, RepairMode::Targeted),
     ];
-    let runs: Vec<amcca_bench::ChurnExperiment> = run_tasks(
-        jobs.into_iter()
-            .map(|(name, c, repair)| {
-                let chip = chip_for(args);
-                let rcfg = *rcfg;
-                move || {
-                    let opts = RunOpts { rcfg, chip, repair, ..Default::default() };
-                    run_streaming_churn(c, &opts, name)
-                }
-            })
-            .collect(),
-        CHIP_SCENARIO_WORKERS,
-    );
+    let runs: Vec<amcca_bench::ChurnExperiment> = jobs
+        .into_iter()
+        .map(|(name, c, repair)| {
+            let opts = RunOpts { rcfg: *rcfg, chip: chip_for(args), repair, ..Default::default() };
+            run_streaming_churn(c, &opts, name)
+        })
+        .collect();
     let (window_full, window_targeted) = match args.repair {
         RepairMode::Full => (headline, &runs[0]),
         RepairMode::Targeted => (&runs[0], headline),

@@ -47,15 +47,17 @@
 //! sees `Subscribed` at increment `s`, then every delta for `s+1, s+2, …`
 //! in order. A slow subscriber's outbox never grows without bound —
 //! past `MAX_QUEUED_DELTAS` the queued deltas are replaced by one
-//! [`Response::Resync`] snapshot per subscribed query.
+//! [`Response::Resync`] snapshot per subscribed query. When the ingest
+//! thread stops — by request or by a panic — every pusher sends what is
+//! queued and shuts its socket down, so each subscriber reads EOF.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -435,8 +437,10 @@ impl PushChannel {
     }
 
     /// Close the channel: the pusher drains what is queued, then exits.
+    /// Runs from the ingest thread's stop guard, so it must not panic: a
+    /// poisoned lock still takes the flag.
     fn close(&self) {
-        self.lock().closed = true;
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
         self.cv.notify_all();
     }
 
@@ -501,7 +505,6 @@ pub struct Server {
     addr: SocketAddr,
     ingest: JoinHandle<ServerReport>,
     acceptor: JoinHandle<()>,
-    shared: Arc<Shared>,
 }
 
 impl Server {
@@ -536,13 +539,8 @@ impl Server {
         let ingest_shared = Arc::clone(&shared);
         let max_coalesce = cfg.max_coalesce.max(1);
         let ingest = thread::spawn(move || {
-            let report = ingest_loop(&mut core, &rx, &ingest_shared, max_coalesce);
-            ingest_shared.stop.store(true, Ordering::SeqCst);
-            // Release the pusher threads: drain what is queued, then exit.
-            for (_, entry) in ingest_shared.subs.lock().expect("subs lock poisoned").drain() {
-                entry.chan.close();
-            }
-            report
+            let _stop = StopOnExit(&ingest_shared);
+            ingest_loop(&mut core, &rx, &ingest_shared, max_coalesce)
         });
 
         let accept_shared = Arc::clone(&shared);
@@ -563,7 +561,7 @@ impl Server {
             }
         });
 
-        Ok(Server { addr, ingest, acceptor, shared })
+        Ok(Server { addr, ingest, acceptor })
     }
 
     /// The address clients should connect to.
@@ -575,9 +573,24 @@ impl Server {
     /// `Kill`) and collect its report.
     pub fn join(self) -> ServerReport {
         let report = self.ingest.join().expect("ingest thread panicked");
-        self.shared.stop.store(true, Ordering::SeqCst);
         self.acceptor.join().expect("acceptor thread panicked");
         report
+    }
+}
+
+/// The ingest thread's stop work, run when its loop returns and when it
+/// unwinds alike: raise the stop flag (the acceptor exits) and close every
+/// outbox (each pusher drains what is queued, then shuts its socket down, so
+/// every subscriber reads EOF).
+struct StopOnExit<'a>(&'a Shared);
+
+impl Drop for StopOnExit<'_> {
+    fn drop(&mut self) {
+        self.0.stop.store(true, Ordering::SeqCst);
+        let mut subs = self.0.subs.lock().unwrap_or_else(PoisonError::into_inner);
+        for (_, entry) in subs.drain() {
+            entry.chan.close();
+        }
     }
 }
 
@@ -860,6 +873,12 @@ fn connection_loop(mut sock: TcpStream, tx: &mpsc::Sender<Cmd>, shared: &Shared)
                 let chan = PushChannel::new();
                 {
                     let mut subs = shared.subs.lock().expect("subs lock poisoned");
+                    // Checked under the lock the stop work drains under: an
+                    // entry inserted after that drain would never be closed.
+                    // Closing the connection is the subscriber's EOF.
+                    if shared.stop.load(Ordering::SeqCst) {
+                        return;
+                    }
                     subs.insert(client_id, SubEntry { qids: Vec::new(), chan: Arc::clone(&chan) });
                     shared.obs.gauge_set("serve.subscribers", subs.len() as i64);
                 }
@@ -942,9 +961,13 @@ fn connection_loop(mut sock: TcpStream, tx: &mpsc::Sender<Cmd>, shared: &Shared)
 fn pusher_loop(mut sock: TcpStream, chan: &PushChannel) {
     while let Some(frame) = chan.pop() {
         if write_frame(&mut sock, &frame).is_err() {
-            return;
+            break;
         }
     }
+    // Dropping this clone would leave the socket open under the reader
+    // thread's descriptor: shut it down, so the client reads EOF and the
+    // reader's blocked read returns.
+    let _ = sock.shutdown(Shutdown::Both);
 }
 
 /// Send a request to the ingest thread and wait for its reply; `None` if

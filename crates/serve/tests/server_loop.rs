@@ -1,15 +1,18 @@
 //! End-to-end tests of the TCP serving loop: concurrent clients, admission
 //! backpressure, checkpoint/kill/restore, and acknowledgement semantics.
 
+use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
+use std::time::Duration;
 
 use amcca_serve::server::{IngestCore, ServeConfig, Server};
 use amcca_serve::{AdmissionConfig, Client, SubEvent, Submission};
 use amcca_sim::ChipConfig;
 use sdgp_core::graph::GraphMutation;
-use sdgp_core::rpvo::RpvoConfig;
-use sdgp_core::{BfsAlgo, StreamingGraph};
+use sdgp_core::rpvo::{Edge, RpvoConfig};
+use sdgp_core::{BfsAlgo, StreamingGraph, VertexAlgo};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -430,5 +433,115 @@ fn checkpoint_cadence_bounds_the_tail() {
     let (_, boot) = IngestCore::boot(builder(16), &dir, 2).unwrap();
     assert!(boot.recovered);
     assert!(boot.tail_batches < 2, "{boot:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Block `sub` in [`Client::next_event`] on its own thread; the receiver
+/// yields what that call returned.
+fn await_event(mut sub: Client) -> mpsc::Receiver<io::Result<SubEvent>> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(sub.next_event());
+    });
+    rx
+}
+
+/// The subscriber's read ends in an error within 5 s of the server stopping.
+fn assert_stream_ends(event: &mpsc::Receiver<io::Result<SubEvent>>) {
+    let got = event
+        .recv_timeout(Duration::from_secs(5))
+        .expect("subscriber still blocked 5 s after the server stopped");
+    assert!(got.is_err(), "the stream must end, not deliver: {got:?}");
+}
+
+/// A subscriber blocked in `next_event` learns that another client stopped
+/// the server: its stream ends with EOF, its cue to reconnect.
+fn subscriber_sees_the_stop(stop: fn(&mut Client) -> io::Result<()>, crashed: bool) {
+    let dir = tmp_dir("subs-stop");
+    let (core, _) = IngestCore::boot(builder(8), &dir, 0).unwrap();
+    let server = Server::start_loopback(core, ServeConfig::default()).unwrap();
+    let mut sub = Client::connect(server.addr()).unwrap();
+    let qid = sub.register_query("a", 0).unwrap();
+    sub.subscribe(qid).unwrap();
+    let event = await_event(sub);
+    stop(&mut Client::connect(server.addr()).unwrap()).unwrap();
+    assert_eq!(server.join().crashed, crashed);
+    assert_stream_ends(&event);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_blocked_subscriber_reads_eof_after_another_clients_kill() {
+    subscriber_sees_the_stop(Client::kill, true);
+}
+
+#[test]
+fn a_blocked_subscriber_reads_eof_after_another_clients_shutdown() {
+    subscriber_sees_the_stop(Client::shutdown, false);
+}
+
+/// Inserting an edge of this weight panics [`PanickyBfs`].
+const POISON_W: u32 = 99;
+
+/// BFS whose insert handler panics on an edge of weight [`POISON_W`].
+#[derive(Clone, Copy)]
+struct PanickyBfs(BfsAlgo);
+
+impl VertexAlgo for PanickyBfs {
+    type State = u64;
+
+    const NAME: &'static str = "panicky-bfs";
+
+    fn fork(&self) -> Self {
+        *self
+    }
+
+    fn root_state(&self, vid: u32) -> u64 {
+        self.0.root_state(vid)
+    }
+
+    fn ghost_state(&self, vid: u32) -> u64 {
+        self.0.ghost_state(vid)
+    }
+
+    fn improve(&self, s: &mut u64, incoming: u64) -> bool {
+        self.0.improve(s, incoming)
+    }
+
+    fn along_edge(&self, v: u64, e: &Edge) -> u64 {
+        self.0.along_edge(v, e)
+    }
+
+    fn notify_on_insert(&self, s: &u64, e: &Edge) -> Option<u64> {
+        assert_ne!(e.w, POISON_W, "marked insert");
+        self.0.notify_on_insert(s, e)
+    }
+
+    fn sync_value(&self, s: &u64) -> Option<u64> {
+        self.0.sync_value(s)
+    }
+}
+
+/// A panic on the ingest thread still ends every subscriber's stream, and
+/// `Server::join` still reports the panic.
+#[test]
+fn an_ingest_panic_ends_the_subscriber_stream_and_reaches_join() {
+    let dir = tmp_dir("subs-panic");
+    let builder = StreamingGraph::builder(PanickyBfs(BfsAlgo::new(0)))
+        .vertices(8)
+        .chip(ChipConfig::small_test())
+        .rpvo(RpvoConfig::basic(4, 2));
+    let (core, _) = IngestCore::boot(builder, &dir, 0).unwrap();
+    let server = Server::start_loopback(core, ServeConfig::default()).unwrap();
+    let mut sub = Client::connect(server.addr()).unwrap();
+    let qid = sub.register_query("a", 0).unwrap();
+    sub.subscribe(qid).unwrap();
+    let event = await_event(sub);
+    let mut writer = Client::connect(server.addr()).unwrap();
+    writer.submit_retrying(&adds(&[(0, 1, 1)]), 10).unwrap();
+    assert!(writer.submit(&adds(&[(1, 2, POISON_W)])).is_err(), "the increment never acks");
+    assert_stream_ends(&event);
+    let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| server.join()));
+    assert!(joined.is_err(), "join reports the ingest thread's panic");
     std::fs::remove_dir_all(&dir).unwrap();
 }
