@@ -33,7 +33,9 @@ pub struct ChipConfig {
     pub record_activity: ActivityRecording,
     /// Hard cycle budget for `run_until_quiescent`.
     pub max_cycles: u64,
-    /// Allocation retries before declaring the chip out of memory.
+    /// Allocation retries before declaring the chip out of memory: at most
+    /// 4 095, the largest count an `allocate` operon can carry (the runtime
+    /// panics above it).
     pub max_alloc_retries: u32,
     /// Master seed for all simulator randomness.
     pub seed: u64,
@@ -68,7 +70,7 @@ impl Default for ChipConfig {
             ghost_placement: GhostPlacement::default(),
             record_activity: ActivityRecording::Off,
             max_cycles: 200_000_000,
-            max_alloc_retries: 4096,
+            max_alloc_retries: 4095,
             seed: 0xC0FFEE,
             shards: default_shards(),
             shard_break_even: 24,

@@ -1,7 +1,9 @@
 //! Streaming graph application machinery.
 //!
-//! [`GraphApp`] is the diffusive application all streaming algorithms share.
-//! It implements:
+//! [`GraphApp`] is the diffusive application all streaming algorithms share,
+//! and it owns every graph action: the runtime underneath intercepts only
+//! the continuation pair (`allocate`, `set-future`) and hands everything
+//! else to [`GraphApp`]'s `on_action`. It implements:
 //!
 //! * **`insert-edge-action`** (paper Listing 6): append the edge to the
 //!   target object's inline list; on overflow, spill to a ghost slot —
@@ -12,69 +14,92 @@
 //!   valid BFS level").
 //! * **the relax action** (paper Listing 5, generalized): monotonically
 //!   improve the object's state with the incoming value and, if improved,
-//!   diffuse a per-edge value along every local edge and forward the value to
-//!   the object's ghosts so mirrors converge.
+//!   diffuse a per-edge value along every local edge and forward the value
+//!   itself to the object's ghosts and co-equal rhizome roots so mirrors
+//!   converge. A peer root's announcement *is* a relax (Rhizomes,
+//!   arXiv:2402.06086): a root re-announces only when it improved, so the
+//!   all-peer exchange ends after at most K × (value-chain length) messages.
 //! * **`delete-edge-action`**: the decremental counterpart of insert. The
 //!   retraction broadcast walks the logical vertex (co-equal rhizome roots
 //!   and ghost subtrees); the one object holding the tagged copy removes it
 //!   and, if the algorithm propagates, recalls the value it last announced
-//!   along that edge with the `retract` system diffusion
-//!   ([`diffusive::retract`]) — derived downstream state invalidates and is
-//!   later rebuilt by a **reseed** wave re-announcing surviving state. The
-//!   cascade records the repair frontier on-fabric (reset objects plus
-//!   recall-rejecting survivors) so the host can scope the reseed to the
-//!   invalidated region instead of triggering every vertex.
+//!   along that edge with **`retract-action`** — *invalidate, then
+//!   re-relax*. A receiver whose state could only have been derived through
+//!   the recalled value (conservatively: equal to it) resets and cascades
+//!   the recall along its edges, mirrors and peers; over-invalidation is
+//!   safe, under-invalidation is not. An object resets at most once per
+//!   repair round (a reset state never matches a recalled value again), so
+//!   the cascade is bounded by the invalidated region. It records the repair
+//!   frontier on-fabric (reset objects plus recall-rejecting survivors) so
+//!   the host can scope the **reseed** wave that re-announces surviving
+//!   state to the invalidated region instead of triggering every vertex.
 //! * **`update-weight-action`**: patch one tagged edge copy's weight in
 //!   place wherever it is stored. A decrease is announced as a plain relax;
 //!   an increase recalls the contribution made under the old weight, so only
 //!   paths through the now-costlier edge invalidate and repair.
-//! * **the query system action** ([`diffusive::query`]): maintain per-object
-//!   automaton-state bitsets of registered standing label-constrained path
-//!   queries — a monotone OR-and-step diffusion on inserts plus a reseed
-//!   walk re-announcing surviving states during deletion repair.
+//! * **`query-action`**: maintain per-object automaton-state bitsets of
+//!   registered standing label-constrained path queries. Delivered states
+//!   are OR-ed in; only genuinely new ones are stepped along each local
+//!   edge's label and forwarded unstepped to mirrors, so a delivery that
+//!   adds nothing dies — monotonicity is the termination argument, as for
+//!   relax. Deletion repair clears the affected region host-side and sends
+//!   **reseed**-flagged query operons to the frontier; a reseed re-announces
+//!   the object's current states and walks the logical vertex once (ghost
+//!   forwarding is a tree, peers are fanned once), after which monotone
+//!   propagation rebuilds the fixpoint over the surviving labelled edges.
 //!
 //! Individual algorithms (BFS, SSSP, connected components, triangles) plug in
 //! through the [`VertexAlgo`] trait.
 
 use amcca_sim::{ActionId, Address, ExecCtx, Operon, SimError};
 use diffusive::{
-    allocate_operon, query_operon, query_reseed_operon, AllocRequest, App, Continuation, FutureLco,
-    PendingOperon, QUERY_ALL, QUERY_RESEED_FANNED,
+    allocate_operon, AllocRequest, App, Continuation, FutureLco, PendingOperon, FIRST_USER_ACTION,
 };
 
 use crate::query::QueryDfa;
 use crate::rpvo::{decode_edge, encode_edge, Edge, RpvoConfig, VertexObj};
 
 /// Action id of `insert-edge-action`.
-pub const ACT_INSERT: ActionId = diffusive::FIRST_USER_ACTION;
+pub const ACT_INSERT: ActionId = FIRST_USER_ACTION;
 /// Action id of the algorithm's relax/diffuse action (`bfs-action` & co).
-pub const ACT_RELAX: ActionId = diffusive::FIRST_USER_ACTION + 1;
+pub const ACT_RELAX: ActionId = FIRST_USER_ACTION + 1;
 /// Action id of `delete-edge-action`: retract one tagged edge copy from the
 /// logical vertex's storage and start the deletion-repair diffusion.
-pub const ACT_DELETE: ActionId = diffusive::FIRST_USER_ACTION + 2;
+pub const ACT_DELETE: ActionId = FIRST_USER_ACTION + 2;
 /// Action id of `reseed-action`: after a deletion batch's invalidation wave
 /// quiesced, objects with surviving announceable state re-announce it along
 /// their local edges so monotone relaxation rebuilds the exact fixpoint over
 /// the surviving edge set. The host triggers it either from every vertex
 /// (full wave) or only from the recorded repair frontier (targeted).
-pub const ACT_RESEED: ActionId = diffusive::FIRST_USER_ACTION + 3;
+pub const ACT_RESEED: ActionId = FIRST_USER_ACTION + 3;
 /// Action id of `update-weight-action`: patch the weight of one tagged edge
 /// copy in place wherever it is stored (root slice, rhizome peer, or ghost
 /// spill). A weight decrease announces the improved contribution like an
 /// insert; an increase recalls the contribution announced under the old
 /// weight, seeding a scoped invalidate+reseed repair.
-pub const ACT_UPDATE: ActionId = diffusive::FIRST_USER_ACTION + 4;
+pub const ACT_UPDATE: ActionId = FIRST_USER_ACTION + 4;
+/// Action id of `retract-action`, the deletion-repair recall: a value that
+/// previously flowed along a now-retracted edge (or out of a now-invalidated
+/// vertex) is recalled, and the receiver resets and cascades if its state
+/// was derived through it.
+pub const ACT_RETRACT: ActionId = FIRST_USER_ACTION + 5;
+/// Action id of `query-action`, the standing-query state diffusion: a set
+/// of automaton states (a small bitset) flows along an edge to extend — or,
+/// flagged as a reseed, to re-announce — a registered query's product-state
+/// frontier.
+pub const ACT_QUERY: ActionId = FIRST_USER_ACTION + 6;
 /// First action id available to algorithm-specific extras (triangle probes).
-pub const ACT_ALGO_BASE: ActionId = diffusive::FIRST_USER_ACTION + 5;
+pub const ACT_ALGO_BASE: ActionId = FIRST_USER_ACTION + 7;
 
-/// Bit 63 of a *query* operon's `payload[0]` (triangle / Jaccard probes and
-/// checks) marking that the operon was already fanned across a rhizome's
-/// co-equal roots. The first root reached fans a marked copy to each peer so
-/// the whole logical adjacency is visited exactly once; vertex ids are 32-bit,
-/// so the flag never collides with the carried id.
+/// Bit 63 of a walking operon's `payload[0]` (deletes, updates, reseeds,
+/// query reseeds, triangle / Jaccard probes and checks) marking that the
+/// operon was already fanned across a rhizome's co-equal roots. The first
+/// root reached fans a marked copy to each peer so the whole logical vertex
+/// is visited exactly once; the fields it carries sit in lower bits, so the
+/// flag never collides with them.
 pub const QUERY_FANNED_BIT: u64 = 1 << 63;
 
-/// Fan an unmarked query arrival across a rhizome's co-equal roots: one
+/// Fan an unmarked walking arrival across a rhizome's co-equal roots: one
 /// marked copy of `op` per peer (marked copies never re-fan; `payload[1]` —
 /// e.g. Jaccard's pair key — travels along unchanged). No-op on already
 /// fanned operons and on objects without peers (ghosts, single roots).
@@ -84,6 +109,68 @@ pub(crate) fn fan_query_to_peers<T>(ctx: &mut ExecCtx<'_, T>, op: &Operon, peers
     }
     for &p in peers {
         ctx.propagate(Operon::new(p, op.action, [op.payload[0] | QUERY_FANNED_BIT, op.payload[1]]));
+    }
+}
+
+/// One object's diffusion targets, copied out of cell memory so a handler
+/// can propagate while the object is no longer borrowed: its local edges,
+/// its Ready ghosts and its co-equal peer roots.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    pub(crate) edges: Vec<Edge>,
+    pub(crate) ghosts: Vec<Address>,
+    pub(crate) peers: Vec<Address>,
+}
+
+impl Scratch {
+    /// Copy `obj`'s edges, Ready ghosts and peers. A `waiter` is queued on
+    /// every Pending ghost, which receives it once attached; without one,
+    /// Pending slots are skipped.
+    pub(crate) fn load<S>(&mut self, obj: &mut VertexObj<S>, waiter: Option<PendingOperon>) {
+        self.edges.clear();
+        self.edges.extend_from_slice(&obj.edges);
+        self.peers.clear();
+        self.peers.extend_from_slice(&obj.peers);
+        self.ghosts.clear();
+        for g in obj.ghosts.iter_mut() {
+            match g {
+                FutureLco::Ready(a) => self.ghosts.push(*a),
+                FutureLco::Pending(q) => q.extend(waiter),
+                FutureLco::Null => {}
+            }
+        }
+    }
+
+    /// One step of a snapshot walk (triangle and Jaccard): load the object
+    /// at `op.target`, queueing `op` itself on Pending ghosts, and fan `op`
+    /// across co-equal peer roots. Returns the vertex id, or `None` after
+    /// reporting a bad address.
+    pub(crate) fn visit<S>(
+        &mut self,
+        ctx: &mut ExecCtx<'_, VertexObj<S>>,
+        op: &Operon,
+    ) -> Option<u32> {
+        let Some(obj) = ctx.obj_mut(op.target.slot) else {
+            ctx.fail(SimError::BadAddress { addr: op.target, action: op.action });
+            return None;
+        };
+        self.load(obj, Some(PendingOperon { action: op.action, payload: op.payload }));
+        let vid = obj.vid;
+        fan_query_to_peers(ctx, op, &self.peers);
+        Some(vid)
+    }
+
+    /// Pass `op` on unchanged into every Ready ghost subtree.
+    pub(crate) fn forward<T>(&self, ctx: &mut ExecCtx<'_, T>, op: &Operon) {
+        for &g in &self.ghosts {
+            ctx.propagate(Operon::new(g, op.action, op.payload));
+        }
+    }
+
+    /// The object's mirrors — Ready ghosts, then peer roots — which take a
+    /// value unchanged, being parts of the same logical vertex.
+    pub(crate) fn mirrors(&self) -> impl Iterator<Item = Address> + '_ {
+        self.ghosts.iter().chain(&self.peers).copied()
     }
 }
 
@@ -210,9 +297,7 @@ pub struct GraphApp<G: VertexAlgo> {
     /// the host dedups and re-checks the primary, so over-recording is
     /// harmless. Commutative accumulator, folded back through [`App::merge`].
     qaccept_touched: Vec<(u32, u32)>,
-    scratch_edges: Vec<Edge>,
-    scratch_ghosts: Vec<Address>,
-    scratch_peers: Vec<Address>,
+    scratch: Scratch,
     scratch_queries: Vec<(u32, u32)>,
 }
 
@@ -229,9 +314,7 @@ impl<G: VertexAlgo> GraphApp<G> {
             rejected: Vec::new(),
             queries: Vec::new(),
             qaccept_touched: Vec::new(),
-            scratch_edges: Vec::new(),
-            scratch_ghosts: Vec::new(),
-            scratch_peers: Vec::new(),
+            scratch: Scratch::default(),
             scratch_queries: Vec::new(),
         }
     }
@@ -322,8 +405,7 @@ impl<G: VertexAlgo> GraphApp<G> {
                 if let Some(v) = notify {
                     ctx.propagate(Operon::new(edge.dst, ACT_RELAX, [v, 0]));
                 }
-                for i in 0..self.scratch_queries.len() {
-                    let (qid, stepped) = self.scratch_queries[i];
+                for &(qid, stepped) in &self.scratch_queries {
                     ctx.propagate(query_operon(edge.dst, qid, stepped));
                 }
             }
@@ -340,249 +422,155 @@ impl<G: VertexAlgo> GraphApp<G> {
         }
     }
 
-    /// Listing 5 (generalized): relax the object's state and diffuse. Shared
-    /// by the relax action proper and the cross-rhizome sync action (a peer
-    /// root's announcement is semantically a relax; `action` only labels
-    /// errors).
-    fn relax_value(
+    /// Listing 5 (generalized): relax the object's state and, if it
+    /// improved, diffuse — the per-edge value along every local edge, the
+    /// value itself to ghosts and peer roots (queued on Pending ghosts).
+    fn relax(&mut self, ctx: &mut ExecCtx<'_, VertexObj<G::State>>, op: &Operon) {
+        let incoming = op.payload[0];
+        ctx.charge(ctx.cost().state_update);
+        let Some(obj) = ctx.obj_mut(op.target.slot) else {
+            ctx.fail(SimError::BadAddress { addr: op.target, action: ACT_RELAX });
+            return;
+        };
+        if !self.algo.improve(&mut obj.state, incoming) {
+            return;
+        }
+        self.scratch.load(obj, Some(PendingOperon { action: ACT_RELAX, payload: [incoming, 0] }));
+        ctx.charge(ctx.cost().scan_per_edge * self.scratch.edges.len() as u32);
+        for e in &self.scratch.edges {
+            ctx.propagate(Operon::new(e.dst, ACT_RELAX, [self.algo.along_edge(incoming, e), 0]));
+        }
+        for a in self.scratch.mirrors() {
+            ctx.propagate(Operon::new(a, ACT_RELAX, [incoming, 0]));
+        }
+    }
+
+    /// The walk `delete-edge-action` and `update-weight-action` share: look
+    /// for the `(dst, tag)` copy on this object. On a hit, `edit` changes the
+    /// edge list at the copy's index and returns the copy, which comes back
+    /// paired with the value this object would announce along it (if the
+    /// algorithm propagates). On a miss the operon walks on — a marked copy
+    /// to every peer on first arrival at a rhizome root, and into the ready
+    /// ghost subtrees — and the result is `None`. Tags are unique among a
+    /// pair's live copies, so exactly one object hits.
+    ///
+    /// Pending ghost slots are skipped: deletions and updates only ever
+    /// target edges settled in a previous increment (same-batch adds are
+    /// annihilated host-side), and a Pending slot's subtree did not exist
+    /// then.
+    fn find_copy(
         &mut self,
         ctx: &mut ExecCtx<'_, VertexObj<G::State>>,
-        target: Address,
-        incoming: u64,
-        action: ActionId,
-    ) {
-        ctx.charge(ctx.cost().state_update);
-        let improved = {
-            let Some(obj) = ctx.obj_mut(target.slot) else {
-                ctx.fail(SimError::BadAddress { addr: target, action });
-                return;
-            };
-            if self.algo.improve(&mut obj.state, incoming) {
-                // Snapshot diffusion targets while the object is borrowed.
-                self.scratch_edges.clear();
-                self.scratch_edges.extend_from_slice(&obj.edges);
-                self.scratch_peers.clear();
-                self.scratch_peers.extend_from_slice(&obj.peers);
-                self.scratch_ghosts.clear();
-                for g in obj.ghosts.iter_mut() {
-                    match g {
-                        FutureLco::Ready(a) => self.scratch_ghosts.push(*a),
-                        FutureLco::Pending(q) => {
-                            // Mirror sync will reach the ghost once attached.
-                            q.push(PendingOperon { action: ACT_RELAX, payload: [incoming, 0] });
-                        }
-                        FutureLco::Null => {}
-                    }
-                }
-                true
-            } else {
-                false
-            }
-        };
-        if improved {
-            ctx.charge(ctx.cost().scan_per_edge * self.scratch_edges.len() as u32);
-            for i in 0..self.scratch_edges.len() {
-                let e = self.scratch_edges[i];
-                let v = self.algo.along_edge(incoming, &e);
-                ctx.propagate(Operon::new(e.dst, ACT_RELAX, [v, 0]));
-            }
-            // Forward the improved value to ghost mirrors (same level, not
-            // level+1: ghosts are part of the same logical vertex).
-            for i in 0..self.scratch_ghosts.len() {
-                let g = self.scratch_ghosts[i];
-                ctx.propagate(Operon::new(g, ACT_RELAX, [incoming, 0]));
-            }
-            // Announce the improvement to co-equal rhizome roots so every
-            // root (and through it, every edge slice) converges. Monotone
-            // improvement bounds the exchange: a root only re-announces when
-            // it actually improved, so the peer traffic terminates.
-            for i in 0..self.scratch_peers.len() {
-                let p = self.scratch_peers[i];
-                ctx.propagate(diffusive::sync_operon(p, incoming));
-            }
-        }
-    }
-
-    /// `delete-edge-action`: retract one tagged edge copy. The broadcast
-    /// visits the logical vertex's objects — on first arrival at a rhizome
-    /// root a marked copy fans to every peer, and misses forward into the
-    /// ready ghost subtrees. Exactly one object holds the `(dst, tag)` copy
-    /// (tags are unique among a pair's live copies — the payload weight is
-    /// advisory: a host-coalesced same-batch re-weight can leave the stored
-    /// weight behind the host's), so exactly one removal happens; every
-    /// other arrival dies silently. The remover recalls the value it last
-    /// announced along the edge — at the *stored* weight — seeding the
-    /// invalidation cascade ([`diffusive::retract`]).
-    ///
-    /// Pending ghost slots are skipped: deletions only ever target edges
-    /// settled in a previous increment (same-batch adds are annihilated
-    /// host-side), and a Pending slot's subtree did not exist then.
-    fn retract_edge(&mut self, ctx: &mut ExecCtx<'_, VertexObj<G::State>>, op: &Operon) {
-        let target = op.target;
-        let (tag, dst_id, _w) = decode_delete(op.payload);
+        op: &Operon,
+        edit: impl FnOnce(&mut Vec<Edge>, usize) -> Edge,
+    ) -> Option<(Edge, Option<u64>)> {
+        // Both codecs carry the tag in the low byte and the id like an insert.
+        let (tag, dst_id, _) = decode_delete(op.payload);
         ctx.charge(ctx.cost().dispatch);
-        let (removed, scanned) = {
-            let Some(obj) = ctx.obj_mut(target.slot) else {
-                ctx.fail(SimError::BadAddress { addr: target, action: ACT_DELETE });
-                return;
-            };
-            let scanned = obj.edges.len() as u32;
-            let removed = match obj.edges.iter().position(|e| e.dst_id == dst_id && e.tag == tag) {
-                Some(i) => {
-                    // Order-preserving removal keeps the surviving edge list
-                    // deterministic for later scans and walks.
-                    let e = obj.edges.remove(i);
-                    let recall =
-                        if self.propagate_algo { self.algo.sync_value(&obj.state) } else { None };
-                    Some((e, recall))
-                }
-                None => {
-                    // Miss: snapshot the forwarding sets while borrowed.
-                    self.scratch_peers.clear();
-                    self.scratch_peers.extend_from_slice(&obj.peers);
-                    self.scratch_ghosts.clear();
-                    self.scratch_ghosts.extend(obj.ready_ghosts());
-                    None
-                }
-            };
-            (removed, scanned)
+        let Some(obj) = ctx.obj_mut(op.target.slot) else {
+            ctx.fail(SimError::BadAddress { addr: op.target, action: op.action });
+            return None;
         };
-        ctx.charge(ctx.cost().scan_per_edge * scanned);
-        match removed {
-            Some((e, recall)) => {
-                ctx.charge(ctx.cost().delete_edge);
-                if let Some(v) = recall {
-                    // Recall the best value this object ever announced along
-                    // the retracted edge; the destination invalidates iff
-                    // its state could only have come from it.
-                    ctx.propagate(diffusive::retract_operon(e.dst, self.algo.along_edge(v, &e)));
-                }
+        let scanned = obj.edges.len() as u32;
+        let hit = match obj.edges.iter().position(|e| e.dst_id == dst_id && e.tag == tag) {
+            Some(i) => {
+                let e = edit(&mut obj.edges, i);
+                let value =
+                    if self.propagate_algo { self.algo.sync_value(&obj.state) } else { None };
+                Some((e, value))
             }
             None => {
-                fan_query_to_peers(ctx, op, &self.scratch_peers);
-                for i in 0..self.scratch_ghosts.len() {
-                    let g = self.scratch_ghosts[i];
-                    ctx.propagate(Operon::new(g, ACT_DELETE, op.payload));
-                }
+                self.scratch.load(obj, None);
+                None
             }
+        };
+        ctx.charge(ctx.cost().scan_per_edge * scanned);
+        if hit.is_none() {
+            fan_query_to_peers(ctx, op, &self.scratch.peers);
+            self.scratch.forward(ctx, op);
+        }
+        hit
+    }
+
+    /// `delete-edge-action`: retract one tagged edge copy (see
+    /// [`Self::find_copy`]; the payload weight is advisory — a host-coalesced
+    /// same-batch re-weight can leave the stored weight behind the host's).
+    /// Order-preserving removal keeps the surviving edge list deterministic
+    /// for later scans and walks. The remover recalls the best value it ever
+    /// announced along the edge — at the *stored* weight — seeding the
+    /// invalidation cascade: the destination invalidates iff its state could
+    /// only have come from it.
+    fn retract_edge(&mut self, ctx: &mut ExecCtx<'_, VertexObj<G::State>>, op: &Operon) {
+        let Some((e, recall)) = self.find_copy(ctx, op, |edges, i| edges.remove(i)) else {
+            return;
+        };
+        ctx.charge(ctx.cost().delete_edge);
+        if let Some(v) = recall {
+            ctx.propagate(retract_operon(e.dst, self.algo.along_edge(v, &e)));
         }
     }
 
-    /// The deletion-repair invalidation ([`diffusive::ACT_RETRACT`]): if the
-    /// object's state could only have been derived through the recalled
-    /// value, reset it and cascade — along local edges with the value this
-    /// object would have announced, and to mirrors and peers with the old
-    /// value itself. States move to their reset value at most once per
-    /// repair round, so the cascade terminates.
+    /// `retract-action`, the deletion-repair invalidation: if the object's
+    /// state could only have been derived through the recalled value, reset
+    /// it and cascade — along local edges with the value this object would
+    /// have announced, and to mirrors and peers with the old value itself.
     ///
     /// Either way the cascade records the repair frontier on-fabric: a reset
     /// object joins [`Self::take_repair_sets`]'s *invalidated* set, while an
     /// object that rejects the recall with announceable state (independent
     /// support, or a self-supported reset value) joins the *rejected* set —
     /// together the survivors the targeted reseed wave re-announces from.
-    fn invalidate(
-        &mut self,
-        ctx: &mut ExecCtx<'_, VertexObj<G::State>>,
-        target: Address,
-        suspect: u64,
-    ) {
+    fn invalidate(&mut self, ctx: &mut ExecCtx<'_, VertexObj<G::State>>, op: &Operon) {
+        let suspect = op.payload[0];
         ctx.charge(ctx.cost().invalidate);
-        enum Verdict {
-            /// Recall rejected without announceable state: nothing to record.
-            Silent,
-            /// Recall rejected (or matched a self-supported reset value) with
-            /// announceable state: record on the frontier, no cascade.
-            Survivor,
-            /// State reset: record and cascade the given old value.
-            Reset(u64),
-        }
-        let verdict = {
-            let Some(obj) = ctx.obj_mut(target.slot) else {
-                ctx.fail(SimError::BadAddress { addr: target, action: diffusive::ACT_RETRACT });
-                return;
-            };
-            if !self.algo.retract_match(&obj.state, suspect) {
-                // Rejected recall: this object's state has independent
-                // support. If it is announceable, the object borders the
-                // invalidated region and its re-announcement can re-feed
-                // invalidated neighbours.
-                if self.algo.sync_value(&obj.state).is_some() {
-                    self.rejected.push(obj.vid);
-                    Verdict::Survivor
-                } else {
-                    Verdict::Silent
-                }
-            } else {
-                let old = obj.state;
-                let reset = self.algo.root_state(obj.vid);
-                if reset == old {
-                    // Self-supported state (e.g. the BFS source, a CC vertex
-                    // at its own label): nothing to invalidate, but the
-                    // survivor is announceable (it matched the recall) and
-                    // belongs on the frontier.
-                    self.rejected.push(obj.vid);
-                    Verdict::Survivor
-                } else {
-                    obj.state = reset;
-                    self.invalidated.push(obj.vid);
-                    // `old` passed retract_match, so it is announceable.
-                    // Mirrors are recalled with the value THIS object
-                    // announced (not the incoming `suspect`) — the two
-                    // coincide for the default equality match but may differ
-                    // under an overridden retract_match, and Pending ghosts
-                    // must see the same recall as Ready ones.
-                    let old_value = self.algo.sync_value(&old).expect("matched state announceable");
-                    self.scratch_edges.clear();
-                    self.scratch_edges.extend_from_slice(&obj.edges);
-                    self.scratch_peers.clear();
-                    self.scratch_peers.extend_from_slice(&obj.peers);
-                    self.scratch_ghosts.clear();
-                    for g in obj.ghosts.iter_mut() {
-                        match g {
-                            FutureLco::Ready(a) => self.scratch_ghosts.push(*a),
-                            FutureLco::Pending(q) => q.push(PendingOperon {
-                                action: diffusive::ACT_RETRACT,
-                                payload: [old_value, 0],
-                            }),
-                            FutureLco::Null => {}
-                        }
-                    }
-                    Verdict::Reset(old_value)
-                }
-            }
+        let Some(obj) = ctx.obj_mut(op.target.slot) else {
+            ctx.fail(SimError::BadAddress { addr: op.target, action: ACT_RETRACT });
+            return;
         };
-        let old_value = match verdict {
-            Verdict::Silent => return,
-            Verdict::Survivor => {
+        if !self.algo.retract_match(&obj.state, suspect) {
+            // Rejected recall: this object's state has independent support.
+            // If it is announceable, the object borders the invalidated
+            // region and its re-announcement can re-feed invalidated
+            // neighbours.
+            if self.algo.sync_value(&obj.state).is_some() {
+                self.rejected.push(obj.vid);
                 ctx.charge(ctx.cost().frontier_mark);
-                return;
             }
-            Verdict::Reset(v) => {
-                ctx.charge(ctx.cost().frontier_mark);
-                v
-            }
-        };
-        ctx.charge(ctx.cost().scan_per_edge * self.scratch_edges.len() as u32);
-        for i in 0..self.scratch_edges.len() {
-            let e = self.scratch_edges[i];
-            let v = self.algo.along_edge(old_value, &e);
-            ctx.propagate(diffusive::retract_operon(e.dst, v));
+            return;
         }
-        for i in 0..self.scratch_ghosts.len() {
-            let g = self.scratch_ghosts[i];
-            ctx.propagate(diffusive::retract_operon(g, old_value));
+        let old = obj.state;
+        let reset = self.algo.root_state(obj.vid);
+        if reset == old {
+            // Self-supported state (e.g. the BFS source, a CC vertex at its
+            // own label): nothing to invalidate, but the survivor is
+            // announceable (it matched the recall) and belongs on the
+            // frontier.
+            self.rejected.push(obj.vid);
+            ctx.charge(ctx.cost().frontier_mark);
+            return;
         }
-        for i in 0..self.scratch_peers.len() {
-            let p = self.scratch_peers[i];
-            ctx.propagate(diffusive::retract_operon(p, old_value));
+        obj.state = reset;
+        self.invalidated.push(obj.vid);
+        // `old` passed retract_match, so it is announceable. Mirrors are
+        // recalled with the value THIS object announced (not the incoming
+        // `suspect`) — the two coincide for the default equality match but
+        // may differ under an overridden retract_match, and Pending ghosts
+        // must see the same recall as Ready ones.
+        let old_value = self.algo.sync_value(&old).expect("matched state announceable");
+        self.scratch
+            .load(obj, Some(PendingOperon { action: ACT_RETRACT, payload: [old_value, 0] }));
+        ctx.charge(ctx.cost().frontier_mark);
+        ctx.charge(ctx.cost().scan_per_edge * self.scratch.edges.len() as u32);
+        for e in &self.scratch.edges {
+            ctx.propagate(retract_operon(e.dst, self.algo.along_edge(old_value, e)));
+        }
+        for a in self.scratch.mirrors() {
+            ctx.propagate(retract_operon(a, old_value));
         }
     }
 
-    /// `update-weight-action`: patch one tagged edge copy's weight in place.
-    /// The broadcast walks the logical vertex exactly like
-    /// [`Self::retract_edge`] — peers fanned once, misses forwarded into
-    /// ready ghost subtrees — and the one object holding the `(dst, tag)`
-    /// copy (tags are unique among a pair's live copies) rewrites its weight.
+    /// `update-weight-action`: patch one tagged edge copy's weight in place
+    /// (see [`Self::find_copy`]).
     ///
     /// If the algorithm propagates, a weight **decrease** in a single-phase
     /// batch announces the improved contribution along the edge like an
@@ -598,67 +586,24 @@ impl<G: VertexAlgo> GraphApp<G> {
     /// conservatively; the reseed wave re-derives everything at the new
     /// weight.
     fn update_edge_weight(&mut self, ctx: &mut ExecCtx<'_, VertexObj<G::State>>, op: &Operon) {
-        let target = op.target;
-        let (tag, dst_id, w_old, w_new, raised) = decode_update_weight(op.payload);
-        ctx.charge(ctx.cost().dispatch);
-        let (patched, scanned) = {
-            let Some(obj) = ctx.obj_mut(target.slot) else {
-                ctx.fail(SimError::BadAddress { addr: target, action: ACT_UPDATE });
-                return;
-            };
-            let scanned = obj.edges.len() as u32;
-            let patched = match obj.edges.iter().position(|e| e.dst_id == dst_id && e.tag == tag) {
-                Some(i) => {
-                    debug_assert_eq!(obj.edges[i].w, w_old, "host and fabric agree on weight");
-                    obj.edges[i].w = w_new;
-                    let e = obj.edges[i];
-                    let value =
-                        if self.propagate_algo { self.algo.sync_value(&obj.state) } else { None };
-                    Some((e, value))
-                }
-                None => {
-                    self.scratch_peers.clear();
-                    self.scratch_peers.extend_from_slice(&obj.peers);
-                    self.scratch_ghosts.clear();
-                    self.scratch_ghosts.extend(obj.ready_ghosts());
-                    None
-                }
-            };
-            (patched, scanned)
+        let (_, _, w_old, w_new, raised) = decode_update_weight(op.payload);
+        let patch = |edges: &mut Vec<Edge>, i: usize| {
+            debug_assert_eq!(edges[i].w, w_old, "host and fabric agree on weight");
+            edges[i].w = w_new;
+            edges[i]
         };
-        ctx.charge(ctx.cost().scan_per_edge * scanned);
-        match patched {
-            Some((e, value)) => {
-                ctx.charge(ctx.cost().update_weight);
-                if let Some(v) = value {
-                    if raised || !self.notify_inserts {
-                        // Recall the best value announced under the old
-                        // weight; destinations that relied on it invalidate
-                        // (see the doc comment for why structural-phase
-                        // decreases must recall too).
-                        let old_e = Edge { w: w_old, ..e };
-                        ctx.propagate(diffusive::retract_operon(
-                            e.dst,
-                            self.algo.along_edge(v, &old_e),
-                        ));
-                    } else {
-                        // Cheaper edge, single-phase batch: a plain monotone
-                        // relax suffices.
-                        ctx.propagate(Operon::new(
-                            e.dst,
-                            ACT_RELAX,
-                            [self.algo.along_edge(v, &e), 0],
-                        ));
-                    }
-                }
-            }
-            None => {
-                fan_query_to_peers(ctx, op, &self.scratch_peers);
-                for i in 0..self.scratch_ghosts.len() {
-                    let g = self.scratch_ghosts[i];
-                    ctx.propagate(Operon::new(g, ACT_UPDATE, op.payload));
-                }
-            }
+        let Some((e, value)) = self.find_copy(ctx, op, patch) else { return };
+        ctx.charge(ctx.cost().update_weight);
+        let Some(v) = value else { return };
+        if raised || !self.notify_inserts {
+            // Recall the best value announced under the old weight;
+            // destinations that relied on it invalidate.
+            let old_e = Edge { w: w_old, ..e };
+            ctx.propagate(retract_operon(e.dst, self.algo.along_edge(v, &old_e)));
+        } else {
+            // Cheaper edge, single-phase batch: a plain monotone relax
+            // suffices.
+            ctx.propagate(Operon::new(e.dst, ACT_RELAX, [self.algo.along_edge(v, &e), 0]));
         }
     }
 
@@ -671,29 +616,18 @@ impl<G: VertexAlgo> GraphApp<G> {
     /// silent; ordinary monotone relaxation rebuilds the exact fixpoint.
     fn reseed(&mut self, ctx: &mut ExecCtx<'_, VertexObj<G::State>>, op: &Operon) {
         ctx.charge(ctx.cost().reseed);
-        let value = {
-            let Some(obj) = ctx.obj_mut(op.target.slot) else {
-                ctx.fail(SimError::BadAddress { addr: op.target, action: ACT_RESEED });
-                return;
-            };
-            let Some(v) = self.algo.sync_value(&obj.state) else { return };
-            self.scratch_edges.clear();
-            self.scratch_edges.extend_from_slice(&obj.edges);
-            self.scratch_peers.clear();
-            self.scratch_peers.extend_from_slice(&obj.peers);
-            self.scratch_ghosts.clear();
-            self.scratch_ghosts.extend(obj.ready_ghosts());
-            v
+        let Some(obj) = ctx.obj_mut(op.target.slot) else {
+            ctx.fail(SimError::BadAddress { addr: op.target, action: ACT_RESEED });
+            return;
         };
-        fan_query_to_peers(ctx, op, &self.scratch_peers);
-        ctx.charge(ctx.cost().scan_per_edge * self.scratch_edges.len() as u32);
-        for i in 0..self.scratch_edges.len() {
-            let e = self.scratch_edges[i];
-            let v = self.algo.along_edge(value, &e);
-            ctx.propagate(Operon::new(e.dst, ACT_RELAX, [v, 0]));
+        let Some(value) = self.algo.sync_value(&obj.state) else { return };
+        self.scratch.load(obj, None);
+        fan_query_to_peers(ctx, op, &self.scratch.peers);
+        ctx.charge(ctx.cost().scan_per_edge * self.scratch.edges.len() as u32);
+        for e in &self.scratch.edges {
+            ctx.propagate(Operon::new(e.dst, ACT_RELAX, [self.algo.along_edge(value, e), 0]));
         }
-        for i in 0..self.scratch_ghosts.len() {
-            let g = self.scratch_ghosts[i];
+        for &g in &self.scratch.ghosts {
             // Mirror sync first (relax the ghost to this object's value),
             // then let the ghost re-announce its own slice.
             ctx.propagate(Operon::new(g, ACT_RELAX, [value, 0]));
@@ -701,49 +635,29 @@ impl<G: VertexAlgo> GraphApp<G> {
         }
     }
 
-    /// Monotone leg of the standing-query diffusion ([`diffusive::ACT_QUERY`]):
-    /// OR the delivered automaton states into the object's bitset and, if any
-    /// are genuinely new, step them through the query's automaton along every
-    /// local edge's label, forward them *unstepped* to mirrors (ghosts are
-    /// part of the same logical vertex) and co-equal peer roots, and enqueue
-    /// them on pending ghost futures. States only ever accumulate, so the
-    /// diffusion reaches the reachability fixpoint and quiesces.
-    fn absorb_query_bits(
-        &mut self,
-        ctx: &mut ExecCtx<'_, VertexObj<G::State>>,
-        target: Address,
-        qid: u32,
-        bits: u32,
-    ) {
+    /// Monotone leg of `query-action`: OR the delivered automaton states
+    /// into the object's bitset and, if any are genuinely new, step them
+    /// through the query's automaton along every local edge's label, forward
+    /// them *unstepped* to mirrors (ghosts are part of the same logical
+    /// vertex) and co-equal peer roots, and enqueue them on pending ghost
+    /// futures. States only ever accumulate, so the diffusion reaches the
+    /// reachability fixpoint and quiesces.
+    fn absorb_query_bits(&mut self, ctx: &mut ExecCtx<'_, VertexObj<G::State>>, op: &Operon) {
+        let (qid, bits) = (op.payload[0] as u32, op.payload[1] as u32);
         ctx.charge(ctx.cost().state_update);
-        let (new, vid) = {
-            let Some(obj) = ctx.obj_mut(target.slot) else {
-                ctx.fail(SimError::BadAddress { addr: target, action: diffusive::ACT_QUERY });
-                return;
-            };
-            let new = obj.qbits_or(qid, bits);
-            if new != 0 {
-                self.scratch_edges.clear();
-                self.scratch_edges.extend_from_slice(&obj.edges);
-                self.scratch_peers.clear();
-                self.scratch_peers.extend_from_slice(&obj.peers);
-                self.scratch_ghosts.clear();
-                for g in obj.ghosts.iter_mut() {
-                    match g {
-                        FutureLco::Ready(a) => self.scratch_ghosts.push(*a),
-                        FutureLco::Pending(q) => q.push(PendingOperon {
-                            action: diffusive::ACT_QUERY,
-                            payload: [qid as u64, new as u64],
-                        }),
-                        FutureLco::Null => {}
-                    }
-                }
-            }
-            (new, obj.vid)
+        let Some(obj) = ctx.obj_mut(op.target.slot) else {
+            ctx.fail(SimError::BadAddress { addr: op.target, action: ACT_QUERY });
+            return;
         };
+        let new = obj.qbits_or(qid, bits);
         if new == 0 {
             return;
         }
+        let vid = obj.vid;
+        self.scratch.load(
+            obj,
+            Some(PendingOperon { action: ACT_QUERY, payload: [qid as u64, new as u64] }),
+        );
         let Some(dfa) = self.queries.get(qid as usize) else { return };
         if new & dfa.accepting_bits() != 0 {
             // An accepting state just turned on somewhere in this vertex's
@@ -753,76 +667,47 @@ impl<G: VertexAlgo> GraphApp<G> {
             // shard-independent.
             self.qaccept_touched.push((qid, vid));
         }
-        ctx.charge(ctx.cost().scan_per_edge * self.scratch_edges.len() as u32);
-        for i in 0..self.scratch_edges.len() {
-            let e = self.scratch_edges[i];
+        ctx.charge(ctx.cost().scan_per_edge * self.scratch.edges.len() as u32);
+        for e in &self.scratch.edges {
             let stepped = dfa.step(new, e.label);
             if stepped != 0 {
                 ctx.propagate(query_operon(e.dst, qid, stepped));
             }
         }
-        for i in 0..self.scratch_ghosts.len() {
-            ctx.propagate(query_operon(self.scratch_ghosts[i], qid, new));
-        }
-        for i in 0..self.scratch_peers.len() {
-            ctx.propagate(query_operon(self.scratch_peers[i], qid, new));
+        for a in self.scratch.mirrors() {
+            ctx.propagate(query_operon(a, qid, new));
         }
     }
 
-    /// Reseed leg of the standing-query diffusion: re-announce this object's
-    /// *current* automaton states along its local edges regardless of
-    /// novelty — the deletion-repair counterpart of [`Self::reseed`] for
-    /// query state. `qid` selects one query, or every registered query when
-    /// it is [`diffusive::QUERY_ALL`]. The walk covers the logical vertex:
-    /// ghost subtrees re-announce their own edge slices (forwarding is a
-    /// tree, so it terminates) and the first root reached fans one marked
-    /// copy to each co-equal peer.
-    fn reseed_queries(
-        &mut self,
-        ctx: &mut ExecCtx<'_, VertexObj<G::State>>,
-        target: Address,
-        qid: u32,
-        fanned: bool,
-    ) {
+    /// Reseed leg of `query-action`: re-announce this object's *current*
+    /// automaton states along its local edges regardless of novelty — the
+    /// deletion-repair counterpart of [`Self::reseed`] for query state. The
+    /// operon's query id selects one query, or every registered query when
+    /// it is [`QUERY_ALL`]. The walk covers the logical vertex: the first
+    /// root reached fans one marked copy to each co-equal peer, and ghost
+    /// subtrees re-announce their own edge slices (forwarding is a tree, so
+    /// it terminates).
+    fn reseed_queries(&mut self, ctx: &mut ExecCtx<'_, VertexObj<G::State>>, op: &Operon) {
+        let qid = op.payload[0] as u32;
         ctx.charge(ctx.cost().reseed);
-        {
-            let Some(obj) = ctx.obj_mut(target.slot) else {
-                ctx.fail(SimError::BadAddress { addr: target, action: diffusive::ACT_QUERY });
-                return;
-            };
-            self.scratch_edges.clear();
-            self.scratch_edges.extend_from_slice(&obj.edges);
-            self.scratch_peers.clear();
-            self.scratch_peers.extend_from_slice(&obj.peers);
-            self.scratch_ghosts.clear();
-            self.scratch_ghosts.extend(obj.ready_ghosts());
-            self.scratch_queries.clear();
-            for q in 0..self.queries.len() as u32 {
-                if qid != QUERY_ALL && q != qid {
-                    continue;
-                }
-                let bits = obj.qbits_get(q);
-                if bits != 0 {
-                    self.scratch_queries.push((q, bits));
-                }
+        let Some(obj) = ctx.obj_mut(op.target.slot) else {
+            ctx.fail(SimError::BadAddress { addr: op.target, action: ACT_QUERY });
+            return;
+        };
+        self.scratch.load(obj, None);
+        self.scratch_queries.clear();
+        for q in 0..self.queries.len() as u32 {
+            let bits = obj.qbits_get(q);
+            if (qid == QUERY_ALL || q == qid) && bits != 0 {
+                self.scratch_queries.push((q, bits));
             }
         }
-        if !fanned {
-            for i in 0..self.scratch_peers.len() {
-                let mut fan = query_reseed_operon(self.scratch_peers[i], qid);
-                fan.payload[0] |= QUERY_RESEED_FANNED;
-                ctx.propagate(fan);
-            }
-        }
-        for i in 0..self.scratch_ghosts.len() {
-            ctx.propagate(query_reseed_operon(self.scratch_ghosts[i], qid));
-        }
-        ctx.charge(ctx.cost().scan_per_edge * self.scratch_edges.len() as u32);
-        for i in 0..self.scratch_queries.len() {
-            let (q, bits) = self.scratch_queries[i];
+        fan_query_to_peers(ctx, op, &self.scratch.peers);
+        self.scratch.forward(ctx, op);
+        ctx.charge(ctx.cost().scan_per_edge * self.scratch.edges.len() as u32);
+        for &(q, bits) in &self.scratch_queries {
             let dfa = &self.queries[q as usize];
-            for j in 0..self.scratch_edges.len() {
-                let e = self.scratch_edges[j];
+            for e in &self.scratch.edges {
                 let stepped = dfa.step(bits, e.label);
                 if stepped != 0 {
                     ctx.propagate(query_operon(e.dst, q, stepped));
@@ -845,9 +730,7 @@ impl<G: VertexAlgo> App for GraphApp<G> {
             rejected: Vec::new(),
             queries: self.queries.clone(),
             qaccept_touched: Vec::new(),
-            scratch_edges: Vec::new(),
-            scratch_ghosts: Vec::new(),
-            scratch_peers: Vec::new(),
+            scratch: Scratch::default(),
             scratch_queries: Vec::new(),
         }
     }
@@ -901,8 +784,7 @@ impl<G: VertexAlgo> App for GraphApp<G> {
             }
             (waiters, self.algo.sync_value(&obj.state))
         };
-        for i in 0..self.scratch_queries.len() {
-            let (qid, bits) = self.scratch_queries[i];
+        for &(qid, bits) in &self.scratch_queries {
             ctx.propagate(query_operon(value, qid, bits));
         }
         // Sync the fresh mirror with the parent's current state first, so a
@@ -919,37 +801,16 @@ impl<G: VertexAlgo> App for GraphApp<G> {
         }
     }
 
-    fn rhizome_sync(&mut self, ctx: &mut ExecCtx<'_, Self::Object>, target: Address, value: u64) {
-        self.relax_value(ctx, target, value, diffusive::ACT_RHIZOME_SYNC);
-    }
-
-    fn retract(&mut self, ctx: &mut ExecCtx<'_, Self::Object>, target: Address, suspect: u64) {
-        self.invalidate(ctx, target, suspect);
-    }
-
-    fn query(
-        &mut self,
-        ctx: &mut ExecCtx<'_, Self::Object>,
-        target: Address,
-        qid: u32,
-        bits: u32,
-        reseed: bool,
-        fanned: bool,
-    ) {
-        if reseed {
-            self.reseed_queries(ctx, target, qid, fanned);
-        } else {
-            self.absorb_query_bits(ctx, target, qid, bits);
-        }
-    }
-
     fn on_action(&mut self, ctx: &mut ExecCtx<'_, Self::Object>, op: &Operon) {
         match op.action {
             ACT_INSERT => self.ingest(ctx, op),
-            ACT_RELAX => self.relax_value(ctx, op.target, op.payload[0], ACT_RELAX),
+            ACT_RELAX => self.relax(ctx, op),
             ACT_DELETE => self.retract_edge(ctx, op),
             ACT_RESEED => self.reseed(ctx, op),
             ACT_UPDATE => self.update_edge_weight(ctx, op),
+            ACT_RETRACT => self.invalidate(ctx, op),
+            ACT_QUERY if op.payload[0] & QUERY_RESEED != 0 => self.reseed_queries(ctx, op),
+            ACT_QUERY => self.absorb_query_bits(ctx, op),
             _ => {
                 // Split borrow: hand the algorithm the context plus config.
                 let rcfg = self.rcfg;
@@ -976,6 +837,34 @@ pub fn delete_operon(src_root: Address, dst_id: u32, w: u32, tag: u8) -> Operon 
 /// Decode a delete-edge operon payload into `(tag, dst_id, w)`.
 pub fn decode_delete(payload: [u64; 2]) -> (u8, u32, u32) {
     (payload[0] as u8, (payload[1] >> 32) as u32, payload[1] as u32)
+}
+
+/// Build a recall of `suspect` — the value that previously flowed to the
+/// object at `target` and is no longer supported (`payload[0]`).
+pub fn retract_operon(target: Address, suspect: u64) -> Operon {
+    Operon::new(target, ACT_RETRACT, [suspect, 0])
+}
+
+/// Query id addressing *all* registered queries at once (used by reseed
+/// waves so one operon per frontier vertex suffices).
+pub const QUERY_ALL: u32 = u32::MAX;
+
+/// Bit 32 of a query operon's `payload[0]`: a repair-phase reseed trigger
+/// (re-announce current states) rather than a monotone state delivery.
+/// Sits above the query id (bits 0..32) and below the rhizome fan marker.
+const QUERY_RESEED: u64 = 1 << 32;
+
+/// Build a monotone query-state delivery: automaton states `bits` of query
+/// `qid` flow to the vertex object at `target` (`payload` = qid, bits).
+pub fn query_operon(target: Address, qid: u32, bits: u32) -> Operon {
+    Operon::new(target, ACT_QUERY, [qid as u64, bits as u64])
+}
+
+/// Build a repair-phase reseed trigger for the vertex object at `target`:
+/// re-announce current states of `qid` (or of every query, with
+/// [`QUERY_ALL`]) along all stored edges.
+pub fn query_reseed_operon(target: Address, qid: u32) -> Operon {
+    Operon::new(target, ACT_QUERY, [qid as u64 | QUERY_RESEED, 0])
 }
 
 /// Bit 62 of an update-weight operon's `payload[0]`: set when the update is

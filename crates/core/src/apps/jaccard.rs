@@ -23,12 +23,11 @@
 
 use std::collections::HashMap;
 
-use amcca_sim::{ActionId, Address, ExecCtx, Operon, SimError};
-use diffusive::{FutureLco, PendingOperon};
+use amcca_sim::{ActionId, ExecCtx, Operon};
 
 use crate::rpvo::{Edge, RpvoConfig, VertexObj};
 
-use super::algo::{VertexAlgo, ACT_ALGO_BASE, QUERY_FANNED_BIT};
+use super::algo::{Scratch, VertexAlgo, ACT_ALGO_BASE, QUERY_FANNED_BIT};
 
 /// Start the canonical-pair generation walk at a vertex object.
 pub const ACT_JC_GEN: ActionId = ACT_ALGO_BASE;
@@ -41,20 +40,13 @@ pub const ACT_JC_CHECK: ActionId = ACT_ALGO_BASE + 2;
 pub struct JaccardAlgo {
     /// Intersection hits per canonical pair, keyed `(u << 32) | v`.
     pub hits: HashMap<u64, u64>,
-    scratch_edges: Vec<Edge>,
-    scratch_ghosts: Vec<Address>,
-    scratch_peers: Vec<Address>,
+    scratch: Scratch,
 }
 
 impl JaccardAlgo {
     /// Fresh accumulator state.
     pub fn new() -> Self {
-        JaccardAlgo {
-            hits: HashMap::new(),
-            scratch_edges: Vec::new(),
-            scratch_ghosts: Vec::new(),
-            scratch_peers: Vec::new(),
-        }
+        JaccardAlgo { hits: HashMap::new(), scratch: Scratch::default() }
     }
 
     /// Clear all recorded intersection hits (before a new query).
@@ -66,35 +58,6 @@ impl JaccardAlgo {
     pub fn intersection(&self, u: u32, v: u32) -> u64 {
         debug_assert!(u < v);
         self.hits.get(&(((u as u64) << 32) | v as u64)).copied().unwrap_or(0)
-    }
-
-    fn snapshot(&mut self, ctx: &mut ExecCtx<'_, VertexObj<()>>, op: &Operon) -> Option<u32> {
-        let Some(obj) = ctx.obj_mut(op.target.slot) else {
-            ctx.fail(SimError::BadAddress { addr: op.target, action: op.action });
-            return None;
-        };
-        self.scratch_edges.clear();
-        self.scratch_edges.extend_from_slice(&obj.edges);
-        self.scratch_peers.clear();
-        self.scratch_peers.extend_from_slice(&obj.peers);
-        self.scratch_ghosts.clear();
-        for g in obj.ghosts.iter_mut() {
-            match g {
-                FutureLco::Ready(a) => self.scratch_ghosts.push(*a),
-                FutureLco::Pending(q) => {
-                    q.push(PendingOperon { action: op.action, payload: op.payload })
-                }
-                FutureLco::Null => {}
-            }
-        }
-        Some(obj.vid)
-    }
-
-    /// Fan an unmarked query arrival across the rhizome's co-equal roots
-    /// (see [`super::algo::fan_query_to_peers`]); `payload[1]` — the pair
-    /// key for checks — travels along unchanged.
-    fn fan_rhizome(&mut self, ctx: &mut ExecCtx<'_, VertexObj<()>>, op: &Operon) {
-        super::algo::fan_query_to_peers(ctx, op, &self.scratch_peers);
     }
 }
 
@@ -149,49 +112,33 @@ impl VertexAlgo for JaccardAlgo {
     ) {
         match op.action {
             ACT_JC_GEN => {
-                let Some(vid) = self.snapshot(ctx, op) else { return };
-                self.fan_rhizome(ctx, op);
-                ctx.charge(ctx.cost().scan_per_edge * self.scratch_edges.len() as u32);
-                for i in 0..self.scratch_edges.len() {
-                    let e = self.scratch_edges[i];
-                    if e.dst_id > vid {
-                        // Canonical pair (u=vid, v=e.dst_id): probe v.
-                        ctx.propagate(Operon::new(e.dst, ACT_JC_PROBE, [vid as u64, 0]));
-                    }
+                let Some(vid) = self.scratch.visit(ctx, op) else { return };
+                ctx.charge(ctx.cost().scan_per_edge * self.scratch.edges.len() as u32);
+                for e in self.scratch.edges.iter().filter(|e| e.dst_id > vid) {
+                    // Canonical pair (u=vid, v=e.dst_id): probe v.
+                    ctx.propagate(Operon::new(e.dst, ACT_JC_PROBE, [vid as u64, 0]));
                 }
-                for i in 0..self.scratch_ghosts.len() {
-                    let g = self.scratch_ghosts[i];
-                    ctx.propagate(Operon::new(g, ACT_JC_GEN, op.payload));
-                }
+                self.scratch.forward(ctx, op);
             }
             ACT_JC_PROBE => {
                 let u = (op.payload[0] & !QUERY_FANNED_BIT) as u32;
-                let Some(vid) = self.snapshot(ctx, op) else { return };
-                self.fan_rhizome(ctx, op);
-                ctx.charge(ctx.cost().scan_per_edge * self.scratch_edges.len() as u32);
+                let Some(vid) = self.scratch.visit(ctx, op) else { return };
+                ctx.charge(ctx.cost().scan_per_edge * self.scratch.edges.len() as u32);
                 let pair = ((u as u64) << 32) | vid as u64;
-                for i in 0..self.scratch_edges.len() {
-                    let e = self.scratch_edges[i];
+                for e in &self.scratch.edges {
                     // w = e.dst_id ∈ N(v); ask w whether u ∈ N(w).
                     ctx.propagate(Operon::new(e.dst, ACT_JC_CHECK, [u as u64, pair]));
                 }
-                for i in 0..self.scratch_ghosts.len() {
-                    let g = self.scratch_ghosts[i];
-                    ctx.propagate(Operon::new(g, ACT_JC_PROBE, op.payload));
-                }
+                self.scratch.forward(ctx, op);
             }
             ACT_JC_CHECK => {
                 let u = (op.payload[0] & !QUERY_FANNED_BIT) as u32;
-                let Some(_w) = self.snapshot(ctx, op) else { return };
-                self.fan_rhizome(ctx, op);
-                ctx.charge(ctx.cost().scan_per_edge * self.scratch_edges.len() as u32);
-                if self.scratch_edges.iter().any(|e| e.dst_id == u) {
+                let Some(_) = self.scratch.visit(ctx, op) else { return };
+                ctx.charge(ctx.cost().scan_per_edge * self.scratch.edges.len() as u32);
+                if self.scratch.edges.iter().any(|e| e.dst_id == u) {
                     *self.hits.entry(op.payload[1]).or_insert(0) += 1;
                 } else {
-                    for i in 0..self.scratch_ghosts.len() {
-                        let g = self.scratch_ghosts[i];
-                        ctx.propagate(Operon::new(g, ACT_JC_CHECK, op.payload));
-                    }
+                    self.scratch.forward(ctx, op);
                 }
             }
             other => panic!("jaccard: unknown action {other}"),
@@ -202,6 +149,7 @@ impl VertexAlgo for JaccardAlgo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amcca_sim::Address;
 
     #[test]
     fn intersection_lookup_defaults_to_zero() {

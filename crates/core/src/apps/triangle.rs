@@ -26,12 +26,11 @@
 //! promoted rhizome vertex, across two root slices — would be counted once
 //! per copy. The same assumption applies to the Jaccard query.
 
-use amcca_sim::{ActionId, Address, ExecCtx, Operon, SimError};
-use diffusive::{FutureLco, PendingOperon};
+use amcca_sim::{ActionId, ExecCtx, Operon};
 
 use crate::rpvo::{Edge, RpvoConfig, VertexObj};
 
-use super::algo::{VertexAlgo, ACT_ALGO_BASE, QUERY_FANNED_BIT};
+use super::algo::{Scratch, VertexAlgo, ACT_ALGO_BASE, QUERY_FANNED_BIT};
 
 /// Start the pair-generation walk at a vertex object.
 pub const ACT_TRI_GEN: ActionId = ACT_ALGO_BASE;
@@ -45,20 +44,13 @@ pub struct TriangleAlgo {
     /// Per-compute-cell hit counters (summed by the host after quiescence;
     /// a decentralized reduction LCO would gather them on-chip).
     pub counts: Vec<u64>,
-    scratch_edges: Vec<Edge>,
-    scratch_ghosts: Vec<Address>,
-    scratch_peers: Vec<Address>,
+    scratch: Scratch,
 }
 
 impl TriangleAlgo {
     /// Counter state for a chip with `cell_count` cells.
     pub fn new(cell_count: u32) -> Self {
-        TriangleAlgo {
-            counts: vec![0; cell_count as usize],
-            scratch_edges: Vec::new(),
-            scratch_ghosts: Vec::new(),
-            scratch_peers: Vec::new(),
-        }
+        TriangleAlgo { counts: vec![0; cell_count as usize], scratch: Scratch::default() }
     }
 
     /// Total triangles found since the last [`Self::reset`].
@@ -69,37 +61,6 @@ impl TriangleAlgo {
     /// Clear all per-cell counters (before a new query).
     pub fn reset(&mut self) {
         self.counts.fill(0);
-    }
-
-    /// Snapshot local edges + ghost targets of the object, enqueueing a
-    /// deferred copy of `op` on any Pending ghost slot.
-    fn snapshot(&mut self, ctx: &mut ExecCtx<'_, VertexObj<()>>, op: &Operon) -> Option<u32> {
-        let Some(obj) = ctx.obj_mut(op.target.slot) else {
-            ctx.fail(SimError::BadAddress { addr: op.target, action: op.action });
-            return None;
-        };
-        self.scratch_edges.clear();
-        self.scratch_edges.extend_from_slice(&obj.edges);
-        self.scratch_peers.clear();
-        self.scratch_peers.extend_from_slice(&obj.peers);
-        self.scratch_ghosts.clear();
-        for g in obj.ghosts.iter_mut() {
-            match g {
-                FutureLco::Ready(a) => self.scratch_ghosts.push(*a),
-                FutureLco::Pending(q) => {
-                    q.push(PendingOperon { action: op.action, payload: op.payload })
-                }
-                FutureLco::Null => {}
-            }
-        }
-        Some(obj.vid)
-    }
-
-    /// First arrival of a query action at a rhizome root: fan a marked copy
-    /// to every co-equal peer root, so each disjoint edge slice of the
-    /// logical vertex participates (see [`super::algo::fan_query_to_peers`]).
-    fn fan_rhizome(&mut self, ctx: &mut ExecCtx<'_, VertexObj<()>>, op: &Operon) {
-        super::algo::fan_query_to_peers(ctx, op, &self.scratch_peers);
     }
 }
 
@@ -148,50 +109,32 @@ impl VertexAlgo for TriangleAlgo {
     ) {
         match op.action {
             ACT_TRI_GEN => {
-                let Some(vid) = self.snapshot(ctx, op) else { return };
-                self.fan_rhizome(ctx, op);
-                ctx.charge(ctx.cost().scan_per_edge * self.scratch_edges.len() as u32);
-                for i in 0..self.scratch_edges.len() {
-                    let e = self.scratch_edges[i];
-                    if e.dst_id > vid {
-                        ctx.propagate(Operon::new(e.dst, ACT_TRI_PROBE, [vid as u64, 0]));
-                    }
+                let Some(vid) = self.scratch.visit(ctx, op) else { return };
+                ctx.charge(ctx.cost().scan_per_edge * self.scratch.edges.len() as u32);
+                for e in self.scratch.edges.iter().filter(|e| e.dst_id > vid) {
+                    ctx.propagate(Operon::new(e.dst, ACT_TRI_PROBE, [vid as u64, 0]));
                 }
-                for i in 0..self.scratch_ghosts.len() {
-                    let g = self.scratch_ghosts[i];
-                    ctx.propagate(Operon::new(g, ACT_TRI_GEN, op.payload));
-                }
+                self.scratch.forward(ctx, op);
             }
             ACT_TRI_PROBE => {
                 let u = op.payload[0] & !QUERY_FANNED_BIT;
-                let Some(vid) = self.snapshot(ctx, op) else { return };
-                self.fan_rhizome(ctx, op);
-                ctx.charge(ctx.cost().scan_per_edge * self.scratch_edges.len() as u32);
-                for i in 0..self.scratch_edges.len() {
-                    let e = self.scratch_edges[i];
-                    if e.dst_id > vid {
-                        ctx.propagate(Operon::new(e.dst, ACT_TRI_CHECK, [u, 0]));
-                    }
+                let Some(vid) = self.scratch.visit(ctx, op) else { return };
+                ctx.charge(ctx.cost().scan_per_edge * self.scratch.edges.len() as u32);
+                for e in self.scratch.edges.iter().filter(|e| e.dst_id > vid) {
+                    ctx.propagate(Operon::new(e.dst, ACT_TRI_CHECK, [u, 0]));
                 }
-                for i in 0..self.scratch_ghosts.len() {
-                    let g = self.scratch_ghosts[i];
-                    ctx.propagate(Operon::new(g, ACT_TRI_PROBE, op.payload));
-                }
+                self.scratch.forward(ctx, op);
             }
             ACT_TRI_CHECK => {
                 let u = (op.payload[0] & !QUERY_FANNED_BIT) as u32;
-                let Some(_vid) = self.snapshot(ctx, op) else { return };
-                self.fan_rhizome(ctx, op);
-                ctx.charge(ctx.cost().scan_per_edge * self.scratch_edges.len() as u32);
-                if self.scratch_edges.iter().any(|e| e.dst_id == u) {
+                let Some(_) = self.scratch.visit(ctx, op) else { return };
+                ctx.charge(ctx.cost().scan_per_edge * self.scratch.edges.len() as u32);
+                if self.scratch.edges.iter().any(|e| e.dst_id == u) {
                     self.counts[ctx.cc as usize] += 1;
                 } else {
                     // The edge, if it exists, lives in exactly one object of
                     // this RPVO: fan the check into the ghost subtrees.
-                    for i in 0..self.scratch_ghosts.len() {
-                        let g = self.scratch_ghosts[i];
-                        ctx.propagate(Operon::new(g, ACT_TRI_CHECK, op.payload));
-                    }
+                    self.scratch.forward(ctx, op);
                 }
             }
             other => panic!("triangle: unknown action {other}"),
@@ -202,6 +145,7 @@ impl VertexAlgo for TriangleAlgo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amcca_sim::Address;
 
     #[test]
     fn counters_sum_and_reset() {

@@ -28,7 +28,7 @@
 //! phases when the algorithm propagates: a **structural** phase (inserts,
 //! retractions, and weight patches apply, improvements are suppressed,
 //! invalidation cascades recall state derived through deleted or re-weighted
-//! edges — see [`diffusive::retract`]) and a **reseed** phase in which
+//! edges — see `retract-action` in [`crate::apps::algo`]) and a **reseed** phase in which
 //! surviving valid state re-announces and monotone relaxation rebuilds the
 //! exact fixpoint over the surviving edge set. The reseed wave is scoped by
 //! [`RepairMode`]: `Targeted` (default) triggers only the repair frontier
@@ -47,7 +47,8 @@ use amcca_sim::{root_cell, Address, ChipConfig, Operon, SimError};
 use diffusive::{Device, RunReport};
 
 use crate::apps::algo::{
-    GraphApp, VertexAlgo, ACT_DELETE, ACT_INSERT, ACT_RELAX, ACT_RESEED, ACT_UPDATE,
+    GraphApp, VertexAlgo, ACT_DELETE, ACT_INSERT, ACT_QUERY, ACT_RELAX, ACT_RESEED, ACT_RETRACT,
+    ACT_UPDATE,
 };
 use crate::query::{QueryDelta, StandingQuery};
 use crate::rpvo::rhizome::RhizomeDirectory;
@@ -271,6 +272,8 @@ impl<G: VertexAlgo> GraphBuilder<G> {
         dev.register_action_at(ACT_DELETE, "delete-edge-action");
         dev.register_action_at(ACT_RESEED, "reseed-action");
         dev.register_action_at(ACT_UPDATE, "update-weight-action");
+        dev.register_action_at(ACT_RETRACT, "retract-action");
+        dev.register_action_at(ACT_QUERY, "query-action");
         let mut addrs = Vec::with_capacity(n_vertices as usize);
         for vid in 0..n_vertices {
             let cc = root_cell(vid, dims);

@@ -6,10 +6,10 @@ use std::collections::HashSet;
 
 use amcca_obs::Obs;
 use amcca_sim::{Operon, SimError};
-use diffusive::{query_operon, query_reseed_operon, RunReport, QUERY_ALL};
+use diffusive::RunReport;
 
 use super::{sort_dedup, CoalescedBatch, GraphMutation, StreamingGraph};
-use crate::apps::algo::VertexAlgo;
+use crate::apps::algo::{query_operon, query_reseed_operon, VertexAlgo, QUERY_ALL};
 use crate::query::{compile, QueryDelta, QueryError, StandingQuery};
 use crate::rpvo::walk;
 

@@ -11,7 +11,8 @@
 //! Evaluation is the textbook product construction, maintained as one bitset
 //! of automaton states per `(vertex, query)` on the vertex objects
 //! themselves (`VertexObj::qbits`): inserts extend the reachable product
-//! states through the monotone [`diffusive::query`] diffusion, and deletions
+//! states through the monotone `query-action` diffusion
+//! ([`crate::apps::algo`]), and deletions
 //! run a scoped clear-and-reseed repair over exactly the region reachable
 //! from the deleted edges (see `StreamingGraph::register_query` and the
 //! repair pass in `stream_increment`). [`oracle_results`] is the from-scratch

@@ -18,8 +18,8 @@
 //! *which* root an edge is routed to — a deterministic per-vertex
 //! round-robin, so results are reproducible and independent of host
 //! parallelism. The on-chip side (cross-linked [`super::VertexObj::peers`],
-//! the `rhizome-sync` diffusion) lives in the vertex object and the
-//! application layer.
+//! which a root relaxes whenever it improves) lives in the vertex object and
+//! the application layer.
 
 use std::collections::BTreeSet;
 

@@ -43,14 +43,14 @@ pub struct VertexObj<S> {
     /// Rhizome links: the addresses of this root's co-equal peer roots
     /// (empty for ordinary single-root vertices and for ghosts). Peers are
     /// fully cross-linked so any root can answer or forward actions for the
-    /// logical vertex, and improvements diffuse to peers via the
-    /// `rhizome-sync` system action.
+    /// logical vertex, and a root that improves relaxes its peers like it
+    /// relaxes its ghosts.
     pub peers: Box<[Address]>,
     /// Standing-query automaton states: `qbits[qid]` is the bitset of DFA
     /// states of registered query `qid` reachable at this vertex along some
     /// labelled path from the query's source (empty = no states, lazily
-    /// grown as queries register). Mirrored across ghosts and peers by the
-    /// `query` system action (see [`crate::query`]).
+    /// grown as queries register). Mirrored across ghosts and peers by
+    /// `query-action` (see [`crate::query`]).
     pub qbits: Vec<u32>,
 }
 

@@ -1,8 +1,10 @@
 //! Action registration: the paper's `AMCCA_REGISTER_ACTION` (Listing 1).
 //!
 //! Actions are identified by small integer ids carried in operons. Ids 0–7
-//! are reserved for the runtime's system actions (`allocate`, `set-future`,
-//! …); user actions are handed out from [`FIRST_USER_ACTION`] upward.
+//! are reserved for the runtime: 0 and 1 are its two system actions
+//! (`allocate` and `set-future`, which implement continuations), 2–7 are
+//! unassigned. User actions are handed out from [`FIRST_USER_ACTION`]
+//! upward.
 
 use amcca_sim::ActionId;
 
@@ -12,21 +14,6 @@ pub const ACT_ALLOCATE: ActionId = 0;
 /// The continuation's return trigger: set a future LCO to a produced address
 /// and schedule the tasks that were waiting on it (paper Fig. 3 step 3).
 pub const ACT_SET_FUTURE: ActionId = 1;
-/// Cross-rhizome sync: one co-equal root of a multi-root (rhizome) vertex
-/// announces an improved application value to a peer root, so min-distance /
-/// component-label state converges across all roots (see
-/// [`crate::rhizome`]).
-pub const ACT_RHIZOME_SYNC: ActionId = 2;
-/// Deletion-repair invalidation: a value that previously flowed along a
-/// now-retracted edge (or out of a now-invalidated vertex) is recalled. The
-/// receiver checks whether its state was derived through that value and, if
-/// so, resets it and cascades the recall further (see [`crate::retract`]).
-pub const ACT_RETRACT: ActionId = 3;
-/// Standing-query state diffusion: a set of automaton states (a small
-/// bitset) flows along an edge to extend — or, flagged as a reseed, to
-/// re-announce — the product-state frontier of a registered standing query
-/// (see [`crate::query`]).
-pub const ACT_QUERY: ActionId = 4;
 /// First id available to applications.
 pub const FIRST_USER_ACTION: ActionId = 8;
 
@@ -50,9 +37,6 @@ impl ActionRegistry {
             names: vec![
                 (ACT_ALLOCATE, "allocate".to_string()),
                 (ACT_SET_FUTURE, "set-future".to_string()),
-                (ACT_RHIZOME_SYNC, "rhizome-sync".to_string()),
-                (ACT_RETRACT, "retract".to_string()),
-                (ACT_QUERY, "query".to_string()),
             ],
             next: FIRST_USER_ACTION,
         }
@@ -113,9 +97,7 @@ mod tests {
         let r = ActionRegistry::new();
         assert_eq!(r.lookup("allocate"), Some(ACT_ALLOCATE));
         assert_eq!(r.lookup("set-future"), Some(ACT_SET_FUTURE));
-        assert_eq!(r.lookup("rhizome-sync"), Some(ACT_RHIZOME_SYNC));
-        assert_eq!(r.lookup("retract"), Some(ACT_RETRACT));
-        assert_eq!(r.lookup("query"), Some(ACT_QUERY));
+        assert_eq!(r.len(), 2, "the runtime has exactly two system actions");
     }
 
     #[test]
@@ -132,7 +114,7 @@ mod tests {
         let a = r.register("bfs-action");
         let b = r.register("bfs-action");
         assert_eq!(a, b);
-        assert_eq!(r.len(), 6, "five system actions plus the one registered");
+        assert_eq!(r.len(), 3, "two system actions plus the one registered");
     }
 
     #[test]

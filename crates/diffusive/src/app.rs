@@ -4,7 +4,8 @@
 //! An [`App`] supplies the object type living in compute-cell memory and the
 //! handlers for its registered actions. The [`Runtime`] wraps an app into an
 //! [`amcca_sim::Program`], intercepting the two system actions that implement
-//! continuations (paper §3.1):
+//! continuations (paper §3.1) and handing every other operon to
+//! [`App::on_action`]:
 //!
 //! * **allocate** — runs on the chosen remote cell, constructs the object
 //!   there, and propagates the return trigger. If the cell's memory is full,
@@ -16,13 +17,10 @@
 use amcca_sim::{Address, SimError};
 use amcca_sim::{ExecCtx, Operon, Program};
 
-use crate::action::{ACT_ALLOCATE, ACT_QUERY, ACT_RETRACT, ACT_RHIZOME_SYNC, ACT_SET_FUTURE};
+use crate::action::{ACT_ALLOCATE, ACT_SET_FUTURE};
 use crate::continuation::{
     allocate_operon, decode_allocate, decode_set_future, set_future_operon, MAX_ENCODABLE_RETRY,
 };
-use crate::query::decode_query;
-use crate::retract::decode_retract;
-use crate::rhizome::decode_sync;
 
 /// A diffusive application: object layout plus action handlers.
 ///
@@ -49,49 +47,9 @@ pub trait App: Send {
         value: Address,
     );
 
-    /// Dispatch an application action.
+    /// Dispatch an application action (every id but the two system
+    /// actions).
     fn on_action(&mut self, ctx: &mut ExecCtx<'_, Self::Object>, op: &Operon);
-
-    /// A peer root of a rhizome (multi-root vertex) announced `value` to the
-    /// object at `target` (which lives on the executing cell); fold it into
-    /// the local root's state and re-diffuse if it improved (see
-    /// [`crate::rhizome`]). The default rejects the message — only apps that
-    /// build rhizomes receive it.
-    fn rhizome_sync(&mut self, ctx: &mut ExecCtx<'_, Self::Object>, target: Address, value: u64) {
-        let _ = (ctx, value);
-        panic!("app received rhizome-sync for {target} but does not support rhizomes");
-    }
-
-    /// A deletion-repair recall reached the object at `target` (which lives
-    /// on the executing cell): `suspect` is a value that previously flowed to
-    /// it and is no longer supported by the surviving edge set. If the local
-    /// state was derived through it, reset the state and cascade the recall
-    /// (see [`crate::retract`]). The default rejects the message — only apps
-    /// that support edge deletion receive it.
-    fn retract(&mut self, ctx: &mut ExecCtx<'_, Self::Object>, target: Address, suspect: u64) {
-        let _ = (ctx, suspect);
-        panic!("app received retract for {target} but does not support deletions");
-    }
-
-    /// Standing-query state reached the object at `target` (which lives on
-    /// the executing cell): fold the automaton-state bitset `bits` of query
-    /// `qid` into the local object and diffuse genuinely new states along the
-    /// stored edges; a `reseed` (with `fanned` marking an already peer-fanned
-    /// copy) instead re-announces current states during deletion repair (see
-    /// [`crate::query`]). The default rejects the message — only apps that
-    /// register standing queries receive it.
-    fn query(
-        &mut self,
-        ctx: &mut ExecCtx<'_, Self::Object>,
-        target: Address,
-        qid: u32,
-        bits: u32,
-        reseed: bool,
-        fanned: bool,
-    ) {
-        let _ = (ctx, qid, bits, reseed, fanned);
-        panic!("app received query-state for {target} but does not support standing queries");
-    }
 
     /// Create an independent instance for one shard of a parallel run
     /// (configuration copied, accumulators empty).
@@ -119,8 +77,17 @@ pub struct Runtime<A: App> {
 
 impl<A: App> Runtime<A> {
     /// Wrap an app; `max_alloc_retries` bounds allocation fallback.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_alloc_retries` exceeds [`MAX_ENCODABLE_RETRY`], the
+    /// largest retry count an `allocate` operon can carry.
     pub fn new(app: A, max_alloc_retries: u32) -> Self {
-        let max_alloc_retries = max_alloc_retries.min(MAX_ENCODABLE_RETRY);
+        assert!(
+            max_alloc_retries <= MAX_ENCODABLE_RETRY,
+            "max_alloc_retries {max_alloc_retries} exceeds the allocate operon's retry field \
+             (at most {MAX_ENCODABLE_RETRY})"
+        );
         Runtime { app, max_alloc_retries }
     }
 }
@@ -171,22 +138,6 @@ impl<A: App> Program for Runtime<A> {
                 ctx.charge(ctx.cost().future_op);
                 let (slot, value) = decode_set_future(op);
                 self.app.fulfill(ctx, op.target, slot, value);
-            }
-            ACT_RHIZOME_SYNC => {
-                // Peer-root announcement of a rhizome vertex: fold the value
-                // into the local root (the app charges its own update cost).
-                self.app.rhizome_sync(ctx, op.target, decode_sync(op));
-            }
-            ACT_RETRACT => {
-                // Deletion-repair recall: invalidate derived state and
-                // cascade (the app charges its own invalidation cost).
-                self.app.retract(ctx, op.target, decode_retract(op));
-            }
-            ACT_QUERY => {
-                // Standing-query state diffusion: monotone extension or
-                // repair reseed (the app charges its own stepping cost).
-                let (qid, bits, reseed, fanned) = decode_query(op);
-                self.app.query(ctx, op.target, qid, bits, reseed, fanned);
             }
             _ => self.app.on_action(ctx, op),
         }
@@ -377,5 +328,11 @@ mod tests {
         chip.io_load((0..4u64).map(|i| Operon::new(root.unwrap(), ACT_APPEND, [i, 0])));
         let err = chip.run_until_quiescent().unwrap_err();
         assert!(matches!(err, SimError::OutOfMemory { .. }), "got {err:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "max_alloc_retries 4096 exceeds")]
+    fn unencodable_retry_bound_is_rejected() {
+        Runtime::new(ChainApp, 4096);
     }
 }

@@ -119,8 +119,9 @@ mod tests {
 
     #[test]
     fn retry_range_is_wide_enough() {
-        // The chip's default max_alloc_retries (4096) must be encodable.
-        const _: () = assert!(MAX_ENCODABLE_RETRY >= 4095);
+        // The chip's default max_alloc_retries (4095) must be encodable.
+        const _: () = assert!(MAX_ENCODABLE_RETRY == 4095);
+        assert_eq!(amcca_sim::ChipConfig::default().max_alloc_retries, MAX_ENCODABLE_RETRY);
         let cont = Continuation { return_to: Address::new(0, 0), slot: 0 };
         let op = allocate_operon(0, cont, MAX_ENCODABLE_RETRY, 0);
         assert_eq!(decode_allocate(&op).retry, MAX_ENCODABLE_RETRY);

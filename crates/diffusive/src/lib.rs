@@ -15,14 +15,8 @@
 //! * [`continuation`] — `call/cc`-style remote allocation: the `allocate`
 //!   system action plus the anonymous return-trigger action of Figure 3.
 //! * [`app`] — the [`App`] trait applications implement, and the [`Runtime`]
-//!   adapter that dispatches system actions.
+//!   adapter that intercepts the two system actions.
 //! * [`device`] — the host-side [`Device`] façade mirroring Listing 1.
-//! * [`rhizome`] — the cross-rhizome sync action keeping the co-equal roots
-//!   of a multi-root (rhizome) vertex converged.
-//! * [`retract`] — the deletion-repair invalidation action that recalls
-//!   values no longer supported after a streamed edge deletion.
-//! * [`query`] — the standing-query state diffusion maintaining automaton
-//!   state bitsets of registered label-constrained path queries.
 //! * [`terminator`] — termination detection for diffusions.
 
 pub mod action;
@@ -30,15 +24,9 @@ pub mod app;
 pub mod continuation;
 pub mod device;
 pub mod future;
-pub mod query;
-pub mod retract;
-pub mod rhizome;
 pub mod terminator;
 
-pub use action::{
-    ActionRegistry, ACT_ALLOCATE, ACT_QUERY, ACT_RETRACT, ACT_RHIZOME_SYNC, ACT_SET_FUTURE,
-    FIRST_USER_ACTION,
-};
+pub use action::{ActionRegistry, ACT_ALLOCATE, ACT_SET_FUTURE, FIRST_USER_ACTION};
 pub use app::{App, Runtime};
 pub use continuation::{
     allocate_operon, decode_allocate, decode_set_future, set_future_operon, AllocRequest,
@@ -46,9 +34,4 @@ pub use continuation::{
 };
 pub use device::Device;
 pub use future::{FutureError, FutureLco, PendingOperon};
-pub use query::{
-    decode_query, query_operon, query_reseed_operon, QUERY_ALL, QUERY_RESEED, QUERY_RESEED_FANNED,
-};
-pub use retract::{decode_retract, retract_operon};
-pub use rhizome::{decode_sync, sync_operon};
 pub use terminator::{RunReport, TerminationMode};

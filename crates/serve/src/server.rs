@@ -49,7 +49,9 @@
 //! past `MAX_QUEUED_DELTAS` the queued deltas are replaced by one
 //! [`Response::Resync`] snapshot per subscribed query. When the ingest
 //! thread stops — by request or by a panic — every pusher sends what is
-//! queued and shuts its socket down, so each subscriber reads EOF.
+//! queued and shuts its socket down, so each subscriber reads EOF, and
+//! every other connection's read half is shut down, so its reader exits and
+//! its client reads EOF too.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -490,6 +492,9 @@ struct Shared {
     /// remove on disconnect; the ingest thread mutates `qids` and fans out
     /// deltas after each flush.
     subs: Mutex<HashMap<u32, SubEntry>>,
+    /// A clone of every open connection's stream, by client id. Readers
+    /// insert when they start and remove when they exit.
+    conns: Mutex<HashMap<u32, TcpStream>>,
 }
 
 impl Shared {
@@ -533,6 +538,7 @@ impl Server {
             epoch: Instant::now(),
             obs: core.obs().clone(),
             subs: Mutex::new(HashMap::new()),
+            conns: Mutex::new(HashMap::new()),
         });
         let (tx, rx) = mpsc::channel::<Cmd>();
 
@@ -579,9 +585,13 @@ impl Server {
 }
 
 /// The ingest thread's stop work, run when its loop returns and when it
-/// unwinds alike: raise the stop flag (the acceptor exits) and close every
+/// unwinds alike: raise the stop flag (the acceptor exits), close every
 /// outbox (each pusher drains what is queued, then shuts its socket down, so
-/// every subscriber reads EOF).
+/// every subscriber reads EOF), and shut down the read half of every
+/// connection, so a reader blocked on a client that never subscribed
+/// returns, exits and closes its socket. Only the read half: a reply still
+/// being written, such as the `Done` to the client that sent `Shutdown`,
+/// still goes out.
 struct StopOnExit<'a>(&'a Shared);
 
 impl Drop for StopOnExit<'_> {
@@ -590,6 +600,10 @@ impl Drop for StopOnExit<'_> {
         let mut subs = self.0.subs.lock().unwrap_or_else(PoisonError::into_inner);
         for (_, entry) in subs.drain() {
             entry.chan.close();
+        }
+        let mut conns = self.0.conns.lock().unwrap_or_else(PoisonError::into_inner);
+        for (_, sock) in conns.drain() {
+            let _ = sock.shutdown(Shutdown::Read);
         }
     }
 }
@@ -842,10 +856,21 @@ fn control<G: VertexAlgo>(core: &mut IngestCore<G>, shared: &Shared, cmd: Cmd) -
 fn connection_loop(mut sock: TcpStream, tx: &mpsc::Sender<Cmd>, shared: &Shared) {
     let _ = sock.set_nodelay(true);
     let client_id = shared.next_client.fetch_add(1, Ordering::SeqCst);
+    {
+        let Ok(rsock) = sock.try_clone() else { return };
+        let mut conns = shared.conns.lock().expect("conns lock poisoned");
+        // Checked under the lock the stop work drains under, as on
+        // subscribe below.
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        conns.insert(client_id, rsock);
+    }
     // Once the connection subscribes, its pusher thread is the sole socket
     // writer and every reply below goes through the outbox instead.
     let mut push: Option<Arc<PushChannel>> = None;
     let cleanup = |shared: &Shared, push: &Option<Arc<PushChannel>>| {
+        shared.conns.lock().expect("conns lock poisoned").remove(&client_id);
         if let Some(chan) = push {
             let mut subs = shared.subs.lock().expect("subs lock poisoned");
             subs.remove(&client_id);

@@ -454,15 +454,22 @@ fn assert_stream_ends(event: &mpsc::Receiver<io::Result<SubEvent>>) {
     assert!(got.is_err(), "the stream must end, not deliver: {got:?}");
 }
 
-/// A subscriber blocked in `next_event` learns that another client stopped
+/// A client blocked in `next_event` — a subscriber, or with `subscribe`
+/// off a client that only connected — learns that another client stopped
 /// the server: its stream ends with EOF, its cue to reconnect.
-fn subscriber_sees_the_stop(stop: fn(&mut Client) -> io::Result<()>, crashed: bool) {
+fn subscriber_sees_the_stop(
+    stop: fn(&mut Client) -> io::Result<()>,
+    crashed: bool,
+    subscribe: bool,
+) {
     let dir = tmp_dir("subs-stop");
     let (core, _) = IngestCore::boot(builder(8), &dir, 0).unwrap();
     let server = Server::start_loopback(core, ServeConfig::default()).unwrap();
     let mut sub = Client::connect(server.addr()).unwrap();
-    let qid = sub.register_query("a", 0).unwrap();
-    sub.subscribe(qid).unwrap();
+    if subscribe {
+        let qid = sub.register_query("a", 0).unwrap();
+        sub.subscribe(qid).unwrap();
+    }
     let event = await_event(sub);
     stop(&mut Client::connect(server.addr()).unwrap()).unwrap();
     assert_eq!(server.join().crashed, crashed);
@@ -472,12 +479,22 @@ fn subscriber_sees_the_stop(stop: fn(&mut Client) -> io::Result<()>, crashed: bo
 
 #[test]
 fn a_blocked_subscriber_reads_eof_after_another_clients_kill() {
-    subscriber_sees_the_stop(Client::kill, true);
+    subscriber_sees_the_stop(Client::kill, true, true);
 }
 
 #[test]
 fn a_blocked_subscriber_reads_eof_after_another_clients_shutdown() {
-    subscriber_sees_the_stop(Client::shutdown, false);
+    subscriber_sees_the_stop(Client::shutdown, false, true);
+}
+
+#[test]
+fn an_idle_client_reads_eof_after_another_clients_kill() {
+    subscriber_sees_the_stop(Client::kill, true, false);
+}
+
+#[test]
+fn an_idle_client_reads_eof_after_another_clients_shutdown() {
+    subscriber_sees_the_stop(Client::shutdown, false, false);
 }
 
 /// Inserting an edge of this weight panics [`PanickyBfs`].
