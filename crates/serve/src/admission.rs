@@ -105,6 +105,12 @@ impl Admission {
             }
         }
     }
+
+    /// Drop `client`'s bucket once its connection has closed. Client ids
+    /// are never reused, so a bucket left behind would never be read again.
+    pub fn forget(&mut self, client: u32) {
+        self.buckets.remove(&client);
+    }
 }
 
 #[cfg(test)]
@@ -143,6 +149,20 @@ mod tests {
         assert_eq!(a.decide(1, 100, &q, 0), Decision::Admit);
         assert_eq!(a.decide(2, 100, &q, 0), Decision::Admit, "client 2 has its own bucket");
         assert!(matches!(a.decide(1, 1, &q, 0), Decision::RetryAfter(_)));
+    }
+
+    /// Every connection makes a bucket on its first submit and drops it on
+    /// disconnect, so a stream of short-lived clients leaves no state.
+    #[test]
+    fn forgotten_clients_leave_no_buckets() {
+        let mut a = Admission::new(cfg());
+        let q = AtomicUsize::new(0);
+        for client in 0..1_000 {
+            assert_eq!(a.decide(client, 1, &q, 0), Decision::Admit);
+            q.fetch_sub(1, Ordering::SeqCst);
+            a.forget(client);
+        }
+        assert!(a.buckets.is_empty());
     }
 
     #[test]

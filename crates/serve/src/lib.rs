@@ -17,8 +17,10 @@
 //!   crash loses nothing that was acknowledged: recovery restores the
 //!   checkpoint and replays only the WAL tail.
 //! * [`server`] — the single-writer ingest loop ([`server::IngestCore`])
-//!   and the threaded TCP front end ([`server::Server`]): per-connection
-//!   reader threads feed one ingest thread through a channel; admitted
+//!   and the threaded TCP front end ([`server::Server`]): each connection
+//!   has a reader thread, which feeds one ingest thread through a channel,
+//!   and a writer thread, which sends every response to it — replies and
+//!   pushed deltas alike — from the connection's outbox. Admitted
 //!   submissions are validated against and parked in the graph's own
 //!   [`sdgp_core::MutationLog`] (there is no separate coalescing stage),
 //!   and each service round reads the canonical batch they coalesce to,

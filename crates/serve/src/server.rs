@@ -25,33 +25,35 @@
 //!
 //! ## Threading
 //!
-//! [`Server`] spawns one reader thread per connection and a single ingest
-//! thread. Readers run admission control ([`Admission`]) and either answer
-//! `RetryAfter` directly or enqueue the submission to the ingest thread,
-//! which coalesces every queued submission into the next increment and
-//! acknowledges each one only after that increment converged — a
-//! `Submitted` reply means the mutation is durable (WAL) *and* its
+//! [`Server`] runs a single ingest thread and, per connection, a reader
+//! and a writer thread. The writer is the connection's sole socket writer:
+//! it drains the connection's `Outbox`, through which every response goes —
+//! request replies, pushed deltas and resyncs. The reader never waits on a
+//! reply: it answers `Hello`, undecodable frames and admission refusals
+//! ([`Admission`]'s `RetryAfter`) into the outbox itself and hands every
+//! other request to the ingest thread, which answers into the same outbox.
+//! The ingest thread coalesces every queued submission into the next
+//! increment and acknowledges each one only after that increment converged
+//! — a `Submitted` reply means the mutation is durable (WAL) *and* its
 //! fixpoint is queryable.
 //!
 //! ## Subscriptions
 //!
-//! A connection that sends [`Request::Subscribe`] turns into a **push
-//! subscriber**: a dedicated pusher thread becomes the connection's sole
-//! socket writer, draining a per-subscriber bounded outbox
-//! (`PushChannel`). The ingest thread computes each increment's
-//! result-set deltas inside `stream_increment` (incrementally, from the
-//! qbits transitions the batch caused) and fans them out **after the batch
+//! The ingest thread computes each increment's result-set deltas inside
+//! `stream_increment` (incrementally, from the qbits transitions the batch
+//! caused) and queues them in the subscribers' outboxes **after the batch
 //! acks**, so push latency never delays durability acknowledgements.
-//! Subscribe and unsubscribe are routed through the ingest thread, which
-//! makes the baseline snapshot atomic with the delta stream: a subscriber
-//! sees `Subscribed` at increment `s`, then every delta for `s+1, s+2, …`
-//! in order. A slow subscriber's outbox never grows without bound —
-//! past `MAX_QUEUED_DELTAS` the queued deltas are replaced by one
-//! [`Response::Resync`] snapshot per subscribed query. When the ingest
-//! thread stops — by request or by a panic — every pusher sends what is
-//! queued and shuts its socket down, so each subscriber reads EOF, and
-//! every other connection's read half is shut down, so its reader exits and
-//! its client reads EOF too.
+//! Subscribe and unsubscribe run on the ingest thread and answer through
+//! the outbox the deltas use, which makes the baseline snapshot atomic with
+//! the delta stream: a subscriber sees `Subscribed` at increment `s`, then
+//! every delta for `s+1, s+2, …` in order, and `Unsubscribe`'s `Done`
+//! queues behind every delta already queued. A slow subscriber's outbox
+//! never grows without bound — past `MAX_QUEUED_DELTAS` the queued deltas
+//! are replaced by one [`Response::Resync`] snapshot per subscribed query.
+//! When the ingest thread stops — by request or by a panic — it closes
+//! every outbox; each writer sends what is queued and shuts its socket
+//! down, so every client, subscribed or idle, reads EOF and every reader
+//! returns.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -351,95 +353,85 @@ pub struct ServerReport {
     pub crashed: bool,
 }
 
-/// One request on its way to the ingest thread: who sent it and where the
-/// answer goes. The reader answers `Hello`, undecodable frames and admission
-/// refusals itself; everything else travels as the [`Request`] it decoded to.
+/// One request on its way to the ingest thread: who sent it and the outbox
+/// its answer goes to.
 struct Cmd {
     client_id: u32,
     req: Request,
-    reply: mpsc::SyncSender<Response>,
+    out: Arc<Outbox>,
 }
 
-/// Most delta frames a slow subscriber may have queued before the server
+/// Most pushed deltas a slow subscriber may have queued before the server
 /// stops queueing deltas and degrades to a [`Response::Resync`] snapshot
-/// per subscribed query (see `PushChannel::push_delta`).
+/// per subscribed query (see [`Outbox::push`]).
 const MAX_QUEUED_DELTAS: usize = 64;
 
-/// A subscriber connection's bounded outbox: encoded response frames
-/// drained to the socket by the connection's pusher thread (the sole
-/// socket writer once a connection subscribes). Frames come in two
-/// classes — request **replies**, which are never dropped, and pushed
-/// **deltas**, which are bounded by [`MAX_QUEUED_DELTAS`] and degrade to a
-/// resync snapshot on overflow — so a stalled subscriber can slow its own
-/// event stream but can never grow server memory without bound or lose a
-/// request reply.
-struct PushChannel {
-    inner: Mutex<Outbox>,
+/// A connection's outbox: the responses its writer thread encodes and
+/// sends, in order. Responses come in two classes — request **replies**,
+/// which are never dropped, and pushed **deltas** (`QueryDelta`, `Resync`),
+/// which are bounded by [`MAX_QUEUED_DELTAS`] and degrade to a resync
+/// snapshot on overflow — so a stalled subscriber can slow its own event
+/// stream but can never grow server memory without bound or lose a reply.
+#[derive(Default)]
+struct Outbox {
+    inner: Mutex<Queue>,
     cv: Condvar,
 }
 
 #[derive(Default)]
-struct Outbox {
-    /// `(droppable, encoded frame)` in send order; `droppable` marks delta
-    /// frames, the class the overflow policy may discard.
-    frames: VecDeque<(bool, Vec<u8>)>,
-    /// Count of droppable frames currently queued.
+struct Queue {
+    responses: VecDeque<Response>,
+    /// Pushed deltas currently queued.
     deltas: usize,
     closed: bool,
 }
 
-impl PushChannel {
-    fn new() -> Arc<PushChannel> {
-        Arc::new(PushChannel { inner: Mutex::new(Outbox::default()), cv: Condvar::new() })
-    }
+/// Whether `resp` is a pushed delta, the class the overflow policy may
+/// discard.
+fn is_delta(resp: &Response) -> bool {
+    matches!(resp, Response::QueryDelta { .. } | Response::Resync { .. })
+}
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Outbox> {
+impl Outbox {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Queue> {
         self.inner.lock().expect("outbox lock poisoned")
     }
 
-    /// Enqueue a request reply (never dropped).
-    fn push_reply(&self, frame: Vec<u8>) {
-        let mut o = self.lock();
-        if !o.closed {
-            o.frames.push_back((false, frame));
-            self.cv.notify_one();
+    /// Queue `resp` for the writer. Returns false only for a delta refused
+    /// at the bound (the caller degrades to a resync); once the outbox is
+    /// closed, everything is dropped silently.
+    fn push(&self, resp: Response) -> bool {
+        let mut q = self.lock();
+        if q.closed {
+            return true;
         }
-    }
-
-    /// Enqueue a pushed delta; `Err` when the subscriber is at the bound
-    /// (the caller degrades to a resync).
-    fn push_delta(&self, frame: Vec<u8>) -> Result<(), ()> {
-        let mut o = self.lock();
-        if o.closed {
-            return Ok(()); // disconnecting subscriber: drop silently
+        if is_delta(&resp) {
+            if q.deltas >= MAX_QUEUED_DELTAS {
+                return false;
+            }
+            q.deltas += 1;
         }
-        if o.deltas >= MAX_QUEUED_DELTAS {
-            return Err(());
-        }
-        o.deltas += 1;
-        o.frames.push_back((true, frame));
+        q.responses.push_back(resp);
         self.cv.notify_one();
-        Ok(())
+        true
     }
 
-    /// Overflow path: discard every queued delta frame and enqueue `frames`
-    /// (one resync snapshot per subscribed query) in their place. Replies
-    /// stay queued in order.
-    fn replace_deltas(&self, frames: Vec<Vec<u8>>) {
-        let mut o = self.lock();
-        if o.closed {
+    /// Overflow path: discard every queued delta and queue `resyncs` (one
+    /// snapshot per subscribed query) in their place. Replies stay queued
+    /// in order.
+    fn replace_deltas(&self, resyncs: Vec<Response>) {
+        let mut q = self.lock();
+        if q.closed {
             return;
         }
-        o.frames.retain(|&(droppable, _)| !droppable);
-        o.deltas = frames.len();
-        for f in frames {
-            o.frames.push_back((true, f));
-        }
+        q.responses.retain(|r| !is_delta(r));
+        q.deltas = resyncs.len();
+        q.responses.extend(resyncs);
         self.cv.notify_one();
     }
 
-    /// Close the channel: the pusher drains what is queued, then exits.
-    /// Runs from the ingest thread's stop guard, so it must not panic: a
+    /// Close the outbox: the writer sends what is queued, then exits. Runs
+    /// from the ingest thread's stop guard, so it must not panic: a
     /// poisoned lock still takes the flag.
     fn close(&self) {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
@@ -447,29 +439,34 @@ impl PushChannel {
     }
 
     /// Blocking pop; `None` once closed and drained.
-    fn pop(&self) -> Option<Vec<u8>> {
-        let mut o = self.lock();
+    fn pop(&self) -> Option<Response> {
+        let mut q = self.lock();
         loop {
-            if let Some((droppable, f)) = o.frames.pop_front() {
-                if droppable {
-                    o.deltas -= 1;
-                }
-                return Some(f);
+            if let Some(resp) = q.responses.pop_front() {
+                q.deltas -= usize::from(is_delta(&resp));
+                return Some(resp);
             }
-            if o.closed {
+            if q.closed {
                 return None;
             }
-            o = self.cv.wait(o).expect("outbox lock poisoned");
+            q = self.cv.wait(q).expect("outbox lock poisoned");
         }
     }
 }
 
-/// One subscriber connection in the registry: which queries it follows and
-/// the outbox its frames go through.
-struct SubEntry {
+/// One open connection in the registry: the queries it follows and the
+/// outbox every response to it goes through.
+struct Conn {
     /// Subscribed query ids, sorted ascending.
     qids: Vec<u32>,
-    chan: Arc<PushChannel>,
+    out: Arc<Outbox>,
+}
+
+/// Set the `serve.subscribers` gauge: connections following at least one
+/// query.
+fn count_subscribers(obs: &Obs, conns: &HashMap<u32, Conn>) {
+    let n = conns.values().filter(|c| !c.qids.is_empty()).count();
+    obs.gauge_set("serve.subscribers", n as i64);
 }
 
 /// State shared between the reader threads and the ingest thread.
@@ -488,18 +485,19 @@ struct Shared {
     /// Clone of the core's observability handle, for reader-side spans and
     /// the queue-depth gauge.
     obs: Obs,
-    /// Push subscribers by client id. Readers insert on first subscribe and
-    /// remove on disconnect; the ingest thread mutates `qids` and fans out
+    /// Every open connection by client id. Readers insert when they start
+    /// and remove when they exit; the ingest thread edits `qids` and queues
     /// deltas after each flush.
-    subs: Mutex<HashMap<u32, SubEntry>>,
-    /// A clone of every open connection's stream, by client id. Readers
-    /// insert when they start and remove when they exit.
-    conns: Mutex<HashMap<u32, TcpStream>>,
+    conns: Mutex<HashMap<u32, Conn>>,
 }
 
 impl Shared {
     fn now_micros(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
+    }
+
+    fn conns(&self) -> std::sync::MutexGuard<'_, HashMap<u32, Conn>> {
+        self.conns.lock().expect("conns lock poisoned")
     }
 }
 
@@ -537,7 +535,6 @@ impl Server {
             stop: AtomicBool::new(false),
             epoch: Instant::now(),
             obs: core.obs().clone(),
-            subs: Mutex::new(HashMap::new()),
             conns: Mutex::new(HashMap::new()),
         });
         let (tx, rx) = mpsc::channel::<Cmd>();
@@ -585,25 +582,18 @@ impl Server {
 }
 
 /// The ingest thread's stop work, run when its loop returns and when it
-/// unwinds alike: raise the stop flag (the acceptor exits), close every
-/// outbox (each pusher drains what is queued, then shuts its socket down, so
-/// every subscriber reads EOF), and shut down the read half of every
-/// connection, so a reader blocked on a client that never subscribed
-/// returns, exits and closes its socket. Only the read half: a reply still
-/// being written, such as the `Done` to the client that sent `Shutdown`,
-/// still goes out.
+/// unwinds alike: raise the stop flag (the acceptor exits) and close every
+/// outbox. Each writer then sends what is queued — such as the `Done` to
+/// the client that sent `Shutdown` — and shuts its socket down, so every
+/// client reads EOF and every blocked reader returns.
 struct StopOnExit<'a>(&'a Shared);
 
 impl Drop for StopOnExit<'_> {
     fn drop(&mut self) {
         self.0.stop.store(true, Ordering::SeqCst);
-        let mut subs = self.0.subs.lock().unwrap_or_else(PoisonError::into_inner);
-        for (_, entry) in subs.drain() {
-            entry.chan.close();
-        }
-        let mut conns = self.0.conns.lock().unwrap_or_else(PoisonError::into_inner);
-        for (_, sock) in conns.drain() {
-            let _ = sock.shutdown(Shutdown::Read);
+        let conns = self.0.conns.lock().unwrap_or_else(PoisonError::into_inner);
+        for conn in conns.values() {
+            conn.out.close();
         }
     }
 }
@@ -621,23 +611,18 @@ fn ingest_loop<G: VertexAlgo>(
     max_coalesce: usize,
 ) -> ServerReport {
     let mut crashed = false;
-    'serve: loop {
-        let cmd = match rx.recv() {
-            Ok(cmd) => cmd,
-            Err(_) => break, // every sender gone: nothing can arrive anymore
-        };
+    // `recv` fails once every sender is gone: nothing can arrive anymore.
+    'serve: while let Ok(cmd) = rx.recv() {
         let mut deferred = None;
         let mut round = Vec::new();
         match cmd {
-            Cmd { req: Request::Submit(muts), reply, .. } => {
-                round.push((muts, reply));
+            Cmd { req: Request::Submit(muts), out, .. } => {
+                round.push((muts, out));
                 // Coalesce every submission already waiting into the same
                 // increment (one fabric run amortized over all of them).
                 while round.len() < max_coalesce {
                     match rx.try_recv() {
-                        Ok(Cmd { req: Request::Submit(muts), reply, .. }) => {
-                            round.push((muts, reply))
-                        }
+                        Ok(Cmd { req: Request::Submit(muts), out, .. }) => round.push((muts, out)),
                         Ok(other) => {
                             deferred = Some(other);
                             break;
@@ -654,10 +639,10 @@ fn ingest_loop<G: VertexAlgo>(
             let bid = core.stats().batches + 1;
             let round_muts: u64 = round.iter().map(|(m, _)| m.len() as u64).sum();
             // The `ack` span closes when this round's acknowledgements have
-            // been handed to the reply channels — dequeue-to-ack latency.
+            // been queued in the senders' outboxes — dequeue-to-ack latency.
             let _ack_span = obs.span("ack", bid, round_muts);
             let mut acks = Vec::with_capacity(round.len());
-            for (muts, reply) in round {
+            for (muts, out) in round {
                 let depth = shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
                 obs.gauge_set("serve.queue_depth", depth as i64 - 1);
                 let validated = {
@@ -665,10 +650,8 @@ fn ingest_loop<G: VertexAlgo>(
                     core.submit(&muts)
                 };
                 match validated {
-                    Ok(()) => acks.push(reply),
-                    Err(e) => {
-                        let _ = reply.send(Response::Err(e.to_string()));
-                    }
+                    Ok(()) => acks.push(out),
+                    Err(e) => _ = out.push(Response::Err(e.to_string())),
                 }
             }
             match core.flush() {
@@ -676,8 +659,8 @@ fn ingest_loop<G: VertexAlgo>(
                     // Ack first — push fan-out must never delay durability
                     // acknowledgements — then fan the increment's result
                     // deltas out to subscribers.
-                    for reply in acks {
-                        let _ = reply.send(Response::Submitted);
+                    for out in acks {
+                        out.push(Response::Submitted);
                     }
                     if ran {
                         fanout_deltas(core, shared);
@@ -688,8 +671,8 @@ fn ingest_loop<G: VertexAlgo>(
                     // on disk is still consistent, but this process must
                     // not keep accepting work.
                     let msg = format!("ingest failed: {e}");
-                    for reply in acks {
-                        let _ = reply.send(Response::Err(msg.clone()));
+                    for out in acks {
+                        out.push(Response::Err(msg.clone()));
                     }
                     crashed = true;
                     break 'serve;
@@ -713,8 +696,8 @@ fn ingest_loop<G: VertexAlgo>(
 }
 
 /// Fan the most recent increment's result deltas out to every subscriber:
-/// one [`Response::QueryDelta`] frame per (subscriber, changed subscribed
-/// query). A subscriber whose outbox is at its bound gets its queued deltas
+/// one [`Response::QueryDelta`] per (subscriber, changed subscribed query).
+/// A subscriber whose outbox is at its bound gets its queued deltas
 /// replaced by one [`Response::Resync`] snapshot per subscribed query
 /// instead — bounded memory, and the subscriber's running set stays
 /// reconstructible.
@@ -724,52 +707,40 @@ fn fanout_deltas<G: VertexAlgo>(core: &mut IngestCore<G>, shared: &Shared) {
         return;
     }
     let batch_seq = core.stats().batches;
-    let subs = shared.subs.lock().expect("subs lock poisoned");
-    if subs.is_empty() {
-        return;
-    }
     let obs = core.obs().clone();
-    for entry in subs.values() {
+    for conn in shared.conns().values() {
         let mut overflowed = false;
-        for &qid in &entry.qids {
+        for &qid in &conn.qids {
             let Some(d) = deltas.get(qid as usize) else { continue };
             if d.is_empty() {
                 continue;
             }
-            let frame = Response::QueryDelta {
-                qid,
-                batch_seq,
-                added: d.added.clone(),
-                removed: d.removed.clone(),
-            }
-            .encode();
-            if entry.chan.push_delta(frame).is_err() {
+            let (added, removed) = (d.added.clone(), d.removed.clone());
+            if !conn.out.push(Response::QueryDelta { qid, batch_seq, added, removed }) {
                 overflowed = true;
                 break;
             }
             obs.counter_add("subscriptions.delta_frames", 1);
         }
         if overflowed {
-            let resyncs: Vec<Vec<u8>> = entry
+            let resyncs: Vec<Response> = conn
                 .qids
                 .iter()
-                .map(|&qid| {
-                    Response::Resync { qid, batch_seq, results: core.query_results(qid) }.encode()
-                })
+                .map(|&qid| Response::Resync { qid, batch_seq, results: core.query_results(qid) })
                 .collect();
             obs.counter_add("subscriptions.resyncs", resyncs.len() as u64);
-            entry.chan.replace_deltas(resyncs);
+            conn.out.replace_deltas(resyncs);
         }
     }
 }
 
-/// Serve one non-submission request between increments and answer it.
+/// Serve one non-submission request between increments and queue its
+/// answer in the sender's outbox.
 fn control<G: VertexAlgo>(core: &mut IngestCore<G>, shared: &Shared, cmd: Cmd) -> Flow {
-    let Cmd { client_id, req, reply } = cmd;
+    let Cmd { client_id, req, out } = cmd;
     let mut flow = Flow::Continue;
     let resp = match req {
-        Request::Submit(_) => unreachable!("submissions are handled in the coalescing round"),
-        Request::Hello => Response::Hello { client_id },
+        Request::Submit(_) | Request::Hello => unreachable!("answered before the control path"),
         Request::Query => Response::States(core.sync_values()),
         Request::RegisterQueryMulti { pattern, sources } => {
             match core.register_query_multi(&pattern, &sources) {
@@ -779,49 +750,38 @@ fn control<G: VertexAlgo>(core: &mut IngestCore<G>, shared: &Shared, cmd: Cmd) -
         }
         Request::QueryResults { qid } => Response::Matches(core.query_results(qid)),
         Request::Subscribe { qid } => {
-            // Runs on the ingest thread between increments, so the baseline
-            // snapshot is atomic with the delta stream: the subscriber sees
-            // this snapshot, then every later increment's delta, in order.
-            // The real ack travels through the push channel (enqueued here,
-            // in increment order); the reply channel only carries a marker
-            // (`Done` = pushed) or an error for the reader to deliver.
+            // Runs on the ingest thread between increments and answers
+            // through the outbox the deltas use, so the baseline snapshot is
+            // atomic with the delta stream: the subscriber sees this
+            // snapshot, then every later increment's delta, in order.
             if (qid as usize) >= core.graph().registered_queries().len() {
                 Response::Err(format!("unknown query id {qid}"))
             } else {
-                let mut subs = shared.subs.lock().expect("subs lock poisoned");
-                match subs.get_mut(&client_id) {
-                    Some(entry) => {
-                        if !entry.qids.contains(&qid) {
-                            entry.qids.push(qid);
-                            entry.qids.sort_unstable();
-                        }
-                        let ack = Response::Subscribed {
-                            qid,
-                            batch_seq: core.stats().batches,
-                            results: core.query_results(qid),
-                        };
-                        entry.chan.push_reply(ack.encode());
-                        shared.obs.counter_add("subscriptions.subscribes", 1);
-                        Response::Done
+                let mut conns = shared.conns();
+                if let Some(conn) = conns.get_mut(&client_id) {
+                    if let Err(at) = conn.qids.binary_search(&qid) {
+                        conn.qids.insert(at, qid);
                     }
-                    None => Response::Err("subscriber disconnected".into()),
+                }
+                count_subscribers(&shared.obs, &conns);
+                shared.obs.counter_add("subscriptions.subscribes", 1);
+                Response::Subscribed {
+                    qid,
+                    batch_seq: core.stats().batches,
+                    results: core.query_results(qid),
                 }
             }
         }
         Request::Unsubscribe { qid } => {
-            // Same marker protocol as Subscribe: the `Done` ack is enqueued
-            // on the push channel *behind* any deltas already queued, so the
-            // client knows no further frames for `qid` follow the ack.
-            let mut subs = shared.subs.lock().expect("subs lock poisoned");
-            match subs.get_mut(&client_id) {
-                Some(entry) => {
-                    entry.qids.retain(|&q| q != qid);
-                    entry.chan.push_reply(Response::Done.encode());
-                    shared.obs.counter_add("subscriptions.unsubscribes", 1);
-                    Response::Done
-                }
-                None => Response::Err("not a subscriber".into()),
+            // The `Done` queues behind any deltas already queued, so the
+            // client knows no further frames for `qid` follow it.
+            let mut conns = shared.conns();
+            if let Some(conn) = conns.get_mut(&client_id) {
+                conn.qids.retain(|&q| q != qid);
             }
+            count_subscribers(&shared.obs, &conns);
+            shared.obs.counter_add("subscriptions.unsubscribes", 1);
+            Response::Done
         }
         Request::Checkpoint => match core.checkpoint() {
             Ok(_) => Response::Done,
@@ -849,80 +809,62 @@ fn control<G: VertexAlgo>(core: &mut IngestCore<G>, shared: &Shared, cmd: Cmd) -
             Response::Done
         }
     };
-    let _ = reply.send(resp);
+    out.push(resp);
     flow
 }
 
-fn connection_loop(mut sock: TcpStream, tx: &mpsc::Sender<Cmd>, shared: &Shared) {
+/// A connection's reader thread: register the connection, spawn its writer,
+/// serve requests until the socket closes, then take the connection out of
+/// the registry and close its outbox, which ends the writer.
+fn connection_loop(sock: TcpStream, tx: &mpsc::Sender<Cmd>, shared: &Shared) {
     let _ = sock.set_nodelay(true);
     let client_id = shared.next_client.fetch_add(1, Ordering::SeqCst);
+    let Ok(wsock) = sock.try_clone() else { return };
+    let out = Arc::new(Outbox::default());
     {
-        let Ok(rsock) = sock.try_clone() else { return };
-        let mut conns = shared.conns.lock().expect("conns lock poisoned");
-        // Checked under the lock the stop work drains under, as on
-        // subscribe below.
+        let mut conns = shared.conns();
+        // Checked under the lock the stop work closes outboxes under: a
+        // connection registered after that would never be closed. Dropping
+        // the socket here is the client's EOF.
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        conns.insert(client_id, rsock);
+        conns.insert(client_id, Conn { qids: Vec::new(), out: Arc::clone(&out) });
     }
-    // Once the connection subscribes, its pusher thread is the sole socket
-    // writer and every reply below goes through the outbox instead.
-    let mut push: Option<Arc<PushChannel>> = None;
-    let cleanup = |shared: &Shared, push: &Option<Arc<PushChannel>>| {
-        shared.conns.lock().expect("conns lock poisoned").remove(&client_id);
-        if let Some(chan) = push {
-            let mut subs = shared.subs.lock().expect("subs lock poisoned");
-            subs.remove(&client_id);
-            shared.obs.gauge_set("serve.subscribers", subs.len() as i64);
-            chan.close();
-        }
-    };
-    loop {
-        let frame = match read_frame(&mut sock) {
-            Ok(f) => f,
-            Err(_) => {
-                cleanup(shared, &push);
-                return; // disconnect
-            }
-        };
-        let req = Request::decode(&frame);
-        // Entering push mode happens *before* the Subscribe command is sent,
-        // so the ingest thread always finds the registry entry and outbox.
-        if let Ok(Request::Subscribe { .. }) = req {
-            if push.is_none() {
-                let Ok(wsock) = sock.try_clone() else {
-                    cleanup(shared, &push);
-                    return;
-                };
-                let chan = PushChannel::new();
-                {
-                    let mut subs = shared.subs.lock().expect("subs lock poisoned");
-                    // Checked under the lock the stop work drains under: an
-                    // entry inserted after that drain would never be closed.
-                    // Closing the connection is the subscriber's EOF.
-                    if shared.stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    subs.insert(client_id, SubEntry { qids: Vec::new(), chan: Arc::clone(&chan) });
-                    shared.obs.gauge_set("serve.subscribers", subs.len() as i64);
-                }
-                thread::spawn({
-                    let chan = Arc::clone(&chan);
-                    move || pusher_loop(wsock, &chan)
-                });
-                push = Some(chan);
-            }
-        }
-        let stopped = || Response::Err("server stopped".into());
-        let resp = match req {
-            Err(e) => Some(Response::Err(e.to_string())),
-            Ok(Request::Hello) => Some(Response::Hello { client_id }),
-            Ok(Request::Submit(muts)) => Some({
+    thread::spawn({
+        let out = Arc::clone(&out);
+        move || writer_loop(wsock, &out)
+    });
+    read_requests(sock, client_id, &out, tx, shared);
+    {
+        let mut conns = shared.conns();
+        conns.remove(&client_id);
+        count_subscribers(&shared.obs, &conns);
+    }
+    shared.admission.lock().expect("admission lock poisoned").forget(client_id);
+    out.close();
+}
+
+/// Read and route one connection's requests until the socket closes or the
+/// server stops. Never waits on a reply: `Hello`, undecodable frames and
+/// admission refusals are answered into `out` here, and everything else is
+/// handed to the ingest thread, which answers into `out` too.
+fn read_requests(
+    mut sock: TcpStream,
+    client_id: u32,
+    out: &Arc<Outbox>,
+    tx: &mpsc::Sender<Cmd>,
+    shared: &Shared,
+) {
+    let send = |req| tx.send(Cmd { client_id, req, out: Arc::clone(out) }).is_ok();
+    while let Ok(frame) = read_frame(&mut sock) {
+        let resp = match Request::decode(&frame) {
+            Err(e) => Response::Err(e.to_string()),
+            Ok(Request::Hello) => Response::Hello { client_id },
+            Ok(Request::Submit(muts)) => {
                 let sid = shared.submit_seq.fetch_add(1, Ordering::SeqCst) + 1;
-                // Covers the whole server-side handling of this Submit
-                // frame: admission, queue wait, validation, WAL, increment,
-                // and the reply arriving back from the ingest thread.
+                // Covers this Submit frame's reader-side handling: admission
+                // and the hand-off to the ingest queue.
                 let _submit_span = shared.obs.span("submit", sid, muts.len() as u64);
                 // `decide` reserves the queue slot atomically on admission
                 // (fetch_add-then-validate with rollback), so the watermark
@@ -947,60 +889,35 @@ fn connection_loop(mut sock: TcpStream, tx: &mpsc::Sender<Cmd>, shared: &Shared)
                         shared.obs.counter_add("admission.admitted", 1);
                         let depth = shared.queue_depth.load(Ordering::SeqCst);
                         shared.obs.gauge_set("serve.queue_depth", depth as i64);
-                        roundtrip(tx, client_id, Request::Submit(muts)).unwrap_or_else(|| {
-                            // Never dequeued: release the reserved slot.
-                            shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                            stopped()
-                        })
+                        if !send(Request::Submit(muts)) {
+                            return; // the ingest thread is gone: the server stopped
+                        }
+                        continue;
                     }
                 }
-            }),
+            }
             Ok(req) => {
-                // For Subscribe / Unsubscribe `Done` is the pushed-ack
-                // marker: the real frame went through the outbox, in
-                // increment order, and nothing more is owed here.
-                let pushed = matches!(req, Request::Subscribe { .. } | Request::Unsubscribe { .. });
-                let resp = roundtrip(tx, client_id, req).unwrap_or_else(stopped);
-                (!(pushed && resp == Response::Done)).then_some(resp)
+                if !send(req) {
+                    return;
+                }
+                continue;
             }
         };
-        if let Some(resp) = resp {
-            let sent = match &push {
-                Some(chan) => {
-                    chan.push_reply(resp.encode());
-                    Ok(())
-                }
-                None => write_frame(&mut sock, &resp.encode()),
-            };
-            if sent.is_err() {
-                cleanup(shared, &push);
-                return;
-            }
-        }
+        out.push(resp);
     }
 }
 
-/// Drain a subscriber's outbox to its socket until the channel closes or
-/// the socket dies. The sole writer for its connection from the first
-/// Subscribe on.
-fn pusher_loop(mut sock: TcpStream, chan: &PushChannel) {
-    while let Some(frame) = chan.pop() {
-        if write_frame(&mut sock, &frame).is_err() {
+/// A connection's writer thread, its sole socket writer: encode and send
+/// what the outbox yields until it closes or the socket dies, then shut the
+/// socket down, so the client reads EOF and the reader's blocked read
+/// returns.
+fn writer_loop(mut sock: TcpStream, out: &Outbox) {
+    while let Some(resp) = out.pop() {
+        if write_frame(&mut sock, &resp.encode()).is_err() {
             break;
         }
     }
-    // Dropping this clone would leave the socket open under the reader
-    // thread's descriptor: shut it down, so the client reads EOF and the
-    // reader's blocked read returns.
     let _ = sock.shutdown(Shutdown::Both);
-}
-
-/// Send a request to the ingest thread and wait for its reply; `None` if
-/// the server already stopped.
-fn roundtrip(tx: &mpsc::Sender<Cmd>, client_id: u32, req: Request) -> Option<Response> {
-    let (reply, reply_rx) = mpsc::sync_channel(1);
-    tx.send(Cmd { client_id, req, reply }).ok()?;
-    reply_rx.recv().ok()
 }
 
 #[cfg(test)]
@@ -1030,47 +947,55 @@ mod tests {
         assert_eq!(core.store.load_tail().unwrap().len(), 1, "nothing reached the log");
     }
 
+    fn delta(qid: u32) -> Response {
+        Response::QueryDelta { qid, batch_seq: 1, added: vec![qid], removed: vec![] }
+    }
+
+    fn resync(qid: u32) -> Response {
+        Response::Resync { qid, batch_seq: 2, results: vec![qid] }
+    }
+
     /// The outbox never drops replies, bounds deltas at
     /// [`MAX_QUEUED_DELTAS`], and the overflow path swaps every queued
-    /// delta for the supplied resync frames while keeping replies queued.
+    /// delta for the supplied resyncs while keeping replies queued.
     #[test]
     fn outbox_bounds_deltas_and_preserves_replies() {
-        let chan = PushChannel::new();
-        chan.push_reply(vec![0]);
+        let out = Outbox::default();
+        assert!(out.push(Response::Submitted));
         for i in 0..MAX_QUEUED_DELTAS {
-            chan.push_delta(vec![1, i as u8]).unwrap();
+            assert!(out.push(delta(i as u32)));
         }
-        assert!(chan.push_delta(vec![2]).is_err(), "delta past the bound is refused");
-        chan.push_reply(vec![3]);
+        assert!(!out.push(delta(99)), "delta past the bound is refused");
+        assert!(out.push(Response::Done), "a reply is never refused");
 
-        chan.replace_deltas(vec![vec![9], vec![10]]);
+        out.replace_deltas(vec![resync(9), resync(10)]);
         // Replies survive in order; the 64 queued deltas became 2 resyncs.
-        assert_eq!(chan.pop(), Some(vec![0]));
-        assert_eq!(chan.pop(), Some(vec![3]));
-        assert_eq!(chan.pop(), Some(vec![9]));
-        assert_eq!(chan.pop(), Some(vec![10]));
+        assert_eq!(out.pop(), Some(Response::Submitted));
+        assert_eq!(out.pop(), Some(Response::Done));
+        assert_eq!(out.pop(), Some(resync(9)));
+        assert_eq!(out.pop(), Some(resync(10)));
         // Popping made room again under the bound.
-        chan.push_delta(vec![4]).unwrap();
-        assert_eq!(chan.pop(), Some(vec![4]));
+        assert!(out.push(delta(4)));
+        assert_eq!(out.pop(), Some(delta(4)));
 
-        chan.close();
-        assert_eq!(chan.pop(), None, "closed and drained");
+        out.close();
+        assert_eq!(out.pop(), None, "closed and drained");
         // Post-close pushes are silently dropped, not queued.
-        chan.push_reply(vec![5]);
-        assert_eq!(chan.push_delta(vec![6]), Ok(()));
-        assert_eq!(chan.pop(), None);
+        assert!(out.push(Response::Done));
+        assert!(out.push(delta(6)));
+        assert_eq!(out.pop(), None);
     }
 
     /// A blocked pop wakes on close and returns `None`.
     #[test]
     fn outbox_pop_unblocks_on_close() {
-        let chan = PushChannel::new();
+        let out = Arc::new(Outbox::default());
         let waiter = {
-            let chan = Arc::clone(&chan);
-            thread::spawn(move || chan.pop())
+            let out = Arc::clone(&out);
+            thread::spawn(move || out.pop())
         };
         thread::sleep(std::time::Duration::from_millis(20));
-        chan.close();
+        out.close();
         assert_eq!(waiter.join().unwrap(), None);
     }
 }

@@ -260,6 +260,15 @@ fn obs_stats_frame_returns_live_snapshot_over_tcp() {
     let later = c.obs_stats().unwrap();
     assert_eq!(later.counter("wal.appends"), 3);
     assert!(later.hist("span.wal_append_ns").unwrap().count > snap_wal_count(&snap));
+
+    // `serve.subscribers` counts the connections following a query now.
+    let qid = c.register_query("a", 0).unwrap();
+    let mut sub = Client::connect(server.addr()).unwrap();
+    sub.unsubscribe(qid).unwrap(); // never subscribed: still `Done`
+    sub.subscribe(qid).unwrap();
+    assert_eq!(c.obs_stats().unwrap().gauge("serve.subscribers"), Some(1));
+    sub.unsubscribe(qid).unwrap();
+    assert_eq!(c.obs_stats().unwrap().gauge("serve.subscribers"), Some(0));
     c.shutdown().unwrap();
     server.join();
     std::fs::remove_dir_all(&dir).unwrap();
