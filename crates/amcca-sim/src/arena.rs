@@ -42,7 +42,6 @@ impl<T> Arena<T> {
     }
 
     /// True if no objects are live.
-    /// True if no objects are live.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }

@@ -24,6 +24,12 @@
 //!   emits the retraction under the copy's epoch-start weight (the weight
 //!   the fabric still stores).
 //!
+//! A record fills one 56-byte slot of its destination's table. It keeps a
+//! pair's lone copy inline and spills to a queue only while the pair holds
+//! two or more live copies (a multigraph pair); a delete that leaves one
+//! copy collapses it back inline and frees the queue. So a simple graph's
+//! log holds no heap block per pair, only the per-destination tables.
+//!
 //! [`MutationLog::drain`] closes the epoch in one pass over its surviving
 //! mutations: it hands each surviving insert its tag (in arrival order, so
 //! annihilated inserts consume none), settles this epoch's fresh and patched
@@ -123,13 +129,88 @@ struct LogCopy {
     kind: CopyKind,
 }
 
-/// Everything the log holds for one directed pair.
+/// Everything the log holds for one directed pair: 48 bytes, and no heap
+/// block unless the pair holds two or more live copies at once.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct PairRecord {
     /// Next tag to try (wrapping; the allocation skips tags still held).
     next: u8,
     /// Live copies, oldest first.
-    copies: VecDeque<LogCopy>,
+    copies: Copies,
+}
+
+/// A pair's live copies, oldest first, always in normal form: none, one
+/// inline, or two and more spilled to a queue. A push past one copy spills;
+/// a remove that leaves one collapses back inline (freeing the queue), so
+/// equal contents compare equal whatever path led to them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+enum Copies {
+    #[default]
+    Empty,
+    One(LogCopy),
+    /// Two or more copies.
+    Spilled(VecDeque<LogCopy>),
+}
+
+impl Copies {
+    fn is_empty(&self) -> bool {
+        matches!(self, Copies::Empty)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &LogCopy> {
+        let (a, b): (&[LogCopy], &[LogCopy]) = match self {
+            Copies::Empty => (&[], &[]),
+            Copies::One(c) => (std::slice::from_ref(c), &[]),
+            Copies::Spilled(q) => q.as_slices(),
+        };
+        a.iter().chain(b)
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut LogCopy> {
+        let (a, b) = match self {
+            Copies::Empty => (&mut [][..], &mut [][..]),
+            Copies::One(c) => (std::slice::from_mut(c), &mut [][..]),
+            Copies::Spilled(q) => q.as_mut_slices(),
+        };
+        a.iter_mut().chain(b)
+    }
+
+    #[cfg(test)]
+    fn front(&self) -> Option<&LogCopy> {
+        self.iter().next()
+    }
+
+    fn front_mut(&mut self) -> Option<&mut LogCopy> {
+        self.iter_mut().next()
+    }
+
+    fn push_back(&mut self, copy: LogCopy) {
+        match self {
+            Copies::Empty => *self = Copies::One(copy),
+            Copies::One(first) => *self = Copies::Spilled(VecDeque::from([*first, copy])),
+            Copies::Spilled(q) => q.push_back(copy),
+        }
+    }
+
+    /// Remove and return the `i`-th oldest copy, collapsing a queue left
+    /// with one copy back inline.
+    fn remove(&mut self, i: usize) -> Option<LogCopy> {
+        match self {
+            Copies::One(c) if i == 0 => {
+                let c = *c;
+                *self = Copies::Empty;
+                Some(c)
+            }
+            Copies::Empty | Copies::One(_) => None,
+            Copies::Spilled(q) => {
+                let c = q.remove(i)?;
+                if q.len() == 1 {
+                    *self = Copies::One(q[0]);
+                }
+                Some(c)
+            }
+        }
+    }
 }
 
 /// How the fabric knows the copy a canonical mutation addresses.
@@ -182,11 +263,11 @@ pub struct MutationLog {
     live: u64,
     /// Next arrival number.
     seq: u64,
-    /// Pair queues looked at so far ([`MutationLog::pair_visits`]).
+    /// Pair records looked at so far ([`MutationLog::pair_visits`]).
     pair_visits: u64,
 }
 
-/// The directed pair whose copy queue a mutation addresses.
+/// The directed pair whose record a mutation addresses.
 fn pair_of(m: GraphMutation) -> (u32, u32) {
     let (u, v, _) = m.edge();
     (u, v)
@@ -368,7 +449,7 @@ impl MutationLog {
             if let Entry::Vacant(slot) = queues.entry(pair_of(m)) {
                 self.pair_visits += 1;
                 let q = self.record(*slot.key()).cloned();
-                for c in q.iter().flat_map(|r| &r.copies) {
+                for c in q.iter().flat_map(|r| r.copies.iter()) {
                     if let CopyKind::Fresh { entry } | CopyKind::Patched { entry, .. } = c.kind {
                         entries.push((entry, self.entries[entry]));
                     }
@@ -874,8 +955,53 @@ mod tests {
         let refused = [AddEdge((0, 1, 8)), AddEdge((4, 4, 1)), DelEdge((9, 9, 9))];
         assert!(log.try_push_all(&refused).is_err());
         assert_same(&log, &want);
-        assert_eq!(log.pairs[&1][&0], PairRecord { next: 1, copies: VecDeque::new() });
+        assert_eq!(log.pairs[&1][&0], PairRecord { next: 1, copies: Copies::Empty });
         assert_eq!(tags(&mut log, &[AddEdge((0, 1, 8))]), vec![0, 1], "retraction, then re-add");
+    }
+
+    /// Every record is in normal form: no queue holds fewer than two copies.
+    fn assert_normal_form(log: &MutationLog) {
+        for (v, srcs) in &log.pairs {
+            for (u, r) in srcs {
+                if let Copies::Spilled(q) = &r.copies {
+                    assert!(q.len() >= 2, "pair ({u}, {v}) spilled with {} copies", q.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_record_fills_a_56_byte_slot() {
+        assert_eq!(std::mem::size_of::<LogCopy>(), 32);
+        assert_eq!(std::mem::size_of::<PairRecord>(), 48);
+        assert_eq!(std::mem::size_of::<(u32, PairRecord)>(), 56);
+    }
+
+    /// One epoch of `m`; then the `(weight, tag)` of pair `(0, 1)`'s copies,
+    /// oldest first, and the log's record count.
+    fn step(log: &mut MutationLog, m: GraphMutation) -> (Vec<(u32, u8)>, usize) {
+        tags(log, &[m]);
+        assert_normal_form(log);
+        let copies = log.record((0, 1)).map(|r| r.copies.iter().map(|c| (c.w, c.tag)).collect());
+        (copies.unwrap_or_default(), log.pair_records())
+    }
+
+    #[test]
+    fn a_pair_spills_past_one_copy_and_collapses_back_inline() {
+        let inline = |next, seq, w, tag| PairRecord {
+            next,
+            copies: Copies::One(LogCopy { seq, w, label: 0, tag, kind: CopyKind::Settled }),
+        };
+        let mut log = MutationLog::new();
+        assert_eq!(step(&mut log, AddEdge((0, 1, 5))), (vec![(5, 0)], 1));
+        assert_eq!(log.pairs[&1][&0], inline(1, 1, 5, 0));
+        assert_eq!(step(&mut log, AddEdge((0, 1, 6))), (vec![(5, 0), (6, 1)], 1));
+        assert_eq!(step(&mut log, AddEdge((0, 1, 7))), (vec![(5, 0), (6, 1), (7, 2)], 1));
+        assert_eq!(step(&mut log, DelEdge((0, 1, 5))), (vec![(6, 1), (7, 2)], 1));
+        assert_eq!(step(&mut log, DelEdge((0, 1, 7))), (vec![(6, 1)], 1));
+        // Collapsed from a queue, the record equals one built inline.
+        assert_eq!(log.pairs[&1][&0], inline(3, 2, 6, 1));
+        assert_eq!(step(&mut log, DelEdge((0, 1, 6))), (vec![], 0));
     }
 
     #[test]
@@ -1090,9 +1216,11 @@ mod tests {
                 got.drain();
                 let mut want = got.clone();
                 epoch_matches(&mut got, &mut want, &first);
+                assert_normal_form(&got);
                 // A second epoch on both: the first drain left identical
                 // `CopyKind`s, or retractions and patches would differ here.
                 epoch_matches(&mut got, &mut want, &second);
+                assert_normal_form(&got);
             }
 
             #[test]
@@ -1118,6 +1246,7 @@ mod tests {
                     }
                     let batch = log.drain();
                     ledger_agrees(&mut model, &log, &batch);
+                    assert_normal_form(&log);
                 }
             }
         }

@@ -3,10 +3,17 @@
 //! A logical vertex is stored as a hierarchy: a **root** object on its home
 //! compute cell plus zero or more **ghost** objects on (usually nearby)
 //! cells, linked through ghost slots of type *future of pointer*. Every
-//! object — root or ghost — has the same layout: an inline edge list of
-//! bounded capacity and `ghost_fanout` ghost slots, so spilling recurses and
-//! the structure parallelizes a high-degree vertex across many cells while a
+//! object — root or ghost — has the same shape: an edge list bounded by
+//! `edge_cap` and `ghost_fanout` ghost slots, so spilling recurses and the
+//! structure parallelizes a high-degree vertex across many cells while a
 //! single address (the root) remains the programming abstraction.
+//!
+//! The shape is a bound, not a fixed-size block. An object owns heap
+//! storage beside its arena slot: the `edges` `Vec` (its length bounded by
+//! `edge_cap`), the boxed ghost slots (a `Pending` slot's future owns a
+//! `Vec` of waiting operons), the boxed rhizome `peers` and the `qbits`
+//! `Vec`. Fixed slots in the cell arena are planned in ROADMAP.md, item
+//! 3(a).
 
 use amcca_sim::Address;
 use diffusive::FutureLco;
@@ -33,7 +40,7 @@ pub struct VertexObj<S> {
     pub kind: ObjKind,
     /// Application state (paper Listing 2's `level` field, generalized).
     pub state: S,
-    /// Inline edge list; the ingestion logic bounds its length by
+    /// Edge list (heap storage); the ingestion logic bounds its length by
     /// [`super::config::RpvoConfig::edge_cap`].
     pub edges: Vec<Edge>,
     /// Ghost links: futures of pointers (paper Listing 2's `ghosts` field).
@@ -96,7 +103,7 @@ impl<S> VertexObj<S> {
         new
     }
 
-    /// Does the inline edge list still have room (paper's `vertex-has-room`)?
+    /// Does the edge list still have room (paper's `vertex-has-room`)?
     pub fn has_room(&self, edge_cap: usize) -> bool {
         self.edges.len() < edge_cap
     }

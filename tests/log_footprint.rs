@@ -1,0 +1,231 @@
+//! The mutation log's heap footprint, counted. A counting global allocator
+//! measures the live bytes and heap blocks the log holds, so a change to its
+//! record layout shows here as bytes per edge, not as a peak-RSS drift in a
+//! benchmark run.
+//!
+//! The counters are process-wide but count only what a thread allocates and
+//! frees inside [`metered`]. The tests share them, so each holds [`SERIAL`].
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use amcca::prelude::GraphMutation::{self, AddEdge, DelEdge, UpdateWeight};
+use amcca::sdgp_core::MutationLog;
+
+/// Live bytes and live heap blocks allocated inside [`metered`].
+static BYTES: AtomicIsize = AtomicIsize::new(0);
+static BLOCKS: AtomicIsize = AtomicIsize::new(0);
+
+thread_local! {
+    /// Whether this thread's allocations are counted.
+    static METERED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count(bytes: isize, blocks: isize) {
+    if METERED.with(Cell::get) {
+        BYTES.fetch_add(bytes, Relaxed);
+        BLOCKS.fetch_add(blocks, Relaxed);
+    }
+}
+
+struct Counting;
+
+// SAFETY: every call forwards to `System` unchanged; only counters move.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            count(layout.size() as isize, 1);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            count(layout.size() as isize, 1);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout);
+        count(-(layout.size() as isize), -1);
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let q = System.realloc(p, layout, new_size);
+        if !q.is_null() {
+            count(new_size as isize - layout.size() as isize, 0);
+        }
+        q
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Hold the counters for one test (a failed test does not bar the rest).
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Run `f` with this thread's allocations counted.
+fn metered(f: impl FnOnce()) {
+    METERED.with(|m| m.set(true));
+    f();
+    METERED.with(|m| m.set(false));
+}
+
+/// `(live bytes, live heap blocks)` counted so far.
+fn live() -> (isize, isize) {
+    (BYTES.load(Relaxed), BLOCKS.load(Relaxed))
+}
+
+/// Push `muts` as one submission and close the epoch, counting what the log
+/// allocates and frees (the drained batch included).
+fn epoch(log: &mut MutationLog, muts: &[GraphMutation]) {
+    metered(|| {
+        log.try_push_all(muts).unwrap();
+        drop(log.drain());
+    });
+}
+
+/// 100 000 distinct pairs, 20 sources per destination (`ingest_bulk`'s
+/// ratio), streamed in 10 epochs. Blocks are counted live, not as calls: a
+/// destination table's growth steps free what they replace.
+#[test]
+fn a_simple_graph_costs_at_most_128_bytes_and_a_tenth_of_a_block_per_edge() {
+    const PAIRS: u32 = 100_000;
+    const DSTS: u32 = PAIRS / 20;
+    const EPOCHS: u32 = 10;
+    let _serial = serial();
+    let (bytes0, blocks0) = live();
+    let mut log = MutationLog::new();
+    let per_epoch = PAIRS / EPOCHS;
+    for e in 0..EPOCHS {
+        let pairs = e * per_epoch..(e + 1) * per_epoch;
+        let muts: Vec<GraphMutation> = pairs.map(|i| AddEdge((i / DSTS, i % DSTS, 1))).collect();
+        epoch(&mut log, &muts);
+    }
+    assert_eq!((log.live_count(), log.pair_records()), (PAIRS as u64, PAIRS as usize));
+    let (bytes, blocks) = live();
+    let bytes_per_edge = (bytes - bytes0) as f64 / PAIRS as f64;
+    let blocks_per_edge = (blocks - blocks0) as f64 / PAIRS as f64;
+    assert!(bytes_per_edge <= 128.0, "{bytes_per_edge:.1} B of live heap per edge");
+    assert!(blocks_per_edge <= 0.1, "{blocks_per_edge:.3} live heap blocks per edge");
+    metered(|| drop(log));
+    assert_eq!(live(), (bytes0, blocks0), "the dropped log frees all it held");
+}
+
+#[test]
+fn a_multigraph_pair_frees_its_queue_when_deletes_leave_one_copy() {
+    let _serial = serial();
+    let mut log = MutationLog::new();
+    epoch(&mut log, &[AddEdge((0, 1, 5))]);
+    let before = live();
+    epoch(&mut log, &[AddEdge((0, 1, 6))]);
+    epoch(&mut log, &[AddEdge((0, 1, 7))]);
+    assert!(live().0 > before.0, "three copies spill to the heap");
+    epoch(&mut log, &[DelEdge((0, 1, 5))]);
+    assert!(live().0 > before.0, "two copies stay spilled");
+    epoch(&mut log, &[DelEdge((0, 1, 7))]);
+    assert_eq!(log.live_count(), 1);
+    assert_eq!(live(), before, "one copy left: back inline, the queue freed");
+    metered(|| drop(log));
+}
+
+/// Retire the `i`-th oldest slot of `window`: delete its pair's oldest copy,
+/// named by that copy's weight.
+fn retire(
+    window: &mut VecDeque<(u32, u32)>,
+    weights: &mut HashMap<(u32, u32), VecDeque<u32>>,
+    muts: &mut Vec<GraphMutation>,
+    i: usize,
+) {
+    let (u, v) = window.remove(i).unwrap();
+    let copies = weights.get_mut(&(u, v)).unwrap();
+    muts.push(DelEdge((u, v, copies.pop_front().unwrap())));
+    if copies.is_empty() {
+        weights.remove(&(u, v));
+    }
+}
+
+/// 10⁵ epochs of a sliding window of 100 copies over 7 vertices (49 pairs,
+/// about two copies each, so queues spill and collapse all the time). Each
+/// epoch adds a fresh copy, and every other epoch a parallel copy of a live
+/// pair; re-weights a live pair's oldest copy; deletes one or two random live
+/// copies; and retires the oldest copies past the window. Neither records
+/// nor heap may outgrow the window.
+///
+/// With 7 vertices every hash table stays at 8 buckets or fewer, too small
+/// for the std map's erase to leave tombstones on x86-64. A larger table under delete churn grows one
+/// size once tombstones use up its free slots: a single doubling, not a
+/// leak, but it would read as growth here.
+#[test]
+fn a_sliding_window_soak_holds_the_log_to_its_window() {
+    const EPOCHS: u32 = 100_000;
+    const WINDOW: usize = 100;
+    const VERTICES: usize = 7;
+    let _serial = serial();
+    let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+    let mut below = move |n: usize| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        (rng % n as u64) as usize
+    };
+    // The pair of every live copy in arrival order, and each live pair's
+    // copy weights oldest first (the log's matching rules, mirrored).
+    let mut window: VecDeque<(u32, u32)> = VecDeque::new();
+    let mut weights: HashMap<(u32, u32), VecDeque<u32>> = HashMap::new();
+    let bytes0 = live().0;
+    let mut filled = None;
+    let mut log = MutationLog::new();
+    for e in 0..EPOCHS {
+        let mut muts = Vec::new();
+        for parallel in [false, true].into_iter().take(1 + (e % 2 == 0) as usize) {
+            let (u, v) = if parallel {
+                window[below(window.len())]
+            } else {
+                (below(VERTICES) as u32, below(VERTICES) as u32)
+            };
+            let w = 1 + below(4) as u32;
+            muts.push(AddEdge((u, v, w)));
+            weights.entry((u, v)).or_default().push_back(w);
+            window.push_back((u, v));
+        }
+        let (u, v) = window[below(window.len())];
+        let w = 1 + below(4) as u32;
+        muts.push(UpdateWeight { u, v, w });
+        weights.get_mut(&(u, v)).unwrap()[0] = w;
+        for _ in 0..1 + (e % 3 == 0) as usize {
+            if !window.is_empty() {
+                let i = below(window.len());
+                retire(&mut window, &mut weights, &mut muts, i);
+            }
+        }
+        while window.len() > WINDOW {
+            retire(&mut window, &mut weights, &mut muts, 0);
+        }
+        epoch(&mut log, &muts);
+        // Every pair the model holds has a copy, so records ≤ live copies.
+        assert_eq!(
+            (log.pair_records(), log.live_count()),
+            (weights.len(), window.len() as u64),
+            "epoch {e}"
+        );
+        if window.len() == WINDOW && filled.is_none() {
+            filled = Some(live().0 - bytes0);
+        }
+    }
+    let filled = filled.expect("the window fills") as f64;
+    let end = (live().0 - bytes0) as f64;
+    assert!(end <= 1.25 * filled, "{end} B live at the end, {filled} B when the window filled");
+    metered(|| drop(log));
+}
