@@ -3,10 +3,11 @@
 //! A [`GraphCheckpoint`] captures everything the host needs to rebuild a
 //! [`StreamingGraph`]'s exact converged state from disk:
 //!
-//! * the **live edge multiset** in insertion order at current weights (from
-//!   the shared mutation log) — replaying it into a fresh graph reproduces
-//!   the per-pair oldest-first copy order, so a write-ahead mutation tail
-//!   replayed on top resolves deletes and re-weights to the same copies;
+//! * the **live edge multiset** at current weights by destination, then
+//!   source, then copy age (from the shared mutation log) — replaying it
+//!   into a fresh graph reproduces the per-pair oldest-first copy order, so
+//!   a write-ahead mutation tail replayed on top resolves deletes and
+//!   re-weights to the same copies;
 //! * the **promoted (rhizome) vertex set** and the **converged per-vertex
 //!   sync values**, stored as integrity checks: restore re-converges from
 //!   the edge multiset and verifies both match bit-for-bit, so a corrupt or
@@ -95,7 +96,8 @@ impl From<SimError> for CheckpointError {
 pub struct GraphCheckpoint {
     /// Vertex count the graph was built with.
     pub n_vertices: u32,
-    /// Live edge multiset at current weights, in insertion order.
+    /// Live edge multiset at current weights, by destination, then source,
+    /// then copy age.
     pub edges: Vec<StreamEdge>,
     /// Per-edge labels, parallel to `edges`. Missing trailing entries encode
     /// as label 0.
@@ -402,7 +404,7 @@ mod tests {
     use amcca_sim::ChipConfig;
 
     use super::*;
-    use crate::apps::BfsAlgo;
+    use crate::apps::{BfsAlgo, SsspAlgo};
     use crate::rpvo::RpvoConfig;
 
     fn small() -> StreamingGraph<BfsAlgo> {
@@ -545,6 +547,44 @@ mod tests {
         assert_eq!(restored.live_labeled_edges(), g.live_labeled_edges());
         assert_eq!(restored.query_results(0), vec![3]);
         assert_eq!(restored.query_results(1), vec![2, 3], "multi-source query survives restore");
+    }
+
+    /// A multigraph pair whose older copy was re-weighted survives capture,
+    /// encode, decode and restore with its copies in age order: the next
+    /// re-weight and delete meet the same copies on both graphs.
+    #[test]
+    fn a_restored_multigraph_pair_resolves_later_mutations_to_the_same_copies() {
+        use GraphMutation::{AddEdge, AddLabeledEdge, DelEdge, UpdateWeight};
+        let builder = || {
+            StreamingGraph::builder(SsspAlgo::new(0))
+                .vertices(8)
+                .chip(ChipConfig::small_test())
+                .rpvo(RpvoConfig::basic(4, 2))
+        };
+        let mut g = builder().build().unwrap();
+        g.stream_increment(&[
+            AddEdge((1, 2, 1)),
+            AddLabeledEdge((0, 1, 5), 1),
+            AddLabeledEdge((0, 1, 3), 2),
+            AddEdge((3, 1, 1)),
+            AddEdge((0, 3, 6)),
+        ])
+        .unwrap();
+        g.stream_increment(&[UpdateWeight { u: 0, v: 1, w: 9 }]).unwrap();
+        let ck = GraphCheckpoint::decode(&GraphCheckpoint::capture(&g).encode()).unwrap();
+        let mut restored = ck.restore(builder()).unwrap();
+        let want = [((0, 1, 9), 1), ((0, 1, 3), 2), ((3, 1, 1), 0), ((1, 2, 1), 0), ((0, 3, 6), 0)];
+        assert_eq!(restored.live_labeled_edges(), want);
+        // The re-weight meets the older copy (label 1, weight 9), not the
+        // lighter one; the delete then takes that copy by its new weight.
+        for step in [UpdateWeight { u: 0, v: 1, w: 2 }, DelEdge((0, 1, 2))] {
+            g.stream_increment(&[step]).unwrap();
+            restored.stream_increment(&[step]).unwrap();
+            assert_eq!(restored.live_labeled_edges(), g.live_labeled_edges(), "after {step:?}");
+            assert_eq!(restored.sync_values(), g.sync_values(), "after {step:?}");
+        }
+        assert_eq!(g.live_labeled_edges()[0], ((0, 1, 3), 2), "the younger copy survives");
+        assert_eq!(g.sync_values()[2], Some(4), "0 -3-> 1 -1-> 2");
     }
 
     #[test]

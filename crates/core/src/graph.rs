@@ -500,12 +500,12 @@ impl<G: VertexAlgo> StreamingGraph<G> {
         self.applied_live
     }
 
-    /// The live edge multiset at current weights, in insertion order — the
-    /// serialization hook checkpoints are built from: streaming this list
-    /// into a freshly built graph reproduces the same per-pair copy order
-    /// (oldest first), so a replayed mutation tail resolves deletes and
-    /// re-weights to the same copies. Mutations parked by [`Self::stage`]
-    /// already count.
+    /// The live edge multiset at current weights, by destination, then
+    /// source, then copy age — the serialization hook checkpoints are built
+    /// from: streaming this list into a freshly built graph reproduces the
+    /// same per-pair copy order (oldest first), so a replayed mutation tail
+    /// resolves deletes and re-weights to the same copies. Mutations parked
+    /// by [`Self::stage`] already count.
     pub fn live_edges(&self) -> Vec<StreamEdge> {
         self.log.live_edges()
     }

@@ -24,11 +24,16 @@
 //!   emits the retraction under the copy's epoch-start weight (the weight
 //!   the fabric still stores).
 //!
-//! A record fills one 56-byte slot of its destination's table. It keeps a
-//! pair's lone copy inline and spills to a queue only while the pair holds
-//! two or more live copies (a multigraph pair); a delete that leaves one
-//! copy collapses it back inline and frees the queue. So a simple graph's
-//! log holds no heap block per pair, only the per-destination tables.
+//! A record is 12 bytes, a 16-byte slot of its destination's table with its
+//! source key. It keeps a pair's lone copy inline — weight, label, tag and
+//! epoch state — and spills to a queue in one shared spill table only while
+//! the pair holds two or more live copies (a multigraph pair), naming the
+//! queue by its slot. A delete that leaves one copy collapses it back inline
+//! and frees the slot for the next spill. So a simple graph's log holds no
+//! heap block per pair, only the per-destination tables.
+//! [`MutationLog::live_labeled_edges`] lists copies by destination, then
+//! source, then age — an order the keys alone decide, with no stored
+//! arrival number.
 //!
 //! [`MutationLog::drain`] closes the epoch in one pass over its surviving
 //! mutations: it hands each surviving insert its tag (in arrival order, so
@@ -99,117 +104,237 @@ impl fmt::Display for MutationError {
 
 impl std::error::Error for MutationError {}
 
-/// Where a live copy stands relative to the current epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CopyKind {
+/// Where a copy stands relative to the current epoch — and, as a record's
+/// state, whether the record holds no copy, its lone copy, or a spill slot.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum State {
+    /// No live copy: a record emptied this epoch, kept for its counter.
+    #[default]
+    Empty,
     /// Streamed in an earlier epoch: the fabric stores it.
     Settled,
-    /// Inserted this epoch; `entry` indexes its pending `AddEdge`.
-    Fresh { entry: usize },
-    /// Settled copy re-weighted this epoch; `entry` indexes the pending
-    /// patch and `w_start` is the weight the fabric still stores.
-    Patched { w_start: u32, entry: usize },
+    /// Inserted this epoch; `aux` indexes its pending insert.
+    Fresh,
+    /// Settled copy re-weighted this epoch; `aux` indexes the pending patch,
+    /// which carries the current weight, and `w` is still the weight the
+    /// fabric stores.
+    Patched,
+    /// Two or more live copies; `aux` is their queue's [`Spills`] slot.
+    Spilled,
 }
 
-/// One live copy of a directed pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One live copy of a directed pair: 12 bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct LogCopy {
-    /// Global arrival number (drives insertion-order iteration).
-    seq: u64,
-    /// Current weight.
+    /// Current weight — for a `Patched` copy, the weight it had when the
+    /// epoch began ([`current_w`]).
     w: u32,
-    /// Edge label carried by the copy's insert (0 = unlabelled). Labels are
-    /// immutable for a copy's lifetime and are not part of the delete/update
-    /// addressing identity — they only drive standing-query automata.
-    label: u8,
+    /// The pending mutation's index in the epoch while `Fresh` or
+    /// `Patched`; 0 once settled.
+    aux: u32,
     /// The tag the fabric stores the copy by, unique among the pair's live
     /// copies. Meaningless while the copy is `Fresh`: [`MutationLog::drain`]
     /// hands it out.
     tag: u8,
-    kind: CopyKind,
+    /// Edge label carried by the copy's insert (0 = unlabelled). Labels are
+    /// immutable for a copy's lifetime and are not part of the delete/update
+    /// addressing identity — they only drive standing-query automata.
+    label: u8,
+    /// `Settled`, `Fresh` or `Patched`.
+    state: State,
 }
 
-/// Everything the log holds for one directed pair: 48 bytes, and no heap
-/// block unless the pair holds two or more live copies at once.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Everything the log holds for one directed pair: 12 bytes, and no heap
+/// block unless the pair holds two or more live copies at once. The lone
+/// copy's fields sit inline; a spilled record keeps only `next` and its
+/// slot in `aux`, every other field 0. Each record is in that normal form,
+/// so equal contents compare equal whatever path led to them, spill slots
+/// aside.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PairRecord {
+    /// The lone copy's [`LogCopy::w`].
+    w: u32,
+    /// The lone copy's [`LogCopy::aux`], or the spill slot.
+    aux: u32,
     /// Next tag to try (wrapping; the allocation skips tags still held).
     next: u8,
-    /// Live copies, oldest first.
-    copies: Copies,
+    /// The lone copy's [`LogCopy::tag`].
+    tag: u8,
+    /// The lone copy's [`LogCopy::label`].
+    label: u8,
+    state: State,
 }
 
-/// A pair's live copies, oldest first, always in normal form: none, one
-/// inline, or two and more spilled to a queue. A push past one copy spills;
-/// a remove that leaves one collapses back inline (freeing the queue), so
-/// equal contents compare equal whatever path led to them.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-enum Copies {
-    #[default]
-    Empty,
-    One(LogCopy),
-    /// Two or more copies.
-    Spilled(VecDeque<LogCopy>),
+/// A pending mutation of the current epoch (`None` = annihilated insert or
+/// dropped patch), a delete beside the tag of the copy it matched (0 beside
+/// the rest).
+type Pending = Option<(GraphMutation, u8)>;
+
+/// A copy's current weight: a patched copy's is its pending patch's.
+fn current_w(entries: &[Pending], c: LogCopy) -> u32 {
+    if c.state != State::Patched {
+        return c.w;
+    }
+    let (patch, _) = entries[c.aux as usize].expect("a patched copy's patch is pending");
+    patch.edge().2
 }
 
-impl Copies {
-    fn is_empty(&self) -> bool {
-        matches!(self, Copies::Empty)
+impl PairRecord {
+    /// The lone copy, as a [`LogCopy`] (meaningful while the record holds
+    /// exactly one).
+    fn lone(&self) -> LogCopy {
+        LogCopy { w: self.w, aux: self.aux, tag: self.tag, label: self.label, state: self.state }
     }
 
-    fn iter(&self) -> impl Iterator<Item = &LogCopy> {
-        let (a, b): (&[LogCopy], &[LogCopy]) = match self {
-            Copies::Empty => (&[], &[]),
-            Copies::One(c) => (std::slice::from_ref(c), &[]),
-            Copies::Spilled(q) => q.as_slices(),
+    /// Hold `copy` inline, or no copy at all; the counter stays.
+    fn set_lone(&mut self, copy: Option<LogCopy>) {
+        let LogCopy { w, aux, tag, label, state } = copy.unwrap_or_default();
+        *self = PairRecord { w, aux, next: self.next, tag, label, state };
+    }
+
+    /// The record's live copies, oldest first.
+    fn copies<'a>(&self, spills: &'a Spills) -> impl Iterator<Item = LogCopy> + 'a {
+        let (lone, queue) = match self.state {
+            State::Empty => (None, None),
+            State::Spilled => (None, Some(&spills.queues[self.aux as usize])),
+            _ => (Some(self.lone()), None),
         };
-        a.iter().chain(b)
+        lone.into_iter().chain(queue.into_iter().flatten().copied())
     }
 
-    fn iter_mut(&mut self) -> impl Iterator<Item = &mut LogCopy> {
-        let (a, b) = match self {
-            Copies::Empty => (&mut [][..], &mut [][..]),
-            Copies::One(c) => (std::slice::from_mut(c), &mut [][..]),
-            Copies::Spilled(q) => q.as_mut_slices(),
-        };
-        a.iter_mut().chain(b)
+    /// Run `f` on the record's live copies, oldest first, as one slice.
+    fn with_copies<R>(&mut self, spills: &mut Spills, f: impl FnOnce(&mut [LogCopy]) -> R) -> R {
+        match self.state {
+            State::Empty => f(&mut []),
+            State::Spilled => f(spills.queues[self.aux as usize].make_contiguous()),
+            _ => {
+                let mut lone = [self.lone()];
+                let out = f(&mut lone);
+                self.set_lone(Some(lone[0]));
+                out
+            }
+        }
     }
 
-    #[cfg(test)]
-    fn front(&self) -> Option<&LogCopy> {
-        self.iter().next()
-    }
-
-    fn front_mut(&mut self) -> Option<&mut LogCopy> {
-        self.iter_mut().next()
-    }
-
-    fn push_back(&mut self, copy: LogCopy) {
-        match self {
-            Copies::Empty => *self = Copies::One(copy),
-            Copies::One(first) => *self = Copies::Spilled(VecDeque::from([*first, copy])),
-            Copies::Spilled(q) => q.push_back(copy),
+    /// Add `copy` as the youngest, spilling when it is the second.
+    fn push(&mut self, spills: &mut Spills, copy: LogCopy) {
+        match self.state {
+            State::Empty => self.set_lone(Some(copy)),
+            State::Spilled => spills.queues[self.aux as usize].push_back(copy),
+            _ => {
+                let aux = spills.spill(VecDeque::from([self.lone(), copy]));
+                *self = PairRecord { aux, state: State::Spilled, ..self.empty() };
+            }
         }
     }
 
     /// Remove and return the `i`-th oldest copy, collapsing a queue left
-    /// with one copy back inline.
-    fn remove(&mut self, i: usize) -> Option<LogCopy> {
-        match self {
-            Copies::One(c) if i == 0 => {
-                let c = *c;
-                *self = Copies::Empty;
-                Some(c)
-            }
-            Copies::Empty | Copies::One(_) => None,
-            Copies::Spilled(q) => {
-                let c = q.remove(i)?;
-                if q.len() == 1 {
-                    *self = Copies::One(q[0]);
-                }
-                Some(c)
+    /// with one copy back inline and freeing its slot.
+    fn remove(&mut self, spills: &mut Spills, i: usize) -> LogCopy {
+        if self.state != State::Spilled {
+            debug_assert_eq!(i, 0, "an inline record holds one copy");
+            let copy = self.lone();
+            self.set_lone(None);
+            return copy;
+        }
+        let queue = &mut spills.queues[self.aux as usize];
+        let copy = queue.remove(i).expect("copy index in range");
+        if queue.len() == 1 {
+            let last = spills.release(self.aux).pop_front();
+            self.set_lone(last);
+        }
+        copy
+    }
+
+    /// This record's counter and nothing else.
+    fn empty(&self) -> PairRecord {
+        PairRecord { next: self.next, ..PairRecord::default() }
+    }
+}
+
+/// The spill table: the queues of multigraph pairs, each holding its pair's
+/// two or more live copies oldest first, named by the record's slot. A
+/// collapse frees the slot, and the queue's heap block, for the next spill
+/// to reuse, so the table is as large as the most pairs ever spilled at
+/// once, not as the history of spills.
+#[derive(Debug, Clone, Default)]
+struct Spills {
+    /// Queues by slot; a free slot holds an empty queue, which owns no heap
+    /// block.
+    queues: Vec<VecDeque<LogCopy>>,
+    /// Free slots.
+    free: Vec<u32>,
+}
+
+impl Spills {
+    /// Store `queue` in a free slot (a new one if none is free) and name it.
+    fn spill(&mut self, queue: VecDeque<LogCopy>) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.queues[slot as usize] = queue;
+            return slot;
+        }
+        self.queues.push(queue);
+        u32::try_from(self.queues.len() - 1).expect("fewer than 2^32 spilled pairs")
+    }
+
+    /// Take the queue out of `slot` and free the slot.
+    fn release(&mut self, slot: u32) -> VecDeque<LogCopy> {
+        self.free.push(slot);
+        std::mem::take(&mut self.queues[slot as usize])
+    }
+}
+
+/// `dst → src → record`: one record per directed pair with a live copy —
+/// or emptied this epoch with a counter still to keep ([`MutationLog::drain`]
+/// drops it). A destination's table goes with its last record, so two logs
+/// holding the same records hold the same tables.
+#[derive(Debug, Clone, Default)]
+struct Pairs {
+    by_dst: HashMap<u32, HashMap<u32, PairRecord>>,
+    /// Records across all destinations ([`MutationLog::pair_records`]).
+    len: usize,
+}
+
+impl Pairs {
+    /// The record of the directed pair `(u, v)`, if the log holds one.
+    fn get(&self, (u, v): (u32, u32)) -> Option<&PairRecord> {
+        self.by_dst.get(&v)?.get(&u)
+    }
+
+    fn get_mut(&mut self, (u, v): (u32, u32)) -> Option<&mut PairRecord> {
+        self.by_dst.get_mut(&v)?.get_mut(&u)
+    }
+
+    /// The record of `(u, v)`, a new empty one if the log holds none.
+    fn get_or_insert(&mut self, (u, v): (u32, u32)) -> &mut PairRecord {
+        match self.by_dst.entry(v).or_default().entry(u) {
+            Entry::Occupied(rec) => rec.into_mut(),
+            Entry::Vacant(slot) => {
+                self.len += 1;
+                slot.insert(PairRecord::default())
             }
         }
+    }
+
+    /// Run `f` on the record of `(u, v)`, if the log holds one, and drop
+    /// the record when `f` says so — and its destination's table once that
+    /// holds no record. One pass down the two levels either way.
+    fn visit<R>(
+        &mut self,
+        (u, v): (u32, u32),
+        f: impl FnOnce(&mut PairRecord) -> (R, bool),
+    ) -> Option<R> {
+        let Entry::Occupied(mut srcs) = self.by_dst.entry(v) else { return None };
+        let Entry::Occupied(mut rec) = srcs.get_mut().entry(u) else { return None };
+        let (out, emptied) = f(rec.get_mut());
+        if emptied {
+            rec.remove();
+            self.len -= 1;
+            if srcs.get().is_empty() {
+                srcs.remove();
+            }
+        }
+        Some(out)
     }
 }
 
@@ -246,23 +371,15 @@ pub struct CoalescedBatch {
 /// Host-side live-copy model plus current-epoch coalescing (module docs).
 #[derive(Debug, Clone, Default)]
 pub struct MutationLog {
-    /// `dst → src → record`: one record per directed pair with a live copy
-    /// — or emptied this epoch with a counter still to keep
-    /// ([`Self::drain`] drops it). A destination's table goes with its last
-    /// record, so two logs holding the same records compare equal.
-    pairs: HashMap<u32, HashMap<u32, PairRecord>>,
-    /// Records across all destinations ([`Self::pair_records`]).
-    records: usize,
-    /// Current epoch's pending mutations in arrival order (`None` =
-    /// annihilated insert or dropped patch), a delete beside the tag of the
-    /// copy it matched (0 beside the rest).
-    entries: Vec<Option<(GraphMutation, u8)>>,
+    pairs: Pairs,
+    /// The queues of the records that spilled.
+    spills: Spills,
+    /// Current epoch's pending mutations in arrival order.
+    entries: Vec<Pending>,
     touched: Vec<u32>,
     needs_repair: bool,
     /// Live copies across all pairs.
     live: u64,
-    /// Next arrival number.
-    seq: u64,
     /// Pair records looked at so far ([`MutationLog::pair_visits`]).
     pair_visits: u64,
 }
@@ -313,68 +430,71 @@ impl MutationLog {
             GraphMutation::AddLabeledEdge(e, label) => self.push_add(e, label),
             GraphMutation::DelEdge((u, v, w)) => {
                 let err = MutationError::NoLiveCopyToDelete { u, v, w };
-                let matched = self.visit_record((u, v), |rec| {
-                    let Some(i) = rec.copies.iter().position(|c| c.w == w) else {
-                        return (None, false);
-                    };
-                    let copy = rec.copies.remove(i).expect("position is in range");
+                let entries = &self.entries;
+                let matched = self.pairs.visit((u, v), |rec| {
+                    let at = rec.copies(&self.spills).position(|c| current_w(entries, c) == w);
+                    let Some(i) = at else { return (None, false) };
+                    let copy = rec.remove(&mut self.spills, i);
                     // An emptied record whose counter stands at 0 is a new
                     // record's equal: drop it now. Any other waits for the
                     // drain.
-                    (Some(copy), rec.copies.is_empty() && rec.next == 0)
+                    (Some(copy), *rec == PairRecord::default())
                 });
                 let copy = matched.flatten().ok_or(err)?;
                 self.live -= 1;
-                match copy.kind {
+                if copy.state == State::Fresh {
                     // The copy is still in this epoch's wave: annihilate the
                     // pair on the host.
-                    CopyKind::Fresh { entry } => self.entries[entry] = None,
-                    // A same-epoch patch of this copy is moot now — drop it
+                    self.entries[copy.aux as usize] = None;
+                } else {
+                    // A same-epoch patch of the copy is moot now: drop it,
                     // and retract under the weight the fabric still stores.
-                    CopyKind::Patched { w_start, entry } => {
-                        self.entries[entry] = None;
-                        self.entries
-                            .push(Some((GraphMutation::DelEdge((u, v, w_start)), copy.tag)));
-                        self.needs_repair = true;
+                    if copy.state == State::Patched {
+                        self.entries[copy.aux as usize] = None;
                     }
-                    CopyKind::Settled => {
-                        self.entries.push(Some((GraphMutation::DelEdge((u, v, w)), copy.tag)));
-                        self.needs_repair = true;
-                    }
+                    self.entries.push(Some((GraphMutation::DelEdge((u, v, copy.w)), copy.tag)));
+                    self.needs_repair = true;
                 }
                 Ok(())
             }
             GraphMutation::UpdateWeight { u, v, w } => {
                 let err = MutationError::NoLiveCopyToUpdate { u, v, w };
-                let srcs = self.pairs.get_mut(&v);
-                let copy = srcs
-                    .and_then(|s| s.get_mut(&u))
-                    .and_then(|r| r.copies.front_mut())
-                    .ok_or(err)?;
-                match copy.kind {
+                let rec = self.pairs.get_mut((u, v)).filter(|r| r.state != State::Empty);
+                let at = u32::try_from(self.entries.len()).expect("fewer than 2^32 pending");
+                // Only a pair's oldest copy is ever re-weighted.
+                let old = rec.ok_or(err)?.with_copies(&mut self.spills, |copies| {
+                    let copy = &mut copies[0];
+                    let old = *copy;
+                    match copy.state {
+                        State::Fresh => copy.w = w,
+                        State::Settled => (copy.state, copy.aux) = (State::Patched, at),
+                        _ => {}
+                    }
+                    old
+                });
+                let patch = Some((GraphMutation::UpdateWeight { u, v, w }, 0));
+                match old.state {
                     // The copy is still in this epoch's wave: rewrite the
                     // pending insert in place (nothing was ever announced
                     // under the old weight, so no repair is needed). The
                     // rewrite keeps the insert's label.
-                    CopyKind::Fresh { entry } => {
-                        self.entries[entry] = Some((labeled_add((u, v, w), copy.label), 0));
+                    State::Fresh => {
+                        self.entries[old.aux as usize] =
+                            Some((labeled_add((u, v, w), old.label), 0));
                     }
                     // Coalesce repeat updates of one copy: one patch with the
                     // final weight (intermediates were never announced);
                     // repair compares against the epoch-start weight.
-                    CopyKind::Patched { w_start, entry } => {
-                        self.needs_repair |= w > w_start;
-                        self.entries[entry] = Some((GraphMutation::UpdateWeight { u, v, w }, 0));
+                    State::Patched => {
+                        self.needs_repair |= w > old.w;
+                        self.entries[old.aux as usize] = patch;
                     }
-                    CopyKind::Settled => {
-                        self.needs_repair |= w > copy.w;
-                        copy.kind =
-                            CopyKind::Patched { w_start: copy.w, entry: self.entries.len() };
-                        self.entries.push(Some((GraphMutation::UpdateWeight { u, v, w }, 0)));
+                    _ => {
+                        self.needs_repair |= w > old.w;
+                        self.entries.push(patch);
                         self.touched.push(u);
                     }
                 }
-                copy.w = w;
                 Ok(())
             }
         }
@@ -383,93 +503,62 @@ impl MutationLog {
     /// Insert one copy of `(u, v, w)` carrying `label` (the shared body of
     /// the `AddEdge` / `AddLabeledEdge` push arms).
     fn push_add(&mut self, (u, v, w): StreamEdge, label: u8) -> Result<(), MutationError> {
-        let entry = self.entries.len();
+        let aux = u32::try_from(self.entries.len()).expect("fewer than 2^32 pending");
         self.entries.push(Some((labeled_add((u, v, w), label), 0)));
-        self.seq += 1;
-        let copy = LogCopy { seq: self.seq, w, label, tag: 0, kind: CopyKind::Fresh { entry } };
-        let rec = match self.pairs.entry(v).or_default().entry(u) {
-            Entry::Occupied(rec) => rec.into_mut(),
-            Entry::Vacant(slot) => {
-                self.records += 1;
-                slot.insert(PairRecord::default())
-            }
-        };
-        rec.copies.push_back(copy);
+        let copy = LogCopy { w, aux, tag: 0, label, state: State::Fresh };
+        self.pairs.get_or_insert((u, v)).push(&mut self.spills, copy);
         self.touched.push(u);
         self.live += 1;
         Ok(())
     }
 
-    /// The record of the directed pair `(u, v)`, if the log holds one.
-    fn record(&self, (u, v): (u32, u32)) -> Option<&PairRecord> {
-        self.pairs.get(&v)?.get(&u)
-    }
-
-    fn record_mut(&mut self, (u, v): (u32, u32)) -> Option<&mut PairRecord> {
-        self.pairs.get_mut(&v)?.get_mut(&u)
-    }
-
-    /// Run `f` on the record of `(u, v)`, if the log holds one, and drop
-    /// the record when `f` says so — and its destination's table once that
-    /// holds no record. One pass down the two levels either way.
-    fn visit_record<R>(
-        &mut self,
-        (u, v): (u32, u32),
-        f: impl FnOnce(&mut PairRecord) -> (R, bool),
-    ) -> Option<R> {
-        let Entry::Occupied(mut srcs) = self.pairs.entry(v) else { return None };
-        let Entry::Occupied(mut rec) = srcs.get_mut().entry(u) else { return None };
-        let (out, emptied) = f(rec.get_mut());
-        if emptied {
-            rec.remove();
-            self.records -= 1;
-            if srcs.get().is_empty() {
-                srcs.remove();
-            }
-        }
-        Some(out)
-    }
-
     /// Push a whole submission, all-or-nothing: on the first error the log
-    /// is restored to exactly what it was before the call — including
-    /// pending entries of *earlier* pushes of this epoch that the valid
-    /// prefix had annihilated, rewritten, folded or dropped.
+    /// is restored to what it was before the call — including pending
+    /// entries of *earlier* pushes of this epoch that the valid prefix had
+    /// annihilated, rewritten, folded or dropped. Only the spill slots a
+    /// restored queue sits in may differ.
     ///
-    /// A push only changes the record of the pair it names, the pending
-    /// entries that record's copies index, and the tail of the epoch, so
-    /// that (plus the scalar marks) is the whole pre-image.
+    /// A push only changes the record of the pair it names (and its spilled
+    /// queue), the pending entries that record's copies index, and the tail
+    /// of the epoch, so that (plus the scalar marks) is the whole pre-image.
     pub fn try_push_all(&mut self, muts: &[GraphMutation]) -> Result<(), MutationError> {
         let (n_entries, n_touched) = (self.entries.len(), self.touched.len());
-        let (needs_repair, live, seq) = (self.needs_repair, self.live, self.seq);
+        let (needs_repair, live) = (self.needs_repair, self.live);
+        // Each pair's record before the call, with its queue if it spilled.
         // Sized once: a submission names at most one pair per mutation.
-        let mut queues: HashMap<(u32, u32), Option<PairRecord>> =
-            HashMap::with_capacity(muts.len());
-        let mut entries: Vec<(usize, Option<(GraphMutation, u8)>)> = Vec::new();
+        type Saved = Option<(PairRecord, Option<VecDeque<LogCopy>>)>;
+        let mut saved: HashMap<(u32, u32), Saved> = HashMap::with_capacity(muts.len());
+        let mut entries: Vec<(usize, Pending)> = Vec::new();
         for &m in muts {
-            if let Entry::Vacant(slot) = queues.entry(pair_of(m)) {
+            if let Entry::Vacant(slot) = saved.entry(pair_of(m)) {
                 self.pair_visits += 1;
-                let q = self.record(*slot.key()).cloned();
-                for c in q.iter().flat_map(|r| r.copies.iter()) {
-                    if let CopyKind::Fresh { entry } | CopyKind::Patched { entry, .. } = c.kind {
-                        entries.push((entry, self.entries[entry]));
+                let rec = self.pairs.get(*slot.key()).copied();
+                for c in rec.iter().flat_map(|r| r.copies(&self.spills)) {
+                    if matches!(c.state, State::Fresh | State::Patched) {
+                        entries.push((c.aux as usize, self.entries[c.aux as usize]));
                     }
                 }
-                slot.insert(q);
+                let spilled = rec.filter(|r| r.state == State::Spilled);
+                let queue = spilled.map(|r| self.spills.queues[r.aux as usize].clone());
+                slot.insert(rec.map(|r| (r, queue)));
             }
             if let Err(e) = self.try_push(m) {
-                self.pair_visits += queues.len() as u64;
-                for ((u, v), q) in queues {
-                    match q {
-                        // An annihilated fresh insert may have taken its
-                        // record with it: put back, not just overwrite.
-                        Some(q) => {
-                            if self.pairs.entry(v).or_default().insert(u, q).is_none() {
-                                self.records += 1;
-                            }
+                self.pair_visits += saved.len() as u64;
+                for (pair, before) in saved {
+                    // Drop what the prefix left — an annihilated fresh
+                    // insert may have taken the record with it — freeing its
+                    // slot, then put the record back, re-spilled if it was.
+                    self.pairs.visit(pair, |rec| {
+                        if rec.state == State::Spilled {
+                            self.spills.release(rec.aux);
                         }
-                        None => {
-                            self.visit_record((u, v), |_| ((), true));
+                        ((), true)
+                    });
+                    if let Some((mut rec, queue)) = before {
+                        if let Some(queue) = queue {
+                            rec.aux = self.spills.spill(queue);
                         }
+                        *self.pairs.get_or_insert(pair) = rec;
                     }
                 }
                 self.entries.truncate(n_entries);
@@ -477,7 +566,7 @@ impl MutationLog {
                     self.entries[i] = e;
                 }
                 self.touched.truncate(n_touched);
-                (self.needs_repair, self.live, self.seq) = (needs_repair, live, seq);
+                (self.needs_repair, self.live) = (needs_repair, live);
                 return Err(e);
             }
         }
@@ -503,40 +592,41 @@ impl MutationLog {
                 GraphMutation::DelEdge((_, _, w)) => {
                     // The wave this batch becomes carries the last retraction
                     // that could meet a reused tag: the counter can go.
-                    self.visit_record(pair_of(m), |rec| ((), rec.copies.is_empty()));
+                    self.pairs.visit(pair_of(m), |rec| ((), rec.state == State::Empty));
                     CopyAddr { tag: del_tag, w_fabric: w }
                 }
-                GraphMutation::UpdateWeight { .. } => {
-                    // Only a pair's oldest copy is ever patched.
-                    let copy = self.record_mut(pair_of(m)).and_then(|r| r.copies.front_mut());
-                    let copy = copy.expect("a pending patch is live");
-                    let CopyKind::Patched { w_start, .. } = copy.kind else {
-                        unreachable!("a pending patch belongs to the pair's oldest copy")
-                    };
-                    copy.kind = CopyKind::Settled;
-                    CopyAddr { tag: copy.tag, w_fabric: w_start }
+                GraphMutation::UpdateWeight { w, .. } => {
+                    let rec = self.pairs.get_mut(pair_of(m)).expect("a pending patch is live");
+                    rec.with_copies(&mut self.spills, |copies| {
+                        // Only a pair's oldest copy is ever patched.
+                        let copy = &mut copies[0];
+                        assert_eq!(copy.state, State::Patched, "the oldest copy holds the patch");
+                        let w_start = copy.w;
+                        *copy = LogCopy { w, aux: 0, state: State::Settled, ..*copy };
+                        CopyAddr { tag: copy.tag, w_fabric: w_start }
+                    })
                 }
                 GraphMutation::AddEdge((_, _, w)) | GraphMutation::AddLabeledEdge((_, _, w), _) => {
-                    let rec = self.record_mut(pair_of(m)).expect("a pending insert is live");
-                    // The one place a tag is handed out. Step past every tag
-                    // a settled or patched copy of the pair still holds; with
-                    // all 256 held the counter's own value has to do.
-                    let held = |t| {
-                        rec.copies
-                            .iter()
-                            .any(|c| !matches!(c.kind, CopyKind::Fresh { .. }) && c.tag == t)
-                    };
-                    let tag = (0..=u8::MAX)
-                        .map(|i| rec.next.wrapping_add(i))
-                        .find(|&t| !held(t))
-                        .unwrap_or(rec.next);
+                    let rec = self.pairs.get_mut(pair_of(m)).expect("a pending insert is live");
+                    let next = rec.next;
+                    let tag = rec.with_copies(&mut self.spills, |copies| {
+                        // The one place a tag is handed out. Step past every
+                        // tag a settled or patched copy of the pair still
+                        // holds; with all 256 held the counter's own value
+                        // has to do.
+                        let held = |t| copies.iter().any(|c| c.state != State::Fresh && c.tag == t);
+                        let tag = (0..=u8::MAX)
+                            .map(|i| next.wrapping_add(i))
+                            .find(|&t| !held(t))
+                            .unwrap_or(next);
+                        let copy = copies
+                            .iter_mut()
+                            .find(|c| c.state == State::Fresh && c.aux as usize == entry)
+                            .expect("a pending insert's copy is live");
+                        *copy = LogCopy { aux: 0, tag, state: State::Settled, ..*copy };
+                        tag
+                    });
                     rec.next = tag.wrapping_add(1);
-                    let copy = rec
-                        .copies
-                        .iter_mut()
-                        .find(|c| c.kind == CopyKind::Fresh { entry })
-                        .expect("a pending insert's copy is live");
-                    (copy.tag, copy.kind) = (tag, CopyKind::Settled);
                     CopyAddr { tag, w_fabric: w }
                 }
             };
@@ -581,20 +671,22 @@ impl MutationLog {
     /// Pair records held: one per directed pair with a live copy, plus any
     /// the current epoch emptied and [`Self::drain`] has yet to drop.
     pub fn pair_records(&self) -> usize {
-        self.records
+        self.pairs.len
     }
 
     /// Sources of the live in-edges of vertex `v` (current epoch included),
     /// each once, in arbitrary hash order — callers must sort before the
     /// result can drive output.
     pub fn sources_of(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
-        let srcs = self.pairs.get(&v).into_iter().flatten();
-        srcs.filter(|(_, r)| !r.copies.is_empty()).map(|(&u, _)| u)
+        let srcs = self.pairs.by_dst.get(&v).into_iter().flatten();
+        srcs.filter(|(_, r)| r.state != State::Empty).map(|(&u, _)| u)
     }
 
-    /// The live edge multiset at current weights, in insertion order
-    /// (current epoch's fresh copies included — callers wanting the settled
-    /// state call this at an epoch boundary).
+    /// The live edge multiset at current weights, by destination, then
+    /// source, then copy age (oldest first) — an order the live multiset
+    /// alone decides, however it was built (current epoch's fresh copies
+    /// included — callers wanting the settled state call this at an epoch
+    /// boundary).
     pub fn live_edges(&self) -> Vec<StreamEdge> {
         self.live_labeled_edges().into_iter().map(|(e, _)| e).collect()
     }
@@ -603,14 +695,20 @@ impl MutationLog {
     /// label-aware checkpoints are built from, and the edge set standing
     /// queries are recomputed over.
     pub fn live_labeled_edges(&self) -> Vec<(StreamEdge, u8)> {
-        let mut tagged: Vec<(u64, (StreamEdge, u8))> = self
-            .pairs
-            .iter()
-            .flat_map(|(&v, srcs)| srcs.iter().map(move |(&u, r)| (u, v, r)))
-            .flat_map(|(u, v, r)| r.copies.iter().map(move |c| (c.seq, ((u, v, c.w), c.label))))
-            .collect();
-        tagged.sort_unstable_by_key(|&(seq, _)| seq);
-        tagged.into_iter().map(|(_, e)| e).collect()
+        let mut dsts: Vec<_> = self.pairs.by_dst.iter().collect();
+        dsts.sort_unstable_by_key(|&(&v, _)| v);
+        let mut srcs = Vec::new();
+        let mut out = Vec::with_capacity(self.live as usize);
+        for (&v, table) in dsts {
+            srcs.clear();
+            srcs.extend(table);
+            srcs.sort_unstable_by_key(|&(&u, _)| u);
+            for &(&u, rec) in &srcs {
+                let copies = rec.copies(&self.spills);
+                out.extend(copies.map(|c| ((u, v, current_w(&self.entries, c)), c.label)));
+            }
+        }
+        out
     }
 }
 
@@ -623,7 +721,18 @@ mod tests {
         /// Live copies of the directed pair `(u, v)`, oldest first, at
         /// current weights.
         fn live_copies(&self, u: u32, v: u32) -> Vec<u32> {
-            self.record((u, v)).map(|r| r.copies.iter().map(|c| c.w).collect()).unwrap_or_default()
+            let copies = self.pairs.get((u, v)).into_iter().flat_map(|r| r.copies(&self.spills));
+            copies.map(|c| current_w(&self.entries, c)).collect()
+        }
+
+        /// Every record's counter and copies, spilled queues read out: what
+        /// two logs holding the same records agree on, whatever spill slots
+        /// they use.
+        fn contents(&self) -> HashMap<(u32, u32), (u8, Vec<LogCopy>)> {
+            let records = self.pairs.by_dst.iter().flat_map(|(&v, srcs)| {
+                srcs.iter().map(move |(&u, r)| ((u, v), (r.next, r.copies(&self.spills).collect())))
+            });
+            records.collect()
         }
     }
 
@@ -758,15 +867,42 @@ mod tests {
     }
 
     #[test]
-    fn live_edges_iterate_in_insertion_order_across_epochs() {
+    fn live_edges_run_by_destination_then_source_then_copy_age() {
         let mut log = MutationLog::new();
-        log.push(AddEdge((5, 6, 1)));
-        log.push(AddEdge((0, 1, 2)));
+        for e in [(5, 6, 1), (9, 1, 4), (0, 1, 2)] {
+            log.push(AddEdge(e));
+        }
         log.drain();
         log.push(AddEdge((3, 4, 3)));
+        log.push(AddEdge((0, 1, 7)));
+        log.push(AddEdge((0, 1, 1)));
         log.push(DelEdge((5, 6, 1)));
+        log.push(UpdateWeight { u: 0, v: 1, w: 8 });
+        let want = vec![(0, 1, 8), (0, 1, 7), (0, 1, 1), (9, 1, 4), (3, 4, 3)];
+        assert_eq!(log.live_edges(), want, "mid-epoch: the patched copy at its pending weight");
         log.drain();
-        assert_eq!(log.live_edges(), vec![(0, 1, 2), (3, 4, 3)]);
+        assert_eq!(log.live_edges(), want);
+    }
+
+    #[test]
+    fn equal_live_multisets_list_alike_whatever_the_push_order() {
+        use GraphMutation::AddLabeledEdge;
+        // 300 distinct pairs, 20 sources into each of 15 destinations, so
+        // two logs' hash tables iterate in different orders.
+        let adds: Vec<GraphMutation> =
+            (0..300u32).map(|i| AddLabeledEdge((i % 20, i / 20, i % 7), (i % 3) as u8)).collect();
+        let build = |adds: &[GraphMutation]| {
+            let mut log = MutationLog::new();
+            for epoch in adds.chunks(70) {
+                log.try_push_all(epoch).unwrap();
+                log.drain();
+            }
+            log
+        };
+        let forward = build(&adds);
+        let backward = build(&adds.iter().rev().copied().collect::<Vec<_>>());
+        assert_eq!(forward.live_count(), 300);
+        assert_eq!(forward.live_labeled_edges(), backward.live_labeled_edges());
     }
 
     #[test]
@@ -833,17 +969,20 @@ mod tests {
         Ok(())
     }
 
-    /// Everything but the `pair_visits` diagnostic, fields and accessors.
+    /// Everything but the `pair_visits` diagnostic and the spill slots,
+    /// fields and accessors.
     fn assert_same(got: &MutationLog, want: &MutationLog) {
         assert_eq!(
-            got.pairs, want.pairs,
-            "pair records (tag counters; weights, labels, tags, kinds, arrival numbers; \
+            got.contents(),
+            want.contents(),
+            "pair records (tag counters; weights, labels, tags, states, entry indices; \
              emptied-but-kept records)"
         );
+        assert_eq!(got.pairs.by_dst.len(), want.pairs.by_dst.len(), "destination tables");
         assert_eq!(got.entries, want.entries);
         assert_eq!(got.touched, want.touched);
         assert_eq!(got.needs_repair, want.needs_repair);
-        assert_eq!((got.records, got.live, got.seq), (want.records, want.live, want.seq));
+        assert_eq!((got.pairs.len, got.live), (want.pairs.len, want.live));
         assert_eq!(got.pending_ops(), want.pending_ops());
         assert_eq!(got.live_count(), want.live_count());
         assert_eq!(got.live_labeled_edges(), want.live_labeled_edges());
@@ -955,26 +1094,50 @@ mod tests {
         let refused = [AddEdge((0, 1, 8)), AddEdge((4, 4, 1)), DelEdge((9, 9, 9))];
         assert!(log.try_push_all(&refused).is_err());
         assert_same(&log, &want);
-        assert_eq!(log.pairs[&1][&0], PairRecord { next: 1, copies: Copies::Empty });
+        assert_eq!(log.pairs.get((0, 1)), Some(&PairRecord { next: 1, ..PairRecord::default() }));
         assert_eq!(tags(&mut log, &[AddEdge((0, 1, 8))]), vec![0, 1], "retraction, then re-add");
     }
 
-    /// Every record is in normal form: no queue holds fewer than two copies.
+    /// Every record is in normal form — an inline one holds its lone copy's
+    /// fields or none, a spilled one only its counter and a slot whose queue
+    /// holds two or more copies, and only a pending copy names an entry —
+    /// and every spill slot is one record's or free, never both or neither.
     fn assert_normal_form(log: &MutationLog) {
-        for (v, srcs) in &log.pairs {
+        let queues = &log.spills.queues;
+        let mut owners = vec![0; queues.len()];
+        for (v, srcs) in &log.pairs.by_dst {
             for (u, r) in srcs {
-                if let Copies::Spilled(q) = &r.copies {
-                    assert!(q.len() >= 2, "pair ({u}, {v}) spilled with {} copies", q.len());
+                match r.state {
+                    State::Empty => assert_eq!(*r, r.empty(), "pair ({u}, {v})"),
+                    State::Spilled => {
+                        let q = &queues[r.aux as usize];
+                        assert!(q.len() >= 2, "pair ({u}, {v}) spilled with {} copies", q.len());
+                        assert_eq!(
+                            *r,
+                            PairRecord { aux: r.aux, state: State::Spilled, ..r.empty() }
+                        );
+                        owners[r.aux as usize] += 1;
+                    }
+                    _ => {}
+                }
+                for c in r.copies(&log.spills) {
+                    assert!(matches!(c.state, State::Settled | State::Fresh | State::Patched));
+                    assert!(c.state != State::Settled || c.aux == 0, "pair ({u}, {v}): {c:?}");
                 }
             }
         }
+        for &slot in &log.spills.free {
+            assert_eq!(queues[slot as usize].capacity(), 0, "free slot {slot} holds a heap block");
+            owners[slot as usize] += 1;
+        }
+        assert!(owners.iter().all(|&n| n == 1), "owners per spill slot: {owners:?}");
     }
 
     #[test]
-    fn a_record_fills_a_56_byte_slot() {
-        assert_eq!(std::mem::size_of::<LogCopy>(), 32);
-        assert_eq!(std::mem::size_of::<PairRecord>(), 48);
-        assert_eq!(std::mem::size_of::<(u32, PairRecord)>(), 56);
+    fn a_record_fills_a_16_byte_slot() {
+        assert_eq!(std::mem::size_of::<LogCopy>(), 12);
+        assert_eq!(std::mem::size_of::<PairRecord>(), 12);
+        assert_eq!(std::mem::size_of::<(u32, PairRecord)>(), 16);
     }
 
     /// One epoch of `m`; then the `(weight, tag)` of pair `(0, 1)`'s copies,
@@ -982,26 +1145,30 @@ mod tests {
     fn step(log: &mut MutationLog, m: GraphMutation) -> (Vec<(u32, u8)>, usize) {
         tags(log, &[m]);
         assert_normal_form(log);
-        let copies = log.record((0, 1)).map(|r| r.copies.iter().map(|c| (c.w, c.tag)).collect());
-        (copies.unwrap_or_default(), log.pair_records())
+        let copies = log.pairs.get((0, 1)).into_iter().flat_map(|r| r.copies(&log.spills));
+        (copies.map(|c| (c.w, c.tag)).collect(), log.pair_records())
     }
 
     #[test]
     fn a_pair_spills_past_one_copy_and_collapses_back_inline() {
-        let inline = |next, seq, w, tag| PairRecord {
-            next,
-            copies: Copies::One(LogCopy { seq, w, label: 0, tag, kind: CopyKind::Settled }),
+        let inline = |next, w, tag| {
+            Some(PairRecord { w, next, tag, state: State::Settled, ..PairRecord::default() })
         };
         let mut log = MutationLog::new();
         assert_eq!(step(&mut log, AddEdge((0, 1, 5))), (vec![(5, 0)], 1));
-        assert_eq!(log.pairs[&1][&0], inline(1, 1, 5, 0));
+        assert_eq!(log.pairs.get((0, 1)).copied(), inline(1, 5, 0));
         assert_eq!(step(&mut log, AddEdge((0, 1, 6))), (vec![(5, 0), (6, 1)], 1));
         assert_eq!(step(&mut log, AddEdge((0, 1, 7))), (vec![(5, 0), (6, 1), (7, 2)], 1));
         assert_eq!(step(&mut log, DelEdge((0, 1, 5))), (vec![(6, 1), (7, 2)], 1));
         assert_eq!(step(&mut log, DelEdge((0, 1, 7))), (vec![(6, 1)], 1));
-        // Collapsed from a queue, the record equals one built inline.
-        assert_eq!(log.pairs[&1][&0], inline(3, 2, 6, 1));
-        assert_eq!(step(&mut log, DelEdge((0, 1, 6))), (vec![], 0));
+        // Collapsed from a queue, the record equals one built inline, and
+        // the queue's slot is free.
+        assert_eq!(log.pairs.get((0, 1)).copied(), inline(3, 6, 1));
+        assert_eq!((log.spills.queues.len(), &log.spills.free[..]), (1, &[0][..]));
+        // The next pair to spill takes the freed slot.
+        tags(&mut log, &[AddEdge((2, 3, 1)), AddEdge((2, 3, 1))]);
+        assert_eq!((log.spills.queues.len(), log.spills.free.len()), (1, 0));
+        assert_eq!(step(&mut log, DelEdge((0, 1, 6))), (vec![], 1));
     }
 
     #[test]
@@ -1173,9 +1340,9 @@ mod tests {
     /// the weight it names, so its match lies behind a patched copy.
     fn reaches_past_a_patch(log: &MutationLog, m: GraphMutation) -> bool {
         let DelEdge((u, v, w)) = m else { return false };
-        log.record((u, v))
-            .and_then(|r| r.copies.front())
-            .is_some_and(|front| matches!(front.kind, CopyKind::Patched { .. }) && front.w != w)
+        log.pairs.get((u, v)).and_then(|r| r.copies(&log.spills).next()).is_some_and(|front| {
+            front.state == State::Patched && current_w(&log.entries, front) != w
+        })
     }
 
     mod oracle {

@@ -277,11 +277,12 @@ impl ChurnStream {
     }
 
     /// The edge multiset live after batch `i` completed, at current weights,
-    /// in insertion order: a replay of batches `0..=i` under the mutation
-    /// semantics — a delete removes the oldest live copy of its `(u, v, w)`
-    /// identity, an update re-weights the oldest live copy of its pair.
-    /// Without updates this is exactly the adds of the trailing window of
-    /// batches (deletes always expire whole batches).
+    /// by destination, then source, then copy age (the [`MutationLog`]'s
+    /// order): a replay of batches `0..=i` under the mutation semantics — a
+    /// delete removes the oldest live copy of its `(u, v, w)` identity, an
+    /// update re-weights the oldest live copy of its pair. Without updates
+    /// this is exactly the adds of the trailing window of batches (deletes
+    /// always expire whole batches), put in the same order.
     ///
     /// Replay is incremental: a shared [`MutationLog`] cursor carries the
     /// live multiset forward, so the batch-by-batch forward scans the
@@ -298,11 +299,7 @@ impl ChurnStream {
     /// the cursor mutex and see the same per-call answers.
     pub fn live_after(&self, i: usize) -> Vec<StreamEdge> {
         if self.batches[..=i].iter().all(|b| b.updates.is_empty()) {
-            // No re-weights in play: the live set is exactly the adds of
-            // the trailing window, at their inserted weights — O(window)
-            // without touching the replay cursor at all.
-            let first = (i + 1).saturating_sub(self.window);
-            return (first..=i).flat_map(|b| self.batches[b].adds.iter().copied()).collect();
+            return self.window_adds(i);
         }
         let mut cur = self.cursor.lock().expect("live_after cursor poisoned");
         if cur.next > i + 1 {
@@ -313,17 +310,15 @@ impl ChurnStream {
         cur.log.live_edges()
     }
 
-    /// The live multiset after batch `i` with per-copy labels, in insertion
-    /// order — the ground truth a standing-query oracle runs over. Same
-    /// semantics and rewind safety as [`Self::live_after`]; on an unlabeled
-    /// schedule every label is 0.
+    /// The live multiset after batch `i` with per-copy labels, in the same
+    /// order as [`Self::live_after`], which it projects to — the ground
+    /// truth a standing-query oracle runs over. Same semantics and rewind
+    /// safety as [`Self::live_after`]; on an unlabeled schedule every label
+    /// is 0.
     pub fn live_labeled_after(&self, i: usize) -> Vec<(StreamEdge, u8)> {
         let unlabeled = self.batches[..=i].iter().all(|b| b.add_labels.is_empty());
         if unlabeled && self.batches[..=i].iter().all(|b| b.updates.is_empty()) {
-            let first = (i + 1).saturating_sub(self.window);
-            return (first..=i)
-                .flat_map(|b| self.batches[b].adds.iter().map(|&e| (e, 0)))
-                .collect();
+            return self.window_adds(i).into_iter().map(|e| (e, 0)).collect();
         }
         let mut cur = self.cursor.lock().expect("live_after cursor poisoned");
         if cur.next > i + 1 {
@@ -331,6 +326,18 @@ impl ChurnStream {
         }
         cur.advance_to(i, &self.batches, self.window);
         cur.log.live_labeled_edges()
+    }
+
+    /// With no re-weights in play, the live set after batch `i`: the adds of
+    /// the trailing window at their inserted weights, O(window) without
+    /// touching the replay cursor, in the log's order (a stable sort keeps
+    /// each pair's copies oldest first).
+    fn window_adds(&self, i: usize) -> Vec<StreamEdge> {
+        let first = (i + 1).saturating_sub(self.window);
+        let mut adds: Vec<StreamEdge> =
+            (first..=i).flat_map(|b| self.batches[b].adds.iter().copied()).collect();
+        adds.sort_by_key(|&(u, v, _)| (v, u));
+        adds
     }
 
     /// Total edges inserted across all batches.
@@ -843,6 +850,21 @@ mod tests {
             plain.live_after(mid).len(),
             "fast paths agree on the multiset size"
         );
+    }
+
+    /// With labels and no re-weights, the plain view takes the window fast
+    /// path and the labelled one replays the log: both list the same order.
+    #[test]
+    fn both_views_agree_on_a_labeled_update_free_schedule() {
+        let c = generate_churn(&ChurnParams { labels: 3, ..churn_params() });
+        assert_eq!(c.total_updates(), 0);
+        let mut nonempty = 0;
+        for i in 0..c.len() {
+            let plain: Vec<StreamEdge> = c.live_labeled_after(i).iter().map(|&(e, _)| e).collect();
+            assert_eq!(plain, c.live_after(i), "batch {i}");
+            nonempty += !plain.is_empty() as usize;
+        }
+        assert!(nonempty > 1);
     }
 
     #[test]
