@@ -49,8 +49,8 @@
 //! phase would suppress (`touched`). Replaying the canonical batch against
 //! a fresh consumer reproduces the exact live multiset, which is what makes
 //! the log shareable: `StreamingGraph` stages every increment in its own
-//! log (where the `amcca-serve` ingest loop parks client submissions too,
-//! rather than in a mirror), and `gc_datasets` replays churn schedules.
+//! log, where the `amcca-serve` ingest loop parks client submissions too,
+//! rather than in a mirror.
 //!
 //! Validation is part of the contract: deleting or re-weighting an identity
 //! with no live copy is a host bug ([`MutationLog::push`] panics with the

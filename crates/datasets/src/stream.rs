@@ -17,12 +17,15 @@
 //! mixes in weight re-assignments of live edges (the `UpdateWeight` mutation
 //! kind), exercising both the relax (decrease) and the scoped
 //! invalidate+reseed (increase) repair paths.
-
-use std::sync::Mutex;
+//!
+//! A churn schedule is also its own oracle: [`ChurnStream::live_after`]
+//! lists the edges live after any batch from the copies the generator made
+//! — the trailing window's adds, each at its last re-weight — so a graph is
+//! checked against a set that no mutation log computed.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sdgp_core::graph::{GraphMutation, MutationLog};
+use sdgp_core::graph::GraphMutation;
 
 use crate::powerlaw::{generate_rmat, RmatParams};
 use crate::sampling::snowball_ranks;
@@ -203,61 +206,20 @@ pub struct ChurnParams {
     pub seed: u64,
 }
 
-/// Incremental replay cursor for [`ChurnStream::live_after`]: the coalescing
-/// ledger state after applying batches `0..next`. Kept behind a mutex so a
-/// shared `&ChurnStream` (scoped-thread workload drivers) can still advance
-/// it; the forward-scan callers the schedule is built for pay O(batch) per
-/// query instead of replaying the whole history.
-#[derive(Debug, Default)]
-struct LiveCursor {
-    log: MutationLog,
-    next: usize,
-}
-
-impl LiveCursor {
-    /// Push batches `next..=i` into the log, each in canonical order
-    /// (deletes → inserts → updates, exactly as `to_mutations` hands it to a
-    /// consumer). The cursor's log is only ever read, never applied, and its
-    /// live multiset does not depend on where epochs end — a delete or
-    /// re-weight matches a copy by its current weight whether or not the
-    /// copy has settled — so epochs close every four windows of batches
-    /// rather than every batch: an add whose expiry falls in the same epoch
-    /// annihilates in the log and costs no drain, while what is pending
-    /// stays bounded by four windows of mutations however long the schedule.
-    fn advance_to(&mut self, i: usize, batches: &[MutationBatch], window: usize) {
-        while self.next <= i {
-            for m in batches[self.next].to_mutations() {
-                self.log.push(m);
-            }
-            self.next += 1;
-            if self.next.is_multiple_of(4 * window) {
-                self.log.drain();
-            }
-        }
-    }
-}
-
-/// A generated churn schedule: per-batch mutations plus window accounting.
-#[derive(Debug)]
+/// A generated churn schedule: per-batch mutations, plus the copy each
+/// re-weight landed on.
+#[derive(Debug, Clone)]
 pub struct ChurnStream {
     /// Vertex count of the workload.
     pub n_vertices: u32,
     /// Window size in batches.
     pub window: usize,
+    adds_per_batch: usize,
     batches: Vec<MutationBatch>,
-    cursor: Mutex<LiveCursor>,
-}
-
-impl Clone for ChurnStream {
-    fn clone(&self) -> Self {
-        // The replay cursor is a cache; a clone starts with a cold one.
-        ChurnStream {
-            n_vertices: self.n_vertices,
-            window: self.window,
-            batches: self.batches.clone(),
-            cursor: Mutex::new(LiveCursor::default()),
-        }
-    }
+    /// Per batch, parallel to its `updates`: the copy each re-weight landed
+    /// on, numbered in insertion order across the schedule (copy `c` is add
+    /// `c % adds_per_batch` of batch `c / adds_per_batch`).
+    updated_copies: Vec<Vec<usize>>,
 }
 
 impl ChurnStream {
@@ -277,67 +239,49 @@ impl ChurnStream {
     }
 
     /// The edge multiset live after batch `i` completed, at current weights,
-    /// by destination, then source, then copy age (the [`MutationLog`]'s
-    /// order): a replay of batches `0..=i` under the mutation semantics — a
-    /// delete removes the oldest live copy of its `(u, v, w)` identity, an
-    /// update re-weights the oldest live copy of its pair. Without updates
-    /// this is exactly the adds of the trailing window of batches (deletes
-    /// always expire whole batches), put in the same order.
+    /// by destination, then source, then copy age — the order
+    /// [`MutationLog::live_edges`] lists the same multiset in, which a
+    /// consumer replaying batches `0..=i` holds. [`Self::live_labeled_after`]
+    /// without the labels.
     ///
-    /// Replay is incremental: a shared [`MutationLog`] cursor carries the
-    /// live multiset forward, so the batch-by-batch forward scans the
-    /// drivers run (`run_streaming_churn`, behind `paper churn`) cost
-    /// O(batch) per call instead of replaying the whole history — the old
-    /// O(n²) nightly bottleneck.
-    ///
-    /// **Rewind safety.** The cursor is an optimization, never an answer
-    /// oracle: querying an *earlier* batch than the previous call resets it
-    /// and replays from batch 0, so any interleaving of non-monotonic calls
-    /// — `live_after(7)` then `live_after(2)` then `live_after(5)` — returns
-    /// exactly what a cold replay of `0..=i` would, at the cost of the extra
-    /// replays. Concurrent callers through a shared reference serialize on
-    /// the cursor mutex and see the same per-call answers.
+    /// [`MutationLog::live_edges`]: sdgp_core::MutationLog::live_edges
     pub fn live_after(&self, i: usize) -> Vec<StreamEdge> {
-        if self.batches[..=i].iter().all(|b| b.updates.is_empty()) {
-            return self.window_adds(i);
-        }
-        let mut cur = self.cursor.lock().expect("live_after cursor poisoned");
-        if cur.next > i + 1 {
-            // Rewind: the cursor only moves forward, so restart the replay.
-            *cur = LiveCursor::default();
-        }
-        cur.advance_to(i, &self.batches, self.window);
-        cur.log.live_edges()
+        self.live_labeled_after(i).into_iter().map(|(e, _)| e).collect()
     }
 
-    /// The live multiset after batch `i` with per-copy labels, in the same
-    /// order as [`Self::live_after`], which it projects to — the ground
-    /// truth a standing-query oracle runs over. Same semantics and rewind
-    /// safety as [`Self::live_after`]; on an unlabeled schedule every label
-    /// is 0.
+    /// The live multiset after batch `i` with per-copy labels (all 0 on an
+    /// unlabeled schedule), in [`Self::live_after`]'s order — the ground
+    /// truth a standing-query oracle runs over.
+    ///
+    /// It is read off the copies the generator made, with no replay: deletes
+    /// expire whole batches, so the live copies are the adds of the trailing
+    /// window, and each is at the weight of the last re-weight that landed on
+    /// it. A re-weight from before the window landed on a copy that has
+    /// expired since, so only the window's own re-weights are looked at.
+    /// Each call costs one sort of the window's copies, whatever `i` and
+    /// whatever was asked before.
     pub fn live_labeled_after(&self, i: usize) -> Vec<(StreamEdge, u8)> {
-        let unlabeled = self.batches[..=i].iter().all(|b| b.add_labels.is_empty());
-        if unlabeled && self.batches[..=i].iter().all(|b| b.updates.is_empty()) {
-            return self.window_adds(i).into_iter().map(|e| (e, 0)).collect();
-        }
-        let mut cur = self.cursor.lock().expect("live_after cursor poisoned");
-        if cur.next > i + 1 {
-            *cur = LiveCursor::default();
-        }
-        cur.advance_to(i, &self.batches, self.window);
-        cur.log.live_labeled_edges()
-    }
-
-    /// With no re-weights in play, the live set after batch `i`: the adds of
-    /// the trailing window at their inserted weights, O(window) without
-    /// touching the replay cursor, in the log's order (a stable sort keeps
-    /// each pair's copies oldest first).
-    fn window_adds(&self, i: usize) -> Vec<StreamEdge> {
         let first = (i + 1).saturating_sub(self.window);
-        let mut adds: Vec<StreamEdge> =
-            (first..=i).flat_map(|b| self.batches[b].adds.iter().copied()).collect();
-        adds.sort_by_key(|&(u, v, _)| (v, u));
-        adds
+        let window = first..=i;
+        let mut live: Vec<(StreamEdge, u8)> = self.batches[window.clone()]
+            .iter()
+            .flat_map(|b| {
+                let label = |k| b.add_labels.get(k).copied().unwrap_or(0);
+                b.adds.iter().enumerate().map(move |(k, &e)| (e, label(k)))
+            })
+            .collect();
+        let base = first * self.adds_per_batch;
+        for b in window {
+            let updates = self.batches[b].updates.iter();
+            for (&c, &(_, _, w)) in self.updated_copies[b].iter().zip(updates) {
+                if c >= base {
+                    live[c - base].0 .2 = w;
+                }
+            }
+        }
+        // Stable: a pair's copies keep their insertion order, oldest first.
+        live.sort_by_key(|&((u, v, _), _)| (v, u));
+        live
     }
 
     /// Total edges inserted across all batches.
@@ -403,6 +347,7 @@ pub fn generate_churn(p: &ChurnParams) -> ChurnStream {
     let mut weights: Vec<u32> = Vec::with_capacity(edges.len());
     let mut by_pair: std::collections::HashMap<(u32, u32), std::collections::VecDeque<usize>> =
         std::collections::HashMap::new();
+    let mut updated_copies = Vec::with_capacity(total);
     for i in 0..total {
         let dels = match i.checked_sub(p.window) {
             Some(expired) if expired < p.batches => (expired * p.adds_per_batch
@@ -434,6 +379,7 @@ pub fn generate_churn(p: &ChurnParams) -> ChurnStream {
         };
         let live = (i.saturating_sub(p.window - 1).min(p.batches) * p.adds_per_batch)
             ..((i + 1).min(p.batches) * p.adds_per_batch);
+        let mut copies = Vec::new();
         let updates = if i < p.batches && !live.is_empty() {
             (0..p.updates_per_batch)
                 .map(|_| {
@@ -443,6 +389,7 @@ pub fn generate_churn(p: &ChurnParams) -> ChurnStream {
                     let oldest = *by_pair[&(u, v)].front().expect("picked copy is live");
                     let w = rng.gen_range(1..=rp.max_weight);
                     weights[oldest] = w;
+                    copies.push(oldest);
                     (u, v, w)
                 })
                 .collect()
@@ -450,12 +397,14 @@ pub fn generate_churn(p: &ChurnParams) -> ChurnStream {
             Vec::new()
         };
         batches.push(MutationBatch { adds, add_labels, dels, updates });
+        updated_copies.push(copies);
     }
     ChurnStream {
         n_vertices: p.n_vertices,
         window: p.window,
+        adds_per_batch: p.adds_per_batch,
         batches,
-        cursor: Mutex::new(LiveCursor::default()),
+        updated_copies,
     }
 }
 
@@ -530,6 +479,7 @@ impl ChurnPreset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{any, prop_assert_eq, proptest, ProptestConfig, TestCaseError};
 
     fn ds() -> StreamingDataset {
         let edges = vec![(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1), (0, 2, 1)];
@@ -790,13 +740,13 @@ mod tests {
     fn live_after_is_incremental_and_rewindable() {
         let p = ChurnParams { updates_per_batch: 23, ..churn_params() };
         let c = generate_churn(&p);
-        // A cold clone replays from scratch; comparing a forward scan on one
-        // stream against fresh-cursor queries on another pins the cursor's
-        // incremental answers to the full-replay answers.
+        // A fresh clone has answered nothing; comparing a forward scan on one
+        // stream against first queries on another pins every answer to the
+        // schedule alone, not to what was asked before.
         for i in 0..c.len() {
             assert_eq!(c.live_after(i), c.clone().live_after(i), "forward scan, batch {i}");
         }
-        // Rewinding (asking for an earlier batch) resets and replays.
+        // Rewinding (asking for an earlier batch) gives the same answer.
         let mid = c.len() / 2;
         assert_eq!(c.live_after(mid), c.clone().live_after(mid), "rewind to batch {mid}");
         assert_eq!(c.live_after(c.len() - 1), Vec::new(), "re-advance after rewind");
@@ -848,30 +798,15 @@ mod tests {
         assert_eq!(
             plain.live_labeled_after(mid).len(),
             plain.live_after(mid).len(),
-            "fast paths agree on the multiset size"
+            "both views agree on the multiset size"
         );
-    }
-
-    /// With labels and no re-weights, the plain view takes the window fast
-    /// path and the labelled one replays the log: both list the same order.
-    #[test]
-    fn both_views_agree_on_a_labeled_update_free_schedule() {
-        let c = generate_churn(&ChurnParams { labels: 3, ..churn_params() });
-        assert_eq!(c.total_updates(), 0);
-        let mut nonempty = 0;
-        for i in 0..c.len() {
-            let plain: Vec<StreamEdge> = c.live_labeled_after(i).iter().map(|&(e, _)| e).collect();
-            assert_eq!(plain, c.live_after(i), "batch {i}");
-            nonempty += !plain.is_empty() as usize;
-        }
-        assert!(nonempty > 1);
     }
 
     #[test]
     fn live_after_is_rewind_safe_under_non_monotonic_interleaving() {
-        // The cursor only moves forward; any earlier query resets and
-        // replays. Pin an adversarial interleaving (forward jumps, rewinds,
-        // repeats, alternating plain/labeled views) against cold replays.
+        // Answers depend on the batch asked for and nothing else. Pin an
+        // adversarial interleaving (forward jumps, rewinds, repeats,
+        // alternating plain/labeled views) against fresh clones.
         let p = ChurnParams { labels: 3, updates_per_batch: 9, ..churn_params() };
         let c = generate_churn(&p);
         let last = c.len() - 1;
@@ -880,8 +815,71 @@ mod tests {
             assert_eq!(
                 c.live_labeled_after(i),
                 c.clone().live_labeled_after(i),
-                "labeled view at batch {i} (shares the same cursor)"
+                "labeled view at batch {i}"
             );
+        }
+    }
+
+    /// Labels and no re-weights: the case the proptest below reaches only
+    /// by chance, run on every test run.
+    #[test]
+    fn both_views_agree_on_a_labeled_update_free_schedule() {
+        let c = generate_churn(&ChurnParams { labels: 3, ..churn_params() });
+        assert_eq!(c.total_updates(), 0);
+        assert!((0..c.len()).filter(|&i| !c.live_after(i).is_empty()).count() > 1);
+        assert_a_log_replay_agrees(&c).unwrap();
+    }
+
+    /// Replays `c` through a [`MutationLog`], one epoch per batch, the way
+    /// a consumer stages it, and checks after every batch that both views
+    /// list exactly what the log lists, order included.
+    ///
+    /// [`MutationLog`]: sdgp_core::MutationLog
+    fn assert_a_log_replay_agrees(c: &ChurnStream) -> Result<(), TestCaseError> {
+        let mut log = sdgp_core::MutationLog::new();
+        for i in 0..c.len() {
+            for m in c.batch(i).to_mutations() {
+                log.push(m);
+            }
+            log.drain();
+            prop_assert_eq!(c.live_labeled_after(i), log.live_labeled_edges(), "batch {}", i);
+            prop_assert_eq!(c.live_after(i), log.live_edges(), "batch {}", i);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..Default::default() })]
+
+        /// Few vertices and four weights make multigraph pairs, repeated
+        /// re-weights of one copy and equal weights within a pair common:
+        /// the cases where a re-weight read onto the wrong copy, or a pair's
+        /// copies out of age order, would show.
+        #[test]
+        fn any_schedule_lists_what_a_mutation_log_replay_lists(
+            n_vertices in 2u32..128,
+            batches in 1usize..8,
+            adds_per_batch in 1usize..200,
+            window in 1usize..5,
+            drain in any::<bool>(),
+            updates_per_batch in 0usize..24,
+            snowball in any::<bool>(),
+            labels in 0u8..4,
+            seed in any::<u64>(),
+        ) {
+            let order = if snowball { Sampling::Snowball } else { Sampling::Edge };
+            let c = generate_churn(&ChurnParams {
+                n_vertices,
+                batches,
+                adds_per_batch,
+                window,
+                drain,
+                updates_per_batch,
+                order,
+                labels,
+                seed,
+            });
+            assert_a_log_replay_agrees(&c)?;
         }
     }
 

@@ -20,16 +20,6 @@ use amcca::prelude::*;
 use common::oracle::surviving_edges;
 use refgraph::{bfs_levels, DiGraph};
 
-/// Build one churn batch's mutation list in the generator's canonical order
-/// (deletes → inserts → updates).
-fn batch_muts(b: &amcca::gc_datasets::MutationBatch) -> Vec<GraphMutation> {
-    let mut muts = Vec::with_capacity(b.dels.len() + b.adds.len() + b.updates.len());
-    muts.extend(b.dels.iter().copied().map(GraphMutation::DelEdge));
-    muts.extend(b.adds.iter().copied().map(GraphMutation::AddEdge));
-    muts.extend(b.updates.iter().map(|&(u, v, w)| GraphMutation::UpdateWeight { u, v, w }));
-    muts
-}
-
 fn graph(n: u32, mode: RepairMode) -> StreamingGraph<BfsAlgo> {
     StreamingGraph::builder(BfsAlgo::new(0))
         .vertices(n)
@@ -41,21 +31,23 @@ fn graph(n: u32, mode: RepairMode) -> StreamingGraph<BfsAlgo> {
 }
 
 /// Full vs targeted on a churn schedule: bit-identical states, stored
-/// edges, and oracle agreement after EVERY batch; targeted triggers never
-/// exceed full's (which pays `n` whenever any repair runs).
+/// edges, and oracle agreement after EVERY batch — the live edges the
+/// schedule lists, order included, and a rebuild's BFS over them; targeted
+/// triggers never exceed full's (which pays `n` whenever any repair runs).
 fn assert_modes_agree(p: &ChurnParams) {
     let c = generate_churn(p);
     let mut full = graph(c.n_vertices, RepairMode::Full);
     let mut targeted = graph(c.n_vertices, RepairMode::Targeted);
     let mut repair_batches = 0u32;
     for i in 0..c.len() {
-        let muts = batch_muts(c.batch(i));
+        let muts = c.batch(i).to_mutations();
         let rf = full.stream_increment(&muts).unwrap();
         let rt = targeted.stream_increment(&muts).unwrap();
         assert_eq!(full.states(), targeted.states(), "batch {i}: states bit-identical");
         assert_eq!(full.total_edges_stored(), targeted.total_edges_stored(), "batch {i}");
-        let oracle =
-            bfs_levels(&DiGraph::from_edges(c.n_vertices, c.live_after(i).iter().copied()), 0);
+        let live = c.live_after(i);
+        assert_eq!(targeted.live_edges(), live, "batch {i}: the schedule's live edges");
+        let oracle = bfs_levels(&DiGraph::from_edges(c.n_vertices, live.iter().copied()), 0);
         assert_eq!(targeted.states(), oracle, "batch {i}: rebuild oracle");
         if rf.reseed_triggers > 0 {
             repair_batches += 1;
