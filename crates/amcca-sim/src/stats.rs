@@ -180,16 +180,6 @@ impl ActivitySeries {
     pub fn percent(&self, total_cells: u32) -> Vec<f32> {
         self.counts.iter().map(|&c| c as f32 * 100.0 / total_cells as f32).collect()
     }
-
-    /// Down-sample the series to at most `buckets` points by max-pooling
-    /// (preserves activity peaks, which is what the figures show).
-    pub fn downsample_max(&self, buckets: usize) -> Vec<u16> {
-        if self.counts.is_empty() || buckets == 0 {
-            return Vec::new();
-        }
-        let chunk = self.counts.len().div_ceil(buckets);
-        self.counts.chunks(chunk).map(|c| *c.iter().max().unwrap()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -248,18 +238,5 @@ mod tests {
         let s = ActivitySeries { counts: vec![0, 512, 1024], ..Default::default() };
         let p = s.percent(1024);
         assert_eq!(p, vec![0.0, 50.0, 100.0]);
-    }
-
-    #[test]
-    fn downsample_max_pools_peaks() {
-        let s = ActivitySeries { counts: vec![1, 9, 2, 3, 8, 1, 0, 0], ..Default::default() };
-        let d = s.downsample_max(4);
-        assert_eq!(d, vec![9, 3, 8, 0]);
-    }
-
-    #[test]
-    fn downsample_handles_empty() {
-        let s = ActivitySeries::default();
-        assert!(s.downsample_max(10).is_empty());
     }
 }

@@ -1,24 +1,28 @@
 //! Trace export: ASCII renderings of chip activity.
 //!
 //! The paper plots "Percent of Cells Active" per cycle (Figures 6–7) and
-//! links to animations generated from simulation traces. This module turns an
-//! [`ActivitySeries`] into an ASCII sparkline for terminal output and renders
-//! per-frame heat-map grids for the animation example.
+//! links to animations generated from simulation traces. This module turns a
+//! per-cycle active-cell count series (`ActivitySeries::counts`) into an
+//! ASCII sparkline for terminal output and renders per-frame heat-map grids
+//! for the animation example.
 
 use crate::geom::Dims;
-use crate::stats::ActivitySeries;
 
-/// A terminal sparkline of the activity series, down-sampled to `width`
-/// columns with max-pooling (peaks preserved, like the paper's figures).
-pub fn activity_sparkline(series: &ActivitySeries, total_cells: u32, width: usize) -> String {
+/// A terminal sparkline of per-cycle active-cell counts out of
+/// `total_cells`, down-sampled to at most `width` columns by max-pooling
+/// ceil-sized chunks (peaks preserved, like the paper's figures).
+pub fn activity_sparkline(counts: &[u16], total_cells: u32, width: usize) -> String {
     const BARS: [char; 9] = [' ', '▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    series
-        .downsample_max(width)
-        .into_iter()
+    if counts.is_empty() {
+        return String::new();
+    }
+    let chunk = counts.len().div_ceil(width.max(1));
+    counts
+        .chunks(chunk)
         .map(|c| {
-            let frac = c as f64 / total_cells as f64;
-            let idx = (frac * 8.0).ceil().min(8.0) as usize;
-            BARS[idx]
+            let peak = *c.iter().max().expect("chunks are non-empty");
+            let frac = peak as f64 / total_cells.max(1) as f64;
+            BARS[(frac * 8.0).ceil().min(8.0) as usize]
         })
         .collect()
 }
@@ -43,13 +47,23 @@ mod tests {
 
     #[test]
     fn sparkline_width_and_glyphs() {
-        let s = ActivitySeries {
-            counts: vec![0, 256, 512, 1024, 512, 0, 0, 128],
-            ..Default::default()
-        };
-        let sp = activity_sparkline(&s, 1024, 4);
+        let sp = activity_sparkline(&[0, 256, 512, 1024, 512, 0, 0, 128], 1024, 4);
         assert_eq!(sp.chars().count(), 4);
         assert!(sp.contains('█'), "full activity renders a full bar: {sp}");
+    }
+
+    #[test]
+    fn sparkline_max_pools_peaks() {
+        assert_eq!(activity_sparkline(&[1, 9, 2, 3, 8, 1, 0, 0], 9, 4), "█▃█ ");
+        assert_eq!(activity_sparkline(&[], 9, 4), "");
+    }
+
+    #[test]
+    fn sparkline_has_requested_width() {
+        let s: Vec<u16> = (0..1000).map(|i| (i % 100) as u16).collect();
+        let sp = activity_sparkline(&s, 100, 40);
+        assert!(sp.chars().count() <= 40);
+        assert!(sp.chars().count() >= 38);
     }
 
     #[test]

@@ -41,8 +41,9 @@
 
 use amcca_bench::{
     chip_with_placement, format_table, human_count, out_dir, run_streaming_bfs,
-    run_streaming_churn, sparkline, write_activity, write_csv, ExperimentResult, RunOpts, Scale,
+    run_streaming_churn, write_activity, write_csv, ExperimentResult, RunOpts, Scale,
 };
+use amcca_sim::trace::activity_sparkline;
 use amcca_sim::{run_tasks, ChipConfig, GhostPlacement};
 use gc_datasets::{ChurnPreset, GcPreset, Sampling, SkewPreset, StreamingDataset};
 use sdgp_core::graph::RepairMode;
@@ -317,7 +318,7 @@ fn fig67(args: &Args, with_bfs: bool) {
             peak as f64 * 100.0 / r.cell_count as f64,
             mean * 100.0 / r.cell_count as f64,
         );
-        println!("      |{}|", sparkline(&r.activity, r.cell_count, 72));
+        println!("      |{}|", activity_sparkline(&r.activity, r.cell_count, 72));
         let name = format!(
             "fig{figno}_{}.csv",
             if p.sampling == Sampling::Edge { "edge" } else { "snowball" }

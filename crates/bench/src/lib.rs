@@ -329,22 +329,6 @@ pub fn human_count(n: u64) -> String {
     }
 }
 
-/// A unicode sparkline for a series scaled to `max`.
-pub fn sparkline(series: &[u16], max: u32, width: usize) -> String {
-    const BARS: [char; 9] = [' ', '▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    if series.is_empty() {
-        return String::new();
-    }
-    let chunk = series.len().div_ceil(width.max(1));
-    series
-        .chunks(chunk)
-        .map(|c| {
-            let peak = *c.iter().max().unwrap() as f64 / max.max(1) as f64;
-            BARS[(peak * 8.0).ceil().min(8.0) as usize]
-        })
-        .collect()
-}
-
 // ---------------------------------------------------------------------
 // CSV artifacts.
 // ---------------------------------------------------------------------
@@ -445,13 +429,5 @@ mod tests {
         assert_eq!(human_count(1_000_000), "1.00M");
         assert_eq!(human_count(10_200_000), "10.2M");
         assert_eq!(human_count(37), "37");
-    }
-
-    #[test]
-    fn sparkline_has_requested_width() {
-        let s: Vec<u16> = (0..1000).map(|i| (i % 100) as u16).collect();
-        let sp = sparkline(&s, 100, 40);
-        assert!(sp.chars().count() <= 40);
-        assert!(sp.chars().count() >= 38);
     }
 }

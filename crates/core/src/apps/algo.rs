@@ -42,11 +42,16 @@
 //!   are OR-ed in; only genuinely new ones are stepped along each local
 //!   edge's label and forwarded unstepped to mirrors, so a delivery that
 //!   adds nothing dies — monotonicity is the termination argument, as for
-//!   relax. Deletion repair clears the affected region host-side and sends
-//!   **reseed**-flagged query operons to the frontier; a reseed re-announces
-//!   the object's current states and walks the logical vertex once (ghost
-//!   forwarding is a tree, peers are fanned once), after which monotone
-//!   propagation rebuilds the fixpoint over the surviving labelled edges.
+//!   relax. Deletion repair rides the algorithm's two phases: in the
+//!   structural phase the retracting object also sends a **clear**-flagged
+//!   query operon to the edge's head, and an object holding query bits
+//!   drops them all, records its vertex on the repair frontier and passes
+//!   the clear along its edges and to its mirrors (an object with no bits
+//!   stops, so the cascade is bounded by the region derived through the
+//!   edge); in the repair phase the **reseed** wave re-announces surviving
+//!   query bits beside the algorithm value, the host re-seeds each query's
+//!   sources, and monotone propagation rebuilds the fixpoint over the
+//!   surviving labelled edges.
 //!
 //! Individual algorithms (BFS, SSSP, connected components, triangles) plug in
 //! through the [`VertexAlgo`] trait.
@@ -84,19 +89,19 @@ pub const ACT_UPDATE: ActionId = FIRST_USER_ACTION + 4;
 /// was derived through it.
 pub const ACT_RETRACT: ActionId = FIRST_USER_ACTION + 5;
 /// Action id of `query-action`, the standing-query state diffusion: a set
-/// of automaton states (a small bitset) flows along an edge to extend — or,
-/// flagged as a reseed, to re-announce — a registered query's product-state
-/// frontier.
+/// of automaton states (a small bitset) flows along an edge to extend a
+/// registered query's product-state frontier — or, flagged as a clear, wipes
+/// every query's states from the region derived through a retracted edge.
 pub const ACT_QUERY: ActionId = FIRST_USER_ACTION + 6;
 /// First action id available to algorithm-specific extras (triangle probes).
 pub const ACT_ALGO_BASE: ActionId = FIRST_USER_ACTION + 7;
 
 /// Bit 63 of a walking operon's `payload[0]` (deletes, updates, reseeds,
-/// query reseeds, triangle / Jaccard probes and checks) marking that the
-/// operon was already fanned across a rhizome's co-equal roots. The first
-/// root reached fans a marked copy to each peer so the whole logical vertex
-/// is visited exactly once; the fields it carries sit in lower bits, so the
-/// flag never collides with them.
+/// triangle / Jaccard probes and checks) marking that the operon was already
+/// fanned across a rhizome's co-equal roots. The first root reached fans a
+/// marked copy to each peer so the whole logical vertex is visited exactly
+/// once; the fields it carries sit in lower bits, so the flag never collides
+/// with them.
 pub const QUERY_FANNED_BIT: u64 = 1 << 63;
 
 /// Fan an unmarked walking arrival across a rhizome's co-equal roots: one
@@ -274,7 +279,8 @@ pub struct GraphApp<G: VertexAlgo> {
     /// relaxes the new edges and restores mirrors.
     pub(crate) notify_inserts: bool,
     /// Repair-frontier bookkeeping recorded on-fabric during a deletion
-    /// batch's invalidation cascade: vertex ids whose state was reset.
+    /// batch's structural phase: vertex ids whose algorithm state the
+    /// invalidation cascade reset or whose query bits a clear wiped.
     /// Drained by the host after the structural phase to scope the reseed
     /// wave ([`Self::take_repair_sets`]). Per-shard instances accumulate
     /// independently and fold back through [`App::merge`] like any other
@@ -320,17 +326,17 @@ impl<G: VertexAlgo> GraphApp<G> {
     }
 
     /// Drain the repair frontier recorded since the last call:
-    /// `(invalidated vertex ids, recall-rejecting vertex ids)`, each possibly
-    /// containing duplicates (a vertex's root, peers, and ghosts record
-    /// independently). The host dedups.
+    /// `(invalidated or query-cleared vertex ids, recall-rejecting vertex
+    /// ids)`, each possibly containing duplicates (a vertex's root, peers,
+    /// and ghosts record independently). The host dedups.
     pub fn take_repair_sets(&mut self) -> (Vec<u32>, Vec<u32>) {
         (std::mem::take(&mut self.invalidated), std::mem::take(&mut self.rejected))
     }
 
     /// Drain the `(qid, vid)` pairs whose accepting automaton bits turned on
     /// since the last call — the candidate half of the host's incremental
-    /// result-delta computation (the other half is the repair-cleared
-    /// region). Duplicates possible; the host dedups.
+    /// result-delta computation (the other half is the query-cleared part
+    /// of [`Self::take_repair_sets`]). Duplicates possible; the host dedups.
     pub fn take_query_touched(&mut self) -> Vec<(u32, u32)> {
         std::mem::take(&mut self.qaccept_touched)
     }
@@ -360,19 +366,11 @@ impl<G: VertexAlgo> GraphApp<G> {
                 };
                 // Standing queries: the new edge may extend result paths, so
                 // announce this object's stepped automaton states along it
-                // (suppressed during structural phases — the query repair
-                // pass re-announces from the batch's touched sources).
+                // (suppressed during structural phases — the reseed wave
+                // re-announces from the batch's touched sources).
                 self.scratch_queries.clear();
                 if self.notify_inserts {
-                    for (qid, dfa) in self.queries.iter().enumerate() {
-                        let bits = obj.qbits_get(qid as u32);
-                        if bits != 0 {
-                            let stepped = dfa.step(bits, edge.label);
-                            if stepped != 0 {
-                                self.scratch_queries.push((qid as u32, stepped));
-                            }
-                        }
-                    }
+                    load_qbits(obj, self.queries.len(), &mut self.scratch_queries);
                 }
                 Outcome::Inserted(notify)
             } else {
@@ -405,8 +403,11 @@ impl<G: VertexAlgo> GraphApp<G> {
                 if let Some(v) = notify {
                     ctx.propagate(Operon::new(edge.dst, ACT_RELAX, [v, 0]));
                 }
-                for &(qid, stepped) in &self.scratch_queries {
-                    ctx.propagate(query_operon(edge.dst, qid, stepped));
+                for &(qid, bits) in &self.scratch_queries {
+                    let stepped = self.queries[qid as usize].step(bits, edge.label);
+                    if stepped != 0 {
+                        ctx.propagate(query_operon(edge.dst, qid, stepped));
+                    }
                 }
             }
             Outcome::Deferred => {}
@@ -499,7 +500,9 @@ impl<G: VertexAlgo> GraphApp<G> {
     /// for later scans and walks. The remover recalls the best value it ever
     /// announced along the edge — at the *stored* weight — seeding the
     /// invalidation cascade: the destination invalidates iff its state could
-    /// only have come from it.
+    /// only have come from it. With standing queries registered it also
+    /// sends the destination a query clear: any query state there may have
+    /// been derived along the edge.
     fn retract_edge(&mut self, ctx: &mut ExecCtx<'_, VertexObj<G::State>>, op: &Operon) {
         let Some((e, recall)) = self.find_copy(ctx, op, |edges, i| edges.remove(i)) else {
             return;
@@ -507,6 +510,9 @@ impl<G: VertexAlgo> GraphApp<G> {
         ctx.charge(ctx.cost().delete_edge);
         if let Some(v) = recall {
             ctx.propagate(retract_operon(e.dst, self.algo.along_edge(v, &e)));
+        }
+        if !self.queries.is_empty() {
+            ctx.propagate(query_clear_operon(e.dst));
         }
     }
 
@@ -607,30 +613,49 @@ impl<G: VertexAlgo> GraphApp<G> {
         }
     }
 
-    /// `reseed-action`: after the invalidation quiesced, re-announce this
-    /// object's surviving state along its local edges, push it to mirrors
+    /// `reseed-action`: after the structural phase quiesced, re-announce
+    /// this object's surviving state along its local edges — the algorithm
+    /// value if the algorithm propagates, and every held query bitset
+    /// stepped through each edge's label — push the value to mirrors
     /// (restoring ghosts that were reset or freshly attached un-synced), and
     /// walk the rest of the logical vertex — ghost subtrees re-announce
     /// their own edge slices, and on first arrival at a rhizome root a
     /// marked copy fans to every peer. Objects with nothing to announce stay
-    /// silent; ordinary monotone relaxation rebuilds the exact fixpoint.
+    /// silent; ordinary monotone relaxation and query absorption rebuild the
+    /// exact fixpoints. (Query mirrors need no sync here: a clear wipes a
+    /// whole logical vertex, and re-derived bits reach its mirrors through
+    /// [`Self::absorb_query_bits`].)
     fn reseed(&mut self, ctx: &mut ExecCtx<'_, VertexObj<G::State>>, op: &Operon) {
         ctx.charge(ctx.cost().reseed);
         let Some(obj) = ctx.obj_mut(op.target.slot) else {
             ctx.fail(SimError::BadAddress { addr: op.target, action: ACT_RESEED });
             return;
         };
-        let Some(value) = self.algo.sync_value(&obj.state) else { return };
+        let value = if self.propagate_algo { self.algo.sync_value(&obj.state) } else { None };
+        load_qbits(obj, self.queries.len(), &mut self.scratch_queries);
+        if value.is_none() && self.scratch_queries.is_empty() {
+            return;
+        }
         self.scratch.load(obj, None);
         fan_query_to_peers(ctx, op, &self.scratch.peers);
         ctx.charge(ctx.cost().scan_per_edge * self.scratch.edges.len() as u32);
         for e in &self.scratch.edges {
-            ctx.propagate(Operon::new(e.dst, ACT_RELAX, [self.algo.along_edge(value, e), 0]));
+            if let Some(v) = value {
+                ctx.propagate(Operon::new(e.dst, ACT_RELAX, [self.algo.along_edge(v, e), 0]));
+            }
+            for &(qid, bits) in &self.scratch_queries {
+                let stepped = self.queries[qid as usize].step(bits, e.label);
+                if stepped != 0 {
+                    ctx.propagate(query_operon(e.dst, qid, stepped));
+                }
+            }
         }
         for &g in &self.scratch.ghosts {
             // Mirror sync first (relax the ghost to this object's value),
             // then let the ghost re-announce its own slice.
-            ctx.propagate(Operon::new(g, ACT_RELAX, [value, 0]));
+            if let Some(v) = value {
+                ctx.propagate(Operon::new(g, ACT_RELAX, [v, 0]));
+            }
             ctx.propagate(Operon::new(g, ACT_RESEED, op.payload));
         }
     }
@@ -679,40 +704,44 @@ impl<G: VertexAlgo> GraphApp<G> {
         }
     }
 
-    /// Reseed leg of `query-action`: re-announce this object's *current*
-    /// automaton states along its local edges regardless of novelty — the
-    /// deletion-repair counterpart of [`Self::reseed`] for query state. The
-    /// operon's query id selects one query, or every registered query when
-    /// it is [`QUERY_ALL`]. The walk covers the logical vertex: the first
-    /// root reached fans one marked copy to each co-equal peer, and ghost
-    /// subtrees re-announce their own edge slices (forwarding is a tree, so
-    /// it terminates).
-    fn reseed_queries(&mut self, ctx: &mut ExecCtx<'_, VertexObj<G::State>>, op: &Operon) {
-        let qid = op.payload[0] as u32;
-        ctx.charge(ctx.cost().reseed);
+    /// Clear leg of `query-action`, the query plane's invalidation: an
+    /// object holding any query bits drops them all, records its vertex on
+    /// the repair frontier ([`Self::take_repair_sets`]), and passes the
+    /// clear along every stored edge, to its mirrors and peers, and onto
+    /// Pending ghost futures. An object with no bits stops it: no state
+    /// could have been derived through it. Over-clearing is safe — the
+    /// reseed wave re-derives whatever survives — and an object clears at
+    /// most once per structural phase (no bits arrive there but a fresh
+    /// ghost's copy of its parent's, ahead of any clear), so the cascade is
+    /// bounded by the cleared region.
+    ///
+    /// Soundness: a state derived through a deleted edge was carried from
+    /// the edge's head by a chain of objects that all held bits, so the
+    /// clear the retraction sends follows that chain and wipes it.
+    /// Completeness: the reseed frontier holds every cleared vertex, its
+    /// surviving in-neighbours and the batch's touched sources, and the
+    /// host re-seeds each query's sources, so the first missing state on
+    /// any surviving derivation path is re-fed and monotone absorption
+    /// rebuilds the rest.
+    fn clear_queries(&mut self, ctx: &mut ExecCtx<'_, VertexObj<G::State>>, op: &Operon) {
+        ctx.charge(ctx.cost().invalidate);
         let Some(obj) = ctx.obj_mut(op.target.slot) else {
             ctx.fail(SimError::BadAddress { addr: op.target, action: ACT_QUERY });
             return;
         };
-        self.scratch.load(obj, None);
-        self.scratch_queries.clear();
-        for q in 0..self.queries.len() as u32 {
-            let bits = obj.qbits_get(q);
-            if (qid == QUERY_ALL || q == qid) && bits != 0 {
-                self.scratch_queries.push((q, bits));
-            }
+        if obj.qbits.iter().all(|&b| b == 0) {
+            return;
         }
-        fan_query_to_peers(ctx, op, &self.scratch.peers);
-        self.scratch.forward(ctx, op);
+        obj.qbits.clear();
+        self.invalidated.push(obj.vid);
+        self.scratch.load(obj, Some(PendingOperon { action: ACT_QUERY, payload: op.payload }));
+        ctx.charge(ctx.cost().frontier_mark);
         ctx.charge(ctx.cost().scan_per_edge * self.scratch.edges.len() as u32);
-        for &(q, bits) in &self.scratch_queries {
-            let dfa = &self.queries[q as usize];
-            for e in &self.scratch.edges {
-                let stepped = dfa.step(bits, e.label);
-                if stepped != 0 {
-                    ctx.propagate(query_operon(e.dst, q, stepped));
-                }
-            }
+        for e in &self.scratch.edges {
+            ctx.propagate(query_clear_operon(e.dst));
+        }
+        for a in self.scratch.mirrors() {
+            ctx.propagate(query_clear_operon(a));
         }
     }
 }
@@ -770,18 +799,16 @@ impl<G: VertexAlgo> App for GraphApp<G> {
                 }
             };
             // Replicate standing-query state to the fresh mirror. Unlike the
-            // algorithm sync below this is *not* phase-gated: query bits have
-            // no racing invalidation cascade (deletion repair clears and
-            // re-derives them host-orchestrated after the structural phase,
-            // wiping every object of an affected vertex uniformly), so plain
-            // replication is always safe.
-            self.scratch_queries.clear();
-            for qid in 0..self.queries.len() as u32 {
-                let bits = obj.qbits_get(qid);
-                if bits != 0 {
-                    self.scratch_queries.push((qid, bits));
-                }
-            }
+            // algorithm sync below this is *not* phase-gated, although query
+            // clears race the structural phase: operons between one pair of
+            // cells arrive in order, and the fresh ghost hears only from
+            // this parent (edges name roots). If a clear passed the parent
+            // first, there is nothing left to copy and the clear itself is
+            // among the waiters; if it comes later, the parent forwards it
+            // to the now-Ready ghost behind these bits. Either way a clear
+            // always follows the bits it chases, so replication cannot
+            // resurrect a cleared state.
+            load_qbits(obj, self.queries.len(), &mut self.scratch_queries);
             (waiters, self.algo.sync_value(&obj.state))
         };
         for &(qid, bits) in &self.scratch_queries {
@@ -809,7 +836,7 @@ impl<G: VertexAlgo> App for GraphApp<G> {
             ACT_RESEED => self.reseed(ctx, op),
             ACT_UPDATE => self.update_edge_weight(ctx, op),
             ACT_RETRACT => self.invalidate(ctx, op),
-            ACT_QUERY if op.payload[0] & QUERY_RESEED != 0 => self.reseed_queries(ctx, op),
+            ACT_QUERY if op.payload[0] & QUERY_CLEAR != 0 => self.clear_queries(ctx, op),
             ACT_QUERY => self.absorb_query_bits(ctx, op),
             _ => {
                 // Split borrow: hand the algorithm the context plus config.
@@ -845,14 +872,10 @@ pub fn retract_operon(target: Address, suspect: u64) -> Operon {
     Operon::new(target, ACT_RETRACT, [suspect, 0])
 }
 
-/// Query id addressing *all* registered queries at once (used by reseed
-/// waves so one operon per frontier vertex suffices).
-pub const QUERY_ALL: u32 = u32::MAX;
-
-/// Bit 32 of a query operon's `payload[0]`: a repair-phase reseed trigger
-/// (re-announce current states) rather than a monotone state delivery.
-/// Sits above the query id (bits 0..32) and below the rhizome fan marker.
-const QUERY_RESEED: u64 = 1 << 32;
+/// Bit 32 of a query operon's `payload[0]`: a deletion-repair clear (wipe
+/// every query's states, cascading) rather than a monotone state delivery.
+/// Sits above the query id (bits 0..32).
+const QUERY_CLEAR: u64 = 1 << 32;
 
 /// Build a monotone query-state delivery: automaton states `bits` of query
 /// `qid` flow to the vertex object at `target` (`payload` = qid, bits).
@@ -860,11 +883,15 @@ pub fn query_operon(target: Address, qid: u32, bits: u32) -> Operon {
     Operon::new(target, ACT_QUERY, [qid as u64, bits as u64])
 }
 
-/// Build a repair-phase reseed trigger for the vertex object at `target`:
-/// re-announce current states of `qid` (or of every query, with
-/// [`QUERY_ALL`]) along all stored edges.
-pub fn query_reseed_operon(target: Address, qid: u32) -> Operon {
-    Operon::new(target, ACT_QUERY, [qid as u64 | QUERY_RESEED, 0])
+/// Build a deletion-repair query clear for the vertex object at `target`.
+fn query_clear_operon(target: Address) -> Operon {
+    Operon::new(target, ACT_QUERY, [QUERY_CLEAR, 0])
+}
+
+/// Copy `obj`'s non-empty query bitsets, as `(qid, bits)`, into `out`.
+fn load_qbits<S>(obj: &VertexObj<S>, n_queries: usize, out: &mut Vec<(u32, u32)>) {
+    out.clear();
+    out.extend((0..n_queries as u32).map(|q| (q, obj.qbits_get(q))).filter(|&(_, b)| b != 0));
 }
 
 /// Bit 62 of an update-weight operon's `payload[0]`: set when the update is

@@ -8,9 +8,9 @@ pub mod sssp;
 pub mod triangle;
 
 pub use algo::{
-    delete_operon, insert_operon, query_operon, query_reseed_operon, retract_operon,
-    update_weight_operon, GraphApp, VertexAlgo, ACT_ALGO_BASE, ACT_DELETE, ACT_INSERT, ACT_QUERY,
-    ACT_RELAX, ACT_RESEED, ACT_RETRACT, ACT_UPDATE, QUERY_ALL,
+    delete_operon, insert_operon, query_operon, retract_operon, update_weight_operon, GraphApp,
+    VertexAlgo, ACT_ALGO_BASE, ACT_DELETE, ACT_INSERT, ACT_QUERY, ACT_RELAX, ACT_RESEED,
+    ACT_RETRACT, ACT_UPDATE,
 };
 pub use bfs::{BfsAlgo, MAX_LEVEL};
 pub use concomp::CcAlgo;

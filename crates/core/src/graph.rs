@@ -25,12 +25,14 @@
 //! tag of the copy the log matched it to.
 //!
 //! Batches containing on-fabric deletions (or weight increases) run in two
-//! phases when the algorithm propagates: a **structural** phase (inserts,
-//! retractions, and weight patches apply, improvements are suppressed,
-//! invalidation cascades recall state derived through deleted or re-weighted
-//! edges — see `retract-action` in [`crate::apps::algo`]) and a **reseed** phase in which
-//! surviving valid state re-announces and monotone relaxation rebuilds the
-//! exact fixpoint over the surviving edge set. The reseed wave is scoped by
+//! phases when the algorithm propagates or a standing query is registered:
+//! a **structural** phase (inserts, retractions, and weight patches apply,
+//! improvements are suppressed, invalidation cascades recall state derived
+//! through deleted or re-weighted edges and query clears wipe automaton
+//! states derived through deleted ones — see `retract-action` and
+//! `query-action` in [`crate::apps::algo`]) and a **reseed** phase in which
+//! surviving valid state and query bits re-announce and monotone relaxation
+//! rebuilds the exact fixpoints over the surviving edge set. The reseed wave is scoped by
 //! [`RepairMode`]: `Targeted` (default) triggers only the repair frontier
 //! recorded during the cascade — invalidated vertices, recall-rejecting
 //! survivors, surviving in-neighbours of the invalidated set, and the
@@ -130,7 +132,8 @@ pub enum RepairMode {
 /// actually injected.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
-    /// Distinct vertices whose state the invalidation cascade reset.
+    /// Distinct vertices whose state the invalidation cascade reset or
+    /// whose standing-query states a query clear wiped.
     pub invalidated: u64,
     /// Distinct vertices that rejected a recall while holding announceable
     /// state (survivors bordering the invalidated region).
@@ -530,18 +533,31 @@ impl<G: VertexAlgo> StreamingGraph<G> {
     }
 
     /// Verify that every object of every vertex — co-equal roots and ghost
-    /// mirrors alike — equals the primary root's state (must hold at
-    /// quiescence). Returns the first violation.
+    /// mirrors alike — equals the primary root's state and holds the
+    /// primary's automaton states for every registered query (must hold at
+    /// quiescence). Algorithm state is compared only while the algorithm
+    /// propagates: ingestion-only mode ([`Self::set_algo_propagation`])
+    /// syncs no mirror. Returns the first violation.
     pub fn check_mirror_consistency(&self) -> Result<(), String> {
+        let algo = self.dev.app().propagate_algo;
         for vid in 0..self.n_vertices() {
             let root = self.rz.primary(vid);
-            let want = self.dev.object(root).expect("root live").state;
+            let want = self.dev.object(root).expect("root live");
             for a in walk::collect_logical_objects(root, |x| self.dev.object(x)) {
-                let got = self.dev.object(a).expect("object live").state;
-                if got != want {
+                let got = self.dev.object(a).expect("object live");
+                if algo && got.state != want.state {
                     return Err(format!(
-                        "vertex {vid}: mirror at {a} has {got:?}, root has {want:?}"
+                        "vertex {vid}: mirror at {a} has {:?}, root has {:?}",
+                        got.state, want.state
                     ));
+                }
+                for qid in 0..self.queries.len() as u32 {
+                    let (g, w) = (got.qbits_get(qid), want.qbits_get(qid));
+                    if g != w {
+                        return Err(format!(
+                            "vertex {vid}: mirror at {a} has query {qid} states {g:#b}, root has {w:#b}"
+                        ));
+                    }
                 }
             }
         }

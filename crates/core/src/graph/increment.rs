@@ -34,15 +34,17 @@ impl<G: VertexAlgo> StreamingGraph<G> {
         // Nothing is staged while an increment runs, so what the log holds
         // now is exactly what this increment applies.
         self.applied_live = self.log.live_count();
-        let two_phase = batch.needs_repair && self.dev.app().propagate_algo;
+        // Two state planes can hold state derived through a retracted edge:
+        // the algorithm's (when it propagates) and the standing queries'.
+        let two_phase =
+            batch.needs_repair && (self.dev.app().propagate_algo || !self.queries.is_empty());
         let wave = self.build_wave(&batch)?;
-        let mut report = self.run_wave(wave, &batch.touched, two_phase, obs, n_muts)?;
+        let (mut report, invalidated) =
+            self.run_wave(wave, &batch.touched, two_phase, obs, n_muts)?;
         if let Some(merge) = self.demotion_sweep(obs, n_muts)? {
             report.absorb(merge);
         }
-        if let Some(repair) = self.maintain_queries(&batch, two_phase, obs, n_muts)? {
-            report.absorb(repair);
-        }
+        self.compute_query_deltas(&invalidated);
         self.fold_obs(&report, n_muts);
         Ok(report)
     }
@@ -118,7 +120,9 @@ impl<G: VertexAlgo> StreamingGraph<G> {
     }
 
     /// Run the wave to quiescence: in one phase, or (`two_phase`) structural
-    /// then repair — [`super`]'s module docs say when and why.
+    /// then repair — [`super`]'s module docs say when and why. Returns the
+    /// report and the sorted vertices the structural phase invalidated or
+    /// query-cleared (empty in one phase).
     fn run_wave(
         &mut self,
         wave: Vec<Operon>,
@@ -126,16 +130,17 @@ impl<G: VertexAlgo> StreamingGraph<G> {
         two_phase: bool,
         obs: &Obs,
         n_muts: u64,
-    ) -> Result<RunReport, SimError> {
+    ) -> Result<(RunReport, Vec<u32>), SimError> {
         self.last_repair = RepairStats::default();
         self.dev.register_data_transfer(wave);
         if !two_phase {
             let _s = obs.span("structural", self.seq, n_muts);
-            return self.dev.run();
+            return Ok((self.dev.run()?, Vec::new()));
         }
         // Phase A — structural: edges move and re-weigh, improvements
         // are suppressed, invalidation cascades recall state derived
-        // through deletions and weight increases while recording the
+        // through deletions and weight increases, and query clears wipe
+        // query state derived through deletions, both recording the
         // repair frontier on-fabric.
         self.dev.app_mut().notify_inserts = false;
         let structural = {
@@ -145,11 +150,13 @@ impl<G: VertexAlgo> StreamingGraph<G> {
         self.dev.app_mut().notify_inserts = true;
         let mut report = structural?;
         // Phase B — repair: trigger the reseed wave (scoped per the
-        // repair mode); surviving announceable state re-announces and
-        // relaxation rebuilds the exact fixpoint.
-        let frontier = self.repair_frontier(touched);
+        // repair mode) beside each query's source seeds; surviving
+        // announceable state re-announces and relaxation and query
+        // absorption rebuild the exact fixpoints.
+        let (frontier, invalidated) = self.repair_frontier(touched);
+        let seeds = self.query_seeds();
         let reseeds = frontier.iter().map(|&v| Operon::new(self.rz.primary(v), ACT_RESEED, [0, 0]));
-        self.dev.register_data_transfer(reseeds);
+        self.dev.register_data_transfer(reseeds.chain(seeds));
         let mut repair = {
             let _s = obs.span("repair", self.seq, n_muts);
             self.dev.run()?
@@ -158,20 +165,21 @@ impl<G: VertexAlgo> StreamingGraph<G> {
         repair.repair_cycles = repair.cycles;
         repair.repair_instrs = repair.counters.instrs;
         report.absorb(repair);
-        Ok(report)
+        Ok((report, invalidated))
     }
 
     /// Assemble phase B's reseed trigger set after a structural phase:
-    /// drain the frontier the invalidation cascade recorded on-fabric
-    /// (invalidated vertices + recall-rejecting survivors), join the
-    /// surviving in-neighbours of the invalidated set from the mutation
-    /// log and the batch's suppressed insert/update sources, and
-    /// dedup. Per-shard accumulation order and hash-map iteration order
+    /// drain the frontier the invalidation and clear cascades recorded
+    /// on-fabric (invalidated and query-cleared vertices + recall-rejecting
+    /// survivors), join the surviving in-neighbours of the invalidated set
+    /// from the mutation log and the batch's suppressed insert/update
+    /// sources, and dedup. Per-shard accumulation order and hash-map iteration order
     /// never reach the output: every constituent is sorted first, so the
     /// wave is deterministic and shard-count-independent. In
     /// [`RepairMode::Full`] the stats are still recorded but the trigger set
-    /// is every vertex.
-    fn repair_frontier(&mut self, touched: &[u32]) -> Vec<u32> {
+    /// is every vertex. Returns the trigger set and the sorted invalidated
+    /// set.
+    fn repair_frontier(&mut self, touched: &[u32]) -> (Vec<u32>, Vec<u32>) {
         let (invalidated, rejected) = self.dev.app_mut().take_repair_sets();
         let (invalidated, rejected) = (sort_dedup(invalidated), sort_dedup(rejected));
         let in_nbrs =
@@ -187,15 +195,15 @@ impl<G: VertexAlgo> StreamingGraph<G> {
         let frontier = match self.repair {
             RepairMode::Full => (0..self.n_vertices()).collect::<Vec<u32>>(),
             RepairMode::Targeted => {
-                let mut f = invalidated;
-                f.extend(rejected);
+                let mut f = rejected;
+                f.extend_from_slice(&invalidated);
                 f.extend(in_nbrs);
                 f.extend(touched);
                 sort_dedup(f)
             }
         };
         self.last_repair.triggers = frontier.len() as u64;
-        frontier
+        (frontier, invalidated)
     }
 
     /// Demotion sweep: collapse rhizomes whose live degree fell back below

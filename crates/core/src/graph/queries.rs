@@ -1,17 +1,13 @@
 //! The standing-query half of [`StreamingGraph`]: registration, result
-//! reads, and the query-maintenance stage every increment ends with
-//! (deletion repair of automaton state, then the result-set deltas).
+//! reads, the repair wave's query seeds, and the result-set deltas every
+//! increment ends with. Deletion repair of automaton state runs on the
+//! fabric inside the algorithm's two phases (see [`crate::apps::algo`]).
 
-use std::collections::HashSet;
+use amcca_sim::Operon;
 
-use amcca_obs::Obs;
-use amcca_sim::{Operon, SimError};
-use diffusive::RunReport;
-
-use super::{sort_dedup, CoalescedBatch, GraphMutation, StreamingGraph};
-use crate::apps::algo::{query_operon, query_reseed_operon, VertexAlgo, QUERY_ALL};
+use super::{sort_dedup, StreamingGraph};
+use crate::apps::algo::{query_operon, VertexAlgo};
 use crate::query::{compile, QueryDelta, QueryError, StandingQuery};
-use crate::rpvo::walk;
 
 impl<G: VertexAlgo> StreamingGraph<G> {
     /// Register a standing label-constrained path query anchored at a single
@@ -108,122 +104,29 @@ impl<G: VertexAlgo> StreamingGraph<G> {
         std::mem::take(&mut self.last_deltas)
     }
 
-    /// Standing-query maintenance, the last fabric stage of an increment: a
-    /// deletion may have stranded automaton states whose every derivation
-    /// ran through the removed edge, and a structural phase (`suppressed`)
-    /// held back the insert-time query announcements. Either way the repair
-    /// is independent of the algorithm's repair mode and of
-    /// `propagate_algo` — query state must stay exact even when the
-    /// algorithm's own propagation is disabled. Returns the repair wave's
-    /// report, if one ran.
-    pub(super) fn maintain_queries(
-        &mut self,
-        batch: &CoalescedBatch,
-        suppressed: bool,
-        obs: &Obs,
-        n_muts: u64,
-    ) -> Result<Option<RunReport>, SimError> {
-        if self.queries.is_empty() {
-            return Ok(None);
-        }
-        let deletes = batch.muts.iter().any(|m| matches!(m, GraphMutation::DelEdge(_)));
-        let mut repair = None;
-        let mut cleared: Vec<u32> = Vec::new();
-        if deletes || suppressed {
-            let (rq, region) = {
-                let _s = obs.span("query_repair", self.seq, n_muts);
-                self.repair_queries(batch)?
-            };
-            obs.counter_add("query.repair_cycles", rq.cycles);
-            repair = Some(rq);
-            cleared = region;
-        }
-        // Result deltas: diff each query's current accepting set against
-        // the stored baseline, restricted to the candidate vertices this
-        // increment could have changed — the on-fabric recorded accepting
-        // transitions plus the repair-cleared region. No full rescan.
-        self.compute_query_deltas(&cleared);
-        Ok(repair)
-    }
-
-    /// Host-orchestrated deletion repair for standing-query state, the
-    /// query-layer analogue of the invalidate+reseed cascade: compute the
-    /// coarse invalidation region — the forward closure over the *surviving*
-    /// directed adjacency (any label) from the heads of this batch's deleted
-    /// edges — clear every automaton-state bitset stored anywhere in it
-    /// (host-side, untimed, like promotion bookkeeping), and inject a timed
-    /// repair wave that re-derives exactly the surviving states: each query
-    /// re-seeds its closed start set at its source, and each frontier vertex
-    /// (surviving in-neighbours of the region, the region itself, and the
-    /// batch's touched sources) re-announces all its surviving states along
-    /// its out-edges.
-    ///
-    /// Soundness: a state that survives the clearing has a derivation whose
-    /// suffix after any deleted edge is intact, because every vertex forward
-    /// of a deleted edge's head was cleared. Completeness: the first missing
-    /// state on any surviving derivation path is re-fed either by its
-    /// query's source seed or by a frontier in-neighbour's re-announcement,
-    /// and monotone propagation rebuilds everything downstream.
-    /// Returns the run report and the cleared region (sorted vertex ids) so
-    /// the caller can fold the region into the result-delta candidate set —
-    /// host-side clearing is the one accepting-bit removal path the on-fabric
-    /// transition recorder cannot see.
-    fn repair_queries(
-        &mut self,
-        batch: &CoalescedBatch,
-    ) -> Result<(RunReport, Vec<u32>), SimError> {
-        // One pass over the region's own objects clears them and finds the
-        // closure: the fabric is quiescent, so the edges they store *are*
-        // the surviving adjacency, and the work is proportional to the
-        // cleared region, not to the live edge set. (The closure is a set,
-        // so traversal order cannot perturb the sorted result.)
-        let del_heads = batch.muts.iter().filter_map(|m| match *m {
-            GraphMutation::DelEdge((_, v, _)) => Some(v),
-            _ => None,
-        });
-        let mut seen: HashSet<u32> = del_heads.collect();
-        let mut work: Vec<u32> = seen.iter().copied().collect();
-        let mut region: Vec<u32> = Vec::new();
-        while let Some(v) = work.pop() {
-            region.push(v);
-            for a in walk::collect_logical_objects(self.rz.primary(v), |x| self.dev.object(x)) {
-                let obj = self.dev.object_mut(a).expect("object live");
-                obj.qbits.clear();
-                for e in &obj.edges {
-                    if seen.insert(e.dst_id) {
-                        work.push(e.dst_id);
-                    }
-                }
-            }
-        }
-        region.sort_unstable();
-        let mut frontier: Vec<u32> = region.iter().flat_map(|&v| self.log.sources_of(v)).collect();
-        frontier.extend_from_slice(&region);
-        frontier.extend_from_slice(&batch.touched);
-        let frontier = sort_dedup(frontier);
-        let mut wave: Vec<Operon> = Vec::with_capacity(self.queries.len() + frontier.len());
+    /// Each registered query's closed start set at each of its sources —
+    /// the repair wave's query seeds, since a clear may have wiped a source.
+    pub(super) fn query_seeds(&self) -> Vec<Operon> {
+        let mut wave = Vec::new();
         for (qid, q) in self.queries.iter().enumerate() {
             for &s in &q.sources {
                 wave.push(query_operon(self.rz.primary(s), qid as u32, q.dfa.start_bits()));
             }
         }
-        for &v in &frontier {
-            wave.push(query_reseed_operon(self.rz.primary(v), QUERY_ALL));
-        }
-        self.dev.register_data_transfer(wave);
-        Ok((self.dev.run()?, region))
+        wave
     }
 
-    /// Diff each query's current accepting set against the stored baseline
-    /// over the candidate vertices only (recorded accepting transitions ∪
-    /// `cleared`), update the baseline, and store the deltas for
-    /// [`Self::take_query_deltas`]. Candidates may over-approximate — every
-    /// candidate is re-checked against the primary root — but must cover:
-    /// an accepting bit can only turn **on** through `absorb_query_bits`
-    /// (recorded on-fabric; mirror replication cannot create a transition
-    /// the primary never saw) and can only turn **off** through the
-    /// repair-time host clear (`cleared`).
-    fn compute_query_deltas(&mut self, cleared: &[u32]) {
+    /// The last stage of an increment: diff each query's current accepting
+    /// set against the stored baseline over the candidate vertices only
+    /// (recorded accepting transitions ∪ `cleared`, the structural phase's
+    /// recorded invalidated set), update the baseline, and store the deltas
+    /// for [`Self::take_query_deltas`]. No full rescan. Candidates may
+    /// over-approximate — every candidate is re-checked against the primary
+    /// root — but must cover: an accepting bit can only turn **on** through
+    /// `absorb_query_bits` (recorded on-fabric; mirror replication cannot
+    /// create a transition the primary never saw) and can only turn **off**
+    /// through a query clear, which records its vertex in `cleared`.
+    pub(super) fn compute_query_deltas(&mut self, cleared: &[u32]) {
         let touched = self.dev.app_mut().take_query_touched();
         let mut deltas = Vec::with_capacity(self.queries.len());
         for qid in 0..self.queries.len() {
@@ -261,7 +164,7 @@ mod tests {
     use super::*;
     use crate::apps::bfs::BfsAlgo;
     use crate::graph::tests::small;
-    use crate::graph::RepairMode;
+    use crate::graph::{GraphMutation, RepairMode};
     use crate::rpvo::RpvoConfig;
     use amcca_sim::ChipConfig;
 
@@ -379,6 +282,86 @@ mod tests {
             (g.query_results(qa), g.query_results(qb), g.states())
         };
         assert_eq!(run(1), run(3));
+    }
+
+    /// The `fulfill` replication race the clear's ordering argument covers:
+    /// one batch deletes the edge vertex 1's query states derive through and
+    /// overflows vertex 1's full edge list (`edge_cap` 2), so the clear
+    /// chasing those states meets a ghost allocated in the same structural
+    /// phase. Deleting `0 → 1` itself, the clear reaches vertex 1 while the
+    /// ghost is still Pending; deleting the head of the longer path
+    /// `0 → 5 → 6 → 1`, it arrives after the parent replicated its bits into
+    /// the Ready ghost. With `keep`, a surviving path `0 → 7 → 1` re-derives
+    /// vertex 1's states and must refill the fresh ghost too.
+    #[test]
+    fn query_clear_races_a_freshly_allocated_ghost() {
+        use GraphMutation::{AddLabeledEdge, DelEdge};
+        let (a, b) = (1, 2);
+        for shards in [1, 2] {
+            for (far, keep) in [(false, false), (true, false), (false, true), (true, true)] {
+                let mut g = StreamingGraph::builder(BfsAlgo::new(0))
+                    .vertices(8)
+                    .chip(ChipConfig::small_test().with_shards(shards))
+                    .rpvo(RpvoConfig::basic(2, 2))
+                    .build()
+                    .unwrap();
+                let q = g.register_query("a.b*", 0).unwrap();
+                let path: &[(u32, u32, u8)] =
+                    if far { &[(0, 5, a), (5, 6, b), (6, 1, b)] } else { &[(0, 1, a)] };
+                let mut base: Vec<GraphMutation> =
+                    path.iter().map(|&(u, v, l)| AddLabeledEdge((u, v, 1), l)).collect();
+                base.extend([AddLabeledEdge((1, 2, 1), b), AddLabeledEdge((1, 3, 1), b)]);
+                if keep {
+                    base.extend([AddLabeledEdge((0, 7, 1), a), AddLabeledEdge((7, 1, 1), b)]);
+                }
+                g.stream_increment(&base).unwrap();
+                assert!(g.query_results(q).contains(&1));
+                assert_eq!(g.rpvo_objects(1).len(), 1, "vertex 1's edge list is full");
+                let (u, v, _) = path[0];
+                g.stream_increment(&[DelEdge((u, v, 1)), AddLabeledEdge((1, 4, 1), b)]).unwrap();
+                assert_eq!(g.rpvo_objects(1).len(), 2, "vertex 1 spilled into a fresh ghost");
+                assert_query_matches_oracle(&g, q);
+                assert_eq!(g.query_results(q).contains(&4), keep, "shards {shards} far {far}");
+                g.check_mirror_consistency().unwrap();
+            }
+        }
+    }
+
+    /// Query repair runs no fabric segment of its own: with a query
+    /// registered, a delete-bearing increment records the same spans as
+    /// without one — `structural` and `repair` (no demotion fires here).
+    #[test]
+    fn query_repair_adds_no_span_of_its_own() {
+        use amcca_obs::Obs;
+        use GraphMutation::{AddLabeledEdge, DelEdge};
+        let spans = |query: bool| {
+            let obs = Obs::enabled();
+            let mut g = StreamingGraph::builder(BfsAlgo::new(0))
+                .vertices(16)
+                .chip(ChipConfig::small_test())
+                .rpvo(RpvoConfig::basic(4, 2))
+                .obs(obs.clone())
+                .build()
+                .unwrap();
+            if query {
+                g.register_query("a.b*", 0).unwrap();
+            }
+            g.stream_increment(&[AddLabeledEdge((0, 1, 1), 1), AddLabeledEdge((1, 2, 1), 2)])
+                .unwrap();
+            g.stream_increment(&[DelEdge((0, 1, 1))]).unwrap();
+            let snap = obs.snapshot();
+            snap.hists
+                .iter()
+                .filter(|(n, _)| n.starts_with("span.") && n != "span.query_seed_ns")
+                .map(|(n, h)| (n.clone(), h.count))
+                .collect::<Vec<(String, u64)>>()
+        };
+        let with = spans(true);
+        assert_eq!(with, spans(false));
+        assert_eq!(
+            with,
+            [("span.repair_ns".to_string(), 1), ("span.structural_ns".to_string(), 2)]
+        );
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! themselves (`VertexObj::qbits`): inserts extend the reachable product
 //! states through the monotone `query-action` diffusion
 //! ([`crate::apps::algo`]), and deletions
-//! run a scoped clear-and-reseed repair over exactly the region reachable
-//! from the deleted edges (see `StreamingGraph::register_query` and the
-//! repair pass in `stream_increment`). [`oracle_results`] is the from-scratch
+//! clear the states derived through the deleted edges on fabric and
+//! re-derive the survivors in the same reseed wave the algorithm's repair
+//! uses (see `query-action` in [`crate::apps::algo`]). [`oracle_results`] is the from-scratch
 //! recompute every incremental result set is pinned against in tests and the
 //! benchmark's `query_fanout` workload.
 

@@ -43,7 +43,7 @@ fn main() {
         activity.frames.len()
     );
     println!("\nactivity over time (percent of {} cells):", cells);
-    println!("|{}|", activity_sparkline(activity, cells, 72));
+    println!("|{}|", activity_sparkline(&activity.counts, cells, 72));
 
     // Play frames: every frame with --play, else four snapshots.
     let picks: Vec<usize> = if play {

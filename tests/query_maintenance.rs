@@ -3,11 +3,12 @@
 //! (`tests/common/oracle.rs::surviving_labeled_edges`): after ANY
 //! interleaving of labelled inserts, deletes, and weight updates — any
 //! batch split, rhizome root count K ∈ {1, 2, 4}, any shard count, either
-//! repair mode — every registered query's result set equals a from-scratch
-//! product-automaton recompute over the surviving labelled edge set
-//! ([`oracle_results`]) after EVERY batch, not just at the end. A query
-//! registered mid-stream must converge to the same results as one
-//! registered before any edge arrived.
+//! repair mode, with the algorithm's own propagation on or off — every
+//! registered query's result set equals a from-scratch product-automaton
+//! recompute over the surviving labelled edge set ([`oracle_results`]) after
+//! EVERY batch, not just at the end, and every mirror holds its primary's
+//! automaton states. A query registered mid-stream must converge to the same
+//! results as one registered before any edge arrived.
 
 mod common;
 
@@ -93,19 +94,23 @@ fn assert_queries_match_oracle(g: &StreamingGraph<BfsAlgo>, applied: &[GraphMuta
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
-    /// Random labelled churn, checked against the oracle after EVERY batch,
-    /// across rhizome root counts, shard counts, and batch splits.
+    /// Random labelled churn, checked against the oracle and for mirror
+    /// consistency after EVERY batch, across rhizome root counts, shard
+    /// counts, batch splits, and with the algorithm's propagation on or off
+    /// (ingestion-only mode must still repair queries after a delete).
     #[test]
     fn standing_queries_match_oracle_after_every_batch(
         script in arb_labeled_script(),
         chunks in 1usize..5,
         ki in 0usize..3,
         shards in 1usize..3,
+        propagate in any::<bool>(),
     ) {
         let k = [1usize, 2, 4][ki];
         let muts = materialize(&script);
         prop_assume!(!muts.is_empty());
         let mut g = graph(k, shards, RepairMode::Targeted);
+        g.set_algo_propagation(propagate);
         for (pattern, source) in PATTERNS {
             g.register_query(pattern, source).unwrap();
         }
@@ -113,14 +118,17 @@ proptest! {
         for (i, c) in muts.chunks(muts.len().div_ceil(chunks).max(1)).enumerate() {
             g.stream_increment(c).unwrap();
             applied.extend_from_slice(c);
-            assert_queries_match_oracle(&g, &applied, &format!("batch {i}"));
+            let at = format!("batch {i} (propagate {propagate})");
+            assert_queries_match_oracle(&g, &applied, &at);
+            if let Err(e) = g.check_mirror_consistency() {
+                panic!("{at}: {e}");
+            }
         }
-        g.check_mirror_consistency().unwrap();
     }
 
     /// Full-wave and targeted repair maintain identical query results at
-    /// every batch boundary (the clear-and-reseed query repair is scoped by
-    /// the same frontier machinery the algorithm repair is).
+    /// every batch boundary (query clears record on the same repair frontier
+    /// the algorithm's invalidation does, and one reseed wave serves both).
     #[test]
     fn full_and_targeted_query_maintenance_agree(
         script in arb_labeled_script(),
