@@ -29,10 +29,11 @@
 //!   the recall along its edges, mirrors and peers; over-invalidation is
 //!   safe, under-invalidation is not. An object resets at most once per
 //!   repair round (a reset state never matches a recalled value again), so
-//!   the cascade is bounded by the invalidated region. It records the repair
-//!   frontier on-fabric (reset objects plus recall-rejecting survivors) so
-//!   the host can scope the **reseed** wave that re-announces surviving
-//!   state to the invalidated region instead of triggering every vertex.
+//!   the cascade is bounded by the invalidated region. It records the reset
+//!   vertices on-fabric — the one part of the repair frontier only the
+//!   fabric can know — so the host can scope the **reseed** wave that
+//!   re-announces surviving state to the invalidated region instead of
+//!   triggering every vertex.
 //! * **`update-weight-action`**: patch one tagged edge copy's weight in
 //!   place wherever it is stored. A decrease is announced as a plain relax;
 //!   an increase recalls the contribution made under the old weight, so only
@@ -282,15 +283,11 @@ pub struct GraphApp<G: VertexAlgo> {
     /// batch's structural phase: vertex ids whose algorithm state the
     /// invalidation cascade reset or whose query bits a clear wiped.
     /// Drained by the host after the structural phase to scope the reseed
-    /// wave ([`Self::take_repair_sets`]). Per-shard instances accumulate
+    /// wave ([`Self::take_invalidated`]). Per-shard instances accumulate
     /// independently and fold back through [`App::merge`] like any other
     /// commutative accumulator; the host sorts + dedups before use, so the
     /// shard-dependent accumulation order never drives output.
     invalidated: Vec<u32>,
-    /// Vertex ids that *rejected* a recall while holding announceable state —
-    /// survivors adjacent to the invalidated region, the other half of the
-    /// recorded repair frontier.
-    rejected: Vec<u32>,
     /// Compiled automata of the registered standing queries, indexed by
     /// query id. Registration happens host-side between increments (the
     /// registry lives on the master app; per-shard forks clone it), so the
@@ -317,7 +314,6 @@ impl<G: VertexAlgo> GraphApp<G> {
             propagate_algo,
             notify_inserts: true,
             invalidated: Vec::new(),
-            rejected: Vec::new(),
             queries: Vec::new(),
             qaccept_touched: Vec::new(),
             scratch: Scratch::default(),
@@ -325,18 +321,17 @@ impl<G: VertexAlgo> GraphApp<G> {
         }
     }
 
-    /// Drain the repair frontier recorded since the last call:
-    /// `(invalidated or query-cleared vertex ids, recall-rejecting vertex
-    /// ids)`, each possibly containing duplicates (a vertex's root, peers,
-    /// and ghosts record independently). The host dedups.
-    pub fn take_repair_sets(&mut self) -> (Vec<u32>, Vec<u32>) {
-        (std::mem::take(&mut self.invalidated), std::mem::take(&mut self.rejected))
+    /// Drain the vertex ids invalidated or query-cleared since the last
+    /// call, possibly with duplicates (a vertex's root, peers, and ghosts
+    /// record independently). The host dedups.
+    pub fn take_invalidated(&mut self) -> Vec<u32> {
+        std::mem::take(&mut self.invalidated)
     }
 
     /// Drain the `(qid, vid)` pairs whose accepting automaton bits turned on
     /// since the last call — the candidate half of the host's incremental
     /// result-delta computation (the other half is the query-cleared part
-    /// of [`Self::take_repair_sets`]). Duplicates possible; the host dedups.
+    /// of [`Self::take_invalidated`]). Duplicates possible; the host dedups.
     pub fn take_query_touched(&mut self) -> Vec<(u32, u32)> {
         std::mem::take(&mut self.qaccept_touched)
     }
@@ -367,7 +362,7 @@ impl<G: VertexAlgo> GraphApp<G> {
                 // Standing queries: the new edge may extend result paths, so
                 // announce this object's stepped automaton states along it
                 // (suppressed during structural phases — the reseed wave
-                // re-announces from the batch's touched sources).
+                // re-announces from the batch's insert sources).
                 self.scratch_queries.clear();
                 if self.notify_inserts {
                     load_qbits(obj, self.queries.len(), &mut self.scratch_queries);
@@ -520,12 +515,11 @@ impl<G: VertexAlgo> GraphApp<G> {
     /// state could only have been derived through the recalled value, reset
     /// it and cascade — along local edges with the value this object would
     /// have announced, and to mirrors and peers with the old value itself.
-    ///
-    /// Either way the cascade records the repair frontier on-fabric: a reset
-    /// object joins [`Self::take_repair_sets`]'s *invalidated* set, while an
-    /// object that rejects the recall with announceable state (independent
-    /// support, or a self-supported reset value) joins the *rejected* set —
-    /// together the survivors the targeted reseed wave re-announces from.
+    /// A reset object records its vertex on the repair frontier
+    /// ([`Self::take_invalidated`]); an object that rejects the recall
+    /// records nothing — it can re-feed the invalidated region only along
+    /// an edge into it, which makes it an in-neighbour the host joins from
+    /// its log.
     fn invalidate(&mut self, ctx: &mut ExecCtx<'_, VertexObj<G::State>>, op: &Operon) {
         let suspect = op.payload[0];
         ctx.charge(ctx.cost().invalidate);
@@ -535,24 +529,13 @@ impl<G: VertexAlgo> GraphApp<G> {
         };
         if !self.algo.retract_match(&obj.state, suspect) {
             // Rejected recall: this object's state has independent support.
-            // If it is announceable, the object borders the invalidated
-            // region and its re-announcement can re-feed invalidated
-            // neighbours.
-            if self.algo.sync_value(&obj.state).is_some() {
-                self.rejected.push(obj.vid);
-                ctx.charge(ctx.cost().frontier_mark);
-            }
             return;
         }
         let old = obj.state;
         let reset = self.algo.root_state(obj.vid);
         if reset == old {
             // Self-supported state (e.g. the BFS source, a CC vertex at its
-            // own label): nothing to invalidate, but the survivor is
-            // announceable (it matched the recall) and belongs on the
-            // frontier.
-            self.rejected.push(obj.vid);
-            ctx.charge(ctx.cost().frontier_mark);
+            // own label): nothing to invalidate.
             return;
         }
         obj.state = reset;
@@ -706,7 +689,7 @@ impl<G: VertexAlgo> GraphApp<G> {
 
     /// Clear leg of `query-action`, the query plane's invalidation: an
     /// object holding any query bits drops them all, records its vertex on
-    /// the repair frontier ([`Self::take_repair_sets`]), and passes the
+    /// the repair frontier ([`Self::take_invalidated`]), and passes the
     /// clear along every stored edge, to its mirrors and peers, and onto
     /// Pending ghost futures. An object with no bits stops it: no state
     /// could have been derived through it. Over-clearing is safe — the
@@ -719,10 +702,10 @@ impl<G: VertexAlgo> GraphApp<G> {
     /// the edge's head by a chain of objects that all held bits, so the
     /// clear the retraction sends follows that chain and wipes it.
     /// Completeness: the reseed frontier holds every cleared vertex, its
-    /// surviving in-neighbours and the batch's touched sources, and the
-    /// host re-seeds each query's sources, so the first missing state on
-    /// any surviving derivation path is re-fed and monotone absorption
-    /// rebuilds the rest.
+    /// surviving in-neighbours and the batch's insert and re-weight
+    /// sources, and the host re-seeds each query's sources, so the first
+    /// missing state on any surviving derivation path is re-fed and
+    /// monotone absorption rebuilds the rest.
     fn clear_queries(&mut self, ctx: &mut ExecCtx<'_, VertexObj<G::State>>, op: &Operon) {
         ctx.charge(ctx.cost().invalidate);
         let Some(obj) = ctx.obj_mut(op.target.slot) else {
@@ -756,7 +739,6 @@ impl<G: VertexAlgo> App for GraphApp<G> {
             propagate_algo: self.propagate_algo,
             notify_inserts: self.notify_inserts,
             invalidated: Vec::new(),
-            rejected: Vec::new(),
             queries: self.queries.clone(),
             qaccept_touched: Vec::new(),
             scratch: Scratch::default(),
@@ -767,7 +749,6 @@ impl<G: VertexAlgo> App for GraphApp<G> {
     fn merge(&mut self, worker: Self) {
         self.algo.merge(worker.algo);
         self.invalidated.extend(worker.invalidated);
-        self.rejected.extend(worker.rejected);
         self.qaccept_touched.extend(worker.qaccept_touched);
     }
 

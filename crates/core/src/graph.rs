@@ -24,21 +24,23 @@
 //! the log's drained batch alone: each surviving mutation arrives with the
 //! tag of the copy the log matched it to.
 //!
-//! Batches containing on-fabric deletions (or weight increases) run in two
-//! phases when the algorithm propagates or a standing query is registered:
-//! a **structural** phase (inserts, retractions, and weight patches apply,
-//! improvements are suppressed, invalidation cascades recall state derived
-//! through deleted or re-weighted edges and query clears wipe automaton
-//! states derived through deleted ones — see `retract-action` and
-//! `query-action` in [`crate::apps::algo`]) and a **reseed** phase in which
-//! surviving valid state and query bits re-announce and monotone relaxation
-//! rebuilds the exact fixpoints over the surviving edge set. The reseed wave is scoped by
-//! [`RepairMode`]: `Targeted` (default) triggers only the repair frontier
-//! recorded during the cascade — invalidated vertices, recall-rejecting
-//! survivors, surviving in-neighbours of the invalidated set, and the
-//! batch's suppressed insert/update sources — while `Full` re-announces from
-//! every vertex (the O(n) ablation baseline). Both reach bit-identical
-//! fixpoints; pure-insert batches take the original single-phase fast path.
+//! Batches whose drained form holds a deletion (or a re-weight above the
+//! weight the fabric stores) run in two phases when the algorithm
+//! propagates or a standing query is registered: a **structural** phase
+//! (inserts, retractions, and weight patches apply, improvements are
+//! suppressed, invalidation cascades recall state derived through deleted
+//! or re-weighted edges and query clears wipe automaton states derived
+//! through deleted ones — see `retract-action` and `query-action` in
+//! [`crate::apps::algo`]) and a **reseed** phase in which surviving valid
+//! state and query bits re-announce and monotone relaxation rebuilds the
+//! exact fixpoints over the surviving edge set. `graph/increment.rs` alone
+//! makes that decision, and scopes the reseed wave by [`RepairMode`]:
+//! `Targeted` (default) triggers only the repair frontier — the vertices
+//! the cascades reset (recorded on-fabric), their surviving in-neighbours
+//! (from the log), and the batch's suppressed insert/update sources —
+//! while `Full` re-announces from every vertex (the O(n) ablation
+//! baseline). Both reach bit-identical fixpoints; pure-insert batches take
+//! the original single-phase fast path.
 //!
 //! This file holds the types, the builder, the entry points and the read
 //! accessors; `graph/increment.rs` runs an increment stage by stage and
@@ -135,14 +137,12 @@ pub struct RepairStats {
     /// Distinct vertices whose state the invalidation cascade reset or
     /// whose standing-query states a query clear wiped.
     pub invalidated: u64,
-    /// Distinct vertices that rejected a recall while holding announceable
-    /// state (survivors bordering the invalidated region).
-    pub rejected: u64,
     /// Distinct surviving in-neighbours of the invalidated set (from the
     /// mutation log).
     pub in_neighbors: u64,
-    /// Distinct sources of this batch's inserts and weight updates (their
-    /// announcements were suppressed during the structural phase).
+    /// Distinct sources of the drained batch's inserts and weight updates
+    /// (their announcements were suppressed or recalled during the
+    /// structural phase).
     pub touched: u64,
     /// Reseed triggers injected: the deduped frontier union in `Targeted`
     /// mode, `n` in `Full` mode.

@@ -17,6 +17,20 @@ use crate::apps::algo::{
 use crate::rpvo::rhizome::peer_sets;
 use crate::rpvo::{walk, Edge, VertexObj};
 
+/// Whether `batch` retracts announced state, which is when an increment
+/// needs its repair phase: a delete (the log annihilates a delete of a
+/// same-batch insert, so every drained one retracts a settled copy), or a
+/// re-weight above the weight the fabric stores for its copy. Read off the
+/// drained batch alone, so a batch re-staged from the same submissions runs
+/// the phases the original ran.
+fn retracts(batch: &CoalescedBatch) -> bool {
+    batch.muts.iter().zip(&batch.addrs).any(|(m, at)| match *m {
+        GraphMutation::DelEdge(_) => true,
+        GraphMutation::UpdateWeight { w, .. } => w > at.w_fabric,
+        GraphMutation::AddEdge(_) | GraphMutation::AddLabeledEdge(..) => false,
+    })
+}
+
 impl<G: VertexAlgo> StreamingGraph<G> {
     /// Drain the log and run the canonical batch to quiescence. `n_muts` is
     /// the mutation count spans and obs counters report, beside the batch id
@@ -37,10 +51,9 @@ impl<G: VertexAlgo> StreamingGraph<G> {
         // Two state planes can hold state derived through a retracted edge:
         // the algorithm's (when it propagates) and the standing queries'.
         let two_phase =
-            batch.needs_repair && (self.dev.app().propagate_algo || !self.queries.is_empty());
+            retracts(&batch) && (self.dev.app().propagate_algo || !self.queries.is_empty());
         let wave = self.build_wave(&batch)?;
-        let (mut report, invalidated) =
-            self.run_wave(wave, &batch.touched, two_phase, obs, n_muts)?;
+        let (mut report, invalidated) = self.run_wave(wave, &batch, two_phase, obs, n_muts)?;
         if let Some(merge) = self.demotion_sweep(obs, n_muts)? {
             report.absorb(merge);
         }
@@ -126,7 +139,7 @@ impl<G: VertexAlgo> StreamingGraph<G> {
     fn run_wave(
         &mut self,
         wave: Vec<Operon>,
-        touched: &[u32],
+        batch: &CoalescedBatch,
         two_phase: bool,
         obs: &Obs,
         n_muts: u64,
@@ -153,7 +166,7 @@ impl<G: VertexAlgo> StreamingGraph<G> {
         // repair mode) beside each query's source seeds; surviving
         // announceable state re-announces and relaxation and query
         // absorption rebuild the exact fixpoints.
-        let (frontier, invalidated) = self.repair_frontier(touched);
+        let (frontier, invalidated) = self.repair_frontier(batch);
         let seeds = self.query_seeds();
         let reseeds = frontier.iter().map(|&v| Operon::new(self.rz.primary(v), ACT_RESEED, [0, 0]));
         self.dev.register_data_transfer(reseeds.chain(seeds));
@@ -168,37 +181,53 @@ impl<G: VertexAlgo> StreamingGraph<G> {
         Ok((report, invalidated))
     }
 
-    /// Assemble phase B's reseed trigger set after a structural phase:
-    /// drain the frontier the invalidation and clear cascades recorded
-    /// on-fabric (invalidated and query-cleared vertices + recall-rejecting
-    /// survivors), join the surviving in-neighbours of the invalidated set
-    /// from the mutation log and the batch's suppressed insert/update
-    /// sources, and dedup. Per-shard accumulation order and hash-map iteration order
-    /// never reach the output: every constituent is sorted first, so the
-    /// wave is deterministic and shard-count-independent. In
-    /// [`RepairMode::Full`] the stats are still recorded but the trigger set
-    /// is every vertex. Returns the trigger set and the sorted invalidated
-    /// set.
-    fn repair_frontier(&mut self, touched: &[u32]) -> (Vec<u32>, Vec<u32>) {
-        let (invalidated, rejected) = self.dev.app_mut().take_repair_sets();
-        let (invalidated, rejected) = (sort_dedup(invalidated), sort_dedup(rejected));
+    /// Assemble phase B's reseed trigger set after a structural phase: the
+    /// union of
+    ///
+    /// * the invalidated set — the vertices whose algorithm state the
+    ///   invalidation cascade reset or whose query bits a clear wiped, the
+    ///   one part only the fabric knows, recorded there;
+    /// * the invalidated set's surviving in-neighbours, from the log;
+    /// * the sources of the batch's surviving inserts and re-weights.
+    ///
+    /// Completeness: before the batch every state had absorbed every
+    /// announcement along every edge. After the structural phase, an edge
+    /// `x → y` whose announcement `y` may be missing either is new or
+    /// re-weighted in this batch (the structural phase suppressed or
+    /// recalled its announcement: `x` is a batch source), or leads into a
+    /// reset `y` (`x` is an in-neighbour of the invalidated set), or leaves
+    /// a reset `x` (a trigger itself, which re-announces by relaxation once
+    /// re-fed). Every other edge joins two states the structural phase left
+    /// alone — it only resets — so its announcement is still absorbed. A
+    /// survivor that rejected a recall therefore needs no mark of its own:
+    /// it can re-feed the invalidated region only along an edge into it.
+    /// The query plane takes the same argument, with each query's start
+    /// bits re-seeded at its sources.
+    ///
+    /// Every constituent is sorted before it can drive output, so neither
+    /// per-shard accumulation order nor hash-map iteration order reaches
+    /// the wave: it is deterministic and shard-count-independent. In
+    /// [`RepairMode::Full`] the stats are still recorded but the trigger
+    /// set is every vertex. Returns the trigger set and the sorted
+    /// invalidated set.
+    fn repair_frontier(&mut self, batch: &CoalescedBatch) -> (Vec<u32>, Vec<u32>) {
+        let invalidated = sort_dedup(self.dev.app_mut().take_invalidated());
         let in_nbrs =
             sort_dedup(invalidated.iter().flat_map(|&v| self.log.sources_of(v)).collect());
-        let touched = sort_dedup(touched.to_vec());
+        let sources = batch.muts.iter().filter(|m| !matches!(m, GraphMutation::DelEdge(_)));
+        let sources = sort_dedup(sources.map(|m| m.edge().0).collect());
         self.last_repair = RepairStats {
             invalidated: invalidated.len() as u64,
-            rejected: rejected.len() as u64,
             in_neighbors: in_nbrs.len() as u64,
-            touched: touched.len() as u64,
+            touched: sources.len() as u64,
             triggers: 0,
         };
         let frontier = match self.repair {
             RepairMode::Full => (0..self.n_vertices()).collect::<Vec<u32>>(),
             RepairMode::Targeted => {
-                let mut f = rejected;
+                let mut f = in_nbrs;
                 f.extend_from_slice(&invalidated);
-                f.extend(in_nbrs);
-                f.extend(touched);
+                f.extend(sources);
                 sort_dedup(f)
             }
         };
@@ -729,6 +758,78 @@ mod tests {
         g.stream_increment(&[GraphMutation::UpdateWeight { u: 0, v: 2, w: 40 }]).unwrap();
         assert_eq!(g.state_of(2), 20);
         g.check_mirror_consistency().unwrap();
+    }
+
+    /// An obs-enabled SSSP graph on a long road `0 → 1 → 2` (10 + 10) and
+    /// a shortcut `0 → 2` (3) that carries vertex 2's distance.
+    fn shortcut_sssp() -> (StreamingGraph<SsspAlgo>, Obs) {
+        let obs = Obs::enabled();
+        let mut g = StreamingGraph::builder(SsspAlgo::new(0))
+            .vertices(8)
+            .chip(ChipConfig::small_test())
+            .rpvo(RpvoConfig::basic(4, 2))
+            .obs(obs.clone())
+            .build()
+            .unwrap();
+        g.stream_edges(&[(0, 1, 10), (1, 2, 10), (0, 2, 3)]).unwrap();
+        assert_eq!(g.state_of(2), 3, "shortcut in effect");
+        (g, obs)
+    }
+
+    /// Stream `batch`, check the fixpoint against a rebuild over the live
+    /// edges, and return the spans the increment recorded.
+    fn spans_of(
+        g: &mut StreamingGraph<SsspAlgo>,
+        obs: &Obs,
+        batch: &[GraphMutation],
+    ) -> Vec<String> {
+        let counts = || {
+            let snap = obs.snapshot();
+            snap.hists.into_iter().map(|(n, h)| (n, h.count)).collect::<HashMap<_, _>>()
+        };
+        let before = counts();
+        g.stream_increment(batch).unwrap();
+        let mut spans: Vec<String> = counts()
+            .into_iter()
+            .filter(|(n, c)| n.starts_with("span.") && before.get(n) != Some(c))
+            .map(|(n, _)| n)
+            .collect();
+        spans.sort_unstable();
+        let mut oracle = StreamingGraph::builder(SsspAlgo::new(0))
+            .vertices(8)
+            .chip(ChipConfig::small_test())
+            .rpvo(RpvoConfig::basic(4, 2))
+            .build()
+            .unwrap();
+        oracle.stream_edges(&g.live_edges()).unwrap();
+        assert_eq!(g.states(), oracle.states(), "fixpoint after {batch:?}");
+        g.check_mirror_consistency().unwrap();
+        spans
+    }
+
+    /// The phase choice reads the drained batch: a raise folded back below
+    /// the weight the fabric stores is a plain lower, one phase.
+    #[test]
+    fn a_raise_folded_below_the_start_weight_runs_one_phase() {
+        let (mut g, obs) = shortcut_sssp();
+        let batch = [
+            GraphMutation::UpdateWeight { u: 0, v: 2, w: 30 },
+            GraphMutation::UpdateWeight { u: 0, v: 2, w: 1 },
+        ];
+        assert_eq!(spans_of(&mut g, &obs, &batch), ["span.structural_ns"]);
+        assert_eq!(g.state_of(2), 1);
+        assert_eq!(g.last_repair(), RepairStats::default(), "no repair ran");
+    }
+
+    /// A raise whose copy the same batch then deletes drains to the delete,
+    /// which repairs.
+    #[test]
+    fn a_raise_then_delete_runs_both_phases() {
+        let (mut g, obs) = shortcut_sssp();
+        let batch = [GraphMutation::UpdateWeight { u: 0, v: 2, w: 30 }, DelEdge((0, 2, 30))];
+        assert_eq!(spans_of(&mut g, &obs, &batch), ["span.repair_ns", "span.structural_ns"]);
+        assert_eq!(g.state_of(2), 20, "distance re-derived through the long road");
+        assert_eq!(g.logical_edges(0), vec![(1, 10)]);
     }
 
     #[test]

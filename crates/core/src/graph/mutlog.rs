@@ -43,11 +43,10 @@
 //! the same epoch must not reuse a tag whose retraction travels in the same
 //! wave, or a miss-fanned broadcast could match both. The pass returns the
 //! canonical coalesced batch — surviving mutations in arrival order, each
-//! with the [`CopyAddr`] the fabric knows its copy by — together with the
-//! repair bookkeeping the two-phase pipeline needs: whether anything
-//! structural survived (`needs_repair`) and which sources the structural
-//! phase would suppress (`touched`). Replaying the canonical batch against
-//! a fresh consumer reproduces the exact live multiset, which is what makes
+//! with the [`CopyAddr`] the fabric knows its copy by. The log keeps no
+//! repair bookkeeping: whether an increment repairs, and from where, is a
+//! function of that batch, decided by `graph/increment.rs`. Pushing the
+//! same mutations onto equal logs drains equal batches, which is what makes
 //! the log shareable: `StreamingGraph` stages every increment in its own
 //! log, where the `amcca-serve` ingest loop parks client submissions too,
 //! rather than in a mirror.
@@ -357,15 +356,6 @@ pub struct CoalescedBatch {
     pub muts: Vec<GraphMutation>,
     /// The fabric address of each mutation's copy, parallel to `muts`.
     pub addrs: Vec<CopyAddr>,
-    /// Sources of this epoch's inserts and first re-weights of settled
-    /// copies, in arrival order with repeats (the structural phase
-    /// suppresses their announcements; the repair frontier folds them in).
-    pub touched: Vec<u32>,
-    /// Whether anything in the epoch retracts or re-weighs announced state:
-    /// a delete of a settled copy, or a re-weight above a settled copy's
-    /// epoch-start weight — even when a later same-epoch delete dropped the
-    /// patch itself (the decision to repair is made at arrival time).
-    pub needs_repair: bool,
 }
 
 /// Host-side live-copy model plus current-epoch coalescing (module docs).
@@ -376,8 +366,6 @@ pub struct MutationLog {
     spills: Spills,
     /// Current epoch's pending mutations in arrival order.
     entries: Vec<Pending>,
-    touched: Vec<u32>,
-    needs_repair: bool,
     /// Live copies across all pairs.
     live: u64,
     /// Pair records looked at so far ([`MutationLog::pair_visits`]).
@@ -453,7 +441,6 @@ impl MutationLog {
                         self.entries[copy.aux as usize] = None;
                     }
                     self.entries.push(Some((GraphMutation::DelEdge((u, v, copy.w)), copy.tag)));
-                    self.needs_repair = true;
                 }
                 Ok(())
             }
@@ -483,17 +470,9 @@ impl MutationLog {
                             Some((labeled_add((u, v, w), old.label), 0));
                     }
                     // Coalesce repeat updates of one copy: one patch with the
-                    // final weight (intermediates were never announced);
-                    // repair compares against the epoch-start weight.
-                    State::Patched => {
-                        self.needs_repair |= w > old.w;
-                        self.entries[old.aux as usize] = patch;
-                    }
-                    _ => {
-                        self.needs_repair |= w > old.w;
-                        self.entries.push(patch);
-                        self.touched.push(u);
-                    }
+                    // final weight (intermediates were never announced).
+                    State::Patched => self.entries[old.aux as usize] = patch,
+                    _ => self.entries.push(patch),
                 }
                 Ok(())
             }
@@ -507,7 +486,6 @@ impl MutationLog {
         self.entries.push(Some((labeled_add((u, v, w), label), 0)));
         let copy = LogCopy { w, aux, tag: 0, label, state: State::Fresh };
         self.pairs.get_or_insert((u, v)).push(&mut self.spills, copy);
-        self.touched.push(u);
         self.live += 1;
         Ok(())
     }
@@ -520,10 +498,9 @@ impl MutationLog {
     ///
     /// A push only changes the record of the pair it names (and its spilled
     /// queue), the pending entries that record's copies index, and the tail
-    /// of the epoch, so that (plus the scalar marks) is the whole pre-image.
+    /// of the epoch, so that (plus the live count) is the whole pre-image.
     pub fn try_push_all(&mut self, muts: &[GraphMutation]) -> Result<(), MutationError> {
-        let (n_entries, n_touched) = (self.entries.len(), self.touched.len());
-        let (needs_repair, live) = (self.needs_repair, self.live);
+        let (n_entries, live) = (self.entries.len(), self.live);
         // Each pair's record before the call, with its queue if it spilled.
         // Sized once: a submission names at most one pair per mutation.
         type Saved = Option<(PairRecord, Option<VecDeque<LogCopy>>)>;
@@ -565,8 +542,7 @@ impl MutationLog {
                 for (i, e) in entries {
                     self.entries[i] = e;
                 }
-                self.touched.truncate(n_touched);
-                (self.needs_repair, self.live) = (needs_repair, live);
+                self.live = live;
                 return Err(e);
             }
         }
@@ -634,12 +610,7 @@ impl MutationLog {
             addrs.push(addr);
         }
         self.entries = entries;
-        CoalescedBatch {
-            muts,
-            addrs,
-            touched: std::mem::take(&mut self.touched),
-            needs_repair: std::mem::replace(&mut self.needs_repair, false),
-        }
+        CoalescedBatch { muts, addrs }
     }
 }
 
@@ -748,31 +719,27 @@ mod tests {
     fn same_epoch_add_delete_annihilates() {
         let b = drained(&[AddEdge((0, 1, 5)), DelEdge((0, 1, 5))]);
         assert!(b.muts.is_empty());
-        assert!(!b.needs_repair, "nothing announced, nothing to repair");
-        assert_eq!(b.touched, vec![0], "the add's source still counts as touched");
     }
 
     #[test]
     fn update_of_fresh_copy_rewrites_the_insert() {
         let b = drained(&[AddEdge((0, 1, 2)), UpdateWeight { u: 0, v: 1, w: 9 }]);
         assert_eq!(b.muts, vec![AddEdge((0, 1, 9))]);
-        assert!(!b.needs_repair);
     }
 
     #[test]
-    fn repeat_updates_fold_and_repair_compares_epoch_start() {
+    fn repeat_updates_fold_into_one_patch_against_the_epoch_start() {
         let mut log = MutationLog::new();
         log.push(AddEdge((0, 1, 3)));
         let first = log.drain();
         assert_eq!(first.muts, vec![AddEdge((0, 1, 3))]);
-        // Raise then lower below the start: the raise was observed at
-        // arrival time, so the epoch still repairs.
+        // Raise then lower below the start: one patch, addressed by the
+        // weight the fabric still stores.
         log.push(UpdateWeight { u: 0, v: 1, w: 7 });
         log.push(UpdateWeight { u: 0, v: 1, w: 2 });
         let b = log.drain();
         assert_eq!(b.muts, vec![UpdateWeight { u: 0, v: 1, w: 2 }]);
-        assert!(b.needs_repair, "the intermediate raise forces a repair epoch");
-        assert_eq!(b.touched, vec![0], "one touched entry per patched copy");
+        assert_eq!(b.addrs, vec![CopyAddr { tag: 0, w_fabric: 3 }]);
     }
 
     #[test]
@@ -789,7 +756,6 @@ mod tests {
             vec![DelEdge((0, 1, 10))],
             "the retraction names the weight the fabric still stores"
         );
-        assert!(b.needs_repair);
         assert_eq!(log.live_edges(), vec![(0, 1, 5)], "the younger copy survives");
     }
 
@@ -805,7 +771,6 @@ mod tests {
         log.push(DelEdge((0, 1, 3)));
         let b = log.drain();
         assert_eq!(b.muts, vec![AddEdge((0, 1, 3)), DelEdge((0, 1, 3))]);
-        assert!(b.needs_repair);
         assert_eq!(log.live_count(), 1);
     }
 
@@ -980,8 +945,6 @@ mod tests {
         );
         assert_eq!(got.pairs.by_dst.len(), want.pairs.by_dst.len(), "destination tables");
         assert_eq!(got.entries, want.entries);
-        assert_eq!(got.touched, want.touched);
-        assert_eq!(got.needs_repair, want.needs_repair);
         assert_eq!((got.pairs.len, got.live), (want.pairs.len, want.live));
         assert_eq!(got.pending_ops(), want.pending_ops());
         assert_eq!(got.live_count(), want.live_count());
@@ -1000,8 +963,6 @@ mod tests {
         }
         let (g, w) = (got.drain(), want.drain());
         assert_eq!(g.muts, w.muts);
-        assert_eq!(g.touched, w.touched);
-        assert_eq!(g.needs_repair, w.needs_repair);
         assert_same(got, want);
     }
 
@@ -1042,9 +1003,7 @@ mod tests {
             UpdateWeight { u: 0, v: 1, w: 9 },
         ];
         log.try_push_all(&next).unwrap();
-        let b = log.drain();
-        assert_eq!(b.muts, next);
-        assert!(b.needs_repair);
+        assert_eq!(log.drain().muts, next);
     }
 
     /// Tags of the canonical batch one epoch of `muts` drains to.

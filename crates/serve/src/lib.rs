@@ -13,9 +13,10 @@
 //!   with an explicit retry-after hint, never unbounded queueing.
 //! * [`wal`] — the durability store: an atomically-replaced checkpoint file
 //!   (the [`sdgp_core::GraphCheckpoint`] codec) plus a checksummed
-//!   write-ahead log of the canonical mutation batches applied since. A
-//!   crash loses nothing that was acknowledged: recovery restores the
-//!   checkpoint and replays only the WAL tail.
+//!   write-ahead log of the service rounds applied since, each as its
+//!   admitted submissions in arrival order. A crash loses nothing that was
+//!   acknowledged: recovery restores the checkpoint and re-stages only the
+//!   WAL tail, which coalesces to the batches those rounds applied.
 //! * [`server`] — the single-writer ingest loop ([`server::IngestCore`])
 //!   and the threaded TCP front end ([`server::Server`]): each connection
 //!   has a reader thread, which feeds one ingest thread through a channel,
@@ -23,8 +24,8 @@
 //!   pushed deltas alike — from the connection's outbox. Admitted
 //!   submissions are validated against and parked in the graph's own
 //!   [`sdgp_core::MutationLog`] (there is no separate coalescing stage),
-//!   and each service round reads the canonical batch they coalesce to,
-//!   appends it to the WAL, then applies it as one increment. A checkpoint
+//!   and each service round appends them to the WAL, then applies the
+//!   canonical batch they coalesce to as one increment. A checkpoint
 //!   applies parked submissions first. Every `Submitted` acknowledgement is
 //!   sent *after* the increment that contains the batch converged.
 //! * [`client`] — a small blocking client used by the workload drivers and

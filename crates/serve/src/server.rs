@@ -8,20 +8,23 @@
 //! against the graph's own mutation log ([`StreamingGraph::stage`]) and
 //! parked there, so one that names a missing live copy is refused at submit
 //! time with the exact validation error instead of poisoning the fabric
-//! mid-increment. [`IngestCore::flush`] *reads* the canonical batch the
-//! parked submissions coalesce to, appends it to the write-ahead log and
-//! syncs, and only then applies it — a failed append leaves the graph
-//! unapplied. [`IngestCore::checkpoint`] applies parked submissions first.
+//! mid-increment. [`IngestCore::flush`] appends the round's admitted
+//! submissions, in arrival order, to the write-ahead log and syncs, and
+//! only then applies the canonical batch they coalesce to — a failed append
+//! leaves the graph unapplied. [`IngestCore::checkpoint`] applies parked
+//! submissions first.
 //!
 //! ## Recovery
 //!
 //! [`IngestCore::boot`] restores the newest checkpoint (re-converging the
 //! fixpoint and verifying it bit-for-bit against the snapshot), then
-//! replays only the WAL tail — the canonical batches applied after that
-//! checkpoint — through the same stage-and-apply path. Replay of a
-//! canonical batch is deterministic, so the recovered fixpoint is
-//! bit-identical to the pre-crash one; the recovery proptests in the
-//! umbrella crate pin exactly this.
+//! replays only the WAL tail — the rounds applied after that checkpoint —
+//! through the same stage-and-apply path. Re-staged on the log it was
+//! admitted against, a round's submissions coalesce to the very batch the
+//! round applied, copies and tags included (the canonical batch alone would
+//! not: re-coalesced, a delete can match another copy than it did), so the
+//! recovered fixpoint and live copies are bit-identical to the pre-crash
+//! ones; the recovery proptests in the umbrella crate pin exactly this.
 //!
 //! ## Threading
 //!
@@ -99,7 +102,7 @@ pub struct BootReport {
     pub checkpoint_edges: usize,
     /// WAL batches replayed on top of the checkpoint.
     pub tail_batches: usize,
-    /// Mutations across the replayed tail.
+    /// Submitted mutations across the replayed tail, before coalescing.
     pub tail_mutations: usize,
     /// Standing queries re-registered from the WAL tail (queries inside the
     /// checkpoint are restored by the checkpoint codec and not counted
@@ -114,7 +117,9 @@ pub struct IngestCore<G: VertexAlgo> {
     /// Write a checkpoint after this many applied batches (0 = only on
     /// explicit request).
     checkpoint_every: u64,
-    since_checkpoint: u64,
+    /// The submissions parked since the last flush, in arrival order: the
+    /// next round's WAL record.
+    admitted: Vec<GraphMutation>,
     stats: ServerStats,
     /// Wall-clock observability, cloned from the graph's handle so the
     /// server and the graph feed one shared registry (disabled unless the
@@ -145,7 +150,7 @@ impl<G: VertexAlgo> IngestCore<G> {
             graph,
             store,
             checkpoint_every,
-            since_checkpoint: 0,
+            admitted: Vec::new(),
             stats: ServerStats::default(),
             obs,
         };
@@ -171,7 +176,6 @@ impl<G: VertexAlgo> IngestCore<G> {
         }
         // The replayed tail is still in the WAL: it counts against the
         // checkpoint cadence so a crash loop cannot grow the tail forever.
-        core.since_checkpoint = tail_batches as u64;
         core.stats.wal_tail_batches = tail_batches as u64;
         core.stats.live_edges = core.graph.live_edge_count();
         Ok((
@@ -180,21 +184,16 @@ impl<G: VertexAlgo> IngestCore<G> {
         ))
     }
 
-    /// Re-apply one WAL batch during boot (no WAL append — it is already
-    /// on disk).
-    fn replay(&mut self, batch: &[GraphMutation]) -> Result<(), ServeError> {
+    /// Re-apply one WAL round during boot (no WAL append — it is already
+    /// on disk): re-stage its submissions, which coalesce to the batch the
+    /// round applied.
+    fn replay(&mut self, submitted: &[GraphMutation]) -> Result<(), ServeError> {
         self.graph
-            .stage(batch)
+            .stage(submitted)
             .map_err(|e| ServeError::WalReplay(format!("{e} (store {:?})", self.store.dir())))?;
-        // A WAL batch is already canonical for the state it was logged
-        // against, so re-coalescing it is the identity.
-        debug_assert!(
-            self.graph.staged().eq(batch.iter().copied()),
-            "WAL batch must replay verbatim"
-        );
+        self.stats.mutations += self.pending_ops() as u64;
         self.graph.apply_staged()?;
         self.stats.batches += 1;
-        self.stats.mutations += batch.len() as u64;
         Ok(())
     }
 
@@ -202,7 +201,9 @@ impl<G: VertexAlgo> IngestCore<G> {
     /// All-or-nothing: on error the log is unchanged and nothing of the
     /// submission survives.
     pub fn submit(&mut self, muts: &[GraphMutation]) -> Result<(), MutationError> {
-        self.graph.stage(muts)
+        self.graph.stage(muts)?;
+        self.admitted.extend_from_slice(muts);
+        Ok(())
     }
 
     /// Mutations the parked submissions currently coalesce to.
@@ -210,35 +211,35 @@ impl<G: VertexAlgo> IngestCore<G> {
         self.graph.staged().count()
     }
 
-    /// Apply the parked submissions as one increment: read their canonical
-    /// batch, WAL it, *then* apply, then (on cadence) a checkpoint. Returns
-    /// whether an increment actually ran — nothing parked, or a round that
-    /// coalesced to nothing, is skipped entirely. On a WAL error the
-    /// submissions stay parked and the graph unapplied.
+    /// Apply the parked submissions as one increment: WAL them, *then*
+    /// apply the canonical batch they coalesce to, then (on cadence) a
+    /// checkpoint. Returns whether an increment actually ran — nothing
+    /// parked, or a round that coalesced to nothing, is skipped entirely.
+    /// On a WAL error the submissions stay parked and the graph unapplied.
     pub fn flush(&mut self) -> Result<bool, ServeError> {
-        let batch: Vec<GraphMutation> = self.graph.staged().collect();
-        if !batch.is_empty() {
+        let n_muts = self.pending_ops() as u64;
+        // A fully annihilated round (add+delete of the same copy) leaves the
+        // log as it found it: it logs and runs nothing.
+        if n_muts > 0 {
             // The span covers serialization, the write, and the fsync — the
             // `span.wal_append_ns` histogram is the durability latency.
-            let span = self.obs.span("wal_append", self.stats.batches + 1, batch.len() as u64);
-            let wal_bytes = self.store.append_batch(&batch)?;
+            let span = self.obs.span("wal_append", self.stats.batches + 1, n_muts);
+            let wal_bytes = self.store.append_batch(&self.admitted)?;
             drop(span);
             self.obs.counter_add("wal.appends", 1);
             self.obs.counter_add("wal.bytes", wal_bytes);
         }
-        // A fully annihilated round (add+delete of the same copy) logs and
-        // runs nothing; the graph just forgets it.
+        self.admitted.clear();
         if self.graph.apply_staged()?.is_none() {
             return Ok(false);
         }
-        self.since_checkpoint += 1;
         self.stats.batches += 1;
-        self.stats.mutations += batch.len() as u64;
+        self.stats.mutations += n_muts;
         self.stats.live_edges = self.graph.live_edge_count();
-        self.stats.wal_tail_batches = self.since_checkpoint;
+        self.stats.wal_tail_batches += 1;
         self.obs.gauge_set("serve.live_edges", self.stats.live_edges as i64);
-        self.obs.gauge_set("serve.wal_tail_batches", self.since_checkpoint as i64);
-        if self.checkpoint_every > 0 && self.since_checkpoint >= self.checkpoint_every {
+        self.obs.gauge_set("serve.wal_tail_batches", self.stats.wal_tail_batches as i64);
+        if self.checkpoint_every > 0 && self.stats.wal_tail_batches >= self.checkpoint_every {
             self.checkpoint()?;
         }
         Ok(true)
@@ -249,7 +250,7 @@ impl<G: VertexAlgo> IngestCore<G> {
     /// otherwise list as live edges beside a fixpoint that never saw them.
     /// Returns the checkpoint size in bytes.
     pub fn checkpoint(&mut self) -> Result<u64, ServeError> {
-        if self.flush()? && self.since_checkpoint == 0 {
+        if self.flush()? && self.stats.wal_tail_batches == 0 {
             // That flush reached the cadence and already wrote this snapshot.
             return Ok(self.stats.last_checkpoint_bytes);
         }
@@ -262,7 +263,6 @@ impl<G: VertexAlgo> IngestCore<G> {
         obs.counter_add("checkpoint.count", 1);
         obs.counter_add("checkpoint.bytes", bytes);
         obs.gauge_set("serve.wal_tail_batches", 0);
-        self.since_checkpoint = 0;
         self.stats.checkpoints += 1;
         self.stats.wal_tail_batches = 0;
         self.stats.last_checkpoint_bytes = bytes;
@@ -945,6 +945,95 @@ mod tests {
         assert_eq!((core.sync_values(), core.graph().live_edge_count()), (values, live));
         assert_eq!((core.stats().batches, core.pending_ops()), (1, 2));
         assert_eq!(core.store.load_tail().unwrap().len(), 1, "nothing reached the log");
+    }
+
+    /// The WAL record `flush` writes for a round — its admitted
+    /// submissions in arrival order — re-staged on the log the round was
+    /// admitted against, drains to the batch the round drained (same
+    /// mutations, same copy addresses) and leaves the same live copies in
+    /// the same order. Checked on every epoch of at most five one-mutation
+    /// submissions to pair `(0, 1)` with weights 1–3 that the log admits,
+    /// over every settled list of at most three copies.
+    #[test]
+    fn a_wal_record_replays_to_the_round_it_logged() {
+        use sdgp_core::graph::{CoalescedBatch, MutationLog};
+        use GraphMutation::{AddEdge, DelEdge, UpdateWeight};
+
+        let ops: Vec<GraphMutation> = (1..=3)
+            .flat_map(|w| [AddEdge((0, 1, w)), DelEdge((0, 1, w)), UpdateWeight { u: 0, v: 1, w }])
+            .collect();
+        type Drained = (CoalescedBatch, Vec<((u32, u32, u32), u8)>);
+        fn drained(mut log: MutationLog) -> Drained {
+            let batch = log.drain();
+            (batch, log.live_labeled_edges())
+        }
+        fn same(a: &Drained, b: &Drained) -> bool {
+            a.0.muts == b.0.muts && a.0.addrs == b.0.addrs && a.1 == b.1
+        }
+        // Depth-first over the admitted epochs extending `round` on `log`.
+        fn walk(
+            base: &MutationLog,
+            log: &MutationLog,
+            round: &mut Vec<GraphMutation>,
+            ops: &[GraphMutation],
+            checked: &mut u64,
+        ) {
+            if round.len() == 5 {
+                return;
+            }
+            // A refused push leaves `next` as it was, so only an admitted
+            // one costs a fresh clone.
+            let mut next = log.clone();
+            for &m in ops {
+                if next.try_push_all(&[m]).is_err() {
+                    continue;
+                }
+                round.push(m);
+                walk(base, &next, round, ops, checked);
+                let mut replay = base.clone();
+                replay.try_push_all(round).expect("an admitted round re-stages");
+                let want = drained(std::mem::replace(&mut next, log.clone()));
+                assert!(
+                    same(&drained(replay), &want),
+                    "round {round:?} on {:?}",
+                    base.live_edges()
+                );
+                *checked += 1;
+                round.pop();
+            }
+        }
+        let mut settled: Vec<Vec<u32>> = vec![vec![]];
+        for len in 1..=3 {
+            let longer: Vec<Vec<u32>> = settled
+                .iter()
+                .filter(|ws| ws.len() == len - 1)
+                .flat_map(|ws| (1..=3).map(move |w| [ws.clone(), vec![w]].concat()))
+                .collect();
+            settled.extend(longer);
+        }
+        // The settled lists are independent: deal them out over the cores.
+        let threads = thread::available_parallelism().map_or(1, |n| n.get());
+        let checked: u64 = thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|i| {
+                    let (settled, ops) = (&settled, &ops);
+                    scope.spawn(move || {
+                        let mut checked = 0;
+                        for ws in settled.iter().skip(i).step_by(threads) {
+                            let mut base = MutationLog::new();
+                            let adds: Vec<GraphMutation> =
+                                ws.iter().map(|&w| AddEdge((0, 1, w))).collect();
+                            base.try_push_all(&adds).unwrap();
+                            base.drain();
+                            walk(&base, &base, &mut Vec::new(), ops, &mut checked);
+                        }
+                        checked
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("a worker's rounds replay")).sum()
+        });
+        assert_eq!((settled.len(), checked), (40, 1_440_522));
     }
 
     fn delta(qid: u32) -> Response {

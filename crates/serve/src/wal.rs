@@ -13,10 +13,12 @@
 //!   disk with an empty WAL — silently losing acknowledged batches.
 //! * `wal.bin` — one record per applied action, appended and synced
 //!   **before** the action runs. A record payload is a one-byte kind —
-//!   `0` = canonical mutation batch ([`encode_mutations`] body), `2` =
-//!   standing-query registration (`u32` source count, that many `u32`
-//!   sources, `u32` pattern length, pattern bytes) — length-prefixed and
-//!   followed by its FNV-1a checksum; a torn trailing record (crash
+//!   `0` = one service round's admitted submissions, concatenated in
+//!   arrival order ([`encode_mutations`] body; re-staged on the log they
+//!   were admitted against, they coalesce to the batch the round applied),
+//!   `2` = standing-query registration (`u32` source count, that many
+//!   `u32` sources, `u32` pattern length, pattern bytes) — length-prefixed
+//!   and followed by its FNV-1a checksum; a torn trailing record (crash
 //!   mid-append) is detected and dropped at load, never mistaken for data.
 //!   Any other kind — the retired single-source kind `1` included — is
 //!   refused as a corrupt record.
@@ -94,7 +96,8 @@ pub const WAL_FILE: &str = "wal.bin";
 /// One durable action in the write-ahead log, in append order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
-    /// A canonical mutation batch (applied as one `stream_increment`).
+    /// One round's admitted submissions in arrival order, applied as one
+    /// increment: the canonical batch they coalesce to.
     Batch(Vec<GraphMutation>),
     /// A standing-query registration.
     Register {
@@ -208,9 +211,9 @@ impl Store {
         Ok(out)
     }
 
-    /// Append one canonical batch to the WAL and sync it to disk. Returns
+    /// Append one round's mutations to the WAL and sync it to disk. Returns
     /// the record size in bytes, and only once the record is durable —
-    /// callers apply the batch *after*.
+    /// callers apply the round *after*.
     pub fn append_batch(&mut self, muts: &[GraphMutation]) -> io::Result<u64> {
         let mut payload = Vec::with_capacity(5 + muts.len() * 14);
         payload.push(0);

@@ -1,7 +1,8 @@
 //! `IngestCore` driven directly (no sockets): submissions are parked in the
 //! graph's own mutation log, so these pin what that move must keep —
 //! all-or-nothing refusal, the log as the only validator after a restore,
-//! and no checkpoint with parked submissions unapplied.
+//! no checkpoint with parked submissions unapplied, and a WAL replay that
+//! rebuilds the very copies a round acknowledged.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -10,7 +11,7 @@ use amcca_serve::{IngestCore, Store, WalRecord};
 use amcca_sim::ChipConfig;
 use sdgp_core::graph::GraphMutation::{self, AddEdge, DelEdge, UpdateWeight};
 use sdgp_core::rpvo::RpvoConfig;
-use sdgp_core::{BfsAlgo, StreamingGraph};
+use sdgp_core::{BfsAlgo, SsspAlgo, StreamingGraph};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -104,5 +105,52 @@ fn checkpoint_applies_parked_submissions_first() {
         assert_eq!(ck.edges, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
         let restored = ck.restore(builder()).expect("snapshot passes its own fixpoint check");
         assert_eq!(restored.sync_values(), core.sync_values());
+    }
+}
+
+/// Rounds whose drained batch, re-coalesced on the pre-round log, would
+/// address other copies than the round did: in the first the re-weight
+/// folded past the delete re-matches the delete to the patched copy, in
+/// the second the surviving copies come back in the other order. The WAL
+/// holds the round's submissions, so a reboot without a checkpoint
+/// rebuilds the acknowledged copies, order included — and a later
+/// re-weight then patches the copy it would have patched before the crash.
+#[test]
+fn replay_rebuilds_the_copies_a_round_acknowledged() {
+    let sssp = || {
+        StreamingGraph::builder(SsspAlgo::new(0))
+            .vertices(4)
+            .chip(ChipConfig::small_test())
+            .rpvo(RpvoConfig::basic(4, 2))
+    };
+    let upd = |w| UpdateWeight { u: 0, v: 1, w };
+    let rounds: [(&[u32], [GraphMutation; 3]); 2] = [
+        (&[3, 9], [upd(5), DelEdge((0, 1, 9)), upd(9)]),
+        (&[1, 1, 2], [upd(1), DelEdge((0, 1, 2)), upd(2)]),
+    ];
+    for (settled, round) in rounds {
+        let dir = tmp_dir("replay");
+        let before = {
+            let (mut core, _) = IngestCore::boot(sssp(), &dir, 0).unwrap();
+            let adds: Vec<GraphMutation> = settled.iter().map(|&w| AddEdge((0, 1, w))).collect();
+            core.submit(&adds).unwrap();
+            assert!(core.flush().unwrap());
+            for m in round {
+                core.submit(&[m]).unwrap();
+            }
+            assert!(core.flush().unwrap());
+            (core.graph().live_edges(), core.sync_values())
+        };
+        let (mut core, boot) = IngestCore::boot(sssp(), &dir, 0).unwrap();
+        assert_eq!((boot.recovered, boot.tail_batches), (false, 2));
+        let after = (core.graph().live_edges(), core.sync_values());
+        assert_eq!(after, before, "settled {settled:?}, round {round:?}");
+        // The oldest copy takes the next re-weight.
+        core.submit(&[upd(7)]).unwrap();
+        assert!(core.flush().unwrap());
+        let mut want = before.0.clone();
+        want[0].2 = 7;
+        assert_eq!(core.graph().live_edges(), want, "settled {settled:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -24,9 +24,9 @@ const PINS: &[(&str, Counts)] = &[
     ("sssp-insert-hub", [55, 124, 42, 124, 4]),
     ("query-register", [63, 79, 27, 88, 0]),
     ("sssp-lower", [65, 57, 17, 49, 0]),
-    ("sssp-raise", [72, 105, 40, 131, 0]),
-    ("sssp-delete", [156, 353, 122, 439, 0]),
-    ("sssp-mixed", [91, 176, 64, 239, 0]),
+    ("sssp-raise", [71, 98, 38, 128, 0]),
+    ("sssp-delete", [154, 351, 122, 441, 0]),
+    ("sssp-mixed", [87, 156, 57, 203, 0]),
     ("tri-ingest", [76, 213, 67, 344, 6]),
     ("tri-count", [91, 285, 115, 808, 0]),
     ("jc-ingest", [76, 213, 67, 344, 6]),

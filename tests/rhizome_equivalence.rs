@@ -20,10 +20,15 @@ fn arb_edges() -> impl Strategy<Value = Vec<StreamEdge>> {
         .prop_map(|es| es.into_iter().filter(|&(u, v, _)| u != v).collect())
 }
 
-/// A hub-heavy stream: half the edges touch vertex 0, so low thresholds
-/// reliably trigger promotion mid-stream.
+/// The largest promotion threshold [`arb_rhizome_cfg`] draws.
+const MAX_THRESHOLD: usize = 11;
+
+/// A hub-heavy stream: at least [`MAX_THRESHOLD`] extra edges touch vertex
+/// 0, so it promotes mid-stream whatever threshold is drawn (promotion fires
+/// at exactly `threshold` touches).
 fn arb_skewed_edges() -> impl Strategy<Value = Vec<StreamEdge>> {
-    (arb_edges(), prop::collection::vec((1..N, 1u32..10), 8..60)).prop_map(|(mut es, hub)| {
+    let hub = prop::collection::vec((1..N, 1u32..10), MAX_THRESHOLD..60);
+    (arb_edges(), hub).prop_map(|(mut es, hub)| {
         for (i, (v, w)) in hub.into_iter().enumerate() {
             if i % 2 == 0 {
                 es.push((0, v, w));
@@ -36,9 +41,9 @@ fn arb_skewed_edges() -> impl Strategy<Value = Vec<StreamEdge>> {
 }
 
 fn arb_rhizome_cfg() -> impl Strategy<Value = RpvoConfig> {
-    (1usize..6, 1usize..4, 2usize..12, 2usize..6).prop_map(|(cap, fanout, threshold, k)| {
-        RpvoConfig::basic(cap, fanout).with_rhizomes(threshold, k)
-    })
+    (1usize..6, 1usize..4, 2usize..MAX_THRESHOLD + 1, 2usize..6).prop_map(
+        |(cap, fanout, threshold, k)| RpvoConfig::basic(cap, fanout).with_rhizomes(threshold, k),
+    )
 }
 
 proptest! {

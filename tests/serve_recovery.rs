@@ -52,14 +52,19 @@ fn materialize(script: &[(u32, u32, u32, u8, u8)]) -> Vec<GraphMutation> {
     let mut live: Vec<StreamEdge> = Vec::new();
     for &(u, v, w, op, pick) in script {
         match op % 3 {
+            // The log deletes the oldest live copy of the named weight and
+            // re-weights the pair's oldest: in `live`, kept in arrival
+            // order, the first match.
             1 if !live.is_empty() => {
-                let e = live.remove(pick as usize % live.len());
+                let e = live[pick as usize % live.len()];
+                let oldest = live.iter().position(|&x| x == e).expect("the picked copy is live");
+                live.remove(oldest);
                 muts.push(GraphMutation::DelEdge(e));
             }
             2 if !live.is_empty() => {
-                let i = pick as usize % live.len();
-                let (lu, lv, _) = live[i];
-                live[i].2 = w;
+                let (lu, lv, _) = live[pick as usize % live.len()];
+                let oldest = live.iter().position(|&(a, b, _)| (a, b) == (lu, lv));
+                live[oldest.expect("the picked pair is live")].2 = w;
                 muts.push(GraphMutation::UpdateWeight { u: lu, v: lv, w });
             }
             _ if u != v => {

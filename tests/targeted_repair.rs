@@ -110,10 +110,10 @@ fn full_and_targeted_reach_identical_fixpoints_with_weight_updates() {
 /// An independent upper bound on the repair frontier of a delete-only
 /// batch: every invalidated vertex lies in the recall-reachable closure `R`
 /// of the deleted edges' destinations (recalls cascade only along the out-
-/// edges of invalidated vertices), every rejector is in `R` or one out-hop
-/// from it, every ledger in-neighbour is one in-hop from `R`, and the only
-/// other triggers are the batch's own insert sources. Computed over the
-/// union of pre-batch survivors and the batch's adds.
+/// edges of invalidated vertices), every log in-neighbour is one in-hop
+/// from `R`, and the only other triggers are the batch's own insert
+/// sources. Computed over the union of pre-batch survivors and the batch's
+/// adds.
 fn region_bound(pre: &[StreamEdge], batch: &[GraphMutation], n: u32) -> u64 {
     let mut edges: Vec<StreamEdge> = pre.to_vec();
     let mut seeds: Vec<u32> = Vec::new();
@@ -144,12 +144,9 @@ fn region_bound(pre: &[StreamEdge], batch: &[GraphMutation], n: u32) -> u64 {
             }
         }
     }
-    // One hop out (rejectors) and one hop in (ledger in-neighbours).
+    // One hop in (log in-neighbours).
     let mut member = in_region.clone();
     for &(a, b, _) in &edges {
-        if in_region[a as usize] {
-            member[b as usize] = true;
-        }
         if in_region[b as usize] {
             member[a as usize] = true;
         }
@@ -201,8 +198,7 @@ fn targeted_triggers_are_bounded_by_the_invalidated_region() {
         let stats = targeted.last_repair();
         assert_eq!(stats.triggers, rt.reseed_triggers);
         assert!(
-            stats.triggers
-                <= stats.invalidated + stats.rejected + stats.in_neighbors + stats.touched,
+            stats.triggers <= stats.invalidated + stats.in_neighbors + stats.touched,
             "triggers are a deduped union of the recorded frontier parts: {stats:?}"
         );
     }
