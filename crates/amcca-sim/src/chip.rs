@@ -25,12 +25,13 @@
 //! members, in ascending cell id. The band phases (route, which starts by
 //! snapshotting the routers → drain → compute → IO → publish the boundary
 //! credits) are the only cycle code. [`Chip::step`] runs them for every
-//! band in band order on the calling thread; the threaded driver runs one
-//! band per thread, band 0 on the calling one. What leaves a band — a hop into a neighbour band, the
-//! first error, the Safra token — travels as mail or in a cycle report folded
-//! at the end of the cycle, so both drivers build the same chip. The per-cell
-//! helpers below are no-ops on non-members, which is what makes skipping them
-//! invisible to every simulated statistic.
+//! band in band order on the calling thread, and so does a run of a one-band
+//! chip; a run of a multi-band chip is the threaded driver's, one band per
+//! thread, band 0 on the calling one. What leaves a band — a hop into a
+//! neighbour band, the first error, the Safra token — travels as mail or in a
+//! cycle report folded at the end of the cycle, so both drivers build the
+//! same chip. The per-cell helpers below are no-ops on non-members, which is
+//! what makes skipping them invisible to every simulated statistic.
 
 use crate::cell::Cell;
 use crate::config::ChipConfig;
@@ -135,8 +136,8 @@ pub struct Chip<P: Program> {
     pub(crate) tally: Tally,
     /// Round-robin cursor of [`Chip::io_load`] over the IO cells.
     next_io: usize,
-    /// Cycles the threaded driver ran (diagnostics for the driver switch;
-    /// deliberately not part of [`Counters`]).
+    /// Cycles the threaded driver ran (diagnostics; deliberately not part
+    /// of [`Counters`]).
     pub(crate) sharded_cycles: u64,
     /// Active-cell totals per column band, summed over all threaded cycles.
     /// Sized lazily by the threaded driver (empty until it runs).
@@ -164,20 +165,9 @@ pub(crate) struct Tally {
     pub(crate) safra: Option<SafraState>,
     /// True while a termination token is circulating.
     token_alive: bool,
-    /// Active-cell count of the most recent cycle (drives the driver
-    /// switch; not part of [`Counters`], so shard counts and driver choices
-    /// stay invisible to result comparisons).
-    pub(crate) last_active: u32,
     /// Per-cell helper invocations (diagnostics; not part of [`Counters`]).
     cell_visits: u64,
 }
-
-/// Consecutive cycles with at least / fewer than
-/// [`ChipConfig::shard_break_even`] active cells required before a run
-/// switches to the threaded driver / back to the calling thread. Hysteresis:
-/// both directions use the same window and the same measured active-cell
-/// count, so the switch cannot thrash on a workload hovering at the threshold.
-pub(crate) const ADAPT_WINDOW: u32 = 16;
 
 /// What a run waits for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,16 +176,6 @@ pub(crate) enum RunGoal {
     Quiescence,
     /// Stop when the Safra detector declares termination.
     SafraTermination,
-}
-
-/// What a run does at a cycle boundary.
-pub(crate) enum Next {
-    /// Run another cycle on the current driver.
-    Step,
-    /// Hand the run to the other driver.
-    Switch,
-    /// The goal was reached, or an error or the cycle budget ended the run.
-    Stop(Result<(), SimError>),
 }
 
 // ----------------------------------------------------------------------
@@ -870,33 +850,29 @@ impl Tally {
         self.in_network == 0 && self.queued_tasks == 0 && self.busy == 0 && self.io_pending == 0
     }
 
-    /// The one stop rule of both drivers: the Safra goal, a pending error,
-    /// quiescence (so at quiescence a pending error still wins), the cycle
-    /// budget counted from `start`, and last the driver switch.
+    /// The one stop rule of both drivers, applied before every cycle: the
+    /// Safra goal, a pending error, quiescence (so at quiescence a pending
+    /// error still wins), and the cycle budget counted from `start`. `None`
+    /// runs another cycle; `Some` ends the run with its result.
     pub(crate) fn next(
         &mut self,
         goal: RunGoal,
         start: u64,
         max_cycles: u64,
-        switch: bool,
-    ) -> Next {
+    ) -> Option<Result<(), SimError>> {
         if goal == RunGoal::SafraTermination && self.safra.as_ref().is_some_and(|s| s.terminated) {
-            return Next::Stop(Ok(()));
+            return Some(Ok(()));
         }
         if let Some(e) = self.error.take() {
-            return Next::Stop(Err(e));
+            return Some(Err(e));
         }
         if goal == RunGoal::Quiescence && self.is_quiescent() {
-            return Next::Stop(Ok(()));
+            return Some(Ok(()));
         }
         if self.cycle - start >= max_cycles {
-            return Next::Stop(Err(SimError::CycleLimitExceeded { limit: max_cycles }));
+            return Some(Err(SimError::CycleLimitExceeded { limit: max_cycles }));
         }
-        if switch {
-            Next::Switch
-        } else {
-            Next::Step
-        }
+        None
     }
 
     /// Fold one cycle's report in and end the cycle. Errors keep the
@@ -928,7 +904,6 @@ impl Tally {
                 self.activity.frames.push(r.frame.clone());
             }
         }
-        self.last_active = r.active;
         self.cycle += 1;
     }
 }
@@ -1126,46 +1101,35 @@ impl<P: Program> Chip<P> {
         self.tally.is_quiescent()
     }
 
-    /// Whether runs can use the threaded driver (more than one non-empty
+    /// Whether runs use the threaded driver (more than one non-empty
     /// column band after clamping to the mesh width).
     pub fn is_sharded(&self) -> bool {
         self.bands.len() > 1
     }
 
     /// Run to `goal` from the current cycle. A chip with one band steps on
-    /// the calling thread. With more, the run moves to the threaded driver
-    /// once [`ADAPT_WINDOW`] consecutive cycles had at least
-    /// [`ChipConfig::shard_break_even`] active cells, and back after as many
-    /// below it; at a break-even of 0 every cycle is threaded. Both drivers
-    /// run the same band phases on the same bands, so the switch changes no
-    /// result and converts nothing.
+    /// the calling thread; a chip with more runs the threaded driver from the
+    /// run's first cycle to its stop. Both drivers run the same band phases
+    /// on the same bands under the same stop rule.
     fn run(&mut self, goal: RunGoal) -> Result<u64, SimError> {
         let start = self.tally.cycle;
-        let break_even = self.cfg.shard_break_even;
-        let mut hot_streak = 0u32;
-        loop {
-            let switch = self.is_sharded() && (break_even == 0 || hot_streak >= ADAPT_WINDOW);
-            match self.tally.next(goal, start, self.cfg.max_cycles, switch) {
-                Next::Stop(r) => return r.map(|()| self.tally.cycle - start),
-                Next::Switch => {
-                    hot_streak = 0;
-                    if let Some(r) = crate::parallel::run_threaded(self, goal, start) {
-                        return r.map(|()| self.tally.cycle - start);
-                    }
+        let result = if self.is_sharded() {
+            crate::parallel::run_threaded(self, goal, start)
+        } else {
+            loop {
+                if let Some(r) = self.tally.next(goal, start, self.cfg.max_cycles) {
+                    break r;
                 }
-                Next::Step => {
-                    self.step();
-                    let hot = self.tally.last_active >= break_even;
-                    hot_streak = if hot { hot_streak + 1 } else { 0 };
-                }
+                self.step();
             }
-        }
+        };
+        result.map(|()| self.tally.cycle - start)
     }
 
     /// Run until quiescent; returns the number of cycles this run consumed.
     ///
     /// Results (cycle count, counters, object states, activity, energy) do
-    /// not depend on [`ChipConfig::shards`] or on which driver ran a cycle.
+    /// not depend on [`ChipConfig::shards`].
     pub fn run_until_quiescent(&mut self) -> Result<u64, SimError> {
         self.run(RunGoal::Quiescence)
     }
@@ -1228,7 +1192,7 @@ impl<P: Program> Chip<P> {
     /// Run until the *distributed* detector declares termination. With the
     /// token circulating, [`Self::is_quiescent`] never holds, so this is the
     /// only correct way to run a Safra-enabled chip. It takes the same driver
-    /// switch as [`Self::run_until_quiescent`].
+    /// as [`Self::run_until_quiescent`].
     pub fn run_until_terminated(&mut self) -> Result<u64, SimError> {
         assert!(self.tally.safra.is_some(), "enable_safra_termination first");
         assert!(self.tally.token_alive, "no probe running; call begin_safra_probe");
@@ -1309,9 +1273,9 @@ impl<P: Program> Chip<P> {
         }
     }
 
-    /// Cycles the threaded driver ran so far (the remainder ran on the
-    /// calling thread). Diagnostics for the driver switch — the split never
-    /// affects simulation results, only wall-clock time.
+    /// Cycles the threaded driver ran so far: every cycle a run of a
+    /// multi-band chip stepped, and none of [`Self::step`]'s. Diagnostics —
+    /// the driver never affects simulation results, only wall-clock time.
     pub fn sharded_cycles(&self) -> u64 {
         self.sharded_cycles
     }
@@ -1588,16 +1552,19 @@ mod tests {
             chip.step();
         }
         assert_eq!(chip.cell_visits(), settled, "idle cycles visit nothing");
-        // The same operon with every cycle threaded over 2 and 4 bands: the
-        // bands visit exactly the cells the one band did.
+        // The same operon threaded over 2 and 4 bands: the bands visit
+        // exactly the cells the one band did.
         for shards in [2, 4] {
-            let cfg = ChipConfig { shard_break_even: 0, ..ChipConfig::default() };
-            let mut chip = Chip::new(cfg.with_shards(shards), CounterProgram);
+            let mut chip = Chip::new(ChipConfig::default().with_shards(shards), CounterProgram);
             let addr = chip.host_alloc(dims.id_of(Coord::new(31, 31)), 0u64).unwrap();
             chip.io_load_to(0, [Operon::new(addr, 10, [5, 0])]);
             chip.run_until_quiescent().unwrap();
             assert_eq!(*chip.object(addr).unwrap(), 5);
-            assert!(chip.sharded_cycles() > 0, "shards={shards}: the threaded driver ran");
+            assert_eq!(
+                chip.sharded_cycles(),
+                chip.cycle(),
+                "shards={shards}: every cycle threaded"
+            );
             assert_eq!(chip.cell_visits(), settled, "shards={shards}");
         }
     }
@@ -1887,12 +1854,24 @@ mod tests {
         tally.cycle += 1;
     }
 
+    /// How [`band_loop_matches_the_dense_scan`] drives a chip to quiescence.
+    #[derive(Debug, Clone, Copy)]
+    enum Drive {
+        /// The dense reference, one cycle at a time.
+        Dense,
+        /// [`Chip::step`], every band on the calling thread.
+        Step,
+        /// [`Chip::run_until_quiescent`].
+        Run,
+    }
+
     #[test]
     fn band_loop_matches_the_dense_scan() {
         // Random increment / forward streams on the 8 × 8 chip with 1–2 flit
         // link buffers and 2–4 task slots, where a stale credit snapshot or a
         // missed mark would move a stall, a cycle or a load: one band, and
-        // three bands with every cycle threaded or with the driver switch.
+        // three bands run by the threaded driver or stepped by `Chip::step`
+        // on the calling thread.
         let mut rng = SplitMix64::new(26);
         for case in 0..24usize {
             let link_buffer = 1 + case % 2;
@@ -1903,12 +1882,11 @@ mod tests {
                     (a, 10 + rng.gen_range(2) as u16, b)
                 })
                 .collect();
-            let run = |shards: usize, shard_break_even: u32, dense: bool| {
+            let run = |shards: usize, drive: Drive| {
                 let cfg = ChipConfig {
                     link_buffer,
                     task_queue_cap,
                     record_activity: ActivityRecording::Counts,
-                    shard_break_even,
                     ..ChipConfig::small_test()
                 };
                 let mut chip = Chip::new(cfg.with_shards(shards), CounterProgram);
@@ -1917,24 +1895,26 @@ mod tests {
                 chip.io_load(ops.iter().map(|&(a, action, b)| {
                     Operon::new(addrs[a], action, [1 + a as u64, addrs[b].pack()])
                 }));
-                if dense {
-                    while !chip.is_quiescent() {
-                        dense_step(&mut chip);
-                        assert_eq!(chip.tally.error, None);
-                    }
-                } else {
+                if let Drive::Run = drive {
                     chip.run_until_quiescent().unwrap();
+                }
+                while !chip.is_quiescent() {
+                    match drive {
+                        Drive::Dense => dense_step(&mut chip),
+                        _ => chip.step(),
+                    }
+                    assert_eq!(chip.tally.error, None);
                 }
                 let mut objects = Vec::new();
                 chip.for_each_object(|a, &v| objects.push((a, v)));
                 let activity = chip.take_activity().counts;
                 (chip.cycle(), *chip.counters(), objects, chip.cell_loads(), activity)
             };
-            let reference = run(1, 24, true);
+            let reference = run(1, Drive::Dense);
             assert!(reference.0 > 0);
-            for (shards, break_even) in [(1, 24), (3, 0), (3, 2)] {
-                let got = run(shards, break_even, false);
-                assert_eq!(got, reference, "case {case}: shards={shards} break_even={break_even}");
+            for (shards, drive) in [(1, Drive::Run), (3, Drive::Run), (3, Drive::Step)] {
+                let got = run(shards, drive);
+                assert_eq!(got, reference, "case {case}: shards={shards} {drive:?}");
             }
         }
     }

@@ -41,21 +41,11 @@ pub struct ChipConfig {
     pub seed: u64,
     /// Number of column bands the mesh is cut into (clamped to the number of
     /// mesh columns). Each band keeps the live sets of its own cells; with
-    /// more than one, `run_until_quiescent` / `run_until_terminated` can step
-    /// one band per thread, with results **bit-identical** to one
-    /// band. Defaults to `available_parallelism()`.
+    /// more than one, `run_until_quiescent` / `run_until_terminated` step one
+    /// band per thread from a run's first cycle to its stop, with results
+    /// **bit-identical** to one band. Defaults to 1: bands are something a
+    /// caller asks for.
     pub shards: usize,
-    /// Active-cell count below which a simulated cycle does not amortize the
-    /// threaded driver's barriers ("tens of active cells"): with more than
-    /// one band, a run steps its bands on the calling thread until that many
-    /// cells were active for a window of cycles, and drops back after a
-    /// window below it. `0` threads every cycle.
-    pub shard_break_even: u32,
-}
-
-/// Default shard count: one band per available hardware thread.
-pub fn default_shards() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 impl Default for ChipConfig {
@@ -72,22 +62,18 @@ impl Default for ChipConfig {
             max_cycles: 200_000_000,
             max_alloc_retries: 4095,
             seed: 0xC0FFEE,
-            shards: default_shards(),
-            shard_break_even: 24,
+            shards: 1,
         }
     }
 }
 
 impl ChipConfig {
-    /// A small chip for unit tests: 8 × 8, a smaller arena, one band (unit
-    /// tests pin the one-band chip; shard equivalence has its own dedicated
-    /// tests).
+    /// A small chip for unit tests: 8 × 8, a smaller arena, one band.
     pub fn small_test() -> Self {
         ChipConfig {
             dims: Dims::new(8, 8),
             arena_capacity: 1 << 12,
             max_cycles: 20_000_000,
-            shards: 1,
             ..Default::default()
         }
     }
@@ -117,9 +103,7 @@ mod tests {
 
     #[test]
     fn shard_defaults() {
-        assert_eq!(ChipConfig::default().shards, default_shards());
-        assert!(default_shards() >= 1);
-        assert_eq!(ChipConfig::small_test().shards, 1, "unit tests pin the reference engine");
+        assert_eq!(ChipConfig::default().shards, 1, "bands are something a caller asks for");
         assert_eq!(ChipConfig::small_test().with_shards(0).shards, 1, "0 clamps to sequential");
         assert_eq!(ChipConfig::small_test().with_shards(4).shards, 4);
     }

@@ -23,13 +23,13 @@
 //!
 //! ## Parallel execution
 //!
-//! The mesh is cut into [`ChipConfig::shards`] contiguous column bands (the
-//! default is one per hardware thread), and every band visits only its own
-//! live cells. With more than one band, whole-run entry points step busy
-//! cycles one band per thread (band 0 on the calling thread), exchanging
-//! cross-band operons at a cycle barrier, and quiet cycles every band on the calling thread. Results
-//! are **bit-identical to one band for any shard count**. See [`shard`] and
-//! the crate's `shard_equivalence` tests.
+//! The mesh is cut into [`ChipConfig::shards`] contiguous column bands (one
+//! by default), and every band visits only its own live cells. With more
+//! than one band, the whole-run entry points step one band per thread (band
+//! 0 on the calling thread) from a run's first cycle to its stop, exchanging
+//! cross-band operons at a cycle barrier. Results are **bit-identical to one
+//! band for any shard count**. See [`shard`] and the crate's
+//! `shard_equivalence` tests.
 
 pub mod arena;
 pub mod cell;

@@ -3,12 +3,13 @@
 //!
 //! A chip's mesh is cut into the column bands of a [`crate::ShardPlan`], and
 //! every band keeps the live sets of its own cells (see the `chip` module).
-//! This driver steps band 0 on the calling thread and every other band on a
-//! `std::thread::scope` helper, in lock-step cycles, with exactly the band
-//! phases [`Chip::step`] runs. No thread only waits: `bands − 1` helpers are
-//! spawned, and the calling thread applies the stop rule between its own
-//! band's cycles. The contract is strict **bit-identity with the one-band
-//! chip** for any shard count; the determinism CI gate and
+//! A run of a chip with more than one band is this driver's from its first
+//! cycle to its stop. It steps band 0 on the calling thread and every other
+//! band on a `std::thread::scope` helper, in lock-step cycles, with exactly
+//! the band phases [`Chip::step`] runs. No thread only waits: `bands − 1`
+//! helpers are spawned, and the calling thread applies the stop rule between
+//! its own band's cycles. The contract is strict **bit-identity with the
+//! one-band chip** for any shard count; the determinism CI gate and
 //! `tests/shard_equivalence.rs` enforce it.
 //!
 //! # Why this is deterministic
@@ -55,10 +56,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use crate::cell::Cell;
-use crate::chip::{
-    frame_words, Band, Cells, Chip, CreditFrame, CycleReport, Env, Mail, Next, RunGoal,
-    ADAPT_WINDOW,
-};
+use crate::chip::{frame_words, Band, Cells, Chip, CreditFrame, CycleReport, Env, Mail, RunGoal};
 use crate::error::SimError;
 use crate::geom::MeshTable;
 use crate::program::Program;
@@ -159,11 +157,11 @@ impl<P: Program> Lane<'_, P> {
 
 /// Run `f`, poisoning the barrier before any panic unwinds past it, so no
 /// band is left spinning on a wait its panicked sibling never reaches.
-fn guarded(barrier: &SpinBarrier, f: impl FnOnce()) {
-    if let Err(panic) = catch_unwind(AssertUnwindSafe(f)) {
+fn guarded<T>(barrier: &SpinBarrier, f: impl FnOnce() -> T) -> T {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|panic| {
         barrier.poison();
-        resume_unwind(panic);
-    }
+        resume_unwind(panic)
+    })
 }
 
 /// Split the row-major cell array into one [`Rows`] view per band.
@@ -186,16 +184,14 @@ fn split_cells<'a, T>(
     out
 }
 
-/// Run the chip towards `goal` with one thread per band, until the shared
-/// stop rule stops the run (`Some`, with its result) or the measured
-/// active-cell count stays below `ChipConfig::shard_break_even` for
-/// [`ADAPT_WINDOW`] consecutive cycles (`None`: the caller steps on). Either
-/// way the helpers are released at an ordinary cycle boundary.
+/// Run the chip towards `goal` with one thread per band until the shared
+/// stop rule stops the run, and return the run's result. The helpers are
+/// released at an ordinary cycle boundary.
 pub(crate) fn run_threaded<P: Program>(
     chip: &mut Chip<P>,
     goal: RunGoal,
     start: u64,
-) -> Option<Result<(), SimError>> {
+) -> Result<(), SimError> {
     let Chip {
         cfg,
         placement,
@@ -234,9 +230,8 @@ pub(crate) fn run_threaded<P: Program>(
         band_active: 0,
     });
     let mut lane0 = lanes.next().expect("a chip has at least one band");
-    let mut result = None;
 
-    let helpers = std::thread::scope(|scope| {
+    let (result, helpers) = std::thread::scope(|scope| {
         let helpers: Vec<_> = lanes
             .map(|mut lane| {
                 let shared = &shared;
@@ -249,32 +244,22 @@ pub(crate) fn run_threaded<P: Program>(
 
         // Band 0 on the calling thread, which also folds the reports and
         // applies the stop rule between cycles.
-        guarded(&shared.barrier, || {
-            let mut cold_streak = 0u32;
-            loop {
-                let cold = cold_streak >= ADAPT_WINDOW;
-                let next = tally.next(goal, start, cfg.max_cycles, cold);
-                shared.stop.store(!matches!(next, Next::Step), Ordering::Release);
-                if let Next::Stop(r) = next {
-                    result = Some(r);
-                }
-                if !lane0.step(&shared) {
-                    break;
-                }
-                let mut rep = shared.reports[0].lock().unwrap();
-                for slot in &shared.reports[1..] {
-                    rep.merge(&mut slot.lock().unwrap());
-                }
-                tally.fold(&mut rep, cfg.record_activity);
-                *sharded_cycles += 1;
-                let cold = tally.last_active < cfg.shard_break_even;
-                cold_streak = if cold { cold_streak + 1 } else { 0 };
+        let result = guarded(&shared.barrier, || loop {
+            let verdict = tally.next(goal, start, cfg.max_cycles);
+            shared.stop.store(verdict.is_some(), Ordering::Release);
+            if !lane0.step(&shared) {
+                break verdict.expect("the lanes stop only on a stop verdict");
             }
+            let mut rep = shared.reports[0].lock().unwrap();
+            for slot in &shared.reports[1..] {
+                rep.merge(&mut slot.lock().unwrap());
+            }
+            tally.fold(&mut rep, cfg.record_activity);
+            *sharded_cycles += 1;
         });
-        helpers
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
-            .collect::<Vec<_>>()
+        let helpers: Vec<_> =
+            helpers.into_iter().map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))).collect();
+        (result, helpers)
     });
 
     // Fold the program forks back, in band order.

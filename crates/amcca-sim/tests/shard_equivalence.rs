@@ -5,11 +5,10 @@
 //!
 //! Each band visits only its own net-live / work-live cells, on either
 //! driver, so the visit count is pinned too: it is the same at every shard
-//! count. Runs at a break-even of 0 thread every cycle; runs at 4 switch
-//! between the calling thread and the workers mid-run, with nothing
-//! converted at the switch. `link_buffer ∈ {1, 2}` puts credit back-pressure
-//! — where a stale router snapshot would show — on the path. The dense
-//! reference both drivers are pinned against lives in `chip.rs`'s tests.
+//! count. A run of a multi-band chip is threaded from its first cycle to its
+//! stop. `link_buffer ∈ {1, 2}` puts credit back-pressure — where a stale
+//! router snapshot would show — on the path. The dense reference both
+//! drivers are pinned against lives in `chip.rs`'s tests.
 
 use amcca_sim::{
     ActivityRecording, Address, Chip, ChipConfig, Counters, Dims, ExecCtx, Operon, Program,
@@ -115,19 +114,7 @@ struct RunOutcome {
     cell_visits: u64,
 }
 
-/// Break-even that threads every cycle.
-const ALWAYS: u32 = 0;
-/// Low enough that hot phases of these 45-cell workloads actually cross it,
-/// so switching runs exercise both drivers.
-const SWITCHING: u32 = 4;
-
-fn build(
-    shards: usize,
-    break_even: u32,
-    link_buffer: usize,
-    queue_cap: usize,
-    seed: u64,
-) -> Chip<StressProgram> {
+fn build(shards: usize, link_buffer: usize, queue_cap: usize, seed: u64) -> Chip<StressProgram> {
     let cfg = ChipConfig {
         dims: DIMS,
         link_buffer,
@@ -135,7 +122,6 @@ fn build(
         record_activity: ActivityRecording::Counts,
         seed,
         shards,
-        shard_break_even: break_even,
         ..ChipConfig::small_test()
     };
     let mut chip = Chip::new(cfg, StressProgram);
@@ -145,21 +131,25 @@ fn build(
     chip
 }
 
+/// A multi-band run is threaded from its first cycle to its stop; a
+/// one-band run never is.
+fn assert_driver(chip: &Chip<impl Program>, shards: usize) {
+    let threaded = if shards > 1 { chip.cycle() } else { 0 };
+    assert_eq!(chip.sharded_cycles(), threaded, "shards={shards}");
+}
+
 fn run(
     shards: usize,
-    break_even: u32,
     link_buffer: usize,
     queue_cap: usize,
     seed: u64,
     ops: &[Operon],
 ) -> RunOutcome {
-    let mut chip = build(shards, break_even, link_buffer, queue_cap, seed);
+    let mut chip = build(shards, link_buffer, queue_cap, seed);
     assert_eq!(chip.is_sharded(), shards > 1, "plan engages for every tested shard count");
     chip.io_load(ops.iter().copied());
     let result = chip.run_until_quiescent();
-    if break_even == ALWAYS {
-        assert_eq!(chip.sharded_cycles() > 0, shards > 1, "every cycle threaded");
-    }
+    assert_driver(&chip, shards);
     let mut objects = Vec::new();
     chip.for_each_object(|a, &v| objects.push((a.cc, a.slot, v)));
     RunOutcome {
@@ -186,10 +176,9 @@ fn workload(seeds: &[(u16, u64, u64, u64, u8)]) -> Vec<Operon> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// One band and 2, 3 or 8 bands, every cycle threaded or switching, are
-    /// bit-identical: same cycles, counters, objects, loads, activity series
-    /// and cell visits — even under tight buffers where backpressure stalls
-    /// dominate.
+    /// One band and 2, 3 or 8 bands are bit-identical: same cycles,
+    /// counters, objects, loads, activity series and cell visits — even
+    /// under tight buffers where backpressure stalls dominate.
     #[test]
     fn sharded_runs_match_sequential(
         seeds in prop::collection::vec(
@@ -199,16 +188,11 @@ proptest! {
         chip_seed in 0u64..1000,
     ) {
         let ops = workload(&seeds);
-        let reference = run(1, SWITCHING, link_buffer, queue_cap, chip_seed, &ops);
+        let reference = run(1, link_buffer, queue_cap, chip_seed, &ops);
         prop_assert!(reference.result.is_ok());
         for shards in [2usize, 3, 8] {
-            for break_even in [ALWAYS, SWITCHING] {
-                let sharded = run(shards, break_even, link_buffer, queue_cap, chip_seed, &ops);
-                prop_assert_eq!(
-                    &reference, &sharded,
-                    "shards={} break_even={} diverged", shards, break_even
-                );
-            }
+            let sharded = run(shards, link_buffer, queue_cap, chip_seed, &ops);
+            prop_assert_eq!(&reference, &sharded, "shards={} diverged", shards);
         }
     }
 
@@ -226,17 +210,17 @@ proptest! {
             .map(|&(cc, v, ttl, h, a)| ((cc / DIMS.x) * DIMS.x + cc % 3, v, ttl, h, a))
             .collect();
         let ops = workload(&skewed);
-        let reference = run(1, ALWAYS, 4, 1 << 16, chip_seed, &ops);
+        let reference = run(1, 4, 1 << 16, chip_seed, &ops);
         prop_assert!(reference.result.is_ok());
         for shards in [2usize, 4] {
-            let sharded = run(shards, ALWAYS, 4, 1 << 16, chip_seed, &ops);
+            let sharded = run(shards, 4, 1 << 16, chip_seed, &ops);
             prop_assert_eq!(&reference, &sharded, "shards={} diverged", shards);
         }
     }
 
-    /// The distributed Safra detector behaves identically under sharding, on
-    /// either break-even: same detection cycle, same token statistics, same
-    /// results, same visits.
+    /// The distributed Safra detector behaves identically under sharding:
+    /// same detection cycle, same token statistics, same results, same
+    /// visits.
     #[test]
     fn sharded_safra_matches_sequential(
         seeds in prop::collection::vec(
@@ -244,17 +228,15 @@ proptest! {
         chip_seed in 0u64..1000,
     ) {
         let ops = workload(&seeds);
-        let outcomes: Vec<_> = [(1usize, ALWAYS), (2, ALWAYS), (3, SWITCHING), (8, ALWAYS), (8, SWITCHING)]
+        let outcomes: Vec<_> = [1usize, 2, 3, 8]
             .into_iter()
-            .map(|(shards, break_even)| {
-                let mut chip = build(shards, break_even, 4, 1 << 16, chip_seed);
+            .map(|shards| {
+                let mut chip = build(shards, 4, 1 << 16, chip_seed);
                 chip.io_load(ops.iter().copied());
                 chip.enable_safra_termination();
                 chip.begin_safra_probe();
                 chip.run_until_terminated().unwrap();
-                if break_even == ALWAYS {
-                    assert_eq!(chip.sharded_cycles() > 0, shards > 1);
-                }
+                assert_driver(&chip, shards);
                 let s = chip.safra().unwrap();
                 let mut objects = Vec::new();
                 chip.for_each_object(|a, &v| objects.push((a.cc, a.slot, v)));
@@ -280,8 +262,7 @@ proptest! {
 
 /// Errors surface identically: same variant, at the same cycle — a compute
 /// error (an operon for a dead slot) and a network one (an operon for a cell
-/// the mesh does not have), on one band and on three, on the calling thread
-/// or the workers.
+/// the mesh does not have), on one band and on three.
 #[test]
 fn sharded_error_matches_sequential() {
     let mixed = workload(&[(3, 2, 3, 99, 0), (17, 1, 2, 7, 1), (40, 1, 4, 1234, 0)]);
@@ -292,13 +273,11 @@ fn sharded_error_matches_sequential() {
         (no_cell, |e| matches!(e, SimError::BadTargetCell { .. })),
     ] {
         let mut outcomes = Vec::new();
-        for (shards, break_even) in [(1usize, ALWAYS), (3, ALWAYS), (3, SWITCHING)] {
-            let mut chip = build(shards, break_even, 4, 1 << 16, 42);
+        for shards in [1usize, 3] {
+            let mut chip = build(shards, 4, 1 << 16, 42);
             chip.io_load(mixed.iter().copied().chain([bad]));
             let err = chip.run_until_quiescent().unwrap_err();
-            if break_even == ALWAYS {
-                assert_eq!(chip.sharded_cycles() > 0, shards > 1);
-            }
+            assert_driver(&chip, shards);
             outcomes.push((err, chip.cycle()));
         }
         assert!(is_expected(&outcomes[0].0), "{:?}", outcomes[0]);
@@ -306,36 +285,29 @@ fn sharded_error_matches_sequential() {
     }
 }
 
-/// A workload too small to ever cross the break-even never pays for the
-/// threaded driver: the run completes entirely on the calling thread.
+/// A multi-band run is threaded from its first cycle to its stop — its
+/// cold warm-up and tail included, and over consecutive runs of one chip —
+/// with results bit-identical to one band.
 #[test]
-fn adaptive_small_run_stays_sequential() {
-    let ops = workload(&[(3, 2, 0, 5, 0), (11, 1, 0, 9, 0)]); // ttl 0: no fan-out
-    let reference = run(1, SWITCHING, 4, 1 << 16, 21, &ops);
-    let mut chip = build(4, SWITCHING, 4, 1 << 16, 21);
-    chip.io_load(ops.iter().copied());
-    chip.run_until_quiescent().unwrap();
-    assert_eq!(chip.sharded_cycles(), 0, "two lonely operons never amortize a barrier");
-    assert_eq!(chip.cycle(), reference.cycle);
-    assert_eq!(chip.counters(), &reference.counters);
-}
-
-/// A hot fan-out workload crosses the break-even: the run engages the
-/// threaded driver mid-run and drops back for the cold tail — with results
-/// still bit-identical to one band.
-#[test]
-fn adaptive_hot_run_engages_sharded_engine() {
+fn a_multi_band_run_is_threaded_start_to_finish() {
     let seeds: Vec<(u16, u64, u64, u64, u8)> =
         (0..24).map(|i| (i as u16 * 2 % N_CELLS as u16, 3, 7, mix(i), 0)).collect();
     let ops = workload(&seeds);
-    let reference = run(1, SWITCHING, 4, 1 << 16, 33, &ops);
-    let adaptive = run(4, SWITCHING, 4, 1 << 16, 33, &ops);
-    assert_eq!(reference, adaptive, "switching drivers must not change any result");
-    let mut chip = build(4, SWITCHING, 4, 1 << 16, 33);
-    chip.io_load(ops.iter().copied());
-    chip.run_until_quiescent().unwrap();
-    assert!(chip.sharded_cycles() > 0, "the hot phase must have run sharded");
-    assert!(chip.sharded_cycles() < chip.cycle(), "warm-up and tail ran sequentially");
+    let lonely = workload(&[(3, 2, 0, 5, 0), (11, 1, 0, 9, 0)]); // ttl 0: no fan-out
+    let [reference, threaded] = [1usize, 4].map(|shards| {
+        let mut chip = build(shards, 4, 1 << 16, 33);
+        let mut runs = Vec::new();
+        for batch in [&ops, &lonely] {
+            chip.io_load(batch.iter().copied());
+            runs.push(chip.run_until_quiescent().unwrap());
+            assert_driver(&chip, shards);
+        }
+        let mut objects = Vec::new();
+        chip.for_each_object(|a, &v| objects.push((a.cc, a.slot, v)));
+        (runs, *chip.counters(), objects, chip.activity().counts.clone(), chip.cell_visits())
+    });
+    assert!(threaded.0.iter().all(|&cycles| cycles > 0));
+    assert_eq!(reference, threaded, "the threaded driver must not change any result");
 }
 
 /// A hot column stays with the band that owns it: thirty fan-out seeds in
@@ -346,11 +318,11 @@ fn hot_column_is_computed_by_its_own_band() {
     let seeds: Vec<(u16, u64, u64, u64, u8)> =
         (0..30).map(|i| ((i % 5) * DIMS.x, 3, 2, mix(i as u64), 0)).collect();
     let ops = workload(&seeds);
-    let reference = run(1, ALWAYS, 4, 1 << 16, 33, &ops);
-    let mut chip = build(3, ALWAYS, 4, 1 << 16, 33);
+    let reference = run(1, 4, 1 << 16, 33, &ops);
+    let mut chip = build(3, 4, 1 << 16, 33);
     chip.io_load(ops.iter().copied());
     chip.run_until_quiescent().unwrap();
-    assert_eq!(chip.sharded_cycles(), chip.cycle(), "every cycle threaded");
+    assert_driver(&chip, 3);
     assert_eq!(chip.cycle(), reference.cycle);
     assert_eq!(chip.counters(), &reference.counters);
     let mut objects = Vec::new();
@@ -368,11 +340,11 @@ fn sharded_frames_match_sequential() {
     let ops = workload(&[(1, 3, 4, 5, 0), (20, 2, 3, 11, 1), (44, 1, 4, 23, 0)]);
     let mut frames = Vec::new();
     for shards in [1usize, 4] {
-        let mut chip = build(shards, ALWAYS, 4, 1 << 16, 7);
+        let mut chip = build(shards, 4, 1 << 16, 7);
         chip.set_activity_recording(ActivityRecording::Frames { stride: 2 });
         chip.io_load(ops.iter().copied());
         chip.run_until_quiescent().unwrap();
-        assert_eq!(chip.sharded_cycles() > 0, shards > 1);
+        assert_driver(&chip, shards);
         frames.push((chip.activity().counts.clone(), chip.activity().frames.clone()));
     }
     assert!(!frames[0].1.is_empty(), "frames were recorded");
@@ -390,12 +362,7 @@ fn a_panic_in_any_band_reaches_the_caller() {
             let (done, finished) = mpsc::channel::<()>();
             let run = std::thread::spawn(move || {
                 let _done = done; // dropped when the run returns or unwinds
-                let cfg = ChipConfig {
-                    dims: DIMS,
-                    shards,
-                    shard_break_even: ALWAYS,
-                    ..ChipConfig::small_test()
-                };
+                let cfg = ChipConfig { dims: DIMS, shards, ..ChipConfig::small_test() };
                 let mut chip = Chip::new(cfg, PanicAt { cc });
                 for cell in 0..N_CELLS as u16 {
                     chip.host_alloc(cell, 0).unwrap();

@@ -12,8 +12,8 @@
 //!   --zero-indexed     ids start at 0 (default: 1-indexed, GraphChallenge)
 //!   --symmetrize       insert both directions of every edge (needed for cc)
 //!   --chip WxH         mesh size (default 32x32)
-//!   --shards N         parallel execution shards (default: one per hardware
-//!                      thread; results are identical for any N)
+//!   --shards N         column bands, one thread each (default 1; results
+//!                      are identical for any N)
 //!   --edge-cap N       RPVO inline edge capacity (default 16)
 //!   --ghosts N         RPVO ghost fanout (default 2)
 //!   --random-alloc     Random ghost placement instead of Vicinity
@@ -61,7 +61,7 @@ fn parse_args() -> Args {
         one_indexed: true,
         symmetrize: false,
         dims: Dims::new(32, 32),
-        shards: amcca_sim::config::default_shards(),
+        shards: 1,
         edge_cap: 16,
         ghosts: 2,
         random_alloc: false,

@@ -10,8 +10,8 @@
 //!   a mergeable, wire-codable [`registry::MetricsSnapshot`] with
 //!   p50/p90/p99/p999 extraction.
 //! * [`trace::Obs`] — the handle the stack threads around: span tracing of
-//!   the batch lifecycle (submit → admission → validate → WAL append+fsync
-//!   → structural → repair → query repair → ack) as JSON-lines events,
+//!   the batch lifecycle (submit → admission → validate → structural →
+//!   repair → WAL append+fsync → ack) as JSON-lines events,
 //!   behind a cheap enabled-check so the disabled path is a no-op.
 //! * [`json`] — a tiny JSON reader/writer used by the trace checker and
 //!   tests.

@@ -24,10 +24,11 @@
 //!   pushed deltas alike — from the connection's outbox. Admitted
 //!   submissions are validated against and parked in the graph's own
 //!   [`sdgp_core::MutationLog`] (there is no separate coalescing stage),
-//!   and each service round appends them to the WAL, then applies the
-//!   canonical batch they coalesce to as one increment. A checkpoint
-//!   applies parked submissions first. Every `Submitted` acknowledgement is
-//!   sent *after* the increment that contains the batch converged.
+//!   and each service round applies the canonical batch they coalesce to as
+//!   one increment, then appends them to the WAL. A checkpoint applies
+//!   parked submissions first. Every `Submitted` acknowledgement is sent
+//!   *after* the increment that contains the batch converged and its WAL
+//!   record is durable.
 //! * [`client`] — a small blocking client used by the workload drivers and
 //!   the smoke tests.
 //!

@@ -8,11 +8,12 @@
 //! against the graph's own mutation log ([`StreamingGraph::stage`]) and
 //! parked there, so one that names a missing live copy is refused at submit
 //! time with the exact validation error instead of poisoning the fabric
-//! mid-increment. [`IngestCore::flush`] appends the round's admitted
-//! submissions, in arrival order, to the write-ahead log and syncs, and
-//! only then applies the canonical batch they coalesce to — a failed append
-//! leaves the graph unapplied. [`IngestCore::checkpoint`] applies parked
-//! submissions first.
+//! mid-increment. [`IngestCore::flush`] applies the canonical batch the
+//! round's submissions coalesce to, then appends the submissions, in
+//! arrival order, to the write-ahead log and syncs; the round is
+//! acknowledged after both. A round that fails to apply is never logged, so
+//! no boot replays it into the same failure. [`IngestCore::checkpoint`]
+//! applies parked submissions first.
 //!
 //! ## Recovery
 //!
@@ -211,28 +212,25 @@ impl<G: VertexAlgo> IngestCore<G> {
         self.graph.staged().count()
     }
 
-    /// Apply the parked submissions as one increment: WAL them, *then*
-    /// apply the canonical batch they coalesce to, then (on cadence) a
-    /// checkpoint. Returns whether an increment actually ran — nothing
-    /// parked, or a round that coalesced to nothing, is skipped entirely.
-    /// On a WAL error the submissions stay parked and the graph unapplied.
+    /// Apply the parked submissions as one increment, *then* WAL them, then
+    /// (on cadence) a checkpoint. Returns whether an increment ran —
+    /// nothing parked, or a round that coalesced to nothing, logs and runs
+    /// nothing. A round that fails to apply is never logged; after a WAL
+    /// error the graph is ahead of the log and the caller must stop (the
+    /// server does), so a boot recovers exactly the earlier rounds.
     pub fn flush(&mut self) -> Result<bool, ServeError> {
         let n_muts = self.pending_ops() as u64;
-        // A fully annihilated round (add+delete of the same copy) leaves the
-        // log as it found it: it logs and runs nothing.
-        if n_muts > 0 {
-            // The span covers serialization, the write, and the fsync — the
-            // `span.wal_append_ns` histogram is the durability latency.
-            let span = self.obs.span("wal_append", self.stats.batches + 1, n_muts);
-            let wal_bytes = self.store.append_batch(&self.admitted)?;
-            drop(span);
-            self.obs.counter_add("wal.appends", 1);
-            self.obs.counter_add("wal.bytes", wal_bytes);
-        }
-        self.admitted.clear();
+        let admitted = std::mem::take(&mut self.admitted);
         if self.graph.apply_staged()?.is_none() {
             return Ok(false);
         }
+        // The span covers serialization, the write, and the fsync — the
+        // `span.wal_append_ns` histogram is the durability latency.
+        let span = self.obs.span("wal_append", self.stats.batches + 1, n_muts);
+        let wal_bytes = self.store.append_batch(&admitted)?;
+        drop(span);
+        self.obs.counter_add("wal.appends", 1);
+        self.obs.counter_add("wal.bytes", wal_bytes);
         self.stats.batches += 1;
         self.stats.mutations += n_muts;
         self.stats.live_edges = self.graph.live_edge_count();
@@ -275,9 +273,10 @@ impl<G: VertexAlgo> IngestCore<G> {
         self.graph.sync_values()
     }
 
-    /// Register a standing path query, durably: the WAL record is synced
-    /// *before* the graph registration runs, so a crash at any point either
-    /// recovers the query or never acknowledged it. Returns the query id.
+    /// Register a standing path query on the graph, *then* WAL it, so a
+    /// refused query never reaches the log and an acknowledged one is
+    /// recovered. A WAL error leaves the graph ahead of the log, as in
+    /// [`Self::flush`]. Returns the query id.
     pub fn register_query(&mut self, pattern: &str, source: u32) -> Result<u32, ServeError> {
         self.register_query_multi(pattern, &[source])
     }
@@ -291,23 +290,11 @@ impl<G: VertexAlgo> IngestCore<G> {
         pattern: &str,
         sources: &[u32],
     ) -> Result<u32, ServeError> {
-        // Validate first so a bad pattern or source list never hits the WAL.
-        sdgp_core::query::compile(pattern).map_err(ServeError::Query)?;
-        if sources.is_empty() {
-            return Err(ServeError::Query(sdgp_core::query::QueryError::NoSources));
-        }
-        for &source in sources {
-            if source >= self.graph.n_vertices() {
-                return Err(ServeError::Query(sdgp_core::query::QueryError::SourceOutOfRange {
-                    source,
-                    n: self.graph.n_vertices(),
-                }));
-            }
-        }
+        let qid = self.graph.register_query_multi(pattern, sources).map_err(ServeError::Query)?;
         let wal_bytes = self.store.append_register(pattern, sources)?;
         self.obs.counter_add("wal.appends", 1);
         self.obs.counter_add("wal.bytes", wal_bytes);
-        self.graph.register_query_multi(pattern, sources).map_err(ServeError::Query)
+        Ok(qid)
     }
 
     /// Drain the result-set deltas of the most recent increment (see
@@ -492,6 +479,20 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(admission: AdmissionConfig, obs: Obs) -> Shared {
+        Shared {
+            admission: Mutex::new(Admission::new(admission)),
+            queue_depth: AtomicUsize::new(0),
+            rejected: AtomicU64::new(0),
+            next_client: AtomicU32::new(1),
+            submit_seq: AtomicU64::new(0),
+            stop: AtomicBool::new(false),
+            epoch: Instant::now(),
+            obs,
+            conns: Mutex::new(HashMap::new()),
+        }
+    }
+
     fn now_micros(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
@@ -526,17 +527,7 @@ impl Server {
         listener: TcpListener,
     ) -> io::Result<Server> {
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            admission: Mutex::new(Admission::new(cfg.admission)),
-            queue_depth: AtomicUsize::new(0),
-            rejected: AtomicU64::new(0),
-            next_client: AtomicU32::new(1),
-            submit_seq: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-            epoch: Instant::now(),
-            obs: core.obs().clone(),
-            conns: Mutex::new(HashMap::new()),
-        });
+        let shared = Arc::new(Shared::new(cfg.admission, core.obs().clone()));
         let (tx, rx) = mpsc::channel::<Cmd>();
 
         let ingest_shared = Arc::clone(&shared);
@@ -667,9 +658,10 @@ fn ingest_loop<G: VertexAlgo>(
                     }
                 }
                 Err(e) => {
-                    // Durability or fabric failure: the acknowledged state
-                    // on disk is still consistent, but this process must
-                    // not keep accepting work.
+                    // Fabric or durability failure: the acknowledged state
+                    // on disk is still consistent, but the graph may be
+                    // ahead of it, so this process must not keep accepting
+                    // work.
                     let msg = format!("ingest failed: {e}");
                     for out in acks {
                         out.push(Response::Err(msg.clone()));
@@ -745,7 +737,12 @@ fn control<G: VertexAlgo>(core: &mut IngestCore<G>, shared: &Shared, cmd: Cmd) -
         Request::RegisterQueryMulti { pattern, sources } => {
             match core.register_query_multi(&pattern, &sources) {
                 Ok(qid) => Response::QueryId { qid },
-                Err(e) => Response::Err(e.to_string()),
+                Err(e @ ServeError::Query(_)) => Response::Err(e.to_string()),
+                Err(e) => {
+                    // A failed append leaves the graph ahead of the log.
+                    flow = Flow::Stop { crashed: true };
+                    Response::Err(e.to_string())
+                }
             }
         }
         Request::QueryResults { qid } => Response::Matches(core.query_results(qid)),
@@ -924,27 +921,71 @@ fn writer_loop(mut sock: TcpStream, out: &Outbox) {
 mod tests {
     use super::*;
 
-    /// WAL-before-apply: when the append fails, `flush` reports it and the
-    /// graph has applied nothing — the submission is still only parked.
-    #[test]
-    fn wal_failure_leaves_the_graph_unapplied() {
-        let dir = std::env::temp_dir().join(format!("amcca-serve-walfail-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let builder = StreamingGraph::builder(sdgp_core::BfsAlgo::new(0))
+    fn builder() -> GraphBuilder<sdgp_core::BfsAlgo> {
+        StreamingGraph::builder(sdgp_core::BfsAlgo::new(0))
             .vertices(8)
-            .chip(amcca_sim::ChipConfig::small_test());
-        let (mut core, _) = IngestCore::boot(builder, &dir, 0).unwrap();
+            .chip(amcca_sim::ChipConfig::small_test())
+    }
+
+    fn tmp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("amcca-serve-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Apply, then log: when the append fails, `flush` reports it and the
+    /// round is not durable — a boot of the same store recovers exactly the
+    /// earlier round's fixpoint and live edges, and nothing of the failed
+    /// one.
+    #[test]
+    fn a_failed_append_is_never_recovered() {
+        let dir = tmp_dir("walfail");
+        let (mut core, _) = IngestCore::boot(builder(), &dir, 0).unwrap();
         core.submit(&[GraphMutation::AddEdge((0, 1, 1))]).unwrap();
         core.flush().unwrap();
-        let (values, live) = (core.sync_values(), core.graph().live_edge_count());
+        let values = core.sync_values();
+        let live = core.graph().live_labeled_edges();
 
         core.store.break_wal();
         core.submit(&[GraphMutation::AddEdge((1, 2, 1)), GraphMutation::DelEdge((0, 1, 1))])
             .unwrap();
         assert!(matches!(core.flush(), Err(ServeError::Io(_))));
-        assert_eq!((core.sync_values(), core.graph().live_edge_count()), (values, live));
-        assert_eq!((core.stats().batches, core.pending_ops()), (1, 2));
+        assert_eq!(core.stats().batches, 1, "the failed round is not counted");
         assert_eq!(core.store.load_tail().unwrap().len(), 1, "nothing reached the log");
+        drop(core);
+
+        let (core, report) = IngestCore::boot(builder(), &dir, 0).unwrap();
+        assert_eq!(report.tail_batches, 1);
+        assert_eq!(core.sync_values(), values);
+        assert_eq!(core.graph().live_labeled_edges(), live);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A registration whose WAL append fails answers `Err` and stops the
+    /// server as crashed; a refused pattern answers `Err` and keeps it
+    /// serving.
+    #[test]
+    fn a_failed_registration_append_stops_the_server() {
+        let dir = tmp_dir("regfail");
+        let (mut core, _) = IngestCore::boot(builder(), &dir, 0).unwrap();
+        let shared = Shared::new(AdmissionConfig::default(), core.obs().clone());
+        let register = |core: &mut IngestCore<_>, pattern: &str| {
+            let out = Arc::new(Outbox::default());
+            let req = Request::RegisterQueryMulti { pattern: pattern.into(), sources: vec![0] };
+            let flow = control(core, &shared, Cmd { client_id: 1, req, out: Arc::clone(&out) });
+            out.close();
+            (flow, out.pop())
+        };
+        let (flow, resp) = register(&mut core, "a(");
+        assert!(matches!(flow, Flow::Continue), "a refused pattern keeps serving");
+        assert!(matches!(resp, Some(Response::Err(_))), "{resp:?}");
+
+        core.store.break_wal();
+        let (flow, resp) = register(&mut core, "a*");
+        assert!(matches!(flow, Flow::Stop { crashed: true }));
+        assert!(matches!(resp, Some(Response::Err(_))), "{resp:?}");
+        assert!(core.store.load_tail().unwrap().is_empty(), "nothing reached the log");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The WAL record `flush` writes for a round — its admitted

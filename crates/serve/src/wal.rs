@@ -12,7 +12,9 @@
 //!   rename but after the truncate would leave the *old* checkpoint on
 //!   disk with an empty WAL — silently losing acknowledged batches.
 //! * `wal.bin` — one record per applied action, appended and synced
-//!   **before** the action runs. A record payload is a one-byte kind —
+//!   **after** the action applied and before it is acknowledged, so an
+//!   action that fails to apply never reaches the log and no boot replays
+//!   it into the same failure. A record payload is a one-byte kind —
 //!   `0` = one service round's admitted submissions, concatenated in
 //!   arrival order ([`encode_mutations`] body; re-staged on the log they
 //!   were admitted against, they coalesce to the batch the round applied),
@@ -213,7 +215,7 @@ impl Store {
 
     /// Append one round's mutations to the WAL and sync it to disk. Returns
     /// the record size in bytes, and only once the record is durable —
-    /// callers apply the round *after*.
+    /// callers apply the round *before* and acknowledge it *after*.
     pub fn append_batch(&mut self, muts: &[GraphMutation]) -> io::Result<u64> {
         let mut payload = Vec::with_capacity(5 + muts.len() * 14);
         payload.push(0);
@@ -223,7 +225,7 @@ impl Store {
 
     /// Append one standing-query registration to the WAL and sync it.
     /// Returns the record size in bytes, and only once the record is
-    /// durable — callers register *after*.
+    /// durable — callers register *before* and acknowledge it *after*.
     pub fn append_register(&mut self, pattern: &str, sources: &[u32]) -> io::Result<u64> {
         let mut payload = Vec::with_capacity(9 + sources.len() * 4 + pattern.len());
         payload.push(2);

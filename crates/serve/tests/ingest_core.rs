@@ -1,14 +1,15 @@
 //! `IngestCore` driven directly (no sockets): submissions are parked in the
 //! graph's own mutation log, so these pin what that move must keep —
 //! all-or-nothing refusal, the log as the only validator after a restore,
-//! no checkpoint with parked submissions unapplied, and a WAL replay that
-//! rebuilds the very copies a round acknowledged.
+//! no checkpoint with parked submissions unapplied, a WAL replay that
+//! rebuilds the very copies a round acknowledged, and no round logged that
+//! failed to apply.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use amcca_serve::{IngestCore, Store, WalRecord};
-use amcca_sim::ChipConfig;
+use amcca_serve::{IngestCore, ServeError, Store, WalRecord};
+use amcca_sim::{ChipConfig, SimError};
 use sdgp_core::graph::GraphMutation::{self, AddEdge, DelEdge, UpdateWeight};
 use sdgp_core::rpvo::RpvoConfig;
 use sdgp_core::{BfsAlgo, SsspAlgo, StreamingGraph};
@@ -153,4 +154,39 @@ fn replay_rebuilds_the_copies_a_round_acknowledged() {
         assert_eq!(core.graph().live_edges(), want, "settled {settled:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A round that cannot apply is never logged, so it cannot make every later
+/// boot fail: after an out-of-memory flush the store still boots, to exactly
+/// the acknowledged round before it.
+#[test]
+fn a_round_that_fails_to_apply_never_reaches_the_log() {
+    let dir = tmp_dir("oom");
+    let tiny = || {
+        StreamingGraph::builder(BfsAlgo::new(0))
+            .vertices(8)
+            .chip(ChipConfig {
+                arena_capacity: 2,
+                max_alloc_retries: 4,
+                ..ChipConfig::small_test()
+            })
+            .rpvo(RpvoConfig::basic(2, 2))
+    };
+    let (mut core, _) = IngestCore::boot(tiny(), &dir, 0).unwrap();
+    let first = [AddEdge((0, 1, 1))];
+    core.submit(&first).unwrap();
+    assert!(core.flush().unwrap());
+    let values = core.sync_values();
+
+    let hub: Vec<GraphMutation> = (0..400).map(|i| AddEdge((0, 1 + i % 7, 1 + i / 7))).collect();
+    core.submit(&hub).unwrap();
+    let err = core.flush().unwrap_err();
+    assert!(matches!(err, ServeError::Sim(SimError::OutOfMemory { .. })), "{err}");
+    drop(core);
+
+    let (core, report) = IngestCore::boot(tiny(), &dir, 0).unwrap();
+    assert_eq!(report.tail_batches, 1);
+    assert_eq!(core.sync_values(), values);
+    assert_eq!(core.graph().live_edges(), [(0, 1, 1)]);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -39,7 +39,7 @@ const N: u32 = 16;
 const WHEEL: u32 = 12;
 
 fn chip(shards: usize) -> ChipConfig {
-    ChipConfig { shard_break_even: 0, ..ChipConfig::small_test() }.with_shards(shards)
+    ChipConfig::small_test().with_shards(shards)
 }
 
 /// Two edges per object, and any vertex past 4 streamed edges becomes a

@@ -8,9 +8,9 @@ use amcca::prelude::*;
 /// Vertex count (three hubs plus their fans).
 const N: u32 = 24;
 
-/// Chip for direct runs: with more than one band, every cycle threaded.
+/// Chip for direct runs: with more than one band, every run threaded.
 fn chip(shards: usize) -> ChipConfig {
-    ChipConfig { shard_break_even: 0, ..ChipConfig::small_test() }.with_shards(shards)
+    ChipConfig::small_test().with_shards(shards)
 }
 
 /// Column-skewed churn: hubs 0, 8, and 16 all share mesh column 0 under
@@ -38,8 +38,9 @@ fn run(shards: usize) -> (Vec<u64>, Vec<u64>) {
         .build()
         .unwrap();
     let cycles = skewed_batches().iter().map(|b| g.stream_increment(b).unwrap().cycles).collect();
-    let threaded = g.device().chip().sharded_cycles();
-    assert_eq!(threaded > 0, shards > 1, "shards={shards}: threaded cycles {threaded}");
+    let chip = g.device().chip();
+    let threaded = if shards > 1 { chip.cycle() } else { 0 };
+    assert_eq!(chip.sharded_cycles(), threaded, "shards={shards}: every cycle threaded");
     (g.states(), cycles)
 }
 
