@@ -8,7 +8,12 @@
 
 /// A global address in the PGAS formed by all compute-cell memories:
 /// `(compute cell, slot within that cell's object arena)`.
+///
+/// Packed to 6 bytes at 2-byte alignment, so an edge record holding one is
+/// 16 bytes rather than 20. The fields are read by value; a reference to
+/// `slot` would be unaligned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[repr(C, packed(2))]
 pub struct Address {
     /// Compute-cell id (row-major).
     pub cc: u16,
@@ -37,7 +42,8 @@ impl Address {
 
 impl std::fmt::Display for Address {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "cc{}#{}", self.cc, self.slot)
+        let (cc, slot) = (self.cc, self.slot);
+        write!(f, "cc{cc}#{slot}")
     }
 }
 
@@ -69,6 +75,7 @@ impl Operon {
 
 // One operon must fit a single 256-bit flit (paper §4).
 const _: () = assert!(std::mem::size_of::<Operon>() <= 32);
+const _: () = assert!(std::mem::size_of::<Address>() == 6);
 
 #[cfg(test)]
 mod tests {

@@ -195,7 +195,7 @@ mod tests {
         r.push(PORT_LOCAL, op(1), OUT_EJECT);
         r.push(PORT_NORTH, op(2), OUT_EJECT);
         assert_eq!(r.total(), 2);
-        assert_eq!(r.pop(PORT_LOCAL).target.slot, 1);
+        assert_eq!(r.pop(PORT_LOCAL).target, Address::new(0, 1));
         assert_eq!(r.total(), 1);
     }
 

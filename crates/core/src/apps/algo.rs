@@ -136,7 +136,7 @@ impl Scratch {
         self.edges.clear();
         self.edges.extend_from_slice(&obj.edges);
         self.peers.clear();
-        self.peers.extend_from_slice(&obj.peers);
+        self.peers.extend_from_slice(obj.peers());
         self.ghosts.clear();
         for g in obj.ghosts.iter_mut() {
             match g {
@@ -370,7 +370,7 @@ impl<G: VertexAlgo> GraphApp<G> {
                 Outcome::Inserted(notify)
             } else {
                 // Edge list full: send the edge to a ghost (Listing 6 else-branch).
-                let slot = obj.pick_ghost_slot();
+                let slot = obj.pick_ghost_slot(self.rcfg.ghost_fanout);
                 let waiter = PendingOperon { action: ACT_INSERT, payload: op.payload };
                 match &mut obj.ghosts[slot] {
                     g @ FutureLco::Null => {
@@ -712,10 +712,9 @@ impl<G: VertexAlgo> GraphApp<G> {
             ctx.fail(SimError::BadAddress { addr: op.target, action: ACT_QUERY });
             return;
         };
-        if obj.qbits.iter().all(|&b| b == 0) {
+        if !obj.clear_qbits() {
             return;
         }
-        obj.qbits.clear();
         self.invalidated.push(obj.vid);
         self.scratch.load(obj, Some(PendingOperon { action: ACT_QUERY, payload: op.payload }));
         ctx.charge(ctx.cost().frontier_mark);
@@ -754,7 +753,7 @@ impl<G: VertexAlgo> App for GraphApp<G> {
 
     fn construct(&mut self, req: &AllocRequest) -> Self::Object {
         let vid = req.tag as u32;
-        VertexObj::ghost(vid, self.algo.ghost_state(vid), self.rcfg.ghost_fanout)
+        VertexObj::ghost(vid, self.algo.ghost_state(vid))
     }
 
     fn fulfill(
@@ -870,7 +869,7 @@ fn query_clear_operon(target: Address) -> Operon {
 }
 
 /// Copy `obj`'s non-empty query bitsets, as `(qid, bits)`, into `out`.
-fn load_qbits<S>(obj: &VertexObj<S>, n_queries: usize, out: &mut Vec<(u32, u32)>) {
+pub(crate) fn load_qbits<S>(obj: &VertexObj<S>, n_queries: usize, out: &mut Vec<(u32, u32)>) {
     out.clear();
     out.extend((0..n_queries as u32).map(|q| (q, obj.qbits_get(q))).filter(|&(_, b)| b != 0));
 }
@@ -964,7 +963,7 @@ mod tests {
     #[test]
     fn edges_within_capacity_stay_in_root() {
         let mut c = chip(RpvoConfig::basic(8, 2));
-        let root = c.host_alloc(20, VertexObj::root(0, (), 2)).unwrap();
+        let root = c.host_alloc(20, VertexObj::root(0, ())).unwrap();
         stream_edges(&mut c, root, 8);
         let obj = c.object(root).unwrap();
         assert_eq!(obj.edges.len(), 8);
@@ -975,7 +974,7 @@ mod tests {
     #[test]
     fn overflow_spills_to_ghosts_without_losing_edges() {
         let mut c = chip(RpvoConfig::basic(4, 2));
-        let root = c.host_alloc(20, VertexObj::root(0, (), 2)).unwrap();
+        let root = c.host_alloc(20, VertexObj::root(0, ())).unwrap();
         let n = 50;
         stream_edges(&mut c, root, n);
         let mut ws: Vec<u32> =
@@ -994,7 +993,7 @@ mod tests {
     fn ghosts_obey_vicinity_placement() {
         let mut c = chip(RpvoConfig::basic(2, 2));
         let root_cc = 36u16; // interior cell of the 8x8 mesh
-        let root = c.host_alloc(root_cc, VertexObj::root(0, (), 2)).unwrap();
+        let root = c.host_alloc(root_cc, VertexObj::root(0, ())).unwrap();
         stream_edges(&mut c, root, 30);
         let dims = c.cfg().dims;
         // Every parent->ghost link must span at most 2 hops.
@@ -1008,7 +1007,7 @@ mod tests {
     #[test]
     fn ghost_fanout_spreads_spill_subtrees() {
         let mut c = chip(RpvoConfig::basic(2, 2));
-        let root = c.host_alloc(10, VertexObj::root(0, (), 2)).unwrap();
+        let root = c.host_alloc(10, VertexObj::root(0, ())).unwrap();
         stream_edges(&mut c, root, 40);
         let obj = c.object(root).unwrap();
         assert_eq!(obj.ready_ghosts().count(), 2, "both ghost slots engaged");
@@ -1017,7 +1016,7 @@ mod tests {
     #[test]
     fn rpvo_depth_grows_logarithmically_with_fanout_two() {
         let mut c = chip(RpvoConfig::basic(2, 2));
-        let root = c.host_alloc(10, VertexObj::root(0, (), 2)).unwrap();
+        let root = c.host_alloc(10, VertexObj::root(0, ())).unwrap();
         stream_edges(&mut c, root, 62); // 31 objects needed
         let d = walk::depth(root, |a| c.object(a));
         // A balanced binary spill tree of 31 nodes has depth 5; allow slack
@@ -1029,7 +1028,7 @@ mod tests {
     fn deterministic_ingestion() {
         let run = || {
             let mut c = chip(RpvoConfig::basic(4, 2));
-            let root = c.host_alloc(20, VertexObj::root(0, (), 2)).unwrap();
+            let root = c.host_alloc(20, VertexObj::root(0, ())).unwrap();
             stream_edges(&mut c, root, 40);
             (c.cycle(), *c.counters())
         };

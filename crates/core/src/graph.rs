@@ -204,6 +204,9 @@ pub struct StreamingGraph<G: VertexAlgo> {
     chip_marks: (u64, u64),
     /// The log's `pair_visits` as of the previous obs flush.
     pair_mark: u64,
+    /// Objects visited and edge destinations rewritten by demotion's
+    /// whole-fabric patch pass since the previous obs flush.
+    demote_pass: (u64, u64),
 }
 
 /// Builder for [`StreamingGraph`]: owns the chip shape, RPVO shape, and
@@ -268,7 +271,6 @@ impl<G: VertexAlgo> GraphBuilder<G> {
     pub fn build(self) -> Result<StreamingGraph<G>, SimError> {
         let GraphBuilder { algo, n_vertices, chip: cfg, rpvo: rcfg, repair, obs } = self;
         let dims = cfg.dims;
-        let fanout = rcfg.ghost_fanout;
         let mut dev = Device::new(cfg, GraphApp::new(algo, rcfg, true));
         dev.register_action_at(ACT_INSERT, "insert-edge-action");
         dev.register_action_at(ACT_RELAX, G::NAME);
@@ -281,7 +283,7 @@ impl<G: VertexAlgo> GraphBuilder<G> {
         for vid in 0..n_vertices {
             let cc = root_cell(vid, dims);
             let state = dev.app().algo.root_state(vid);
-            addrs.push(dev.host_alloc(cc, VertexObj::root(vid, state, fanout))?);
+            addrs.push(dev.host_alloc(cc, VertexObj::root(vid, state))?);
         }
         Ok(StreamingGraph {
             dev,
@@ -298,6 +300,7 @@ impl<G: VertexAlgo> GraphBuilder<G> {
             seq: 0,
             chip_marks: (0, 0),
             pair_mark: 0,
+            demote_pass: (0, 0),
         })
     }
 }

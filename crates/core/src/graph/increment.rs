@@ -12,7 +12,7 @@ use super::{
     sort_dedup, CoalescedBatch, GraphMutation, RepairMode, RepairStats, StreamEdge, StreamingGraph,
 };
 use crate::apps::algo::{
-    delete_operon, insert_operon, update_weight_operon, VertexAlgo, ACT_RESEED,
+    delete_operon, insert_operon, load_qbits, update_weight_operon, VertexAlgo, ACT_RESEED,
 };
 use crate::rpvo::rhizome::peer_sets;
 use crate::rpvo::{walk, Edge, VertexObj};
@@ -111,22 +111,25 @@ impl<G: VertexAlgo> StreamingGraph<G> {
         let k = self.rcfg.rhizome_roots;
         let primary = self.rz.primary(v);
         let cells = rhizome_cells(primary.cc, k, self.dev.chip().cfg().dims);
-        let (state, qbits) = {
+        let mut qbits = Vec::new();
+        let state = {
             let obj = self.dev.object(primary).expect("primary root live");
-            (obj.state, obj.qbits.clone())
+            load_qbits(obj, self.queries.len(), &mut qbits);
+            obj.state
         };
-        let fanout = self.rcfg.ghost_fanout;
         let mut roots = Vec::with_capacity(k);
         roots.push(primary);
         for cc in cells {
-            let mut root = VertexObj::root(v, state, fanout);
+            let mut root = VertexObj::root(v, state);
             // Co-equal roots mirror the primary's converged standing-query
             // state exactly like its algorithm state.
-            root.qbits = qbits.clone();
+            for &(qid, bits) in &qbits {
+                root.qbits_or(qid, bits);
+            }
             roots.push(self.dev.host_alloc(cc, root)?);
         }
         for (addr, peers) in roots.iter().zip(peer_sets(&roots)) {
-            self.dev.object_mut(*addr).expect("root live").peers = peers;
+            self.dev.object_mut(*addr).expect("root live").set_peers(peers);
         }
         self.rz.install(v, roots[1..].to_vec());
         Ok(())
@@ -271,19 +274,24 @@ impl<G: VertexAlgo> StreamingGraph<G> {
                     merged.extend(obj.edges.into_iter().map(|e| (primary, e)));
                 }
             }
-            self.dev.object_mut(primary).expect("primary live").peers = Box::new([]);
+            self.dev.object_mut(primary).expect("primary live").set_peers(Box::new([]));
         }
         // Patch dangling destinations: stored edges (and the edges being
         // merged) that pointed at a freed co-equal root now point at that
         // vertex's primary. Only root addresses ever appear as edge
         // destinations, so the remap over freed extras is complete.
+        let (mut objects, mut patched) = (0, 0);
         self.dev.chip_mut().for_each_object_mut(|_, obj| {
+            objects += 1;
             for e in obj.edges.iter_mut() {
                 if let Some(&p) = remap.get(&e.dst) {
                     e.dst = p;
+                    patched += 1;
                 }
             }
         });
+        self.demote_pass.0 += objects;
+        self.demote_pass.1 += patched;
         merged
             .iter_mut()
             .map(|(primary, e)| {
@@ -317,6 +325,9 @@ impl<G: VertexAlgo> StreamingGraph<G> {
         let pv = self.log.pair_visits();
         obs.counter_add("host.pair_visits", pv - self.pair_mark);
         self.pair_mark = pv;
+        let (objects, patched) = std::mem::take(&mut self.demote_pass);
+        obs.counter_add("host.demote_objects", objects);
+        obs.counter_add("host.demote_patches", patched);
         obs.gauge_set("graph.live_edges", self.applied_live as i64);
         obs.gauge_set("graph.ledger_pairs", self.log.pair_records() as i64);
         // Run-to-date max/mean imbalance of the sharded engine's per-band
@@ -490,7 +501,7 @@ mod tests {
         for a in g.roots_of(0) {
             let obj = g.device().object(a).unwrap();
             assert!(obj.is_root() && obj.is_rhizome());
-            assert_eq!(obj.peers.len(), 2);
+            assert_eq!(obj.peers().len(), 2);
         }
         // All 23 edges stored exactly once across the root slices.
         assert_eq!(g.degree(0), 23);
@@ -555,6 +566,45 @@ mod tests {
             assert_eq!(g.state_of(v), MAX_LEVEL);
         }
         g.check_mirror_consistency().unwrap();
+    }
+
+    #[test]
+    fn demotion_prices_its_whole_fabric_pass() {
+        let rcfg = RpvoConfig::basic(4, 2).with_rhizomes(6, 3);
+        let obs = Obs::enabled();
+        let mut g = StreamingGraph::builder(BfsAlgo::new(0))
+            .vertices(24)
+            .chip(ChipConfig::small_test())
+            .rpvo(rcfg)
+            .obs(obs.clone())
+            .build()
+            .unwrap();
+        // A star out of the hub, then edges into it, which the router
+        // spreads over its co-equal roots once it is promoted.
+        let edges: Vec<StreamEdge> =
+            (1..24).map(|v| (0, v, 1)).chain((1..5).map(|v| (v, 0, 1))).collect();
+        g.stream_edges(&edges).unwrap();
+        let extras = g.roots_of(0)[1..].to_vec();
+        assert_eq!(extras.len(), 2, "hub promoted");
+        let (mut objects, mut into_extras) = (0, 0);
+        g.device().chip().for_each_object(|_, obj| {
+            objects += 1;
+            into_extras += obj.edges.iter().filter(|e| extras.contains(&e.dst)).count() as u64;
+        });
+        let freed: u64 = extras
+            .iter()
+            .map(|&r| walk::collect_objects(r, |x| g.device().object(x)).len() as u64)
+            .sum();
+        assert!(into_extras > 0, "some in-edges were routed to an extra root");
+        let before = obs.snapshot();
+        assert_eq!(before.counter("host.demote_objects"), 0, "nothing demoted yet");
+        // Cool the hub below the threshold: one out-edge and four in-edges.
+        let dels: Vec<GraphMutation> = (2..24).map(|v| DelEdge((0, v, 1))).collect();
+        g.stream_increment(&dels).unwrap();
+        assert_eq!(g.demotion_count(), 1);
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("host.demote_objects"), objects - freed, "every survivor visited");
+        assert_eq!(snap.counter("host.demote_patches"), into_extras, "every dangling edge patched");
     }
 
     #[test]

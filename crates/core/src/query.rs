@@ -10,8 +10,8 @@
 //!
 //! Evaluation is the textbook product construction, maintained as one bitset
 //! of automaton states per `(vertex, query)` on the vertex objects
-//! themselves (`VertexObj::qbits`): inserts extend the reachable product
-//! states through the monotone `query-action` diffusion
+//! themselves (`VertexObj::qbits_get` / `qbits_or`): inserts extend the
+//! reachable product states through the monotone `query-action` diffusion
 //! ([`crate::apps::algo`]), and deletions
 //! clear the states derived through the deleted edges on fabric and
 //! re-derive the survivors in the same reseed wave the algorithm's repair

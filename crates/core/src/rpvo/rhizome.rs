@@ -194,7 +194,7 @@ impl RhizomeDirectory {
 
 /// The fully cross-linked peer sets of a rhizome: for root `i` of `roots`,
 /// entry `i` lists every *other* root (in root order). This is what gets
-/// written into each root object's [`super::VertexObj::peers`].
+/// written into each root object with [`super::VertexObj::set_peers`].
 pub fn peer_sets(roots: &[Address]) -> Vec<Box<[Address]>> {
     roots
         .iter()

@@ -48,9 +48,9 @@ pub fn collect_roots<'a, S: 'a>(
     fetch: impl Fn(Address) -> Option<&'a VertexObj<S>>,
 ) -> Vec<Address> {
     let obj = fetch(root).unwrap_or_else(|| panic!("dangling rhizome link to {root}"));
-    let mut out = Vec::with_capacity(1 + obj.peers.len());
+    let mut out = Vec::with_capacity(1 + obj.peers().len());
     out.push(root);
-    out.extend_from_slice(&obj.peers);
+    out.extend_from_slice(obj.peers());
     out
 }
 
@@ -97,20 +97,27 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
 
+    /// Attach `ghosts` to `obj` as successive spills would, `fanout` slots.
+    fn spill(obj: &mut VertexObj<u64>, fanout: usize, ghosts: &[Address]) {
+        for &g in ghosts {
+            let slot = obj.pick_ghost_slot(fanout);
+            obj.ghosts[slot].fulfill(g).unwrap();
+        }
+    }
+
     fn store() -> (HashMap<Address, VertexObj<u64>>, Address) {
         // root(0) -> ghost(1) -> ghost(2); root also has a second ghost (3).
         let mut m = HashMap::new();
         let a = |i| Address::new(0, i);
-        let mut root: VertexObj<u64> = VertexObj::root(7, 0, 2);
+        let mut root: VertexObj<u64> = VertexObj::root(7, 0);
         root.edges.push(Edge::new(a(9), 9, 1));
-        root.ghosts[0].fulfill(a(1)).unwrap();
-        root.ghosts[1].fulfill(a(3)).unwrap();
-        let mut g1 = VertexObj::ghost(7, 0, 2);
+        spill(&mut root, 2, &[a(1), a(3)]);
+        let mut g1 = VertexObj::ghost(7, 0);
         g1.edges.push(Edge::new(a(8), 8, 1));
-        g1.ghosts[0].fulfill(a(2)).unwrap();
-        let mut g2 = VertexObj::ghost(7, 0, 2);
+        spill(&mut g1, 2, &[a(2)]);
+        let mut g2 = VertexObj::ghost(7, 0);
         g2.edges.push(Edge::new(a(6), 6, 1));
-        let g3: VertexObj<u64> = VertexObj::ghost(7, 0, 2);
+        let g3: VertexObj<u64> = VertexObj::ghost(7, 0);
         m.insert(a(0), root);
         m.insert(a(1), g1);
         m.insert(a(2), g2);
@@ -144,14 +151,14 @@ mod tests {
         // Two co-equal roots, each with its own ghost and edge slice.
         let mut m = HashMap::new();
         let a = |i| Address::new(0, i);
-        let mut r0: VertexObj<u64> = VertexObj::root(5, 0, 1);
-        r0.peers = vec![a(1)].into_boxed_slice();
+        let mut r0: VertexObj<u64> = VertexObj::root(5, 0);
+        r0.set_peers(vec![a(1)].into_boxed_slice());
         r0.edges.push(Edge::new(a(10), 10, 1));
-        r0.ghosts[0].fulfill(a(2)).unwrap();
-        let mut r1: VertexObj<u64> = VertexObj::root(5, 0, 1);
-        r1.peers = vec![a(0)].into_boxed_slice();
+        spill(&mut r0, 1, &[a(2)]);
+        let mut r1: VertexObj<u64> = VertexObj::root(5, 0);
+        r1.set_peers(vec![a(0)].into_boxed_slice());
         r1.edges.push(Edge::new(a(11), 11, 1));
-        let mut g0: VertexObj<u64> = VertexObj::ghost(5, 0, 1);
+        let mut g0: VertexObj<u64> = VertexObj::ghost(5, 0);
         g0.edges.push(Edge::new(a(12), 12, 1));
         m.insert(a(0), r0);
         m.insert(a(1), r1);
@@ -185,7 +192,7 @@ mod tests {
     fn depth_counts_levels() {
         let (m, root) = store();
         assert_eq!(depth(root, |a| m.get(&a)), 3);
-        let lone: VertexObj<u64> = VertexObj::root(0, 0, 2);
+        let lone: VertexObj<u64> = VertexObj::root(0, 0);
         let mut m2 = HashMap::new();
         m2.insert(Address::new(1, 1), lone);
         assert_eq!(depth(Address::new(1, 1), |a| m2.get(&a)), 1);

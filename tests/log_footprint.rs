@@ -1,91 +1,18 @@
 //! The mutation log's heap footprint, counted. A counting global allocator
-//! measures the live bytes and heap blocks the log holds, so a change to its
-//! record layout shows here as bytes per edge, not as a peak-RSS drift in a
-//! benchmark run.
-//!
-//! The counters are process-wide but count only what a thread allocates and
-//! frees inside [`metered`]. The tests share them, so each holds [`SERIAL`].
+//! (`common/counting.rs`) measures the live bytes and heap blocks the log
+//! holds, so a change to its record layout shows here as bytes per edge, not
+//! as a peak-RSS drift in a benchmark run. The tests share its counters, so
+//! each holds [`serial`].
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use amcca::prelude::GraphMutation::{self, AddEdge, DelEdge, UpdateWeight};
 use amcca::sdgp_core::MutationLog;
 
-/// Live bytes and live heap blocks allocated inside [`metered`].
-static BYTES: AtomicIsize = AtomicIsize::new(0);
-static BLOCKS: AtomicIsize = AtomicIsize::new(0);
-
-thread_local! {
-    /// Whether this thread's allocations are counted.
-    static METERED: Cell<bool> = const { Cell::new(false) };
-}
-
-fn count(bytes: isize, blocks: isize) {
-    if METERED.with(Cell::get) {
-        BYTES.fetch_add(bytes, Relaxed);
-        BLOCKS.fetch_add(blocks, Relaxed);
-    }
-}
-
-struct Counting;
-
-// SAFETY: every call forwards to `System` unchanged; only counters move.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            count(layout.size() as isize, 1);
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            count(layout.size() as isize, 1);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        count(-(layout.size() as isize), -1);
-    }
-
-    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let q = System.realloc(p, layout, new_size);
-        if !q.is_null() {
-            count(new_size as isize - layout.size() as isize, 0);
-        }
-        q
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-/// Hold the counters for one test (a failed test does not bar the rest).
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Run `f` with this thread's allocations counted.
-fn metered(f: impl FnOnce()) {
-    METERED.with(|m| m.set(true));
-    f();
-    METERED.with(|m| m.set(false));
-}
-
-/// `(live bytes, live heap blocks)` counted so far.
-fn live() -> (isize, isize) {
-    (BYTES.load(Relaxed), BLOCKS.load(Relaxed))
-}
+#[path = "common/counting.rs"]
+#[allow(dead_code)]
+mod counting;
+use counting::{live, metered, serial};
 
 /// Push `muts` as one submission and close the epoch, counting what the log
 /// allocates and frees (the drained batch included).
