@@ -19,10 +19,12 @@
 //! (the quantity plotted in the paper's Figures 6–7).
 //!
 //! The machine is message-driven, so in a typical cycle only a handful of
-//! cells can do anything. The mesh is cut into the column bands of a
-//! [`ShardPlan`] (one band at `shards = 1`), and each band keeps two live sets
-//! of its own cells, *net-live* and *work-live*: every phase visits only their
-//! members, in ascending cell id. The band phases (route, which starts by
+//! cells can do anything. The mesh is cut into the row bands of a
+//! [`ShardPlan`] (one band at `shards = 1`). A row band is one contiguous
+//! slice of the row-major cell array, which its phases index directly, and
+//! each band keeps two live sets of its own cells, *net-live* and
+//! *work-live*: every phase visits only their members, in ascending cell id.
+//! The band phases (route, which starts by
 //! snapshotting the routers → drain → compute → IO → publish the boundary
 //! credits) are the only cycle code. [`Chip::step`] runs them for every
 //! band in band order on the calling thread, and so does a run of a one-band
@@ -33,16 +35,18 @@
 //! same chip. The per-cell helpers below are no-ops on non-members, which is
 //! what makes skipping them invisible to every simulated statistic.
 
+use std::ops::Range;
+
 use crate::cell::Cell;
 use crate::config::ChipConfig;
 use crate::error::SimError;
-use crate::geom::{Dims, MeshTable, OUT_BAD, OUT_EJECT};
+use crate::geom::{Coord, Dims, MeshTable, OUT_BAD, OUT_EJECT};
 use crate::iocell::{io_cells, IoCell};
 use crate::operon::{Address, Operon};
 use crate::placement::PlacementTable;
 use crate::program::{ExecCtx, Program};
 use crate::rng::SplitMix64;
-use crate::router::{NUM_CODES, NUM_PORTS, PORT_EAST, PORT_IO, PORT_LOCAL, PORT_WEST};
+use crate::router::{NUM_CODES, NUM_PORTS, PORT_IO, PORT_LOCAL, PORT_NORTH, PORT_SOUTH};
 use crate::safra::{decode_token, initiator_detects, token_operon, CellTd, SafraState, ACT_TOKEN};
 use crate::shard::ShardPlan;
 use crate::stats::{ActivityRecording, ActivitySeries, CellLoad, Counters};
@@ -130,7 +134,7 @@ pub struct Chip<P: Program> {
     /// Cell coordinates and the route function, tabulated once.
     pub(crate) mesh: MeshTable,
     pub(crate) cells: Vec<Cell<P::Object>>,
-    /// The column bands of [`ChipConfig::shards`], fixed at construction.
+    /// The row bands of [`ChipConfig::shards`], fixed at construction.
     pub(crate) bands: Vec<Band>,
     pub(crate) program: P,
     pub(crate) tally: Tally,
@@ -139,7 +143,7 @@ pub struct Chip<P: Program> {
     /// Cycles the threaded driver ran (diagnostics; deliberately not part
     /// of [`Counters`]).
     pub(crate) sharded_cycles: u64,
-    /// Active-cell totals per column band, summed over all threaded cycles.
+    /// Active-cell totals per row band, summed over all threaded cycles.
     /// Sized lazily by the threaded driver (empty until it runs).
     /// Diagnostics; not part of [`Counters`].
     pub(crate) band_active: Vec<u64>,
@@ -446,26 +450,6 @@ pub(crate) fn io_cell_step<T>(
 // The band phases: the only cycle code.
 // ----------------------------------------------------------------------
 
-/// How a band step reaches cells by id: the whole row-major array on the
-/// calling thread, the band's own row segments on a worker. A step only asks
-/// for cells of its own band.
-pub(crate) trait Cells<T> {
-    fn cell(&self, id: u16) -> &Cell<T>;
-    fn cell_mut(&mut self, id: u16) -> &mut Cell<T>;
-}
-
-impl<T> Cells<T> for [Cell<T>] {
-    #[inline]
-    fn cell(&self, id: u16) -> &Cell<T> {
-        &self[id as usize]
-    }
-
-    #[inline]
-    fn cell_mut(&mut self, id: u16) -> &mut Cell<T> {
-        &mut self[id as usize]
-    }
-}
-
 /// What every band step reads and no band writes during a cycle.
 #[derive(Clone, Copy)]
 pub(crate) struct Env<'a> {
@@ -482,16 +466,16 @@ pub(crate) struct Mail {
     op: Operon,
 }
 
-/// Start-of-cycle acceptance of a band's boundary columns, read by the
-/// neighbour bands' route phases. Empty on a chip with one band.
+/// Start-of-cycle acceptance of a band's boundary rows, per column, read by
+/// the neighbour bands' route phases. Empty on a chip with one band.
 #[derive(Clone)]
 pub(crate) struct CreditFrame {
-    /// `west[y]`: does cell `(x0, y)` accept on its west port (an eastbound
-    /// hop from the west neighbour)?
-    pub west: Vec<bool>,
-    /// `east[y]`: does the band's last cell of row `y` accept on its east
-    /// port (a westbound hop from the east neighbour)?
-    pub east: Vec<bool>,
+    /// `north[x]`: does the band's first-row cell of column `x` accept on its
+    /// north port (a southbound hop from the north neighbour)?
+    pub north: Vec<bool>,
+    /// `south[x]`: does the band's last-row cell of column `x` accept on its
+    /// south port (a northbound hop from the south neighbour)?
+    pub south: Vec<bool>,
 }
 
 /// One cycle's effects that are not local to a band's cells. Bands stepped
@@ -567,18 +551,21 @@ pub(crate) fn frame_words(cfg: &ChipConfig) -> usize {
     }
 }
 
-/// One column band of the mesh: the live sets of its cells, its IO cells,
-/// and its phases' scratch. Bands live as long as the chip, so no driver
+/// One row band of the mesh: the live sets of its cells, its IO cells, and
+/// its phases' scratch. Bands live as long as the chip, so no driver
 /// converts or rebuilds anything when it takes a run over.
 ///
-/// The live sets are indexed by cell id: each spans the chip's ids but holds
-/// only its band's cells. No phase converts an index, ascending index is
-/// ascending cell id, and one band indexes exactly as a chip without bands.
+/// Every phase takes the band's own slice of the cell array as `cells` and
+/// reaches cell `id` as `cells[id - base]`. The live sets are indexed by cell
+/// id: each spans the chip's ids but holds only its band's cells, so
+/// ascending index is ascending cell id, and one band indexes exactly as a
+/// chip without bands.
 pub(crate) struct Band {
-    /// The band owns columns `x0 .. x0 + width` of a `dims` mesh.
-    pub(crate) x0: usize,
-    pub(crate) width: usize,
-    dims: Dims,
+    /// The band owns cell ids `base .. base + len`: whole mesh rows of
+    /// `row` cells each.
+    base: usize,
+    len: usize,
+    row: usize,
     /// Cells whose router holds a flit or whose credit snapshot is not yet
     /// all-zero — the only cells the route phase has to look at. Every push
     /// into a router marks its cell; a cell leaves only in the snapshot that
@@ -590,11 +577,11 @@ pub(crate) struct Band {
     /// compute phase has to look at. A delivery (or host injection) marks
     /// the cell; it leaves when it ends a compute phase idle.
     work_live: LiveSet,
-    /// The band's IO cells: its columns of the north channel, then of the
-    /// south one.
+    /// The band's IO cells: the north channel if it owns the first row, then
+    /// the south one if it owns the last.
     io: Vec<IoCell>,
     moves: Vec<Move>,
-    /// Hops the route phase posted to the west and to the east neighbour.
+    /// Hops the route phase posted to the north and to the south neighbour.
     pub(crate) out: [Vec<Mail>; 2],
     /// This band's boundary acceptance for the next cycle, published at the
     /// end of the last one.
@@ -602,30 +589,36 @@ pub(crate) struct Band {
 }
 
 impl Band {
-    fn new(dims: Dims, (x0, x1): (u16, u16), neighbours: bool) -> Self {
-        let n_cells = dims.cell_count() as usize;
-        let frame = vec![true; if neighbours { dims.y as usize } else { 0 }];
+    fn new(dims: Dims, (y0, y1): (u16, u16), neighbours: bool) -> Self {
+        let (n_cells, row) = (dims.cell_count() as usize, dims.x as usize);
+        let frame = vec![true; if neighbours { row } else { 0 }];
         Band {
-            x0: x0 as usize,
-            width: (x1 - x0) as usize,
-            dims,
+            base: y0 as usize * row,
+            len: (y1 - y0) as usize * row,
+            row,
             net_live: LiveSet::new(n_cells),
             work_live: LiveSet::new(n_cells),
-            io: io_cells(dims, x0..x1),
+            io: io_cells(dims, y0..y1),
             moves: Vec::new(),
             out: [Vec::new(), Vec::new()],
-            credit: CreditFrame { west: frame.clone(), east: frame },
+            credit: CreditFrame { north: frame.clone(), south: frame },
         }
     }
 
-    fn owns(&self, x: u16) -> bool {
-        (x as usize).wrapping_sub(self.x0) < self.width
+    /// The ids of the band's cells: the range of the cell array its phases
+    /// take as `cells`.
+    pub(crate) fn ids(&self) -> Range<usize> {
+        self.base..self.base + self.len
+    }
+
+    fn owns(&self, id: u16) -> bool {
+        (id as usize).wrapping_sub(self.base) < self.len
     }
 
     /// Route phase: snapshot the net-live routers, decide this band's moves
     /// against the snapshot — across a boundary, against the neighbours'
-    /// credit frames (`west` is the west neighbour's east column, `east` the
-    /// east neighbour's west column) — then apply them. A hop into a
+    /// credit frames (`north` is the north neighbour's last row, `south` the
+    /// south neighbour's first row) — then apply them. A hop into a
     /// neighbour band leaves its router here and is posted to [`Band::out`].
     ///
     /// A router that snapshots empty leaves net-live here, with an all-zero
@@ -633,62 +626,63 @@ impl Band {
     /// would leave a stale non-zero snapshot for neighbours to read next
     /// cycle (`link_buffer = 1` back-pressure would then stall a hop a dense
     /// scan grants).
-    pub(crate) fn route<T, C: Cells<T> + ?Sized>(
+    pub(crate) fn route<T>(
         &mut self,
-        cells: &mut C,
+        cells: &mut [Cell<T>],
         env: &Env<'_>,
         cycle: u64,
-        west: &[bool],
-        east: &[bool],
+        north: &[bool],
+        south: &[bool],
         rep: &mut CycleReport,
     ) {
-        if west.is_empty() && east.is_empty() {
+        if north.is_empty() && south.is_empty() {
             // No neighbours, no boundary: the phase compiles without a test
             // it would make on every hop (about a tenth of a dense cycle).
             return self.route_across(cells, env, cycle, rep, |_, _| None);
         }
-        let (x0, x_end) = (self.x0, self.x0 + self.width);
-        // Under YX routing only east/west hops from a boundary column leave.
+        let row = self.row;
+        // The first ids of the band's first and last rows.
+        let (first, last) = (self.base, self.base + self.len - row);
+        // Under YX routing only north/south hops leave: a southbound one
+        // (arriving on a north port) from the last row, a northbound one
+        // (arriving on a south port) from the first.
         let exit = |src: u16, in_port: usize| {
-            let eastbound = match in_port {
-                PORT_WEST => true,
-                PORT_EAST => false,
-                _ => return None,
-            };
-            let at = env.mesh.coord(src);
-            let edge = if eastbound { x_end - 1 } else { x0 };
-            let credit = if eastbound { east } else { west };
-            (at.x as usize == edge).then(|| (eastbound as usize, credit[at.y as usize]))
+            let src = src as usize;
+            match in_port {
+                PORT_NORTH if src >= last => Some((1, south[src - last])),
+                PORT_SOUTH if src < first + row => Some((0, north[src - first])),
+                _ => None,
+            }
         };
         self.route_across(cells, env, cycle, rep, exit);
     }
 
     /// The route phase under boundary rule `exit`: for a hop from `src` that
-    /// arrives on `in_port`, the neighbour it crosses into (0 west, 1 east)
+    /// arrives on `in_port`, the neighbour it crosses into (0 north, 1 south)
     /// and that neighbour's credit for it, or `None` while it stays in the
     /// band.
-    fn route_across<T, C: Cells<T> + ?Sized>(
+    fn route_across<T>(
         &mut self,
-        cells: &mut C,
+        cells: &mut [Cell<T>],
         env: &Env<'_>,
         cycle: u64,
         rep: &mut CycleReport,
         exit: impl Fn(u16, usize) -> Option<(usize, bool)>,
     ) {
-        let Band { net_live, moves, .. } = self;
-        let (mesh, cap) = (env.mesh, env.cfg.task_queue_cap);
+        let Band { base, net_live, moves, .. } = self;
+        let (base, mesh, cap) = (*base, env.mesh, env.cfg.task_queue_cap);
         net_live.retain(|id| {
-            let router = &mut cells.cell_mut(id as u16).router;
+            let router = &mut cells[id - base].router;
             router.begin_cycle();
             router.total() > 0
         });
         moves.clear();
         let (mut err, mut visits) = (None, 0);
         for src in net_live.iter() {
+            let cell = &cells[src - base];
             let src = src as u16;
-            let cell = cells.cell(src);
             let accepts = |nb: u16, in_port: usize| match exit(src, in_port) {
-                None => cells.cell(nb).router.accepts(in_port),
+                None => cells[nb as usize - base].router.accepts(in_port),
                 Some((_, credit)) => credit,
             };
             let counters = &mut rep.counters;
@@ -700,29 +694,28 @@ impl Band {
             // Only a head bound for no cell errs here, and members run in id
             // order, so the error is the lowest such router's: found here
             // rather than tracked on every visit of the loop above.
-            let holds_bad =
-                |&id: &usize| cells.cell(id as u16).router.head_outs().contains(&OUT_BAD);
+            let holds_bad = |&id: &usize| cells[id - base].router.head_outs().contains(&OUT_BAD);
             let at = net_live.iter().find(holds_bad).expect("an error names its router");
             keep_first(&mut rep.net_err, at as u16, e);
         }
         for i in 0..self.moves.len() {
             match self.moves[i] {
                 Move::Hop { src, port, dst, in_port } => {
-                    let op = cells.cell_mut(src).router.pop(port as usize);
+                    let op = cells[src as usize - base].router.pop(port as usize);
                     if op.action == ACT_TOKEN {
                         rep.token_hops += 1;
                     }
                     rep.counters.hops += 1;
                     match exit(src, in_port as usize) {
                         None => {
-                            cells.cell_mut(dst).enqueue(in_port as usize, op, mesh);
+                            cells[dst as usize - base].enqueue(in_port as usize, op, mesh);
                             self.net_live.insert(dst as usize);
                         }
                         Some((side, _)) => self.out[side].push(Mail { dst, in_port, op }),
                     }
                 }
                 Move::Deliver { cell, port } => {
-                    let c = cells.cell_mut(cell);
+                    let c = &mut cells[cell as usize - base];
                     let op = c.router.pop(port as usize);
                     c.task_queue.push_back(op);
                     c.load.delivered += 1;
@@ -739,27 +732,28 @@ impl Band {
     /// Drain phase: queue the hops a neighbour band posted here, marking each
     /// receiving cell net-live. Each input FIFO receives at most one flit a
     /// cycle, so the order mail is drained in cannot matter.
-    pub(crate) fn drain<T, C: Cells<T> + ?Sized>(
+    pub(crate) fn drain<T>(
         &mut self,
-        cells: &mut C,
+        cells: &mut [Cell<T>],
         mesh: &MeshTable,
         inbox: &mut Vec<Mail>,
     ) {
         for m in inbox.drain(..) {
-            cells.cell_mut(m.dst).enqueue(m.in_port as usize, m.op, mesh);
+            cells[m.dst as usize - self.base].enqueue(m.in_port as usize, m.op, mesh);
             self.net_live.insert(m.dst as usize);
         }
     }
 
     /// Compute phase over the band's work-live cells, in cell-id order.
-    pub(crate) fn compute<P: Program, C: Cells<P::Object> + ?Sized>(
+    pub(crate) fn compute<P: Program>(
         &mut self,
-        cells: &mut C,
+        cells: &mut [Cell<P::Object>],
         env: &Env<'_>,
         program: &mut P,
         rep: &mut CycleReport,
     ) {
-        let Band { net_live, work_live, .. } = self;
+        let Band { base, net_live, work_live, .. } = self;
+        let base = *base;
         let Env { cfg, placement, mesh, safra_on } = *env;
         // Tallied in locals and added to `rep` once: a dense cycle visits
         // hundreds of cells. The band's first error is its lowest cell's.
@@ -767,7 +761,7 @@ impl Band {
         let (mut err, mut err_at) = (None, 0);
         let (counters, frame) = (&mut rep.counters, &mut rep.frame);
         work_live.retain(|id| {
-            let cell = cells.cell_mut(id as u16);
+            let cell = &mut cells[id - base];
             let (mut fx, had_err) = (ComputeFx::default(), err.is_some());
             let did_work = compute_cell(
                 cell, id, safra_on, program, counters, cfg, placement, mesh, &mut err, &mut fx,
@@ -804,15 +798,10 @@ impl Band {
     }
 
     /// IO phase over the band's IO cells that hold a stream.
-    pub(crate) fn io<T, C: Cells<T> + ?Sized>(
-        &mut self,
-        cells: &mut C,
-        env: &Env<'_>,
-        rep: &mut CycleReport,
-    ) {
+    pub(crate) fn io<T>(&mut self, cells: &mut [Cell<T>], env: &Env<'_>, rep: &mut CycleReport) {
         for io_cell in self.io.iter_mut().filter(|c| !c.queue.is_empty()) {
             rep.visits += 1;
-            let border = cells.cell_mut(io_cell.cc);
+            let border = &mut cells[io_cell.cc as usize - self.base];
             if io_cell_step(io_cell, border, env.mesh, env.safra_on, &mut rep.counters) {
                 self.net_live.insert(io_cell.cc as usize);
                 rep.io_injected += 1;
@@ -824,21 +813,18 @@ impl Band {
     /// Publish phase: refresh the boundary credit frame the neighbours'
     /// next route phase reads. At a cycle's end a router's occupancy is what
     /// the next cycle's snapshot will hold, so this reads it directly.
-    pub(crate) fn publish<T, C: Cells<T> + ?Sized>(&mut self, cells: &C) {
-        let (row, last) = (self.dims.x as usize, self.width - 1);
-        for y in 0..self.credit.west.len() {
-            let first = (y * row + self.x0) as u16;
-            self.credit.west[y] = cells.cell(first).router.accepts_now(PORT_WEST);
-            self.credit.east[y] = cells.cell(first + last as u16).router.accepts_now(PORT_EAST);
+    pub(crate) fn publish<T>(&mut self, cells: &[Cell<T>]) {
+        let last = self.len - self.row;
+        for x in 0..self.credit.north.len() {
+            self.credit.north[x] = cells[x].router.accepts_now(PORT_NORTH);
+            self.credit.south[x] = cells[last + x].router.accepts_now(PORT_SOUTH);
         }
     }
 
     /// The tracking invariant: every cell of the band a dense scan would act
     /// on is a member. Checked after every cycle in debug builds.
-    pub(crate) fn covers<T, C: Cells<T> + ?Sized>(&self, cells: &C) -> bool {
-        let (row, cols) = (self.dims.x as usize, self.x0..self.x0 + self.width);
-        (0..self.dims.y as usize).flat_map(|y| cols.clone().map(move |x| y * row + x)).all(|id| {
-            let cell = cells.cell(id as u16);
+    pub(crate) fn covers<T>(&self, cells: &[Cell<T>]) -> bool {
+        cells.iter().zip(self.ids()).all(|(cell, id)| {
             (cell.router.is_drained() || self.net_live.contains(id))
                 && (cell.is_idle() || self.work_live.contains(id))
         })
@@ -1004,9 +990,9 @@ impl<P: Program> Chip<P> {
         }
     }
 
-    /// The band that owns column `x`.
-    fn band_of(&mut self, x: u16) -> &mut Band {
-        self.bands.iter_mut().find(|b| b.owns(x)).expect("the bands cover every column")
+    /// The band that owns cell `cc`.
+    fn band_of(&mut self, cc: u16) -> &mut Band {
+        self.bands.iter_mut().find(|b| b.owns(cc)).expect("the bands cover every cell")
     }
 
     /// Queue a stream of operons for injection through the IO channels,
@@ -1024,10 +1010,13 @@ impl<P: Program> Chip<P> {
     /// `x` is the north channel's cell of column `x`, `dims.x + x` the south
     /// channel's.
     pub fn io_load_to(&mut self, io_index: usize, ops: impl IntoIterator<Item = Operon>) {
-        let row = self.cfg.dims.x as usize;
-        let (channel, x) = (io_index / row, io_index % row);
-        let band = self.band_of(x as u16);
-        let queue = &mut band.io[channel * band.width + x - band.x0].queue;
+        let dims = self.cfg.dims;
+        let (channel, x) = (io_index / dims.x as usize, io_index % dims.x as usize);
+        let y = if channel == 0 { 0 } else { dims.y - 1 };
+        let band = self.band_of(dims.id_of(Coord::new(x as u16, y)));
+        // A band lists the north channel first, when it holds it.
+        let slot = if channel == 1 && band.owns(0) { dims.x as usize + x } else { x };
+        let queue = &mut band.io[slot].queue;
         let before = queue.len();
         queue.extend(ops);
         self.tally.io_pending += (queue.len() - before) as u64;
@@ -1038,8 +1027,7 @@ impl<P: Program> Chip<P> {
     fn push_task(&mut self, op: Operon) {
         let cc = op.target.cc;
         self.cells[cc as usize].task_queue.push_back(op);
-        let x = self.mesh.coord(cc).x;
-        self.band_of(x).work_live.insert(cc as usize);
+        self.band_of(cc).work_live.insert(cc as usize);
         self.tally.queued_tasks += 1;
     }
 
@@ -1065,29 +1053,29 @@ impl<P: Program> Chip<P> {
         let Chip { cfg, placement, mesh, cells, bands, program, tally, .. } = self;
         let env = Env { cfg, placement, mesh, safra_on: tally.safra.is_some() };
         let mut rep = CycleReport::new(frame_words(cfg));
-        let cells = &mut cells[..];
         for s in 0..bands.len() {
             let (before, rest) = bands.split_at_mut(s);
             let (band, after) = rest.split_first_mut().expect("s indexes a band");
-            let west = before.last().map_or(&[][..], |b| &b.credit.east);
-            let east = after.first().map_or(&[][..], |b| &b.credit.west);
-            band.route(cells, &env, tally.cycle, west, east, &mut rep);
+            let north = before.last().map_or(&[][..], |b| &b.credit.south);
+            let south = after.first().map_or(&[][..], |b| &b.credit.north);
+            band.route(&mut cells[band.ids()], &env, tally.cycle, north, south, &mut rep);
         }
         for t in 1..bands.len() {
             let (before, rest) = bands.split_at_mut(t);
-            let (w, e) = (before.last_mut().expect("t >= 1"), &mut rest[0]);
-            e.drain(cells, mesh, &mut w.out[1]);
-            w.drain(cells, mesh, &mut e.out[0]);
+            let (n, s) = (before.last_mut().expect("t >= 1"), &mut rest[0]);
+            s.drain(&mut cells[s.ids()], mesh, &mut n.out[1]);
+            n.drain(&mut cells[n.ids()], mesh, &mut s.out[0]);
         }
         for band in bands.iter_mut() {
-            band.compute(cells, &env, program, &mut rep);
+            band.compute(&mut cells[band.ids()], &env, program, &mut rep);
         }
         if tally.io_pending > 0 {
             for band in bands.iter_mut() {
-                band.io(cells, &env, &mut rep);
+                band.io(&mut cells[band.ids()], &env, &mut rep);
             }
         }
         for band in bands.iter_mut() {
+            let cells = &cells[band.ids()];
             band.publish(cells);
             debug_assert!(band.covers(cells), "a producer forgot to mark its target cell live");
         }
@@ -1102,7 +1090,7 @@ impl<P: Program> Chip<P> {
     }
 
     /// Whether runs use the threaded driver (more than one non-empty
-    /// column band after clamping to the mesh width).
+    /// row band after clamping to the mesh height).
     pub fn is_sharded(&self) -> bool {
         self.bands.len() > 1
     }
@@ -1290,7 +1278,7 @@ impl<P: Program> Chip<P> {
         self.tally.cell_visits
     }
 
-    /// Active-cell totals per column band, summed over all threaded cycles:
+    /// Active-cell totals per row band, summed over all threaded cycles:
     /// entry `s` counts the compute work of band `s`, which its own worker
     /// did. Empty until the threaded driver has run. Their max/mean ratio is
     /// the workload's band imbalance.
@@ -1922,7 +1910,8 @@ mod tests {
     #[test]
     fn io_load_deals_round_robin_in_stream_order() {
         // The 8 × 8 chip has 16 IO cells, the north channel's first. At
-        // three bands each band holds its columns of both channels.
+        // three bands the first band holds the north channel, the last the
+        // south one, and the middle band neither.
         for shards in [1, 3] {
             let mut chip = Chip::new(ChipConfig::small_test().with_shards(shards), CounterProgram);
             chip.io_load((0..33).map(|n| Operon::new(Address::new(0, n), 10, [0; 2])));

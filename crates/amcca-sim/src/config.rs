@@ -39,8 +39,8 @@ pub struct ChipConfig {
     pub max_alloc_retries: u32,
     /// Master seed for all simulator randomness.
     pub seed: u64,
-    /// Number of column bands the mesh is cut into (clamped to the number of
-    /// mesh columns). Each band keeps the live sets of its own cells; with
+    /// Number of row bands the mesh is cut into (clamped to the number of
+    /// mesh rows). Each band keeps the live sets of its own cells; with
     /// more than one, `run_until_quiescent` / `run_until_terminated` step one
     /// band per thread from a run's first cycle to its stop, with results
     /// **bit-identical** to one band. Defaults to 1: bands are something a

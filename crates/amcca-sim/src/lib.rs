@@ -23,8 +23,9 @@
 //!
 //! ## Parallel execution
 //!
-//! The mesh is cut into [`ChipConfig::shards`] contiguous column bands (one
-//! by default), and every band visits only its own live cells. With more
+//! The mesh is cut into [`ChipConfig::shards`] contiguous row bands (one by
+//! default), each one slice of the cell array, and every band visits only
+//! its own live cells. With more
 //! than one band, the whole-run entry points step one band per thread (band
 //! 0 on the calling thread) from a run's first cycle to its stop, exchanging
 //! cross-band operons at a cycle barrier. Results are **bit-identical to one

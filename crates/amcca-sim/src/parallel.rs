@@ -1,8 +1,11 @@
-//! The threaded driver: one column band per thread, the calling thread
+//! The threaded driver: one row band per thread, the calling thread
 //! stepping band 0.
 //!
-//! A chip's mesh is cut into the column bands of a [`crate::ShardPlan`], and
+//! A chip's mesh is cut into the row bands of a [`crate::ShardPlan`], and
 //! every band keeps the live sets of its own cells (see the `chip` module).
+//! A row band is one contiguous id range, so each thread holds one
+//! `split_at_mut` slice of the row-major cell array and indexes it exactly
+//! as [`Chip::step`] does.
 //! A run of a chip with more than one band is this driver's from its first
 //! cycle to its stop. It steps band 0 on the calling thread and every other
 //! band on a `std::thread::scope` helper, in lock-step cycles, with exactly
@@ -23,10 +26,11 @@
 //!    against that *start-of-cycle* snapshot (cross-band credits are read
 //!    from frames published at the previous cycle's end), then applies them:
 //!    intra-band hops move directly, cross-band hops are popped locally and
-//!    posted to the neighbour's inbox for that side. Under YX routing only
-//!    east/west boundary hops cross bands, and flow control admits at most
-//!    one flit per input FIFO per cycle, so inbox drain order cannot affect
-//!    any FIFO's final order. Then the mid-cycle wait.
+//!    posted to the neighbour's inbox for that side. East/west hops stay in
+//!    their row, so only north/south hops out of a band's first or last row
+//!    cross bands, and flow control admits at most one flit per input FIFO
+//!    per cycle, so inbox drain order cannot affect any FIFO's final order.
+//!    Then the mid-cycle wait.
 //! 3. **Drain + compute + IO + publish** — every band drains its two inboxes,
 //!    marking each receiving cell net-live on its own thread, runs compute
 //!    and IO over its live cells (all cell-local by the architecture's
@@ -46,7 +50,7 @@
 //! caller instead of hanging the run.
 //!
 //! Every band computes only its own rows. Skew is levelled in the data
-//! structure — hub vertices spread over rhizome roots in other columns —
+//! structure — hub vertices spread over rhizome roots in other rows —
 //! not by moving rows between threads. Cycle-barrier work stealing used to
 //! do that and lost wall-clock on the benchmark's `skew_sharded` in every
 //! measured pair: its two extra barriers cost more than the levelling saved.
@@ -56,40 +60,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use crate::cell::Cell;
-use crate::chip::{frame_words, Band, Cells, Chip, CreditFrame, CycleReport, Env, Mail, RunGoal};
+use crate::chip::{frame_words, Band, Chip, CreditFrame, CycleReport, Env, Mail, RunGoal};
 use crate::error::SimError;
-use crate::geom::MeshTable;
 use crate::program::Program;
 use crate::shard::SpinBarrier;
-
-/// A thread's view of its band's cells: one row segment per mesh row,
-/// `rows[y][x - x0]` is cell `(x, y)`.
-struct Rows<'a, T> {
-    x0: usize,
-    rows: Vec<&'a mut [Cell<T>]>,
-    mesh: &'a MeshTable,
-}
-
-impl<T> Cells<T> for Rows<'_, T> {
-    #[inline]
-    fn cell(&self, id: u16) -> &Cell<T> {
-        let c = self.mesh.coord(id);
-        &self.rows[c.y as usize][c.x as usize - self.x0]
-    }
-
-    #[inline]
-    fn cell_mut(&mut self, id: u16) -> &mut Cell<T> {
-        let c = self.mesh.coord(id);
-        &mut self.rows[c.y as usize][c.x as usize - self.x0]
-    }
-}
 
 /// Everything the bands share for one segment: read-only, lock-protected,
 /// or written only between two barrier waits.
 struct Shared<'a> {
     env: Env<'a>,
-    /// `inbox[s]`: cross-band hops posted to band `s` by its west
-    /// neighbour (`[0]`) and by its east neighbour (`[1]`).
+    /// `inbox[s]`: cross-band hops posted to band `s` by its north
+    /// neighbour (`[0]`) and by its south neighbour (`[1]`).
     inbox: Vec<[Mutex<Vec<Mail>>; 2]>,
     credits: Vec<Mutex<CreditFrame>>,
     reports: Vec<Mutex<CycleReport>>,
@@ -104,12 +85,13 @@ struct Shared<'a> {
 struct Lane<'a, P: Program> {
     sid: usize,
     band: &'a mut Band,
-    cells: Rows<'a, P::Object>,
+    /// The band's own slice of the cell array.
+    cells: &'a mut [Cell<P::Object>],
     program: P,
     cycle: u64,
     /// Copies of the neighbours' credit frames for this cycle's route phase.
-    west: Vec<bool>,
-    east: Vec<bool>,
+    north: Vec<bool>,
+    south: Vec<bool>,
     /// Segment-long active-cell total of this band.
     band_active: u64,
 }
@@ -124,14 +106,14 @@ impl<P: Program> Lane<'_, P> {
             return false;
         }
         if sid > 0 {
-            self.west.clone_from(&shared.credits[sid - 1].lock().unwrap().east);
+            self.north.clone_from(&shared.credits[sid - 1].lock().unwrap().south);
         }
         if sid + 1 < n {
-            self.east.clone_from(&shared.credits[sid + 1].lock().unwrap().west);
+            self.south.clone_from(&shared.credits[sid + 1].lock().unwrap().north);
         }
-        let Lane { band, cells, program, west, east, .. } = self;
+        let Lane { band, cells, program, north, south, .. } = self;
         let mut rep = CycleReport::new(shared.frame_words);
-        band.route(cells, &shared.env, self.cycle, west, east, &mut rep);
+        band.route(cells, &shared.env, self.cycle, north, south, &mut rep);
         if sid > 0 && !band.out[0].is_empty() {
             shared.inbox[sid - 1][1].lock().unwrap().append(&mut band.out[0]);
         }
@@ -162,26 +144,6 @@ fn guarded<T>(barrier: &SpinBarrier, f: impl FnOnce() -> T) -> T {
         barrier.poison();
         resume_unwind(panic)
     })
-}
-
-/// Split the row-major cell array into one [`Rows`] view per band.
-fn split_cells<'a, T>(
-    cells: &'a mut [Cell<T>],
-    bands: &[Band],
-    mesh: &'a MeshTable,
-) -> Vec<Rows<'a, T>> {
-    let row_len: usize = bands.iter().map(|b| b.width).sum();
-    let mut out: Vec<Rows<'a, T>> =
-        bands.iter().map(|b| Rows { x0: b.x0, rows: Vec::new(), mesh }).collect();
-    for row in cells.chunks_mut(row_len) {
-        let mut rest = row;
-        for (view, band) in out.iter_mut().zip(bands) {
-            let (seg, r) = rest.split_at_mut(band.width);
-            view.rows.push(seg);
-            rest = r;
-        }
-    }
-    out
 }
 
 /// Run the chip towards `goal` with one thread per band until the shared
@@ -217,17 +179,22 @@ pub(crate) fn run_threaded<P: Program>(
         stop: AtomicBool::new(false),
         frame_words: frame_words(cfg),
     };
-    let views = split_cells(cells, bands, mesh);
     let cycle = tally.cycle;
-    let mut lanes = bands.iter_mut().zip(views).enumerate().map(|(sid, (band, cells))| Lane {
-        sid,
-        band,
-        cells,
-        program: program.fork(),
-        cycle,
-        west: Vec::new(),
-        east: Vec::new(),
-        band_active: 0,
+    // The bands tile the cell array in band order: each takes the next slice.
+    let mut rest = &mut cells[..];
+    let mut lanes = bands.iter_mut().enumerate().map(|(sid, band)| {
+        let (cells, tail) = std::mem::take(&mut rest).split_at_mut(band.ids().len());
+        rest = tail;
+        Lane {
+            sid,
+            band,
+            cells,
+            program: program.fork(),
+            cycle,
+            north: Vec::new(),
+            south: Vec::new(),
+            band_active: 0,
+        }
     });
     let mut lane0 = lanes.next().expect("a chip has at least one band");
 

@@ -210,8 +210,17 @@ mod tests {
     }
 
     #[test]
-    fn rhizome_cells_spread_roots_over_column_bands() {
+    fn rhizome_cells_spread_roots_over_columns_and_row_bands() {
         let dims = Dims::new(32, 32);
+        // The distinct `k`-way bands of coordinates `of(cell)` along an axis
+        // of length `len`, the primary's included.
+        let bands = |cells: &[u16], k: usize, len: u16, of: &dyn Fn(u16) -> u16| {
+            let mut bands: Vec<usize> =
+                (cells.iter().chain([&5])).map(|&c| of(c) as usize * k / len as usize).collect();
+            bands.sort_unstable();
+            bands.dedup();
+            bands.len()
+        };
         for k in [2usize, 4, 8] {
             let cells = rhizome_cells(5, k, dims);
             assert_eq!(cells.len(), k - 1);
@@ -220,13 +229,15 @@ mod tests {
             cols.sort_unstable();
             cols.dedup();
             assert_eq!(cols.len(), k, "every root lands in its own column (k={k})");
-            // Roots are spread: adjacent roots sit in different bands of a
-            // k-way column partition.
-            let band = |x: u16| x as usize * k / dims.x as usize;
-            let mut bands: Vec<usize> = cols.iter().map(|&x| band(x)).collect();
-            bands.sort_unstable();
-            bands.dedup();
-            assert_eq!(bands.len(), k, "one root per column band (k={k})");
+            // Roots are spread along both axes: they sit in different bands
+            // of a k-way column partition and of the k-way row partition the
+            // threaded driver cuts.
+            assert_eq!(bands(&cells, k, dims.x, &|c| c % dims.x), k, "columns (k={k})");
+            assert_eq!(
+                bands(&cells, k, dims.y, &|c| c / dims.x),
+                k,
+                "one root per row band (k={k})"
+            );
         }
     }
 

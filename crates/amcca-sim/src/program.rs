@@ -131,7 +131,7 @@ impl<'a, T> ExecCtx<'a, T> {
 /// # Sharded execution contract
 ///
 /// When [`crate::ChipConfig::shards`] > 1, the chip partitions the mesh into
-/// column bands and runs one *forked* program instance per band, each on
+/// row bands and runs one *forked* program instance per band, each on
 /// its own thread (hence the `Send` bounds). For the parallel engine to stay
 /// bit-identical to the sequential one, any mutable state a program keeps
 /// outside cell memory must be either call-local scratch, or *per-cell

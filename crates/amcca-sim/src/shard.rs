@@ -1,14 +1,14 @@
 //! Shard partitioning and the small synchronization primitives behind the
 //! threaded driver.
 //!
-//! The mesh is partitioned into **contiguous column bands** (BLADYG-style
-//! vertical partitions): with YX dimension-ordered routing every vertical hop
-//! stays inside its column, so the *only* cross-shard traffic is east/west
-//! hops across a band boundary — a narrow, well-defined exchange surface.
-//! Column bands also give every shard its own slice of the north/south IO
-//! cells, so ingestion parallelizes with the compute. A band is fixed for the
-//! whole run and its worker computes every one of its rows; the graph's
-//! skew is levelled by rhizomes, which spread a hub's roots over columns.
+//! The mesh is partitioned into **contiguous row bands** (BLADYG-style block
+//! partitions). Cells are numbered row-major, so a row band is one
+//! contiguous id range — one slice of the chip's cell array, which its
+//! worker indexes directly. Every east/west hop stays inside its row, so the
+//! *only* cross-shard traffic is north/south hops across a band boundary: one
+//! row of links per boundary. A band is fixed for the whole run and its
+//! worker computes every one of its cells; the graph's skew is levelled by
+//! rhizomes, which spread a hub's roots over rows and columns.
 //!
 //! This module also hosts [`run_tasks`], the work-queue helper `paper`'s
 //! `table1` uses to build its independent datasets on a bounded worker pool.
@@ -17,21 +17,21 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use crate::geom::Dims;
 
-/// A partition of the mesh columns into contiguous bands, one per shard.
-/// Bands differ in width by at most one column; the requested shard count is
-/// clamped to the number of columns so every band is non-empty.
+/// A partition of the mesh rows into contiguous bands, one per shard.
+/// Bands differ in height by at most one row; the requested shard count is
+/// clamped to the number of rows so every band is non-empty.
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     dims: Dims,
-    /// Column boundaries: shard `s` owns columns `bounds[s] .. bounds[s+1]`.
+    /// Row boundaries: shard `s` owns rows `bounds[s] .. bounds[s+1]`.
     bounds: Vec<u16>,
 }
 
 impl ShardPlan {
-    /// Partition `dims.x` columns into (at most) `shards` bands.
+    /// Partition `dims.y` rows into (at most) `shards` bands.
     pub fn new(dims: Dims, shards: usize) -> Self {
-        let n = shards.clamp(1, dims.x as usize);
-        let bounds = (0..=n).map(|s| (s * dims.x as usize / n) as u16).collect::<Vec<_>>();
+        let n = shards.clamp(1, dims.y as usize);
+        let bounds = (0..=n).map(|s| (s * dims.y as usize / n) as u16).collect::<Vec<_>>();
         ShardPlan { dims, bounds }
     }
 
@@ -45,7 +45,7 @@ impl ShardPlan {
         self.bounds.len() - 1
     }
 
-    /// Column band `[x0, x1)` owned by shard `s`.
+    /// Row band `[y0, y1)` owned by shard `s`.
     pub fn band(&self, s: usize) -> (u16, u16) {
         (self.bounds[s], self.bounds[s + 1])
     }
@@ -147,23 +147,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn plan_covers_all_columns_evenly() {
-        for (x, shards) in [(32u16, 4usize), (32, 3), (8, 8), (7, 3), (5, 16), (1, 4)] {
-            let plan = ShardPlan::new(Dims::new(x, 4), shards);
+    fn plan_covers_all_rows_evenly() {
+        for (y, shards) in [(32u16, 4usize), (32, 3), (8, 8), (7, 3), (5, 16), (1, 4)] {
+            let plan = ShardPlan::new(Dims::new(4, y), shards);
             let n = plan.shard_count();
-            assert!(n >= 1 && n <= shards.max(1) && n <= x as usize);
-            let mut widths = Vec::new();
+            assert!(n >= 1 && n <= shards.max(1) && n <= y as usize);
+            let mut heights = Vec::new();
             let mut next = 0u16;
             for s in 0..n {
                 let (a, b) = plan.band(s);
                 assert_eq!(a, next, "bands contiguous");
                 assert!(b > a, "bands non-empty");
-                widths.push(b - a);
+                heights.push(b - a);
                 next = b;
             }
-            assert_eq!(next, x, "bands cover every column");
-            let (min, max) = (widths.iter().min().unwrap(), widths.iter().max().unwrap());
-            assert!(max - min <= 1, "balanced bands: {widths:?}");
+            assert_eq!(next, y, "bands cover every row");
+            let (min, max) = (heights.iter().min().unwrap(), heights.iter().max().unwrap());
+            assert!(max - min <= 1, "balanced bands: {heights:?}");
         }
     }
 

@@ -12,7 +12,7 @@
 //!   --zero-indexed     ids start at 0 (default: 1-indexed, GraphChallenge)
 //!   --symmetrize       insert both directions of every edge (needed for cc)
 //!   --chip WxH         mesh size (default 32x32)
-//!   --shards N         column bands, one thread each (default 1; results
+//!   --shards N         row bands, one thread each (default 1; results
 //!                      are identical for any N)
 //!   --edge-cap N       RPVO inline edge capacity (default 16)
 //!   --ghosts N         RPVO ghost fanout (default 2)

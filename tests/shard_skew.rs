@@ -1,5 +1,6 @@
-//! Skewed churn on the sharded engine: hot vertices crowd one column band,
-//! and the engine's bit-identity contract must hold anyway. The converged
+//! Skewed churn on the sharded engine: hot vertices crowd the north rows of
+//! the mesh, so one row band does most of the work, and the engine's
+//! bit-identity contract must hold anyway. The converged
 //! states and per-batch cycle counts are identical across shard counts
 //! (K ∈ {1, 2, 4, 8}).
 
@@ -13,9 +14,9 @@ fn chip(shards: usize) -> ChipConfig {
     ChipConfig::small_test().with_shards(shards)
 }
 
-/// Column-skewed churn: hubs 0, 8, and 16 all share mesh column 0 under
-/// round-robin placement on the 8 × 8 test chip, with a delete tail that
-/// shifts the load.
+/// Skewed churn: hubs 0, 8, and 16 sit in mesh rows 0–2 of column 0 under
+/// round-robin placement on the 8 × 8 test chip — all in the first band at
+/// two shards — with a delete tail that shifts the load.
 fn skewed_batches() -> Vec<Vec<GraphMutation>> {
     use GraphMutation::{AddEdge, DelEdge};
     let fan = |hub: u32, vs: std::ops::Range<u32>| -> Vec<GraphMutation> {
