@@ -980,16 +980,6 @@ impl<P: Program> Chip<P> {
         }
     }
 
-    /// Visit every live object on the chip mutably (host-side, untimed; used
-    /// to patch stored addresses when host restructuring frees objects).
-    pub fn for_each_object_mut(&mut self, mut f: impl FnMut(Address, &mut P::Object)) {
-        for cell in &mut self.cells {
-            for (slot, obj) in cell.memory.iter_mut() {
-                f(Address::new(cell.id, slot), obj);
-            }
-        }
-    }
-
     /// The band that owns cell `cc`.
     fn band_of(&mut self, cc: u16) -> &mut Band {
         self.bands.iter_mut().find(|b| b.owns(cc)).expect("the bands cover every cell")
@@ -1029,18 +1019,6 @@ impl<P: Program> Chip<P> {
         self.cells[cc as usize].task_queue.push_back(op);
         self.band_of(cc).work_live.insert(cc as usize);
         self.tally.queued_tasks += 1;
-    }
-
-    /// Directly enqueue an operon into its target cell's task queue,
-    /// bypassing the network. Host/debug facility for unit tests; not used
-    /// by the paper experiments.
-    pub fn host_inject(&mut self, op: Operon) {
-        let cc = op.target.cc as usize;
-        assert!(cc < self.cells.len(), "host_inject: bad target cell");
-        if op.action != ACT_TOKEN && self.tally.safra.is_some() {
-            self.cells[cc].td.on_send();
-        }
-        self.push_task(op);
     }
 
     // ------------------------------------------------------------------
@@ -1218,15 +1196,6 @@ impl<P: Program> Chip<P> {
             &mut self.tally.activity,
             ActivitySeries { frame_stride: stride, ..Default::default() },
         )
-    }
-
-    /// Switch activity recording at run time (e.g. only for the increment a
-    /// figure needs).
-    pub fn set_activity_recording(&mut self, mode: ActivityRecording) {
-        self.cfg.record_activity = mode;
-        if let ActivityRecording::Frames { stride } = mode {
-            self.tally.activity.frame_stride = stride;
-        }
     }
 
     /// The program (action set) running on the chip.
@@ -1606,16 +1575,6 @@ mod tests {
         chip.io_load([Operon::new(dead, 10, [1, 0])]);
         let err = chip.run_until_quiescent().unwrap_err();
         assert!(matches!(err, SimError::BadAddress { .. }));
-    }
-
-    #[test]
-    fn host_inject_bypasses_network() {
-        let mut chip = test_chip();
-        let a = chip.host_alloc(9, 0u64).unwrap();
-        chip.host_inject(Operon::new(a, 10, [3, 0]));
-        chip.run_until_quiescent().unwrap();
-        assert_eq!(*chip.object(a).unwrap(), 3);
-        assert_eq!(chip.counters().hops, 0, "no network traversal");
     }
 
     #[test]

@@ -117,11 +117,22 @@ struct RunOutcome {
 }
 
 fn build(shards: usize, link_buffer: usize, queue_cap: usize, seed: u64) -> Chip<StressProgram> {
+    build_recording(shards, link_buffer, queue_cap, seed, ActivityRecording::Counts)
+}
+
+/// [`build`], recording activity as `record_activity` says.
+fn build_recording(
+    shards: usize,
+    link_buffer: usize,
+    queue_cap: usize,
+    seed: u64,
+    record_activity: ActivityRecording,
+) -> Chip<StressProgram> {
     let cfg = ChipConfig {
         dims: DIMS,
         link_buffer,
         task_queue_cap: queue_cap,
-        record_activity: ActivityRecording::Counts,
+        record_activity,
         seed,
         shards,
         ..ChipConfig::small_test()
@@ -343,8 +354,8 @@ fn sharded_frames_match_sequential() {
     let ops = workload(&[(1, 3, 4, 5, 0), (20, 2, 3, 11, 1), (44, 1, 4, 23, 0)]);
     let mut frames = Vec::new();
     for shards in [1usize, 4] {
-        let mut chip = build(shards, 4, 1 << 16, 7);
-        chip.set_activity_recording(ActivityRecording::Frames { stride: 2 });
+        let mut chip =
+            build_recording(shards, 4, 1 << 16, 7, ActivityRecording::Frames { stride: 2 });
         chip.io_load(ops.iter().copied());
         chip.run_until_quiescent().unwrap();
         assert_driver(&chip, shards);

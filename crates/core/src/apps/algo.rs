@@ -9,9 +9,9 @@
 //!   target object's inline list; on overflow, spill to a ghost slot —
 //!   allocating the ghost through a continuation if the slot is Null,
 //!   enqueueing on the future if Pending, or forwarding if Ready. After a
-//!   successful insert the algorithm may announce a value along the new edge
-//!   (Listing 4's "inform the dst vertex ... only if this src vertex has a
-//!   valid BFS level").
+//!   successful insert the object announces its value along the new edge
+//!   if it has one (Listing 4's "inform the dst vertex ... only if this src
+//!   vertex has a valid BFS level").
 //! * **the relax action** (paper Listing 5, generalized): monotonically
 //!   improve the object's state with the incoming value and, if improved,
 //!   diffuse a per-edge value along every local edge and forward the value
@@ -54,8 +54,11 @@
 //!   sources, and monotone propagation rebuilds the fixpoint over the
 //!   surviving labelled edges.
 //!
-//! Individual algorithms (BFS, SSSP, connected components, triangles) plug in
-//! through the [`VertexAlgo`] trait.
+//! Individual algorithms (BFS, SSSP, connected components, triangles,
+//! Jaccard) plug in through the [`VertexAlgo`] trait, which holds only what
+//! differs between them. Every leg above announces one value per object,
+//! [`VertexAlgo::sync_value`]: along a new edge, in the reseed wave, as a
+//! retraction's recall, and to a freshly attached ghost.
 
 use amcca_sim::{ActionId, Address, ExecCtx, Operon, SimError};
 use diffusive::{
@@ -182,7 +185,10 @@ impl Scratch {
 
 /// A streaming vertex algorithm: per-vertex state plus the semantic hooks of
 /// the monotone relax pattern. Values on the wire are `u64` (one payload
-/// word); `State` is the per-object representation.
+/// word); `State` is the per-object representation, and
+/// [`Self::sync_value`] the one value an object announces — along a new
+/// edge (paper Listing 4), in the reseed wave, as a deletion's recall, and
+/// to a fresh ghost.
 ///
 /// Algorithms are `Send` (with `Send` state) so the chip's sharded parallel
 /// engine can run one forked instance per mesh shard; any accumulator state
@@ -208,38 +214,17 @@ pub trait VertexAlgo: Send {
     /// (improvements only); return whether `s` changed.
     fn improve(&self, s: &mut Self::State, incoming: u64) -> bool;
 
-    /// Value to diffuse along edge `e` after this object improved to `v`
+    /// Value to diffuse along edge `e` from an object announcing `v`
     /// (BFS: `v + 1`; SSSP: `v + w`; CC: `v`).
     fn along_edge(&self, v: u64, e: &Edge) -> u64;
 
-    /// Value to announce along a *newly inserted* edge given the inserting
-    /// object's state, or `None` to stay silent (BFS: `level + 1` if the
-    /// level is valid).
-    fn notify_on_insert(&self, s: &Self::State, e: &Edge) -> Option<u64>;
-
-    /// Current state as a sync value for a freshly attached ghost (`None`
-    /// if there is nothing to sync, e.g. an unreached BFS vertex).
+    /// The value an object in state `s` announces, or `None` if it has
+    /// nothing to announce (an unreached BFS vertex, or any object of a
+    /// snapshot query). A new edge carries `along_edge` of it.
     fn sync_value(&self, s: &Self::State) -> Option<u64>;
 
-    /// Deletion-repair suspicion test: could state `s` only have been
-    /// derived through a retracted announcement of `suspect`? Monotone
-    /// relaxation guarantees `s`'s wire value is at most as good as any
-    /// announcement it absorbed, so the conservative default — equality with
-    /// the *best* (latest) value the retracted source announced — never
-    /// under-invalidates: a strictly better state had independent support.
-    /// Over-invalidation is safe (the reseed wave restores it).
-    fn retract_match(&self, s: &Self::State, suspect: u64) -> bool {
-        self.sync_value(s) == Some(suspect)
-    }
-
-    /// Handle algorithm-specific actions beyond insert/relax.
-    fn on_other_action(
-        &mut self,
-        ctx: &mut ExecCtx<'_, VertexObj<Self::State>>,
-        op: &Operon,
-        rcfg: &RpvoConfig,
-    ) {
-        let _ = (ctx, rcfg);
+    /// Handle algorithm-specific actions beyond the graph actions.
+    fn on_other_action(&mut self, _ctx: &mut ExecCtx<'_, VertexObj<Self::State>>, op: &Operon) {
         panic!("{}: unknown action {}", Self::NAME, op.action);
     }
 
@@ -305,13 +290,14 @@ pub struct GraphApp<G: VertexAlgo> {
 }
 
 impl<G: VertexAlgo> GraphApp<G> {
-    /// Create the application from an algorithm, an RPVO shape, and the propagate-on-insert flag.
-    pub fn new(algo: G, rcfg: RpvoConfig, propagate_algo: bool) -> Self {
+    /// Create the application from an algorithm and an RPVO shape, with
+    /// the algorithm propagating.
+    pub fn new(algo: G, rcfg: RpvoConfig) -> Self {
         rcfg.validate().expect("invalid RPVO configuration");
         GraphApp {
             algo,
             rcfg,
-            propagate_algo,
+            propagate_algo: true,
             notify_inserts: true,
             invalidated: Vec::new(),
             queries: Vec::new(),
@@ -355,7 +341,7 @@ impl<G: VertexAlgo> GraphApp<G> {
             if obj.has_room(self.rcfg.edge_cap) {
                 obj.edges.push(edge);
                 let notify = if self.propagate_algo && self.notify_inserts {
-                    self.algo.notify_on_insert(&obj.state, &edge)
+                    self.algo.sync_value(&obj.state).map(|v| self.algo.along_edge(v, &edge))
                 } else {
                     None
                 };
@@ -512,9 +498,13 @@ impl<G: VertexAlgo> GraphApp<G> {
     }
 
     /// `retract-action`, the deletion-repair invalidation: if the object's
-    /// state could only have been derived through the recalled value, reset
-    /// it and cascade — along local edges with the value this object would
-    /// have announced, and to mirrors and peers with the old value itself.
+    /// state could only have been derived through the recalled value — its
+    /// announced value equals the recall; monotone relaxation keeps a state
+    /// at most as good as any announcement it absorbed, so a strictly
+    /// better one had independent support — reset it and cascade, along
+    /// local edges with the value this object would have announced, and to
+    /// mirrors and peers with the old value itself. Over-invalidation is
+    /// safe (the reseed wave restores it).
     /// A reset object records its vertex on the repair frontier
     /// ([`Self::take_invalidated`]); an object that rejects the recall
     /// records nothing — it can re-feed the invalidated region only along
@@ -527,34 +517,28 @@ impl<G: VertexAlgo> GraphApp<G> {
             ctx.fail(SimError::BadAddress { addr: op.target, action: ACT_RETRACT });
             return;
         };
-        if !self.algo.retract_match(&obj.state, suspect) {
+        if self.algo.sync_value(&obj.state) != Some(suspect) {
             // Rejected recall: this object's state has independent support.
             return;
         }
-        let old = obj.state;
         let reset = self.algo.root_state(obj.vid);
-        if reset == old {
+        if reset == obj.state {
             // Self-supported state (e.g. the BFS source, a CC vertex at its
             // own label): nothing to invalidate.
             return;
         }
         obj.state = reset;
         self.invalidated.push(obj.vid);
-        // `old` passed retract_match, so it is announceable. Mirrors are
-        // recalled with the value THIS object announced (not the incoming
-        // `suspect`) — the two coincide for the default equality match but
-        // may differ under an overridden retract_match, and Pending ghosts
-        // must see the same recall as Ready ones.
-        let old_value = self.algo.sync_value(&old).expect("matched state announceable");
-        self.scratch
-            .load(obj, Some(PendingOperon { action: ACT_RETRACT, payload: [old_value, 0] }));
+        // The object announced `suspect`, so its mirrors — Pending ghosts
+        // too — take the same recall.
+        self.scratch.load(obj, Some(PendingOperon { action: ACT_RETRACT, payload: [suspect, 0] }));
         ctx.charge(ctx.cost().frontier_mark);
         ctx.charge(ctx.cost().scan_per_edge * self.scratch.edges.len() as u32);
         for e in &self.scratch.edges {
-            ctx.propagate(retract_operon(e.dst, self.algo.along_edge(old_value, e)));
+            ctx.propagate(retract_operon(e.dst, self.algo.along_edge(suspect, e)));
         }
         for a in self.scratch.mirrors() {
-            ctx.propagate(retract_operon(a, old_value));
+            ctx.propagate(retract_operon(a, suspect));
         }
     }
 
@@ -818,11 +802,7 @@ impl<G: VertexAlgo> App for GraphApp<G> {
             ACT_RETRACT => self.invalidate(ctx, op),
             ACT_QUERY if op.payload[0] & QUERY_CLEAR != 0 => self.clear_queries(ctx, op),
             ACT_QUERY => self.absorb_query_bits(ctx, op),
-            _ => {
-                // Split borrow: hand the algorithm the context plus config.
-                let rcfg = self.rcfg;
-                self.algo.on_other_action(ctx, op, &rcfg);
-            }
+            _ => self.algo.on_other_action(ctx, op),
         }
     }
 }
@@ -937,9 +917,6 @@ mod tests {
         fn along_edge(&self, _v: u64, _e: &Edge) -> u64 {
             0
         }
-        fn notify_on_insert(&self, _s: &(), _e: &Edge) -> Option<u64> {
-            None
-        }
         fn sync_value(&self, _s: &()) -> Option<u64> {
             None
         }
@@ -950,7 +927,7 @@ mod tests {
     fn chip(rcfg: RpvoConfig) -> NullChip {
         let cfg = ChipConfig::small_test();
         let retries = cfg.max_alloc_retries;
-        Chip::new(cfg, Runtime::new(GraphApp::new(NullAlgo, rcfg, true), retries))
+        Chip::new(cfg, Runtime::new(GraphApp::new(NullAlgo, rcfg), retries))
     }
 
     fn stream_edges(chip: &mut NullChip, src: Address, n: u32) {

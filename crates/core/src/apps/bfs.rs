@@ -63,17 +63,9 @@ impl VertexAlgo for BfsAlgo {
         v + 1
     }
 
-    fn notify_on_insert(&self, s: &u64, _e: &Edge) -> Option<u64> {
+    fn sync_value(&self, s: &u64) -> Option<u64> {
         // Listing 4: inform the dst vertex only if this src vertex has a
         // valid BFS level.
-        if *s != MAX_LEVEL {
-            Some(*s + 1)
-        } else {
-            None
-        }
-    }
-
-    fn sync_value(&self, s: &u64) -> Option<u64> {
         (*s != MAX_LEVEL).then_some(*s)
     }
 }
@@ -102,11 +94,10 @@ mod tests {
     }
 
     #[test]
-    fn notify_only_with_valid_level() {
+    fn announce_only_with_valid_level() {
         let a = BfsAlgo::new(0);
-        let e = Edge::new(Address::new(0, 0), 1, 1);
-        assert_eq!(a.notify_on_insert(&MAX_LEVEL, &e), None);
-        assert_eq!(a.notify_on_insert(&4, &e), Some(5));
+        assert_eq!(a.sync_value(&MAX_LEVEL), None);
+        assert_eq!(a.sync_value(&4), Some(4));
     }
 
     #[test]

@@ -45,12 +45,8 @@ impl VertexAlgo for CcAlgo {
         v
     }
 
-    fn notify_on_insert(&self, s: &u64, _e: &Edge) -> Option<u64> {
-        // A label is always valid: always announce it along the new edge.
-        Some(*s)
-    }
-
     fn sync_value(&self, s: &u64) -> Option<u64> {
+        // A label is always valid: always announce it.
         Some(*s)
     }
 }
@@ -69,7 +65,7 @@ mod tests {
     fn labels_flow_unchanged_along_edges() {
         let e = Edge::new(Address::new(0, 0), 1, 5);
         assert_eq!(CcAlgo.along_edge(7, &e), 7);
-        assert_eq!(CcAlgo.notify_on_insert(&7, &e), Some(7));
+        assert_eq!(CcAlgo.sync_value(&7), Some(7));
     }
 
     #[test]

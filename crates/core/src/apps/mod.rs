@@ -3,9 +3,8 @@
 pub mod algo;
 pub mod bfs;
 pub mod concomp;
-pub mod jaccard;
 pub mod sssp;
-pub mod triangle;
+pub mod wedge;
 
 pub use algo::{
     delete_operon, insert_operon, query_operon, retract_operon, update_weight_operon, GraphApp,
@@ -14,6 +13,5 @@ pub use algo::{
 };
 pub use bfs::{BfsAlgo, MAX_LEVEL};
 pub use concomp::CcAlgo;
-pub use jaccard::{JaccardAlgo, ACT_JC_CHECK, ACT_JC_GEN, ACT_JC_PROBE};
 pub use sssp::{SsspAlgo, INF};
-pub use triangle::{TriangleAlgo, ACT_TRI_CHECK, ACT_TRI_GEN, ACT_TRI_PROBE};
+pub use wedge::{JaccardAlgo, TriangleAlgo, ACT_JC_GEN, ACT_TRI_GEN};

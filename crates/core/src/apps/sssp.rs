@@ -61,10 +61,6 @@ impl VertexAlgo for SsspAlgo {
         v.saturating_add(e.w as u64)
     }
 
-    fn notify_on_insert(&self, s: &u64, e: &Edge) -> Option<u64> {
-        (*s != INF).then(|| s.saturating_add(e.w as u64))
-    }
-
     fn sync_value(&self, s: &u64) -> Option<u64> {
         (*s != INF).then_some(*s)
     }
@@ -80,8 +76,8 @@ mod tests {
         let a = SsspAlgo::new(0);
         let e = Edge::new(Address::new(0, 0), 1, 7);
         assert_eq!(a.along_edge(10, &e), 17);
-        assert_eq!(a.notify_on_insert(&3, &e), Some(10));
-        assert_eq!(a.notify_on_insert(&INF, &e), None);
+        assert_eq!(a.sync_value(&3), Some(3));
+        assert_eq!(a.sync_value(&INF), None);
     }
 
     #[test]

@@ -271,7 +271,7 @@ impl<G: VertexAlgo> GraphBuilder<G> {
     pub fn build(self) -> Result<StreamingGraph<G>, SimError> {
         let GraphBuilder { algo, n_vertices, chip: cfg, rpvo: rcfg, repair, obs } = self;
         let dims = cfg.dims;
-        let mut dev = Device::new(cfg, GraphApp::new(algo, rcfg, true));
+        let mut dev = Device::new(cfg, GraphApp::new(algo, rcfg));
         dev.register_action_at(ACT_INSERT, "insert-edge-action");
         dev.register_action_at(ACT_RELAX, G::NAME);
         dev.register_action_at(ACT_DELETE, "delete-edge-action");

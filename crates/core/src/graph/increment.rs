@@ -260,7 +260,9 @@ impl<G: VertexAlgo> StreamingGraph<G> {
     /// rhizome links, patch any stored edge that pointed at a freed root to
     /// the vertex's primary, and return the re-ingest wave that merges the
     /// collected edges into the primary (timed — demotion pays real insert
-    /// cycles in the increment that triggered it).
+    /// cycles in the increment that triggered it). The patch visits only the
+    /// objects of the demoted vertices' in-neighbours, read off the log, so
+    /// its cost follows the batch, not the graph.
     fn demote_collapse(&mut self, due: &[u32]) -> Vec<Operon> {
         let mut merged: Vec<(Address, Edge)> = Vec::new();
         let mut remap: HashMap<Address, Address> = HashMap::new();
@@ -279,19 +281,21 @@ impl<G: VertexAlgo> StreamingGraph<G> {
         // Patch dangling destinations: stored edges (and the edges being
         // merged) that pointed at a freed co-equal root now point at that
         // vertex's primary. Only root addresses ever appear as edge
-        // destinations, so the remap over freed extras is complete.
-        let (mut objects, mut patched) = (0, 0);
-        self.dev.chip_mut().for_each_object_mut(|_, obj| {
-            objects += 1;
-            for e in obj.edges.iter_mut() {
-                if let Some(&p) = remap.get(&e.dst) {
-                    e.dst = p;
-                    patched += 1;
+        // destinations, so the remap over freed extras is complete; and a
+        // stored `u → v` copy is live in the log, so `u` is among `v`'s
+        // sources there and the in-neighbours' objects hold every such edge.
+        let in_nbrs = sort_dedup(due.iter().flat_map(|&v| self.log.sources_of(v)).collect());
+        for u in in_nbrs {
+            for a in self.rhizome_objects(u) {
+                self.demote_pass.0 += 1;
+                for e in self.dev.object_mut(a).expect("object live").edges.iter_mut() {
+                    if let Some(&p) = remap.get(&e.dst) {
+                        e.dst = p;
+                        self.demote_pass.1 += 1;
+                    }
                 }
             }
-        });
-        self.demote_pass.0 += objects;
-        self.demote_pass.1 += patched;
+        }
         merged
             .iter_mut()
             .map(|(primary, e)| {
@@ -569,7 +573,7 @@ mod tests {
     }
 
     #[test]
-    fn demotion_prices_its_whole_fabric_pass() {
+    fn demotion_patches_through_its_in_neighbours_objects() {
         let rcfg = RpvoConfig::basic(4, 2).with_rhizomes(6, 3);
         let obs = Obs::enabled();
         let mut g = StreamingGraph::builder(BfsAlgo::new(0))
@@ -586,15 +590,11 @@ mod tests {
         g.stream_edges(&edges).unwrap();
         let extras = g.roots_of(0)[1..].to_vec();
         assert_eq!(extras.len(), 2, "hub promoted");
-        let (mut objects, mut into_extras) = (0, 0);
+        let mut into_extras = 0;
         g.device().chip().for_each_object(|_, obj| {
-            objects += 1;
             into_extras += obj.edges.iter().filter(|e| extras.contains(&e.dst)).count() as u64;
         });
-        let freed: u64 = extras
-            .iter()
-            .map(|&r| walk::collect_objects(r, |x| g.device().object(x)).len() as u64)
-            .sum();
+        let in_nbr_objects: u64 = (1..5).map(|u| g.rhizome_objects(u).len() as u64).sum();
         assert!(into_extras > 0, "some in-edges were routed to an extra root");
         let before = obs.snapshot();
         assert_eq!(before.counter("host.demote_objects"), 0, "nothing demoted yet");
@@ -603,7 +603,7 @@ mod tests {
         g.stream_increment(&dels).unwrap();
         assert_eq!(g.demotion_count(), 1);
         let snap = obs.snapshot();
-        assert_eq!(snap.counter("host.demote_objects"), objects - freed, "every survivor visited");
+        assert_eq!(snap.counter("host.demote_objects"), in_nbr_objects, "in-neighbours visited");
         assert_eq!(snap.counter("host.demote_patches"), into_extras, "every dangling edge patched");
     }
 

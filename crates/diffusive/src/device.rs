@@ -12,7 +12,7 @@
 //! action registration, host-side object allocation (graph construction),
 //! IO-stream loading, and segment-wise runs that wait on the terminator.
 
-use amcca_sim::{ActionId, ActivityRecording, Address, Chip, ChipConfig, Operon, SimError};
+use amcca_sim::{ActionId, Address, Chip, ChipConfig, Operon, SimError};
 
 use crate::action::ActionRegistry;
 use crate::app::{App, Runtime};
@@ -111,11 +111,6 @@ impl<A: App> Device<A> {
         ))
     }
 
-    /// Enable/disable per-cycle activity recording for subsequent runs.
-    pub fn set_activity_recording(&mut self, mode: ActivityRecording) {
-        self.chip.set_activity_recording(mode);
-    }
-
     /// The underlying simulated chip (read access).
     pub fn chip(&self) -> &Chip<Runtime<A>> {
         &self.chip
@@ -151,7 +146,7 @@ impl<A: App> Device<A> {
 mod tests {
     use super::*;
     use crate::continuation::AllocRequest;
-    use amcca_sim::ExecCtx;
+    use amcca_sim::{ActivityRecording, ExecCtx};
 
     /// Trivial app: objects are `u64`, action 8 adds payload[0] to the target.
     struct AddApp;
@@ -250,10 +245,11 @@ mod tests {
 
     #[test]
     fn activity_recording_scoped_to_segment() {
-        let mut dev = Device::new(ChipConfig::small_test(), AddApp);
+        let cfg =
+            ChipConfig { record_activity: ActivityRecording::Counts, ..ChipConfig::small_test() };
+        let mut dev = Device::new(cfg, AddApp);
         let act = dev.register_action("add");
         let a = dev.host_alloc(20, 0).unwrap();
-        dev.set_activity_recording(ActivityRecording::Counts);
         dev.register_data_transfer([Operon::new(a, act, [1, 0])]);
         let r1 = dev.run().unwrap();
         assert_eq!(r1.activity.counts.len() as u64, r1.cycles);

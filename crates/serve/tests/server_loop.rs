@@ -535,12 +535,10 @@ impl VertexAlgo for PanickyBfs {
     }
 
     fn along_edge(&self, v: u64, e: &Edge) -> u64 {
-        self.0.along_edge(v, e)
-    }
-
-    fn notify_on_insert(&self, s: &u64, e: &Edge) -> Option<u64> {
+        // The first place the poisoned insert's edge reaches the algorithm:
+        // the inserting object announces its level along it.
         assert_ne!(e.w, POISON_W, "marked insert");
-        self.0.notify_on_insert(s, e)
+        self.0.along_edge(v, e)
     }
 
     fn sync_value(&self, s: &u64) -> Option<u64> {
