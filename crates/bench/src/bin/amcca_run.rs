@@ -24,10 +24,11 @@
 
 use std::path::PathBuf;
 
+use amcca_bench::{insert_batches, run_stream};
 use amcca_sim::{ChipConfig, Dims, GhostPlacement};
 use gc_datasets::{load_streaming_parts, Sampling};
 use sdgp_core::apps::{BfsAlgo, CcAlgo, SsspAlgo, VertexAlgo};
-use sdgp_core::graph::{symmetrize, StreamEdge, StreamingGraph};
+use sdgp_core::graph::{symmetrize, symmetrize_mutations, StreamEdge, StreamingGraph};
 use sdgp_core::rpvo::RpvoConfig;
 
 #[derive(Debug)]
@@ -117,10 +118,13 @@ fn parse_args() -> Args {
     if a.edges.is_empty() {
         die("at least one --edges FILE is required");
     }
+    if a.verify && a.ingest_only {
+        die("--verify needs the algorithm's result, which --ingest-only turns off");
+    }
     if let Err(e) = RpvoConfig::basic(a.edge_cap, a.ghosts).validate() {
         die(&format!("--edge-cap {} --ghosts {}: {e}", a.edge_cap, a.ghosts));
     }
-    Args { ..a }
+    a
 }
 
 fn main() {
@@ -173,35 +177,34 @@ fn run_algo<G: VertexAlgo<State = u64>>(
         .build()
         .unwrap_or_else(|e| die(&format!("constructing graph: {e}")));
     g.set_algo_propagation(!args.ingest_only);
-    let mut total_cycles = 0u64;
-    let mut total_energy = 0.0f64;
-    for i in 0..dataset.increments() {
-        let mut inc: Vec<StreamEdge> = dataset.increment(i).to_vec();
+    let batches = insert_batches(dataset).map(|muts| {
         if args.symmetrize {
-            inc = symmetrize(&inc);
+            symmetrize_mutations(&muts)
+        } else {
+            muts
         }
-        let r = g.stream_edges(&inc).unwrap_or_else(|e| die(&format!("increment {i}: {e}")));
-        total_cycles += r.cycles;
-        total_energy += r.energy_uj;
+    });
+    let run = run_stream(&mut g, batches, |_, _| {}).unwrap_or_else(|e| die(&e));
+    for (i, r) in run.rows.iter().enumerate() {
         println!(
             "increment {:>3}: {:>8} edges  {:>9} cycles  {:>10.1} µJ",
             i + 1,
-            inc.len(),
-            r.cycles,
-            r.energy_uj
+            r.muts,
+            r.report.cycles,
+            r.report.energy_uj
         );
     }
     println!(
         "total: {} cycles ({:.1} µs @ 1 GHz), {:.1} µJ on {} cells; {} edges stored, {} ghosts",
-        total_cycles,
-        total_cycles as f64 / 1000.0,
-        total_energy,
+        run.total_cycles(),
+        run.total_cycles() as f64 / 1000.0,
+        run.total_energy_uj(),
         cells,
         g.total_edges_stored(),
-        g.ghost_distance_stats().0,
+        run.ghosts.0,
     );
 
-    if args.verify && !args.ingest_only {
+    if args.verify {
         verify(args, dataset, &g);
     }
     if let Some(path) = &args.states_out {

@@ -40,13 +40,15 @@
 //! `--out` (default `bench_out/`).
 
 use amcca_bench::{
-    chip_with_placement, format_table, human_count, out_dir, run_streaming_bfs,
-    run_streaming_churn, write_activity, write_csv, ExperimentResult, RunOpts, Scale,
+    assert_bfs, check_window, churn_batches, format_table, human_count, insert_batches, out_dir,
+    run_stream, write_activity, write_csv, Run, Scale,
 };
 use amcca_sim::trace::activity_sparkline;
-use amcca_sim::{run_tasks, ChipConfig, GhostPlacement};
-use gc_datasets::{ChurnPreset, GcPreset, Sampling, SkewPreset, StreamingDataset};
-use sdgp_core::graph::RepairMode;
+use amcca_sim::{run_tasks, ActivityRecording, ChipConfig, GhostPlacement};
+use diffusive::TerminationMode;
+use gc_datasets::{ChurnPreset, ChurnStream, GcPreset, Sampling, SkewPreset, StreamingDataset};
+use sdgp_core::apps::BfsAlgo;
+use sdgp_core::graph::{GraphBuilder, GraphMutation, RepairMode, StreamingGraph};
 use sdgp_core::rpvo::RpvoConfig;
 
 /// A command name and the function that runs it.
@@ -158,6 +160,35 @@ fn chip_for(args: &Args) -> ChipConfig {
     ChipConfig::default().with_shards(args.jobs)
 }
 
+/// The graph every chip-running scenario starts from: BFS from vertex 0
+/// over `n` vertices on the `--jobs` chip, default RPVO shape.
+fn graph(args: &Args, n: u32) -> GraphBuilder<BfsAlgo> {
+    StreamingGraph::builder(BfsAlgo::new(0)).vertices(n).chip(chip_for(args))
+}
+
+fn build(b: GraphBuilder<BfsAlgo>) -> StreamingGraph<BfsAlgo> {
+    b.build().expect("graph construction")
+}
+
+/// Stream `batches` through the graph `b` builds, BFS propagating iff
+/// `with_bfs`, with `check` after every increment.
+fn stream(
+    b: GraphBuilder<BfsAlgo>,
+    with_bfs: bool,
+    batches: impl IntoIterator<Item = Vec<GraphMutation>>,
+    check: impl FnMut(usize, &StreamingGraph<BfsAlgo>),
+) -> Run {
+    let mut g = build(b);
+    g.set_algo_propagation(with_bfs);
+    run_stream(&mut g, batches, check).expect("streamed run")
+}
+
+/// `d` streamed through the graph `b` builds twice: ingestion only, then
+/// ingestion with BFS.
+fn ingest_and_bfs(b: GraphBuilder<BfsAlgo>, d: &StreamingDataset) -> [Run; 2] {
+    [false, true].map(|with_bfs| stream(b.clone(), with_bfs, insert_batches(d), |_, _| {}))
+}
+
 fn main() {
     let args = parse_args();
     match args.command.as_str() {
@@ -221,13 +252,11 @@ const PAPER_TABLE2: [(&str, f64, f64, f64, f64); 4] = [
 fn table2(args: &Args) {
     eprintln!("[table2] running 4 datasets x 2 modes at scale {:?}...", args.scale);
     let ps = presets(args.scale);
-    let results: Vec<ExperimentResult> = ps
+    let results: Vec<[Run; 2]> = ps
         .iter()
-        .flat_map(|p| [(*p, false), (*p, true)])
-        .map(|(p, with_algo)| {
+        .map(|p| {
             let d = p.build();
-            let opts = RunOpts { with_algo, chip: chip_for(args), ..Default::default() };
-            run_streaming_bfs(&d, &opts, &p.label())
+            ingest_and_bfs(graph(args, d.n_vertices), &d)
         })
         .collect();
     println!("\nTable 2: energy (µJ) and time (µs), 32x32 chip @ 1 GHz (scale {:?})", args.scale);
@@ -242,11 +271,7 @@ fn table2(args: &Args) {
     ];
     let mut rows = Vec::new();
     let mut csv = Vec::new();
-    for (i, p) in ps.iter().enumerate() {
-        let ing = &results[2 * i];
-        let bfs = &results[2 * i + 1];
-        assert!(!ing.with_algo && bfs.with_algo);
-        let paper = PAPER_TABLE2[i];
+    for ((p, [ing, bfs]), paper) in ps.iter().zip(&results).zip(PAPER_TABLE2) {
         rows.push(vec![
             p.label(),
             format!("{:.0}", ing.total_energy_uj()),
@@ -284,46 +309,30 @@ fn table2(args: &Args) {
 fn fig67(args: &Args, with_bfs: bool) {
     let (figno, mode) = if with_bfs { (7, "ingestion with BFS") } else { (6, "ingestion only") };
     eprintln!("[fig{figno}] {mode}, 500K graph, both samplings, scale {:?}...", args.scale);
-    let ps: Vec<GcPreset> = [Sampling::Edge, Sampling::Snowball]
-        .into_iter()
-        .map(|s| args.scale.apply(GcPreset::v500k(s)))
-        .collect();
-    let results: Vec<ExperimentResult> = ps
-        .iter()
-        .map(|p| {
-            let d = p.build();
-            let opts = RunOpts {
-                with_algo: with_bfs,
-                record_activity: true,
-                chip: chip_for(args),
-                ..Default::default()
-            };
-            run_streaming_bfs(&d, &opts, &p.label())
-        })
-        .collect();
     println!(
         "\nFigure {figno}: percent of cells active per cycle — {mode} (scale {:?})",
         args.scale
     );
     let dir = out_dir(&args.out);
-    for (p, r) in ps.iter().zip(&results) {
-        let peak = r.activity.iter().copied().max().unwrap_or(0);
-        let mean =
-            r.activity.iter().map(|&a| a as f64).sum::<f64>() / r.activity.len().max(1) as f64;
+    let chip = ChipConfig { record_activity: ActivityRecording::Counts, ..chip_for(args) };
+    let cells = chip.cell_count();
+    for (tag, sampling) in [("a", Sampling::Edge), ("b", Sampling::Snowball)] {
+        let d = args.scale.apply(GcPreset::v500k(sampling)).build();
+        let b = graph(args, d.n_vertices).chip(chip.clone());
+        let r = stream(b, with_bfs, insert_batches(&d), |_, _| {});
+        let activity = r.activity();
+        let peak = activity.iter().copied().max().unwrap_or(0);
+        let mean = activity.iter().map(|&a| a as f64).sum::<f64>() / activity.len().max(1) as f64;
         println!(
-            "  ({}) {:10}  cycles={:8}  peak={:5.1}%  mean={:5.1}%",
-            if p.sampling == Sampling::Edge { "a" } else { "b" },
-            p.sampling.to_string(),
+            "  ({tag}) {:10}  cycles={:8}  peak={:5.1}%  mean={:5.1}%",
+            sampling.to_string(),
             r.total_cycles(),
-            peak as f64 * 100.0 / r.cell_count as f64,
-            mean * 100.0 / r.cell_count as f64,
+            peak as f64 * 100.0 / cells as f64,
+            mean * 100.0 / cells as f64,
         );
-        println!("      |{}|", activity_sparkline(&r.activity, r.cell_count, 72));
-        let name = format!(
-            "fig{figno}_{}.csv",
-            if p.sampling == Sampling::Edge { "edge" } else { "snowball" }
-        );
-        write_activity(&dir.join(&name), &r.activity, r.cell_count, 4096);
+        println!("      |{}|", activity_sparkline(&activity, cells, 72));
+        let name = format!("fig{figno}_{}.csv", sampling.to_string().to_lowercase());
+        write_activity(&dir.join(&name), &activity, cells, 4096);
         println!("      (csv: {}/{name})", args.out);
     }
 }
@@ -337,36 +346,17 @@ fn fig89(args: &Args, big: bool) {
     let base = if big { GcPreset::v500k } else { GcPreset::v50k };
     let size = if big { "500K" } else { "50K" };
     eprintln!("[fig{figno}] cycles per increment, {size} graph, scale {:?}...", args.scale);
-    let tasks: Vec<(GcPreset, bool)> = [Sampling::Edge, Sampling::Snowball]
-        .into_iter()
-        .flat_map(|s| {
-            let p = args.scale.apply(base(s));
-            [(p, false), (p, true)]
-        })
-        .collect();
-    let results: Vec<ExperimentResult> = tasks
-        .iter()
-        .map(|&(p, with_algo)| {
-            let d = p.build();
-            let opts = RunOpts { with_algo, chip: chip_for(args), ..Default::default() };
-            run_streaming_bfs(&d, &opts, &p.label())
-        })
-        .collect();
     println!("\nFigure {figno}: cycles per increment, {size} graph (scale {:?})", args.scale);
     let dir = out_dir(&args.out);
-    for (si, sampling) in [Sampling::Edge, Sampling::Snowball].into_iter().enumerate() {
-        let ing = &results[2 * si];
-        let bfs = &results[2 * si + 1];
-        println!("  ({}) {} sampling:", if si == 0 { "a" } else { "b" }, sampling);
+    for (tag, sampling) in [("a", Sampling::Edge), ("b", Sampling::Snowball)] {
+        let d = args.scale.apply(base(sampling)).build();
+        let [ing, bfs] = ingest_and_bfs(graph(args, d.n_vertices), &d);
+        println!("  ({tag}) {sampling} sampling:");
         let header = ["Increment", "Streaming Edges", "Streaming Edges with BFS", "ratio"];
-        let rows: Vec<Vec<String>> = (0..ing.rows.len())
-            .map(|i| {
-                vec![
-                    (i + 1).to_string(),
-                    ing.rows[i].cycles.to_string(),
-                    bfs.rows[i].cycles.to_string(),
-                    format!("{:.2}", bfs.rows[i].cycles as f64 / ing.rows[i].cycles.max(1) as f64),
-                ]
+        let rows: Vec<Vec<String>> = cycle_pairs(&ing, &bfs)
+            .map(|(i, _, a, b)| {
+                let ratio = format!("{:.2}", b as f64 / a.max(1) as f64);
+                vec![(i + 1).to_string(), a.to_string(), b.to_string(), ratio]
             })
             .collect();
         println!("{}", indent(&format_table(&header, &rows), 4));
@@ -376,25 +366,24 @@ fn fig89(args: &Args, big: bool) {
             bfs.total_cycles(),
             bfs.total_cycles() as f64 / ing.total_cycles().max(1) as f64
         );
-        let name = format!(
-            "fig{figno}_{}.csv",
-            if sampling == Sampling::Edge { "edge" } else { "snowball" }
-        );
+        let name = format!("fig{figno}_{}.csv", sampling.to_string().to_lowercase());
         write_csv(
             &dir.join(&name),
             "increment,edges,ingest_cycles,bfs_cycles",
-            (0..ing.rows.len()).map(|i| {
-                format!(
-                    "{},{},{},{}",
-                    i + 1,
-                    ing.rows[i].edges,
-                    ing.rows[i].cycles,
-                    bfs.rows[i].cycles
-                )
-            }),
+            cycle_pairs(&ing, &bfs).map(|(i, edges, a, b)| format!("{},{edges},{a},{b}", i + 1)),
         );
         println!("    (csv: {}/{name})", args.out);
     }
+}
+
+/// Per increment of an ingestion-only run and its BFS twin: `(index,
+/// edges, ingestion cycles, BFS cycles)`.
+fn cycle_pairs<'a>(
+    ing: &'a Run,
+    bfs: &'a Run,
+) -> impl Iterator<Item = (usize, usize, u64, u64)> + 'a {
+    let pairs = ing.rows.iter().zip(&bfs.rows);
+    pairs.enumerate().map(|(i, (a, b))| (i, a.muts, a.report.cycles, b.report.cycles))
 }
 
 fn indent(s: &str, n: usize) -> String {
@@ -406,202 +395,168 @@ fn indent(s: &str, n: usize) -> String {
 // Ablations.
 // ---------------------------------------------------------------------
 
-fn ablate_alloc(args: &Args) {
-    eprintln!("[ablate-alloc] vicinity vs random ghost placement, scale {:?}...", args.scale);
+/// One ablation: a sweep over variants of the 50K/Edge streamed BFS run,
+/// printed as a table whose rows the CSV repeats.
+struct Ablation<V> {
+    /// Scenario name; the CSV is named after it.
+    name: &'static str,
+    /// What the sweep varies (the progress line).
+    what: &'static str,
+    /// The table's title, given the dataset label.
+    title: fn(&str) -> String,
+    header: &'static [&'static str],
+    csv_header: &'static str,
+    /// Each variant's label and the setting it sweeps.
+    variants: Vec<(String, V)>,
+    /// A variant's graph, from the `--jobs` BFS graph over the dataset.
+    graph: fn(GraphBuilder<BfsAlgo>, V) -> StreamingGraph<BfsAlgo>,
+    /// A row's cells after label, cycles and energy, given the variant's run
+    /// and the first variant's.
+    cells: fn(&Run, &Run) -> Vec<String>,
+}
+
+fn ablate<V: Clone>(args: &Args, a: Ablation<V>) {
+    eprintln!("[{}] {}, scale {:?}...", a.name, a.what, args.scale);
     let p = args.scale.apply(GcPreset::v50k(Sampling::Edge));
+    let d = p.build();
+    let runs: Vec<Run> = a
+        .variants
+        .iter()
+        .map(|(_, v)| {
+            let mut g = (a.graph)(graph(args, d.n_vertices), v.clone());
+            run_stream(&mut g, insert_batches(&d), |_, _| {}).expect("streamed run")
+        })
+        .collect();
+    println!("\nAblation: {}", (a.title)(&p.label()));
+    let rows: Vec<Vec<String>> = a
+        .variants
+        .iter()
+        .zip(&runs)
+        .map(|((label, _), r)| {
+            let energy = format!("{:.0}", r.total_energy_uj());
+            let mut row = vec![label.clone(), r.total_cycles().to_string(), energy];
+            row.extend((a.cells)(r, &runs[0]));
+            row
+        })
+        .collect();
+    println!("{}", format_table(a.header, &rows));
+    let dir = out_dir(&args.out);
+    let csv = format!("{}.csv", a.name.replace('-', "_"));
+    write_csv(&dir.join(csv), a.csv_header, rows.iter().map(|r| r.join(",")));
+}
+
+fn ablate_alloc(args: &Args) {
     let policies = [
         ("vicinity-1", GhostPlacement::Vicinity { max_hops: 1 }),
         ("vicinity-2", GhostPlacement::Vicinity { max_hops: 2 }),
         ("vicinity-4", GhostPlacement::Vicinity { max_hops: 4 }),
         ("random", GhostPlacement::Random),
     ];
-    let results: Vec<ExperimentResult> = policies
-        .iter()
-        .map(|&(name, pol)| {
-            let d = p.build();
-            let opts = RunOpts {
-                chip: chip_with_placement(pol).with_shards(args.jobs),
-                rcfg: RpvoConfig::basic(8, 2),
-                ..Default::default()
-            };
-            run_streaming_bfs(&d, &opts, name)
-        })
-        .collect();
-    println!("\nAblation: ghost allocation policy (Fig. 5), {} + BFS", p.label());
-    let header = ["Policy", "Cycles", "Energy µJ", "Hops", "Ghosts", "Avg ghost hops"];
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| {
-            let hops: u64 = r.rows.iter().map(|x| x.counters.hops).sum();
-            vec![
-                r.label.clone(),
-                r.total_cycles().to_string(),
-                format!("{:.0}", r.total_energy_uj()),
-                hops.to_string(),
-                r.ghosts.0.to_string(),
-                format!("{:.2}", r.ghosts.1),
-            ]
-        })
-        .collect();
-    println!("{}", format_table(&header, &rows));
-    let dir = out_dir(&args.out);
-    write_csv(
-        &dir.join("ablate_alloc.csv"),
-        "policy,cycles,energy_uj,hops,ghosts,avg_ghost_hops",
-        rows.iter().map(|r| r.join(",")),
+    ablate(
+        args,
+        Ablation {
+            name: "ablate-alloc",
+            what: "vicinity vs random ghost placement",
+            title: |d| format!("ghost allocation policy (Fig. 5), {d} + BFS"),
+            header: &["Policy", "Cycles", "Energy µJ", "Hops", "Ghosts", "Avg ghost hops"],
+            csv_header: "policy,cycles,energy_uj,hops,ghosts,avg_ghost_hops",
+            variants: policies
+                .map(|(name, pol)| {
+                    (name.into(), ChipConfig { ghost_placement: pol, ..chip_for(args) })
+                })
+                .into(),
+            graph: |b, chip| build(b.chip(chip).rpvo(RpvoConfig::basic(8, 2))),
+            cells: |r, _| {
+                let hops = r.sum(|x| x.counters.hops);
+                vec![hops.to_string(), r.ghosts.0.to_string(), format!("{:.2}", r.ghosts.1)]
+            },
+        },
     );
 }
 
 fn ablate_edgecap(args: &Args) {
-    eprintln!("[ablate-edgecap] RPVO edge-capacity sweep, scale {:?}...", args.scale);
-    let p = args.scale.apply(GcPreset::v50k(Sampling::Edge));
-    let caps = [2usize, 4, 8, 16, 32];
-    let results: Vec<ExperimentResult> = caps
-        .iter()
-        .map(|&cap| {
-            let d = p.build();
-            let opts = RunOpts {
-                rcfg: RpvoConfig::basic(cap, 2),
-                chip: chip_for(args),
-                ..Default::default()
-            };
-            run_streaming_bfs(&d, &opts, &format!("cap={cap}"))
-        })
-        .collect();
-    println!("\nAblation: RPVO inline edge capacity, {} + BFS", p.label());
-    let header = ["edge_cap", "Cycles", "Energy µJ", "Ghosts", "Msgs staged"];
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| {
-            let staged: u64 = r.rows.iter().map(|x| x.counters.msgs_staged).sum();
-            vec![
-                r.label.clone(),
-                r.total_cycles().to_string(),
-                format!("{:.0}", r.total_energy_uj()),
-                r.ghosts.0.to_string(),
-                staged.to_string(),
-            ]
-        })
-        .collect();
-    println!("{}", format_table(&header, &rows));
-    let dir = out_dir(&args.out);
-    write_csv(
-        &dir.join("ablate_edgecap.csv"),
-        "edge_cap,cycles,energy_uj,ghosts,msgs_staged",
-        rows.iter().map(|r| r.join(",")),
+    ablate(
+        args,
+        Ablation {
+            name: "ablate-edgecap",
+            what: "RPVO edge-capacity sweep",
+            title: |d| format!("RPVO inline edge capacity, {d} + BFS"),
+            header: &["edge_cap", "Cycles", "Energy µJ", "Ghosts", "Msgs staged"],
+            csv_header: "edge_cap,cycles,energy_uj,ghosts,msgs_staged",
+            variants: [2, 4, 8, 16, 32].map(|cap| (format!("cap={cap}"), cap)).into(),
+            graph: |b, cap| build(b.rpvo(RpvoConfig::basic(cap, 2))),
+            cells: |r, _| {
+                let staged = r.sum(|x| x.counters.msgs_staged);
+                vec![r.ghosts.0.to_string(), staged.to_string()]
+            },
+        },
     );
 }
 
 fn ablate_ghosts(args: &Args) {
-    eprintln!("[ablate-ghosts] RPVO ghost-fanout sweep, scale {:?}...", args.scale);
-    let p = args.scale.apply(GcPreset::v50k(Sampling::Edge));
-    let fanouts = [1usize, 2, 4, 8];
-    let results: Vec<ExperimentResult> = fanouts
-        .iter()
-        .map(|&f| {
-            let d = p.build();
-            let opts = RunOpts {
-                rcfg: RpvoConfig::basic(4, f),
-                chip: chip_for(args),
-                ..Default::default()
-            };
-            run_streaming_bfs(&d, &opts, &format!("fanout={f}"))
-        })
-        .collect();
-    println!("\nAblation: RPVO ghost fanout (spill-tree arity), {} + BFS", p.label());
-    let header = ["ghost_fanout", "Cycles", "Energy µJ", "Ghosts", "Avg ghost hops"];
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| {
-            vec![
-                r.label.clone(),
-                r.total_cycles().to_string(),
-                format!("{:.0}", r.total_energy_uj()),
-                r.ghosts.0.to_string(),
-                format!("{:.2}", r.ghosts.1),
-            ]
-        })
-        .collect();
-    println!("{}", format_table(&header, &rows));
-    let dir = out_dir(&args.out);
-    write_csv(
-        &dir.join("ablate_ghosts.csv"),
-        "ghost_fanout,cycles,energy_uj,ghosts,avg_ghost_hops",
-        rows.iter().map(|r| r.join(",")),
+    ablate(
+        args,
+        Ablation {
+            name: "ablate-ghosts",
+            what: "RPVO ghost-fanout sweep",
+            title: |d| format!("RPVO ghost fanout (spill-tree arity), {d} + BFS"),
+            header: &["ghost_fanout", "Cycles", "Energy µJ", "Ghosts", "Avg ghost hops"],
+            csv_header: "ghost_fanout,cycles,energy_uj,ghosts,avg_ghost_hops",
+            variants: [1, 2, 4, 8].map(|f| (format!("fanout={f}"), f)).into(),
+            graph: |b, f| build(b.rpvo(RpvoConfig::basic(4, f))),
+            cells: |r, _| vec![r.ghosts.0.to_string(), format!("{:.2}", r.ghosts.1)],
+        },
     );
 }
 
 fn ablate_terminator(args: &Args) {
-    eprintln!("[ablate-terminator] quiescence vs Safra token, scale {:?}...", args.scale);
-    let p = args.scale.apply(GcPreset::v50k(Sampling::Edge));
-    let modes = [
-        ("quiescence", diffusive::TerminationMode::Quiescence),
-        ("safra-token", diffusive::TerminationMode::SafraToken),
-    ];
-    let results: Vec<ExperimentResult> = modes
-        .iter()
-        .map(|&(name, mode)| {
-            let d = p.build();
-            let opts = RunOpts { termination: mode, chip: chip_for(args), ..Default::default() };
-            run_streaming_bfs(&d, &opts, name)
-        })
-        .collect();
-    println!("\nAblation: termination detection, {} + BFS (10 increments)", p.label());
-    let header = ["Detector", "Cycles", "Energy µJ", "Hops", "Detection overhead"];
-    let base_cycles = results[0].total_cycles();
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| {
-            let hops: u64 = r.rows.iter().map(|x| x.counters.hops).sum();
-            let overhead = r.total_cycles() as f64 / base_cycles as f64 - 1.0;
-            vec![
-                r.label.clone(),
-                r.total_cycles().to_string(),
-                format!("{:.0}", r.total_energy_uj()),
-                hops.to_string(),
-                format!("{:+.1}%", overhead * 100.0),
-            ]
-        })
-        .collect();
-    println!("{}", format_table(&header, &rows));
+    ablate(
+        args,
+        Ablation {
+            name: "ablate-terminator",
+            what: "quiescence vs Safra token",
+            title: |d| format!("termination detection, {d} + BFS (10 increments)"),
+            header: &["Detector", "Cycles", "Energy µJ", "Hops", "Detection overhead"],
+            csv_header: "detector,cycles,energy_uj,hops,overhead",
+            variants: vec![
+                ("quiescence".into(), TerminationMode::Quiescence),
+                ("safra-token".into(), TerminationMode::SafraToken),
+            ],
+            graph: |b, mode| {
+                let mut g = build(b);
+                g.set_termination_mode(mode);
+                g
+            },
+            cells: |r, base| {
+                let overhead = r.total_cycles() as f64 / base.total_cycles() as f64 - 1.0;
+                vec![r.sum(|x| x.counters.hops).to_string(), format!("{:+.1}%", overhead * 100.0)]
+            },
+        },
+    );
     println!(
         "(quiescence is the simulator-level detector the paper uses; Safra's token\n\
          pays real mesh hops and polling cycles to detect the same terminations)"
-    );
-    let dir = out_dir(&args.out);
-    write_csv(
-        &dir.join("ablate_terminator.csv"),
-        "detector,cycles,energy_uj,hops,overhead",
-        rows.iter().map(|r| r.join(",")),
     );
 }
 
 fn loadmap(args: &Args) {
     use amcca_sim::{gini, max_mean_ratio, top_k_share};
-    use sdgp_core::apps::BfsAlgo;
-    use sdgp_core::graph::StreamingGraph;
 
     eprintln!("[loadmap] per-cell load, Edge vs Snowball, scale {:?}...", args.scale);
     println!("\nLoad distribution across compute cells (ingestion-only, §5's congestion claim):");
     let dir = out_dir(&args.out);
     let mut summary = Vec::new();
     for sampling in [Sampling::Edge, Sampling::Snowball] {
-        let p = args.scale.apply(GcPreset::v50k(sampling));
-        let d = p.build();
-        let mut g = StreamingGraph::builder(BfsAlgo::new(0))
-            .vertices(d.n_vertices)
-            .chip(chip_for(args))
-            .rpvo(RpvoConfig::default())
-            .build()
-            .unwrap();
+        let d = args.scale.apply(GcPreset::v50k(sampling)).build();
+        let mut g = build(graph(args, d.n_vertices));
         g.set_algo_propagation(false);
         // Stream only the LAST increment after building the prefix, so the
         // measured loads reflect one increment's frontier behaviour.
-        for i in 0..d.increments() - 1 {
-            g.stream_edges(d.increment(i)).unwrap();
-        }
+        let mut batches = insert_batches(&d);
+        let prefix = batches.by_ref().take(d.increments() - 1);
+        run_stream(&mut g, prefix, |_, _| {}).expect("streamed run");
         g.device_mut().chip_mut().reset_cell_loads();
-        g.stream_edges(d.increment(d.increments() - 1)).unwrap();
+        run_stream(&mut g, batches, |_, _| {}).expect("streamed run");
         let loads: Vec<u64> = g.device().chip().cell_loads().iter().map(|l| l.delivered).collect();
         let peaks: Vec<u32> = g.device().chip().cell_loads().iter().map(|l| l.peak_queue).collect();
         // Per-cell storage skew: how many vertex objects and stored edges
@@ -633,8 +588,7 @@ fn loadmap(args: &Args) {
             objects.iter().max().unwrap(),
             edges_stored.iter().max().unwrap(),
         ));
-        let name =
-            format!("loadmap_{}.csv", if sampling == Sampling::Edge { "edge" } else { "snowball" });
+        let name = format!("loadmap_{}.csv", sampling.to_string().to_lowercase());
         write_csv(
             &dir.join(&name),
             "cell,delivered,peak_queue,objects,edges_stored",
@@ -684,14 +638,7 @@ fn skew(args: &Args) {
     let stats = gc_datasets::degree_stats(d.n_vertices, d.all_edges());
     let threshold = skew_threshold(&stats);
     let rcfg = RpvoConfig::default().with_rhizomes(threshold, 4);
-    let results: Vec<ExperimentResult> = [false, true]
-        .into_iter()
-        .map(|with_algo| {
-            let opts = RunOpts { with_algo, rcfg, chip: chip_for(args), ..Default::default() };
-            run_streaming_bfs(&d, &opts, &p.label())
-        })
-        .collect();
-    let (ing, bfs) = (&results[0], &results[1]);
+    let [ing, bfs] = ingest_and_bfs(graph(args, d.n_vertices).rpvo(rcfg), &d);
     println!(
         "\nSkewed-graph streaming: {} (degree max {}, mean {:.1}, gini {:.3}, top-1% {:.1}%)",
         p.label(),
@@ -702,18 +649,15 @@ fn skew(args: &Args) {
     );
     println!(
         "  rhizomes: threshold {} touches, K=4 → {} vertices promoted, {} extra roots",
-        threshold, ing.rhizomes.0, ing.rhizomes.1
+        threshold,
+        ing.last().promoted,
+        ing.last().extra_roots
     );
     let header = ["Increment", "Edges", "Ingest cycles", "Ingest+BFS cycles", "ratio"];
-    let rows: Vec<Vec<String>> = (0..ing.rows.len())
-        .map(|i| {
-            vec![
-                (i + 1).to_string(),
-                ing.rows[i].edges.to_string(),
-                ing.rows[i].cycles.to_string(),
-                bfs.rows[i].cycles.to_string(),
-                format!("{:.2}", bfs.rows[i].cycles as f64 / ing.rows[i].cycles.max(1) as f64),
-            ]
+    let rows: Vec<Vec<String>> = cycle_pairs(&ing, &bfs)
+        .map(|(i, edges, a, b)| {
+            let ratio = format!("{:.2}", b as f64 / a.max(1) as f64);
+            vec![(i + 1).to_string(), edges.to_string(), a.to_string(), b.to_string(), ratio]
         })
         .collect();
     println!("{}", format_table(&header, &rows));
@@ -726,18 +670,11 @@ fn skew(args: &Args) {
     write_csv(
         &dir.join("skew.csv"),
         "increment,edges,ingest_cycles,bfs_cycles,promoted,extra_roots",
-        (0..ing.rows.len()).map(|i| {
-            // promoted/extra_roots are cumulative as of this increment —
-            // the promotion timeline across the stream.
-            format!(
-                "{},{},{},{},{},{}",
-                i + 1,
-                ing.rows[i].edges,
-                ing.rows[i].cycles,
-                bfs.rows[i].cycles,
-                ing.rows[i].rhizomes.0,
-                ing.rows[i].rhizomes.1
-            )
+        // promoted/extra_roots are cumulative as of this increment — the
+        // promotion timeline across the stream.
+        cycle_pairs(&ing, &bfs).map(|(i, edges, a, b)| {
+            let r = &ing.rows[i];
+            format!("{},{edges},{a},{b},{},{}", i + 1, r.promoted, r.extra_roots)
         }),
     );
     println!("  (csv: {}/skew.csv)", args.out);
@@ -750,18 +687,16 @@ fn ablate_rhizomes(args: &Args) {
     let stats = gc_datasets::degree_stats(d.n_vertices, d.all_edges());
     let threshold = skew_threshold(&stats);
     let ks = [1usize, 2, 4, 8];
-    let results: Vec<ExperimentResult> = ks
+    let results: Vec<[Run; 2]> = ks
         .iter()
-        .flat_map(|&k| [(k, false), (k, true)])
-        .map(|(k, with_algo)| {
+        .map(|&k| {
             // K = 1 is the single-root reference (promotion off).
             let rcfg = if k == 1 {
                 RpvoConfig::default()
             } else {
                 RpvoConfig::default().with_rhizomes(threshold, k)
             };
-            let opts = RunOpts { with_algo, rcfg, chip: chip_for(args), ..Default::default() };
-            run_streaming_bfs(&d, &opts, &format!("K={k}"))
+            ingest_and_bfs(graph(args, d.n_vertices).rpvo(rcfg), &d)
         })
         .collect();
     println!(
@@ -773,14 +708,12 @@ fn ablate_rhizomes(args: &Args) {
         ["K", "Promoted", "Extra roots", "Ingest cycles", "Ingest µJ", "+BFS cycles", "+BFS µJ"];
     let mut rows = Vec::new();
     let mut csv = Vec::new();
-    for (i, &k) in ks.iter().enumerate() {
-        let ing = &results[2 * i];
-        let bfs = &results[2 * i + 1];
-        assert!(!ing.with_algo && bfs.with_algo);
+    for (k, [ing, bfs]) in ks.iter().zip(&results) {
+        let end = ing.last();
         rows.push(vec![
             k.to_string(),
-            ing.rhizomes.0.to_string(),
-            ing.rhizomes.1.to_string(),
+            end.promoted.to_string(),
+            end.extra_roots.to_string(),
             ing.total_cycles().to_string(),
             format!("{:.0}", ing.total_energy_uj()),
             bfs.total_cycles().to_string(),
@@ -789,8 +722,8 @@ fn ablate_rhizomes(args: &Args) {
         csv.push(format!(
             "{},{},{},{},{:.1},{},{:.1}",
             k,
-            ing.rhizomes.0,
-            ing.rhizomes.1,
+            end.promoted,
+            end.extra_roots,
             ing.total_cycles(),
             ing.total_energy_uj(),
             bfs.total_cycles(),
@@ -798,8 +731,8 @@ fn ablate_rhizomes(args: &Args) {
         ));
     }
     println!("{}", format_table(&header, &rows));
-    let k1 = results[0].total_cycles();
-    let k4 = results[4].total_cycles();
+    let k1 = results[0][0].total_cycles();
+    let k4 = results[2][0].total_cycles();
     println!(
         "  ingestion cycles K=4 vs K=1: {k4} vs {k1} ({:+.1}%)",
         (k4 as f64 / k1.max(1) as f64 - 1.0) * 100.0
@@ -816,6 +749,19 @@ fn ablate_rhizomes(args: &Args) {
 // ---------------------------------------------------------------------
 // Sliding-window churn: deletions, repair diffusions, rhizome demotion.
 // ---------------------------------------------------------------------
+
+/// `c` streamed through the `--jobs` graph with `rcfg` and `repair`, BFS
+/// propagating iff `with_bfs`, under [`check_window`] after every batch.
+fn churn_run(
+    args: &Args,
+    rcfg: RpvoConfig,
+    repair: RepairMode,
+    c: &ChurnStream,
+    with_bfs: bool,
+) -> Run {
+    let b = graph(args, c.n_vertices).rpvo(rcfg).repair(repair);
+    stream(b, with_bfs, churn_batches(c), check_window(c))
+}
 
 fn churn(args: &Args) {
     let mode_name = |m: RepairMode| match m {
@@ -836,26 +782,11 @@ fn churn(args: &Args) {
     let stats = gc_datasets::degree_stats(c.n_vertices, &peak);
     let threshold = skew_threshold(&stats);
     let rcfg = RpvoConfig::default().with_rhizomes(threshold, 4);
-    let results: Vec<amcca_bench::ChurnExperiment> = [false, true]
-        .into_iter()
-        .map(|with_algo| {
-            let opts = RunOpts {
-                with_algo,
-                rcfg,
-                chip: chip_for(args),
-                repair: args.repair,
-                ..Default::default()
-            };
-            // The BFS run is oracle-checked against a from-scratch rebuild
-            // over the surviving edge set after EVERY batch.
-            run_streaming_churn(&c, &opts, &p.label())
-        })
-        .collect();
-    let (ing, bfs) = (&results[0], &results[1]);
+    let [ing, bfs] = [false, true].map(|with_bfs| churn_run(args, rcfg, args.repair, &c, with_bfs));
     println!(
         "\nSliding-window churn: {} ({} insert batches of {}, window {}, drained; \
          peak-window degree max {}, mean {:.1}; {} repair)",
-        ing.label,
+        p.label(),
         p.batches,
         human_count(p.adds_per_batch as u64),
         p.window,
@@ -879,23 +810,24 @@ fn churn(args: &Args) {
         "Roots+",
         "Demoted",
     ];
-    let rows: Vec<Vec<String>> = (0..ing.rows.len())
+    let rows: Vec<Vec<String>> = (0..c.len())
         .map(|i| {
+            let (b, ing, bfs) = (c.batch(i), &ing.rows[i], &bfs.rows[i]);
             vec![
                 (i + 1).to_string(),
-                ing.rows[i].adds.to_string(),
-                ing.rows[i].dels.to_string(),
-                ing.rows[i].live.to_string(),
-                ing.rows[i].cycles.to_string(),
-                bfs.rows[i].cycles.to_string(),
-                bfs.rows[i].reseed_triggers.to_string(),
-                ing.rows[i].extra_roots.to_string(),
-                ing.rows[i].demoted.to_string(),
+                b.adds.len().to_string(),
+                b.dels.len().to_string(),
+                ing.live.to_string(),
+                ing.report.cycles.to_string(),
+                bfs.report.cycles.to_string(),
+                bfs.report.reseed_triggers.to_string(),
+                ing.extra_roots.to_string(),
+                ing.demoted.to_string(),
             ]
         })
         .collect();
     println!("{}", format_table(&header, &rows));
-    let last = ing.rows.last().unwrap();
+    let last = ing.last();
     println!(
         "  end of stream: {} live edges, {} promotions, {} demotions, {} extra roots left",
         last.live, last.promoted, last.demoted, last.extra_roots
@@ -904,46 +836,42 @@ fn churn(args: &Args) {
     write_csv(
         &dir.join("churn.csv"),
         "batch,adds,dels,live,ingest_cycles,ingest_uj,bfs_cycles,bfs_uj,bfs_us,repair_cycles,reseed_triggers,promoted,extra_roots,demoted",
-        (0..ing.rows.len()).map(|i| {
+        (0..c.len()).map(|i| {
+            let (b, ing, bfs) = (c.batch(i), &ing.rows[i], &bfs.rows[i]);
             format!(
                 "{},{},{},{},{},{:.1},{},{:.1},{:.1},{},{},{},{},{}",
                 i + 1,
-                ing.rows[i].adds,
-                ing.rows[i].dels,
-                ing.rows[i].live,
-                ing.rows[i].cycles,
-                ing.rows[i].energy_uj,
-                bfs.rows[i].cycles,
-                bfs.rows[i].energy_uj,
-                bfs.rows[i].time_us,
-                bfs.rows[i].repair_cycles,
-                bfs.rows[i].reseed_triggers,
-                ing.rows[i].promoted,
-                ing.rows[i].extra_roots,
-                ing.rows[i].demoted
+                b.adds.len(),
+                b.dels.len(),
+                ing.live,
+                ing.report.cycles,
+                ing.report.energy_uj,
+                bfs.report.cycles,
+                bfs.report.energy_uj,
+                bfs.report.time_us,
+                bfs.report.repair_cycles,
+                bfs.report.reseed_triggers,
+                ing.promoted,
+                ing.extra_roots,
+                ing.demoted
             )
         }),
     );
     println!("  (csv: {}/churn.csv)", args.out);
     // The headline BFS run already measured (window, args.repair) under the
     // ablation's exact options — reuse it instead of re-simulating.
-    ablate_repair(args, &rcfg, &c, bfs);
+    ablate_repair(args, rcfg, &c, &bfs);
 }
 
 /// Full-vs-targeted repair ablation: run the same churn schedule under both
-/// reseed scopings (bit-identical fixpoints — `run_streaming_churn`
-/// oracle-checks every batch), then a small-batch/large-graph schedule where
-/// the invalidated region is tiny relative to the graph. Shows targeted
-/// reseed trigger counts (and repair-phase work) tracking the batch size
-/// while the full wave pays O(n) per delete-bearing batch. `headline` is
-/// the window schedule's already-measured run under `args.repair` and the
-/// same options; only the three missing experiments are simulated.
-fn ablate_repair(
-    args: &Args,
-    rcfg: &RpvoConfig,
-    window: &gc_datasets::ChurnStream,
-    headline: &amcca_bench::ChurnExperiment,
-) {
+/// reseed scopings (bit-identical fixpoints — [`check_window`] oracle-checks
+/// every batch), then a small-batch/large-graph schedule where the
+/// invalidated region is tiny relative to the graph. Shows targeted reseed
+/// trigger counts (and repair-phase work) tracking the batch size while the
+/// full wave pays O(n) per delete-bearing batch. `headline` is the window
+/// schedule's already-measured BFS run under `args.repair` and the same
+/// options; only the three missing experiments are simulated.
+fn ablate_repair(args: &Args, rcfg: RpvoConfig, window: &ChurnStream, headline: &Run) {
     eprintln!("[churn] full-vs-targeted repair ablation, scale {:?}...", args.scale);
     // Small batches on the same graph size: 1/32 of the preset's batch
     // volume, single-batch window, no drain — every batch deletes a sliver
@@ -964,26 +892,15 @@ fn ablate_repair(
         RepairMode::Full => RepairMode::Targeted,
         RepairMode::Targeted => RepairMode::Full,
     };
-    let jobs: Vec<(&str, &gc_datasets::ChurnStream, RepairMode)> = vec![
-        ("window", window, other_mode),
-        ("smallbatch", &small, RepairMode::Full),
-        ("smallbatch", &small, RepairMode::Targeted),
-    ];
-    let runs: Vec<amcca_bench::ChurnExperiment> = jobs
-        .into_iter()
-        .map(|(name, c, repair)| {
-            let opts = RunOpts { rcfg: *rcfg, chip: chip_for(args), repair, ..Default::default() };
-            run_streaming_churn(c, &opts, name)
-        })
-        .collect();
-    let (window_full, window_targeted) = match args.repair {
-        RepairMode::Full => (headline, &runs[0]),
-        RepairMode::Targeted => (&runs[0], headline),
+    let [window_other, small_full, small_targeted] =
+        [(window, other_mode), (&small, RepairMode::Full), (&small, RepairMode::Targeted)]
+            .map(|(c, repair)| churn_run(args, rcfg, repair, c, true));
+    let window_pair = match args.repair {
+        RepairMode::Full => (headline, &window_other),
+        RepairMode::Targeted => (&window_other, headline),
     };
-    let schedules: [(&str, &gc_datasets::ChurnStream); 2] =
-        [("window", window), ("smallbatch", &small)];
-    let pairs: [(&amcca_bench::ChurnExperiment, &amcca_bench::ChurnExperiment); 2] =
-        [(window_full, window_targeted), (&runs[1], &runs[2])];
+    let schedules =
+        [("window", window, window_pair), ("smallbatch", &small, (&small_full, &small_targeted))];
     println!(
         "\nAblation: repair scoping (reseed triggers / repair work, summed over batches;\n\
          instrs measure the wave's work — cycles only its depth)"
@@ -998,34 +915,31 @@ fn ablate_repair(
     ];
     let mut rows = Vec::new();
     let mut csv = Vec::new();
-    for (si, &(name, c)) in schedules.iter().enumerate() {
-        let (full, targeted) = pairs[si];
-        let sum = |e: &amcca_bench::ChurnExperiment, f: fn(&amcca_bench::ChurnRow) -> u64| {
-            e.rows.iter().map(f).sum::<u64>()
-        };
+    for (name, c, (full, targeted)) in schedules {
         rows.push(vec![
             name.to_string(),
             c.n_vertices.to_string(),
-            sum(full, |r| r.reseed_triggers).to_string(),
-            sum(targeted, |r| r.reseed_triggers).to_string(),
-            sum(full, |r| r.repair_instrs).to_string(),
-            sum(targeted, |r| r.repair_instrs).to_string(),
+            full.sum(|r| r.reseed_triggers).to_string(),
+            targeted.sum(|r| r.reseed_triggers).to_string(),
+            full.sum(|r| r.repair_instrs).to_string(),
+            targeted.sum(|r| r.repair_instrs).to_string(),
         ]);
-        for i in 0..full.rows.len() {
+        for (i, (f, t)) in full.rows.iter().zip(&targeted.rows).enumerate() {
+            let (f, t) = (&f.report, &t.report);
             csv.push(format!(
                 "{},{},{},{},{},{},{},{},{},{},{},{}",
                 name,
                 i + 1,
                 c.n_vertices,
-                full.rows[i].dels,
+                c.batch(i).dels.len(),
                 full.rows[i].live,
-                full.rows[i].reseed_triggers,
-                targeted.rows[i].reseed_triggers,
-                full.rows[i].repair_instrs,
-                targeted.rows[i].repair_instrs,
-                full.rows[i].repair_cycles,
-                targeted.rows[i].repair_cycles,
-                targeted.rows[i].cycles,
+                f.reseed_triggers,
+                t.reseed_triggers,
+                f.repair_instrs,
+                t.repair_instrs,
+                f.repair_cycles,
+                t.repair_cycles,
+                t.cycles,
             ));
         }
     }
@@ -1048,27 +962,16 @@ fn ablate_repair(
 // ---------------------------------------------------------------------
 
 fn verify(args: &Args) {
-    use refgraph::{bfs_levels, DiGraph};
-    use sdgp_core::apps::BfsAlgo;
-    use sdgp_core::graph::{StreamEdge, StreamingGraph};
-
     eprintln!("[verify] streamed BFS vs reference oracle...");
-    let p = args.scale.apply(GcPreset::v50k(Sampling::Edge)).scaled_down(4);
-    let d = p.build();
-    let mut g = StreamingGraph::builder(BfsAlgo::new(0))
-        .vertices(d.n_vertices)
-        .chip(chip_for(args))
-        .rpvo(RpvoConfig::default())
-        .build()
-        .unwrap();
-    let mut acc: Vec<StreamEdge> = Vec::new();
-    for i in 0..d.increments() {
-        g.stream_edges(d.increment(i)).unwrap();
-        acc.extend_from_slice(d.increment(i));
-        let reference = bfs_levels(&DiGraph::from_edges(d.n_vertices, acc.iter().copied()), 0);
-        assert_eq!(g.states(), reference, "mismatch after increment {i}");
-        println!("  increment {:2}: {:7} edges accumulated, levels verified OK", i + 1, acc.len());
-    }
+    let d = args.scale.apply(GcPreset::v50k(Sampling::Edge)).scaled_down(4).build();
+    let mut g = build(graph(args, d.n_vertices));
+    let mut streamed = 0;
+    let check = |i, g: &StreamingGraph<BfsAlgo>| {
+        streamed += d.increment(i).len();
+        assert_bfs(g, &d.all_edges()[..streamed], i);
+        println!("  increment {:2}: {:7} edges accumulated, levels verified OK", i + 1, streamed);
+    };
+    run_stream(&mut g, insert_batches(&d), check).expect("streamed run");
     g.check_mirror_consistency().unwrap();
     println!("verify: all increments match the reference oracle; mirrors consistent");
 }

@@ -1,18 +1,18 @@
-//! Benchmark harness library: experiment drivers, table formatting, and CSV
-//! artifact output for regenerating every table and figure of the paper.
+//! Benchmark harness library: the streaming driver, table formatting, and
+//! CSV artifact output for regenerating every table and figure of the paper.
 //!
-//! The binary `paper` (see `src/bin/paper.rs`) is the entry point; this
-//! library holds the reusable machinery so the binaries and integration tests
-//! can share it.
+//! The binaries `paper` (see `src/bin/paper.rs`) and `amcca-run` are the
+//! entry points; both run every increment through [`run_stream`], so they
+//! differ only in what they stream and how they print it.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use amcca_sim::{ActivityRecording, ChipConfig, Counters, GhostPlacement};
+use diffusive::RunReport;
 use gc_datasets::{ChurnStream, GcPreset, StreamingDataset};
-use sdgp_core::apps::BfsAlgo;
-use sdgp_core::graph::{RepairMode, StreamingGraph};
-use sdgp_core::rpvo::RpvoConfig;
+use refgraph::{bfs_levels, DiGraph};
+use sdgp_core::apps::{BfsAlgo, VertexAlgo};
+use sdgp_core::graph::{GraphMutation, StreamEdge, StreamingGraph};
 
 /// Experiment scale: the paper's sizes or a proportional scale-down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,243 +48,119 @@ impl Scale {
     }
 }
 
-/// One streaming-increment measurement (a point of Figures 8/9, a summand of
-/// Table 2).
-#[derive(Debug, Clone, Copy)]
+/// One increment's measurement: its [`RunReport`] and the host's tallies
+/// read after it (a point of Figures 8/9, a summand of Table 2, a row of the
+/// churn CSV).
+#[derive(Debug, Clone)]
 pub struct IncrementRow {
-    pub edges: usize,
-    pub cycles: u64,
-    pub energy_uj: f64,
-    pub time_us: f64,
-    pub counters: Counters,
-    /// Cumulative rhizome stats at the end of this increment:
-    /// `(vertices promoted, extra roots allocated)` — the promotion
-    /// timeline, not just the end-of-stream total.
-    pub rhizomes: (u64, u64),
-}
-
-/// A full streaming run over one dataset in one mode.
-#[derive(Debug, Clone)]
-pub struct ExperimentResult {
-    pub label: String,
-    pub with_algo: bool,
-    pub rows: Vec<IncrementRow>,
-    /// Concatenated per-cycle active-cell counts (when recorded).
-    pub activity: Vec<u16>,
-    pub cell_count: u32,
-    /// Ghost statistics after the full stream: `(count, avg parent→ghost hops)`.
-    pub ghosts: (u64, f64),
-    /// Rhizome statistics after the full stream: `(vertices promoted to
-    /// multi-root, extra co-equal roots allocated)`.
-    pub rhizomes: (u64, u64),
-}
-
-impl ExperimentResult {
-    pub fn total_cycles(&self) -> u64 {
-        self.rows.iter().map(|r| r.cycles).sum()
-    }
-
-    pub fn total_energy_uj(&self) -> f64 {
-        self.rows.iter().map(|r| r.energy_uj).sum()
-    }
-
-    pub fn total_time_us(&self) -> f64 {
-        self.rows.iter().map(|r| r.time_us).sum()
-    }
-
-    pub fn total_edges(&self) -> usize {
-        self.rows.iter().map(|r| r.edges).sum()
-    }
-}
-
-/// Options for one streaming experiment.
-#[derive(Debug, Clone)]
-pub struct RunOpts {
-    pub with_algo: bool,
-    pub record_activity: bool,
-    pub chip: ChipConfig,
-    pub rcfg: RpvoConfig,
-    pub termination: diffusive::TerminationMode,
-    /// Reseed-wave scoping for delete-bearing batches (`Targeted` by
-    /// default; `Full` is the O(n) ablation baseline).
-    pub repair: RepairMode,
-}
-
-impl Default for RunOpts {
-    fn default() -> Self {
-        RunOpts {
-            with_algo: true,
-            record_activity: false,
-            chip: ChipConfig::default(),
-            rcfg: RpvoConfig::default(),
-            termination: diffusive::TerminationMode::Quiescence,
-            repair: RepairMode::default(),
-        }
-    }
-}
-
-/// Run the paper's streaming-BFS workflow over a dataset: allocate roots,
-/// stream each increment to quiescence, record per-increment cycles/energy.
-pub fn run_streaming_bfs(
-    dataset: &StreamingDataset,
-    opts: &RunOpts,
-    label: &str,
-) -> ExperimentResult {
-    let mut chip = opts.chip.clone();
-    if opts.record_activity {
-        chip.record_activity = ActivityRecording::Counts;
-    }
-    let cell_count = chip.cell_count();
-    let mut g = StreamingGraph::builder(BfsAlgo::new(0))
-        .vertices(dataset.n_vertices)
-        .chip(chip)
-        .rpvo(opts.rcfg)
-        .build()
-        .expect("graph construction");
-    g.set_algo_propagation(opts.with_algo);
-    g.set_termination_mode(opts.termination);
-    let mut rows = Vec::with_capacity(dataset.increments());
-    let mut activity = Vec::new();
-    for i in 0..dataset.increments() {
-        let inc = dataset.increment(i);
-        let report = g.stream_edges(inc).expect("increment run");
-        rows.push(IncrementRow {
-            edges: inc.len(),
-            cycles: report.cycles,
-            energy_uj: report.energy_uj,
-            time_us: report.time_us,
-            counters: report.counters,
-            rhizomes: g.rhizome_stats(),
-        });
-        activity.extend_from_slice(&report.activity.counts);
-    }
-    // Single source of truth: the summary equals the last increment's
-    // cumulative snapshot.
-    let rhizomes = rows.last().map(|r| r.rhizomes).unwrap_or_default();
-    ExperimentResult {
-        label: label.to_string(),
-        with_algo: opts.with_algo,
-        rows,
-        activity,
-        cell_count,
-        ghosts: g.ghost_distance_stats(),
-        rhizomes,
-    }
-}
-
-/// Build the default chip with a specific ghost-placement policy.
-pub fn chip_with_placement(placement: GhostPlacement) -> ChipConfig {
-    ChipConfig { ghost_placement: placement, ..ChipConfig::default() }
-}
-
-/// One churn-batch measurement (a row of the `paper churn` CSV).
-#[derive(Debug, Clone, Copy)]
-pub struct ChurnRow {
-    /// Edges inserted by this batch.
-    pub adds: usize,
-    /// Edges deleted by this batch.
-    pub dels: usize,
-    /// Weight updates applied by this batch.
-    pub updates: usize,
-    /// Live edges after the batch (window accounting).
-    pub live: usize,
-    /// Cycles consumed by the batch (all phases: structural, repair, merge).
-    pub cycles: u64,
-    /// Cycles of the batch's reseed (repair) phase alone.
-    pub repair_cycles: u64,
-    /// Instructions retired by the reseed phase (its work, as opposed to
-    /// its depth).
-    pub repair_instrs: u64,
-    /// Reseed triggers the repair phase injected (`n` under full repair, the
-    /// frontier size under targeted; `0` when the batch needed no repair).
-    pub reseed_triggers: u64,
-    /// Energy consumed, microjoules.
-    pub energy_uj: f64,
-    /// Wall-clock time at 1 GHz, microseconds.
-    pub time_us: f64,
-    /// Cumulative rhizome promotions as of this batch.
+    /// Mutations in the batch (its edges, for an insert-only stream).
+    pub muts: usize,
+    /// The increment's report, spanning all its phases.
+    pub report: RunReport,
+    /// Live edges after the increment.
+    pub live: u64,
+    /// Rhizome promotions so far.
     pub promoted: u64,
     /// Extra co-equal roots currently allocated.
     pub extra_roots: u64,
-    /// Cumulative rhizome demotions as of this batch.
+    /// Rhizome demotions so far.
     pub demoted: u64,
 }
 
-/// A full sliding-window churn run (see [`run_streaming_churn`]).
+/// A streamed run (see [`run_stream`]): one row per increment.
 #[derive(Debug, Clone)]
-pub struct ChurnExperiment {
-    /// Workload label.
-    pub label: String,
-    /// Per-batch measurements.
-    pub rows: Vec<ChurnRow>,
+pub struct Run {
+    /// One row per increment, in stream order.
+    pub rows: Vec<IncrementRow>,
+    /// `(ghost count, average parent→ghost hops)` after the last increment.
+    pub ghosts: (u64, f64),
 }
 
-impl ChurnExperiment {
-    /// Total cycles across all batches.
+impl Run {
+    /// `f` of every increment's report, summed.
+    pub fn sum(&self, f: impl Fn(&RunReport) -> u64) -> u64 {
+        self.rows.iter().map(|r| f(&r.report)).sum()
+    }
+
     pub fn total_cycles(&self) -> u64 {
-        self.rows.iter().map(|r| r.cycles).sum()
+        self.sum(|r| r.cycles)
+    }
+
+    pub fn total_energy_uj(&self) -> f64 {
+        self.rows.iter().map(|r| r.report.energy_uj).sum()
+    }
+
+    pub fn total_time_us(&self) -> f64 {
+        self.rows.iter().map(|r| r.report.time_us).sum()
+    }
+
+    /// The last increment's row: the end-of-stream tallies.
+    pub fn last(&self) -> &IncrementRow {
+        self.rows.last().expect("a run streams at least one increment")
+    }
+
+    /// Concatenated per-cycle active-cell counts (empty unless the chip
+    /// records activity).
+    pub fn activity(&self) -> Vec<u16> {
+        self.rows.iter().flat_map(|r| r.report.activity.counts.iter().copied()).collect()
     }
 }
 
-/// Run streaming BFS over a sliding-window churn schedule: each batch
-/// applies its deletions, insertions, and weight updates as one mutation
-/// increment (deletes first — they retract edges settled in earlier batches
-/// — then inserts, then updates, the generator's canonical order). When the
-/// algorithm propagates (`opts.with_algo`), every batch's converged states
-/// are checked against a from-scratch BFS over exactly the surviving edge
-/// set, plus edge conservation and mirror consistency — the decremental
-/// analogue of `paper verify`.
-pub fn run_streaming_churn(churn: &ChurnStream, opts: &RunOpts, label: &str) -> ChurnExperiment {
-    use refgraph::{bfs_levels, DiGraph};
+/// The paper's streaming workflow over a built graph: apply each of
+/// `batches` as one increment, run it to quiescence, and call `check(i, g)`
+/// after increment `i`. Everything else — algorithm, chip, RPVO shape,
+/// repair scoping, propagation on or off, termination detector — is what
+/// `g` was built and configured with.
+pub fn run_stream<G: VertexAlgo>(
+    g: &mut StreamingGraph<G>,
+    batches: impl IntoIterator<Item = Vec<GraphMutation>>,
+    mut check: impl FnMut(usize, &StreamingGraph<G>),
+) -> Result<Run, String> {
+    let mut rows = Vec::new();
+    for (i, muts) in batches.into_iter().enumerate() {
+        let report = g.stream_increment(&muts).map_err(|e| format!("increment {i}: {e}"))?;
+        check(i, g);
+        let (promoted, extra_roots) = g.rhizome_stats();
+        let (live, demoted) = (g.live_edge_count(), g.demotion_count());
+        rows.push(IncrementRow { muts: muts.len(), report, live, promoted, extra_roots, demoted });
+    }
+    Ok(Run { rows, ghosts: g.ghost_distance_stats() })
+}
 
-    let mut g = StreamingGraph::builder(BfsAlgo::new(0))
-        .vertices(churn.n_vertices)
-        .chip(opts.chip.clone())
-        .rpvo(opts.rcfg)
-        .repair(opts.repair)
-        .build()
-        .expect("graph construction");
-    g.set_algo_propagation(opts.with_algo);
-    g.set_termination_mode(opts.termination);
-    let mut rows = Vec::with_capacity(churn.len());
-    for i in 0..churn.len() {
-        let b = churn.batch(i);
-        let muts = b.to_mutations();
-        let report = g.stream_increment(&muts).expect("churn batch run");
+/// A dataset's increments as insert-only batches, in stream order.
+pub fn insert_batches(d: &StreamingDataset) -> impl Iterator<Item = Vec<GraphMutation>> + '_ {
+    (0..d.increments()).map(|i| GraphMutation::adds(d.increment(i)))
+}
+
+/// A churn stream's batches as mutation increments, in stream order.
+pub fn churn_batches(c: &ChurnStream) -> impl Iterator<Item = Vec<GraphMutation>> + '_ {
+    (0..c.len()).map(|i| c.batch(i).to_mutations())
+}
+
+/// The BFS oracle after increment `i`: `g`'s levels equal a from-scratch
+/// BFS from vertex 0 over exactly `edges`.
+pub fn assert_bfs(g: &StreamingGraph<BfsAlgo>, edges: &[StreamEdge], i: usize) {
+    let want = bfs_levels(&DiGraph::from_edges(g.n_vertices(), edges.iter().copied()), 0);
+    assert_eq!(g.states(), want, "increment {i}: BFS mismatch vs rebuild oracle");
+}
+
+/// The churn check after batch `i`: `g` stores exactly the window's
+/// surviving edges, its mirrors agree with their roots, and, while BFS
+/// propagates, it passes [`assert_bfs`] over the window — the decremental
+/// analogue of `paper verify`.
+pub fn check_window(churn: &ChurnStream) -> impl FnMut(usize, &StreamingGraph<BfsAlgo>) + '_ {
+    move |i, g| {
         let live = churn.live_after(i);
         assert_eq!(
             g.total_edges_stored(),
             live.len() as u64,
             "batch {i}: stored edges must equal the surviving window"
         );
-        if opts.with_algo {
-            let reference =
-                bfs_levels(&DiGraph::from_edges(churn.n_vertices, live.iter().copied()), 0);
-            assert_eq!(g.states(), reference, "batch {i}: BFS mismatch vs rebuild oracle");
+        g.check_mirror_consistency().unwrap_or_else(|e| panic!("batch {i}: {e}"));
+        if g.device().app().propagate_algo {
+            assert_bfs(g, &live, i);
         }
-        let (promoted, extra_roots) = g.rhizome_stats();
-        rows.push(ChurnRow {
-            adds: b.adds.len(),
-            dels: b.dels.len(),
-            updates: b.updates.len(),
-            live: live.len(),
-            cycles: report.cycles,
-            repair_cycles: report.repair_cycles,
-            repair_instrs: report.repair_instrs,
-            reseed_triggers: report.reseed_triggers,
-            energy_uj: report.energy_uj,
-            time_us: report.time_us,
-            promoted,
-            extra_roots,
-            demoted: g.demotion_count(),
-        });
     }
-    if opts.with_algo {
-        // Ingestion-only runs never sync mirrors (propagation is off), so
-        // the invariant only holds when the algorithm actually diffuses.
-        g.check_mirror_consistency().expect("mirrors consistent after churn");
-    }
-    ChurnExperiment { label: label.to_string(), rows }
 }
 
 // ---------------------------------------------------------------------
@@ -364,6 +240,7 @@ pub fn write_activity(path: &Path, activity: &[u16], cells: u32, max_points: usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amcca_sim::{ActivityRecording, ChipConfig};
     use gc_datasets::Sampling;
 
     #[test]
@@ -373,39 +250,49 @@ mod tests {
         assert_eq!(Scale::parse("nope"), None);
     }
 
+    /// A BFS graph over `n` vertices on `chip`, propagating iff `with_bfs`.
+    fn bfs_graph(n: u32, chip: ChipConfig, with_bfs: bool) -> StreamingGraph<BfsAlgo> {
+        let mut g =
+            StreamingGraph::builder(BfsAlgo::new(0)).vertices(n).chip(chip).build().unwrap();
+        g.set_algo_propagation(with_bfs);
+        g
+    }
+
+    fn stream(g: &mut StreamingGraph<BfsAlgo>, d: &StreamingDataset) -> Run {
+        run_stream(g, insert_batches(d), |_, _| {}).unwrap()
+    }
+
     #[test]
     fn experiment_runs_and_accumulates() {
         let d = Scale::Small.apply(GcPreset::v50k(Sampling::Edge)).build();
-        let opts = RunOpts { record_activity: true, ..Default::default() };
-        let r = run_streaming_bfs(&d, &opts, "test");
+        let chip = ChipConfig { record_activity: ActivityRecording::Counts, ..Default::default() };
+        let r = stream(&mut bfs_graph(d.n_vertices, chip, true), &d);
         assert_eq!(r.rows.len(), 10);
-        assert_eq!(r.total_edges(), d.total_edges());
+        assert_eq!(r.rows.iter().map(|x| x.muts).sum::<usize>(), d.total_edges());
         assert!(r.total_cycles() > 0);
-        assert_eq!(r.activity.len() as u64, r.total_cycles(), "activity spans all increments");
+        assert_eq!(r.activity().len() as u64, r.total_cycles(), "activity spans all increments");
         assert!(r.total_energy_uj() > 0.0);
     }
 
     #[test]
     fn churn_runs_verified_and_drains() {
         let churn = gc_datasets::ChurnPreset::v50k().scaled_down(100).build();
-        let opts = RunOpts::default();
-        let r = run_streaming_churn(&churn, &opts, "churn-test");
+        let mut g = bfs_graph(churn.n_vertices, ChipConfig::default(), true);
+        let r = run_stream(&mut g, churn_batches(&churn), check_window(&churn)).unwrap();
         assert_eq!(r.rows.len(), churn.len());
-        let last = r.rows.last().unwrap();
-        assert_eq!(last.live, 0, "drain tail empties the window");
-        assert!(r.rows.iter().all(|row| row.cycles > 0));
+        assert_eq!(r.last().live, 0, "drain tail empties the window");
+        assert!(r.rows.iter().all(|row| row.report.cycles > 0));
         assert_eq!(
-            r.rows.iter().map(|row| row.adds).sum::<usize>(),
-            r.rows.iter().map(|row| row.dels).sum::<usize>(),
+            (0..churn.len()).map(|i| churn.batch(i).adds.len()).sum::<usize>(),
+            (0..churn.len()).map(|i| churn.batch(i).dels.len()).sum::<usize>(),
         );
     }
 
     #[test]
     fn ingestion_only_is_cheaper_than_with_bfs() {
         let d = Scale::Small.apply(GcPreset::v50k(Sampling::Edge)).build();
-        let with = run_streaming_bfs(&d, &RunOpts::default(), "bfs");
-        let without =
-            run_streaming_bfs(&d, &RunOpts { with_algo: false, ..Default::default() }, "ingest");
+        let with = stream(&mut bfs_graph(d.n_vertices, ChipConfig::default(), true), &d);
+        let without = stream(&mut bfs_graph(d.n_vertices, ChipConfig::default(), false), &d);
         assert!(with.total_cycles() > without.total_cycles());
         assert!(with.total_energy_uj() > without.total_energy_uj());
     }

@@ -55,13 +55,15 @@ fn amcca_run(edges: &Path, extra: &[&str]) -> (Option<i32>, String, String) {
 #[test]
 fn amcca_run_rejects_bad_input_with_exit_2_naming_the_flag() {
     let edges = path_graph("cli_bad_input.tsv");
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 7] = [
         (&["--chip", "0x4"], "--chip"),
         (&["--edge-cap", "0"], "--edge-cap"),
         (&["--ghosts", "0"], "--ghosts"),
         (&["--ghosts", "17"], "--ghosts"),
         (&["--root", "99"], "--root"),
         (&["--root", "99", "--verify"], "--root"),
+        // Ingestion only leaves no result to verify.
+        (&["--verify", "--ingest-only"], "--verify"),
     ];
     for (extra, flag) in cases {
         let (code, _, stderr) = amcca_run(&edges, extra);
@@ -74,13 +76,23 @@ fn amcca_run_rejects_bad_input_with_exit_2_naming_the_flag() {
 #[test]
 fn amcca_run_verifies_a_good_file() {
     let edges = path_graph("cli_good_input.tsv");
-    let (code, stdout, stderr) = amcca_run(&edges, &["--root", "0", "--verify"]);
-    assert_eq!(code, Some(0), "stderr: {stderr}");
-    assert!(stdout.contains("verify: OK — all 4 vertices"), "stdout: {stdout}");
-    // `cc` has no source vertex, so an out-of-range `--root` is not its error.
-    let (code, _, stderr) =
-        amcca_run(&edges, &["--algo", "cc", "--symmetrize", "--root", "99", "--verify"]);
-    assert_eq!(code, Some(0), "stderr: {stderr}");
+    let states = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_cc_states.csv");
+    let states = states.to_str().expect("utf-8 path");
+    let inputs: [&[&str]; 3] = [
+        &["--root", "0", "--verify"],
+        &["--algo", "sssp", "--root", "0", "--verify"],
+        // `cc` has no source vertex, so an out-of-range `--root` is not its error.
+        &["--algo", "cc", "--symmetrize", "--root", "99", "--verify", "--states", states],
+    ];
+    for extra in inputs {
+        let (code, stdout, stderr) = amcca_run(&edges, extra);
+        assert_eq!(code, Some(0), "{extra:?} stderr: {stderr}");
+        assert!(stdout.contains("verify: OK — all 4 vertices"), "{extra:?} stdout: {stdout}");
+    }
+    let csv = std::fs::read_to_string(states).expect("--states wrote its file");
+    let lines: Vec<&str> = csv.lines().collect();
+    assert_eq!(lines[0], "vertex,state");
+    assert_eq!(lines.len(), 1 + 4, "a header and one row per vertex: {csv}");
 }
 
 #[test]
