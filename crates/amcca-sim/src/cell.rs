@@ -40,8 +40,8 @@ pub struct Cell<T> {
     /// Per-cell deterministic RNG stream (used by placement decisions).
     pub rng: SplitMix64,
     /// Safra termination-detection state (message count + colour). Kept
-    /// cell-local so the detector shards with the cells; meaningful only
-    /// while the chip's detector is enabled (reset at enable time).
+    /// cell-local so the detector shards with the cells; meaningful only on
+    /// a chip built with the Safra terminator.
     pub td: CellTd,
     /// Deliveries into this cell and its task-queue peak.
     pub load: CellLoad,

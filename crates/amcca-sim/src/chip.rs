@@ -38,7 +38,7 @@
 use std::ops::Range;
 
 use crate::cell::Cell;
-use crate::config::ChipConfig;
+use crate::config::{ChipConfig, TerminationMode};
 use crate::error::SimError;
 use crate::geom::{Coord, Dims, MeshTable, OUT_BAD, OUT_EJECT};
 use crate::iocell::{io_cells, IoCell};
@@ -47,7 +47,7 @@ use crate::placement::PlacementTable;
 use crate::program::{ExecCtx, Program};
 use crate::rng::SplitMix64;
 use crate::router::{NUM_CODES, NUM_PORTS, PORT_IO, PORT_LOCAL, PORT_NORTH, PORT_SOUTH};
-use crate::safra::{decode_token, initiator_detects, token_operon, CellTd, SafraState, ACT_TOKEN};
+use crate::safra::{decode_token, initiator_detects, token_operon, SafraState, ACT_TOKEN};
 use crate::shard::ShardPlan;
 use crate::stats::{ActivityRecording, ActivitySeries, CellLoad, Counters};
 
@@ -165,21 +165,12 @@ pub(crate) struct Tally {
     /// Operons loaded on IO cells and not yet injected.
     io_pending: u64,
     pub(crate) error: Option<SimError>,
-    /// Distributed termination detection (Safra token), when enabled.
+    /// Distributed termination detection (Safra token), on a Safra chip.
     pub(crate) safra: Option<SafraState>,
     /// True while a termination token is circulating.
     token_alive: bool,
     /// Per-cell helper invocations (diagnostics; not part of [`Counters`]).
     cell_visits: u64,
-}
-
-/// What a run waits for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RunGoal {
-    /// Stop at global quiescence ([`Chip::is_quiescent`]).
-    Quiescence,
-    /// Stop when the Safra detector declares termination.
-    SafraTermination,
 }
 
 // ----------------------------------------------------------------------
@@ -836,27 +827,24 @@ impl Tally {
         self.in_network == 0 && self.queued_tasks == 0 && self.busy == 0 && self.io_pending == 0
     }
 
-    /// The one stop rule of both drivers, applied before every cycle: the
-    /// Safra goal, a pending error, quiescence (so at quiescence a pending
-    /// error still wins), and the cycle budget counted from `start`. `None`
-    /// runs another cycle; `Some` ends the run with its result.
-    pub(crate) fn next(
-        &mut self,
-        goal: RunGoal,
-        start: u64,
-        max_cycles: u64,
-    ) -> Option<Result<(), SimError>> {
-        if goal == RunGoal::SafraTermination && self.safra.as_ref().is_some_and(|s| s.terminated) {
+    /// The one stop rule of both drivers, applied before every cycle: Safra
+    /// detection, a pending error, quiescence (so at quiescence a pending
+    /// error still wins), and the cycle budget counted from `start`. Which
+    /// of detection and quiescence ends the run is `cfg.termination`'s
+    /// choice. `None` runs another cycle; `Some` ends the run with its result.
+    pub(crate) fn next(&mut self, cfg: &ChipConfig, start: u64) -> Option<Result<(), SimError>> {
+        let safra = cfg.termination == TerminationMode::SafraToken;
+        if safra && self.safra.as_ref().is_some_and(|s| s.terminated) {
             return Some(Ok(()));
         }
         if let Some(e) = self.error.take() {
             return Some(Err(e));
         }
-        if goal == RunGoal::Quiescence && self.is_quiescent() {
+        if !safra && self.is_quiescent() {
             return Some(Ok(()));
         }
-        if self.cycle - start >= max_cycles {
-            return Some(Err(SimError::CycleLimitExceeded { limit: max_cycles }));
+        if self.cycle - start >= cfg.max_cycles {
+            return Some(Err(SimError::CycleLimitExceeded { limit: cfg.max_cycles }));
         }
         None
     }
@@ -918,6 +906,13 @@ impl<P: Program> Chip<P> {
             ActivityRecording::Frames { stride } => stride,
             _ => 0,
         };
+        // A Safra chip arms its detector before any operon moves, so the
+        // message accounting starts closed (every cell starts at
+        // `CellTd::start`); IO loaded later is counted at injection.
+        let safra = (cfg.termination == TerminationMode::SafraToken).then(|| {
+            assert!(cfg.cell_count() >= 2, "token ring needs at least two cells");
+            SafraState::new()
+        });
         Chip {
             placement,
             mesh: MeshTable::new(cfg.dims),
@@ -926,6 +921,7 @@ impl<P: Program> Chip<P> {
             program,
             tally: Tally {
                 activity: ActivitySeries { frame_stride: stride, ..Default::default() },
+                safra,
                 ..Default::default()
             },
             next_io: 0,
@@ -1073,17 +1069,28 @@ impl<P: Program> Chip<P> {
         self.bands.len() > 1
     }
 
-    /// Run to `goal` from the current cycle. A chip with one band steps on
-    /// the calling thread; a chip with more runs the threaded driver from the
-    /// run's first cycle to its stop. Both drivers run the same band phases
-    /// on the same bands under the same stop rule.
-    fn run(&mut self, goal: RunGoal) -> Result<u64, SimError> {
+    /// Run until the diffusion has finished; returns the number of cycles
+    /// this run consumed. By default the run stops at global quiescence
+    /// ([`Self::is_quiescent`]). A chip built with
+    /// [`TerminationMode::SafraToken`] starts a probe instead and stops when
+    /// the distributed detector declares termination: with the token
+    /// circulating, quiescence never holds.
+    ///
+    /// A chip with one band steps on the calling thread; a chip with more
+    /// runs the threaded driver from the run's first cycle to its stop. Both
+    /// drivers run the same band phases on the same bands under the same
+    /// stop rule, so results (cycle count, counters, object states,
+    /// activity, energy) do not depend on [`ChipConfig::shards`].
+    pub fn run_until_quiescent(&mut self) -> Result<u64, SimError> {
+        if self.tally.safra.is_some() {
+            self.start_probe();
+        }
         let start = self.tally.cycle;
         let result = if self.is_sharded() {
-            crate::parallel::run_threaded(self, goal, start)
+            crate::parallel::run_threaded(self, start)
         } else {
             loop {
-                if let Some(r) = self.tally.next(goal, start, self.cfg.max_cycles) {
+                if let Some(r) = self.tally.next(&self.cfg, start) {
                     break r;
                 }
                 self.step();
@@ -1092,49 +1099,17 @@ impl<P: Program> Chip<P> {
         result.map(|()| self.tally.cycle - start)
     }
 
-    /// Run until quiescent; returns the number of cycles this run consumed.
-    ///
-    /// Results (cycle count, counters, object states, activity, energy) do
-    /// not depend on [`ChipConfig::shards`].
-    pub fn run_until_quiescent(&mut self) -> Result<u64, SimError> {
-        self.run(RunGoal::Quiescence)
-    }
-
     // ------------------------------------------------------------------
     // Distributed termination detection (Safra token).
     // ------------------------------------------------------------------
 
-    /// Enable Safra-token termination detection. Must be called while no
-    /// application messages are in flight (e.g. right after construction or
-    /// between quiescent segments) so the message accounting starts closed.
-    /// IO streams may already be loaded — they are counted on injection.
-    pub fn enable_safra_termination(&mut self) {
-        let t = &self.tally;
-        assert!(
-            t.in_network == 0 && t.queued_tasks == 0 && t.busy == 0,
-            "Safra accounting must start with no in-flight activity"
-        );
-        assert!(self.cfg.cell_count() >= 2, "token ring needs at least two cells");
-        if self.tally.safra.is_none() {
-            self.tally.safra = Some(SafraState::new());
-            for cell in &mut self.cells {
-                cell.td = CellTd::start();
-            }
-        }
-    }
-
-    /// Whether the distributed termination detector is enabled.
-    pub fn safra_enabled(&self) -> bool {
-        self.tally.safra.is_some()
-    }
-
     /// Start (or restart) a detection probe: injects the token at the
     /// initiator. No-op if a token is already circulating.
-    pub fn begin_safra_probe(&mut self) {
-        let Some(s) = self.tally.safra.as_mut() else { panic!("enable_safra_termination first") };
+    fn start_probe(&mut self) {
         if self.tally.token_alive {
             return;
         }
+        let s = self.tally.safra.as_mut().expect("a Safra chip arms its detector");
         s.terminated = false;
         s.detected_at = None;
         // The initiator's state must be conservative at probe start.
@@ -1144,7 +1119,7 @@ impl<P: Program> Chip<P> {
         self.push_task(token_operon(0, 0, crate::safra::Colour::Black));
     }
 
-    /// Detector state (counters, rounds, overhead), if enabled.
+    /// Detector state (counters, rounds, overhead) of a Safra chip.
     pub fn safra(&self) -> Option<&SafraState> {
         self.tally.safra.as_ref()
     }
@@ -1153,16 +1128,6 @@ impl<P: Program> Chip<P> {
     /// the closed-system accounting balances (no operon in flight).
     pub fn safra_balance(&self) -> i64 {
         self.cells.iter().map(|c| c.td.mc).sum()
-    }
-
-    /// Run until the *distributed* detector declares termination. With the
-    /// token circulating, [`Self::is_quiescent`] never holds, so this is the
-    /// only correct way to run a Safra-enabled chip. It takes the same driver
-    /// as [`Self::run_until_quiescent`].
-    pub fn run_until_terminated(&mut self) -> Result<u64, SimError> {
-        assert!(self.tally.safra.is_some(), "enable_safra_termination first");
-        assert!(self.tally.token_alive, "no probe running; call begin_safra_probe");
-        self.run(RunGoal::SafraTermination)
     }
 
     // ------------------------------------------------------------------
@@ -1319,6 +1284,12 @@ mod tests {
 
     fn test_chip() -> Chip<CounterProgram> {
         Chip::new(ChipConfig::small_test(), CounterProgram)
+    }
+
+    fn safra_chip() -> Chip<CounterProgram> {
+        let cfg =
+            ChipConfig { termination: TerminationMode::SafraToken, ..ChipConfig::small_test() };
+        Chip::new(cfg, CounterProgram)
     }
 
     /// The arbiter `decide_cell_moves` replaced, kept as its reference model:
@@ -1660,11 +1631,9 @@ mod tests {
         let quiesce_cycles = base.cycle();
 
         // Safra run.
-        let mut chip = test_chip();
+        let mut chip = safra_chip();
         let addrs = workload(&mut chip);
-        chip.enable_safra_termination();
-        chip.begin_safra_probe();
-        chip.run_until_terminated().unwrap();
+        chip.run_until_quiescent().unwrap();
         let s = chip.safra().unwrap();
         assert!(s.terminated);
         assert!(s.token_hops > 0, "the token paid real hops");
@@ -1684,14 +1653,12 @@ mod tests {
     fn safra_never_detects_early() {
         // A long serial chain: if the detector fired early, the tail of the
         // chain would still be un-incremented at detection.
-        let mut chip = test_chip();
+        let mut chip = safra_chip();
         let addrs: Vec<Address> = (0..64).map(|i| chip.host_alloc(i, 0u64).unwrap()).collect();
         let ops: Vec<Operon> =
             addrs.windows(2).map(|w| Operon::new(w[0], 11, [1, w[1].pack()])).collect();
-        chip.enable_safra_termination();
         chip.io_load(ops);
-        chip.begin_safra_probe();
-        chip.run_until_terminated().unwrap();
+        chip.run_until_quiescent().unwrap();
         for a in &addrs[1..63] {
             assert_eq!(*chip.object(*a).unwrap(), 2, "chain fully settled at {a}");
         }
@@ -1699,13 +1666,11 @@ mod tests {
 
     #[test]
     fn safra_probe_can_rerun_across_segments() {
-        let mut chip = test_chip();
+        let mut chip = safra_chip();
         let a = chip.host_alloc(30, 0u64).unwrap();
-        chip.enable_safra_termination();
         for seg in 1..=3u64 {
             chip.io_load([Operon::new(a, 10, [1, 0])]);
-            chip.begin_safra_probe();
-            chip.run_until_terminated().unwrap();
+            chip.run_until_quiescent().unwrap();
             assert_eq!(*chip.object(a).unwrap(), seg);
         }
         assert!(chip.safra().unwrap().rounds >= 3, "each segment ran probe rounds");
@@ -1713,10 +1678,8 @@ mod tests {
 
     #[test]
     fn safra_on_empty_chip_detects_quickly() {
-        let mut chip = test_chip();
-        chip.enable_safra_termination();
-        chip.begin_safra_probe();
-        let cycles = chip.run_until_terminated().unwrap();
+        let mut chip = safra_chip();
+        let cycles = chip.run_until_quiescent().unwrap();
         // Black seed round + one clean white round over a 64-cell ring,
         // with per-cell polling: well under 2K cycles.
         assert!(cycles < 2000, "idle detection took {cycles} cycles");

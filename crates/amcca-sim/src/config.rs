@@ -9,6 +9,20 @@ use crate::geom::Dims;
 use crate::placement::GhostPlacement;
 use crate::stats::ActivityRecording;
 
+/// How `Chip::run_until_quiescent` decides the diffusion has finished (the
+/// paper's `AMCCA_Terminator`, Listing 1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TerminationMode {
+    /// The chip-global check the paper's CCASimulator uses: no operon in
+    /// flight, no task queued, no cell busy, and the IO streams drained.
+    /// Free of message overhead; the source paper's experiments run with it.
+    Quiescence,
+    /// Safra's distributed token-ring detection (Dijkstra EWD 998): it
+    /// detects the same terminations but pays real token hops and polling
+    /// cycles. See [`crate::safra`].
+    SafraToken,
+}
+
 /// Full configuration of a simulated AM-CCA chip.
 #[derive(Debug, Clone)]
 pub struct ChipConfig {
@@ -31,7 +45,9 @@ pub struct ChipConfig {
     pub ghost_placement: GhostPlacement,
     /// Per-cycle activity recording mode.
     pub record_activity: ActivityRecording,
-    /// Hard cycle budget for `run_until_quiescent`.
+    /// How a run decides the diffusion has finished.
+    pub termination: TerminationMode,
+    /// Hard cycle budget for one `run_until_quiescent`.
     pub max_cycles: u64,
     /// Allocation retries before declaring the chip out of memory: at most
     /// 4 095, the largest count an `allocate` operon can carry (the runtime
@@ -41,10 +57,9 @@ pub struct ChipConfig {
     pub seed: u64,
     /// Number of row bands the mesh is cut into (clamped to the number of
     /// mesh rows). Each band keeps the live sets of its own cells; with
-    /// more than one, `run_until_quiescent` / `run_until_terminated` step one
-    /// band per thread from a run's first cycle to its stop, with results
-    /// **bit-identical** to one band. Defaults to 1: bands are something a
-    /// caller asks for.
+    /// more than one, `run_until_quiescent` steps one band per thread from a
+    /// run's first cycle to its stop, with results **bit-identical** to one
+    /// band. Defaults to 1: bands are something a caller asks for.
     pub shards: usize,
 }
 
@@ -59,6 +74,7 @@ impl Default for ChipConfig {
             energy: EnergyModel::default(),
             ghost_placement: GhostPlacement::default(),
             record_activity: ActivityRecording::Off,
+            termination: TerminationMode::Quiescence,
             max_cycles: 200_000_000,
             max_alloc_retries: 4095,
             seed: 0xC0FFEE,
@@ -99,6 +115,7 @@ mod tests {
         let c = ChipConfig::default();
         assert_eq!(c.cell_count(), 1024);
         assert_eq!(c.ghost_placement, GhostPlacement::Vicinity { max_hops: 2 });
+        assert_eq!(c.termination, TerminationMode::Quiescence);
     }
 
     #[test]

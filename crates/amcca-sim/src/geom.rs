@@ -28,6 +28,9 @@ impl Coord {
     }
 }
 
+/// The most cells a mesh may have: cell ids are `u16`.
+pub const MAX_CELLS: u32 = 1 << 16;
+
 /// Mesh dimensions. The paper evaluates a 32 × 32 chip (1024 CCs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dims {
@@ -38,9 +41,11 @@ pub struct Dims {
 }
 
 impl Dims {
-    /// Create a coordinate / dimension pair.
+    /// Create a coordinate / dimension pair. Panics on a zero side or on
+    /// more than [`MAX_CELLS`] cells, whose ids would wrap.
     pub const fn new(x: u16, y: u16) -> Self {
         assert!(x > 0 && y > 0, "mesh dimensions must be non-zero");
+        assert!(x as u32 * y as u32 <= MAX_CELLS, "mesh has more than 65 536 cells");
         Dims { x, y }
     }
 
@@ -409,5 +414,18 @@ pub(crate) mod tests {
         let corner = d.id_of(Coord::new(0, 0));
         let v = d.vicinity(corner, 2);
         assert_eq!(v.len(), 5); // (1,0),(0,1),(2,0),(1,1),(0,2)
+    }
+
+    #[test]
+    fn the_largest_mesh_numbers_every_cell_once() {
+        let d = Dims::new(256, 256);
+        assert_eq!(d.cell_count(), MAX_CELLS);
+        assert_eq!(d.iter_ids().last(), Some(u16::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 65 536 cells")]
+    fn a_mesh_whose_ids_would_wrap_is_refused() {
+        Dims::new(300, 300);
     }
 }

@@ -54,7 +54,7 @@ pub mod trace;
 
 pub use arena::{Arena, ArenaFull};
 pub use chip::Chip;
-pub use config::ChipConfig;
+pub use config::{ChipConfig, TerminationMode};
 pub use cost::CostModel;
 pub use energy::{cycles_to_us, EnergyModel};
 pub use error::SimError;

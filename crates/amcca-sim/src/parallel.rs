@@ -60,7 +60,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use crate::cell::Cell;
-use crate::chip::{frame_words, Band, Chip, CreditFrame, CycleReport, Env, Mail, RunGoal};
+use crate::chip::{frame_words, Band, Chip, CreditFrame, CycleReport, Env, Mail};
 use crate::error::SimError;
 use crate::program::Program;
 use crate::shard::SpinBarrier;
@@ -146,14 +146,10 @@ fn guarded<T>(barrier: &SpinBarrier, f: impl FnOnce() -> T) -> T {
     })
 }
 
-/// Run the chip towards `goal` with one thread per band until the shared
-/// stop rule stops the run, and return the run's result. The helpers are
-/// released at an ordinary cycle boundary.
-pub(crate) fn run_threaded<P: Program>(
-    chip: &mut Chip<P>,
-    goal: RunGoal,
-    start: u64,
-) -> Result<(), SimError> {
+/// Run the chip with one thread per band until the shared stop rule stops
+/// the run, and return the run's result. The helpers are released at an
+/// ordinary cycle boundary.
+pub(crate) fn run_threaded<P: Program>(chip: &mut Chip<P>, start: u64) -> Result<(), SimError> {
     let Chip {
         cfg,
         placement,
@@ -212,7 +208,7 @@ pub(crate) fn run_threaded<P: Program>(
         // Band 0 on the calling thread, which also folds the reports and
         // applies the stop rule between cycles.
         let result = guarded(&shared.barrier, || loop {
-            let verdict = tally.next(goal, start, cfg.max_cycles);
+            let verdict = tally.next(cfg, start);
             shared.stop.store(verdict.is_some(), Ordering::Release);
             if !lane0.step(&shared) {
                 break verdict.expect("the lanes stop only on a stop verdict");

@@ -22,8 +22,10 @@
 //!   terminated; otherwise a fresh white probe starts.
 //!
 //! IO-cell injections are accounted as sends by the attached border cell, so
-//! the system stays closed. `paper ablate-terminator` measures the overhead
-//! against the quiescence detector.
+//! the system stays closed. A chip runs this detector when it is built with
+//! [`crate::TerminationMode::SafraToken`]; each `run_until_quiescent` then
+//! starts a probe. `paper ablate-terminator` measures the overhead against
+//! the quiescence detector.
 
 use crate::operon::{ActionId, Address, Operon};
 
@@ -96,7 +98,7 @@ pub struct SafraState {
 }
 
 impl SafraState {
-    /// Fresh detector state (per-cell state is reset by the chip).
+    /// Fresh detector state (each cell starts at [`CellTd::start`]).
     pub fn new() -> Self {
         SafraState::default()
     }

@@ -3,7 +3,7 @@
 //! detect before the diffusion's effects are complete, and (c) leave
 //! results identical to a plain quiescence run.
 
-use amcca_sim::{Address, Chip, ChipConfig, Dims, ExecCtx, Operon, Program};
+use amcca_sim::{Address, Chip, ChipConfig, Dims, ExecCtx, Operon, Program, TerminationMode};
 use proptest::prelude::*;
 
 /// Action 9: add `value`, and while TTL > 0, forward two children to
@@ -46,8 +46,8 @@ impl Program for FanProgram {
     }
 }
 
-fn build(seed: u64) -> Chip<FanProgram> {
-    let cfg = ChipConfig { dims: Dims::new(6, 6), seed, ..ChipConfig::small_test() };
+fn build(seed: u64, termination: TerminationMode) -> Chip<FanProgram> {
+    let cfg = ChipConfig { dims: Dims::new(6, 6), seed, termination, ..ChipConfig::small_test() };
     let mut chip = Chip::new(cfg, FanProgram);
     for cc in 0..36u16 {
         chip.host_alloc(cc, 0).unwrap();
@@ -83,17 +83,15 @@ proptest! {
         };
 
         // Baseline: quiescence.
-        let mut base = build(chip_seed);
+        let mut base = build(chip_seed, TerminationMode::Quiescence);
         let expected = load(&mut base);
         base.run_until_quiescent().unwrap();
         prop_assert_eq!(total(&base), expected);
 
         // Safra run on the identical workload.
-        let mut chip = build(chip_seed);
+        let mut chip = build(chip_seed, TerminationMode::SafraToken);
         load(&mut chip);
-        chip.enable_safra_termination();
-        chip.begin_safra_probe();
-        chip.run_until_terminated().unwrap();
+        chip.run_until_quiescent().unwrap();
         // (b) at detection, every effect is present — nothing in flight.
         prop_assert_eq!(total(&chip), expected, "no effect may be outstanding at detection");
         let s = chip.safra().unwrap();
@@ -110,16 +108,14 @@ proptest! {
         batches in prop::collection::vec(
             prop::collection::vec((0u16..36, 1u64..5), 1..8), 1..4),
     ) {
-        let mut chip = build(7);
-        chip.enable_safra_termination();
+        let mut chip = build(7, TerminationMode::SafraToken);
         let mut expected = 0u64;
         for batch in &batches {
             expected += batch.iter().map(|&(_, v)| v).sum::<u64>();
             chip.io_load(batch.iter().map(|&(cc, v)| {
                 Operon::new(Address::new(cc, 0), 9, [v, 0]) // ttl 0: no fan-out
             }));
-            chip.begin_safra_probe();
-            chip.run_until_terminated().unwrap();
+            chip.run_until_quiescent().unwrap();
             prop_assert_eq!(total(&chip), expected, "per-segment effects complete");
         }
     }

@@ -12,7 +12,7 @@
 
 use amcca_sim::{
     ActivityRecording, Address, Chip, ChipConfig, Counters, Dims, ExecCtx, Operon, Program,
-    SimError,
+    SimError, TerminationMode,
 };
 use proptest::prelude::*;
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -117,26 +117,22 @@ struct RunOutcome {
 }
 
 fn build(shards: usize, link_buffer: usize, queue_cap: usize, seed: u64) -> Chip<StressProgram> {
-    build_recording(shards, link_buffer, queue_cap, seed, ActivityRecording::Counts)
+    let base =
+        ChipConfig { record_activity: ActivityRecording::Counts, ..ChipConfig::small_test() };
+    build_on(base, shards, link_buffer, queue_cap, seed)
 }
 
-/// [`build`], recording activity as `record_activity` says.
-fn build_recording(
+/// [`build`], taking every other setting (activity recording, terminator)
+/// from `base`.
+fn build_on(
+    base: ChipConfig,
     shards: usize,
     link_buffer: usize,
     queue_cap: usize,
     seed: u64,
-    record_activity: ActivityRecording,
 ) -> Chip<StressProgram> {
-    let cfg = ChipConfig {
-        dims: DIMS,
-        link_buffer,
-        task_queue_cap: queue_cap,
-        record_activity,
-        seed,
-        shards,
-        ..ChipConfig::small_test()
-    };
+    let cfg =
+        ChipConfig { dims: DIMS, link_buffer, task_queue_cap: queue_cap, seed, shards, ..base };
     let mut chip = Chip::new(cfg, StressProgram);
     for cc in 0..N_CELLS as u16 {
         chip.host_alloc(cc, 0).unwrap();
@@ -245,11 +241,14 @@ proptest! {
         let outcomes: Vec<_> = [1usize, 2, 3, 8]
             .into_iter()
             .map(|shards| {
-                let mut chip = build(shards, 4, 1 << 16, chip_seed);
+                let base = ChipConfig {
+                    record_activity: ActivityRecording::Counts,
+                    termination: TerminationMode::SafraToken,
+                    ..ChipConfig::small_test()
+                };
+                let mut chip = build_on(base, shards, 4, 1 << 16, chip_seed);
                 chip.io_load(ops.iter().copied());
-                chip.enable_safra_termination();
-                chip.begin_safra_probe();
-                chip.run_until_terminated().unwrap();
+                chip.run_until_quiescent().unwrap();
                 assert_driver(&chip, shards);
                 let s = chip.safra().unwrap();
                 let mut objects = Vec::new();
@@ -352,10 +351,13 @@ fn hot_row_is_computed_by_its_own_band() {
 #[test]
 fn sharded_frames_match_sequential() {
     let ops = workload(&[(1, 3, 4, 5, 0), (20, 2, 3, 11, 1), (44, 1, 4, 23, 0)]);
+    let base = ChipConfig {
+        record_activity: ActivityRecording::Frames { stride: 2 },
+        ..ChipConfig::small_test()
+    };
     let mut frames = Vec::new();
     for shards in [1usize, 4] {
-        let mut chip =
-            build_recording(shards, 4, 1 << 16, 7, ActivityRecording::Frames { stride: 2 });
+        let mut chip = build_on(base.clone(), shards, 4, 1 << 16, 7);
         chip.io_load(ops.iter().copied());
         chip.run_until_quiescent().unwrap();
         assert_driver(&chip, shards);

@@ -25,6 +25,7 @@
 use std::path::PathBuf;
 
 use amcca_bench::{insert_batches, run_stream};
+use amcca_sim::geom::MAX_CELLS;
 use amcca_sim::{ChipConfig, Dims, GhostPlacement};
 use gc_datasets::{load_streaming_parts, Sampling};
 use sdgp_core::apps::{BfsAlgo, CcAlgo, SsspAlgo, VertexAlgo};
@@ -92,7 +93,11 @@ fn parse_args() -> Args {
                     Ok(n) if n > 0 => n,
                     _ => die(&format!("--chip {v}: width and height must be in 1..=65535")),
                 };
-                a.dims = Dims::new(side(w), side(h));
+                let (w, h) = (side(w), side(h));
+                if w as u32 * h as u32 > MAX_CELLS {
+                    die(&format!("--chip {v}: at most {MAX_CELLS} cells (cell ids are 16-bit)"));
+                }
+                a.dims = Dims::new(w, h);
             }
             "--shards" => {
                 a.shards =

@@ -44,8 +44,7 @@ use amcca_bench::{
     run_stream, write_activity, write_csv, Run, Scale,
 };
 use amcca_sim::trace::activity_sparkline;
-use amcca_sim::{run_tasks, ActivityRecording, ChipConfig, GhostPlacement};
-use diffusive::TerminationMode;
+use amcca_sim::{run_tasks, ActivityRecording, ChipConfig, GhostPlacement, TerminationMode};
 use gc_datasets::{ChurnPreset, ChurnStream, GcPreset, Sampling, SkewPreset, StreamingDataset};
 use sdgp_core::apps::BfsAlgo;
 use sdgp_core::graph::{GraphBuilder, GraphMutation, RepairMode, StreamingGraph};
@@ -518,15 +517,13 @@ fn ablate_terminator(args: &Args) {
             title: |d| format!("termination detection, {d} + BFS (10 increments)"),
             header: &["Detector", "Cycles", "Energy µJ", "Hops", "Detection overhead"],
             csv_header: "detector,cycles,energy_uj,hops,overhead",
-            variants: vec![
-                ("quiescence".into(), TerminationMode::Quiescence),
-                ("safra-token".into(), TerminationMode::SafraToken),
-            ],
-            graph: |b, mode| {
-                let mut g = build(b);
-                g.set_termination_mode(mode);
-                g
-            },
+            variants: [
+                ("quiescence", TerminationMode::Quiescence),
+                ("safra-token", TerminationMode::SafraToken),
+            ]
+            .map(|(name, mode)| (name.into(), ChipConfig { termination: mode, ..chip_for(args) }))
+            .into(),
+            graph: |b, chip| build(b.chip(chip)),
             cells: |r, base| {
                 let overhead = r.total_cycles() as f64 / base.total_cycles() as f64 - 1.0;
                 vec![r.sum(|x| x.counters.hops).to_string(), format!("{:+.1}%", overhead * 100.0)]

@@ -55,8 +55,10 @@ fn amcca_run(edges: &Path, extra: &[&str]) -> (Option<i32>, String, String) {
 #[test]
 fn amcca_run_rejects_bad_input_with_exit_2_naming_the_flag() {
     let edges = path_graph("cli_bad_input.tsv");
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 8] = [
         (&["--chip", "0x4"], "--chip"),
+        // 90 000 cells: their 16-bit ids would wrap.
+        (&["--chip", "300x300"], "--chip"),
         (&["--edge-cap", "0"], "--edge-cap"),
         (&["--ghosts", "0"], "--ghosts"),
         (&["--ghosts", "17"], "--ghosts"),

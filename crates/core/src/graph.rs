@@ -50,10 +50,7 @@ use amcca_obs::Obs;
 use amcca_sim::{root_cell, Address, ChipConfig, Operon, SimError};
 use diffusive::{Device, RunReport};
 
-use crate::apps::algo::{
-    GraphApp, VertexAlgo, ACT_DELETE, ACT_INSERT, ACT_QUERY, ACT_RELAX, ACT_RESEED, ACT_RETRACT,
-    ACT_UPDATE,
-};
+use crate::apps::algo::{GraphApp, VertexAlgo};
 use crate::query::{QueryDelta, StandingQuery};
 use crate::rpvo::rhizome::RhizomeDirectory;
 use crate::rpvo::{walk, RpvoConfig, VertexObj};
@@ -266,19 +263,12 @@ impl<G: VertexAlgo> GraphBuilder<G> {
         self
     }
 
-    /// Create the device, register the actions (Listing 1), and allocate the
-    /// root vertex objects across the chip.
+    /// Create the device and allocate the root vertex objects across the
+    /// chip. The actions are `GraphApp`'s compiled-in ids.
     pub fn build(self) -> Result<StreamingGraph<G>, SimError> {
         let GraphBuilder { algo, n_vertices, chip: cfg, rpvo: rcfg, repair, obs } = self;
         let dims = cfg.dims;
         let mut dev = Device::new(cfg, GraphApp::new(algo, rcfg));
-        dev.register_action_at(ACT_INSERT, "insert-edge-action");
-        dev.register_action_at(ACT_RELAX, G::NAME);
-        dev.register_action_at(ACT_DELETE, "delete-edge-action");
-        dev.register_action_at(ACT_RESEED, "reseed-action");
-        dev.register_action_at(ACT_UPDATE, "update-weight-action");
-        dev.register_action_at(ACT_RETRACT, "retract-action");
-        dev.register_action_at(ACT_QUERY, "query-action");
         let mut addrs = Vec::with_capacity(n_vertices as usize);
         for vid in 0..n_vertices {
             let cc = root_cell(vid, dims);
@@ -324,13 +314,6 @@ impl<G: VertexAlgo> StreamingGraph<G> {
     /// ingestion-only experiments disable it).
     pub fn set_algo_propagation(&mut self, on: bool) {
         self.dev.app_mut().propagate_algo = on;
-    }
-
-    /// Select the termination detector used by subsequent increments
-    /// (global quiescence by default; Safra's token for the distributed
-    /// variant — see `paper ablate-terminator`).
-    pub fn set_termination_mode(&mut self, mode: diffusive::TerminationMode) {
-        self.dev.set_termination_mode(mode);
     }
 
     /// Bookkeeping of the most recent increment's repair phase (all zero if

@@ -31,7 +31,7 @@ pub use apps::{BfsAlgo, CcAlgo, GraphApp, SsspAlgo, TriangleAlgo, VertexAlgo};
 pub use checkpoint::GraphCheckpoint;
 pub use graph::{symmetrize, GraphBuilder, MutationLog, StreamEdge, StreamingGraph};
 pub use query::{
-    oracle_bits, oracle_bits_multi, oracle_results, oracle_results_multi, QueryDelta, QueryDfa,
-    QueryError, StandingQuery,
+    oracle_bits_multi, oracle_results, oracle_results_multi, QueryDelta, QueryDfa, QueryError,
+    StandingQuery,
 };
 pub use rpvo::{Edge, RpvoConfig, VertexObj};

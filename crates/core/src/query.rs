@@ -282,17 +282,6 @@ pub fn oracle_results_multi(
     (0..n_vertices).filter(|&v| dfa.accepts(bits[v as usize])).collect()
 }
 
-/// The per-vertex fixpoint bitsets behind [`oracle_results`] (exposed so
-/// tests can pin the raw product states, not just the accepting set).
-pub fn oracle_bits(
-    n_vertices: u32,
-    edges: &[(u32, u32, u8)],
-    dfa: &QueryDfa,
-    source: u32,
-) -> Vec<u32> {
-    oracle_bits_multi(n_vertices, edges, dfa, &[source])
-}
-
 /// The per-vertex fixpoint bitsets behind [`oracle_results_multi`].
 pub fn oracle_bits_multi(
     n_vertices: u32,
@@ -431,7 +420,7 @@ mod tests {
     #[test]
     fn oracle_bits_expose_the_product_fixpoint() {
         let dfa = compile("a.b").unwrap();
-        let bits = oracle_bits(3, &[(0, 1, A), (1, 2, B)], &dfa, 0);
+        let bits = oracle_bits_multi(3, &[(0, 1, A), (1, 2, B)], &dfa, &[0]);
         assert_eq!(bits, vec![0b001, 0b010, 0b100]);
     }
 

@@ -62,8 +62,12 @@ pub fn parse_edges(text: &str, one_indexed: bool) -> Result<Vec<StreamEdge>, Par
             u -= 1;
             v -= 1;
         }
-        if u > u32::MAX as u64 || v > u32::MAX as u64 {
-            return Err(ParseError { line: i + 1, msg: "vertex id exceeds u32".to_string() });
+        // The vertex count is the largest id + 1, which must fit a `u32`.
+        if u >= u32::MAX as u64 || v >= u32::MAX as u64 {
+            return Err(ParseError {
+                line: i + 1,
+                msg: format!("vertex id must be below {}", u32::MAX),
+            });
         }
         out.push((u as u32, v as u32, w));
     }
@@ -128,6 +132,20 @@ mod tests {
         assert!(err.to_string().contains("line 2"));
         let err = parse_edges("1\n", true).unwrap_err();
         assert!(err.msg.contains("missing dst"));
+    }
+
+    #[test]
+    fn rejects_ids_whose_vertex_count_overflows_u32() {
+        // u32::MAX itself would need u32::MAX + 1 vertices.
+        let err = parse_edges("0 1\n4294967295 1\n", false).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.msg.contains("below 4294967295"), "{err}");
+        let err = parse_edges("4294967296\t1\n", true).unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(err.msg.contains("below 4294967295"), "{err}");
+        // The largest id that still fits, in both indexings.
+        assert_eq!(parse_edges("4294967294 0\n", false).unwrap(), vec![(u32::MAX - 1, 0, 1)]);
+        assert_eq!(parse_edges("4294967295 1\n", true).unwrap(), vec![(u32::MAX - 1, 0, 1)]);
     }
 
     #[test]

@@ -9,51 +9,27 @@
 //! ```
 //!
 //! A [`Device`] owns a simulated chip running a diffusive [`App`], provides
-//! action registration, host-side object allocation (graph construction),
-//! IO-stream loading, and segment-wise runs that wait on the terminator.
+//! host-side object allocation (graph construction), IO-stream loading, and
+//! segment-wise runs that wait on the terminator. Actions are the app's
+//! compiled-in ids (see [`crate::action`]); the terminator is the chip's
+//! [`ChipConfig::termination`], fixed when the device is built.
 
-use amcca_sim::{ActionId, Address, Chip, ChipConfig, Operon, SimError};
+use amcca_sim::{Address, Chip, ChipConfig, Operon, SimError};
 
-use crate::action::ActionRegistry;
 use crate::app::{App, Runtime};
-use crate::terminator::{RunReport, TerminationMode};
+use crate::terminator::RunReport;
 
 /// The host-side handle to a simulated AM-CCA device running app `A`.
 pub struct Device<A: App> {
     chip: Chip<Runtime<A>>,
-    registry: ActionRegistry,
-    mode: TerminationMode,
 }
 
 impl<A: App> Device<A> {
-    /// Initialize the device (Listing 1 line 2).
+    /// Initialize the device (Listing 1 line 2) with the terminator
+    /// `cfg.termination` selects (Listing 1's `AMCCA_Terminator`).
     pub fn new(cfg: ChipConfig, app: A) -> Self {
         let retries = cfg.max_alloc_retries;
-        Device {
-            chip: Chip::new(cfg, Runtime::new(app, retries)),
-            registry: ActionRegistry::new(),
-            mode: TerminationMode::Quiescence,
-        }
-    }
-
-    /// Register an action by name (the paper's `AMCCA_REGISTER_ACTION`).
-    pub fn register_action(&mut self, name: &str) -> ActionId {
-        self.registry.register(name)
-    }
-
-    /// Register an action at a compile-time id the app's handlers expect.
-    pub fn register_action_at(&mut self, id: ActionId, name: &str) -> ActionId {
-        self.registry.register_at(id, name)
-    }
-
-    /// The action name ⇄ id registry.
-    pub fn registry(&self) -> &ActionRegistry {
-        &self.registry
-    }
-
-    /// Select the termination detector used by [`Self::run`].
-    pub fn set_termination_mode(&mut self, mode: TerminationMode) {
-        self.mode = mode;
+        Device { chip: Chip::new(cfg, Runtime::new(app, retries)) }
     }
 
     /// Number of execution shards the underlying chip runs with (from
@@ -88,18 +64,7 @@ impl<A: App> Device<A> {
         // Discard any activity recorded before this segment.
         let _ = self.chip.take_activity();
         let (cy0, ct0) = self.chip.snapshot();
-        match self.mode {
-            TerminationMode::Quiescence => {
-                self.chip.run_until_quiescent()?;
-            }
-            TerminationMode::SafraToken => {
-                if !self.chip.safra_enabled() {
-                    self.chip.enable_safra_termination();
-                }
-                self.chip.begin_safra_probe();
-                self.chip.run_until_terminated()?;
-            }
-        }
+        self.chip.run_until_quiescent()?;
         let (cy1, ct1) = self.chip.snapshot();
         let activity = self.chip.take_activity();
         Ok(RunReport::from_delta(
@@ -145,11 +110,15 @@ impl<A: App> Device<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::FIRST_USER_ACTION;
     use crate::continuation::AllocRequest;
-    use amcca_sim::{ActivityRecording, ExecCtx};
+    use amcca_sim::{ActivityRecording, ExecCtx, TerminationMode};
 
-    /// Trivial app: objects are `u64`, action 8 adds payload[0] to the target.
+    /// Trivial app: objects are `u64`, action [`ADD`] adds payload[0] to the
+    /// target.
     struct AddApp;
+
+    const ADD: amcca_sim::ActionId = FIRST_USER_ACTION;
 
     impl App for AddApp {
         type Object = u64;
@@ -175,9 +144,8 @@ mod tests {
     #[test]
     fn device_run_reports_segment_deltas() {
         let mut dev = Device::new(ChipConfig::small_test(), AddApp);
-        let act = dev.register_action("add");
         let a = dev.host_alloc(10, 0).unwrap();
-        dev.register_data_transfer((0..5).map(|_| Operon::new(a, act, [2, 0])));
+        dev.register_data_transfer((0..5).map(|_| Operon::new(a, ADD, [2, 0])));
         let r1 = dev.run().unwrap();
         assert_eq!(*dev.object(a).unwrap(), 10);
         assert!(r1.cycles > 0);
@@ -185,7 +153,7 @@ mod tests {
         assert_eq!(r1.time_us, r1.cycles as f64 / 1000.0);
 
         // Second segment: deltas, not totals.
-        dev.register_data_transfer([Operon::new(a, act, [1, 0])]);
+        dev.register_data_transfer([Operon::new(a, ADD, [1, 0])]);
         let r2 = dev.run().unwrap();
         assert_eq!(*dev.object(a).unwrap(), 11);
         assert_eq!(r2.counters.msgs_delivered, 1);
@@ -201,23 +169,14 @@ mod tests {
     }
 
     #[test]
-    fn action_names_resolve() {
-        let mut dev = Device::new(ChipConfig::small_test(), AddApp);
-        let id = dev.register_action("insert-edge-action");
-        assert_eq!(dev.registry().lookup("insert-edge-action"), Some(id));
-        assert_eq!(dev.registry().lookup("allocate"), Some(crate::action::ACT_ALLOCATE));
-    }
-
-    #[test]
     fn safra_mode_runs_segments_and_matches_quiescence_results() {
         let run = |mode: TerminationMode| -> (u64, u64) {
-            let mut dev = Device::new(ChipConfig::small_test(), AddApp);
-            dev.set_termination_mode(mode);
-            let act = dev.register_action("add");
+            let cfg = ChipConfig { termination: mode, ..ChipConfig::small_test() };
+            let mut dev = Device::new(cfg, AddApp);
             let a = dev.host_alloc(40, 0).unwrap();
             let mut cycles = 0;
             for _ in 0..3 {
-                dev.register_data_transfer((0..8).map(|_| Operon::new(a, act, [1, 0])));
+                dev.register_data_transfer((0..8).map(|_| Operon::new(a, ADD, [1, 0])));
                 cycles += dev.run().unwrap().cycles;
             }
             (*dev.object(a).unwrap(), cycles)
@@ -233,9 +192,8 @@ mod tests {
         let run = |shards: usize| {
             let mut dev = Device::new(ChipConfig::small_test().with_shards(shards), AddApp);
             assert_eq!(dev.shards(), shards);
-            let act = dev.register_action("add");
             let a = dev.host_alloc(10, 0).unwrap();
-            dev.register_data_transfer((0..16).map(|i| Operon::new(a, act, [i, 0])));
+            dev.register_data_transfer((0..16).map(|i| Operon::new(a, ADD, [i, 0])));
             let r = dev.run().unwrap();
             (*dev.object(a).unwrap(), r.cycles, r.counters, r.energy_uj)
         };
@@ -248,12 +206,11 @@ mod tests {
         let cfg =
             ChipConfig { record_activity: ActivityRecording::Counts, ..ChipConfig::small_test() };
         let mut dev = Device::new(cfg, AddApp);
-        let act = dev.register_action("add");
         let a = dev.host_alloc(20, 0).unwrap();
-        dev.register_data_transfer([Operon::new(a, act, [1, 0])]);
+        dev.register_data_transfer([Operon::new(a, ADD, [1, 0])]);
         let r1 = dev.run().unwrap();
         assert_eq!(r1.activity.counts.len() as u64, r1.cycles);
-        dev.register_data_transfer([Operon::new(a, act, [1, 0])]);
+        dev.register_data_transfer([Operon::new(a, ADD, [1, 0])]);
         let r2 = dev.run().unwrap();
         assert_eq!(r2.activity.counts.len() as u64, r2.cycles, "fresh series per segment");
     }

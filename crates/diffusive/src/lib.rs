@@ -9,7 +9,7 @@
 //!
 //! The crate provides:
 //!
-//! * [`action`] — action registration (`AMCCA_REGISTER_ACTION`).
+//! * [`action`] — the reserved action ids (`AMCCA_REGISTER_ACTION`'s ids).
 //! * [`future`] — the **future LCO** with the Null → Pending(+queue) → Ready
 //!   lifecycle of the paper's Figure 4.
 //! * [`continuation`] — `call/cc`-style remote allocation: the `allocate`
@@ -17,7 +17,8 @@
 //! * [`app`] — the [`App`] trait applications implement, and the [`Runtime`]
 //!   adapter that intercepts the two system actions.
 //! * [`device`] — the host-side [`Device`] façade mirroring Listing 1.
-//! * [`terminator`] — termination detection for diffusions.
+//! * [`terminator`] — the [`RunReport`] a run returns once the chip's
+//!   terminator ([`amcca_sim::ChipConfig::termination`]) fires.
 
 pub mod action;
 pub mod app;
@@ -26,7 +27,7 @@ pub mod device;
 pub mod future;
 pub mod terminator;
 
-pub use action::{ActionRegistry, ACT_ALLOCATE, ACT_SET_FUTURE, FIRST_USER_ACTION};
+pub use action::{ACT_ALLOCATE, ACT_SET_FUTURE, FIRST_USER_ACTION};
 pub use app::{App, Runtime};
 pub use continuation::{
     allocate_operon, decode_allocate, decode_set_future, set_future_operon, AllocRequest,
@@ -34,4 +35,4 @@ pub use continuation::{
 };
 pub use device::Device;
 pub use future::{FutureError, FutureLco, PendingOperon};
-pub use terminator::{RunReport, TerminationMode};
+pub use terminator::RunReport;

@@ -2,32 +2,26 @@
 //! Listing 1: "Create a terminator object that handles termination detection
 //! for the diffusion ... Diffuse and wait on the terminator").
 //!
-//! Two detectors are provided:
+//! The terminator is chosen once, when the chip is built, by
+//! [`amcca_sim::ChipConfig::termination`]:
 //!
-//! * [`TerminationMode::Quiescence`] — the chip-global check the paper's
-//!   CCASimulator uses: the diffusion has terminated when no operon is in
-//!   flight, no task is queued, no cell is busy, and the IO streams are
-//!   drained. Free of message overhead; this is what all paper experiments
-//!   run with.
-//! * [`TerminationMode::SafraToken`] — Safra's distributed token algorithm
-//!   (Dijkstra EWD 998): message counters and colours per cell, a token
-//!   circulating a serpentine ring over the mesh, detection at the
-//!   initiator after a clean white round. It detects the same terminations
-//!   but pays real token hops and polling cycles — the bookkeeping a real
-//!   decentralized system cannot avoid. `paper ablate-terminator`
-//!   quantifies the overhead. See [`amcca_sim::safra`].
+//! * [`Quiescence`](amcca_sim::TerminationMode::Quiescence) — the
+//!   chip-global check the paper's CCASimulator uses: the diffusion has
+//!   terminated when no operon is in flight, no task is queued, no cell is
+//!   busy, and the IO streams are drained. Free of message overhead; this is
+//!   what all paper experiments run with.
+//! * [`SafraToken`](amcca_sim::TerminationMode::SafraToken) — Safra's
+//!   distributed token algorithm (Dijkstra EWD 998): message counters and
+//!   colours per cell, a token circulating a serpentine ring over the mesh,
+//!   detection at the initiator after a clean white round. It detects the
+//!   same terminations but pays real token hops and polling cycles — the
+//!   bookkeeping a real decentralized system cannot avoid.
+//!   `paper ablate-terminator` quantifies the overhead. See
+//!   [`amcca_sim::safra`].
+//!
+//! Either way `Device::run` waits on it and returns a [`RunReport`].
 
 use amcca_sim::{ActivitySeries, Counters, EnergyModel};
-
-/// How `Device::run` decides the diffusion has finished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TerminationMode {
-    /// Global quiescence detection (zero overhead; the paper's setup).
-    #[default]
-    Quiescence,
-    /// Safra's distributed token-ring detection with real message overhead.
-    SafraToken,
-}
 
 /// Report of one `Device::run` segment (e.g. one streaming increment).
 #[derive(Debug, Clone)]
@@ -131,11 +125,6 @@ mod tests {
         );
         assert_eq!(r.time_us, 22.0);
         assert!(r.energy_uj > 0.0, "leakage energy is nonzero");
-    }
-
-    #[test]
-    fn default_mode_is_quiescence() {
-        assert_eq!(TerminationMode::default(), TerminationMode::Quiescence);
     }
 
     #[test]

@@ -59,9 +59,10 @@ pub use sdgp_core;
 pub mod prelude {
     pub use amcca_obs::{MetricsSnapshot, Obs};
     pub use amcca_sim::{
-        ActivityRecording, Address, ChipConfig, Dims, EnergyModel, GhostPlacement, Operon, SimError,
+        ActivityRecording, Address, ChipConfig, Dims, EnergyModel, GhostPlacement, Operon,
+        SimError, TerminationMode,
     };
-    pub use diffusive::{Device, FutureLco, RunReport, TerminationMode};
+    pub use diffusive::{Device, FutureLco, RunReport};
     pub use gc_datasets::{GcPreset, Sampling, SbmParams, SkewPreset, StreamingDataset};
     pub use sdgp_core::{
         apps::{BfsAlgo, CcAlgo, SsspAlgo, TriangleAlgo, MAX_LEVEL},

@@ -14,11 +14,10 @@ fn stream_all(mode: TerminationMode) -> (Vec<u64>, u64) {
     let d = edge_sampling(n, edges, 5, 2);
     let mut g = StreamingGraph::builder(BfsAlgo::new(0))
         .vertices(n)
-        .chip(ChipConfig::default())
+        .chip(ChipConfig { termination: mode, ..ChipConfig::default() })
         .rpvo(RpvoConfig::basic(8, 2))
         .build()
         .unwrap();
-    g.set_termination_mode(mode);
     let mut cycles = 0;
     for i in 0..d.increments() {
         cycles += g.stream_edges(d.increment(i)).unwrap().cycles;
