@@ -179,9 +179,9 @@ fn run_algo<G: VertexAlgo<State = u64>>(
         .vertices(dataset.n_vertices)
         .chip(chip)
         .rpvo(rcfg)
+        .propagate(!args.ingest_only)
         .build()
         .unwrap_or_else(|e| die(&format!("constructing graph: {e}")));
-    g.set_algo_propagation(!args.ingest_only);
     let batches = insert_batches(dataset).map(|muts| {
         if args.symmetrize {
             symmetrize_mutations(&muts)

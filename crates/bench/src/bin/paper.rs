@@ -169,23 +169,21 @@ fn build(b: GraphBuilder<BfsAlgo>) -> StreamingGraph<BfsAlgo> {
     b.build().expect("graph construction")
 }
 
-/// Stream `batches` through the graph `b` builds, BFS propagating iff
-/// `with_bfs`, with `check` after every increment.
+/// Stream `batches` through the graph `b` builds, with `check` after every
+/// increment.
 fn stream(
     b: GraphBuilder<BfsAlgo>,
-    with_bfs: bool,
     batches: impl IntoIterator<Item = Vec<GraphMutation>>,
     check: impl FnMut(usize, &StreamingGraph<BfsAlgo>),
 ) -> Run {
-    let mut g = build(b);
-    g.set_algo_propagation(with_bfs);
-    run_stream(&mut g, batches, check).expect("streamed run")
+    run_stream(&mut build(b), batches, check).expect("streamed run")
 }
 
 /// `d` streamed through the graph `b` builds twice: ingestion only, then
 /// ingestion with BFS.
 fn ingest_and_bfs(b: GraphBuilder<BfsAlgo>, d: &StreamingDataset) -> [Run; 2] {
-    [false, true].map(|with_bfs| stream(b.clone(), with_bfs, insert_batches(d), |_, _| {}))
+    [false, true]
+        .map(|with_bfs| stream(b.clone().propagate(with_bfs), insert_batches(d), |_, _| {}))
 }
 
 fn main() {
@@ -318,7 +316,7 @@ fn fig67(args: &Args, with_bfs: bool) {
     for (tag, sampling) in [("a", Sampling::Edge), ("b", Sampling::Snowball)] {
         let d = args.scale.apply(GcPreset::v500k(sampling)).build();
         let b = graph(args, d.n_vertices).chip(chip.clone());
-        let r = stream(b, with_bfs, insert_batches(&d), |_, _| {});
+        let r = stream(b.propagate(with_bfs), insert_batches(&d), |_, _| {});
         let activity = r.activity();
         let peak = activity.iter().copied().max().unwrap_or(0);
         let mean = activity.iter().map(|&a| a as f64).sum::<f64>() / activity.len().max(1) as f64;
@@ -545,8 +543,7 @@ fn loadmap(args: &Args) {
     let mut summary = Vec::new();
     for sampling in [Sampling::Edge, Sampling::Snowball] {
         let d = args.scale.apply(GcPreset::v50k(sampling)).build();
-        let mut g = build(graph(args, d.n_vertices));
-        g.set_algo_propagation(false);
+        let mut g = build(graph(args, d.n_vertices).propagate(false));
         // Stream only the LAST increment after building the prefix, so the
         // measured loads reflect one increment's frontier behaviour.
         let mut batches = insert_batches(&d);
@@ -756,8 +753,8 @@ fn churn_run(
     c: &ChurnStream,
     with_bfs: bool,
 ) -> Run {
-    let b = graph(args, c.n_vertices).rpvo(rcfg).repair(repair);
-    stream(b, with_bfs, churn_batches(c), check_window(c))
+    let b = graph(args, c.n_vertices).rpvo(rcfg).repair(repair).propagate(with_bfs);
+    stream(b, churn_batches(c), check_window(c))
 }
 
 fn churn(args: &Args) {

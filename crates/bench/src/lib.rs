@@ -157,7 +157,7 @@ pub fn check_window(churn: &ChurnStream) -> impl FnMut(usize, &StreamingGraph<Bf
             "batch {i}: stored edges must equal the surviving window"
         );
         g.check_mirror_consistency().unwrap_or_else(|e| panic!("batch {i}: {e}"));
-        if g.device().app().propagate_algo {
+        if g.propagates() {
             assert_bfs(g, &live, i);
         }
     }
@@ -252,10 +252,8 @@ mod tests {
 
     /// A BFS graph over `n` vertices on `chip`, propagating iff `with_bfs`.
     fn bfs_graph(n: u32, chip: ChipConfig, with_bfs: bool) -> StreamingGraph<BfsAlgo> {
-        let mut g =
-            StreamingGraph::builder(BfsAlgo::new(0)).vertices(n).chip(chip).build().unwrap();
-        g.set_algo_propagation(with_bfs);
-        g
+        let b = StreamingGraph::builder(BfsAlgo::new(0)).vertices(n).chip(chip);
+        b.propagate(with_bfs).build().unwrap()
     }
 
     fn stream(g: &mut StreamingGraph<BfsAlgo>, d: &StreamingDataset) -> Run {

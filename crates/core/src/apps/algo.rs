@@ -253,8 +253,9 @@ pub struct GraphApp<G: VertexAlgo> {
     pub rcfg: RpvoConfig,
     /// When false, successful inserts do not announce values — the paper's
     /// "disabling the subsequent propagation of bfs-action when an edge is
-    /// inserted" used to isolate ingestion time (§5).
-    pub propagate_algo: bool,
+    /// inserted" used to isolate ingestion time (§5). Fixed when the graph
+    /// is built ([`crate::graph::GraphBuilder::propagate`]).
+    pub(crate) propagate_algo: bool,
     /// Internal phase gate: during the structural phase of a deletion batch
     /// the host suppresses every improvement source — insert notifications
     /// *and* ghost attach-syncs — because an improvement racing the

@@ -29,7 +29,9 @@ use std::fmt;
 use amcca_sim::SimError;
 
 use crate::apps::VertexAlgo;
-use crate::graph::{GraphBuilder, GraphMutation, StreamEdge, StreamingGraph};
+use crate::graph::{
+    GraphBuilder, GraphMutation, IncrementError, MutationError, StreamEdge, StreamingGraph,
+};
 
 /// Magic bytes opening every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"AMCK";
@@ -59,6 +61,9 @@ pub enum CheckpointError {
     BadQuery(String),
     /// The restored graph's converged state disagrees with the snapshot.
     StateMismatch(String),
+    /// The snapshot's edges do not fit the graph it names (an endpoint at
+    /// or past its vertex count).
+    Refused(MutationError),
     /// Rebuilding the graph failed in the simulator.
     Sim(SimError),
 }
@@ -78,6 +83,7 @@ impl fmt::Display for CheckpointError {
             CheckpointError::StateMismatch(what) => {
                 write!(f, "restored graph diverges from snapshot: {what}")
             }
+            CheckpointError::Refused(e) => write!(f, "snapshot edge refused: {e}"),
             CheckpointError::Sim(e) => write!(f, "rebuild failed: {e:?}"),
         }
     }
@@ -88,6 +94,15 @@ impl std::error::Error for CheckpointError {}
 impl From<SimError> for CheckpointError {
     fn from(e: SimError) -> Self {
         CheckpointError::Sim(e)
+    }
+}
+
+impl From<IncrementError> for CheckpointError {
+    fn from(e: IncrementError) -> Self {
+        match e {
+            IncrementError::Refused(e) => CheckpointError::Refused(e),
+            IncrementError::Sim(e) => CheckpointError::Sim(e),
+        }
     }
 }
 
@@ -516,6 +531,30 @@ mod tests {
             Err(e) => e,
         };
         assert!(matches!(err, CheckpointError::StateMismatch(_)));
+    }
+
+    /// A snapshot whose edge names a vertex past its own vertex count —
+    /// decodable, checksum-valid bytes — is refused, not a panic.
+    #[test]
+    fn restore_refuses_an_edge_past_the_vertex_count() {
+        let mut ck = GraphCheckpoint::capture(&small());
+        ck.edges = vec![(0, 1, 1), (1, 16, 1)];
+        ck.labels = vec![0, 0];
+        let ck = GraphCheckpoint::decode(&ck.encode()).unwrap();
+        let err = match ck.restore(
+            StreamingGraph::builder(BfsAlgo::new(0))
+                .chip(ChipConfig::small_test())
+                .rpvo(RpvoConfig::basic(4, 2)),
+        ) {
+            Ok(_) => panic!("an edge into vertex 16 restored a 16-vertex graph"),
+            Err(e) => e,
+        };
+        let out = MutationError::VertexOutOfRange { vid: 16, n: 16 };
+        assert_eq!(err, CheckpointError::Refused(out));
+        assert_eq!(
+            err.to_string(),
+            "snapshot edge refused: vertex 16 out of range (graph has 16 vertices)"
+        );
     }
 
     #[test]

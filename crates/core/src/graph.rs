@@ -46,6 +46,8 @@
 //! accessors; `graph/increment.rs` runs an increment stage by stage and
 //! `graph/queries.rs` keeps the standing queries.
 
+use std::fmt;
+
 use amcca_obs::Obs;
 use amcca_sim::{root_cell, Address, ChipConfig, Operon, SimError};
 use diffusive::{Device, RunReport};
@@ -78,13 +80,14 @@ pub enum GraphMutation {
     /// immutable for a copy's lifetime and are not part of the
     /// delete/update addressing identity.
     AddLabeledEdge(StreamEdge, u8),
-    /// Delete one live copy of the directed edge (panics at stream time if
-    /// no copy is live — deleting a non-existent edge is a host bug).
+    /// Delete one live copy of the directed edge (refused with a
+    /// [`MutationError`] if no copy is live).
     DelEdge(StreamEdge),
     /// Re-weight the *oldest* live copy of the directed pair `u → v` to `w`
-    /// (panics at stream time if no copy is live). For monotone algorithms a
-    /// weight decrease is a plain relax along the edge; an increase runs a
-    /// scoped invalidate+reseed of exactly the paths through the edge.
+    /// (refused with a [`MutationError`] if no copy is live). For monotone
+    /// algorithms a weight decrease is a plain relax along the edge; an
+    /// increase runs a scoped invalidate+reseed of exactly the paths through
+    /// the edge.
     UpdateWeight {
         /// Source vertex of the re-weighted pair.
         u: u32,
@@ -144,6 +147,38 @@ pub struct RepairStats {
     /// Reseed triggers injected: the deduped frontier union in `Targeted`
     /// mode, `n` in `Full` mode.
     pub triggers: u64,
+}
+
+/// Why [`StreamingGraph::stream_increment`] did not apply a batch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum IncrementError {
+    /// [`StreamingGraph::stage`] refused the batch: the graph is as it was.
+    Refused(MutationError),
+    /// The simulator failed while running the increment.
+    Sim(SimError),
+}
+
+impl fmt::Display for IncrementError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            IncrementError::Refused(e) => write!(f, "{e}"),
+            IncrementError::Sim(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for IncrementError {}
+
+impl From<MutationError> for IncrementError {
+    fn from(e: MutationError) -> Self {
+        IncrementError::Refused(e)
+    }
+}
+
+impl From<SimError> for IncrementError {
+    fn from(e: SimError) -> Self {
+        IncrementError::Sim(e)
+    }
 }
 
 /// `vs` as an ascending set. Everything a hash map or a shard's arrival order
@@ -220,7 +255,8 @@ pub struct StreamingGraph<G: VertexAlgo> {
 /// with every knob overridable before [`GraphBuilder::build`]:
 /// [`GraphBuilder::chip`] (default [`ChipConfig::default`]),
 /// [`GraphBuilder::rpvo`] (default [`RpvoConfig::default`]),
-/// [`GraphBuilder::repair`] (default [`RepairMode::Targeted`]).
+/// [`GraphBuilder::repair`] (default [`RepairMode::Targeted`]),
+/// [`GraphBuilder::propagate`] (default `true`).
 #[derive(Debug, Clone)]
 pub struct GraphBuilder<G: VertexAlgo> {
     algo: G,
@@ -228,6 +264,7 @@ pub struct GraphBuilder<G: VertexAlgo> {
     chip: ChipConfig,
     rpvo: RpvoConfig,
     repair: RepairMode,
+    propagate: bool,
     obs: Obs,
 }
 
@@ -256,6 +293,13 @@ impl<G: VertexAlgo> GraphBuilder<G> {
         self
     }
 
+    /// Whether the algorithm propagates on insert (default `true`); the
+    /// paper's ingestion-only experiments build with `false` (§5).
+    pub fn propagate(mut self, on: bool) -> Self {
+        self.propagate = on;
+        self
+    }
+
     /// Observability handle recording increment-phase spans and cycle
     /// counters (default [`Obs::disabled`], a no-op).
     pub fn obs(mut self, obs: Obs) -> Self {
@@ -266,9 +310,11 @@ impl<G: VertexAlgo> GraphBuilder<G> {
     /// Create the device and allocate the root vertex objects across the
     /// chip. The actions are `GraphApp`'s compiled-in ids.
     pub fn build(self) -> Result<StreamingGraph<G>, SimError> {
-        let GraphBuilder { algo, n_vertices, chip: cfg, rpvo: rcfg, repair, obs } = self;
+        let GraphBuilder { algo, n_vertices, chip: cfg, rpvo: rcfg, repair, propagate, obs } = self;
         let dims = cfg.dims;
-        let mut dev = Device::new(cfg, GraphApp::new(algo, rcfg));
+        let mut app = GraphApp::new(algo, rcfg);
+        app.propagate_algo = propagate;
+        let mut dev = Device::new(cfg, app);
         let mut addrs = Vec::with_capacity(n_vertices as usize);
         for vid in 0..n_vertices {
             let cc = root_cell(vid, dims);
@@ -298,7 +344,8 @@ impl<G: VertexAlgo> GraphBuilder<G> {
 impl<G: VertexAlgo> StreamingGraph<G> {
     /// Start a [`GraphBuilder`] chain for the given vertex algorithm (the
     /// chip defaults to [`ChipConfig::default`], the RPVO shape to
-    /// [`RpvoConfig::default`], repair to [`RepairMode::Targeted`]).
+    /// [`RpvoConfig::default`], repair to [`RepairMode::Targeted`], and the
+    /// algorithm propagates).
     pub fn builder(algo: G) -> GraphBuilder<G> {
         GraphBuilder {
             algo,
@@ -306,14 +353,14 @@ impl<G: VertexAlgo> StreamingGraph<G> {
             chip: ChipConfig::default(),
             rpvo: RpvoConfig::default(),
             repair: RepairMode::default(),
+            propagate: true,
             obs: Obs::disabled(),
         }
     }
 
-    /// Enable/disable the algorithm's propagation on insert (the paper's
-    /// ingestion-only experiments disable it).
-    pub fn set_algo_propagation(&mut self, on: bool) {
-        self.dev.app_mut().propagate_algo = on;
+    /// Whether the algorithm propagates on insert ([`GraphBuilder::propagate`]).
+    pub fn propagates(&self) -> bool {
+        self.dev.app().propagate_algo
     }
 
     /// Bookkeeping of the most recent increment's repair phase (all zero if
@@ -360,25 +407,31 @@ impl<G: VertexAlgo> StreamingGraph<G> {
     /// repair wave's size and cost.
     ///
     /// Anything parked by [`Self::stage`] is applied too, ahead of `muts`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a [`GraphMutation::DelEdge`] or
-    /// [`GraphMutation::UpdateWeight`] names an identity with no live copy.
-    pub fn stream_increment(&mut self, muts: &[GraphMutation]) -> Result<RunReport, SimError> {
-        // Validation panics fire here, before any graph state mutates.
-        for m in muts {
-            self.log.push(*m);
-        }
-        self.apply(muts.len() as u64)
+    /// `muts` is validated by [`Self::stage`] first: a refused batch is an
+    /// [`IncrementError::Refused`] and leaves the graph as it was.
+    pub fn stream_increment(
+        &mut self,
+        muts: &[GraphMutation],
+    ) -> Result<RunReport, IncrementError> {
+        self.stage(muts)?;
+        Ok(self.apply(muts.len() as u64)?)
     }
 
-    /// Validate one submission against the live multiset and park it for
-    /// the next increment, all-or-nothing ([`MutationLog::try_push_all`]).
-    /// Until [`Self::apply_staged`] runs, states, [`Self::live_edge_count`]
-    /// and query results do not see it; later submissions validate against
-    /// it and [`Self::live_edges`] lists it.
+    /// Validate one submission and park it for the next increment,
+    /// all-or-nothing: every endpoint must name a vertex of the graph, and
+    /// every delete and re-weight a live copy ([`MutationLog::try_push_all`]).
+    /// A refused submission leaves the log as it was. Until
+    /// [`Self::apply_staged`] runs, states, [`Self::live_edge_count`] and
+    /// query results do not see it; later submissions validate against it
+    /// and [`Self::live_edges`] lists it.
     pub fn stage(&mut self, muts: &[GraphMutation]) -> Result<(), MutationError> {
+        let n = self.n_vertices();
+        for m in muts {
+            let (u, v, _) = m.edge();
+            if let Some(vid) = [u, v].into_iter().find(|&x| x >= n) {
+                return Err(MutationError::VertexOutOfRange { vid, n });
+            }
+        }
         self.log.try_push_all(muts)
     }
 
@@ -402,9 +455,18 @@ impl<G: VertexAlgo> StreamingGraph<G> {
     }
 
     /// Stream an insert-only increment (the source paper's workload shape):
-    /// sugar for [`Self::stream_increment`] over [`GraphMutation::AddEdge`]s.
+    /// [`Self::stream_increment`] over [`GraphMutation::AddEdge`]s.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the vertex, if an endpoint is not below
+    /// [`Self::n_vertices`] — the one refusal an insert can meet.
     pub fn stream_edges(&mut self, edges: &[StreamEdge]) -> Result<RunReport, SimError> {
-        self.stream_increment(&GraphMutation::adds(edges))
+        match self.stream_increment(&GraphMutation::adds(edges)) {
+            Ok(report) => Ok(report),
+            Err(IncrementError::Sim(e)) => Err(e),
+            Err(IncrementError::Refused(e)) => panic!("stream_edges: {e}"),
+        }
     }
 
     /// Inject an arbitrary operon wave through the IO channels and run it to
@@ -522,8 +584,8 @@ impl<G: VertexAlgo> StreamingGraph<G> {
     /// mirrors alike — equals the primary root's state and holds the
     /// primary's automaton states for every registered query (must hold at
     /// quiescence). Algorithm state is compared only while the algorithm
-    /// propagates: ingestion-only mode ([`Self::set_algo_propagation`])
-    /// syncs no mirror. Returns the first violation.
+    /// propagates: ingestion-only mode ([`GraphBuilder::propagate`]) syncs
+    /// no mirror. Returns the first violation.
     pub fn check_mirror_consistency(&self) -> Result<(), String> {
         let algo = self.dev.app().propagate_algo;
         for vid in 0..self.n_vertices() {
@@ -637,13 +699,15 @@ mod tests {
     use amcca_sim::ChipConfig;
     use GraphMutation::{AddEdge, DelEdge};
 
-    pub(super) fn small() -> StreamingGraph<BfsAlgo> {
+    pub(super) fn small_builder() -> GraphBuilder<BfsAlgo> {
         StreamingGraph::builder(BfsAlgo::new(0))
             .vertices(16)
             .chip(ChipConfig::small_test())
             .rpvo(RpvoConfig::basic(4, 2))
-            .build()
-            .unwrap()
+    }
+
+    pub(super) fn small() -> StreamingGraph<BfsAlgo> {
+        small_builder().build().unwrap()
     }
 
     #[test]
@@ -696,11 +760,25 @@ mod tests {
         assert_eq!(g.state_of(3), 3, "untouched prefix keeps its level");
     }
 
+    /// `g` refuses `muts` with exactly `want`, and its live edges and
+    /// states are what they were.
+    fn assert_refused(
+        g: &mut StreamingGraph<BfsAlgo>,
+        muts: &[GraphMutation],
+        want: MutationError,
+    ) {
+        let before = (g.live_edges(), g.states(), g.live_edge_count());
+        assert_eq!(g.stream_increment(muts).unwrap_err(), IncrementError::Refused(want));
+        assert_eq!((g.live_edges(), g.states(), g.live_edge_count()), before);
+        assert_eq!(g.staged().count(), 0, "nothing of a refused batch stays staged");
+    }
+
     #[test]
-    #[should_panic(expected = "no live copy to delete")]
     fn deleting_a_nonexistent_edge_is_a_host_bug() {
         let mut g = small();
-        g.stream_increment(&[DelEdge((0, 1, 1))]).unwrap();
+        g.stream_edges(&[(0, 1, 1), (1, 2, 1)]).unwrap();
+        let refused = [AddEdge((2, 3, 1)), DelEdge((0, 1, 1)), DelEdge((0, 1, 1))];
+        assert_refused(&mut g, &refused, MutationError::NoLiveCopyToDelete { u: 0, v: 1, w: 1 });
     }
 
     #[test]
@@ -730,10 +808,34 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no live copy to update")]
     fn updating_a_nonexistent_edge_is_a_host_bug() {
         let mut g = small();
-        g.stream_increment(&[GraphMutation::UpdateWeight { u: 0, v: 1, w: 2 }]).unwrap();
+        g.stream_edges(&[(0, 1, 1)]).unwrap();
+        let refused = [AddEdge((1, 2, 1)), GraphMutation::UpdateWeight { u: 2, v: 1, w: 2 }];
+        assert_refused(&mut g, &refused, MutationError::NoLiveCopyToUpdate { u: 2, v: 1, w: 2 });
+    }
+
+    #[test]
+    fn an_endpoint_past_the_vertex_count_is_refused_not_a_panic() {
+        let mut g = small();
+        g.stream_edges(&[(0, 1, 1)]).unwrap();
+        let out = MutationError::VertexOutOfRange { vid: 16, n: 16 };
+        assert_refused(&mut g, &[AddEdge((1, 2, 1)), AddEdge((2, 16, 1))], out);
+        assert_refused(&mut g, &[DelEdge((0, 1, 1)), DelEdge((16, 0, 1))], out);
+        assert_eq!(out.to_string(), "vertex 16 out of range (graph has 16 vertices)");
+        assert_eq!(
+            g.stage(&[AddEdge((u32::MAX, 0, 1))]).unwrap_err().to_string(),
+            format!("vertex {} out of range (graph has 16 vertices)", u32::MAX)
+        );
+        // The graph still takes valid work.
+        g.stream_edges(&[(1, 2, 1)]).unwrap();
+        assert_eq!(g.state_of(2), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream_edges: vertex 100 out of range (graph has 16 vertices)")]
+    fn stream_edges_names_an_out_of_range_vertex() {
+        let _ = small().stream_edges(&[(0, 100, 1)]);
     }
 
     #[test]

@@ -348,7 +348,7 @@ mod tests {
     use crate::apps::concomp::CcAlgo;
     use crate::apps::sssp::{SsspAlgo, INF};
     use crate::graph::symmetrize_mutations;
-    use crate::graph::tests::small;
+    use crate::graph::tests::{small, small_builder};
     use crate::rpvo::RpvoConfig;
     use amcca_sim::ChipConfig;
     use GraphMutation::{AddEdge, DelEdge};
@@ -455,8 +455,7 @@ mod tests {
 
     #[test]
     fn deletion_without_propagation_only_edits_structure() {
-        let mut g = small();
-        g.set_algo_propagation(false);
+        let mut g = small_builder().propagate(false).build().unwrap();
         g.stream_edges(&[(0, 1, 1), (1, 2, 1)]).unwrap();
         let r = g.stream_increment(&[DelEdge((0, 1, 1))]).unwrap();
         assert_eq!(g.total_edges_stored(), 1);

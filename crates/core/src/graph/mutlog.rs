@@ -52,10 +52,10 @@
 //! rather than in a mirror.
 //!
 //! Validation is part of the contract: deleting or re-weighting an identity
-//! with no live copy is a host bug ([`MutationLog::push`] panics with the
-//! streaming pipeline's exact message) or, for a server admitting untrusted
-//! batches, a recoverable [`MutationError`] ([`MutationLog::try_push`], or
-//! [`MutationLog::try_push_all`] for a whole submission, all-or-nothing).
+//! with no live copy is a recoverable [`MutationError`]
+//! ([`MutationLog::try_push`], or [`MutationLog::try_push_all`] for a whole
+//! submission, all-or-nothing — the one path `StreamingGraph::stage`, and so
+//! every increment, validates through).
 //! Every operation costs in proportion to the mutations it handles, never
 //! to the resident multiset ([`MutationLog::pair_visits`]).
 
@@ -86,6 +86,15 @@ pub enum MutationError {
         /// New weight the update carried.
         w: u32,
     },
+    /// An endpoint names no vertex of the graph
+    /// (`StreamingGraph::stage` checks it; the log itself knows no vertex
+    /// count).
+    VertexOutOfRange {
+        /// The endpoint the mutation named.
+        vid: u32,
+        /// Number of vertices in the graph.
+        n: u32,
+    },
 }
 
 impl fmt::Display for MutationError {
@@ -96,6 +105,9 @@ impl fmt::Display for MutationError {
             }
             MutationError::NoLiveCopyToUpdate { u, v, w } => {
                 write!(f, "UpdateWeight({u} -> {v}, w {w}): no live copy to update")
+            }
+            MutationError::VertexOutOfRange { vid, n } => {
+                write!(f, "vertex {vid} out of range (graph has {n} vertices)")
             }
         }
     }
@@ -393,13 +405,12 @@ impl MutationLog {
         MutationLog::default()
     }
 
-    /// Push one mutation into the current epoch, coalescing it against the
-    /// epoch's pending mutations.
+    /// [`Self::try_push`] for a mutation the caller knows is valid.
     ///
     /// # Panics
     ///
-    /// Panics if a delete or update names an identity with no live copy —
-    /// the same contract (and message) as `StreamingGraph::stream_increment`.
+    /// Panics, with the [`MutationError`]'s message, if a delete or update
+    /// names an identity with no live copy.
     pub fn push(&mut self, m: GraphMutation) {
         if let Err(e) = self.try_push(m) {
             panic!("{e}");
@@ -499,14 +510,22 @@ impl MutationLog {
     /// A push only changes the record of the pair it names (and its spilled
     /// queue), the pending entries that record's copies index, and the tail
     /// of the epoch, so that (plus the live count) is the whole pre-image.
+    /// An insert is never refused, so the pre-image covers only the prefix
+    /// that ends at the submission's last delete or re-weight; the inserts
+    /// after it push at [`Self::try_push`]'s cost.
     pub fn try_push_all(&mut self, muts: &[GraphMutation]) -> Result<(), MutationError> {
+        let refusable = |m: &GraphMutation| {
+            matches!(m, GraphMutation::DelEdge(_) | GraphMutation::UpdateWeight { .. })
+        };
+        let cut = muts.iter().rposition(refusable).map_or(0, |i| i + 1);
+        let (checked, inserts) = muts.split_at(cut);
         let (n_entries, live) = (self.entries.len(), self.live);
         // Each pair's record before the call, with its queue if it spilled.
         // Sized once: a submission names at most one pair per mutation.
         type Saved = Option<(PairRecord, Option<VecDeque<LogCopy>>)>;
-        let mut saved: HashMap<(u32, u32), Saved> = HashMap::with_capacity(muts.len());
+        let mut saved: HashMap<(u32, u32), Saved> = HashMap::with_capacity(checked.len());
         let mut entries: Vec<(usize, Pending)> = Vec::new();
-        for &m in muts {
+        for &m in checked {
             if let Entry::Vacant(slot) = saved.entry(pair_of(m)) {
                 self.pair_visits += 1;
                 let rec = self.pairs.get(*slot.key()).copied();
@@ -545,6 +564,10 @@ impl MutationLog {
                 self.live = live;
                 return Err(e);
             }
+        }
+        // Never refused, so there is nothing to restore past this point.
+        for &m in inserts {
+            self.try_push(m)?;
         }
         Ok(())
     }

@@ -190,3 +190,54 @@ fn a_round_that_fails_to_apply_never_reaches_the_log() {
     assert_eq!(core.graph().live_edges(), [(0, 1, 1)]);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// An endpoint past the vertex count is refused at submit time like any
+/// other invalid mutation: nothing of it is parked, and the next round
+/// applies as if it had never been sent.
+#[test]
+fn an_out_of_range_endpoint_is_refused_at_submit() {
+    let dir = tmp_dir("range");
+    let (mut core, _) = IngestCore::boot(builder(), &dir, 0).unwrap();
+    let first = [AddEdge((0, 1, 1))];
+    core.submit(&first).unwrap();
+    let pending = core.pending_ops();
+    let err = core.submit(&[AddEdge((0, 100, 1))]).unwrap_err();
+    assert_eq!(err.to_string(), "vertex 100 out of range (graph has 8 vertices)");
+    assert_eq!(core.pending_ops(), pending);
+    let err = core.submit(&[AddEdge((1, 2, 1)), DelEdge((0, 1, 1)), AddEdge((8, 0, 1))]);
+    assert_eq!(err.unwrap_err().to_string(), "vertex 8 out of range (graph has 8 vertices)");
+    assert_eq!(core.pending_ops(), pending);
+    assert!(core.flush().unwrap());
+    let next = [AddEdge((1, 2, 1)), AddEdge((2, 7, 1))];
+    core.submit(&next).unwrap();
+    assert!(core.flush().unwrap());
+    assert_eq!(core.sync_values(), oracle(&[&first, &next]));
+    assert_eq!(
+        Store::open(&dir).unwrap().load_tail().unwrap(),
+        [WalRecord::Batch(first.to_vec()), WalRecord::Batch(next.to_vec())],
+        "a refused submission never reaches the log"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A WAL tail naming a vertex the graph does not have — a store from a
+/// bigger graph, or a forged one — makes boot fail with `WalReplay`, not
+/// panic.
+#[test]
+fn a_wal_tail_naming_an_out_of_range_vertex_fails_boot() {
+    let dir = tmp_dir("range-wal");
+    {
+        let mut store = Store::open(&dir).unwrap();
+        store.append_batch(&[AddEdge((0, 1, 1))]).unwrap();
+        store.append_batch(&[AddEdge((1, 2, 1)), AddEdge((2, 100, 1))]).unwrap();
+    }
+    let err = match IngestCore::boot(builder(), &dir, 0) {
+        Ok(_) => panic!("a tail naming vertex 100 booted an 8-vertex graph"),
+        Err(e) => e,
+    };
+    assert!(
+        matches!(&err, ServeError::WalReplay(msg) if msg.contains("vertex 100 out of range")),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -120,12 +120,16 @@ fn bad_submission_is_refused_without_poisoning_the_server() {
     let server = Server::start_loopback(core, ServeConfig::default()).unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
     c.submit_retrying(&adds(&[(0, 1, 1)]), 10).unwrap();
-    // Deleting a copy that does not exist is refused at validation...
+    // Deleting a copy that does not exist, or naming a vertex the graph
+    // does not have, is refused at validation...
     let err = c.submit(&[GraphMutation::DelEdge((0, 1, 9))]).unwrap_err();
     assert!(err.to_string().contains("no live copy"), "got: {err}");
+    let err = c.submit(&adds(&[(0, 100, 1)])).unwrap_err();
+    assert!(err.to_string().contains("vertex 100 out of range"), "got: {err}");
     // ...and the server keeps serving correct work afterwards.
+    c.submit_retrying(&adds(&[(1, 2, 1)]), 10).unwrap();
     c.submit_retrying(&[GraphMutation::DelEdge((0, 1, 1))], 10).unwrap();
-    assert_eq!(c.stats().unwrap().live_edges, 0);
+    assert_eq!(c.stats().unwrap().live_edges, 1);
     c.shutdown().unwrap();
     server.join();
     std::fs::remove_dir_all(&dir).unwrap();

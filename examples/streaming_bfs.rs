@@ -26,9 +26,9 @@ fn run(sampling: Sampling) {
             .vertices(dataset.n_vertices)
             .chip(ChipConfig::default())
             .rpvo(RpvoConfig::default())
+            .propagate(with_bfs)
             .build()
             .unwrap();
-        g.set_algo_propagation(with_bfs);
         let mode = if with_bfs { "streaming edges with BFS" } else { "streaming edges" };
         print!("{mode:>26}: ");
         let mut total = 0u64;

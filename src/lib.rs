@@ -67,8 +67,8 @@ pub mod prelude {
     pub use sdgp_core::{
         apps::{BfsAlgo, CcAlgo, SsspAlgo, TriangleAlgo, MAX_LEVEL},
         graph::{
-            symmetrize, symmetrize_mutations, GraphMutation, RepairMode, RepairStats, StreamEdge,
-            StreamingGraph,
+            symmetrize, symmetrize_mutations, GraphMutation, IncrementError, RepairMode,
+            RepairStats, StreamEdge, StreamingGraph,
         },
         rpvo::RpvoConfig,
     };

@@ -13,7 +13,7 @@
 mod common;
 
 use amcca::prelude::*;
-use amcca::sdgp_core::oracle_results_multi;
+use amcca::sdgp_core::{oracle_results_multi, GraphBuilder};
 use common::oracle::{surviving_labeled_edges, N};
 use proptest::prelude::*;
 
@@ -63,15 +63,17 @@ fn materialize(script: &[(u32, u32, u32, u8, u8, u8)]) -> Vec<GraphMutation> {
     muts
 }
 
-fn graph(k: usize, shards: usize, mode: RepairMode) -> StreamingGraph<BfsAlgo> {
+fn builder(k: usize, shards: usize, mode: RepairMode) -> GraphBuilder<BfsAlgo> {
     let base = RpvoConfig::basic(3, 2);
     StreamingGraph::builder(BfsAlgo::new(0))
         .vertices(N)
         .chip(ChipConfig::small_test().with_shards(shards))
         .rpvo(if k <= 1 { base } else { base.with_rhizomes(6, k) })
         .repair(mode)
-        .build()
-        .unwrap()
+}
+
+fn graph(k: usize, shards: usize, mode: RepairMode) -> StreamingGraph<BfsAlgo> {
+    builder(k, shards, mode).build().unwrap()
 }
 
 /// Assert every registered query's maintained result set equals the
@@ -109,8 +111,7 @@ proptest! {
         let k = [1usize, 2, 4][ki];
         let muts = materialize(&script);
         prop_assume!(!muts.is_empty());
-        let mut g = graph(k, shards, RepairMode::Targeted);
-        g.set_algo_propagation(propagate);
+        let mut g = builder(k, shards, RepairMode::Targeted).propagate(propagate).build().unwrap();
         for (pattern, source) in PATTERNS {
             g.register_query(pattern, source).unwrap();
         }
