@@ -24,13 +24,24 @@
 //!   emits the retraction under the copy's epoch-start weight (the weight
 //!   the fabric still stores).
 //!
-//! A record is 12 bytes, a 16-byte slot of its destination's table with its
-//! source key. It keeps a pair's lone copy inline — weight, label, tag and
-//! epoch state — and spills to a queue in one shared spill table only while
-//! the pair holds two or more live copies (a multigraph pair), naming the
-//! queue by its slot. A delete that leaves one copy collapses it back inline
-//! and frees the slot for the next spill. So a simple graph's log holds no
-//! heap block per pair, only the per-destination tables.
+//! A record is 8 bytes, a 12-byte slot of its destination's table with its
+//! source key. It keeps a pair's lone copy inline — tag, label, epoch state
+//! and one word: a settled copy's weight, or a pending copy's index in the
+//! epoch, whose entry carries the copy's weights (a fresh insert's weight; a
+//! patch's new weight, with the epoch-start weight beside it). It spills to
+//! a queue in one shared spill table only while the pair holds two or more
+//! live copies (a multigraph pair), naming the queue's slot in that word. A
+//! delete that leaves one copy collapses it back inline and frees the slot
+//! for the next spill. So a simple graph's log holds no heap block per pair,
+//! only the per-destination tables.
+//!
+//! A destination's table is an array of `(source, record)` slots sorted by
+//! source: found by binary search, grown a few slots at a time, and listed
+//! in order with no sort. Past [`HASHED_ABOVE`] sources it becomes a hash
+//! table, so an insert at a hub costs O(1), not O(in-degree), whatever ids a
+//! client sends; once deletes leave it with [`SORTED_AT`] it is an array
+//! again. Both hash maps — the hubs' tables and the map of destinations —
+//! hash with std's `RandomState`, so no choice of ids collides them.
 //! [`MutationLog::live_labeled_edges`] lists copies by destination, then
 //! source, then age — an order the keys alone decide, with no stored
 //! arrival number.
@@ -60,7 +71,7 @@
 //! to the resident multiset ([`MutationLog::pair_visits`]).
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 
 use super::{GraphMutation, StreamEdge};
@@ -122,27 +133,26 @@ enum State {
     /// No live copy: a record emptied this epoch, kept for its counter.
     #[default]
     Empty,
-    /// Streamed in an earlier epoch: the fabric stores it.
+    /// Streamed in an earlier epoch: the fabric stores it, and `val` is its
+    /// weight.
     Settled,
-    /// Inserted this epoch; `aux` indexes its pending insert.
+    /// Inserted this epoch; `val` indexes its pending insert, which carries
+    /// its weight.
     Fresh,
-    /// Settled copy re-weighted this epoch; `aux` indexes the pending patch,
-    /// which carries the current weight, and `w` is still the weight the
+    /// Settled copy re-weighted this epoch; `val` indexes the pending patch,
+    /// which carries the current weight and, beside it, the weight the
     /// fabric stores.
     Patched,
-    /// Two or more live copies; `aux` is their queue's [`Spills`] slot.
+    /// Two or more live copies; `val` is their queue's [`Spills`] slot.
     Spilled,
 }
 
-/// One live copy of a directed pair: 12 bytes.
+/// One live copy of a directed pair: 8 bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct LogCopy {
-    /// Current weight — for a `Patched` copy, the weight it had when the
-    /// epoch began ([`current_w`]).
-    w: u32,
-    /// The pending mutation's index in the epoch while `Fresh` or
-    /// `Patched`; 0 once settled.
-    aux: u32,
+    /// The weight while `Settled`; the pending mutation's index in the
+    /// epoch while `Fresh` or `Patched` ([`current_w`], [`fabric_w`]).
+    val: u32,
     /// The tag the fabric stores the copy by, unique among the pair's live
     /// copies. Meaningless while the copy is `Fresh`: [`MutationLog::drain`]
     /// hands it out.
@@ -155,18 +165,16 @@ struct LogCopy {
     state: State,
 }
 
-/// Everything the log holds for one directed pair: 12 bytes, and no heap
+/// Everything the log holds for one directed pair: 8 bytes, and no heap
 /// block unless the pair holds two or more live copies at once. The lone
 /// copy's fields sit inline; a spilled record keeps only `next` and its
-/// slot in `aux`, every other field 0. Each record is in that normal form,
+/// slot in `val`, every other field 0. Each record is in that normal form,
 /// so equal contents compare equal whatever path led to them, spill slots
 /// aside.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PairRecord {
-    /// The lone copy's [`LogCopy::w`].
-    w: u32,
-    /// The lone copy's [`LogCopy::aux`], or the spill slot.
-    aux: u32,
+    /// The lone copy's [`LogCopy::val`], or the spill slot.
+    val: u32,
     /// Next tag to try (wrapping; the allocation skips tags still held).
     next: u8,
     /// The lone copy's [`LogCopy::tag`].
@@ -177,37 +185,47 @@ struct PairRecord {
 }
 
 /// A pending mutation of the current epoch (`None` = annihilated insert or
-/// dropped patch), a delete beside the tag of the copy it matched (0 beside
-/// the rest).
-type Pending = Option<(GraphMutation, u8)>;
+/// dropped patch), beside a word: a delete's the tag of the copy it matched,
+/// a patch's the weight its copy had when the epoch began (the weight the
+/// fabric stores), an insert's 0.
+type Pending = Option<(GraphMutation, u32)>;
 
-/// A copy's current weight: a patched copy's is its pending patch's.
+/// A copy's current weight: a pending copy's mutation carries it.
 fn current_w(entries: &[Pending], c: LogCopy) -> u32 {
-    if c.state != State::Patched {
-        return c.w;
+    if c.state == State::Settled {
+        return c.val;
     }
-    let (patch, _) = entries[c.aux as usize].expect("a patched copy's patch is pending");
-    patch.edge().2
+    let (m, _) = entries[c.val as usize].expect("a pending copy's mutation is pending");
+    m.edge().2
+}
+
+/// The weight the fabric stores for a settled or patched copy.
+fn fabric_w(entries: &[Pending], c: LogCopy) -> u32 {
+    if c.state != State::Patched {
+        return c.val;
+    }
+    let (_, w_start) = entries[c.val as usize].expect("a patched copy's patch is pending");
+    w_start
 }
 
 impl PairRecord {
     /// The lone copy, as a [`LogCopy`] (meaningful while the record holds
     /// exactly one).
     fn lone(&self) -> LogCopy {
-        LogCopy { w: self.w, aux: self.aux, tag: self.tag, label: self.label, state: self.state }
+        LogCopy { val: self.val, tag: self.tag, label: self.label, state: self.state }
     }
 
     /// Hold `copy` inline, or no copy at all; the counter stays.
     fn set_lone(&mut self, copy: Option<LogCopy>) {
-        let LogCopy { w, aux, tag, label, state } = copy.unwrap_or_default();
-        *self = PairRecord { w, aux, next: self.next, tag, label, state };
+        let LogCopy { val, tag, label, state } = copy.unwrap_or_default();
+        *self = PairRecord { val, next: self.next, tag, label, state };
     }
 
     /// The record's live copies, oldest first.
     fn copies<'a>(&self, spills: &'a Spills) -> impl Iterator<Item = LogCopy> + 'a {
         let (lone, queue) = match self.state {
             State::Empty => (None, None),
-            State::Spilled => (None, Some(&spills.queues[self.aux as usize])),
+            State::Spilled => (None, Some(&spills.queues[self.val as usize])),
             _ => (Some(self.lone()), None),
         };
         lone.into_iter().chain(queue.into_iter().flatten().copied())
@@ -217,7 +235,7 @@ impl PairRecord {
     fn with_copies<R>(&mut self, spills: &mut Spills, f: impl FnOnce(&mut [LogCopy]) -> R) -> R {
         match self.state {
             State::Empty => f(&mut []),
-            State::Spilled => f(spills.queues[self.aux as usize].make_contiguous()),
+            State::Spilled => f(&mut spills.queues[self.val as usize]),
             _ => {
                 let mut lone = [self.lone()];
                 let out = f(&mut lone);
@@ -231,10 +249,10 @@ impl PairRecord {
     fn push(&mut self, spills: &mut Spills, copy: LogCopy) {
         match self.state {
             State::Empty => self.set_lone(Some(copy)),
-            State::Spilled => spills.queues[self.aux as usize].push_back(copy),
+            State::Spilled => spills.queues[self.val as usize].push(copy),
             _ => {
-                let aux = spills.spill(VecDeque::from([self.lone(), copy]));
-                *self = PairRecord { aux, state: State::Spilled, ..self.empty() };
+                let val = spills.spill(vec![self.lone(), copy]);
+                *self = PairRecord { val, state: State::Spilled, ..self.empty() };
             }
         }
     }
@@ -248,10 +266,10 @@ impl PairRecord {
             self.set_lone(None);
             return copy;
         }
-        let queue = &mut spills.queues[self.aux as usize];
-        let copy = queue.remove(i).expect("copy index in range");
+        let queue = &mut spills.queues[self.val as usize];
+        let copy = queue.remove(i);
         if queue.len() == 1 {
-            let last = spills.release(self.aux).pop_front();
+            let last = spills.release(self.val).pop();
             self.set_lone(last);
         }
         copy
@@ -272,14 +290,14 @@ impl PairRecord {
 struct Spills {
     /// Queues by slot; a free slot holds an empty queue, which owns no heap
     /// block.
-    queues: Vec<VecDeque<LogCopy>>,
+    queues: Vec<Vec<LogCopy>>,
     /// Free slots.
     free: Vec<u32>,
 }
 
 impl Spills {
     /// Store `queue` in a free slot (a new one if none is free) and name it.
-    fn spill(&mut self, queue: VecDeque<LogCopy>) -> u32 {
+    fn spill(&mut self, queue: Vec<LogCopy>) -> u32 {
         if let Some(slot) = self.free.pop() {
             self.queues[slot as usize] = queue;
             return slot;
@@ -289,19 +307,162 @@ impl Spills {
     }
 
     /// Take the queue out of `slot` and free the slot.
-    fn release(&mut self, slot: u32) -> VecDeque<LogCopy> {
+    fn release(&mut self, slot: u32) -> Vec<LogCopy> {
         self.free.push(slot);
         std::mem::take(&mut self.queues[slot as usize])
+    }
+}
+
+/// Sources a destination's table holds sorted; one more makes it a hash
+/// table (module docs).
+const HASHED_ABOVE: usize = 128;
+
+/// Sources a hashed table is left with when it sorts back into an array:
+/// half the way down, so a hub whose in-degree hovers about
+/// [`HASHED_ABOVE`] does not convert at every push.
+const SORTED_AT: usize = HASHED_ABOVE / 2;
+
+/// Slots a full sorted table grows by. Deletes give its spare slots back
+/// once there are more than twice as many.
+const GROW: usize = 4;
+
+/// One destination's records, keyed by source: sorted below a hub's
+/// in-degree, hashed above it.
+#[derive(Debug, Clone)]
+enum Table {
+    /// `(source, record)` slots in source order.
+    Sorted(Vec<(u32, PairRecord)>),
+    /// Past [`HASHED_ABOVE`] sources, until deletes leave [`SORTED_AT`].
+    Hashed(HashMap<u32, PairRecord>),
+}
+
+/// A sorted table's search key.
+fn src(&(u, _): &(u32, PairRecord)) -> u32 {
+    u
+}
+
+impl Table {
+    fn is_empty(&self) -> bool {
+        match self {
+            Table::Sorted(recs) => recs.is_empty(),
+            Table::Hashed(recs) => recs.is_empty(),
+        }
+    }
+
+    fn get(&self, u: u32) -> Option<&PairRecord> {
+        match self {
+            Table::Sorted(recs) => recs.binary_search_by_key(&u, src).ok().map(|i| &recs[i].1),
+            Table::Hashed(recs) => recs.get(&u),
+        }
+    }
+
+    fn get_mut(&mut self, u: u32) -> Option<&mut PairRecord> {
+        match self {
+            Table::Sorted(recs) => recs.binary_search_by_key(&u, src).ok().map(|i| &mut recs[i].1),
+            Table::Hashed(recs) => recs.get_mut(&u),
+        }
+    }
+
+    /// The record of source `u` — a new empty one if the table holds none,
+    /// hashing the table if that takes it past [`HASHED_ABOVE`] — and
+    /// whether it is new.
+    fn get_or_insert(&mut self, u: u32) -> (&mut PairRecord, bool) {
+        if let Table::Sorted(recs) = self {
+            if recs.len() == HASHED_ABOVE && recs.binary_search_by_key(&u, src).is_err() {
+                *self = Table::Hashed(std::mem::take(recs).into_iter().collect());
+            }
+        }
+        match self {
+            Table::Sorted(recs) => {
+                let i = match recs.binary_search_by_key(&u, src) {
+                    Ok(i) => return (&mut recs[i].1, false),
+                    Err(i) => i,
+                };
+                if recs.len() == recs.capacity() {
+                    recs.reserve_exact(GROW);
+                }
+                recs.insert(i, (u, PairRecord::default()));
+                (&mut recs[i].1, true)
+            }
+            Table::Hashed(recs) => match recs.entry(u) {
+                Entry::Occupied(rec) => (rec.into_mut(), false),
+                Entry::Vacant(slot) => (slot.insert(PairRecord::default()), true),
+            },
+        }
+    }
+
+    /// Run `f` on the record of source `u`, if the table holds one, and
+    /// drop the record when `f` says so — sorting a hashed table left with
+    /// [`SORTED_AT`] back into an array. `Some` of `f`'s result and whether
+    /// the record went.
+    fn visit<R>(
+        &mut self,
+        u: u32,
+        f: impl FnOnce(&mut PairRecord) -> (R, bool),
+    ) -> Option<(R, bool)> {
+        let (out, emptied) = match self {
+            Table::Sorted(recs) => {
+                let i = recs.binary_search_by_key(&u, src).ok()?;
+                let (out, emptied) = f(&mut recs[i].1);
+                if emptied {
+                    recs.remove(i);
+                    if recs.capacity() - recs.len() > 2 * GROW {
+                        recs.shrink_to(recs.len() + GROW);
+                    }
+                }
+                (out, emptied)
+            }
+            Table::Hashed(recs) => {
+                let Entry::Occupied(mut rec) = recs.entry(u) else { return None };
+                let (out, emptied) = f(rec.get_mut());
+                if emptied {
+                    rec.remove();
+                }
+                (out, emptied)
+            }
+        };
+        if let Table::Hashed(recs) = self {
+            if recs.len() <= SORTED_AT {
+                let mut sorted: Vec<_> = recs.drain().collect();
+                sorted.sort_unstable_by_key(src);
+                *self = Table::Sorted(sorted);
+            }
+        }
+        Some((out, emptied))
+    }
+
+    /// The records, in no order to rely on.
+    fn iter(&self) -> impl Iterator<Item = (u32, &PairRecord)> {
+        let (sorted, hashed) = match self {
+            Table::Sorted(recs) => (&recs[..], None),
+            Table::Hashed(recs) => (&[][..], Some(recs)),
+        };
+        let sorted = sorted.iter().map(|(u, rec)| (*u, rec));
+        sorted.chain(hashed.into_iter().flatten().map(|(&u, rec)| (u, rec)))
+    }
+
+    /// The records in source order: a sorted table's own slots, a hashed
+    /// table's sorted into `scratch`.
+    fn sorted<'a>(&'a self, scratch: &'a mut Vec<(u32, PairRecord)>) -> &'a [(u32, PairRecord)] {
+        match self {
+            Table::Sorted(recs) => recs,
+            Table::Hashed(recs) => {
+                scratch.clear();
+                scratch.extend(recs.iter().map(|(&u, &rec)| (u, rec)));
+                scratch.sort_unstable_by_key(src);
+                scratch
+            }
+        }
     }
 }
 
 /// `dst → src → record`: one record per directed pair with a live copy —
 /// or emptied this epoch with a counter still to keep ([`MutationLog::drain`]
 /// drops it). A destination's table goes with its last record, so two logs
-/// holding the same records hold the same tables.
+/// holding the same records hold the same destinations.
 #[derive(Debug, Clone, Default)]
 struct Pairs {
-    by_dst: HashMap<u32, HashMap<u32, PairRecord>>,
+    by_dst: HashMap<u32, Table>,
     /// Records across all destinations ([`MutationLog::pair_records`]).
     len: usize,
 }
@@ -309,22 +470,19 @@ struct Pairs {
 impl Pairs {
     /// The record of the directed pair `(u, v)`, if the log holds one.
     fn get(&self, (u, v): (u32, u32)) -> Option<&PairRecord> {
-        self.by_dst.get(&v)?.get(&u)
+        self.by_dst.get(&v)?.get(u)
     }
 
     fn get_mut(&mut self, (u, v): (u32, u32)) -> Option<&mut PairRecord> {
-        self.by_dst.get_mut(&v)?.get_mut(&u)
+        self.by_dst.get_mut(&v)?.get_mut(u)
     }
 
     /// The record of `(u, v)`, a new empty one if the log holds none.
     fn get_or_insert(&mut self, (u, v): (u32, u32)) -> &mut PairRecord {
-        match self.by_dst.entry(v).or_default().entry(u) {
-            Entry::Occupied(rec) => rec.into_mut(),
-            Entry::Vacant(slot) => {
-                self.len += 1;
-                slot.insert(PairRecord::default())
-            }
-        }
+        let table = self.by_dst.entry(v).or_insert_with(|| Table::Sorted(Vec::new()));
+        let (rec, new) = table.get_or_insert(u);
+        self.len += usize::from(new);
+        rec
     }
 
     /// Run `f` on the record of `(u, v)`, if the log holds one, and drop
@@ -335,14 +493,12 @@ impl Pairs {
         (u, v): (u32, u32),
         f: impl FnOnce(&mut PairRecord) -> (R, bool),
     ) -> Option<R> {
-        let Entry::Occupied(mut srcs) = self.by_dst.entry(v) else { return None };
-        let Entry::Occupied(mut rec) = srcs.get_mut().entry(u) else { return None };
-        let (out, emptied) = f(rec.get_mut());
+        let Entry::Occupied(mut table) = self.by_dst.entry(v) else { return None };
+        let (out, emptied) = table.get_mut().visit(u, f)?;
         if emptied {
-            rec.remove();
             self.len -= 1;
-            if srcs.get().is_empty() {
-                srcs.remove();
+            if table.get().is_empty() {
+                table.remove();
             }
         }
         Some(out)
@@ -444,14 +600,16 @@ impl MutationLog {
                 if copy.state == State::Fresh {
                     // The copy is still in this epoch's wave: annihilate the
                     // pair on the host.
-                    self.entries[copy.aux as usize] = None;
+                    self.entries[copy.val as usize] = None;
                 } else {
                     // A same-epoch patch of the copy is moot now: drop it,
                     // and retract under the weight the fabric still stores.
+                    let w_fabric = fabric_w(&self.entries, copy);
                     if copy.state == State::Patched {
-                        self.entries[copy.aux as usize] = None;
+                        self.entries[copy.val as usize] = None;
                     }
-                    self.entries.push(Some((GraphMutation::DelEdge((u, v, copy.w)), copy.tag)));
+                    let del = GraphMutation::DelEdge((u, v, w_fabric));
+                    self.entries.push(Some((del, u32::from(copy.tag))));
                 }
                 Ok(())
             }
@@ -463,27 +621,29 @@ impl MutationLog {
                 let old = rec.ok_or(err)?.with_copies(&mut self.spills, |copies| {
                     let copy = &mut copies[0];
                     let old = *copy;
-                    match copy.state {
-                        State::Fresh => copy.w = w,
-                        State::Settled => (copy.state, copy.aux) = (State::Patched, at),
-                        _ => {}
+                    if copy.state == State::Settled {
+                        (copy.state, copy.val) = (State::Patched, at);
                     }
                     old
                 });
-                let patch = Some((GraphMutation::UpdateWeight { u, v, w }, 0));
+                let patch = GraphMutation::UpdateWeight { u, v, w };
                 match old.state {
                     // The copy is still in this epoch's wave: rewrite the
                     // pending insert in place (nothing was ever announced
                     // under the old weight, so no repair is needed). The
                     // rewrite keeps the insert's label.
                     State::Fresh => {
-                        self.entries[old.aux as usize] =
+                        self.entries[old.val as usize] =
                             Some((labeled_add((u, v, w), old.label), 0));
                     }
                     // Coalesce repeat updates of one copy: one patch with the
-                    // final weight (intermediates were never announced).
-                    State::Patched => self.entries[old.aux as usize] = patch,
-                    _ => self.entries.push(patch),
+                    // final weight (intermediates were never announced),
+                    // beside the same epoch-start weight.
+                    State::Patched => {
+                        let pending = self.entries[old.val as usize].as_mut();
+                        pending.expect("a patched copy's patch is pending").0 = patch;
+                    }
+                    _ => self.entries.push(Some((patch, old.val))),
                 }
                 Ok(())
             }
@@ -493,9 +653,9 @@ impl MutationLog {
     /// Insert one copy of `(u, v, w)` carrying `label` (the shared body of
     /// the `AddEdge` / `AddLabeledEdge` push arms).
     fn push_add(&mut self, (u, v, w): StreamEdge, label: u8) -> Result<(), MutationError> {
-        let aux = u32::try_from(self.entries.len()).expect("fewer than 2^32 pending");
+        let val = u32::try_from(self.entries.len()).expect("fewer than 2^32 pending");
         self.entries.push(Some((labeled_add((u, v, w), label), 0)));
-        let copy = LogCopy { w, aux, tag: 0, label, state: State::Fresh };
+        let copy = LogCopy { val, tag: 0, label, state: State::Fresh };
         self.pairs.get_or_insert((u, v)).push(&mut self.spills, copy);
         self.live += 1;
         Ok(())
@@ -505,7 +665,8 @@ impl MutationLog {
     /// is restored to what it was before the call — including pending
     /// entries of *earlier* pushes of this epoch that the valid prefix had
     /// annihilated, rewritten, folded or dropped. Only the spill slots a
-    /// restored queue sits in may differ.
+    /// restored queue sits in, and whether a destination's table is sorted
+    /// or hashed, may differ.
     ///
     /// A push only changes the record of the pair it names (and its spilled
     /// queue), the pending entries that record's copies index, and the tail
@@ -522,7 +683,7 @@ impl MutationLog {
         let (n_entries, live) = (self.entries.len(), self.live);
         // Each pair's record before the call, with its queue if it spilled.
         // Sized once: a submission names at most one pair per mutation.
-        type Saved = Option<(PairRecord, Option<VecDeque<LogCopy>>)>;
+        type Saved = Option<(PairRecord, Option<Vec<LogCopy>>)>;
         let mut saved: HashMap<(u32, u32), Saved> = HashMap::with_capacity(checked.len());
         let mut entries: Vec<(usize, Pending)> = Vec::new();
         for &m in checked {
@@ -531,11 +692,11 @@ impl MutationLog {
                 let rec = self.pairs.get(*slot.key()).copied();
                 for c in rec.iter().flat_map(|r| r.copies(&self.spills)) {
                     if matches!(c.state, State::Fresh | State::Patched) {
-                        entries.push((c.aux as usize, self.entries[c.aux as usize]));
+                        entries.push((c.val as usize, self.entries[c.val as usize]));
                     }
                 }
                 let spilled = rec.filter(|r| r.state == State::Spilled);
-                let queue = spilled.map(|r| self.spills.queues[r.aux as usize].clone());
+                let queue = spilled.map(|r| self.spills.queues[r.val as usize].clone());
                 slot.insert(rec.map(|r| (r, queue)));
             }
             if let Err(e) = self.try_push(m) {
@@ -546,13 +707,13 @@ impl MutationLog {
                     // slot, then put the record back, re-spilled if it was.
                     self.pairs.visit(pair, |rec| {
                         if rec.state == State::Spilled {
-                            self.spills.release(rec.aux);
+                            self.spills.release(rec.val);
                         }
                         ((), true)
                     });
                     if let Some((mut rec, queue)) = before {
                         if let Some(queue) = queue {
-                            rec.aux = self.spills.spill(queue);
+                            rec.val = self.spills.spill(queue);
                         }
                         *self.pairs.get_or_insert(pair) = rec;
                     }
@@ -585,14 +746,15 @@ impl MutationLog {
         let mut muts = Vec::with_capacity(entries.len());
         let mut addrs = Vec::with_capacity(entries.len());
         for (entry, pending) in entries.drain(..).enumerate() {
-            let Some((m, del_tag)) = pending else { continue };
+            let Some((m, beside)) = pending else { continue };
             self.pair_visits += 1;
             let addr = match m {
                 GraphMutation::DelEdge((_, _, w)) => {
                     // The wave this batch becomes carries the last retraction
                     // that could meet a reused tag: the counter can go.
                     self.pairs.visit(pair_of(m), |rec| ((), rec.state == State::Empty));
-                    CopyAddr { tag: del_tag, w_fabric: w }
+                    // Beside a delete: the tag of the copy it matched.
+                    CopyAddr { tag: beside as u8, w_fabric: w }
                 }
                 GraphMutation::UpdateWeight { w, .. } => {
                     let rec = self.pairs.get_mut(pair_of(m)).expect("a pending patch is live");
@@ -600,9 +762,9 @@ impl MutationLog {
                         // Only a pair's oldest copy is ever patched.
                         let copy = &mut copies[0];
                         assert_eq!(copy.state, State::Patched, "the oldest copy holds the patch");
-                        let w_start = copy.w;
-                        *copy = LogCopy { w, aux: 0, state: State::Settled, ..*copy };
-                        CopyAddr { tag: copy.tag, w_fabric: w_start }
+                        *copy = LogCopy { val: w, state: State::Settled, ..*copy };
+                        // Beside a patch: the weight the fabric stores.
+                        CopyAddr { tag: copy.tag, w_fabric: beside }
                     })
                 }
                 GraphMutation::AddEdge((_, _, w)) | GraphMutation::AddLabeledEdge((_, _, w), _) => {
@@ -620,9 +782,9 @@ impl MutationLog {
                             .unwrap_or(next);
                         let copy = copies
                             .iter_mut()
-                            .find(|c| c.state == State::Fresh && c.aux as usize == entry)
+                            .find(|c| c.state == State::Fresh && c.val as usize == entry)
                             .expect("a pending insert's copy is live");
-                        *copy = LogCopy { aux: 0, tag, state: State::Settled, ..*copy };
+                        *copy = LogCopy { val: w, tag, state: State::Settled, ..*copy };
                         tag
                     });
                     rec.next = tag.wrapping_add(1);
@@ -657,6 +819,13 @@ impl MutationLog {
         self.pair_visits
     }
 
+    /// Destinations whose sources the log holds in a hash table rather than
+    /// a sorted array: the hubs (module docs). A diagnostic, like
+    /// [`Self::pair_visits`].
+    pub fn hashed_tables(&self) -> usize {
+        self.pairs.by_dst.values().filter(|t| matches!(t, Table::Hashed(_))).count()
+    }
+
     /// Live copies across all pairs (current epoch included).
     pub fn live_count(&self) -> u64 {
         self.live
@@ -669,11 +838,12 @@ impl MutationLog {
     }
 
     /// Sources of the live in-edges of vertex `v` (current epoch included),
-    /// each once, in arbitrary hash order — callers must sort before the
-    /// result can drive output.
+    /// each once: ascending for most vertices, but in hash order for a hub
+    /// whose table the log hashes (module docs) — callers must sort before
+    /// the result can drive output.
     pub fn sources_of(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
-        let srcs = self.pairs.by_dst.get(&v).into_iter().flatten();
-        srcs.filter(|(_, r)| r.state != State::Empty).map(|(&u, _)| u)
+        let srcs = self.pairs.by_dst.get(&v).into_iter().flat_map(Table::iter);
+        srcs.filter(|(_, r)| r.state != State::Empty).map(|(u, _)| u)
     }
 
     /// The live edge multiset at current weights, by destination, then
@@ -691,13 +861,10 @@ impl MutationLog {
     pub fn live_labeled_edges(&self) -> Vec<(StreamEdge, u8)> {
         let mut dsts: Vec<_> = self.pairs.by_dst.iter().collect();
         dsts.sort_unstable_by_key(|&(&v, _)| v);
-        let mut srcs = Vec::new();
+        let mut scratch = Vec::new();
         let mut out = Vec::with_capacity(self.live as usize);
         for (&v, table) in dsts {
-            srcs.clear();
-            srcs.extend(table);
-            srcs.sort_unstable_by_key(|&(&u, _)| u);
-            for &(&u, rec) in &srcs {
+            for &(u, rec) in table.sorted(&mut scratch) {
                 let copies = rec.copies(&self.spills);
                 out.extend(copies.map(|c| ((u, v, current_w(&self.entries, c)), c.label)));
             }
@@ -724,7 +891,7 @@ mod tests {
         /// they use.
         fn contents(&self) -> HashMap<(u32, u32), (u8, Vec<LogCopy>)> {
             let records = self.pairs.by_dst.iter().flat_map(|(&v, srcs)| {
-                srcs.iter().map(move |(&u, r)| ((u, v), (r.next, r.copies(&self.spills).collect())))
+                srcs.iter().map(move |(u, r)| ((u, v), (r.next, r.copies(&self.spills).collect())))
             });
             records.collect()
         }
@@ -974,12 +1141,13 @@ mod tests {
         assert_eq!(got.live_labeled_edges(), want.live_labeled_edges());
     }
 
-    /// Run one epoch of submissions through both recipes, then drain both.
+    /// Run one epoch of submissions through both recipes, then drain both;
+    /// the batch `got` drained.
     fn epoch_matches(
         got: &mut MutationLog,
         want: &mut MutationLog,
         submissions: &[Vec<GraphMutation>],
-    ) {
+    ) -> CoalescedBatch {
         for sub in submissions {
             assert_eq!(got.try_push_all(sub), clone_and_swap(want, sub), "submission {sub:?}");
             assert_same(got, want);
@@ -987,6 +1155,7 @@ mod tests {
         let (g, w) = (got.drain(), want.drain());
         assert_eq!(g.muts, w.muts);
         assert_same(got, want);
+        g
     }
 
     #[test]
@@ -1080,31 +1249,46 @@ mod tests {
         assert_eq!(tags(&mut log, &[AddEdge((0, 1, 8))]), vec![0, 1], "retraction, then re-add");
     }
 
-    /// Every record is in normal form — an inline one holds its lone copy's
-    /// fields or none, a spilled one only its counter and a slot whose queue
-    /// holds two or more copies, and only a pending copy names an entry —
-    /// and every spill slot is one record's or free, never both or neither.
+    /// Every table is in its form's bounds — a sorted one in source order,
+    /// with at most [`HASHED_ABOVE`] records and a few spare slots, a
+    /// hashed one with more than [`SORTED_AT`] — and every record in normal
+    /// form — an inline one holds its lone copy's fields or none, a spilled
+    /// one only its counter and a slot whose queue holds two or more copies,
+    /// and a pending copy names its own pair's pending insert or patch — and
+    /// every spill slot is one record's or free, never both or neither.
     fn assert_normal_form(log: &MutationLog) {
         let queues = &log.spills.queues;
         let mut owners = vec![0; queues.len()];
         for (v, srcs) in &log.pairs.by_dst {
-            for (u, r) in srcs {
+            match srcs {
+                Table::Sorted(recs) => {
+                    assert!(recs.windows(2).all(|w| w[0].0 < w[1].0), "{v}'s sources in order");
+                    assert!(recs.len() <= HASHED_ABOVE, "{v}: {} sorted sources", recs.len());
+                    assert!(recs.capacity() - recs.len() <= 2 * GROW, "{v}: spare slots");
+                }
+                Table::Hashed(recs) => assert!(recs.len() > SORTED_AT, "{v}: {}", recs.len()),
+            }
+            for (u, r) in srcs.iter() {
                 match r.state {
                     State::Empty => assert_eq!(*r, r.empty(), "pair ({u}, {v})"),
                     State::Spilled => {
-                        let q = &queues[r.aux as usize];
+                        let q = &queues[r.val as usize];
                         assert!(q.len() >= 2, "pair ({u}, {v}) spilled with {} copies", q.len());
                         assert_eq!(
                             *r,
-                            PairRecord { aux: r.aux, state: State::Spilled, ..r.empty() }
+                            PairRecord { val: r.val, state: State::Spilled, ..r.empty() }
                         );
-                        owners[r.aux as usize] += 1;
+                        owners[r.val as usize] += 1;
                     }
                     _ => {}
                 }
                 for c in r.copies(&log.spills) {
                     assert!(matches!(c.state, State::Settled | State::Fresh | State::Patched));
-                    assert!(c.state != State::Settled || c.aux == 0, "pair ({u}, {v}): {c:?}");
+                    if c.state != State::Settled {
+                        let (m, _) = log.entries[c.val as usize].expect("a pending copy's entry");
+                        let patch = matches!(m, UpdateWeight { .. });
+                        assert_eq!((pair_of(m), patch), ((u, *v), c.state == State::Patched));
+                    }
                 }
             }
         }
@@ -1116,10 +1300,12 @@ mod tests {
     }
 
     #[test]
-    fn a_record_fills_a_16_byte_slot() {
-        assert_eq!(std::mem::size_of::<LogCopy>(), 12);
-        assert_eq!(std::mem::size_of::<PairRecord>(), 12);
-        assert_eq!(std::mem::size_of::<(u32, PairRecord)>(), 16);
+    fn a_record_fills_a_12_byte_slot() {
+        assert_eq!(std::mem::size_of::<LogCopy>(), 8);
+        assert_eq!(std::mem::size_of::<PairRecord>(), 8);
+        assert_eq!(std::mem::size_of::<(u32, PairRecord)>(), 12);
+        // A pending entry has room for a weight beside it, not only a tag.
+        assert_eq!(std::mem::size_of::<Pending>(), 20);
     }
 
     /// One epoch of `m`; then the `(weight, tag)` of pair `(0, 1)`'s copies,
@@ -1128,13 +1314,13 @@ mod tests {
         tags(log, &[m]);
         assert_normal_form(log);
         let copies = log.pairs.get((0, 1)).into_iter().flat_map(|r| r.copies(&log.spills));
-        (copies.map(|c| (c.w, c.tag)).collect(), log.pair_records())
+        (copies.map(|c| (current_w(&log.entries, c), c.tag)).collect(), log.pair_records())
     }
 
     #[test]
     fn a_pair_spills_past_one_copy_and_collapses_back_inline() {
         let inline = |next, w, tag| {
-            Some(PairRecord { w, next, tag, state: State::Settled, ..PairRecord::default() })
+            Some(PairRecord { val: w, next, tag, state: State::Settled, ..PairRecord::default() })
         };
         let mut log = MutationLog::new();
         assert_eq!(step(&mut log, AddEdge((0, 1, 5))), (vec![(5, 0)], 1));
@@ -1198,6 +1384,8 @@ mod tests {
     /// the reference the log's tag addressing is checked against: it resolved
     /// every canonical mutation a second time, by weight, at apply time.
     mod ledger {
+        use std::collections::VecDeque;
+
         use super::*;
 
         /// Per-pair live-copy bookkeeping of the mutation ledger.
@@ -1282,6 +1470,16 @@ mod tests {
                 sources.sort_unstable();
                 sources
             }
+
+            /// The live copies by destination, then source, then age.
+            pub fn live_edges(&self) -> Vec<StreamEdge> {
+                let mut pairs: Vec<_> = self.copies.iter().collect();
+                pairs.sort_unstable_by_key(|&(&(u, v), _)| (v, u));
+                let copies = pairs
+                    .into_iter()
+                    .flat_map(|(&(u, v), c)| c.live.iter().map(move |&(w, _)| (u, v, w)));
+                copies.collect()
+            }
         }
     }
 
@@ -1289,9 +1487,14 @@ mod tests {
     const VERTICES: u32 = 3;
 
     /// Replay one drained batch through the retired ledger, the way `apply`
-    /// used to, and hold the log's addresses, record count, live count and
-    /// per-destination sources to it.
-    fn ledger_agrees(model: &mut ledger::EdgeLedger, log: &MutationLog, batch: &CoalescedBatch) {
+    /// used to, and hold the log's addresses, record count, live count,
+    /// live edge listing and the sources of each of `vertices` to it.
+    fn ledger_agrees(
+        model: &mut ledger::EdgeLedger,
+        log: &MutationLog,
+        batch: &CoalescedBatch,
+        vertices: u32,
+    ) {
         assert_eq!(batch.muts.len(), batch.addrs.len());
         for (m, at) in batch.muts.iter().zip(&batch.addrs) {
             let (u, v, w) = m.edge();
@@ -1311,7 +1514,8 @@ mod tests {
         assert_eq!(model.prune_drained(&batch.muts), dels);
         assert_eq!(log.pair_records(), model.pairs(), "records after the settle");
         assert_eq!(log.live_count(), model.live);
-        for v in 0..VERTICES {
+        assert_eq!(log.live_edges(), model.live_edges(), "by destination, source, age");
+        for v in 0..vertices {
             let mut sources: Vec<u32> = log.sources_of(v).collect();
             sources.sort_unstable();
             assert_eq!(sources, model.sources_of(v), "in-neighbours of {v}");
@@ -1325,6 +1529,59 @@ mod tests {
         log.pairs.get((u, v)).and_then(|r| r.copies(&log.spills).next()).is_some_and(|front| {
             front.state == State::Patched && current_w(&log.entries, front) != w
         })
+    }
+
+    /// Sources of the hub in the proptest below, vertex 0: enough that its
+    /// table hashes, few enough that adds still repeat pairs.
+    const HUB_SOURCES: u32 = 4 * HASHED_ABOVE as u32;
+
+    /// A step at the hub: `(pick, w, label, op)` ([`hub_mutation`]).
+    type HubStep = (u32, u32, u8, u8);
+
+    /// A hub submission's steps and its poison draw ([`hub_epoch`]).
+    type HubSubmission = (Vec<HubStep>, u8);
+
+    /// A hub step `(pick, w, label, op)` resolved against `log`'s live
+    /// copies: an add from source `pick`, or a delete or re-weight of the
+    /// oldest copy of the `pick`-th live pair (`None` when none is live).
+    /// While the hub grows most steps are adds; while it shrinks, deletes.
+    fn hub_mutation(
+        log: &MutationLog,
+        (pick, w, label, op): HubStep,
+        grow: bool,
+    ) -> Option<GraphMutation> {
+        let (add, reweight) = if grow { (op < 6, op == 6) } else { (op == 0, op == 1) };
+        if add {
+            return Some(GraphMutation::AddLabeledEdge((pick % HUB_SOURCES, 0, w), label));
+        }
+        // Each pair's copies are listed oldest first.
+        let mut oldest = log.live_edges();
+        oldest.dedup_by_key(|&mut (u, v, _)| (u, v));
+        let &(u, v, w_old) = oldest.get(pick as usize % oldest.len().max(1))?;
+        Some(if reweight { UpdateWeight { u, v, w } } else { DelEdge((u, v, w_old)) })
+    }
+
+    /// One epoch of hub submissions, each step resolved after those before
+    /// it. A submission whose poison draw is 0 ends in a delete no copy
+    /// matches, so the log must refuse it whole.
+    fn hub_epoch(log: &MutationLog, subs: &[HubSubmission], grow: bool) -> Vec<Vec<GraphMutation>> {
+        let mut probe = log.clone();
+        let resolve = |(steps, poison): &HubSubmission| {
+            let before = probe.clone();
+            let mut sub = Vec::new();
+            for &step in steps {
+                if let Some(m) = hub_mutation(&probe, step, grow) {
+                    probe.try_push(m).expect("resolved against a live copy");
+                    sub.push(m);
+                }
+            }
+            if *poison == 0 {
+                sub.push(DelEdge((HUB_SOURCES, 0, 1)));
+                probe = before;
+            }
+            sub
+        };
+        subs.iter().map(resolve).collect()
     }
 
     mod oracle {
@@ -1347,6 +1604,13 @@ mod tests {
 
         fn arb_epoch() -> impl Strategy<Value = Vec<Vec<GraphMutation>>> {
             vec(vec(arb_mutation(), 1..7), 1..6)
+        }
+
+        /// About ten hub submissions of about eight steps, one in four
+        /// poisoned ([`hub_epoch`]).
+        fn arb_hub_epoch() -> impl Strategy<Value = Vec<HubSubmission>> {
+            let step = (0..1u32 << 20, 1u32..4, 0u8..3, 0u8..8);
+            vec((vec(step, 1..16), 0u8..4), 8..12)
         }
 
         proptest! {
@@ -1394,9 +1658,37 @@ mod tests {
                         let _ = log.try_push_all(sub);
                     }
                     let batch = log.drain();
-                    ledger_agrees(&mut model, &log, &batch);
+                    ledger_agrees(&mut model, &log, &batch, VERTICES);
                     assert_normal_form(&log);
                 }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+            /// One destination's table hashes as adds take it past the
+            /// threshold and sorts back as deletes shrink it, re-weights and
+            /// refused submissions all along: every submission is held to
+            /// clone-and-swap, every drain to the ledger.
+            #[test]
+            fn a_hub_crosses_the_hashed_threshold_both_ways(
+                grow in vec(arb_hub_epoch(), 6..7),
+                shrink in vec(arb_hub_epoch(), 8..9),
+            ) {
+                let (mut got, mut want) = (MutationLog::new(), MutationLog::new());
+                let mut model = ledger::EdgeLedger::default();
+                let mut hashed = false;
+                let epochs = grow.iter().map(|e| (e, true)).chain(shrink.iter().map(|e| (e, false)));
+                for (epoch, growing) in epochs {
+                    let subs = hub_epoch(&got, epoch, growing);
+                    let batch = epoch_matches(&mut got, &mut want, &subs);
+                    ledger_agrees(&mut model, &got, &batch, 1);
+                    assert_normal_form(&got);
+                    hashed |= got.hashed_tables() == 1;
+                }
+                prop_assert!(hashed, "the hub's table never hashed");
+                prop_assert_eq!(got.hashed_tables(), 0, "the hub's table stayed hashed");
             }
         }
     }
