@@ -17,18 +17,18 @@
 //!   admitted submissions in arrival order. A crash loses nothing that was
 //!   acknowledged: recovery restores the checkpoint and re-stages only the
 //!   WAL tail, which coalesces to the batches those rounds applied.
-//! * [`server`] — the single-writer ingest loop ([`server::IngestCore`])
+//! * [`server`] — the single-writer ingest core ([`server::IngestCore`])
 //!   and the threaded TCP front end ([`server::Server`]): each connection
-//!   has a reader thread, which feeds one ingest thread through a channel,
-//!   and a writer thread, which sends every response to it — replies and
-//!   pushed deltas alike — from the connection's outbox. Admitted
-//!   submissions are validated against and parked in the graph's own
-//!   [`sdgp_core::MutationLog`] (there is no separate coalescing stage),
-//!   and each service round applies the canonical batch they coalesce to as
-//!   one increment, then appends them to the WAL. A checkpoint applies
-//!   parked submissions first. Every `Submitted` acknowledgement is sent
-//!   *after* the increment that contains the batch converged and its WAL
-//!   record is durable.
+//!   has a reader thread, which sends its events to one dispatcher owning
+//!   the core and every connection's state, and a writer thread, which
+//!   sends every response to it — replies and pushed deltas alike — from
+//!   the connection's outbox. Admitted submissions are validated against
+//!   and parked in the graph's own [`sdgp_core::MutationLog`] (there is no
+//!   separate coalescing stage), and each service round applies the
+//!   canonical batch they coalesce to as one increment, then appends them
+//!   to the WAL. A checkpoint applies parked submissions first. Every
+//!   `Submitted` acknowledgement is sent *after* the increment that
+//!   contains the batch converged and its WAL record is durable.
 //! * [`client`] — a small blocking client used by the workload drivers and
 //!   the smoke tests.
 //!

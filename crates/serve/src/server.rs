@@ -29,47 +29,54 @@
 //!
 //! ## Threading
 //!
-//! [`Server`] runs a single ingest thread and, per connection, a reader
-//! and a writer thread. The writer is the connection's sole socket writer:
-//! it drains the connection's `Outbox`, through which every response goes —
-//! request replies, pushed deltas and resyncs. The reader never waits on a
-//! reply: it answers `Hello`, undecodable frames and admission refusals
-//! ([`Admission`]'s `RetryAfter`) into the outbox itself and hands every
-//! other request to the ingest thread, which answers into the same outbox.
-//! The ingest thread coalesces every queued submission into the next
-//! increment and acknowledges each one only after that increment converged
-//! — a `Submitted` reply means the mutation is durable (WAL) *and* its
-//! fixpoint is queryable.
+//! [`Server`] runs an acceptor thread, an ingest thread and, per
+//! connection, a reader and a writer thread. A single-threaded `Dispatcher`
+//! owns the [`IngestCore`] and the connection registry; the ingest thread
+//! only feeds it, in channel order, the events the readers send — a
+//! connection's `Open` (its registry entry), its requests, its `Close` —
+//! and a round boundary whenever the channel runs empty. The writer is the
+//! connection's sole socket writer: it drains the connection's `Outbox`,
+//! through which every response goes — request replies, pushed deltas and
+//! resyncs. The reader never waits on a reply: it answers `Hello`,
+//! undecodable frames and admission refusals ([`Admission`]'s `RetryAfter`)
+//! into the outbox itself and hands every other request to the dispatcher,
+//! which answers into the same outbox. The dispatcher coalesces every
+//! queued submission into the next increment and acknowledges each one
+//! only after that increment converged — a `Submitted` reply means the
+//! mutation is durable (WAL) *and* its fixpoint is queryable.
 //!
 //! ## Subscriptions
 //!
-//! The ingest thread computes each increment's result-set deltas inside
+//! The graph computes each increment's result-set deltas inside
 //! `stream_increment` (incrementally, from the qbits transitions the batch
-//! caused) and queues them in the subscribers' outboxes **after the batch
-//! acks**, so push latency never delays durability acknowledgements.
-//! Subscribe and unsubscribe run on the ingest thread and answer through
-//! the outbox the deltas use, which makes the baseline snapshot atomic with
-//! the delta stream: a subscriber sees `Subscribed` at increment `s`, then
-//! every delta for `s+1, s+2, …` in order, and `Unsubscribe`'s `Done`
-//! queues behind every delta already queued. A slow subscriber's outbox
-//! never grows without bound — past `MAX_QUEUED_DELTAS` the queued deltas
-//! are replaced by one [`Response::Resync`] snapshot per subscribed query.
-//! When the ingest thread stops — by request or by a panic — it closes
-//! every outbox; each writer sends what is queued and shuts its socket
-//! down, so every client, subscribed or idle, reads EOF and every reader
-//! returns.
+//! caused) and the dispatcher queues them in the subscribers' outboxes
+//! **after the batch acks**, so push latency never delays durability
+//! acknowledgements. Subscribe and unsubscribe edit the registry between
+//! increments and answer through the outbox the deltas use, which makes the
+//! baseline snapshot atomic with the delta stream: a subscriber sees
+//! `Subscribed` at increment `s`, then every delta for `s+1, s+2, …` in
+//! order, and `Unsubscribe`'s `Done` queues behind every delta already
+//! queued. A slow subscriber's outbox never grows without bound — past
+//! `MAX_QUEUED_DELTAS` the queued deltas are replaced by one
+//! [`Response::Resync`] snapshot per subscribed query. A registry entry
+//! closes its outbox when dropped: on the connection's `Close`, when the
+//! dispatcher stops — by request or by a panic — and, for an `Open` still
+//! queued when the channel goes, with the channel. Each writer then sends
+//! what is queued and shuts its socket down, so every client, subscribed or
+//! idle, reads EOF and every reader returns.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use amcca_obs::{MetricsSnapshot, Obs};
+use amcca_obs::Obs;
 use sdgp_core::apps::VertexAlgo;
 use sdgp_core::graph::{GraphBuilder, GraphMutation, MutationError, StreamingGraph};
 use sdgp_core::GraphCheckpoint;
@@ -273,18 +280,12 @@ impl<G: VertexAlgo> IngestCore<G> {
         self.graph.sync_values()
     }
 
-    /// Register a standing path query on the graph, *then* WAL it, so a
-    /// refused query never reaches the log and an acknowledged one is
-    /// recovered. A WAL error leaves the graph ahead of the log, as in
-    /// [`Self::flush`]. Returns the query id.
-    pub fn register_query(&mut self, pattern: &str, source: u32) -> Result<u32, ServeError> {
-        self.register_query_multi(pattern, &[source])
-    }
-
     /// Register a standing path query anchored at several sources (one
     /// compiled automaton, one state plane; results are the union over
-    /// sources), with the same durability ordering as
-    /// [`Self::register_query`].
+    /// sources) on the graph, *then* WAL it, so a refused query never
+    /// reaches the log and an acknowledged one is recovered. A WAL error
+    /// leaves the graph ahead of the log, as in [`Self::flush`]. Returns the
+    /// query id.
     pub fn register_query_multi(
         &mut self,
         pattern: &str,
@@ -318,12 +319,6 @@ impl<G: VertexAlgo> IngestCore<G> {
         &self.obs
     }
 
-    /// Live observability snapshot — every counter, gauge, and latency
-    /// histogram recorded so far (empty when observability is disabled).
-    pub fn obs_snapshot(&self) -> MetricsSnapshot {
-        self.obs.snapshot()
-    }
-
     /// The graph being served (read-only).
     pub fn graph(&self) -> &StreamingGraph<G> {
         &self.graph
@@ -340,12 +335,15 @@ pub struct ServerReport {
     pub crashed: bool,
 }
 
-/// One request on its way to the ingest thread: who sent it and the outbox
-/// its answer goes to.
-struct Cmd {
-    client_id: u32,
-    req: Request,
-    out: Arc<Outbox>,
+/// What a connection's reader sends the dispatcher, in this order: the
+/// connection's `Open`, its requests, then its `Close`.
+enum Event {
+    /// The connection opened: its client id and registry entry.
+    Open(u32, Conn),
+    /// A request from the connection, answered into its outbox.
+    Request(u32, Request),
+    /// The connection's socket closed.
+    Close(u32),
 }
 
 /// Most pushed deltas a slow subscriber may have queued before the server
@@ -418,8 +416,8 @@ impl Outbox {
     }
 
     /// Close the outbox: the writer sends what is queued, then exits. Runs
-    /// from the ingest thread's stop guard, so it must not panic: a
-    /// poisoned lock still takes the flag.
+    /// when a registry entry drops, also while the dispatcher unwinds, so it
+    /// must not panic: a poisoned lock still takes the flag.
     fn close(&self) {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
         self.cv.notify_all();
@@ -441,41 +439,34 @@ impl Outbox {
     }
 }
 
-/// One open connection in the registry: the queries it follows and the
-/// outbox every response to it goes through.
+/// One open connection's registry entry: the queries it follows and the
+/// outbox every response to it goes through. Dropping the entry closes the
+/// outbox, which ends the connection's writer.
 struct Conn {
     /// Subscribed query ids, sorted ascending.
     qids: Vec<u32>,
     out: Arc<Outbox>,
 }
 
-/// Set the `serve.subscribers` gauge: connections following at least one
-/// query.
-fn count_subscribers(obs: &Obs, conns: &HashMap<u32, Conn>) {
-    let n = conns.values().filter(|c| !c.qids.is_empty()).count();
-    obs.gauge_set("serve.subscribers", n as i64);
+impl Drop for Conn {
+    fn drop(&mut self) {
+        self.out.close();
+    }
 }
 
-/// State shared between the reader threads and the ingest thread.
+/// State shared between the reader threads and the dispatcher.
 struct Shared {
     admission: Mutex<Admission>,
-    /// Submissions admitted but not yet dequeued by the ingest thread —
-    /// the global backpressure watermark input.
+    /// Submissions admitted but not yet dequeued by the dispatcher — the
+    /// global backpressure watermark input.
     queue_depth: AtomicUsize,
     rejected: AtomicU64,
-    next_client: AtomicU32,
     /// Submission sequence — the batch id carried by reader-side spans
     /// (`submit`, `admission`).
     submit_seq: AtomicU64,
-    stop: AtomicBool,
     epoch: Instant,
-    /// Clone of the core's observability handle, for reader-side spans and
-    /// the queue-depth gauge.
+    /// Clone of the core's observability handle, for reader-side spans.
     obs: Obs,
-    /// Every open connection by client id. Readers insert when they start
-    /// and remove when they exit; the ingest thread edits `qids` and queues
-    /// deltas after each flush.
-    conns: Mutex<HashMap<u32, Conn>>,
 }
 
 impl Shared {
@@ -484,21 +475,14 @@ impl Shared {
             admission: Mutex::new(Admission::new(admission)),
             queue_depth: AtomicUsize::new(0),
             rejected: AtomicU64::new(0),
-            next_client: AtomicU32::new(1),
             submit_seq: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
             epoch: Instant::now(),
             obs,
-            conns: Mutex::new(HashMap::new()),
         }
     }
 
     fn now_micros(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
-    }
-
-    fn conns(&self) -> std::sync::MutexGuard<'_, HashMap<u32, Conn>> {
-        self.conns.lock().expect("conns lock poisoned")
     }
 }
 
@@ -507,8 +491,9 @@ impl Shared {
 /// [`Server::join`].
 pub struct Server {
     addr: SocketAddr,
-    ingest: JoinHandle<ServerReport>,
-    acceptor: JoinHandle<()>,
+    /// The acceptor thread, which joins the ingest thread once that has
+    /// finished and returns what the join returned.
+    acceptor: JoinHandle<thread::Result<ServerReport>>,
 }
 
 impl Server {
@@ -522,30 +507,30 @@ impl Server {
 
     /// Serve `core` on an already-bound listener.
     pub fn start<G: VertexAlgo + 'static>(
-        mut core: IngestCore<G>,
+        core: IngestCore<G>,
         cfg: ServeConfig,
         listener: TcpListener,
     ) -> io::Result<Server> {
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared::new(cfg.admission, core.obs().clone()));
-        let (tx, rx) = mpsc::channel::<Cmd>();
-
-        let ingest_shared = Arc::clone(&shared);
-        let max_coalesce = cfg.max_coalesce.max(1);
-        let ingest = thread::spawn(move || {
-            let _stop = StopOnExit(&ingest_shared);
-            ingest_loop(&mut core, &rx, &ingest_shared, max_coalesce)
-        });
-
-        let accept_shared = Arc::clone(&shared);
         listener.set_nonblocking(true)?;
+        let shared = Arc::new(Shared::new(cfg.admission, core.obs().clone()));
+        let (tx, rx) = mpsc::channel::<Event>();
+        let mut dispatcher = Dispatcher::new(core, Arc::clone(&shared), cfg.max_coalesce);
+        let ingest = thread::spawn(move || {
+            let crashed = feed(&mut dispatcher, &rx).break_value().unwrap_or(false);
+            ServerReport { stats: dispatcher.stats(), crashed }
+        });
+        // The acceptor numbers the connections and starts each one's reader
+        // until the ingest thread has finished (or the listener fails), then
+        // joins it.
         let acceptor = thread::spawn(move || {
-            while !accept_shared.stop.load(Ordering::SeqCst) {
+            let mut client_id = 0u32;
+            while !ingest.is_finished() {
                 match listener.accept() {
                     Ok((sock, _)) => {
-                        let tx = tx.clone();
-                        let shared = Arc::clone(&accept_shared);
-                        thread::spawn(move || connection_loop(sock, &tx, &shared));
+                        client_id = client_id.wrapping_add(1);
+                        let (tx, shared) = (tx.clone(), Arc::clone(&shared));
+                        thread::spawn(move || connection_loop(sock, client_id, &tx, &shared));
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                         thread::sleep(Duration::from_millis(2));
@@ -553,9 +538,12 @@ impl Server {
                     Err(_) => break,
                 }
             }
+            // With the acceptor's sender gone, the ingest thread also stops
+            // once every reader has.
+            drop(tx);
+            ingest.join()
         });
-
-        Ok(Server { addr, ingest, acceptor })
+        Ok(Server { addr, acceptor })
     }
 
     /// The address clients should connect to.
@@ -566,294 +554,305 @@ impl Server {
     /// Wait for the serving run to end (a client sent `Shutdown` or
     /// `Kill`) and collect its report.
     pub fn join(self) -> ServerReport {
-        let report = self.ingest.join().expect("ingest thread panicked");
-        self.acceptor.join().expect("acceptor thread panicked");
-        report
+        self.acceptor.join().expect("acceptor thread panicked").expect("ingest thread panicked")
     }
 }
 
-/// The ingest thread's stop work, run when its loop returns and when it
-/// unwinds alike: raise the stop flag (the acceptor exits) and close every
-/// outbox. Each writer then sends what is queued — such as the `Done` to
-/// the client that sent `Shutdown` — and shuts its socket down, so every
-/// client reads EOF and every blocked reader returns.
-struct StopOnExit<'a>(&'a Shared);
-
-impl Drop for StopOnExit<'_> {
-    fn drop(&mut self) {
-        self.0.stop.store(true, Ordering::SeqCst);
-        let conns = self.0.conns.lock().unwrap_or_else(PoisonError::into_inner);
-        for conn in conns.values() {
-            conn.out.close();
-        }
+/// The ingest thread's loop: feed `dispatcher` every event in channel
+/// order, with a round boundary whenever the channel is empty, until it
+/// stops (`Break(crashed)`) or every sender is gone.
+fn feed<G: VertexAlgo>(
+    dispatcher: &mut Dispatcher<G>,
+    rx: &mpsc::Receiver<Event>,
+) -> ControlFlow<bool> {
+    loop {
+        let event = match rx.try_recv() {
+            Ok(event) => event,
+            Err(_) => {
+                dispatcher.end_round()?;
+                // `recv` fails once every sender is gone: nothing can
+                // arrive anymore.
+                let Ok(event) = rx.recv() else { return ControlFlow::Continue(()) };
+                event
+            }
+        };
+        dispatcher.dispatch(event)?;
     }
 }
 
-/// Whether the serving loop keeps going after a command.
-enum Flow {
-    Continue,
-    Stop { crashed: bool },
-}
-
-fn ingest_loop<G: VertexAlgo>(
-    core: &mut IngestCore<G>,
-    rx: &mpsc::Receiver<Cmd>,
-    shared: &Shared,
+/// The serving state machine (module docs): the [`IngestCore`], the
+/// connection registry, and the round being coalesced. It takes one event
+/// at a time and has no lock, channel, thread or socket of its own; every
+/// response leaves through a registered connection's outbox, and a
+/// `Break(crashed)` from any of its methods stops the server.
+struct Dispatcher<G: VertexAlgo> {
+    core: IngestCore<G>,
+    /// Every open connection by client id.
+    conns: HashMap<u32, Conn>,
+    /// The submissions of the round being coalesced, with their senders, in
+    /// arrival order.
+    round: Vec<(u32, Vec<GraphMutation>)>,
     max_coalesce: usize,
-) -> ServerReport {
-    let mut crashed = false;
-    // `recv` fails once every sender is gone: nothing can arrive anymore.
-    'serve: while let Ok(cmd) = rx.recv() {
-        let mut deferred = None;
-        let mut round = Vec::new();
-        match cmd {
-            Cmd { req: Request::Submit(muts), out, .. } => {
-                round.push((muts, out));
-                // Coalesce every submission already waiting into the same
-                // increment (one fabric run amortized over all of them).
-                while round.len() < max_coalesce {
-                    match rx.try_recv() {
-                        Ok(Cmd { req: Request::Submit(muts), out, .. }) => round.push((muts, out)),
-                        Ok(other) => {
-                            deferred = Some(other);
-                            break;
-                        }
-                        Err(_) => break,
-                    }
-                }
-            }
-            other => deferred = Some(other),
-        }
+    shared: Arc<Shared>,
+}
 
-        if !round.is_empty() {
-            let obs = core.obs().clone();
-            let bid = core.stats().batches + 1;
-            let round_muts: u64 = round.iter().map(|(m, _)| m.len() as u64).sum();
-            // The `ack` span closes when this round's acknowledgements have
-            // been queued in the senders' outboxes — dequeue-to-ack latency.
-            let _ack_span = obs.span("ack", bid, round_muts);
-            let mut acks = Vec::with_capacity(round.len());
-            for (muts, out) in round {
-                let depth = shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                obs.gauge_set("serve.queue_depth", depth as i64 - 1);
-                let validated = {
-                    let _s = obs.span("validate", bid, muts.len() as u64);
-                    core.submit(&muts)
-                };
-                match validated {
-                    Ok(()) => acks.push(out),
-                    Err(e) => _ = out.push(Response::Err(e.to_string())),
+impl<G: VertexAlgo> Dispatcher<G> {
+    fn new(core: IngestCore<G>, shared: Arc<Shared>, max_coalesce: usize) -> Self {
+        let max_coalesce = max_coalesce.max(1);
+        Dispatcher { core, conns: HashMap::new(), round: Vec::new(), max_coalesce, shared }
+    }
+
+    /// Take one event. A submission joins the round (one fabric run is
+    /// amortized over every submission already waiting), which ends once it
+    /// holds `max_coalesce` submissions; any other request ends the round
+    /// first, so it runs between increments.
+    fn dispatch(&mut self, event: Event) -> ControlFlow<bool> {
+        match event {
+            Event::Open(client_id, conn) => {
+                self.conns.insert(client_id, conn);
+            }
+            Event::Request(client_id, Request::Submit(muts)) => {
+                self.round.push((client_id, muts));
+                if self.round.len() >= self.max_coalesce {
+                    return self.end_round();
                 }
             }
-            match core.flush() {
-                Ok(ran) => {
-                    // Ack first — push fan-out must never delay durability
-                    // acknowledgements — then fan the increment's result
-                    // deltas out to subscribers.
-                    for out in acks {
-                        out.push(Response::Submitted);
-                    }
-                    if ran {
-                        fanout_deltas(core, shared);
-                    }
-                }
-                Err(e) => {
-                    // Fabric or durability failure: the acknowledged state
-                    // on disk is still consistent, but the graph may be
-                    // ahead of it, so this process must not keep accepting
-                    // work.
-                    let msg = format!("ingest failed: {e}");
-                    for out in acks {
-                        out.push(Response::Err(msg.clone()));
-                    }
-                    crashed = true;
-                    break 'serve;
-                }
+            Event::Request(client_id, req) => {
+                self.end_round()?;
+                return self.control(client_id, req);
+            }
+            Event::Close(client_id) => {
+                self.conns.remove(&client_id);
+                self.count_subscribers();
             }
         }
+        ControlFlow::Continue(())
+    }
 
-        if let Some(cmd) = deferred {
-            match control(core, shared, cmd) {
-                Flow::Continue => {}
-                Flow::Stop { crashed: c } => {
-                    crashed = c;
-                    break 'serve;
+    /// Queue `resp` for `client_id`, unless that connection has closed.
+    fn reply(&self, client_id: u32, resp: Response) {
+        if let Some(conn) = self.conns.get(&client_id) {
+            conn.out.push(resp);
+        }
+    }
+
+    /// The round boundary: validate the round's submissions, apply them as
+    /// one increment, acknowledge each, then fan the increment's result
+    /// deltas out to subscribers.
+    fn end_round(&mut self) -> ControlFlow<bool> {
+        if self.round.is_empty() {
+            return ControlFlow::Continue(());
+        }
+        let round = std::mem::take(&mut self.round);
+        let obs = self.core.obs().clone();
+        let bid = self.core.stats().batches + 1;
+        let round_muts: u64 = round.iter().map(|(_, m)| m.len() as u64).sum();
+        // The `ack` span closes when this round's acknowledgements have
+        // been queued in the senders' outboxes — dequeue-to-ack latency.
+        let _ack_span = obs.span("ack", bid, round_muts);
+        let mut acks = Vec::with_capacity(round.len());
+        for (client_id, muts) in round {
+            let depth = self.shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
+            obs.gauge_set("serve.queue_depth", depth as i64 - 1);
+            let validated = {
+                let _s = obs.span("validate", bid, muts.len() as u64);
+                self.core.submit(&muts)
+            };
+            match validated {
+                Ok(()) => acks.push(client_id),
+                Err(e) => self.reply(client_id, Response::Err(e.to_string())),
+            }
+        }
+        match self.core.flush() {
+            Ok(ran) => {
+                // Ack first — push fan-out must never delay durability
+                // acknowledgements — then fan the deltas out.
+                for client_id in acks {
+                    self.reply(client_id, Response::Submitted);
                 }
+                if ran {
+                    self.fanout_deltas();
+                }
+                ControlFlow::Continue(())
+            }
+            Err(e) => {
+                // Fabric or durability failure: the acknowledged state on
+                // disk is still consistent, but the graph may be ahead of
+                // it, so this process must not keep accepting work.
+                let msg = format!("ingest failed: {e}");
+                for client_id in acks {
+                    self.reply(client_id, Response::Err(msg.clone()));
+                }
+                ControlFlow::Break(true)
             }
         }
     }
-    let mut stats = core.stats();
-    stats.rejected = shared.rejected.load(Ordering::SeqCst);
-    ServerReport { stats, crashed }
-}
 
-/// Fan the most recent increment's result deltas out to every subscriber:
-/// one [`Response::QueryDelta`] per (subscriber, changed subscribed query).
-/// A subscriber whose outbox is at its bound gets its queued deltas
-/// replaced by one [`Response::Resync`] snapshot per subscribed query
-/// instead — bounded memory, and the subscriber's running set stays
-/// reconstructible.
-fn fanout_deltas<G: VertexAlgo>(core: &mut IngestCore<G>, shared: &Shared) {
-    let deltas = core.take_query_deltas();
-    if deltas.is_empty() {
-        return;
-    }
-    let batch_seq = core.stats().batches;
-    let obs = core.obs().clone();
-    for conn in shared.conns().values() {
-        let mut overflowed = false;
-        for &qid in &conn.qids {
-            let Some(d) = deltas.get(qid as usize) else { continue };
-            if d.is_empty() {
-                continue;
-            }
-            let (added, removed) = (d.added.clone(), d.removed.clone());
-            if !conn.out.push(Response::QueryDelta { qid, batch_seq, added, removed }) {
-                overflowed = true;
-                break;
-            }
-            obs.counter_add("subscriptions.delta_frames", 1);
-        }
-        if overflowed {
-            let resyncs: Vec<Response> = conn
-                .qids
-                .iter()
-                .map(|&qid| Response::Resync { qid, batch_seq, results: core.query_results(qid) })
-                .collect();
-            obs.counter_add("subscriptions.resyncs", resyncs.len() as u64);
-            conn.out.replace_deltas(resyncs);
-        }
-    }
-}
-
-/// Serve one non-submission request between increments and queue its
-/// answer in the sender's outbox.
-fn control<G: VertexAlgo>(core: &mut IngestCore<G>, shared: &Shared, cmd: Cmd) -> Flow {
-    let Cmd { client_id, req, out } = cmd;
-    let mut flow = Flow::Continue;
-    let resp = match req {
-        Request::Submit(_) | Request::Hello => unreachable!("answered before the control path"),
-        Request::Query => Response::States(core.sync_values()),
-        Request::RegisterQueryMulti { pattern, sources } => {
-            match core.register_query_multi(&pattern, &sources) {
-                Ok(qid) => Response::QueryId { qid },
-                Err(e @ ServeError::Query(_)) => Response::Err(e.to_string()),
-                Err(e) => {
-                    // A failed append leaves the graph ahead of the log.
-                    flow = Flow::Stop { crashed: true };
-                    Response::Err(e.to_string())
-                }
-            }
-        }
-        Request::QueryResults { qid } => Response::Matches(core.query_results(qid)),
-        Request::Subscribe { qid } => {
-            // Runs on the ingest thread between increments and answers
-            // through the outbox the deltas use, so the baseline snapshot is
-            // atomic with the delta stream: the subscriber sees this
-            // snapshot, then every later increment's delta, in order.
-            if (qid as usize) >= core.graph().registered_queries().len() {
-                Response::Err(format!("unknown query id {qid}"))
-            } else {
-                let mut conns = shared.conns();
-                if let Some(conn) = conns.get_mut(&client_id) {
-                    if let Err(at) = conn.qids.binary_search(&qid) {
-                        conn.qids.insert(at, qid);
-                    }
-                }
-                count_subscribers(&shared.obs, &conns);
-                shared.obs.counter_add("subscriptions.subscribes", 1);
-                Response::Subscribed {
-                    qid,
-                    batch_seq: core.stats().batches,
-                    results: core.query_results(qid),
-                }
-            }
-        }
-        Request::Unsubscribe { qid } => {
-            // The `Done` queues behind any deltas already queued, so the
-            // client knows no further frames for `qid` follow it.
-            let mut conns = shared.conns();
-            if let Some(conn) = conns.get_mut(&client_id) {
-                conn.qids.retain(|&q| q != qid);
-            }
-            count_subscribers(&shared.obs, &conns);
-            shared.obs.counter_add("subscriptions.unsubscribes", 1);
-            Response::Done
-        }
-        Request::Checkpoint => match core.checkpoint() {
-            Ok(_) => Response::Done,
-            Err(e) => Response::Err(e.to_string()),
-        },
-        Request::Stats => {
-            let mut stats = core.stats();
-            stats.rejected = shared.rejected.load(Ordering::SeqCst);
-            Response::Stats(stats)
-        }
-        Request::ObsStats => Response::ObsStats(core.obs_snapshot()),
-        Request::Shutdown => {
-            // Graceful: apply what was acknowledged as parked, then stop.
-            // Deliberately no checkpoint — the WAL tail carries the last
-            // batches so restart exercises the recovery path.
-            flow = Flow::Stop { crashed: false };
-            match core.flush() {
-                Ok(_) => Response::Done,
-                Err(e) => Response::Err(e.to_string()),
-            }
-        }
-        Request::Kill => {
-            // Simulated crash: no flush, no checkpoint.
-            flow = Flow::Stop { crashed: true };
-            Response::Done
-        }
-    };
-    out.push(resp);
-    flow
-}
-
-/// A connection's reader thread: register the connection, spawn its writer,
-/// serve requests until the socket closes, then take the connection out of
-/// the registry and close its outbox, which ends the writer.
-fn connection_loop(sock: TcpStream, tx: &mpsc::Sender<Cmd>, shared: &Shared) {
-    let _ = sock.set_nodelay(true);
-    let client_id = shared.next_client.fetch_add(1, Ordering::SeqCst);
-    let Ok(wsock) = sock.try_clone() else { return };
-    let out = Arc::new(Outbox::default());
-    {
-        let mut conns = shared.conns();
-        // Checked under the lock the stop work closes outboxes under: a
-        // connection registered after that would never be closed. Dropping
-        // the socket here is the client's EOF.
-        if shared.stop.load(Ordering::SeqCst) {
+    /// Fan the most recent increment's result deltas out to every
+    /// subscriber: one [`Response::QueryDelta`] per (subscriber, changed
+    /// subscribed query). A subscriber whose outbox is at its bound gets its
+    /// queued deltas replaced by one [`Response::Resync`] snapshot per
+    /// subscribed query instead — bounded memory, and the subscriber's
+    /// running set stays reconstructible.
+    fn fanout_deltas(&mut self) {
+        let deltas = self.core.take_query_deltas();
+        if deltas.is_empty() {
             return;
         }
-        conns.insert(client_id, Conn { qids: Vec::new(), out: Arc::clone(&out) });
+        let batch_seq = self.core.stats().batches;
+        let obs = self.core.obs();
+        for conn in self.conns.values() {
+            let mut overflowed = false;
+            for &qid in &conn.qids {
+                let Some(d) = deltas.get(qid as usize) else { continue };
+                if d.is_empty() {
+                    continue;
+                }
+                let (added, removed) = (d.added.clone(), d.removed.clone());
+                if !conn.out.push(Response::QueryDelta { qid, batch_seq, added, removed }) {
+                    overflowed = true;
+                    break;
+                }
+                obs.counter_add("subscriptions.delta_frames", 1);
+            }
+            if overflowed {
+                let resyncs: Vec<Response> = conn
+                    .qids
+                    .iter()
+                    .map(|&qid| Response::Resync {
+                        qid,
+                        batch_seq,
+                        results: self.core.query_results(qid),
+                    })
+                    .collect();
+                obs.counter_add("subscriptions.resyncs", resyncs.len() as u64);
+                conn.out.replace_deltas(resyncs);
+            }
+        }
+    }
+
+    /// Serve one non-submission request between increments and queue its
+    /// answer in the sender's outbox.
+    fn control(&mut self, client_id: u32, req: Request) -> ControlFlow<bool> {
+        let mut flow = ControlFlow::Continue(());
+        let resp = match req {
+            Request::Submit(_) | Request::Hello => unreachable!("answered before the control path"),
+            Request::Query => Response::States(self.core.sync_values()),
+            Request::RegisterQueryMulti { pattern, sources } => {
+                match self.core.register_query_multi(&pattern, &sources) {
+                    Ok(qid) => Response::QueryId { qid },
+                    Err(e @ ServeError::Query(_)) => Response::Err(e.to_string()),
+                    Err(e) => {
+                        // A failed append leaves the graph ahead of the log.
+                        flow = ControlFlow::Break(true);
+                        Response::Err(e.to_string())
+                    }
+                }
+            }
+            Request::QueryResults { qid } => Response::Matches(self.core.query_results(qid)),
+            Request::Subscribe { qid } => {
+                // Answered between increments through the outbox the deltas
+                // use, so the baseline snapshot is atomic with the delta
+                // stream: the subscriber sees this snapshot, then every
+                // later increment's delta, in order.
+                if (qid as usize) >= self.core.graph().registered_queries().len() {
+                    Response::Err(format!("unknown query id {qid}"))
+                } else {
+                    if let Some(conn) = self.conns.get_mut(&client_id) {
+                        if let Err(at) = conn.qids.binary_search(&qid) {
+                            conn.qids.insert(at, qid);
+                        }
+                    }
+                    self.count_subscribers();
+                    self.core.obs().counter_add("subscriptions.subscribes", 1);
+                    Response::Subscribed {
+                        qid,
+                        batch_seq: self.core.stats().batches,
+                        results: self.core.query_results(qid),
+                    }
+                }
+            }
+            Request::Unsubscribe { qid } => {
+                // The `Done` queues behind any deltas already queued, so the
+                // client knows no further frames for `qid` follow it.
+                if let Some(conn) = self.conns.get_mut(&client_id) {
+                    conn.qids.retain(|&q| q != qid);
+                }
+                self.count_subscribers();
+                self.core.obs().counter_add("subscriptions.unsubscribes", 1);
+                Response::Done
+            }
+            Request::Checkpoint => match self.core.checkpoint() {
+                Ok(_) => Response::Done,
+                Err(e) => Response::Err(e.to_string()),
+            },
+            Request::Stats => Response::Stats(self.stats()),
+            Request::ObsStats => Response::ObsStats(self.core.obs().snapshot()),
+            Request::Shutdown => {
+                // Graceful: every round is applied before a control request
+                // runs, so nothing is parked. Deliberately no checkpoint —
+                // the WAL tail carries the last batches so restart
+                // exercises the recovery path.
+                debug_assert!(self.core.pending_ops() == 0);
+                flow = ControlFlow::Break(false);
+                Response::Done
+            }
+            Request::Kill => {
+                // Simulated crash: no flush, no checkpoint.
+                flow = ControlFlow::Break(true);
+                Response::Done
+            }
+        };
+        self.reply(client_id, resp);
+        flow
+    }
+
+    /// Set the `serve.subscribers` gauge: connections following at least
+    /// one query.
+    fn count_subscribers(&self) {
+        let n = self.conns.values().filter(|c| !c.qids.is_empty()).count();
+        self.core.obs().gauge_set("serve.subscribers", n as i64);
+    }
+
+    /// Current counters, with the readers' admission refusals.
+    fn stats(&self) -> ServerStats {
+        ServerStats { rejected: self.shared.rejected.load(Ordering::SeqCst), ..self.core.stats() }
+    }
+}
+
+/// A connection's reader thread: open the connection with the dispatcher,
+/// spawn its writer, serve requests until the socket closes, then close
+/// the connection.
+fn connection_loop(sock: TcpStream, client_id: u32, tx: &mpsc::Sender<Event>, shared: &Shared) {
+    let _ = sock.set_nodelay(true);
+    let Ok(wsock) = sock.try_clone() else { return };
+    let out = Arc::new(Outbox::default());
+    let conn = Conn { qids: Vec::new(), out: Arc::clone(&out) };
+    if tx.send(Event::Open(client_id, conn)).is_err() {
+        // The server stopped: dropping the socket is the client's EOF.
+        return;
     }
     thread::spawn({
         let out = Arc::clone(&out);
         move || writer_loop(wsock, &out)
     });
     read_requests(sock, client_id, &out, tx, shared);
-    {
-        let mut conns = shared.conns();
-        conns.remove(&client_id);
-        count_subscribers(&shared.obs, &conns);
-    }
+    let _ = tx.send(Event::Close(client_id));
     shared.admission.lock().expect("admission lock poisoned").forget(client_id);
-    out.close();
 }
 
 /// Read and route one connection's requests until the socket closes or the
 /// server stops. Never waits on a reply: `Hello`, undecodable frames and
 /// admission refusals are answered into `out` here, and everything else is
-/// handed to the ingest thread, which answers into `out` too.
+/// handed to the dispatcher, which answers into `out` too.
 fn read_requests(
     mut sock: TcpStream,
     client_id: u32,
-    out: &Arc<Outbox>,
-    tx: &mpsc::Sender<Cmd>,
+    out: &Outbox,
+    tx: &mpsc::Sender<Event>,
     shared: &Shared,
 ) {
-    let send = |req| tx.send(Cmd { client_id, req, out: Arc::clone(out) }).is_ok();
+    let send = |req| tx.send(Event::Request(client_id, req)).is_ok();
     while let Ok(frame) = read_frame(&mut sock) {
         let resp = match Request::decode(&frame) {
             Err(e) => Response::Err(e.to_string()),
@@ -884,10 +883,8 @@ fn read_requests(
                     }
                     Decision::Admit => {
                         shared.obs.counter_add("admission.admitted", 1);
-                        let depth = shared.queue_depth.load(Ordering::SeqCst);
-                        shared.obs.gauge_set("serve.queue_depth", depth as i64);
                         if !send(Request::Submit(muts)) {
-                            return; // the ingest thread is gone: the server stopped
+                            return; // the dispatcher is gone: the server stopped
                         }
                         continue;
                     }
@@ -961,31 +958,215 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A dispatcher over a fresh store in `dir`, observability on.
+    fn dispatcher<G: VertexAlgo>(builder: GraphBuilder<G>, dir: &Path) -> Dispatcher<G> {
+        let (core, _) = IngestCore::boot(builder.obs(Obs::enabled()), dir, 0).unwrap();
+        let shared = Arc::new(Shared::new(AdmissionConfig::default(), core.obs().clone()));
+        Dispatcher::new(core, shared, ServeConfig::default().max_coalesce)
+    }
+
+    /// A registry entry and the outbox it closes.
+    fn entry() -> (Conn, Arc<Outbox>) {
+        let out = Arc::new(Outbox::default());
+        (Conn { qids: Vec::new(), out: Arc::clone(&out) }, out)
+    }
+
+    /// Open connection `client_id` on `d`; its outbox.
+    fn open<G: VertexAlgo>(d: &mut Dispatcher<G>, client_id: u32) -> Arc<Outbox> {
+        let (conn, out) = entry();
+        assert!(d.dispatch(Event::Open(client_id, conn)).is_continue());
+        out
+    }
+
+    /// `req` from `client_id`, as its reader sends it: an admitted
+    /// submission holds a queue slot.
+    fn request<G: VertexAlgo>(d: &mut Dispatcher<G>, client_id: u32, req: Request) -> Event {
+        if matches!(req, Request::Submit(_)) {
+            d.shared.queue_depth.fetch_add(1, Ordering::SeqCst);
+        }
+        Event::Request(client_id, req)
+    }
+
+    /// Everything queued in `out`, taken without blocking, and whether it
+    /// is closed.
+    fn take(out: &Outbox) -> (Vec<Response>, bool) {
+        let mut q = out.lock();
+        q.deltas = 0;
+        (q.responses.drain(..).collect(), q.closed)
+    }
+
     /// A registration whose WAL append fails answers `Err` and stops the
     /// server as crashed; a refused pattern answers `Err` and keeps it
     /// serving.
     #[test]
     fn a_failed_registration_append_stops_the_server() {
         let dir = tmp_dir("regfail");
-        let (mut core, _) = IngestCore::boot(builder(), &dir, 0).unwrap();
-        let shared = Shared::new(AdmissionConfig::default(), core.obs().clone());
-        let register = |core: &mut IngestCore<_>, pattern: &str| {
-            let out = Arc::new(Outbox::default());
+        let mut d = dispatcher(builder(), &dir);
+        let out = open(&mut d, 1);
+        let register = |d: &mut Dispatcher<_>, pattern: &str| {
             let req = Request::RegisterQueryMulti { pattern: pattern.into(), sources: vec![0] };
-            let flow = control(core, &shared, Cmd { client_id: 1, req, out: Arc::clone(&out) });
-            out.close();
-            (flow, out.pop())
+            d.dispatch(Event::Request(1, req))
         };
-        let (flow, resp) = register(&mut core, "a(");
-        assert!(matches!(flow, Flow::Continue), "a refused pattern keeps serving");
-        assert!(matches!(resp, Some(Response::Err(_))), "{resp:?}");
-
-        core.store.break_wal();
-        let (flow, resp) = register(&mut core, "a*");
-        assert!(matches!(flow, Flow::Stop { crashed: true }));
-        assert!(matches!(resp, Some(Response::Err(_))), "{resp:?}");
-        assert!(core.store.load_tail().unwrap().is_empty(), "nothing reached the log");
+        assert!(register(&mut d, "a(").is_continue(), "a refused pattern keeps serving");
+        d.core.store.break_wal();
+        assert_eq!(register(&mut d, "a*"), ControlFlow::Break(true));
+        let (resps, _) = take(&out);
+        assert!(matches!(resps[..], [Response::Err(_), Response::Err(_)]), "{resps:?}");
+        assert!(d.core.store.load_tail().unwrap().is_empty(), "nothing reached the log");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A subscriber that never reads keeps every reply, in order, while its
+    /// queued deltas degrade to one `Resync` per subscribed query whenever
+    /// they reach the bound: the result sets it can rebuild from what it was
+    /// sent still equal the polled ones, and `subscriptions.resyncs` counts
+    /// every resync sent.
+    #[test]
+    fn a_stalled_subscriber_gets_resyncs_and_every_reply() {
+        use GraphMutation::{AddLabeledEdge, DelEdge};
+        let dir = tmp_dir("overflow");
+        let mut d = dispatcher(builder(), &dir);
+        let out = open(&mut d, 1);
+        let mut want = Vec::new();
+        for (qid, pattern) in [(0, "a"), (1, "b")] {
+            let reg = Request::RegisterQueryMulti { pattern: pattern.into(), sources: vec![0] };
+            for req in [reg, Request::Subscribe { qid }] {
+                assert!(d.dispatch(Event::Request(1, req)).is_continue());
+            }
+            want.push(Response::QueryId { qid });
+            want.push(Response::Subscribed { qid, batch_seq: 0, results: vec![] });
+        }
+        // Each round toggles both queries' results, so it pushes two
+        // deltas: rounds 33 and 65 find the 64-delta bound reached.
+        let rounds = 71;
+        for round in 0..rounds {
+            let muts = if round % 2 == 0 {
+                vec![AddLabeledEdge((0, 1, 1), 1), AddLabeledEdge((0, 2, 1), 2)]
+            } else {
+                vec![DelEdge((0, 1, 1)), DelEdge((0, 2, 1))]
+            };
+            let submit = request(&mut d, 1, Request::Submit(muts));
+            assert!(d.dispatch(submit).is_continue());
+            assert!(d.end_round().is_continue());
+            want.push(Response::Submitted);
+        }
+
+        let (queued, closed) = take(&out);
+        assert!(!closed);
+        let (deltas, replies): (Vec<Response>, Vec<Response>) =
+            queued.into_iter().partition(is_delta);
+        assert_eq!(replies, want, "every reply, in order");
+        let resynced: Vec<u32> = deltas
+            .iter()
+            .map_while(|r| match r {
+                Response::Resync { qid, .. } => Some(*qid),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(resynced, [0, 1], "the queued deltas became one resync per query");
+        let mut sets = [Vec::new(), Vec::new()];
+        for resp in deltas {
+            match resp {
+                Response::Resync { qid, results, .. } => sets[qid as usize] = results,
+                Response::QueryDelta { qid, added, removed, .. } => {
+                    let set = &mut sets[qid as usize];
+                    set.retain(|v| !removed.contains(v));
+                    set.extend(added);
+                    set.sort_unstable();
+                }
+                other => panic!("not a delta: {other:?}"),
+            }
+        }
+        assert_eq!(sets, [vec![1], vec![2]]);
+        assert_eq!(sets, [d.core.query_results(0), d.core.query_results(1)]);
+        let snap = d.core.obs().snapshot();
+        assert_eq!(snap.counter("subscriptions.resyncs"), 4, "two overflows, two queries");
+        assert_eq!(snap.gauge("serve.queue_depth"), Some(0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Inserting an edge of this weight panics [`PanickyBfs`].
+    const POISON_W: u32 = 99;
+
+    /// BFS whose insert handler panics on an edge of weight [`POISON_W`].
+    #[derive(Clone, Copy)]
+    struct PanickyBfs(sdgp_core::BfsAlgo);
+
+    impl VertexAlgo for PanickyBfs {
+        type State = u64;
+
+        const NAME: &'static str = "panicky-bfs";
+
+        fn fork(&self) -> Self {
+            *self
+        }
+
+        fn root_state(&self, vid: u32) -> u64 {
+            self.0.root_state(vid)
+        }
+
+        fn ghost_state(&self, vid: u32) -> u64 {
+            self.0.ghost_state(vid)
+        }
+
+        fn improve(&self, s: &mut u64, incoming: u64) -> bool {
+            self.0.improve(s, incoming)
+        }
+
+        fn along_edge(&self, v: u64, e: &sdgp_core::rpvo::Edge) -> u64 {
+            assert_ne!(e.w, POISON_W, "marked insert");
+            self.0.along_edge(v, e)
+        }
+
+        fn sync_value(&self, s: &u64) -> Option<u64> {
+            self.0.sync_value(s)
+        }
+    }
+
+    /// Whatever stops the dispatcher — `Kill`, `Shutdown`, or a round whose
+    /// increment panics — closes every registered outbox, subscribed and
+    /// idle alike, and an `Open` still queued in the channel then is closed
+    /// with the channel.
+    #[test]
+    fn every_stop_closes_every_outbox() {
+        let poison = Request::Submit(vec![GraphMutation::AddEdge((0, 1, POISON_W))]);
+        let stops = [
+            ("kill", vec![Request::Kill], Some(ControlFlow::Break(true))),
+            ("shutdown", vec![Request::Shutdown], Some(ControlFlow::Break(false))),
+            ("panic", vec![poison, Request::Query], None),
+        ];
+        for (tag, stop, stopped) in stops {
+            let dir = tmp_dir(tag);
+            let builder = StreamingGraph::builder(PanickyBfs(sdgp_core::BfsAlgo::new(0)))
+                .vertices(8)
+                .chip(amcca_sim::ChipConfig::small_test());
+            let mut d = dispatcher(builder, &dir);
+            let (sub, idle) = (open(&mut d, 1), open(&mut d, 2));
+            let reg = Request::RegisterQueryMulti { pattern: "a".into(), sources: vec![0] };
+            for req in [reg, Request::Subscribe { qid: 0 }] {
+                assert!(d.dispatch(Event::Request(1, req)).is_continue());
+            }
+            let (tx, rx) = mpsc::channel();
+            for req in stop {
+                tx.send(request(&mut d, 2, req)).unwrap();
+            }
+            let (late, queued) = entry();
+            tx.send(Event::Open(3, late)).unwrap();
+
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut d = d;
+                feed(&mut d, &rx)
+            }));
+            assert_eq!(run.ok(), stopped, "{tag}");
+            let (replies, closed) = take(&sub);
+            assert_eq!((replies.len(), closed), (2, true), "{tag}: the subscriber's outbox");
+            let (replies, closed) = take(&idle);
+            let done = if tag == "panic" { vec![] } else { vec![Response::Done] };
+            assert_eq!((replies, closed), (done, true), "{tag}: the idle outbox");
+            drop(rx);
+            assert!(take(&queued).1, "{tag}: the Open left in the channel");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// The WAL record `flush` writes for a round — its admitted
