@@ -19,13 +19,15 @@
 //! harness pins across batch splits and shard counts), which keeps the
 //! format algorithm-independent — one codec serves BFS, SSSP, and CC.
 //!
-//! The binary format is little-endian with a magic, a version, and a
-//! trailing FNV-1a checksum. [`encode_mutations`] / [`decode_mutations`]
-//! share the per-mutation wire encoding with the serve crate's write-ahead
-//! log and client protocol.
+//! The binary format is a magic, a version, the fields above and a
+//! trailing FNV-1a checksum, written and read through the
+//! [`amcca_obs::bytes`] codec (which defines the shared field layouts).
+//! [`encode_mutations`] / [`decode_mutations`] are the mutation batch the
+//! serve crate's write-ahead log and client protocol carry.
 
 use std::fmt;
 
+use amcca_obs::bytes::{self, Reader, Writer};
 use amcca_sim::SimError;
 
 use crate::apps::VertexAlgo;
@@ -45,10 +47,9 @@ pub const CHECKPOINT_VERSION: u32 = 3;
 /// restored graph failed its integrity check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The buffer is shorter than the structure it claims to hold.
-    Truncated,
-    /// The buffer holds bytes past the end of the structure it encodes.
-    TrailingBytes,
+    /// The bytes do not hold the structure: a field is cut short, bytes
+    /// are left over, or a query pattern is not UTF-8.
+    Codec(bytes::Error),
     /// The magic bytes are not [`CHECKPOINT_MAGIC`].
     BadMagic,
     /// The version is not [`CHECKPOINT_VERSION`].
@@ -71,8 +72,7 @@ pub enum CheckpointError {
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::Truncated => write!(f, "checkpoint truncated"),
-            CheckpointError::TrailingBytes => write!(f, "bytes after the last encoded field"),
+            CheckpointError::Codec(e) => e.fmt(f),
             CheckpointError::BadMagic => write!(f, "not a checkpoint (bad magic)"),
             CheckpointError::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
             CheckpointError::BadChecksum => write!(f, "checkpoint checksum mismatch"),
@@ -90,6 +90,12 @@ impl fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+impl From<bytes::Error> for CheckpointError {
+    fn from(e: bytes::Error) -> Self {
+        CheckpointError::Codec(e)
+    }
+}
 
 impl From<SimError> for CheckpointError {
     fn from(e: SimError) -> Self {
@@ -111,12 +117,9 @@ impl From<IncrementError> for CheckpointError {
 pub struct GraphCheckpoint {
     /// Vertex count the graph was built with.
     pub n_vertices: u32,
-    /// Live edge multiset at current weights, by destination, then source,
-    /// then copy age.
-    pub edges: Vec<StreamEdge>,
-    /// Per-edge labels, parallel to `edges`. Missing trailing entries encode
-    /// as label 0.
-    pub labels: Vec<u8>,
+    /// Live edge multiset at current weights, each with its label (0 =
+    /// unlabeled), by destination, then source, then copy age.
+    pub edges: Vec<(StreamEdge, u8)>,
     /// Promoted (multi-root) vertices at capture time, ascending.
     pub promoted: Vec<u32>,
     /// Converged per-vertex sync values at capture time (the restore-time
@@ -137,11 +140,9 @@ impl GraphCheckpoint {
     /// and the snapshot would fail its own restore check.
     pub fn capture<G: VertexAlgo>(g: &StreamingGraph<G>) -> GraphCheckpoint {
         debug_assert!(g.staged().next().is_none(), "checkpoint with staged mutations unapplied");
-        let labeled = g.live_labeled_edges();
         GraphCheckpoint {
             n_vertices: g.n_vertices(),
-            edges: labeled.iter().map(|&(e, _)| e).collect(),
-            labels: labeled.iter().map(|&(_, l)| l).collect(),
+            edges: g.live_labeled_edges(),
             promoted: g.promoted_vertices(),
             sync_states: g.sync_values(),
             queries: g
@@ -164,8 +165,7 @@ impl GraphCheckpoint {
         let muts: Vec<GraphMutation> = self
             .edges
             .iter()
-            .enumerate()
-            .map(|(i, &e)| match self.labels.get(i).copied().unwrap_or(0) {
+            .map(|&(e, l)| match l {
                 0 => GraphMutation::AddEdge(e),
                 l => GraphMutation::AddLabeledEdge(e, l),
             })
@@ -187,53 +187,23 @@ impl GraphCheckpoint {
     /// Serialize to the versioned, checksummed binary format (always the
     /// current version).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.edges.len() * 13);
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        put_u32(&mut out, CHECKPOINT_VERSION);
-        put_u32(&mut out, self.n_vertices);
-        put_u64(&mut out, self.edges.len() as u64);
-        for (i, &(u, v, w)) in self.edges.iter().enumerate() {
-            put_u32(&mut out, u);
-            put_u32(&mut out, v);
-            put_u32(&mut out, w);
-            out.push(self.labels.get(i).copied().unwrap_or(0));
+        let mut w = Writer::with_capacity(32 + self.edges.len() * 13);
+        w.bytes(&CHECKPOINT_MAGIC).u32(CHECKPOINT_VERSION).u32(self.n_vertices);
+        w.u64(self.edges.len() as u64);
+        for &((u, v, wt), label) in &self.edges {
+            w.u32(u).u32(v).u32(wt).u8(label);
         }
-        put_u32(&mut out, self.promoted.len() as u32);
-        for &v in &self.promoted {
-            put_u32(&mut out, v);
-        }
-        put_u32(&mut out, self.sync_states.len() as u32);
-        for s in &self.sync_states {
-            match s {
-                Some(v) => {
-                    out.push(1);
-                    put_u64(&mut out, *v);
-                }
-                None => out.push(0),
-            }
-        }
-        put_u32(&mut out, self.queries.len() as u32);
-        for (pattern, sources) in &self.queries {
-            put_u32(&mut out, sources.len() as u32);
-            for &s in sources {
-                put_u32(&mut out, s);
-            }
-            put_u32(&mut out, pattern.len() as u32);
-            out.extend_from_slice(pattern.as_bytes());
-        }
-        let sum = fnv1a(&out);
-        put_u64(&mut out, sum);
-        out
+        w.u32s(&self.promoted).opt_u64s(&self.sync_states);
+        w.list(&self.queries, |w, (pattern, sources)| w.u32s(sources).str(pattern));
+        let sum = fnv1a(w.as_bytes());
+        w.u64(sum);
+        w.into_bytes()
     }
 
     /// Deserialize, verifying magic, version, and checksum.
     pub fn decode(bytes: &[u8]) -> Result<GraphCheckpoint, CheckpointError> {
-        if bytes.len() < 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        let (payload, tail) = bytes.split_at(bytes.len() - 8);
-        let want = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-        if fnv1a(payload) != want {
+        let (payload, tail) = bytes.split_at(bytes.len().saturating_sub(8));
+        if fnv1a(payload) != Reader::new(tail).u64()? {
             return Err(CheckpointError::BadChecksum);
         }
         let mut r = Reader::new(payload);
@@ -247,55 +217,44 @@ impl GraphCheckpoint {
         let n_vertices = r.u32()?;
         let n_edges = r.u64()? as usize;
         let mut edges = Vec::with_capacity(n_edges.min(1 << 20));
-        let mut labels = Vec::with_capacity(n_edges.min(1 << 20));
         for _ in 0..n_edges {
-            edges.push((r.u32()?, r.u32()?, r.u32()?));
-            labels.push(r.u8()?);
+            edges.push(((r.u32()?, r.u32()?, r.u32()?), r.u8()?));
         }
-        let promoted = r.u32s()?;
-        let sync_states = r.opt_u64s()?;
-        let n_queries = r.u32()? as usize;
-        let mut queries = Vec::with_capacity(n_queries.min(1 << 16));
-        for _ in 0..n_queries {
+        let (promoted, sync_states) = (r.u32s()?, r.opt_u64s()?);
+        let queries = r.list(|r| {
             let sources = r.u32s()?;
-            let len = r.u32()? as usize;
-            let pattern = std::str::from_utf8(r.bytes(len)?)
-                .map_err(|_| CheckpointError::BadQuery("pattern is not UTF-8".into()))?
-                .to_string();
-            queries.push((pattern, sources));
-        }
+            Ok((r.str()?.to_string(), sources))
+        })?;
         r.finish()?;
-        Ok(GraphCheckpoint { n_vertices, edges, labels, promoted, sync_states, queries })
+        Ok(GraphCheckpoint { n_vertices, edges, promoted, sync_states, queries })
     }
 }
 
-/// Append one mutation's wire encoding (opcode byte + three `u32`s; opcode 3
-/// — a labeled insert — carries one trailing label byte) — shared by the
-/// serve crate's write-ahead log and client protocol.
-pub fn encode_mutation(m: &GraphMutation, out: &mut Vec<u8>) {
-    let (op, u, v, w, label) = match *m {
-        GraphMutation::AddEdge((u, v, w)) => (0u8, u, v, w, None),
-        GraphMutation::DelEdge((u, v, w)) => (1, u, v, w, None),
-        GraphMutation::UpdateWeight { u, v, w } => (2, u, v, w, None),
-        GraphMutation::AddLabeledEdge((u, v, w), l) => (3, u, v, w, Some(l)),
-    };
-    out.push(op);
-    put_u32(out, u);
-    put_u32(out, v);
-    put_u32(out, w);
-    if let Some(l) = label {
-        out.push(l);
+/// Append a count-prefixed mutation batch (what [`decode_mutations`] reads):
+/// per mutation an opcode byte and three `u32`s, and for opcode 3 — a
+/// labeled insert — one trailing label byte.
+pub fn write_mutations<'w>(w: &'w mut Writer, muts: &[GraphMutation]) -> &'w mut Writer {
+    w.u32(muts.len() as u32);
+    for m in muts {
+        let (op, (u, v, wt), label) = match *m {
+            GraphMutation::AddEdge(e) => (0, e, None),
+            GraphMutation::DelEdge(e) => (1, e, None),
+            GraphMutation::UpdateWeight { u, v, w } => (2, (u, v, w), None),
+            GraphMutation::AddLabeledEdge(e, l) => (3, e, Some(l)),
+        };
+        w.u8(op).u32(u).u32(v).u32(wt);
+        if let Some(l) = label {
+            w.u8(l);
+        }
     }
+    w
 }
 
 /// Serialize a mutation batch (count-prefixed).
 pub fn encode_mutations(muts: &[GraphMutation]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + muts.len() * 13);
-    put_u32(&mut out, muts.len() as u32);
-    for m in muts {
-        encode_mutation(m, &mut out);
-    }
-    out
+    let mut w = Writer::with_capacity(4 + muts.len() * 13);
+    write_mutations(&mut w, muts);
+    w.into_bytes()
 }
 
 /// Deserialize a count-prefixed mutation batch.
@@ -327,93 +286,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// A bounds-checked cursor over encoded bytes — what this module's decoders
-/// and `amcca-serve`'s frame and WAL-record decoders are written on. Every
-/// read returns the field or [`CheckpointError::Truncated`]; a decoder ends
-/// with [`Reader::finish`], which refuses leftovers.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// Start reading at the first byte of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    /// The next `n` bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        let end = self.pos.checked_add(n).ok_or(CheckpointError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(CheckpointError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// Everything not yet read (a to-end-of-buffer field).
-    pub fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
-    }
-
-    /// The structure is fully read: anything left over is an error.
-    pub fn finish(&self) -> Result<(), CheckpointError> {
-        (self.pos == self.buf.len()).then_some(()).ok_or(CheckpointError::TrailingBytes)
-    }
-
-    /// One byte.
-    pub fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    /// A little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4 bytes")))
-    }
-
-    /// A little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// A `u32` count, then that many `u32`s. The count bounds the read, never
-    /// an allocation: the list's bytes are taken before anything is built.
-    pub fn u32s(&mut self) -> Result<Vec<u32>, CheckpointError> {
-        let n = self.u32()? as usize;
-        let raw = self.bytes(n.checked_mul(4).ok_or(CheckpointError::Truncated)?)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-            .collect())
-    }
-
-    /// A `u32` count, then that many optional `u64`s: a presence byte (0 =
-    /// `None`), followed when present by the value.
-    pub fn opt_u64s(&mut self) -> Result<Vec<Option<u64>>, CheckpointError> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            out.push(match self.u8()? {
-                0 => None,
-                _ => Some(self.u64()?),
-            });
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use amcca_sim::ChipConfig;
@@ -435,8 +307,7 @@ mod tests {
     fn encode_decode_roundtrip() {
         let ck = GraphCheckpoint {
             n_vertices: 9,
-            edges: vec![(0, 1, 5), (1, 2, 7), (0, 1, 5)],
-            labels: vec![0, 2, 26],
+            edges: vec![((0, 1, 5), 0), ((1, 2, 7), 2), ((0, 1, 5), 26)],
             promoted: vec![3, 7],
             sync_states: vec![Some(0), None, Some(12)],
             queries: vec![("a.b*.c".into(), vec![0]), ("z+".into(), vec![4, 7, 8])],
@@ -449,29 +320,19 @@ mod tests {
     #[test]
     fn retired_versions_are_refused() {
         for version in [1u32, 2] {
-            let mut bytes = Vec::new();
-            bytes.extend_from_slice(&CHECKPOINT_MAGIC);
-            put_u32(&mut bytes, version);
-            put_u32(&mut bytes, 4); // n_vertices
-            put_u64(&mut bytes, 1); // edge count
-            for x in [0, 1, 5] {
-                put_u32(&mut bytes, x);
-            }
+            let mut w = Writer::default();
+            w.bytes(&CHECKPOINT_MAGIC).u32(version);
+            w.u32(4).u64(1).u32(0).u32(1).u32(5); // n_vertices, edge count, the edge
             if version == 2 {
-                bytes.push(2); // v2 added the label byte
+                w.u8(2); // v2 added the label byte
             }
-            put_u32(&mut bytes, 0); // promoted count
-            put_u32(&mut bytes, 1); // sync count
-            bytes.push(0); // None
+            w.u32(0).u32(1).u8(0); // no promoted vertices, one sync value: None
             if version == 2 {
                 // ... and a query section with one u32 source per query.
-                put_u32(&mut bytes, 1); // query count
-                put_u32(&mut bytes, 3); // source
-                put_u32(&mut bytes, 2); // pattern length
-                bytes.extend_from_slice(b"b+");
+                w.u32(1).u32(3).u32(2).bytes(b"b+"); // count, source, pattern
             }
-            let sum = fnv1a(&bytes);
-            put_u64(&mut bytes, sum);
+            let sum = fnv1a(w.as_bytes());
+            let bytes = w.u64(sum).as_bytes().to_vec();
             assert_eq!(GraphCheckpoint::decode(&bytes), Err(CheckpointError::BadVersion(version)));
         }
     }
@@ -480,8 +341,7 @@ mod tests {
     fn corruption_is_detected() {
         let ck = GraphCheckpoint {
             n_vertices: 4,
-            edges: vec![(0, 1, 1)],
-            labels: vec![0],
+            edges: vec![((0, 1, 1), 0)],
             promoted: vec![],
             sync_states: vec![Some(0), Some(1), None, None],
             queries: vec![],
@@ -489,14 +349,20 @@ mod tests {
         let mut bytes = ck.encode();
         bytes[10] ^= 0xff;
         assert_eq!(GraphCheckpoint::decode(&bytes), Err(CheckpointError::BadChecksum));
-        assert_eq!(GraphCheckpoint::decode(&bytes[..6]), Err(CheckpointError::Truncated));
+        assert_eq!(
+            GraphCheckpoint::decode(&bytes[..6]),
+            Err(CheckpointError::Codec(bytes::Error::Truncated))
+        );
         // A checksum-covered byte past the last query is not ignored.
-        let mut long = ck.encode();
-        long.truncate(long.len() - 8);
-        long.push(0);
-        let sum = fnv1a(&long);
-        put_u64(&mut long, sum);
-        assert_eq!(GraphCheckpoint::decode(&long), Err(CheckpointError::TrailingBytes));
+        let good = ck.encode();
+        let mut long = Writer::default();
+        long.bytes(&good[..good.len() - 8]).u8(0);
+        let sum = fnv1a(long.as_bytes());
+        let long = long.u64(sum).as_bytes().to_vec();
+        assert_eq!(
+            GraphCheckpoint::decode(&long),
+            Err(CheckpointError::Codec(bytes::Error::TrailingBytes))
+        );
     }
 
     #[test]
@@ -538,8 +404,7 @@ mod tests {
     #[test]
     fn restore_refuses_an_edge_past_the_vertex_count() {
         let mut ck = GraphCheckpoint::capture(&small());
-        ck.edges = vec![(0, 1, 1), (1, 16, 1)];
-        ck.labels = vec![0, 0];
+        ck.edges = vec![((0, 1, 1), 0), ((1, 16, 1), 0)];
         let ck = GraphCheckpoint::decode(&ck.encode()).unwrap();
         let err = match ck.restore(
             StreamingGraph::builder(BfsAlgo::new(0))
@@ -571,7 +436,7 @@ mod tests {
         assert_eq!(g.query_results(0), vec![3]);
         assert_eq!(g.query_results(1), vec![2, 3]);
         let ck = GraphCheckpoint::capture(&g);
-        assert_eq!(ck.labels, vec![1, 2, 3]);
+        assert_eq!(ck.edges, [((0, 1, 1), 1), ((1, 2, 1), 2), ((2, 3, 1), 3)]);
         assert_eq!(
             ck.queries,
             vec![("a.b.c".to_string(), vec![0]), ("b.c?".to_string(), vec![1, 2])]
@@ -640,6 +505,9 @@ mod tests {
         bad[4] = 77;
         assert_eq!(decode_mutations(&bad), Err(CheckpointError::BadOpcode(77)));
         let long = [encode_mutations(&muts), vec![0]].concat();
-        assert_eq!(decode_mutations(&long), Err(CheckpointError::TrailingBytes));
+        assert_eq!(
+            decode_mutations(&long),
+            Err(CheckpointError::Codec(bytes::Error::TrailingBytes))
+        );
     }
 }

@@ -3,7 +3,7 @@
 //! The paper's evaluation is simulated-time (cycles, energy); this crate
 //! adds the *wall-clock* side the serving stack needs: where a submission
 //! actually spends its time between the TCP read and the `Submitted` ack.
-//! Three pieces, no external dependencies:
+//! Four pieces, no external dependencies:
 //!
 //! * [`registry::Registry`] — named monotonic counters, gauges, and
 //!   fixed-bucket log-scale latency histograms ([`hist`]), snapshotted into
@@ -15,6 +15,10 @@
 //!   behind a cheap enabled-check so the disabled path is a no-op.
 //! * [`json`] — a tiny JSON reader/writer used by the trace checker and
 //!   tests.
+//! * [`bytes`] — the binary codec, a [`bytes::Writer`] and [`bytes::Reader`]
+//!   pair that every byte format of the workspace is written and read
+//!   through: the snapshot's wire form here, and the checkpoint, the
+//!   write-ahead log and the client protocol in the crates above.
 //!
 //! Instrumentation is *pure observation*: it reads clocks and bumps
 //! counters but never feeds back into control flow, so enabling it cannot
@@ -23,6 +27,7 @@
 
 #![warn(missing_docs)]
 
+pub mod bytes;
 pub mod hist;
 pub mod json;
 pub mod registry;

@@ -10,6 +10,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
+use crate::bytes::{self, Reader, Writer};
 use crate::hist::{HistSnapshot, Histogram, BUCKETS};
 use crate::json::escape;
 
@@ -115,103 +116,55 @@ impl MetricsSnapshot {
         merge_sorted(&mut self.hists, &other.hists, |a, b| a.merge(b));
     }
 
-    /// Compact binary codec for the wire (the serve `ObsStats` frame).
+    /// Compact binary codec for the wire (the serve `ObsStats` frame): each
+    /// section a `u32` count of named entries, each name a short string.
     pub fn encode(&self) -> Vec<u8> {
-        fn put_name(out: &mut Vec<u8>, name: &str) {
-            out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-        }
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.counters.len() as u32).to_le_bytes());
-        for (n, v) in &self.counters {
-            put_name(&mut out, n);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.gauges.len() as u32).to_le_bytes());
-        for (n, v) in &self.gauges {
-            put_name(&mut out, n);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.hists.len() as u32).to_le_bytes());
-        for (n, h) in &self.hists {
-            put_name(&mut out, n);
-            out.extend_from_slice(&h.count.to_le_bytes());
-            out.extend_from_slice(&h.sum.to_le_bytes());
-            out.extend_from_slice(&h.min.to_le_bytes());
-            out.extend_from_slice(&h.max.to_le_bytes());
-            out.extend_from_slice(&(h.buckets.len() as u32).to_le_bytes());
-            for (idx, c) in &h.buckets {
-                out.extend_from_slice(&idx.to_le_bytes());
-                out.extend_from_slice(&c.to_le_bytes());
-            }
-        }
-        out
+        let mut w = Writer::default();
+        w.list(&self.counters, |w, (n, v)| w.short_str(n).u64(*v));
+        w.list(&self.gauges, |w, (n, v)| w.short_str(n).u64(*v as u64));
+        w.list(&self.hists, |w, (n, h)| {
+            w.short_str(n).u64(h.count).u64(h.sum).u64(h.min).u64(h.max);
+            w.list(&h.buckets, |w, &(idx, c)| w.u16(idx).u64(c))
+        });
+        w.into_bytes()
     }
 
     /// Decode [`MetricsSnapshot::encode`] bytes. Errors on truncation,
     /// non-UTF-8 names, trailing bytes, and histogram buckets that no
     /// [`Histogram`] snapshots.
     pub fn decode(bytes: &[u8]) -> Result<MetricsSnapshot, String> {
-        struct Cur<'a>(&'a [u8], usize);
-        impl Cur<'_> {
-            fn take(&mut self, n: usize) -> Result<&[u8], String> {
-                let s = self.0.get(self.1..self.1 + n).ok_or("truncated snapshot")?;
-                self.1 += n;
-                Ok(s)
+        let snap = Self::read(&mut Reader::new(bytes)).map_err(|e| match e {
+            bytes::Error::Truncated => "truncated snapshot",
+            bytes::Error::TrailingBytes => "trailing bytes after snapshot",
+            bytes::Error::NotUtf8 => "metric name is not UTF-8",
+        })?;
+        for (_, h) in &snap.hists {
+            // Only the shape `Histogram::snapshot` emits — in-range indices,
+            // strictly ascending, counts summing to `count` — so rendering
+            // never shifts or adds past the end.
+            let ascending = h.buckets.windows(2).all(|p| p[0].0 < p[1].0);
+            if !ascending || h.buckets.last().is_some_and(|&(idx, _)| idx as usize >= BUCKETS) {
+                return Err("histogram buckets out of range or out of order".into());
             }
-            fn u16(&mut self) -> Result<u16, String> {
-                Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-            }
-            fn u32(&mut self) -> Result<u32, String> {
-                Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-            }
-            fn u64(&mut self) -> Result<u64, String> {
-                Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-            }
-            fn name(&mut self) -> Result<String, String> {
-                let len = self.u16()? as usize;
-                String::from_utf8(self.take(len)?.to_vec())
-                    .map_err(|_| "metric name is not UTF-8".to_string())
-            }
-        }
-        let mut c = Cur(bytes, 0);
-        let mut snap = MetricsSnapshot::default();
-        for _ in 0..c.u32()? {
-            let n = c.name()?;
-            snap.counters.push((n, c.u64()?));
-        }
-        for _ in 0..c.u32()? {
-            let n = c.name()?;
-            snap.gauges.push((n, c.u64()? as i64));
-        }
-        for _ in 0..c.u32()? {
-            let n = c.name()?;
-            let (count, sum, min, max) = (c.u64()?, c.u64()?, c.u64()?, c.u64()?);
-            let nb = c.u32()? as usize;
-            // The count is unauthenticated: it bounds the loop, not the
-            // allocation.
-            let mut buckets: Vec<(u16, u64)> = Vec::with_capacity(nb.min(1 << 10));
-            let mut total = 0u64;
-            for _ in 0..nb {
-                let (idx, k) = (c.u16()?, c.u64()?);
-                // Only the shape `Histogram::snapshot` emits — in-range
-                // indices, strictly ascending, counts summing to `count` —
-                // so rendering never shifts or adds past the end.
-                if idx as usize >= BUCKETS || buckets.last().is_some_and(|&(prev, _)| idx <= prev) {
-                    return Err("histogram buckets out of range or out of order".into());
-                }
-                total = total.checked_add(k).ok_or("histogram bucket counts overflow")?;
-                buckets.push((idx, k));
-            }
-            if total != count {
+            let total = h.buckets.iter().try_fold(0u64, |t, &(_, k)| t.checked_add(k));
+            if total.ok_or("histogram bucket counts overflow")? != h.count {
                 return Err("histogram bucket counts do not sum to its count".into());
             }
-            snap.hists.push((n, HistSnapshot { buckets, count, sum, min, max }));
-        }
-        if c.1 != bytes.len() {
-            return Err("trailing bytes after snapshot".into());
         }
         Ok(snap)
+    }
+
+    fn read(r: &mut Reader) -> Result<MetricsSnapshot, bytes::Error> {
+        let counters = r.list(|r| Ok((r.short_str()?.into(), r.u64()?)))?;
+        let gauges = r.list(|r| Ok((r.short_str()?.into(), r.u64()? as i64)))?;
+        let hists = r.list(|r| {
+            let name = r.short_str()?.into();
+            let (count, sum, min, max) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
+            let buckets = r.list(|r| Ok((r.u16()?, r.u64()?)))?;
+            Ok((name, HistSnapshot { buckets, count, sum, min, max }))
+        })?;
+        r.finish()?;
+        Ok(MetricsSnapshot { counters, gauges, hists })
     }
 
     /// Render as a JSON object: `counters` / `gauges` as flat maps,

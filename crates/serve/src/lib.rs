@@ -59,7 +59,7 @@ pub use wal::{Store, WalRecord};
 pub enum ServeError {
     /// Filesystem or socket failure.
     Io(io::Error),
-    /// A checkpoint or WAL record failed to decode or verify.
+    /// A checkpoint failed to decode or verify.
     Checkpoint(CheckpointError),
     /// The simulator rejected an increment while applying a batch.
     Sim(SimError),

@@ -2,16 +2,18 @@
 //!
 //! Every message is one **frame**: a little-endian `u32` byte length
 //! followed by that many payload bytes ([`write_frame`] / [`read_frame`]).
-//! Payloads are a one-byte opcode plus fixed-width little-endian fields;
-//! mutation batches reuse the count-prefixed encoding shared with the
-//! write-ahead log ([`sdgp_core::checkpoint::encode_mutations`]), so a
-//! submission's wire bytes are byte-identical to its WAL record payload.
-//! No external serialization crate is involved.
+//! Payloads are a one-byte opcode plus fields in the [`amcca_obs::bytes`]
+//! codec, which defines their layouts; mutation batches reuse the
+//! count-prefixed encoding shared with the write-ahead log
+//! ([`sdgp_core::checkpoint::encode_mutations`]), so a submission's wire
+//! bytes are byte-identical to its WAL record payload. No external
+//! serialization crate is involved.
 
 use std::io::{self, Read, Write};
 
+use amcca_obs::bytes::{Reader, Writer};
 use amcca_obs::MetricsSnapshot;
-use sdgp_core::checkpoint::{decode_mutations, encode_mutations, CheckpointError, Reader};
+use sdgp_core::checkpoint::{decode_mutations, write_mutations};
 use sdgp_core::graph::GraphMutation;
 
 /// Upper bound on a single frame, protecting the server from a garbage
@@ -24,7 +26,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
         .ok()
         .filter(|&l| l <= MAX_FRAME)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_le_bytes())?;
+    w.write_all(Writer::with_capacity(4).u32(len).as_bytes())?;
     w.write_all(payload)?;
     w.flush()
 }
@@ -37,9 +39,9 @@ const FRAME_PREALLOC: usize = 64 * 1024;
 /// it bounds the read but not the allocation: a peer that sends four bytes
 /// and stalls pins at most 64 KiB, not [`MAX_FRAME`].
 pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len);
+    let mut head = [0u8; 4];
+    r.read_exact(&mut head)?;
+    let len = Reader::new(&head).u32().expect("a 4-byte header");
     if len > MAX_FRAME {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too large"));
     }
@@ -51,17 +53,23 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     Ok(buf)
 }
 
-fn malformed(what: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("malformed message: {what}"))
-}
+/// What a payload's decoder refused: a field cut short, bytes left over, a
+/// mutation or a metrics snapshot that does not decode, or an unknown op.
+type Refusal = Box<dyn std::error::Error>;
 
-/// What a [`Reader`] refused — a field cut short, bytes left over — as a
-/// malformed message.
-fn bad(e: CheckpointError) -> io::Error {
-    match e {
-        CheckpointError::Truncated => malformed("field cut short"),
-        other => malformed(&other.to_string()),
-    }
+/// Decode a payload: its opcode byte, then what `body` reads for that op,
+/// then nothing. A refusal is a malformed message.
+fn decode_payload<T>(
+    payload: &[u8],
+    body: impl FnOnce(u8, &mut Reader) -> Result<T, Refusal>,
+) -> io::Result<T> {
+    let mut r = Reader::new(payload);
+    let read: Result<T, Refusal> = (|| {
+        let t = body(r.u8()?, &mut r)?;
+        r.finish()?;
+        Ok(t)
+    })();
+    read.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("malformed message: {e}")))
 }
 
 /// Cumulative server-side counters, queryable over the wire.
@@ -144,72 +152,53 @@ pub enum Request {
 impl Request {
     /// Serialize to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::default();
         match self {
-            Request::Hello => vec![0],
+            Request::Hello => w.u8(0),
             Request::Submit(muts) => {
-                let body = encode_mutations(muts);
-                let mut out = Vec::with_capacity(1 + body.len());
-                out.push(1);
-                out.extend_from_slice(&body);
-                out
+                w = Writer::with_capacity(5 + muts.len() * 13);
+                write_mutations(w.u8(1), muts)
             }
-            Request::Query => vec![2],
-            Request::Checkpoint => vec![3],
-            Request::Stats => vec![4],
-            Request::Shutdown => vec![5],
-            Request::Kill => vec![6],
-            Request::QueryResults { qid } => {
-                let mut out = vec![8];
-                out.extend_from_slice(&qid.to_le_bytes());
-                out
-            }
-            Request::ObsStats => vec![9],
-            Request::Subscribe { qid } => {
-                let mut out = vec![10];
-                out.extend_from_slice(&qid.to_le_bytes());
-                out
-            }
-            Request::Unsubscribe { qid } => {
-                let mut out = vec![11];
-                out.extend_from_slice(&qid.to_le_bytes());
-                out
-            }
+            Request::Query => w.u8(2),
+            Request::Checkpoint => w.u8(3),
+            Request::Stats => w.u8(4),
+            Request::Shutdown => w.u8(5),
+            Request::Kill => w.u8(6),
+            Request::QueryResults { qid } => w.u8(8).u32(*qid),
+            Request::ObsStats => w.u8(9),
+            Request::Subscribe { qid } => w.u8(10).u32(*qid),
+            Request::Unsubscribe { qid } => w.u8(11).u32(*qid),
             Request::RegisterQueryMulti { pattern, sources } => {
-                let mut out = Vec::with_capacity(5 + sources.len() * 4 + pattern.len());
-                out.push(12);
-                put_u32s(&mut out, sources);
-                out.extend_from_slice(pattern.as_bytes());
-                out
+                w.u8(12).u32s(sources).bytes(pattern.as_bytes())
             }
-        }
+        };
+        w.into_bytes()
     }
 
     /// Deserialize a frame payload.
     pub fn decode(payload: &[u8]) -> io::Result<Request> {
-        let mut r = Reader::new(payload);
-        let req = match r.u8().map_err(bad)? {
-            0 => Request::Hello,
-            1 => Request::Submit(decode_mutations(r.rest()).map_err(bad)?),
-            2 => Request::Query,
-            3 => Request::Checkpoint,
-            4 => Request::Stats,
-            5 => Request::Shutdown,
-            6 => Request::Kill,
-            8 => Request::QueryResults { qid: r.u32().map_err(bad)? },
-            9 => Request::ObsStats,
-            10 => Request::Subscribe { qid: r.u32().map_err(bad)? },
-            11 => Request::Unsubscribe { qid: r.u32().map_err(bad)? },
-            12 => {
-                let sources = r.u32s().map_err(bad)?;
-                let pattern = std::str::from_utf8(r.rest())
-                    .map_err(|_| malformed("query pattern is not UTF-8"))?
-                    .to_string();
-                Request::RegisterQueryMulti { pattern, sources }
-            }
-            _ => return Err(malformed("unknown request")),
-        };
-        r.finish().map_err(bad)?;
-        Ok(req)
+        decode_payload(payload, |op, r| {
+            Ok(match op {
+                0 => Request::Hello,
+                1 => Request::Submit(decode_mutations(r.rest())?),
+                2 => Request::Query,
+                3 => Request::Checkpoint,
+                4 => Request::Stats,
+                5 => Request::Shutdown,
+                6 => Request::Kill,
+                8 => Request::QueryResults { qid: r.u32()? },
+                9 => Request::ObsStats,
+                10 => Request::Subscribe { qid: r.u32()? },
+                11 => Request::Unsubscribe { qid: r.u32()? },
+                12 => Request::RegisterQueryMulti {
+                    sources: r.u32s()?,
+                    pattern: std::str::from_utf8(r.rest())
+                        .map_err(|_| "query pattern is not UTF-8")?
+                        .to_string(),
+                },
+                _ => return Err("unknown request".into()),
+            })
+        })
     }
 }
 
@@ -287,159 +276,77 @@ pub enum Response {
     },
 }
 
-/// Append `vs` to `out` as a `u32` count followed by the values (what
-/// [`Reader::u32s`] reads back).
-fn put_u32s(out: &mut Vec<u8>, vs: &[u32]) {
-    out.extend_from_slice(&(vs.len() as u32).to_le_bytes());
-    for v in vs {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
 impl Response {
     /// Serialize to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::default();
         match self {
-            Response::Hello { client_id } => {
-                let mut out = vec![0];
-                out.extend_from_slice(&client_id.to_le_bytes());
-                out
-            }
-            Response::Submitted => vec![1],
-            Response::RetryAfter { millis } => {
-                let mut out = vec![2];
-                out.extend_from_slice(&millis.to_le_bytes());
-                out
-            }
-            Response::States(states) => {
-                let mut out = Vec::with_capacity(5 + states.len() * 9);
-                out.push(3);
-                out.extend_from_slice(&(states.len() as u32).to_le_bytes());
-                for s in states {
-                    match s {
-                        Some(v) => {
-                            out.push(1);
-                            out.extend_from_slice(&v.to_le_bytes());
-                        }
-                        None => out.push(0),
-                    }
-                }
-                out
-            }
-            Response::Stats(s) => {
-                let mut out = Vec::with_capacity(1 + 7 * 8);
-                out.push(4);
-                for field in [
-                    s.batches,
-                    s.mutations,
-                    s.live_edges,
-                    s.checkpoints,
-                    s.rejected,
-                    s.wal_tail_batches,
-                    s.last_checkpoint_bytes,
-                ] {
-                    out.extend_from_slice(&field.to_le_bytes());
-                }
-                out
-            }
-            Response::Done => vec![5],
-            Response::Err(msg) => {
-                let mut out = Vec::with_capacity(1 + msg.len());
-                out.push(6);
-                out.extend_from_slice(msg.as_bytes());
-                out
-            }
-            Response::QueryId { qid } => {
-                let mut out = vec![7];
-                out.extend_from_slice(&qid.to_le_bytes());
-                out
-            }
-            Response::Matches(vs) => {
-                let mut out = Vec::with_capacity(5 + vs.len() * 4);
-                out.push(8);
-                put_u32s(&mut out, vs);
-                out
-            }
-            Response::ObsStats(snap) => {
-                let body = snap.encode();
-                let mut out = Vec::with_capacity(1 + body.len());
-                out.push(9);
-                out.extend_from_slice(&body);
-                out
-            }
+            Response::Hello { client_id } => w.u8(0).u32(*client_id),
+            Response::Submitted => w.u8(1),
+            Response::RetryAfter { millis } => w.u8(2).u64(*millis),
+            Response::States(states) => w.u8(3).opt_u64s(states),
+            Response::Stats(s) => w
+                .u8(4)
+                .u64(s.batches)
+                .u64(s.mutations)
+                .u64(s.live_edges)
+                .u64(s.checkpoints)
+                .u64(s.rejected)
+                .u64(s.wal_tail_batches)
+                .u64(s.last_checkpoint_bytes),
+            Response::Done => w.u8(5),
+            Response::Err(msg) => w.u8(6).bytes(msg.as_bytes()),
+            Response::QueryId { qid } => w.u8(7).u32(*qid),
+            Response::Matches(vs) => w.u8(8).u32s(vs),
+            Response::ObsStats(snap) => w.u8(9).bytes(&snap.encode()),
             Response::Subscribed { qid, batch_seq, results } => {
-                let mut out = Vec::with_capacity(17 + results.len() * 4);
-                out.push(10);
-                out.extend_from_slice(&qid.to_le_bytes());
-                out.extend_from_slice(&batch_seq.to_le_bytes());
-                put_u32s(&mut out, results);
-                out
+                w.u8(10).u32(*qid).u64(*batch_seq).u32s(results)
             }
             Response::QueryDelta { qid, batch_seq, added, removed } => {
-                let mut out = Vec::with_capacity(21 + (added.len() + removed.len()) * 4);
-                out.push(11);
-                out.extend_from_slice(&qid.to_le_bytes());
-                out.extend_from_slice(&batch_seq.to_le_bytes());
-                put_u32s(&mut out, added);
-                put_u32s(&mut out, removed);
-                out
+                w.u8(11).u32(*qid).u64(*batch_seq).u32s(added).u32s(removed)
             }
             Response::Resync { qid, batch_seq, results } => {
-                let mut out = Vec::with_capacity(17 + results.len() * 4);
-                out.push(12);
-                out.extend_from_slice(&qid.to_le_bytes());
-                out.extend_from_slice(&batch_seq.to_le_bytes());
-                put_u32s(&mut out, results);
-                out
+                w.u8(12).u32(*qid).u64(*batch_seq).u32s(results)
             }
-        }
+        };
+        w.into_bytes()
     }
 
     /// Deserialize a frame payload.
     pub fn decode(payload: &[u8]) -> io::Result<Response> {
-        let mut r = Reader::new(payload);
-        let resp = match r.u8().map_err(bad)? {
-            0 => Response::Hello { client_id: r.u32().map_err(bad)? },
-            1 => Response::Submitted,
-            2 => Response::RetryAfter { millis: r.u64().map_err(bad)? },
-            3 => Response::States(r.opt_u64s().map_err(bad)?),
-            4 => {
-                let mut field = || r.u64().map_err(bad);
-                Response::Stats(ServerStats {
-                    batches: field()?,
-                    mutations: field()?,
-                    live_edges: field()?,
-                    checkpoints: field()?,
-                    rejected: field()?,
-                    wal_tail_batches: field()?,
-                    last_checkpoint_bytes: field()?,
-                })
-            }
-            5 => Response::Done,
-            6 => Response::Err(String::from_utf8_lossy(r.rest()).into_owned()),
-            7 => Response::QueryId { qid: r.u32().map_err(bad)? },
-            8 => Response::Matches(r.u32s().map_err(bad)?),
-            9 => Response::ObsStats(MetricsSnapshot::decode(r.rest()).map_err(|e| malformed(&e))?),
-            10 => Response::Subscribed {
-                qid: r.u32().map_err(bad)?,
-                batch_seq: r.u64().map_err(bad)?,
-                results: r.u32s().map_err(bad)?,
-            },
-            11 => Response::QueryDelta {
-                qid: r.u32().map_err(bad)?,
-                batch_seq: r.u64().map_err(bad)?,
-                added: r.u32s().map_err(bad)?,
-                removed: r.u32s().map_err(bad)?,
-            },
-            12 => Response::Resync {
-                qid: r.u32().map_err(bad)?,
-                batch_seq: r.u64().map_err(bad)?,
-                results: r.u32s().map_err(bad)?,
-            },
-            _ => return Err(malformed("unknown response")),
-        };
-        r.finish().map_err(bad)?;
-        Ok(resp)
+        decode_payload(payload, |op, r| {
+            Ok(match op {
+                0 => Response::Hello { client_id: r.u32()? },
+                1 => Response::Submitted,
+                2 => Response::RetryAfter { millis: r.u64()? },
+                3 => Response::States(r.opt_u64s()?),
+                4 => Response::Stats(ServerStats {
+                    batches: r.u64()?,
+                    mutations: r.u64()?,
+                    live_edges: r.u64()?,
+                    checkpoints: r.u64()?,
+                    rejected: r.u64()?,
+                    wal_tail_batches: r.u64()?,
+                    last_checkpoint_bytes: r.u64()?,
+                }),
+                5 => Response::Done,
+                6 => Response::Err(String::from_utf8_lossy(r.rest()).into_owned()),
+                7 => Response::QueryId { qid: r.u32()? },
+                8 => Response::Matches(r.u32s()?),
+                9 => Response::ObsStats(MetricsSnapshot::decode(r.rest())?),
+                10 => {
+                    Response::Subscribed { qid: r.u32()?, batch_seq: r.u64()?, results: r.u32s()? }
+                }
+                11 => Response::QueryDelta {
+                    qid: r.u32()?,
+                    batch_seq: r.u64()?,
+                    added: r.u32s()?,
+                    removed: r.u32s()?,
+                },
+                12 => Response::Resync { qid: r.u32()?, batch_seq: r.u64()?, results: r.u32s()? },
+                _ => return Err("unknown response".into()),
+            })
+        })
     }
 }
 

@@ -16,12 +16,13 @@
 //!   action that fails to apply never reaches the log and no boot replays
 //!   it into the same failure. A record payload is a one-byte kind —
 //!   `0` = one service round's admitted submissions, concatenated in
-//!   arrival order ([`encode_mutations`] body; re-staged on the log they
+//!   arrival order (an `encode_mutations` body; re-staged on the log they
 //!   were admitted against, they coalesce to the batch the round applied),
-//!   `2` = standing-query registration (`u32` source count, that many
-//!   `u32` sources, `u32` pattern length, pattern bytes) — length-prefixed
-//!   and followed by its FNV-1a checksum; a torn trailing record (crash
-//!   mid-append) is detected and dropped at load, never mistaken for data.
+//!   `2` = standing-query registration (its sources, then its pattern: the
+//!   two fields a checkpoint stores per query, in the [`amcca_obs::bytes`]
+//!   layouts) — length-prefixed and followed by its FNV-1a checksum; a torn
+//!   trailing record (crash mid-append) is detected and dropped at load,
+//!   never mistaken for data.
 //!   Any other kind — the retired single-source kind `1` included — is
 //!   refused as a corrupt record.
 //!
@@ -30,33 +31,35 @@
 //! append order, so a query registered mid-stream re-registers against
 //! exactly the edges that preceded it.
 
+use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use sdgp_core::checkpoint::{decode_mutations, encode_mutations, fnv1a, CheckpointError, Reader};
+use amcca_obs::bytes::{Reader, Writer};
+use sdgp_core::checkpoint::{decode_mutations, fnv1a, write_mutations};
 use sdgp_core::graph::GraphMutation;
 use sdgp_core::GraphCheckpoint;
 
 use crate::ServeError;
 
-/// Decode one checksum-valid record payload (kind byte + body).
+/// Decode one checksum-valid record payload (kind byte + body). Whatever
+/// it refuses is a corrupt record.
 fn decode_record(payload: &[u8]) -> Result<WalRecord, ServeError> {
-    let corrupt = |what: &str| ServeError::WalReplay(format!("corrupt WAL record: {what}"));
-    let cut = |e: CheckpointError| corrupt(&e.to_string());
+    let corrupt =
+        |what: &dyn fmt::Display| ServeError::WalReplay(format!("corrupt WAL record: {what}"));
     let mut r = Reader::new(payload);
     match r.u8() {
-        Ok(0) => Ok(WalRecord::Batch(decode_mutations(r.rest())?)),
+        Ok(0) => decode_mutations(r.rest()).map(WalRecord::Batch).map_err(|e| corrupt(&e)),
         Ok(2) => {
-            let sources = r.u32s().map_err(cut)?;
-            let len = r.u32().map_err(cut)? as usize;
-            let pattern = std::str::from_utf8(r.bytes(len).map_err(cut)?)
-                .map_err(|_| corrupt("register pattern is not UTF-8"))?
-                .to_string();
-            r.finish().map_err(cut)?;
-            Ok(WalRecord::Register { pattern, sources })
+            let mut register = || {
+                let sources = r.u32s()?;
+                let pattern = r.str()?.to_string();
+                r.finish().map(|()| WalRecord::Register { pattern, sources })
+            };
+            register().map_err(|e| corrupt(&e))
         }
-        _ => Err(corrupt("unknown record kind")),
+        _ => Err(corrupt(&"unknown record kind")),
     }
 }
 
@@ -217,35 +220,25 @@ impl Store {
     /// the record size in bytes, and only once the record is durable —
     /// callers apply the round *before* and acknowledge it *after*.
     pub fn append_batch(&mut self, muts: &[GraphMutation]) -> io::Result<u64> {
-        let mut payload = Vec::with_capacity(5 + muts.len() * 14);
-        payload.push(0);
-        payload.extend_from_slice(&encode_mutations(muts));
-        self.append_record(&payload)
+        let mut w = Writer::with_capacity(5 + muts.len() * 14);
+        write_mutations(w.u8(0), muts);
+        self.append_record(w.as_bytes())
     }
 
     /// Append one standing-query registration to the WAL and sync it.
     /// Returns the record size in bytes, and only once the record is
     /// durable — callers register *before* and acknowledge it *after*.
     pub fn append_register(&mut self, pattern: &str, sources: &[u32]) -> io::Result<u64> {
-        let mut payload = Vec::with_capacity(9 + sources.len() * 4 + pattern.len());
-        payload.push(2);
-        payload.extend_from_slice(&(sources.len() as u32).to_le_bytes());
-        for s in sources {
-            payload.extend_from_slice(&s.to_le_bytes());
-        }
-        payload.extend_from_slice(&(pattern.len() as u32).to_le_bytes());
-        payload.extend_from_slice(pattern.as_bytes());
-        self.append_record(&payload)
+        let mut w = Writer::with_capacity(9 + sources.len() * 4 + pattern.len());
+        self.append_record(w.u8(2).u32s(sources).str(pattern).as_bytes())
     }
 
     fn append_record(&mut self, payload: &[u8]) -> io::Result<u64> {
-        let mut rec = Vec::with_capacity(12 + payload.len());
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(payload);
-        rec.extend_from_slice(&fnv1a(payload).to_le_bytes());
-        self.wal.write_all(&rec)?;
+        let mut rec = Writer::with_capacity(12 + payload.len());
+        rec.u32(payload.len() as u32).bytes(payload).u64(fnv1a(payload));
+        self.wal.write_all(rec.as_bytes())?;
         self.wal.sync_data()?;
-        Ok(rec.len() as u64)
+        Ok(rec.as_bytes().len() as u64)
     }
 
     /// Atomically replace the checkpoint and truncate the WAL (module
@@ -379,6 +372,32 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A checksum-valid batch record whose body is cut short is a corrupt
+    /// WAL record, not a checkpoint error, and a boot over it says so.
+    #[test]
+    fn a_cut_short_batch_record_is_a_wal_error() {
+        let dir = tmp_dir("short-batch");
+        let mut s = Store::open(&dir).unwrap();
+        // Kind 0 claiming two mutations, carrying one.
+        let mut payload = Writer::default();
+        payload.u8(0).u32(2).u8(0).u32(1).u32(2).u32(1);
+        s.append_record(payload.as_bytes()).unwrap();
+        let refused = |e: ServeError| {
+            assert!(matches!(e, ServeError::WalReplay(_)), "got: {e}");
+            assert_eq!(e.to_string(), "WAL replay failed: corrupt WAL record: field cut short");
+        };
+        refused(s.load_tail().unwrap_err());
+        drop(s);
+        let builder = sdgp_core::graph::StreamingGraph::builder(sdgp_core::apps::BfsAlgo::new(0))
+            .vertices(8)
+            .chip(amcca_sim::ChipConfig::small_test());
+        match crate::IngestCore::boot(builder, &dir, 0) {
+            Ok(_) => panic!("boot accepted a cut-short batch record"),
+            Err(e) => refused(e),
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn checkpoint_truncates_the_wal() {
         let dir = tmp_dir("truncate");
@@ -386,8 +405,7 @@ mod tests {
         s.append_batch(&batch(0)).unwrap();
         let ck = GraphCheckpoint {
             n_vertices: 4,
-            edges: vec![(0, 1, 1)],
-            labels: vec![2],
+            edges: vec![((0, 1, 1), 2)],
             promoted: vec![],
             sync_states: vec![Some(0), Some(1), None, None],
             queries: vec![("b".into(), vec![0])],
@@ -416,8 +434,7 @@ mod tests {
         s.append_batch(&batch(0)).unwrap();
         s.write_checkpoint(&GraphCheckpoint {
             n_vertices: 2,
-            edges: vec![(0, 1, 1)],
-            labels: vec![0],
+            edges: vec![((0, 1, 1), 0)],
             promoted: vec![],
             sync_states: vec![Some(0), Some(1)],
             queries: vec![],

@@ -103,7 +103,7 @@ fn checkpoint_applies_parked_submissions_first() {
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.load_tail().unwrap(), [], "the checkpoint absorbed the whole WAL");
         let ck = store.load_checkpoint().unwrap().expect("checkpoint written");
-        assert_eq!(ck.edges, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
+        assert_eq!(ck.edges, [((0, 1, 1), 0), ((1, 2, 1), 0), ((2, 3, 1), 0)]);
         let restored = ck.restore(builder()).expect("snapshot passes its own fixpoint check");
         assert_eq!(restored.sync_values(), core.sync_values());
     }

@@ -104,8 +104,7 @@ proptest! {
         };
         let ck = GraphCheckpoint {
             n_vertices: qid,
-            edges: ws.iter().map(|&w| (w, qid, 1)).collect(),
-            labels: ws.iter().map(|&w| w as u8).collect(),
+            edges: ws.iter().map(|&w| ((w, qid, 1), w as u8)).collect(),
             promoted: ws.clone(),
             sync_states: states.clone(),
             queries: vec![(text.clone(), ws.clone())],
