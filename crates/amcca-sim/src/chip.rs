@@ -26,13 +26,12 @@
 //! *work-live*: every phase visits only their members, in ascending cell id.
 //! The band phases (route, which starts by
 //! snapshotting the routers → drain → compute → IO → publish the boundary
-//! credits) are the only cycle code. [`Chip::step`] runs them for every
-//! band in band order on the calling thread, and so does a run of a one-band
-//! chip; a run of a multi-band chip is the threaded driver's, one band per
-//! thread, band 0 on the calling one. What leaves a band — a hop into a
-//! neighbour band, the first error, the Safra token — travels as mail or in a
-//! cycle report folded at the end of the cycle, so both drivers build the
-//! same chip. The per-cell helpers below are no-ops on non-members, which is
+//! credits) are the only cycle code. A run of a one-band chip steps its
+//! one band on the calling thread; a run of a multi-band chip is the
+//! threaded driver's, one band per thread, band 0 on the calling one. What
+//! leaves a band — a hop into a neighbour band, the first error, the Safra
+//! token — travels as mail or in a cycle report folded at the end of the
+//! cycle, so both drivers build the same chip. The per-cell helpers below are no-ops on non-members, which is
 //! what makes skipping them invisible to every simulated statistic.
 
 use std::ops::Range;
@@ -1021,38 +1020,21 @@ impl<P: Program> Chip<P> {
     // Simulation loop.
     // ------------------------------------------------------------------
 
-    /// Advance the chip by one cycle on the calling thread: the band phases,
-    /// each for every band in band order, with no barrier.
-    pub fn step(&mut self) {
+    /// Advance a one-band chip by one cycle on the calling thread: route,
+    /// compute, IO, then the fold. With no neighbour band there is no mail
+    /// to drain and no credit frame to publish.
+    fn step(&mut self) {
         let Chip { cfg, placement, mesh, cells, bands, program, tally, .. } = self;
         let env = Env { cfg, placement, mesh, safra_on: tally.safra.is_some() };
         let mut rep = CycleReport::new(frame_words(cfg));
-        for s in 0..bands.len() {
-            let (before, rest) = bands.split_at_mut(s);
-            let (band, after) = rest.split_first_mut().expect("s indexes a band");
-            let north = before.last().map_or(&[][..], |b| &b.credit.south);
-            let south = after.first().map_or(&[][..], |b| &b.credit.north);
-            band.route(&mut cells[band.ids()], &env, tally.cycle, north, south, &mut rep);
-        }
-        for t in 1..bands.len() {
-            let (before, rest) = bands.split_at_mut(t);
-            let (n, s) = (before.last_mut().expect("t >= 1"), &mut rest[0]);
-            s.drain(&mut cells[s.ids()], mesh, &mut n.out[1]);
-            n.drain(&mut cells[n.ids()], mesh, &mut s.out[0]);
-        }
-        for band in bands.iter_mut() {
-            band.compute(&mut cells[band.ids()], &env, program, &mut rep);
-        }
+        let [band] = &mut bands[..] else { unreachable!("only a one-band chip steps") };
+        let cells = &mut cells[band.ids()];
+        band.route(cells, &env, tally.cycle, &[], &[], &mut rep);
+        band.compute(cells, &env, program, &mut rep);
         if tally.io_pending > 0 {
-            for band in bands.iter_mut() {
-                band.io(&mut cells[band.ids()], &env, &mut rep);
-            }
+            band.io(cells, &env, &mut rep);
         }
-        for band in bands.iter_mut() {
-            let cells = &cells[band.ids()];
-            band.publish(cells);
-            debug_assert!(band.covers(cells), "a producer forgot to mark its target cell live");
-        }
+        debug_assert!(band.covers(cells), "a producer forgot to mark its target cell live");
         tally.fold(&mut rep, cfg.record_activity);
     }
 
@@ -1196,7 +1178,7 @@ impl<P: Program> Chip<P> {
     }
 
     /// Cycles the threaded driver ran so far: every cycle a run of a
-    /// multi-band chip stepped, and none of [`Self::step`]'s. Diagnostics —
+    /// multi-band chip stepped, and none of a one-band chip's. Diagnostics —
     /// the driver never affects simulation results, only wall-clock time.
     pub fn sharded_cycles(&self) -> u64 {
         self.sharded_cycles
@@ -1769,8 +1751,6 @@ mod tests {
     enum Drive {
         /// The dense reference, one cycle at a time.
         Dense,
-        /// [`Chip::step`], every band on the calling thread.
-        Step,
         /// [`Chip::run_until_quiescent`].
         Run,
     }
@@ -1780,8 +1760,7 @@ mod tests {
         // Random increment / forward streams on the 8 × 8 chip with 1–2 flit
         // link buffers and 2–4 task slots, where a stale credit snapshot or a
         // missed mark would move a stall, a cycle or a load: one band, and
-        // three bands run by the threaded driver or stepped by `Chip::step`
-        // on the calling thread.
+        // three bands run by the threaded driver.
         let mut rng = SplitMix64::new(26);
         for case in 0..24usize {
             let link_buffer = 1 + case % 2;
@@ -1809,10 +1788,7 @@ mod tests {
                     chip.run_until_quiescent().unwrap();
                 }
                 while !chip.is_quiescent() {
-                    match drive {
-                        Drive::Dense => dense_step(&mut chip),
-                        _ => chip.step(),
-                    }
+                    dense_step(&mut chip);
                     assert_eq!(chip.tally.error, None);
                 }
                 let mut objects = Vec::new();
@@ -1822,7 +1798,7 @@ mod tests {
             };
             let reference = run(1, Drive::Dense);
             assert!(reference.0 > 0);
-            for (shards, drive) in [(1, Drive::Run), (3, Drive::Run), (3, Drive::Step)] {
+            for (shards, drive) in [(1, Drive::Run), (3, Drive::Run)] {
                 let got = run(shards, drive);
                 assert_eq!(got, reference, "case {case}: shards={shards} {drive:?}");
             }

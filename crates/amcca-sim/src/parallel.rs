@@ -5,13 +5,14 @@
 //! every band keeps the live sets of its own cells (see the `chip` module).
 //! A row band is one contiguous id range, so each thread holds one
 //! `split_at_mut` slice of the row-major cell array and indexes it exactly
-//! as [`Chip::step`] does.
+//! as a one-band chip indexes the whole array.
 //! A run of a chip with more than one band is this driver's from its first
 //! cycle to its stop. It steps band 0 on the calling thread and every other
 //! band on a `std::thread::scope` helper, in lock-step cycles, with exactly
-//! the band phases [`Chip::step`] runs. No thread only waits: `bands − 1`
-//! helpers are spawned, and the calling thread applies the stop rule between
-//! its own band's cycles. The contract is strict **bit-identity with the
+//! the band phases a one-band chip runs, plus the drain and publish steps
+//! that carry hops and credits across band boundaries. No thread only
+//! waits: `bands − 1` helpers are spawned, and the calling thread applies
+//! the stop rule between its own band's cycles. The contract is strict **bit-identity with the
 //! one-band chip** for any shard count; the determinism CI gate and
 //! `tests/shard_equivalence.rs` enforce it.
 //!

@@ -420,7 +420,8 @@ impl<G: VertexAlgo> StreamingGraph<G> {
     /// Validate one submission and park it for the next increment,
     /// all-or-nothing: every endpoint must name a vertex of the graph, and
     /// every delete and re-weight a live copy ([`MutationLog::try_push_all`]).
-    /// A refused submission leaves the log as it was. Until
+    /// A refused submission leaves the log exactly as it was: it is checked
+    /// in full before any of it is pushed. Until
     /// [`Self::apply_staged`] runs, states, [`Self::live_edge_count`] and
     /// query results do not see it; later submissions validate against it
     /// and [`Self::live_edges`] lists it.

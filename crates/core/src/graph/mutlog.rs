@@ -66,12 +66,13 @@
 //! with no live copy is a recoverable [`MutationError`]
 //! ([`MutationLog::try_push`], or [`MutationLog::try_push_all`] for a whole
 //! submission, all-or-nothing — the one path `StreamingGraph::stage`, and so
-//! every increment, validates through).
+//! every increment, validates through). A whole submission is checked before
+//! any of it is pushed, so a refused one leaves no trace in the log.
 //! Every operation costs in proportion to the mutations it handles, never
 //! to the resident multiset ([`MutationLog::pair_visits`]).
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use super::{GraphMutation, StreamEdge};
@@ -286,7 +287,7 @@ impl PairRecord {
 /// collapse frees the slot, and the queue's heap block, for the next spill
 /// to reuse, so the table is as large as the most pairs ever spilled at
 /// once, not as the history of spills.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Spills {
     /// Queues by slot; a free slot holds an empty queue, which owns no heap
     /// block.
@@ -328,7 +329,7 @@ const GROW: usize = 4;
 
 /// One destination's records, keyed by source: sorted below a hub's
 /// in-degree, hashed above it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Table {
     /// `(source, record)` slots in source order.
     Sorted(Vec<(u32, PairRecord)>),
@@ -460,7 +461,7 @@ impl Table {
 /// or emptied this epoch with a counter still to keep ([`MutationLog::drain`]
 /// drops it). A destination's table goes with its last record, so two logs
 /// holding the same records hold the same destinations.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Pairs {
     by_dst: HashMap<u32, Table>,
     /// Records across all destinations ([`MutationLog::pair_records`]).
@@ -661,74 +662,34 @@ impl MutationLog {
         Ok(())
     }
 
-    /// Push a whole submission, all-or-nothing: on the first error the log
-    /// is restored to what it was before the call — including pending
-    /// entries of *earlier* pushes of this epoch that the valid prefix had
-    /// annihilated, rewritten, folded or dropped. Only the spill slots a
-    /// restored queue sits in, and whether a destination's table is sorted
-    /// or hashed, may differ.
+    /// Push a whole submission, all-or-nothing: check it, then push it. On
+    /// the first error the log is left exactly as it was.
     ///
-    /// A push only changes the record of the pair it names (and its spilled
-    /// queue), the pending entries that record's copies index, and the tail
-    /// of the epoch, so that (plus the live count) is the whole pre-image.
-    /// An insert is never refused, so the pre-image covers only the prefix
-    /// that ends at the submission's last delete or re-weight; the inserts
-    /// after it push at [`Self::try_push`]'s cost.
+    /// An insert is never refused, so the check covers only the prefix that
+    /// ends at the submission's last delete or re-weight. Whether a push is
+    /// refused depends only on the current weights of its pair's live
+    /// copies, oldest first, so the prefix goes through [`Self::try_push`] on
+    /// a scratch log seeded with just those copies of the pairs it names.
+    /// Once that takes it all, nothing on the real log can be refused.
     pub fn try_push_all(&mut self, muts: &[GraphMutation]) -> Result<(), MutationError> {
         let refusable = |m: &GraphMutation| {
             matches!(m, GraphMutation::DelEdge(_) | GraphMutation::UpdateWeight { .. })
         };
         let cut = muts.iter().rposition(refusable).map_or(0, |i| i + 1);
-        let (checked, inserts) = muts.split_at(cut);
-        let (n_entries, live) = (self.entries.len(), self.live);
-        // Each pair's record before the call, with its queue if it spilled.
-        // Sized once: a submission names at most one pair per mutation.
-        type Saved = Option<(PairRecord, Option<Vec<LogCopy>>)>;
-        let mut saved: HashMap<(u32, u32), Saved> = HashMap::with_capacity(checked.len());
-        let mut entries: Vec<(usize, Pending)> = Vec::new();
-        for &m in checked {
-            if let Entry::Vacant(slot) = saved.entry(pair_of(m)) {
+        let mut seeded = HashSet::with_capacity(cut);
+        let mut scratch = MutationLog::new();
+        for &m in &muts[..cut] {
+            let (u, v) = pair_of(m);
+            if seeded.insert((u, v)) {
                 self.pair_visits += 1;
-                let rec = self.pairs.get(*slot.key()).copied();
-                for c in rec.iter().flat_map(|r| r.copies(&self.spills)) {
-                    if matches!(c.state, State::Fresh | State::Patched) {
-                        entries.push((c.val as usize, self.entries[c.val as usize]));
-                    }
+                for c in self.pairs.get((u, v)).into_iter().flat_map(|r| r.copies(&self.spills)) {
+                    scratch.push(GraphMutation::AddEdge((u, v, current_w(&self.entries, c))));
                 }
-                let spilled = rec.filter(|r| r.state == State::Spilled);
-                let queue = spilled.map(|r| self.spills.queues[r.val as usize].clone());
-                slot.insert(rec.map(|r| (r, queue)));
             }
-            if let Err(e) = self.try_push(m) {
-                self.pair_visits += saved.len() as u64;
-                for (pair, before) in saved {
-                    // Drop what the prefix left — an annihilated fresh
-                    // insert may have taken the record with it — freeing its
-                    // slot, then put the record back, re-spilled if it was.
-                    self.pairs.visit(pair, |rec| {
-                        if rec.state == State::Spilled {
-                            self.spills.release(rec.val);
-                        }
-                        ((), true)
-                    });
-                    if let Some((mut rec, queue)) = before {
-                        if let Some(queue) = queue {
-                            rec.val = self.spills.spill(queue);
-                        }
-                        *self.pairs.get_or_insert(pair) = rec;
-                    }
-                }
-                self.entries.truncate(n_entries);
-                for (i, e) in entries {
-                    self.entries[i] = e;
-                }
-                self.live = live;
-                return Err(e);
-            }
+            scratch.try_push(m)?;
         }
-        // Never refused, so there is nothing to restore past this point.
-        for &m in inserts {
-            self.try_push(m)?;
+        for &m in muts {
+            self.try_push(m).expect("the check took the whole submission");
         }
         Ok(())
     }
@@ -811,8 +772,8 @@ impl MutationLog {
         self.pending().count()
     }
 
-    /// Pair records looked at so far — one per push, per record saved (and
-    /// restored) by [`Self::try_push_all`], and per surviving mutation
+    /// Pair records looked at so far — one per push, per pair whose copies
+    /// [`Self::try_push_all`]'s check reads, and per surviving mutation
     /// [`Self::drain`] tags, settles or prunes for. A diagnostic, like
     /// `Chip::cell_visits`.
     pub fn pair_visits(&self) -> u64 {
@@ -1141,6 +1102,16 @@ mod tests {
         assert_eq!(got.live_labeled_edges(), want.live_labeled_edges());
     }
 
+    /// Everything but the `pair_visits` diagnostic, down to whether each
+    /// table is sorted or hashed and which slot each spilled queue sits in:
+    /// what a refused submission must leave as it found it.
+    fn assert_untouched(got: &MutationLog, before: &MutationLog) {
+        assert_eq!(got.pairs, before.pairs, "tables, in their form, and their records");
+        assert_eq!(got.spills, before.spills, "spilled queues, slots and free slots");
+        assert_eq!(got.entries, before.entries, "pending entries");
+        assert_eq!(got.live, before.live, "live count");
+    }
+
     /// Run one epoch of submissions through both recipes, then drain both;
     /// the batch `got` drained.
     fn epoch_matches(
@@ -1149,7 +1120,12 @@ mod tests {
         submissions: &[Vec<GraphMutation>],
     ) -> CoalescedBatch {
         for sub in submissions {
-            assert_eq!(got.try_push_all(sub), clone_and_swap(want, sub), "submission {sub:?}");
+            let before = got.clone();
+            let accepted = got.try_push_all(sub);
+            assert_eq!(accepted, clone_and_swap(want, sub), "submission {sub:?}");
+            if accepted.is_err() {
+                assert_untouched(got, &before);
+            }
             assert_same(got, want);
         }
         let (g, w) = (got.drain(), want.drain());
@@ -1198,6 +1174,39 @@ mod tests {
         assert_eq!(log.drain().muts, next);
     }
 
+    #[test]
+    fn a_refused_submission_changes_nothing() {
+        // A hub of 129 sources, so its table hashes, with a second copy of
+        // one pair, so that record spills; then deletes leave it 65 sources,
+        // one above where it would sort back.
+        let mut log = MutationLog::new();
+        for u in 0..=HASHED_ABOVE as u32 {
+            log.push(AddEdge((u, 0, 1)));
+        }
+        log.push(AddEdge((0, 0, 2)));
+        log.drain();
+        for u in SORTED_AT as u32 + 1..=HASHED_ABOVE as u32 {
+            log.push(DelEdge((u, 0, 1)));
+        }
+        log.drain();
+        // An earlier submission of this epoch left a pending insert.
+        log.push(AddEdge((5, 6, 1)));
+        assert_eq!((log.hashed_tables(), log.live_count()), (1, 67));
+        let before = log.clone();
+        let refused = [
+            DelEdge((SORTED_AT as u32, 0, 1)), // the 65th source: the table would sort
+            UpdateWeight { u: 0, v: 0, w: 3 }, // patches the spilled pair's oldest copy
+            DelEdge((5, 6, 1)),                // annihilates the pending insert
+            DelEdge((SORTED_AT as u32, 0, 1)), // that copy is gone
+        ];
+        assert_eq!(
+            log.try_push_all(&refused),
+            Err(MutationError::NoLiveCopyToDelete { u: SORTED_AT as u32, v: 0, w: 1 })
+        );
+        assert_eq!(log.hashed_tables(), 1, "the hub's table is still hashed");
+        assert_untouched(&log, &before);
+    }
+
     /// Tags of the canonical batch one epoch of `muts` drains to.
     fn tags(log: &mut MutationLog, muts: &[GraphMutation]) -> Vec<u8> {
         log.try_push_all(muts).unwrap();
@@ -1239,12 +1248,12 @@ mod tests {
         assert_eq!(tags(&mut log, &[AddEdge((0, 1, 5))]), vec![0]);
         log.push(DelEdge((0, 1, 5)));
         assert_eq!((log.pair_records(), log.live_count()), (1, 0), "emptied, kept");
-        // A refused submission that re-fills the record restores both the
+        // A refused submission that would re-fill the record leaves both the
         // emptied-but-kept state and the counter.
         let want = log.clone();
         let refused = [AddEdge((0, 1, 8)), AddEdge((4, 4, 1)), DelEdge((9, 9, 9))];
         assert!(log.try_push_all(&refused).is_err());
-        assert_same(&log, &want);
+        assert_untouched(&log, &want);
         assert_eq!(log.pairs.get((0, 1)), Some(&PairRecord { next: 1, ..PairRecord::default() }));
         assert_eq!(tags(&mut log, &[AddEdge((0, 1, 8))]), vec![0, 1], "retraction, then re-add");
     }

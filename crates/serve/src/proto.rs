@@ -20,14 +20,14 @@ use sdgp_core::graph::GraphMutation;
 /// length prefix.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// Write one length-prefixed frame.
+/// Write one length-prefixed frame in a single `write_all`, so that a
+/// socket sends its header and payload together.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .ok()
         .filter(|&l| l <= MAX_FRAME)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(Writer::with_capacity(4).u32(len).as_bytes())?;
-    w.write_all(payload)?;
+    w.write_all(Writer::with_capacity(4 + payload.len()).u32(len).bytes(payload).as_bytes())?;
     w.flush()
 }
 
@@ -458,6 +458,29 @@ mod tests {
         let huge = (MAX_FRAME + 1).to_le_bytes();
         let err = read_frame(&mut &huge[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        /// Keeps what each `write` call was handed.
+        struct Calls(Vec<Vec<u8>>);
+        impl Write for Calls {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut calls = Calls(Vec::new());
+        write_frame(&mut calls, b"hello").unwrap();
+        write_frame(&mut calls, b"").unwrap();
+        assert_eq!(
+            calls.0,
+            [&b"\x05\0\0\0hello"[..], &[0; 4]],
+            "header and payload, one call each"
+        );
     }
 
     #[test]

@@ -521,8 +521,9 @@ impl Server {
             ServerReport { stats: dispatcher.stats(), crashed }
         });
         // The acceptor numbers the connections and starts each one's reader
-        // until the ingest thread has finished (or the listener fails), then
-        // joins it.
+        // until the ingest thread has finished, then joins it. An accept
+        // error — none pending, or no descriptor left for a new socket —
+        // only backs off: the listener serves on once it clears.
         let acceptor = thread::spawn(move || {
             let mut client_id = 0u32;
             while !ingest.is_finished() {
@@ -532,10 +533,7 @@ impl Server {
                         let (tx, shared) = (tx.clone(), Arc::clone(&shared));
                         thread::spawn(move || connection_loop(sock, client_id, &tx, &shared));
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => break,
+                    Err(_) => thread::sleep(Duration::from_millis(2)),
                 }
             }
             // With the acceptor's sender gone, the ingest thread also stops
