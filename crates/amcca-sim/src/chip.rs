@@ -29,10 +29,16 @@
 //! credits) are the only cycle code. A run of a one-band chip steps its
 //! one band on the calling thread; a run of a multi-band chip is the
 //! threaded driver's, one band per thread, band 0 on the calling one. What
-//! leaves a band — a hop into a neighbour band, the first error, the Safra
-//! token — travels as mail or in a cycle report folded at the end of the
-//! cycle, so both drivers build the same chip. The per-cell helpers below are no-ops on non-members, which is
-//! what makes skipping them invisible to every simulated statistic.
+//! leaves a band — a hop into a neighbour band, the first error, whether the
+//! band still holds work, a Safra detection — travels as mail or in a cycle
+//! report folded at the end of the cycle, so both drivers build the same
+//! chip. The per-cell helpers below are no-ops on non-members, which is what
+//! makes skipping them invisible to every simulated statistic.
+//!
+//! The live sets are also the chip's one record of where work is: a run
+//! stops at quiescence when every band ends a cycle quiet (`Band::quiet`)
+//! and the IO streams are drained. The Safra token's rules are
+//! [`crate::safra`]'s; a cell only hands the token over.
 
 use std::ops::Range;
 
@@ -46,7 +52,7 @@ use crate::placement::PlacementTable;
 use crate::program::{ExecCtx, Program};
 use crate::rng::SplitMix64;
 use crate::router::{NUM_CODES, NUM_PORTS, PORT_IO, PORT_LOCAL, PORT_NORTH, PORT_SOUTH};
-use crate::safra::{decode_token, initiator_detects, token_operon, SafraState, ACT_TOKEN};
+use crate::safra::{probe_token, take_token, SafraState, ACT_TOKEN};
 use crate::shard::ShardPlan;
 use crate::stats::{ActivityRecording, ActivitySeries, CellLoad, Counters};
 
@@ -93,6 +99,10 @@ impl LiveSet {
 
     fn contains(&self, i: usize) -> bool {
         self.words[i / 64] & (1u64 << (i % 64)) != 0
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
     }
 
     /// Members in ascending order.
@@ -155,12 +165,9 @@ pub(crate) struct Tally {
     pub(crate) cycle: u64,
     pub(crate) counters: Counters,
     pub(crate) activity: ActivitySeries,
-    /// Operons inside routers (staged or in flight).
-    in_network: u64,
-    /// Operons delivered but not yet picked up.
-    queued_tasks: u64,
-    /// Cells currently occupied by an action.
-    busy: u32,
+    /// Some band held work at the end of the last cycle (see
+    /// [`Band::quiet`]).
+    working: bool,
     /// Operons loaded on IO cells and not yet injected.
     io_pending: u64,
     pub(crate) error: Option<SimError>,
@@ -183,32 +190,13 @@ pub(crate) struct Tally {
 // deterministically.
 // ----------------------------------------------------------------------
 
-/// What the Safra token did at the cell that held it this cycle. The caller
-/// owns the chip-global detector scalars and applies the matching update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TokenStep {
-    /// Cell was not passive: token re-queued behind pending work.
-    Requeued,
-    /// Non-initiator forwarded the token along the ring.
-    Forwarded,
-    /// Initiator's probe failed: a fresh white probe was launched.
-    Restarted,
-    /// Initiator detected termination; the token retires.
-    Detected,
-}
-
-/// Non-cell-local side effects of one cell's compute phase, reported as
-/// deltas so per-band sums merge into the chip totals exactly.
+/// Non-cell-local side effects of one cell's compute phase.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct ComputeFx {
-    /// Change in the number of delivered-but-unconsumed tasks.
-    pub d_queued: i64,
-    /// Change in the number of busy cells.
-    pub d_busy: i64,
-    /// Change in the number of operons inside routers.
-    pub d_in_network: i64,
-    /// Safra-token action performed by this cell, if it held the token.
-    pub token: Option<TokenStep>,
+    /// The cell staged an operon into its own router.
+    pub staged: bool,
+    /// The cell held the Safra token and detected termination.
+    pub detected: bool,
 }
 
 /// Decide the network-phase moves of one cell: each output port grants at
@@ -292,80 +280,35 @@ pub(crate) fn compute_cell<P: Program>(
     fx: &mut ComputeFx,
 ) -> bool {
     if !cell.busy {
-        if let Some(op) = cell.task_queue.pop_front() {
-            fx.d_queued -= 1;
-            if op.action == ACT_TOKEN {
-                // Safra Rule 1: hold the token until passive, then add our
-                // count, colour it, whiten ourselves, and forward — or, at
-                // the initiator, run the Rule-2 detection check. Global
-                // detector scalars are the caller's via `fx.token`.
-                debug_assert!(safra_on, "token without detector");
-                cell.busy = true;
-                cell.remaining = 1; // one bookkeeping instruction
-                fx.d_busy += 1;
-                if cell.task_queue.is_empty() {
-                    let (q, colour) = decode_token(&op);
-                    let td = cell.td;
-                    if i == 0 {
-                        if initiator_detects(q, colour, td) {
-                            fx.token = Some(TokenStep::Detected);
-                        } else {
-                            // Unsuccessful probe: whiten, fresh round.
-                            fx.token = Some(TokenStep::Restarted);
-                            cell.td.black = false;
-                            let next = cfg.dims.serpentine_next(0);
-                            cell.outbox.push_back(token_operon(
-                                next,
-                                0,
-                                crate::safra::Colour::White,
-                            ));
-                        }
-                    } else {
-                        let fwd_q = q + td.mc;
-                        let fwd_colour = if td.black || colour == crate::safra::Colour::Black {
-                            crate::safra::Colour::Black
-                        } else {
-                            crate::safra::Colour::White
-                        };
-                        cell.td.black = false;
-                        let next = cfg.dims.serpentine_next(i as u16);
-                        cell.outbox.push_back(token_operon(next, fwd_q, fwd_colour));
-                        fx.token = Some(TokenStep::Forwarded);
-                    }
-                } else {
-                    // Not passive: poll — requeue the token behind the
-                    // pending work.
-                    fx.token = Some(TokenStep::Requeued);
-                    cell.task_queue.push_back(op);
-                    fx.d_queued += 1;
-                }
-            } else {
-                if safra_on {
-                    cell.td.on_consume();
-                }
-                let mut charge = cfg.cost.dispatch;
-                {
-                    let mut ctx = ExecCtx::new(
-                        cell.id,
-                        cell.coord,
-                        &mut cell.memory,
-                        &mut cell.outbox,
-                        &mut charge,
-                        counters,
-                        &cfg.cost,
-                        placement,
-                        &mut cell.rng,
-                        error,
-                    );
-                    program.execute(&mut ctx, &op);
-                }
-                cell.busy = true;
-                cell.remaining = charge.max(1);
-                fx.d_busy += 1;
-            }
+        let Some(op) = cell.task_queue.pop_front() else { return false };
+        if op.action == ACT_TOKEN {
+            // Safra's Rules 1 and 2, as one bookkeeping instruction.
+            debug_assert!(safra_on, "token without detector");
+            fx.detected = take_token(cell, i, op, cfg.dims);
+            cell.remaining = 1;
         } else {
-            return false;
+            if safra_on {
+                cell.td.on_consume();
+            }
+            let mut charge = cfg.cost.dispatch;
+            {
+                let mut ctx = ExecCtx::new(
+                    cell.id,
+                    cell.coord,
+                    &mut cell.memory,
+                    &mut cell.outbox,
+                    &mut charge,
+                    counters,
+                    &cfg.cost,
+                    placement,
+                    &mut cell.rng,
+                    error,
+                );
+                program.execute(&mut ctx, &op);
+            }
+            cell.remaining = charge.max(1);
         }
+        cell.busy = true;
     }
     debug_assert!(cell.busy);
     let mut did_work = false;
@@ -377,7 +320,7 @@ pub(crate) fn compute_cell<P: Program>(
         if cell.router.accepts_now(PORT_LOCAL) {
             cell.outbox.pop_front();
             cell.enqueue(PORT_LOCAL, op, mesh);
-            fx.d_in_network += 1;
+            fx.staged = true;
             counters.msgs_staged += 1;
             if op.action != ACT_TOKEN && safra_on {
                 cell.td.on_send();
@@ -389,29 +332,13 @@ pub(crate) fn compute_cell<P: Program>(
     }
     if cell.remaining == 0 && cell.outbox.is_empty() {
         cell.busy = false;
-        fx.d_busy -= 1;
     }
     did_work
 }
 
-/// Apply a cell's [`TokenStep`] to the chip-global detector scalars.
-fn apply_token_step(step: TokenStep, s: &mut SafraState, token_alive: &mut bool, cycle_now: u64) {
-    match step {
-        TokenStep::Requeued => s.token_requeues += 1,
-        TokenStep::Forwarded => {}
-        TokenStep::Restarted => s.rounds += 1,
-        TokenStep::Detected => {
-            s.terminated = true;
-            s.detected_at = Some(cycle_now);
-            *token_alive = false; // token retired
-        }
-    }
-}
-
 /// Run one IO cell's phase: inject its head operon into the attached border
 /// cell's router if the IO port has a free slot. Returns whether an operon
-/// was injected (the caller counts it out of the IO streams and into the
-/// network).
+/// was injected (the caller counts it out of the IO streams).
 pub(crate) fn io_cell_step<T>(
     io_cell: &mut IoCell,
     border: &mut Cell<T>,
@@ -476,14 +403,13 @@ pub(crate) struct CreditFrame {
 #[derive(Default)]
 pub(crate) struct CycleReport {
     pub active: u32,
-    d_in_network: i64,
-    d_queued: i64,
-    d_busy: i64,
+    /// Some cell still holds work at the cycle's end (see [`Band::quiet`]).
+    pub working: bool,
+    /// The Safra initiator detected termination this cycle.
+    detected: bool,
     io_injected: u64,
     counters: Counters,
     visits: u64,
-    token: Option<TokenStep>,
-    token_hops: u64,
     /// First network-phase error, with the deciding cell id.
     net_err: Option<(u16, SimError)>,
     /// First compute-phase error, with the executing cell id.
@@ -507,20 +433,15 @@ impl CycleReport {
     }
 
     /// Fold another band's report into this one: sums for the scalar
-    /// aggregates, min-cell-id for the per-phase first errors, OR for frames.
+    /// aggregates, min-cell-id for the per-phase first errors, OR for the
+    /// flags and frames.
     pub(crate) fn merge(&mut self, other: &mut CycleReport) {
         self.active += other.active;
-        self.d_in_network += other.d_in_network;
-        self.d_queued += other.d_queued;
-        self.d_busy += other.d_busy;
+        self.working |= other.working;
+        self.detected |= other.detected;
         self.io_injected += other.io_injected;
         self.counters.merge(&other.counters);
         self.visits += other.visits;
-        if let Some(step) = other.token.take() {
-            debug_assert!(self.token.is_none(), "one token per chip");
-            self.token = Some(step);
-        }
-        self.token_hops += other.token_hops;
         if let Some((cc, e)) = other.net_err.take() {
             keep_first(&mut self.net_err, cc, e);
         }
@@ -692,9 +613,6 @@ impl Band {
             match self.moves[i] {
                 Move::Hop { src, port, dst, in_port } => {
                     let op = cells[src as usize - base].router.pop(port as usize);
-                    if op.action == ACT_TOKEN {
-                        rep.token_hops += 1;
-                    }
                     rep.counters.hops += 1;
                     match exit(src, in_port as usize) {
                         None => {
@@ -711,8 +629,6 @@ impl Band {
                     c.load.delivered += 1;
                     c.load.peak_queue = c.load.peak_queue.max(c.task_queue.len() as u32);
                     self.work_live.insert(cell as usize);
-                    rep.d_in_network -= 1;
-                    rep.d_queued += 1;
                     rep.counters.msgs_delivered += 1;
                 }
             }
@@ -747,9 +663,9 @@ impl Band {
         let Env { cfg, placement, mesh, safra_on } = *env;
         // Tallied in locals and added to `rep` once: a dense cycle visits
         // hundreds of cells. The band's first error is its lowest cell's.
-        let (mut sum, mut active, mut visits) = (ComputeFx::default(), 0, 0);
+        let (mut active, mut visits) = (0, 0);
         let (mut err, mut err_at) = (None, 0);
-        let (counters, frame) = (&mut rep.counters, &mut rep.frame);
+        let (counters, frame, detected) = (&mut rep.counters, &mut rep.frame, &mut rep.detected);
         work_live.retain(|id| {
             let cell = &mut cells[id - base];
             let (mut fx, had_err) = (ComputeFx::default(), err.is_some());
@@ -760,13 +676,10 @@ impl Band {
             if !had_err && err.is_some() {
                 err_at = id as u16;
             }
-            if fx.d_in_network > 0 {
+            if fx.staged {
                 net_live.insert(id); // staged into its own router
             }
-            sum.d_queued += fx.d_queued;
-            sum.d_busy += fx.d_busy;
-            sum.d_in_network += fx.d_in_network;
-            sum.token = sum.token.or(fx.token);
+            *detected |= fx.detected;
             if did_work {
                 active += 1;
                 if let Some(word) = frame.get_mut(id / 64) {
@@ -778,11 +691,6 @@ impl Band {
         if let Some(e) = err {
             keep_first(&mut rep.comp_err, err_at, e);
         }
-        debug_assert!(rep.token.is_none() || sum.token.is_none(), "one token per chip");
-        rep.token = rep.token.or(sum.token);
-        rep.d_queued += sum.d_queued;
-        rep.d_busy += sum.d_busy;
-        rep.d_in_network += sum.d_in_network;
         rep.active += active;
         rep.visits += visits;
     }
@@ -795,7 +703,6 @@ impl Band {
             if io_cell_step(io_cell, border, env.mesh, env.safra_on, &mut rep.counters) {
                 self.net_live.insert(io_cell.cc as usize);
                 rep.io_injected += 1;
-                rep.d_in_network += 1;
             }
         }
     }
@@ -813,17 +720,34 @@ impl Band {
 
     /// The tracking invariant: every cell of the band a dense scan would act
     /// on is a member. Checked after every cycle in debug builds.
-    pub(crate) fn covers<T>(&self, cells: &[Cell<T>]) -> bool {
+    fn covers<T>(&self, cells: &[Cell<T>]) -> bool {
         cells.iter().zip(self.ids()).all(|(cell, id)| {
             (cell.router.is_drained() || self.net_live.contains(id))
                 && (cell.is_idle() || self.work_live.contains(id))
         })
     }
+
+    /// True when no cell of the band holds work: none is busy or has a
+    /// queued task, and no router holds a flit. Asked at the end of a cycle,
+    /// when the compute phase has just dropped every idle cell from
+    /// work-live, so by [`Band::covers`] the live sets alone answer it. Debug
+    /// builds check the invariant, and the answer against a dense scan.
+    pub(crate) fn quiet<T>(&self, cells: &[Cell<T>]) -> bool {
+        debug_assert!(self.covers(cells), "a producer forgot to mark its target cell live");
+        let quiet = self.work_live.is_empty()
+            && self.net_live.iter().all(|id| cells[id - self.base].router.total() == 0);
+        debug_assert_eq!(
+            quiet,
+            cells.iter().all(|c| c.is_idle() && c.router.total() == 0),
+            "the live sets disagree with a dense scan"
+        );
+        quiet
+    }
 }
 
 impl Tally {
     fn is_quiescent(&self) -> bool {
-        self.in_network == 0 && self.queued_tasks == 0 && self.busy == 0 && self.io_pending == 0
+        !self.working && self.io_pending == 0
     }
 
     /// The one stop rule of both drivers, applied before every cycle: Safra
@@ -852,9 +776,7 @@ impl Tally {
     /// sequential precedence: the network phase's first error, else the
     /// compute phase's, each already folded to its minimum cell id.
     pub(crate) fn fold(&mut self, r: &mut CycleReport, recording: ActivityRecording) {
-        self.in_network = (self.in_network as i64 + r.d_in_network) as u64;
-        self.queued_tasks = (self.queued_tasks as i64 + r.d_queued) as u64;
-        self.busy = (self.busy as i64 + r.d_busy) as u32;
+        self.working = r.working;
         self.io_pending -= r.io_injected;
         self.counters.merge(&r.counters);
         self.cell_visits += r.visits;
@@ -862,12 +784,9 @@ impl Tally {
         if self.error.is_none() {
             self.error = net_err.or(comp_err).map(|(_, e)| e);
         }
-        if let Some(step) = r.token.take() {
-            let s = self.safra.as_mut().expect("token without detector");
-            apply_token_step(step, s, &mut self.token_alive, self.cycle);
-        }
-        if let Some(s) = self.safra.as_mut() {
-            s.token_hops += r.token_hops;
+        if r.detected {
+            self.safra.as_mut().expect("token without detector").terminated = true;
+            self.token_alive = false; // the token retired
         }
         if recording != ActivityRecording::Off {
             self.activity.counts.push(r.active.min(u16::MAX as u32) as u16);
@@ -1013,7 +932,6 @@ impl<P: Program> Chip<P> {
         let cc = op.target.cc;
         self.cells[cc as usize].task_queue.push_back(op);
         self.band_of(cc).work_live.insert(cc as usize);
-        self.tally.queued_tasks += 1;
     }
 
     // ------------------------------------------------------------------
@@ -1034,13 +952,14 @@ impl<P: Program> Chip<P> {
         if tally.io_pending > 0 {
             band.io(cells, &env, &mut rep);
         }
-        debug_assert!(band.covers(cells), "a producer forgot to mark its target cell live");
+        rep.working = !band.quiet(cells);
         tally.fold(&mut rep, cfg.record_activity);
     }
 
     /// True when no work remains anywhere: routers, task queues, running
     /// actions, and IO streams are all empty. This is the terminator's
-    /// quiescence condition.
+    /// quiescence condition, read off the bands' live sets at the end of
+    /// the last cycle.
     pub fn is_quiescent(&self) -> bool {
         self.tally.is_quiescent()
     }
@@ -1093,15 +1012,13 @@ impl<P: Program> Chip<P> {
         }
         let s = self.tally.safra.as_mut().expect("a Safra chip arms its detector");
         s.terminated = false;
-        s.detected_at = None;
         // The initiator's state must be conservative at probe start.
         self.cells[0].td.black = true;
         self.tally.token_alive = true;
-        // Seed the probe: a black token so round 1 can never detect.
-        self.push_task(token_operon(0, 0, crate::safra::Colour::Black));
+        self.push_task(probe_token());
     }
 
-    /// Detector state (counters, rounds, overhead) of a Safra chip.
+    /// Detector state of a Safra chip.
     pub fn safra(&self) -> Option<&SafraState> {
         self.tally.safra.as_ref()
     }
@@ -1616,9 +1533,8 @@ mod tests {
         let mut chip = safra_chip();
         let addrs = workload(&mut chip);
         chip.run_until_quiescent().unwrap();
-        let s = chip.safra().unwrap();
-        assert!(s.terminated);
-        assert!(s.token_hops > 0, "the token paid real hops");
+        assert!(chip.safra().unwrap().terminated);
+        assert!(chip.counters().hops > base.counters().hops, "the token paid real hops");
         // Every effect of the diffusion is visible at detection time.
         for (a, b) in addrs.iter().zip(&addrs_b) {
             assert_eq!(chip.object(*a), base.object(*b));
@@ -1655,7 +1571,6 @@ mod tests {
             chip.run_until_quiescent().unwrap();
             assert_eq!(*chip.object(a).unwrap(), seg);
         }
-        assert!(chip.safra().unwrap().rounds >= 3, "each segment ran probe rounds");
     }
 
     #[test]
@@ -1665,7 +1580,6 @@ mod tests {
         // Black seed round + one clean white round over a 64-cell ring,
         // with per-cell polling: well under 2K cycles.
         assert!(cycles < 2000, "idle detection took {cycles} cycles");
-        assert_eq!(chip.safra().unwrap().token_requeues, 0, "no work to poll behind");
     }
 
     #[test]
@@ -1717,8 +1631,6 @@ mod tests {
                     c.task_queue.push_back(op);
                     c.load.delivered += 1;
                     c.load.peak_queue = c.load.peak_queue.max(c.task_queue.len() as u32);
-                    tally.in_network -= 1;
-                    tally.queued_tasks += 1;
                     tally.counters.msgs_delivered += 1;
                 }
             }
@@ -1731,19 +1643,22 @@ mod tests {
                 cell, i, false, program, counters, cfg, placement, mesh, error, &mut fx,
             );
             active += work as u16;
-            tally.queued_tasks = (tally.queued_tasks as i64 + fx.d_queued) as u64;
-            tally.busy = (tally.busy as i64 + fx.d_busy) as u32;
-            tally.in_network = (tally.in_network as i64 + fx.d_in_network) as u64;
         }
         for io_cell in bands.iter_mut().flat_map(|b| b.io.iter_mut()) {
             let border = &mut cells[io_cell.cc as usize];
             if io_cell_step(io_cell, border, mesh, false, &mut tally.counters) {
                 tally.io_pending -= 1;
-                tally.in_network += 1;
             }
         }
         tally.activity.counts.push(active);
         tally.cycle += 1;
+    }
+
+    /// The dense reference's stop rule: no cell is busy, has a queued task or
+    /// holds a flit, and the IO streams are drained.
+    fn dense_quiescent(chip: &Chip<CounterProgram>) -> bool {
+        chip.tally.io_pending == 0
+            && chip.cells.iter().all(|c| c.is_idle() && c.router.total() == 0)
     }
 
     /// How [`band_loop_matches_the_dense_scan`] drives a chip to quiescence.
@@ -1784,12 +1699,17 @@ mod tests {
                 chip.io_load(ops.iter().map(|&(a, action, b)| {
                     Operon::new(addrs[a], action, [1 + a as u64, addrs[b].pack()])
                 }));
-                if let Drive::Run = drive {
-                    chip.run_until_quiescent().unwrap();
-                }
-                while !chip.is_quiescent() {
-                    dense_step(&mut chip);
-                    assert_eq!(chip.tally.error, None);
+                match drive {
+                    Drive::Dense => {
+                        while !dense_quiescent(&chip) {
+                            dense_step(&mut chip);
+                            assert_eq!(chip.tally.error, None);
+                        }
+                    }
+                    Drive::Run => {
+                        chip.run_until_quiescent().unwrap();
+                        assert!(dense_quiescent(&chip), "the run stopped early");
+                    }
                 }
                 let mut objects = Vec::new();
                 chip.for_each_object(|a, &v| objects.push((a, v)));

@@ -41,10 +41,10 @@
 //!
 //! After the third wait the calling thread folds every slot in band order
 //! ([`crate::chip::CycleReport::merge`]). The folded quantities —
-//! active-cell counts, event counters, queue/occupancy deltas, Safra token
-//! events, and the first error in (phase, cell-id) order — are exactly what
-//! one band would have produced. Program state runs on per-band forks merged
-//! in band order ([`crate::Program::fork`]).
+//! active-cell counts, event counters, the `working` and Safra `detected`
+//! flags, and the first error in (phase, cell-id) order — are exactly what
+//! one band would have produced. Program state runs on per-band forks
+//! merged in band order ([`crate::Program::fork`]).
 //!
 //! A panic in any band's actions poisons the barrier before it unwinds, so
 //! every other band panics out of its next wait and the panic reaches the
@@ -128,7 +128,7 @@ impl<P: Program> Lane<'_, P> {
         band.compute(cells, &shared.env, program, &mut rep);
         band.io(cells, &shared.env, &mut rep);
         band.publish(cells);
-        debug_assert!(band.covers(cells), "a producer forgot to mark its target cell live");
+        rep.working = !band.quiet(cells);
         shared.credits[sid].lock().unwrap().clone_from(&band.credit);
         self.band_active += rep.active as u64;
         *shared.reports[sid].lock().unwrap() = rep;

@@ -24,9 +24,13 @@
 //! IO-cell injections are accounted as sends by the attached border cell, so
 //! the system stays closed. A chip runs this detector when it is built with
 //! [`crate::TerminationMode::SafraToken`]; each `run_until_quiescent` then
-//! starts a probe. `paper ablate-terminator` measures the overhead against
-//! the quiescence detector.
+//! seeds a probe (`probe_token`), and a cell that takes the token off its
+//! task queue applies both rules through `take_token`. The chip itself
+//! only counts messages and folds the initiator's verdict. `paper
+//! ablate-terminator` measures the overhead against the quiescence detector.
 
+use crate::cell::Cell;
+use crate::geom::Dims;
 use crate::operon::{ActionId, Address, Operon};
 
 /// Reserved action id of the termination token (never a user action).
@@ -80,21 +84,13 @@ impl Default for CellTd {
     }
 }
 
-/// Chip-level detector state: only the global scalars live here. The
-/// per-cell counters and colours are each cell's [`CellTd`]
-/// (`Cell::td`), so every hot-path update stays cell-local.
+/// Chip-level detector state: only the global verdict lives here. The
+/// per-cell counters and colours are each cell's [`CellTd`] (`Cell::td`),
+/// so every hot-path update stays cell-local.
 #[derive(Debug, Default)]
 pub struct SafraState {
     /// Set when the initiator declares termination.
     pub terminated: bool,
-    /// Completed (unsuccessful) probe rounds.
-    pub rounds: u64,
-    /// Mesh hops consumed by the token (the detector's network overhead).
-    pub token_hops: u64,
-    /// Times the token was re-queued behind pending work (polling cost).
-    pub token_requeues: u64,
-    /// Cycle at which termination was declared.
-    pub detected_at: Option<u64>,
 }
 
 impl SafraState {
@@ -127,9 +123,49 @@ pub fn initiator_detects(token_q: i64, token_colour: Colour, init: CellTd) -> bo
     token_colour == Colour::White && !init.black && token_q + init.mc == 0
 }
 
+/// The token that seeds a probe at the initiator. It is black, so the first
+/// round can never detect.
+pub(crate) fn probe_token() -> Operon {
+    token_operon(0, 0, Colour::Black)
+}
+
+/// Cell `i` takes the token `op` off its task queue; `true` when it detects
+/// termination.
+///
+/// Rule 1: a cell with pending work is not passive, so the token queues
+/// again behind that work. A passive cell adds its count `mc` to the token,
+/// blackens it if the cell is black, whitens itself, and stages it for the
+/// next cell of the serpentine ring.
+///
+/// Rule 2, at the initiator (cell 0): a white token back at a white
+/// initiator with `q + mc == 0` means the diffusion has terminated, and the
+/// token retires. Otherwise the initiator whitens itself and starts a fresh
+/// white probe.
+pub(crate) fn take_token<T>(cell: &mut Cell<T>, i: usize, op: Operon, dims: Dims) -> bool {
+    if !cell.task_queue.is_empty() {
+        cell.task_queue.push_back(op);
+        return false;
+    }
+    let ((q, colour), td) = (decode_token(&op), cell.td);
+    let next = if i == 0 {
+        if initiator_detects(q, colour, td) {
+            return true;
+        }
+        token_operon(dims.serpentine_next(0), 0, Colour::White)
+    } else {
+        let black = td.black || colour == Colour::Black;
+        let colour = if black { Colour::Black } else { Colour::White };
+        token_operon(dims.serpentine_next(i as u16), q + td.mc, colour)
+    };
+    cell.td.black = false;
+    cell.outbox.push_back(next);
+    false
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
 
     #[test]
     fn token_codec_roundtrip() {
@@ -163,6 +199,58 @@ mod tests {
         assert!(!initiator_detects(0, Colour::White, CellTd { mc: 0, black: true }));
         // Balancing initiator deficit is accepted.
         assert!(initiator_detects(-3, Colour::White, CellTd { mc: 3, black: false }));
+    }
+
+    #[test]
+    fn take_token_applies_one_rule_per_case() {
+        let dims = Dims::new(8, 8);
+        let cell = |i: u16, mc: i64, black: bool| {
+            let mut c: Cell<u64> = Cell::new(i, dims.coord_of(i), 1, 1, SplitMix64::new(0));
+            c.td = CellTd { mc, black };
+            c
+        };
+        let staged = |c: &Cell<u64>| c.outbox.iter().map(decode_token).collect::<Vec<_>>();
+        // (a) Rule 1, not passive: the token queues behind the pending work.
+        let mut busy = cell(9, 2, true);
+        let work = Operon::new(Address::new(9, 0), 10, [0; 2]);
+        busy.task_queue.push_back(work);
+        let token = token_operon(9, 5, Colour::White);
+        assert!(!take_token(&mut busy, 9, token, dims));
+        assert_eq!(busy.task_queue, [work, token]);
+        assert!(busy.outbox.is_empty());
+        assert_eq!((busy.td.mc, busy.td.black), (2, true), "the cell is untouched");
+        // (b) Rule 1, passive non-initiator: forward `q + mc`, black if the
+        // cell or the token was, and whiten the cell.
+        for (cell_black, token_colour) in
+            [(false, Colour::White), (true, Colour::White), (false, Colour::Black)]
+        {
+            let mut c = cell(9, -3, cell_black);
+            assert!(!take_token(&mut c, 9, token_operon(9, 5, token_colour), dims));
+            let colour = if cell_black || token_colour == Colour::Black {
+                Colour::Black
+            } else {
+                Colour::White
+            };
+            assert_eq!(staged(&c), [(2, colour)]);
+            assert_eq!(c.outbox[0].target.cc, dims.serpentine_next(9));
+            assert!(!c.td.black, "the cell ends white");
+        }
+        // (c) Rule 2: a white token at a white initiator with `q + mc == 0`.
+        let mut init = cell(0, 4, false);
+        assert!(take_token(&mut init, 0, token_operon(0, -4, Colour::White), dims));
+        assert!(init.outbox.is_empty(), "the token retires");
+        // (d) Otherwise the initiator starts a fresh white probe.
+        for (mc, black, q, colour) in [
+            (4, false, -3, Colour::White),
+            (4, true, -4, Colour::White),
+            (4, false, -4, Colour::Black),
+        ] {
+            let mut init = cell(0, mc, black);
+            assert!(!take_token(&mut init, 0, token_operon(0, q, colour), dims));
+            assert_eq!(staged(&init), [(0, Colour::White)]);
+            assert_eq!(init.outbox[0].target.cc, dims.serpentine_next(0));
+            assert!(!init.td.black);
+        }
     }
 
     #[test]

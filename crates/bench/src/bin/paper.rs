@@ -30,9 +30,9 @@
 //!   list             Print the scenario names, one per line
 //! ```
 //!
-//! `churn` takes `--repair {full,targeted}` (default `targeted`) selecting
-//! the reseed scoping of the headline run; the ablation CSV
-//! (`churn_repair.csv`) always measures both.
+//! `churn`'s headline run scopes its reseeds to the repair frontier
+//! (targeted repair); its ablation CSV (`churn_repair.csv`) measures the
+//! full wave beside it.
 //!
 //! Default scale is `small` (1/50 of the paper, seconds). `--scale full`
 //! reproduces the paper's sizes (50K/1.0M and 500K/10.2M edges); expect
@@ -84,15 +84,12 @@ struct Args {
     /// determinism gate diffs the CSVs), so `--jobs` only changes
     /// wall-clock time and peak memory.
     jobs: usize,
-    /// Reseed scoping of the headline `churn` run (the repair ablation
-    /// always measures both modes).
-    repair: RepairMode,
 }
 
 fn usage() -> String {
     let names: Vec<&str> = SCENARIOS.iter().map(|&(name, _)| name).collect();
     format!(
-        "usage: paper <{}|all|list> [--scale small|mid|full] [--out DIR] [--jobs N] [--repair full|targeted]",
+        "usage: paper <{}|all|list> [--scale small|mid|full] [--out DIR] [--jobs N]",
         names.join("|")
     )
 }
@@ -103,7 +100,6 @@ fn parse_args() -> Args {
     let mut scale = Scale::Small;
     let mut out = "bench_out".to_string();
     let mut jobs = 0usize;
-    let mut repair = RepairMode::Targeted;
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
@@ -123,14 +119,6 @@ fn parse_args() -> Args {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| die("invalid --jobs"));
             }
-            "--repair" => {
-                i += 1;
-                repair = match argv.get(i).map(String::as_str) {
-                    Some("full") => RepairMode::Full,
-                    Some("targeted") => RepairMode::Targeted,
-                    _ => die("invalid --repair (full|targeted)"),
-                };
-            }
             c if command.is_empty() && !c.starts_with('-') => command = c.to_string(),
             other => die(&format!("unknown argument {other}")),
         }
@@ -142,7 +130,7 @@ fn parse_args() -> Args {
     if jobs == 0 {
         jobs = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     }
-    Args { command, scale, out, jobs, repair }
+    Args { command, scale, out, jobs }
 }
 
 fn die(msg: &str) -> ! {
@@ -758,13 +746,8 @@ fn churn_run(
 }
 
 fn churn(args: &Args) {
-    let mode_name = |m: RepairMode| match m {
-        RepairMode::Full => "full",
-        RepairMode::Targeted => "targeted",
-    };
     eprintln!(
-        "[churn] sliding-window mutation stream ({} repair), scale {:?}...",
-        mode_name(args.repair),
+        "[churn] sliding-window mutation stream (targeted repair), scale {:?}...",
         args.scale
     );
     let p = ChurnPreset::v50k().scaled_down(args.scale.factor());
@@ -776,17 +759,17 @@ fn churn(args: &Args) {
     let stats = gc_datasets::degree_stats(c.n_vertices, &peak);
     let threshold = skew_threshold(&stats);
     let rcfg = RpvoConfig::default().with_rhizomes(threshold, 4);
-    let [ing, bfs] = [false, true].map(|with_bfs| churn_run(args, rcfg, args.repair, &c, with_bfs));
+    let [ing, bfs] =
+        [false, true].map(|with_bfs| churn_run(args, rcfg, RepairMode::Targeted, &c, with_bfs));
     println!(
         "\nSliding-window churn: {} ({} insert batches of {}, window {}, drained; \
-         peak-window degree max {}, mean {:.1}; {} repair)",
+         peak-window degree max {}, mean {:.1}; targeted repair)",
         p.label(),
         p.batches,
         human_count(p.adds_per_batch as u64),
         p.window,
         stats.max,
-        stats.mean,
-        mode_name(args.repair)
+        stats.mean
     );
     println!(
         "  rhizomes: threshold {} touches, K=4; BFS states re-verified against a \
@@ -852,7 +835,7 @@ fn churn(args: &Args) {
         }),
     );
     println!("  (csv: {}/churn.csv)", args.out);
-    // The headline BFS run already measured (window, args.repair) under the
+    // The headline BFS run already measured (window, targeted) under the
     // ablation's exact options — reuse it instead of re-simulating.
     ablate_repair(args, rcfg, &c, &bfs);
 }
@@ -863,8 +846,8 @@ fn churn(args: &Args) {
 /// invalidated region is tiny relative to the graph. Shows targeted reseed
 /// trigger counts (and repair-phase work) tracking the batch size while the
 /// full wave pays O(n) per delete-bearing batch. `headline` is the window
-/// schedule's already-measured BFS run under `args.repair` and the same
-/// options; only the three missing experiments are simulated.
+/// schedule's already-measured targeted BFS run under the same options;
+/// only the three missing experiments are simulated.
 fn ablate_repair(args: &Args, rcfg: RpvoConfig, window: &ChurnStream, headline: &Run) {
     eprintln!("[churn] full-vs-targeted repair ablation, scale {:?}...", args.scale);
     // Small batches on the same graph size: 1/32 of the preset's batch
@@ -882,19 +865,13 @@ fn ablate_repair(args: &Args, rcfg: RpvoConfig, window: &ChurnStream, headline: 
         labels: 0,
         seed: p.seed,
     });
-    let other_mode = match args.repair {
-        RepairMode::Full => RepairMode::Targeted,
-        RepairMode::Targeted => RepairMode::Full,
-    };
-    let [window_other, small_full, small_targeted] =
-        [(window, other_mode), (&small, RepairMode::Full), (&small, RepairMode::Targeted)]
+    let [window_full, small_full, small_targeted] =
+        [(window, RepairMode::Full), (&small, RepairMode::Full), (&small, RepairMode::Targeted)]
             .map(|(c, repair)| churn_run(args, rcfg, repair, c, true));
-    let window_pair = match args.repair {
-        RepairMode::Full => (headline, &window_other),
-        RepairMode::Targeted => (&window_other, headline),
-    };
-    let schedules =
-        [("window", window, window_pair), ("smallbatch", &small, (&small_full, &small_targeted))];
+    let schedules = [
+        ("window", window, (&window_full, headline)),
+        ("smallbatch", &small, (&small_full, &small_targeted)),
+    ];
     println!(
         "\nAblation: repair scoping (reseed triggers / repair work, summed over batches;\n\
          instrs measure the wave's work — cycles only its depth)"

@@ -121,7 +121,7 @@ impl GraphMutation {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RepairMode {
     /// Re-announce from every vertex: an O(n) trigger wave per repair batch,
-    /// kept as the ablation baseline (`paper churn --repair full`).
+    /// kept as the baseline of `paper churn`'s repair ablation.
     Full,
     /// Re-announce only from the recorded repair frontier, so trigger work
     /// is proportional to the invalidated region instead of the graph.

@@ -747,27 +747,28 @@ impl<G: VertexAlgo> Dispatcher<G> {
                     }
                 }
             }
+            Request::QueryResults { qid } | Request::Subscribe { qid }
+                if (qid as usize) >= self.core.graph().registered_queries().len() =>
+            {
+                Response::Err(format!("unknown query id {qid}"))
+            }
             Request::QueryResults { qid } => Response::Matches(self.core.query_results(qid)),
             Request::Subscribe { qid } => {
                 // Answered between increments through the outbox the deltas
                 // use, so the baseline snapshot is atomic with the delta
                 // stream: the subscriber sees this snapshot, then every
                 // later increment's delta, in order.
-                if (qid as usize) >= self.core.graph().registered_queries().len() {
-                    Response::Err(format!("unknown query id {qid}"))
-                } else {
-                    if let Some(conn) = self.conns.get_mut(&client_id) {
-                        if let Err(at) = conn.qids.binary_search(&qid) {
-                            conn.qids.insert(at, qid);
-                        }
+                if let Some(conn) = self.conns.get_mut(&client_id) {
+                    if let Err(at) = conn.qids.binary_search(&qid) {
+                        conn.qids.insert(at, qid);
                     }
-                    self.count_subscribers();
-                    self.core.obs().counter_add("subscriptions.subscribes", 1);
-                    Response::Subscribed {
-                        qid,
-                        batch_seq: self.core.stats().batches,
-                        results: self.core.query_results(qid),
-                    }
+                }
+                self.count_subscribers();
+                self.core.obs().counter_add("subscriptions.subscribes", 1);
+                Response::Subscribed {
+                    qid,
+                    batch_seq: self.core.stats().batches,
+                    results: self.core.query_results(qid),
                 }
             }
             Request::Unsubscribe { qid } => {
@@ -1011,6 +1012,30 @@ mod tests {
         let (resps, _) = take(&out);
         assert!(matches!(resps[..], [Response::Err(_), Response::Err(_)]), "{resps:?}");
         assert!(d.core.store.load_tail().unwrap().is_empty(), "nothing reached the log");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A query id no registration gave answers `Err` to a poll and to a
+    /// subscription alike, so a client can tell it from a registered query
+    /// with no results.
+    #[test]
+    fn an_unknown_query_id_answers_err() {
+        let dir = tmp_dir("unknownqid");
+        let mut d = dispatcher(builder(), &dir);
+        let out = open(&mut d, 1);
+        let register = Request::RegisterQueryMulti { pattern: "a".into(), sources: vec![0] };
+        for req in [
+            register,
+            Request::QueryResults { qid: 0 },
+            Request::QueryResults { qid: 1 },
+            Request::Subscribe { qid: 1 },
+        ] {
+            assert!(d.dispatch(Event::Request(1, req)).is_continue());
+        }
+        let unknown = Response::Err("unknown query id 1".into());
+        let want =
+            [Response::QueryId { qid: 0 }, Response::Matches(vec![]), unknown.clone(), unknown];
+        assert_eq!(take(&out), (want.to_vec(), false));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
